@@ -197,24 +197,24 @@ def design_attack(
             {b: z[i] for i, b in enumerate(interior)},
         )
 
-    def constraints(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        st = state_of(z)
-        h = eval_h(adm, st, con_layout)
-        jac_full = eval_jacobian(adm, st, con_layout)
-        jac = np.zeros((len(con_layout), 2 * n_int + n_targets))
-        jac[:, : 2 * n_int] = jac_full[:, int_cols]
-        c = h.copy()
-        for k in range(n_targets):
-            row = 2 * len(zero_inj) + k
-            c[row] = h[row] - bounds_flow[k] - z[2 * n_int + k]
-            jac[row, 2 * n_int + k] = -1.0
-        return c, jac
+    # the solver calls `constraints` at every trial point and
+    # `constraint_jacobian` only at points it accepts
+    target_rows = 2 * len(zero_inj) + np.arange(n_targets)
+    slack_cols = 2 * n_int + np.arange(n_targets)
 
-    def objective(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r = np.concatenate([z[:n_int] - va0, z[n_int : 2 * n_int] - vm0])
-        jac = np.zeros((2 * n_int, 2 * n_int + n_targets))
-        jac[:, : 2 * n_int] = np.eye(2 * n_int)
-        return r, jac
+    def constraints(z: np.ndarray) -> np.ndarray:
+        c = eval_h(adm, state_of(z), con_layout)
+        c[target_rows] = c[target_rows] - bounds_flow - z[slack_cols]
+        return c
+
+    def constraint_jacobian(z: np.ndarray) -> np.ndarray:
+        jac = np.zeros((len(con_layout), 2 * n_int + n_targets))
+        jac[:, : 2 * n_int] = eval_jacobian(adm, state_of(z), con_layout)[:, int_cols]
+        jac[target_rows, slack_cols] = -1.0
+        return jac
+
+    def objective(z: np.ndarray) -> np.ndarray:
+        return np.concatenate([z[:n_int] - va0, z[n_int : 2 * n_int] - vm0])
 
     vm_lo = np.array([case.bus(b).vmin for b in interior])
     vm_hi = np.array([case.bus(b).vmax for b in interior])
@@ -226,7 +226,10 @@ def design_attack(
 
     if spec.mode == "optimal":
         z0 = np.concatenate([va0, vm0, np.maximum(base_flows - bounds_flow, 0.0)])
-        obj_fn = objective
+        # the objective is linear in z, so its Jacobian is one constant matrix
+        objective_jac = np.zeros((2 * n_int, 2 * n_int + n_targets))
+        objective_jac[:, : 2 * n_int] = np.eye(2 * n_int)
+        obj_fn, obj_jac_fn = objective, lambda z: objective_jac
         start_draws = 0
     else:
         # seeded start; redraw until the overload targets already hold so the
@@ -250,13 +253,15 @@ def design_attack(
             z0 = z_try
             if np.all(flows >= bounds_flow):
                 break
-        obj_fn = None
+        obj_fn = obj_jac_fn = None
 
     try:
         result = solve_constrained(
             z0,
             constraints=constraints,
+            constraint_jacobian=constraint_jacobian,
             objective=obj_fn,
+            objective_jacobian=obj_jac_fn,
             lower=lower,
             upper=upper,
             tol_eq=params.tol_eq,

@@ -117,6 +117,9 @@ def _impact_metadata(
 def _zone_from_file(case: NetworkCase, path: str) -> AttackZone:
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
+    for name in ("interior", "boundary"):
+        if not isinstance(doc, dict) or not isinstance(doc.get(name), list):
+            raise ConfigError(f"{path}: zone field '{name}' must be a list of bus ids")
     return validate_zone(case, set(doc["interior"]), set(doc["boundary"]))
 
 
@@ -198,11 +201,17 @@ def load_scenario_config(path: str) -> ScenarioConfig:
         raise ConfigError("zone needs either 'focal' or both 'interior' and 'boundary'")
 
     targets = []
-    for t in doc["targets"]:
-        factor = t.get("lambda", t.get("factor"))
-        if factor is None or factor <= 0:
-            raise ConfigError(f"target {t} needs a positive 'lambda'")
-        targets.append(OverloadTarget(int(t["from"]), int(t["to"]), float(factor)))
+    for i, t in enumerate(doc["targets"]):
+        try:
+            from_bus, to_bus = int(t["from"]), int(t["to"])
+            factor = float(t.get("lambda", t.get("factor")))
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError(
+                f"{path}: targets[{i}] needs integer 'from' and 'to' bus ids and a 'lambda'"
+            ) from None
+        if factor <= 0:
+            raise ConfigError(f"{path}: targets[{i}] needs a positive 'lambda'")
+        targets.append(OverloadTarget(from_bus, to_bus, factor))
     if not targets:
         raise ConfigError("at least one overload target is required")
 
@@ -423,7 +432,11 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     case = _load_case_arg(args.case)
     with open(args.measurements, encoding="utf-8") as f:
-        ms = measurement_set_from_csv(f.read(), case)
+        text = f.read()
+    try:
+        ms = measurement_set_from_csv(text, case)
+    except EstimationError as exc:
+        raise ConfigError(f"{args.measurements}: {exc}") from None
     res = wls_estimate(ms, case, tol=args.tol, max_iter=args.max_iter)
     policy = BddPolicy(confidence=args.confidence, lnr_threshold=args.lnr_threshold)
     _emit(_estimation_json(res, policy), args.out)

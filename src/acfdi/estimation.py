@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .network import AdmittanceModel, NetworkCase, build_admittance
 from .powerflow import StateVector
@@ -141,19 +141,25 @@ def measurement_set_from_csv(text: str, case: NetworkCase) -> MeasurementSet:
     if not rows or rows[0][:2] != ["id", "kind"]:
         raise EstimationError("measurement CSV must start with an id,kind,... header")
     out = []
-    for row in rows[1:]:
+    for lineno, row in enumerate(rows[1:], 2):
         if not row:
             continue
+        if len(row) != 5:
+            raise EstimationError(
+                f"measurement CSV line {lineno} has {len(row)} fields, "
+                "expected id,kind,location,value,variance"
+            )
         meas_id, _kind, _loc, value, variance = row
         key = by_id.get(meas_id)
         if key is None:
             raise EstimationError(f"unknown measurement id {meas_id!r} for this case")
-        out.append(
-            Measurement(
-                key.id, key.kind, key.bus, key.branch_index, key.side,
-                float(value), float(variance),
-            )
-        )
+        try:
+            numbers = float(value), float(variance)
+        except ValueError:
+            raise EstimationError(
+                f"measurement CSV line {lineno}: value and variance must be numbers"
+            ) from None
+        out.append(Measurement(key.id, key.kind, key.bus, key.branch_index, key.side, *numbers))
     return MeasurementSet(tuple(out))
 
 
@@ -508,7 +514,9 @@ def wls_estimate(
 def chi_square_threshold(confidence: float, dof: int) -> float:
     if dof < 1:
         raise EstimationError("chi-square test needs dof >= 1")
-    return float(stats.chi2.ppf(confidence, df=dof))
+    # scipy's own chi2.ppf formula; chdtri(dof, 1 - confidence) differs in
+    # the last bits for some confidences because 1 - confidence rounds
+    return float(2.0 * special.gammaincinv(dof / 2.0, confidence))
 
 
 def chi_square_test(res: EstimationResult, policy: BddPolicy | None = None) -> BddVerdict:

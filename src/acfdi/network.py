@@ -6,6 +6,7 @@ in radians; conversion from the MW/MVAr/degree source format happens here.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -368,22 +369,23 @@ class AdmittanceModel:
     f_idx: np.ndarray  # from-bus positional indices
     t_idx: np.ndarray
 
-    @property
+    def _branch_map(self, at_from: np.ndarray, at_to: np.ndarray) -> np.ndarray:
+        nl, n = len(self.branches), self.case.n_bus
+        y = np.zeros((nl, n), dtype=complex)
+        y[np.arange(nl), self.f_idx] = at_from
+        y[np.arange(nl), self.t_idx] = at_to
+        y.flags.writeable = False  # built once and shared by every caller
+        return y
+
+    @functools.cached_property
     def yf(self) -> np.ndarray:
         """nl x n from-end current map: If = Yf @ V."""
-        nl, n = len(self.branches), self.case.n_bus
-        yf = np.zeros((nl, n), dtype=complex)
-        yf[np.arange(nl), self.f_idx] = self.yff
-        yf[np.arange(nl), self.t_idx] = self.yft
-        return yf
+        return self._branch_map(self.yff, self.yft)
 
-    @property
+    @functools.cached_property
     def yt(self) -> np.ndarray:
-        nl, n = len(self.branches), self.case.n_bus
-        yt = np.zeros((nl, n), dtype=complex)
-        yt[np.arange(nl), self.f_idx] = self.ytf
-        yt[np.arange(nl), self.t_idx] = self.ytt
-        return yt
+        """nl x n to-end current map: It = Yt @ V."""
+        return self._branch_map(self.ytf, self.ytt)
 
 
 def build_admittance(case: NetworkCase) -> AdmittanceModel:

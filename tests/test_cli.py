@@ -238,3 +238,40 @@ def test_external_case_file_path(tmp_path, capsys):
     assert main(["pf", str(path)]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["buses"]) == 2
+
+
+def _four_column_csv(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("id,kind,location,value\nPinj:1,Pinj,1,0.0\n")
+    return ["estimate", "case39", str(path)], "line 2"
+
+
+def _non_numeric_csv_value(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("id,kind,location,value,variance\nPinj:1,Pinj,1,high,1e-4\n")
+    return ["estimate", "case39", str(path)], "line 2"
+
+
+def _target_without_from(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**SCENARIO, "targets": [{"to": 27, "lambda": 1.3}]}))
+    return ["scenario", "run", str(path), "--out", str(tmp_path / "o")], "'from'"
+
+
+def _zone_without_boundary(tmp_path):
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"interior": SCENARIO["zone"]["interior"]}))
+    return ["attack", "case39", str(path), "--target", "26:27"], "'boundary'"
+
+
+@pytest.mark.parametrize(
+    "make_input",
+    [_four_column_csv, _non_numeric_csv_value, _target_without_from, _zone_without_boundary],
+    ids=lambda make: make.__name__.strip("_"),
+)
+def test_malformed_input_is_config_error_naming_file_and_field(make_input, tmp_path, capsys):
+    argv, field_name = make_input(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err
+    assert field_name in err

@@ -272,6 +272,14 @@ def test_chi_square_threshold_against_oracle():
             )
 
 
+def test_chi_square_threshold_matches_scipy_stats_bit_for_bit():
+    from scipy import stats
+
+    for dof in (1, 2, 3, 10, 263, 1000, 20000):
+        for conf in (0.5, 0.9, 0.95, 0.99, 0.999):
+            assert chi_square_threshold(conf, dof) == float(stats.chi2.ppf(conf, df=dof))
+
+
 def test_zero_statistic_passes_any_policy(case39, adm39, base39, zero_sigmas):
     ms = generate_measurements(case39, base39, sigmas=zero_sigmas, seed=0, adm=adm39)
     res = wls_estimate(ms, case39, adm39)
