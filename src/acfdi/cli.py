@@ -114,13 +114,30 @@ def _impact_metadata(
     }
 
 
+def _bus_list(value, name: str, path: str) -> list[int]:
+    if not isinstance(value, list) or not all(
+        isinstance(b, int) and not isinstance(b, bool) for b in value
+    ):
+        raise ConfigError(f"{path}: zone field '{name}' must be a list of integer bus ids")
+    return value
+
+
 def _zone_from_file(case: NetworkCase, path: str) -> AttackZone:
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    for name in ("interior", "boundary"):
-        if not isinstance(doc, dict) or not isinstance(doc.get(name), list):
-            raise ConfigError(f"{path}: zone field '{name}' must be a list of bus ids")
-    return validate_zone(case, set(doc["interior"]), set(doc["boundary"]))
+    if not isinstance(doc, dict):
+        doc = {}
+    interior = _bus_list(doc.get("interior"), "interior", path)
+    boundary = _bus_list(doc.get("boundary"), "boundary", path)
+    return validate_zone(case, set(interior), set(boundary))
+
+
+def _section(doc: dict, name: str, path: str) -> dict:
+    """An optional object-valued config field; absent reads as empty."""
+    value = doc.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: '{name}' must be an object")
+    return value
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -190,16 +207,19 @@ def load_scenario_config(path: str) -> ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
 
-    if "case" not in doc or "zone" not in doc or "targets" not in doc:
-        raise ConfigError("config requires 'case', 'zone', and 'targets'")
+    if not isinstance(doc, dict) or any(k not in doc for k in ("case", "zone", "targets")):
+        raise ConfigError(f"{path}: config requires 'case', 'zone', and 'targets'")
 
-    zone = doc["zone"]
-    focal = zone.get("focal")
-    interior = zone.get("interior")
-    boundary = zone.get("boundary")
+    zone = _section(doc, "zone", path)
+    focal, interior, boundary = (
+        None if zone.get(name) is None else _bus_list(zone[name], name, path)
+        for name in ("focal", "interior", "boundary")
+    )
     if focal is None and (interior is None or boundary is None):
-        raise ConfigError("zone needs either 'focal' or both 'interior' and 'boundary'")
+        raise ConfigError(f"{path}: zone needs either 'focal' or both 'interior' and 'boundary'")
 
+    if not isinstance(doc["targets"], list):
+        raise ConfigError(f"{path}: 'targets' must be a list")
     targets = []
     for i, t in enumerate(doc["targets"]):
         try:
@@ -221,18 +241,21 @@ def load_scenario_config(path: str) -> ScenarioConfig:
     modes = ["optimal", "arbitrary"] if mode == "both" else [mode]
 
     sigmas = dict(DEFAULT_SIGMAS)
-    for k, v in doc.get("sigmas", {}).items():
+    for k, v in _section(doc, "sigmas", path).items():
         if k not in sigmas:
             raise ConfigError(f"unknown measurement kind in sigmas: {k!r}")
-        if v < 0:
-            raise ConfigError("sigmas must be >= 0")
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
+            raise ConfigError(f"{path}: sigmas '{k}' must be a number >= 0")
         sigmas[k] = float(v)
 
-    seeds = doc.get("seeds", {})
-    noise_seed = int(seeds.get("noise", 0))
-    arbitrary_seed = int(seeds.get("arbitrary_start", 1))
+    seeds = _section(doc, "seeds", path)
+    try:
+        noise_seed = int(seeds.get("noise", 0))
+        arbitrary_seed = int(seeds.get("arbitrary_start", 1))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: seeds 'noise' and 'arbitrary_start' must be integers") from None
 
-    bdd_doc = doc.get("bdd", {})
+    bdd_doc = _section(doc, "bdd", path)
     try:
         bdd = BddPolicy(
             confidence=float(bdd_doc.get("confidence", 0.95)),
@@ -241,7 +264,7 @@ def load_scenario_config(path: str) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    solver_doc = doc.get("solver", {})
+    solver_doc = _section(doc, "solver", path)
     solver = SolverParams(
         tol_eq=float(solver_doc.get("tol_eq", 1e-6)),
         max_outer=int(solver_doc.get("max_outer", 20)),
@@ -255,9 +278,11 @@ def load_scenario_config(path: str) -> ScenarioConfig:
         overload_margin=float(solver_doc.get("overload_margin", 1e-4)),
     )
 
-    pf_doc = doc.get("pf", {})
-    est_doc = doc.get("estimator", {})
-    formats = doc.get("output", {}).get("formats", ["json", "csv", "svg"])
+    pf_doc = _section(doc, "pf", path)
+    est_doc = _section(doc, "estimator", path)
+    formats = _section(doc, "output", path).get("formats", ["json", "csv", "svg"])
+    if not isinstance(formats, list):
+        raise ConfigError(f"{path}: output 'formats' must be a list of json, csv, svg")
     for f_ in formats:
         if f_ not in ("json", "csv", "svg"):
             raise ConfigError(f"unknown output format {f_!r}")

@@ -206,95 +206,236 @@ def state_dimension(case: NetworkCase) -> int:
     return 2 * case.n_bus - 1
 
 
-def _angle_columns(case: NetworkCase) -> dict[int, int]:
-    slack = case.slack_bus
-    cols = {}
-    k = 0
-    for b in case.buses:
-        if b.id != slack:
-            cols[b.id] = k
-            k += 1
-    return cols
+# compiled layouts kept per admittance model; the attack solver and the
+# estimator each reuse one layout, so a few entries cover every caller
+_COMPILED_PER_MODEL = 8
+_KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+
+
+def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + c) for each (s, c)."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
+
+
+class MeasurementModel:
+    """A measurement layout compiled against one admittance model.
+
+    Compilation turns the layout into index arrays once: where each row of h
+    is gathered from, and where each Jacobian entry sits on the sparsity
+    pattern of Ybus, Yf and Yt (MATPOWER's dSbus_dV/dSbr_dV formulation,
+    Zimmerman, Murillo-Sanchez and Thomas, IEEE Trans. Power Syst. 2011).
+    Evaluation is then loop-free. The currents stay dense matvecs and each
+    derivative entry repeats the elementwise arithmetic of the dense
+    formulas, so h and the Jacobian match them bit for bit.
+
+    The model also owns the state packing x = [non-slack angles (case bus
+    order) | all magnitudes] and the row-pair index that assembles the gain
+    HᵀWH and the leverages diag(H G⁻¹ Hᵀ) from the Jacobian's nonzeros.
+    """
+
+    def __init__(self, adm: AdmittanceModel, layout: tuple[MeasurementKey, ...]):
+        case = adm.case
+        n, nl, m = case.n_bus, len(adm.branches), len(layout)
+        # the model holds the admittance arrays, not the AdmittanceModel that
+        # caches it, so a dropped AdmittanceModel is freed without a cycle
+        self._ybus, self._yf, self._yt = adm.ybus, adm.yf, adm.yt
+        self._f, self._t = adm.f_idx, adm.t_idx
+        self.m = m
+        self.n_state = 2 * n - 1
+        self._bus_ids = tuple(b.id for b in case.buses)
+        self._ang_pos = np.delete(np.arange(n), case.bus_index(case.slack_bus))
+        ang_col = np.full(n, -1)
+        ang_col[self._ang_pos] = np.arange(n - 1)
+
+        kind = np.empty(m, dtype=int)
+        where = np.empty(m, dtype=int)  # bus position, or branch index for flows
+        from_side = np.zeros(m, dtype=bool)
+        for i, key in enumerate(layout):
+            code = _KIND_CODE.get(key.kind)
+            if code is None:
+                raise EstimationError(f"unknown measurement kind {key.kind!r}")
+            kind[i] = code
+            if code < 2:
+                if key.branch_index is None or not 0 <= key.branch_index < nl:
+                    raise EstimationError(f"{key.id}: no in-service branch {key.branch_index}")
+                where[i] = key.branch_index
+                from_side[i] = key.side == "from"
+            else:
+                where[i] = case.bus_index(key.bus)
+        flow, inj = kind < 2, (kind == 2) | (kind == 3)
+        imag = (kind == 1) | (kind == 3)
+
+        # h gathers from [P, Q bus | P, Q from | P, Q to | vm | va]
+        offset = np.array([2 * n, 2 * n + nl, 0, n, 2 * n + 4 * nl, 3 * n + 4 * nl])
+        self._h_index = offset[kind] + np.where(flow & ~from_side, 2 * nl, 0) + where
+
+        # derivative entries of injection rows: the row's pattern in Ybus
+        f, t = self._f, self._t
+        cells = np.unique(np.concatenate([f * n + t, t * n + f, np.arange(n) * (n + 1)]))
+        ybus_row, ybus_col = np.divmod(cells, n)
+        ybus_ptr = np.searchsorted(ybus_row, np.arange(n + 1))
+        inj_rows = np.flatnonzero(inj)
+        counts = np.diff(ybus_ptr)[where[inj_rows]]
+        cells = _concat_ranges(ybus_ptr[where[inj_rows]], counts)
+        b_row = np.repeat(inj_rows, counts)
+        self._b_own = where[b_row]
+        self._b_col = ybus_col[cells]
+        self._b_y = adm.ybus[self._b_own, self._b_col]
+        self._b_diag = np.flatnonzero(self._b_col == self._b_own)
+
+        # derivative entries of flow rows: both ends of the row's branch
+        flow_rows = np.flatnonzero(flow)
+        r_row = np.repeat(flow_rows, 2)
+        k = where[r_row]
+        at_f = np.arange(len(k)) % 2 == 0
+        self._r_k = k
+        self._r_from = from_side[r_row]
+        self._r_own = np.where(self._r_from, f[k], t[k])
+        self._r_col = np.where(at_f, f[k], t[k])
+        self._r_y = np.where(
+            at_f,
+            np.where(self._r_from, adm.yff[k], adm.ytf[k]),
+            np.where(self._r_from, adm.yft[k], adm.ytt[k]),
+        )
+        self._r_diag = np.flatnonzero(self._r_col == self._r_own)
+
+        e_row = np.concatenate([b_row, r_row])
+        e_col = np.concatenate([self._b_col, self._r_col])
+        self._e_imag = imag[e_row]
+        n_e = len(e_row)
+
+        # Jacobian entries: d/dva of every derivative entry off the slack
+        # column, d/dvm of every one, then the unit V rows; values come from
+        # [angle parts | magnitude parts | 1.0]
+        has_ang = ang_col[e_col] >= 0
+        vmag_rows = np.flatnonzero(kind == 4)
+        vang_rows = np.flatnonzero(kind == 5)
+        vang_rows = vang_rows[ang_col[where[vang_rows]] >= 0]
+        rows = np.concatenate([e_row[has_ang], e_row, vmag_rows, vang_rows])
+        cols = np.concatenate([
+            ang_col[e_col[has_ang]], n - 1 + e_col,
+            n - 1 + where[vmag_rows], ang_col[where[vang_rows]],
+        ])
+        source = np.concatenate([
+            np.flatnonzero(has_ang), n_e + np.arange(n_e),
+            np.full(len(vmag_rows) + len(vang_rows), 2 * n_e),
+        ])
+        order = np.lexsort((cols, rows))
+        self.rows, self.cols, self._source = rows[order], cols[order], source[order]
+        row_ptr = np.searchsorted(self.rows, np.arange(m + 1))
+
+        # every ordered pair (a, b) of entries sharing a row: G[col a, col b]
+        # and the row's quadratic form h G⁻¹ hᵀ both sum over them
+        per_row = np.diff(row_ptr)
+        sq = per_row * per_row
+        self._pair_row = np.repeat(np.arange(m), sq)
+        step = _concat_ranges(np.zeros(m, dtype=int), sq)
+        width = np.repeat(per_row, sq)
+        start = np.repeat(row_ptr[:-1], sq)
+        self._pair_a = start + step // width
+        self._pair_b = start + step % width
+        self._pair_cell = self.cols[self._pair_a] * self.n_state + self.cols[self._pair_b]
+
+    def x_of(self, state: StateVector) -> np.ndarray:
+        return np.concatenate([state.va[self._ang_pos], state.vm])
+
+    def state_of(self, x: np.ndarray) -> StateVector:
+        n_ang = len(self._ang_pos)
+        va = np.zeros(n_ang + 1)
+        va[self._ang_pos] = x[:n_ang]
+        return StateVector(self._bus_ids, x[n_ang:].copy(), va)
+
+    def h(self, state: StateVector) -> np.ndarray:
+        v = state.complex_voltages()
+        sbus = v * np.conj(self._ybus @ v)
+        sf = v[self._f] * np.conj(self._yf @ v)
+        st = v[self._t] * np.conj(self._yt @ v)
+        parts = (sbus.real, sbus.imag, sf.real, sf.imag, st.real, st.imag, state.vm, state.va)
+        return np.concatenate(parts)[self._h_index]
+
+    def jacobian_values(self, state: StateVector) -> np.ndarray:
+        """Nonzeros of the Jacobian at (self.rows, self.cols)."""
+        v = state.complex_voltages()
+        vnorm = v / np.abs(v)
+        ibus = self._ybus @ v
+
+        own, col, diag = self._b_own, self._b_col, self._b_diag
+        at_diag = np.zeros(len(own), dtype=complex)
+        at_diag[diag] = (v * np.conj(ibus))[own[diag]]
+        b_va = 1j * (at_diag - v[own] * np.conj(self._b_y * v[col]))
+        at_diag[diag] = (np.conj(ibus) * vnorm)[own[diag]]
+        b_vm = v[own] * np.conj(self._b_y * vnorm[col]) + at_diag
+
+        own, col, diag = self._r_own, self._r_col, self._r_diag
+        current = np.where(self._r_from, (self._yf @ v)[self._r_k], (self._yt @ v)[self._r_k])
+        r_va = -1j * v[own] * np.conj(self._r_y * v[col])
+        r_va[diag] += 1j * np.conj(current[diag]) * v[own[diag]]
+        r_vm = v[own] * np.conj(self._r_y * vnorm[col])
+        r_vm[diag] += np.conj(current[diag]) * vnorm[own[diag]]
+
+        d_va = np.concatenate([b_va, r_va])
+        d_vm = np.concatenate([b_vm, r_vm])
+        values = np.concatenate([
+            np.where(self._e_imag, d_va.imag, d_va.real),
+            np.where(self._e_imag, d_vm.imag, d_vm.real),
+            [1.0],
+        ])
+        return values[self._source]
+
+    def jacobian(self, state: StateVector) -> np.ndarray:
+        jac = np.zeros((self.m, self.n_state))
+        jac[self.rows, self.cols] = self.jacobian_values(state)
+        return jac
+
+    def gain(self, values: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Dense HᵀWH from the Jacobian's nonzeros."""
+        weighted = values * w[self.rows]
+        g = np.bincount(
+            self._pair_cell,
+            weights=weighted[self._pair_a] * values[self._pair_b],
+            minlength=self.n_state * self.n_state,
+        )
+        return g.reshape(self.n_state, self.n_state)
+
+    def transpose_times(self, values: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Hᵀy from the Jacobian's nonzeros."""
+        return np.bincount(self.cols, weights=values * y[self.rows], minlength=self.n_state)
+
+    def leverage(self, values: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+        """diag(H G⁻¹ Hᵀ): one quadratic form per row over its nonzeros."""
+        terms = (
+            values[self._pair_a]
+            * g_inv[self.cols[self._pair_a], self.cols[self._pair_b]]
+            * values[self._pair_b]
+        )
+        return np.bincount(self._pair_row, weights=terms, minlength=self.m)
+
+
+def measurement_model(
+    adm: AdmittanceModel, layout: tuple[MeasurementKey, ...]
+) -> MeasurementModel:
+    """The layout compiled against adm, compiled on first use and then reused."""
+    cache = adm.compiled_layouts
+    model = cache.get(layout)
+    if model is None:
+        model = MeasurementModel(adm, layout)
+        if len(cache) >= _COMPILED_PER_MODEL:
+            del cache[next(iter(cache))]
+        cache[layout] = model
+    return model
 
 
 def eval_h(adm: AdmittanceModel, state: StateVector, layout: tuple[MeasurementKey, ...]) -> np.ndarray:
     """Evaluate every metered quantity in layout order at the given state."""
-    case = adm.case
-    v = state.complex_voltages()
-    sbus = v * np.conj(adm.ybus @ v)
-    sf = v[adm.f_idx] * np.conj(adm.yf @ v)
-    st = v[adm.t_idx] * np.conj(adm.yt @ v)
-
-    out = np.empty(len(layout))
-    for i, key in enumerate(layout):
-        if key.kind in ("Pflow", "Qflow"):
-            s = sf[key.branch_index] if key.side == "from" else st[key.branch_index]
-            out[i] = s.real if key.kind == "Pflow" else s.imag
-        elif key.kind == "Pinj":
-            out[i] = sbus.real[case.bus_index(key.bus)]
-        elif key.kind == "Qinj":
-            out[i] = sbus.imag[case.bus_index(key.bus)]
-        elif key.kind == "Vmag":
-            out[i] = state.vm[case.bus_index(key.bus)]
-        elif key.kind == "Vang":
-            out[i] = state.va[case.bus_index(key.bus)]
-        else:
-            raise EstimationError(f"unknown measurement kind {key.kind!r}")
-    return out
+    return measurement_model(adm, layout).h(state)
 
 
 def eval_jacobian(
     adm: AdmittanceModel, state: StateVector, layout: tuple[MeasurementKey, ...]
 ) -> np.ndarray:
     """m x n Jacobian of eval_h; columns are [non-slack angles | all magnitudes]."""
-    case = adm.case
-    n_bus = case.n_bus
-    v = state.complex_voltages()
-    vnorm = v / np.abs(v)
-    ibus = adm.ybus @ v
-
-    ds_dva = 1j * (np.diag(v * np.conj(ibus)) - v[:, None] * np.conj(adm.ybus * v[None, :]))
-    ds_dvm = v[:, None] * np.conj(adm.ybus * vnorm[None, :]) + np.diag(np.conj(ibus) * vnorm)
-
-    nl = len(adm.branches)
-    yf, yt = adm.yf, adm.yt
-    i_f = yf @ v
-    i_t = yt @ v
-    rows = np.arange(nl)
-
-    dsf_dva = -1j * v[adm.f_idx, None] * np.conj(yf * v[None, :])
-    dsf_dva[rows, adm.f_idx] += 1j * np.conj(i_f) * v[adm.f_idx]
-    dsf_dvm = v[adm.f_idx, None] * np.conj(yf * vnorm[None, :])
-    dsf_dvm[rows, adm.f_idx] += np.conj(i_f) * vnorm[adm.f_idx]
-
-    dst_dva = -1j * v[adm.t_idx, None] * np.conj(yt * v[None, :])
-    dst_dva[rows, adm.t_idx] += 1j * np.conj(i_t) * v[adm.t_idx]
-    dst_dvm = v[adm.t_idx, None] * np.conj(yt * vnorm[None, :])
-    dst_dvm[rows, adm.t_idx] += np.conj(i_t) * vnorm[adm.t_idx]
-
-    ang_cols = _angle_columns(case)
-    n_ang = len(ang_cols)
-    ang_sel = [case.bus_index(b) for b in sorted(ang_cols, key=ang_cols.get)]
-
-    jac = np.zeros((len(layout), n_ang + n_bus))
-    for i, key in enumerate(layout):
-        if key.kind in ("Pflow", "Qflow"):
-            da = dsf_dva[key.branch_index] if key.side == "from" else dst_dva[key.branch_index]
-            dm = dsf_dvm[key.branch_index] if key.side == "from" else dst_dvm[key.branch_index]
-            part = np.real if key.kind == "Pflow" else np.imag
-            jac[i, :n_ang] = part(da)[ang_sel]
-            jac[i, n_ang:] = part(dm)
-        elif key.kind in ("Pinj", "Qinj"):
-            bi = case.bus_index(key.bus)
-            part = np.real if key.kind == "Pinj" else np.imag
-            jac[i, :n_ang] = part(ds_dva[bi])[ang_sel]
-            jac[i, n_ang:] = part(ds_dvm[bi])
-        elif key.kind == "Vmag":
-            jac[i, n_ang + case.bus_index(key.bus)] = 1.0
-        elif key.kind == "Vang":
-            if key.bus != case.slack_bus:
-                jac[i, ang_cols[key.bus]] = 1.0
-    return jac
+    return measurement_model(adm, layout).jacobian(state)
 
 
 def generate_measurements(
@@ -395,22 +536,24 @@ class BddVerdict:
     dof: int
 
 
-def _state_to_x(case: NetworkCase, state: StateVector) -> np.ndarray:
-    ang_cols = _angle_columns(case)
-    x = np.empty(state_dimension(case))
-    for b, col in ang_cols.items():
-        x[col] = state.va[case.bus_index(b)]
-    x[len(ang_cols):] = state.vm
-    return x
+_UNOBSERVABLE = "measurement set is unobservable (rank-deficient gain)"
 
 
-def _x_to_state(case: NetworkCase, x: np.ndarray) -> StateVector:
-    ang_cols = _angle_columns(case)
-    va = np.zeros(case.n_bus)
-    for b, col in ang_cols.items():
-        va[case.bus_index(b)] = x[col]
-    vm = x[len(ang_cols):].copy()
-    return StateVector(tuple(b.id for b in case.buses), vm, va)
+def _require_observable(gain: np.ndarray) -> None:
+    """Pivot test on the Cholesky factor of the gain matrix.
+
+    A rank-deficient Jacobian leaves a Cholesky pivot at rounding level of
+    the largest one (or no factor at all). The cut-off is the dimension
+    times machine epsilon, relative to the largest pivot, as
+    np.linalg.matrix_rank uses for singular values.
+    """
+    try:
+        chol = np.linalg.cholesky(gain)
+    except np.linalg.LinAlgError:
+        raise EstimationError(_UNOBSERVABLE) from None
+    pivots = np.diag(chol) ** 2
+    if pivots.min() <= pivots.max() * len(pivots) * np.finfo(float).eps:
+        raise EstimationError(_UNOBSERVABLE)
 
 
 def wls_estimate(
@@ -432,17 +575,17 @@ def wls_estimate(
     if ms.m - n < 1:
         raise EstimationError(f"insufficient redundancy: m={ms.m}, n={n}")
 
-    layout = ms.keys()
+    model = measurement_model(adm, ms.keys())
     z = ms.values()
     w = 1.0 / ms.variances()
 
     if init is None:
         x = np.concatenate([np.zeros(case.n_bus - 1), np.ones(case.n_bus)])
     else:
-        x = _state_to_x(case, init)
+        x = model.x_of(init)
 
     def objective(xv: np.ndarray) -> tuple[float, np.ndarray]:
-        r = z - eval_h(adm, _x_to_state(case, xv), layout)
+        r = z - model.h(model.state_of(xv))
         return float(r @ (w * r)), r
 
     f_cur, r = objective(x)
@@ -451,17 +594,17 @@ def wls_estimate(
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        jac = eval_jacobian(adm, _x_to_state(case, x), layout)
-        if it == 1 and np.linalg.matrix_rank(jac) < n:
-            raise EstimationError("measurement set is unobservable (rank-deficient Jacobian)")
-        g = (jac * w[:, None]).T @ jac
-        rhs = (jac * w[:, None]).T @ r
+        jac = model.jacobian_values(model.state_of(x))
+        g = model.gain(jac, w)
+        if it == 1:
+            _require_observable(g)
+        rhs = model.transpose_times(jac, w * r)
         try:
             dx = np.linalg.solve(g, rhs)
         except np.linalg.LinAlgError:
-            raise EstimationError("measurement set is unobservable (rank-deficient gain)") from None
+            raise EstimationError(_UNOBSERVABLE) from None
         if not np.all(np.isfinite(dx)):
-            raise EstimationError("measurement set is unobservable (rank-deficient gain)")
+            raise EstimationError(_UNOBSERVABLE)
 
         alpha = 1.0
         while True:
@@ -482,14 +625,15 @@ def wls_estimate(
             f"(last objective {f_cur:.6e})"
         )
 
-    x_hat = _x_to_state(case, x)
-    jac = eval_jacobian(adm, x_hat, layout)
-    g = (jac * w[:, None]).T @ jac
-    grad = 2.0 * (jac * w[:, None]).T @ r
+    x_hat = model.state_of(x)
+    jac = model.jacobian_values(x_hat)
+    grad = 2.0 * model.transpose_times(jac, w * r)
     # residual covariance diag: R - H G^-1 H^T
-    hx = np.linalg.solve(g, jac.T)
-    leverage = np.einsum("ij,ji->i", jac, hx)
-    omega = ms.variances() - leverage
+    try:
+        g_inv = np.linalg.inv(model.gain(jac, w))
+    except np.linalg.LinAlgError:
+        raise EstimationError(_UNOBSERVABLE) from None
+    omega = ms.variances() - model.leverage(jac, g_inv)
     critical = omega < CRITICAL_OMEGA
     r_norm = np.full(ms.m, np.nan)
     r_norm[~critical] = r[~critical] / np.sqrt(omega[~critical])

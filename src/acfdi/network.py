@@ -368,6 +368,9 @@ class AdmittanceModel:
     ytt: np.ndarray
     f_idx: np.ndarray  # from-bus positional indices
     t_idx: np.ndarray
+    # measurement layouts compiled against this model, filled by
+    # acfdi.estimation.measurement_model and dropped with it
+    compiled_layouts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _branch_map(self, at_from: np.ndarray, at_to: np.ndarray) -> np.ndarray:
         nl, n = len(self.branches), self.case.n_bus

@@ -22,9 +22,8 @@ from acfdi.estimation import (
     full_layout,
     generate_measurements,
     largest_normalized_residual,
+    measurement_model,
     wls_estimate,
-    _state_to_x,
-    _x_to_state,
 )
 from acfdi.network import build_admittance
 from acfdi.powerflow import StateVector, branch_flow, bus_injection, solve_power_flow
@@ -275,15 +274,16 @@ def test_criterion_7_numerical_hygiene(case39, adm39, base39):
             va[case39.bus_index(case39.slack_bus)] = 0.0
             state = StateVector(base39.bus_ids, vm, va)
             jac = eval_jacobian(adm39, state, layout)
-            x0 = _state_to_x(case39, state)
+            model = measurement_model(adm39, layout)
+            x0 = model.x_of(state)
             fd = np.empty_like(jac)
             for k in range(len(x0)):
                 xp, xm = x0.copy(), x0.copy()
                 xp[k] += step
                 xm[k] -= step
                 fd[:, k] = (
-                    eval_h(adm39, _x_to_state(case39, xp), layout)
-                    - eval_h(adm39, _x_to_state(case39, xm), layout)
+                    eval_h(adm39, model.state_of(xp), layout)
+                    - eval_h(adm39, model.state_of(xm), layout)
                 ) / (2 * step)
             rel = np.abs(jac - fd) / np.maximum(np.abs(fd), 1.0)
             worst = max(worst, float(rel.max()))

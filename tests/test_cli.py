@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -264,9 +266,50 @@ def _zone_without_boundary(tmp_path):
     return ["attack", "case39", str(path), "--target", "26:27"], "'boundary'"
 
 
+def _scenario_with(**fields):
+    def make(tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**SCENARIO, **fields}))
+        return ["scenario", "run", str(path), "--out", str(tmp_path / "o")]
+
+    return make
+
+
+def _targets_not_a_list(tmp_path):
+    return _scenario_with(targets={"from": 26, "to": 27, "lambda": 1.3})(tmp_path), "'targets'"
+
+
+def _sigmas_not_an_object(tmp_path):
+    return _scenario_with(sigmas=[0.01])(tmp_path), "'sigmas'"
+
+
+def _seeds_not_an_object(tmp_path):
+    return _scenario_with(seeds=7)(tmp_path), "'seeds'"
+
+
+def _scenario_zone_with_string_ids(tmp_path):
+    zone = {"interior": ["17", "18"], "boundary": SCENARIO["zone"]["boundary"]}
+    return _scenario_with(zone=zone)(tmp_path), "'interior'"
+
+
+def _formats_not_a_list(tmp_path):
+    return _scenario_with(output={"formats": "json"})(tmp_path), "'formats'"
+
+
+def _zone_file_with_string_ids(tmp_path):
+    path = tmp_path / "z.json"
+    zone = {"interior": SCENARIO["zone"]["interior"], "boundary": ["3", "15"]}
+    path.write_text(json.dumps(zone))
+    return ["attack", "case39", str(path), "--target", "26:27"], "'boundary'"
+
+
 @pytest.mark.parametrize(
     "make_input",
-    [_four_column_csv, _non_numeric_csv_value, _target_without_from, _zone_without_boundary],
+    [
+        _four_column_csv, _non_numeric_csv_value, _target_without_from, _zone_without_boundary,
+        _targets_not_a_list, _sigmas_not_an_object, _seeds_not_an_object,
+        _scenario_zone_with_string_ids, _formats_not_a_list, _zone_file_with_string_ids,
+    ],
     ids=lambda make: make.__name__.strip("_"),
 )
 def test_malformed_input_is_config_error_naming_file_and_field(make_input, tmp_path, capsys):
@@ -275,3 +318,18 @@ def test_malformed_input_is_config_error_naming_file_and_field(make_input, tmp_p
     err = capsys.readouterr().err
     assert str(tmp_path) in err
     assert field_name in err
+
+
+def test_import_loads_no_heavy_scipy_modules():
+    # scipy.stats, scipy.linalg and scipy.sparse.linalg each add a large
+    # share to the CLI's start-up time and memory; none is needed
+    code = (
+        "import sys, acfdi.cli; "
+        "print(' '.join(m for m in ('scipy.sparse.linalg', 'scipy.linalg', 'scipy.stats') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.split() == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from acfdi.estimation import (
+    CRITICAL_OMEGA,
     BddPolicy,
     EstimationError,
     Measurement,
@@ -16,14 +17,14 @@ from acfdi.estimation import (
     full_layout,
     generate_measurements,
     largest_normalized_residual,
+    measurement_model,
     measurement_set_from_csv,
     wls_estimate,
-    _state_to_x,
-    _x_to_state,
 )
 from acfdi.network import build_admittance, parse_case
 from acfdi.powerflow import StateVector, branch_flow
 from conftest import TWO_BUS_CASE
+import reference39 as ref
 
 
 # --- independent chi-square inverse CDF oracle ------------------------------
@@ -148,15 +149,16 @@ def test_jacobian_matches_central_differences(case39, adm39, base39):
         va[case39.bus_index(case39.slack_bus)] = 0.0
         state = StateVector(base39.bus_ids, vm, va)
         jac = eval_jacobian(adm39, state, layout)
-        x0 = _state_to_x(case39, state)
+        model = measurement_model(adm39, layout)
+        x0 = model.x_of(state)
         fd = np.empty_like(jac)
         for k in range(len(x0)):
             xp, xm = x0.copy(), x0.copy()
             xp[k] += step
             xm[k] -= step
             fd[:, k] = (
-                eval_h(adm39, _x_to_state(case39, xp), layout)
-                - eval_h(adm39, _x_to_state(case39, xm), layout)
+                eval_h(adm39, model.state_of(xp), layout)
+                - eval_h(adm39, model.state_of(xm), layout)
             ) / (2 * step)
         rel = np.abs(jac - fd) / np.maximum(np.abs(fd), 1.0)
         assert rel.max() < 1e-6
@@ -173,6 +175,31 @@ def test_flow_rows_agree_with_branch_flow(case39, adm39, base39):
         assert by_id[f"Qf:{tag}"] == pytest.approx(fl.qf, abs=1e-12)
         assert by_id[f"Pt:{tag}"] == pytest.approx(fl.pt, abs=1e-12)
         assert by_id[f"Qt:{tag}"] == pytest.approx(fl.qt, abs=1e-12)
+
+
+def _attack_constraint_layout(case, zone):
+    """The 3-row layout attack design evaluates: P and Q injection at the
+    zero-injection interior bus and the target's from-end active flow."""
+    (bus,) = zone.zero_injection_interior(case)
+    wanted = (f"Pinj:{bus}", f"Qinj:{bus}", "Pf:{}-{}".format(*ref.TARGET))
+    by_id = {k.id: k for k in full_layout(case)}
+    return tuple(by_id[i] for i in wanted)
+
+
+def test_compiled_model_matches_loop_oracle_bit_for_bit(
+    case39, adm39, base39, zone39, attack_optimal
+):
+    # the attack artifacts are byte-identical only while h and its Jacobian are
+    layouts = (full_layout(case39), _attack_constraint_layout(case39, zone39))
+    for state in (base39, attack_optimal.x_attacked):
+        for layout in layouts:
+            assert np.array_equal(
+                eval_h(adm39, state, layout), ref.loop_eval_h(adm39, state, layout)
+            )
+            assert np.array_equal(
+                eval_jacobian(adm39, state, layout),
+                ref.loop_eval_jacobian(adm39, state, layout),
+            )
 
 
 def test_layout_jacobian_full_rank_at_flat_start(case39, adm39):
@@ -349,6 +376,78 @@ mpc.branch = [
     )
     with pytest.raises(EstimationError, match="unobservable"):
         wls_estimate(ms, case, adm)
+
+
+def _random_sublayouts(case, adm, base, seed, count):
+    """Seeded random subsets of the full noisy layout, each with m > n."""
+    n = 2 * case.n_bus - 1
+    rng = np.random.default_rng(seed)
+    full = generate_measurements(case, base, seed=seed, adm=adm)
+    for _ in range(count):
+        pick = np.sort(rng.choice(full.m, int(rng.integers(n + 1, 200)), replace=False))
+        yield MeasurementSet(tuple(full.measurements[i] for i in pick))
+
+
+def test_observability_verdict_matches_matrix_rank_oracle(case39, adm39, base39):
+    # the estimator decides observability from Cholesky pivots of the gain;
+    # the SVD rank of the flat-start Jacobian is the oracle
+    n = 2 * case39.n_bus - 1
+    flat = StateVector(base39.bus_ids, np.ones(case39.n_bus), np.zeros(case39.n_bus))
+    verdicts = {True: 0, False: 0}
+    for ms in _random_sublayouts(case39, adm39, base39, seed=0, count=240):
+        observable = np.linalg.matrix_rank(eval_jacobian(adm39, flat, ms.keys())) == n
+        try:
+            wls_estimate(ms, case39, adm39)
+            rejected = False
+        except EstimationError as exc:
+            rejected = "unobservable" in str(exc)
+        assert rejected != observable, [m.id for m in ms.measurements]
+        verdicts[observable] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
+
+
+def _dense_omega(adm, res, ms):
+    """diag(R - H (H^T W H)^-1 H^T), formed densely at the estimate."""
+    jac = eval_jacobian(adm, res.x_hat, ms.keys())
+    w = 1.0 / ms.variances()
+    gain = (jac * w[:, None]).T @ jac
+    return ms.variances() - np.diag(jac @ np.linalg.inv(gain) @ jac.T)
+
+
+def test_normalized_residuals_match_dense_oracle(case39, adm39, base39):
+    # the estimator gets the residual covariance diagonal from G^-1 and the
+    # Jacobian's nonzeros; the oracle forms it densely
+    for seed in (3, 11, 29):
+        ms = generate_measurements(case39, base39, seed=seed, adm=adm39)
+        res = wls_estimate(ms, case39, adm39)
+        omega = _dense_omega(adm39, res, ms)
+        assert res.critical_ids == ()
+        expected = res.residual / np.sqrt(omega)
+        assert np.all(np.abs(res.r_normalized - expected) <= 1e-9 * np.abs(expected))
+
+
+def test_critical_measurements_match_dense_oracle(case39, adm39, base39):
+    # sparse layouts carry critical (Omega_ii < CRITICAL_OMEGA) and
+    # near-critical measurements. Omega_ii = R_ii - leverage cancels there,
+    # so both computations carry an absolute error of rounding order in R_ii
+    # and Omega is compared at 1e-9 R_ii rather than relative to itself
+    compared = critical_seen = 0
+    for ms in _random_sublayouts(case39, adm39, base39, seed=1, count=30):
+        try:
+            res = wls_estimate(ms, case39, adm39)
+        except EstimationError:
+            continue  # unobservable or not converging: nothing to compare
+        omega = _dense_omega(adm39, res, ms)
+        critical = omega < CRITICAL_OMEGA
+        assert res.critical_ids == tuple(
+            m.id for m, c in zip(ms.measurements, critical) if c
+        )
+        assert np.all(np.isnan(res.r_normalized[critical]))
+        implied = (res.residual[~critical] / res.r_normalized[~critical]) ** 2
+        assert np.all(np.abs(implied - omega[~critical]) <= 1e-9 * ms.variances()[~critical])
+        compared += 1
+        critical_seen += bool(critical.any())
+    assert compared >= 10 and critical_seen >= 3, (compared, critical_seen)
 
 
 def test_nonconvergence_raises(case39, adm39, base39):
