@@ -123,15 +123,47 @@ def scheduled_injections(case: NetworkCase) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _dSbus_dV(ybus: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partials of complex bus injections w.r.t. angle and magnitude."""
-    ibus = ybus @ v
-    diag_v = np.diag(v)
-    diag_i = np.diag(ibus)
-    diag_vnorm = np.diag(v / np.abs(v))
-    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-    ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
-    return ds_dva, ds_dvm
+def _newton_equations(case: NetworkCase, adm: AdmittanceModel):
+    """The power-flow mismatch and its Jacobian as functions of the state.
+
+    Rows are [P at PV and PQ buses | Q at PQ buses] and columns [angles at PV
+    and PQ buses | magnitudes at PQ buses], each in case bus order. Both come
+    from the measurement model of those rows compiled against adm, whose
+    columns are [non-slack angles | all magnitudes]: the PV and slack
+    magnitude columns are dropped. Returns (pvpq, pq, mismatch, jacobian).
+    """
+    # imported here because estimation imports StateVector from this module
+    from .estimation import MeasurementKey, measurement_model
+
+    kinds = [b.kind for b in case.buses]
+    pv = [i for i, k in enumerate(kinds) if k == "PV"]
+    pq = [i for i, k in enumerate(kinds) if k == "PQ"]
+    pvpq = sorted(pv + pq)
+
+    ids = [b.id for b in case.buses]
+    model = measurement_model(
+        adm,
+        tuple(MeasurementKey(f"Pinj:{ids[i]}", "Pinj", ids[i]) for i in pvpq)
+        + tuple(MeasurementKey(f"Qinj:{ids[i]}", "Qinj", ids[i]) for i in pq),
+    )
+    n_ang = len(pvpq)
+    column = np.full(model.n_state, -1)
+    column[:n_ang] = np.arange(n_ang)
+    column[n_ang + np.array(pq, dtype=int)] = n_ang + np.arange(len(pq))
+    kept = np.flatnonzero(column[model.cols] >= 0)
+    rows, cols = model.rows[kept], column[model.cols[kept]]
+    p_sched, q_sched = scheduled_injections(case)
+    scheduled = np.concatenate([p_sched[pvpq], q_sched[pq]])
+
+    def mismatch(state: StateVector) -> np.ndarray:
+        return scheduled - model.h(state)
+
+    def jacobian(state: StateVector) -> np.ndarray:
+        jac = np.zeros((model.m, model.m))
+        jac[rows, cols] = model.jacobian_values(state)[kept]
+        return jac
+
+    return pvpq, pq, mismatch, jacobian
 
 
 def newton_power_flow(
@@ -152,34 +184,19 @@ def newton_power_flow(
 
     state = flat_start(case)
     vm, va = state.vm.copy(), state.va.copy()
-    p_sched, q_sched = scheduled_injections(case)
-
-    kinds = [b.kind for b in case.buses]
-    pv = [i for i, k in enumerate(kinds) if k == "PV"]
-    pq = [i for i, k in enumerate(kinds) if k == "PQ"]
-    pvpq = sorted(pv + pq)
+    pvpq, pq, mismatch_at, jacobian_at = _newton_equations(case, adm)
 
     history: list[float] = []
     for it in range(max_iter):
-        v = vm * np.exp(1j * va)
-        s_calc = v * np.conj(adm.ybus @ v)
-        dp = p_sched[pvpq] - s_calc.real[pvpq]
-        dq = q_sched[pq] - s_calc.imag[pq]
-        mismatch = np.concatenate([dp, dq])
+        current = StateVector(state.bus_ids, vm, va)
+        mismatch = mismatch_at(current)
         max_mis = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
         history.append(max_mis)
         if max_mis < tol:
-            final = StateVector(state.bus_ids, vm, va)
-            return PowerFlowSolution(final, True, it, tuple(history))
+            return PowerFlowSolution(current, True, it, tuple(history))
 
-        ds_dva, ds_dvm = _dSbus_dV(adm.ybus, v)
-        j11 = ds_dva.real[np.ix_(pvpq, pvpq)]
-        j12 = ds_dvm.real[np.ix_(pvpq, pq)]
-        j21 = ds_dva.imag[np.ix_(pq, pvpq)]
-        j22 = ds_dvm.imag[np.ix_(pq, pq)]
-        jac = np.block([[j11, j12], [j21, j22]])
         try:
-            step = np.linalg.solve(jac, mismatch)
+            step = np.linalg.solve(jacobian_at(current), mismatch)
         except np.linalg.LinAlgError:
             raise PowerFlowError(
                 f"singular Jacobian at iteration {it} (max mismatch {max_mis:.3e})"

@@ -162,3 +162,77 @@ def loop_eval_jacobian(adm, state, layout):
             if key.bus != slack:
                 jac[i, ang_cols[key.bus]] = 1.0
     return jac
+
+
+# --- dense oracle for the power-flow Jacobian ----------------------------------
+# The dense formulation that the compiled model replaced in Newton-Raphson:
+# diag(V) products through BLAS, then [[j11, j12], [j21, j22]] blocks taken
+# with np.ix_. BLAS rounds the diag products with FMA, so the compiled
+# Jacobian agrees with it to rounding, not bit for bit.
+
+def dense_dSbus_dV(ybus, v):
+    """Partials of complex bus injections w.r.t. angle and magnitude."""
+    import numpy as np
+
+    ibus = ybus @ v
+    diag_v = np.diag(v)
+    diag_i = np.diag(ibus)
+    diag_vnorm = np.diag(v / np.abs(v))
+    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+    ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
+    return ds_dva, ds_dvm
+
+
+def _pvpq_pq(case):
+    kinds = [b.kind for b in case.buses]
+    pq = [i for i, k in enumerate(kinds) if k == "PQ"]
+    return sorted([i for i, k in enumerate(kinds) if k == "PV"] + pq), pq
+
+
+def dense_power_flow_jacobian(case, adm, state):
+    """[[j11, j12], [j21, j22]] over PV+PQ angles and PQ magnitudes."""
+    import numpy as np
+
+    pvpq, pq = _pvpq_pq(case)
+    ds_dva, ds_dvm = dense_dSbus_dV(adm.ybus, state.complex_voltages())
+    j11 = ds_dva.real[np.ix_(pvpq, pvpq)]
+    j12 = ds_dvm.real[np.ix_(pvpq, pq)]
+    j21 = ds_dva.imag[np.ix_(pq, pvpq)]
+    j22 = ds_dvm.imag[np.ix_(pq, pq)]
+    return np.block([[j11, j12], [j21, j22]])
+
+
+def dense_mismatch(case, adm, vm, va):
+    """Scheduled minus calculated [P at PV and PQ buses | Q at PQ buses]."""
+    import numpy as np
+
+    from acfdi.powerflow import scheduled_injections
+
+    pvpq, pq = _pvpq_pq(case)
+    p_sched, q_sched = scheduled_injections(case)
+    v = vm * np.exp(1j * va)
+    s_calc = v * np.conj(adm.ybus @ v)
+    return np.concatenate([p_sched[pvpq] - s_calc.real[pvpq], q_sched[pq] - s_calc.imag[pq]])
+
+
+def dense_newton_replay(case, adm, tol=1e-8, max_iter=20):
+    """Newton-Raphson from a flat start on the dense Jacobian and mismatch:
+    returns (vm, va, mismatch history)."""
+    import numpy as np
+
+    from acfdi.powerflow import StateVector, flat_start
+
+    start = flat_start(case)
+    vm, va = start.vm.copy(), start.va.copy()
+    pvpq, pq = _pvpq_pq(case)
+    history = []
+    for _ in range(max_iter):
+        mismatch = dense_mismatch(case, adm, vm, va)
+        history.append(float(np.max(np.abs(mismatch))))
+        if history[-1] < tol:
+            return vm, va, history
+        jac = dense_power_flow_jacobian(case, adm, StateVector(start.bus_ids, vm, va))
+        step = np.linalg.solve(jac, mismatch)
+        va[pvpq] += step[: len(pvpq)]
+        vm[pq] += step[len(pvpq):]
+    raise AssertionError(f"dense replay: no convergence in {max_iter} iterations")

@@ -198,6 +198,20 @@ def test_estimator_failure_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_power_flow_failure_exit_code(tmp_path, capsys):
+    # one Newton-Raphson iteration stops at the flat-start mismatch
+    from acfdi.cli import EXIT_ESTIMATOR
+
+    message = "no convergence in 1 iterations (final max mismatch 8.129e+00)"
+    assert main(["pf", "case39", "--max-iter", "1"]) == EXIT_ESTIMATOR
+    assert message in capsys.readouterr().err
+
+    config = tmp_path / "pf.json"
+    config.write_text(json.dumps({**SCENARIO, "pf": {"max_iter": 1}}))
+    assert main(["scenario", "run", str(config), "--out", str(tmp_path / "o")]) == EXIT_ESTIMATOR
+    assert message in capsys.readouterr().err
+
+
 def test_bundled_scenario_config_runs(tmp_path):
     bundled = Path(__file__).parent.parent / "scenarios" / "case39_overload.json"
     out = tmp_path / "bundled"
@@ -322,14 +336,18 @@ def test_malformed_input_is_config_error_naming_file_and_field(make_input, tmp_p
 
 def test_import_loads_no_heavy_scipy_modules():
     # scipy.stats, scipy.linalg and scipy.sparse.linalg each add a large
-    # share to the CLI's start-up time and memory; none is needed
-    code = (
-        "import sys, acfdi.cli; "
-        "print(' '.join(m for m in ('scipy.sparse.linalg', 'scipy.linalg', 'scipy.stats') "
-        "if m in sys.modules))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    assert out.stdout.split() == []
+    # share to the CLI's start-up time and memory; none is needed. Each
+    # module is imported alone in a fresh interpreter, which also guards the
+    # edge from powerflow to estimation, which imports powerflow, against an
+    # import cycle.
+    for module in ("acfdi.cli", "acfdi.powerflow", "acfdi.estimation"):
+        code = (
+            f"import sys, {module}; "
+            "print(' '.join(m for m in ('scipy.sparse.linalg', 'scipy.linalg', 'scipy.stats') "
+            "if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.split() == [], module

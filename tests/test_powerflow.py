@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,13 +9,18 @@ from acfdi.network import build_admittance, parse_case
 from acfdi.powerflow import (
     PowerFlowError,
     StateVector,
+    _newton_equations,
     all_injections,
     branch_flow,
     bus_injection,
+    flat_start,
     newton_power_flow,
     solve_power_flow,
 )
 from conftest import TWO_BUS_CASE
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
+from grids import tiled_case39  # noqa: E402
 
 
 def _complex_flow_oracle(state, br):
@@ -179,3 +187,70 @@ def test_phase_shifted_branch_flow():
     assert adm.ybus[0, 1] == pytest.approx(
         adm.ybus[1, 0] * np.exp(2j * br.shift), abs=1e-12
     )
+
+
+@pytest.fixture(scope="module")
+def tile2():
+    case = tiled_case39(2)
+    return case, build_admittance(case)
+
+
+def _jacobian_cases(case39, adm39, base39, tile2):
+    """(label, case, adm, state): flat start, base39, ten seeded random states
+    around it, and the flat start and solution of a two-copy tiled grid."""
+    yield "flat39", case39, adm39, flat_start(case39)
+    yield "base39", case39, adm39, base39
+    rng = np.random.default_rng(20)
+    for k in range(10):
+        vm = base39.vm * (1.0 + 0.05 * rng.standard_normal(case39.n_bus))
+        va = base39.va + 0.2 * rng.standard_normal(case39.n_bus)
+        yield f"random39-{k}", case39, adm39, StateVector(base39.bus_ids, vm, va)
+    tile_case, tile_adm = tile2
+    yield "flat-tile2", tile_case, tile_adm, flat_start(tile_case)
+    yield "base-tile2", tile_case, tile_adm, newton_power_flow(tile_case, tile_adm).state
+
+
+def test_power_flow_jacobian_matches_dense_oracle_and_differences(case39, adm39, base39, tile2):
+    # the compiled model rounds differently from the BLAS diag products of the
+    # dense formulas, so agreement is to rounding, not bit for bit
+    for label, case, adm, state in _jacobian_cases(case39, adm39, base39, tile2):
+        pvpq, pq, mismatch, jacobian = _newton_equations(case, adm)
+        jac = jacobian(state)
+        dense = ref.dense_power_flow_jacobian(case, adm, state)
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(jac - dense)) <= 1e-12 * scale, label
+
+        def at(x):
+            vm, va = state.vm.copy(), state.va.copy()
+            va[pvpq] = x[: len(pvpq)]
+            vm[pq] = x[len(pvpq):]
+            return mismatch(StateVector(state.bus_ids, vm, va))
+
+        x0 = np.concatenate([state.va[pvpq], state.vm[pq]])
+        step = 1e-6
+        central = np.empty_like(jac)
+        for j in range(len(x0)):
+            dx = np.zeros_like(x0)
+            dx[j] = step
+            # the mismatch is scheduled minus calculated, so it falls as S rises
+            central[:, j] = -(at(x0 + dx) - at(x0 - dx)) / (2 * step)
+        assert np.max(np.abs(central - jac)) <= 1e-6 * scale, label
+
+
+@pytest.mark.parametrize("grid", ["case39", "tile2"])
+def test_newton_power_flow_replays_dense_oracle(grid, case39, adm39, tile2):
+    case, adm = (case39, adm39) if grid == "case39" else tile2
+    sol = newton_power_flow(case, adm)
+    vm, va, history = ref.dense_newton_replay(case, adm)
+    assert sol.iterations == len(history) - 1
+    # the mismatch is the same expression on the same array as the dense
+    # path's, so the first one keeps its bits; later ones follow iterates that
+    # differ at rounding level, compared relative to the starting mismatch
+    start = flat_start(case)
+    _, _, mismatch, _ = _newton_equations(case, adm)
+    assert np.array_equal(mismatch(start), ref.dense_mismatch(case, adm, start.vm, start.va))
+    assert sol.mismatch_history[0] == history[0]
+    gap = np.abs(np.array(sol.mismatch_history) - np.array(history))
+    assert np.all(gap <= 1e-12 * history[0])
+    assert np.max(np.abs(sol.state.vm - vm)) <= 1e-12
+    assert np.max(np.abs(sol.state.va - va)) <= 1e-12
