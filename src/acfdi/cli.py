@@ -1,9 +1,12 @@
 """Command-line pipeline: power flow, zone, attack design, estimation, impact.
 
-Every stage reads and writes the same serialized artifacts the scenario
-runner uses, so individual subcommands reproduce scenario stages byte for
-byte. Exit codes: 0 success, 2 configuration error, 3 infeasible attack
-design, 4 estimator failure, 1 unexpected failure.
+`scenario run` and the subcommands call the same stage functions, so each
+subcommand reproduces its scenario artifact byte for byte, and pass flags to
+the scenario file's section reader, so a malformed flag fails the check of the
+field it sets before any artifact is written. The stages call the library
+through this module's names, which `bench/spans.py` patches to trace them.
+Exit codes: 0 success, 2 configuration error, 3 infeasible attack design,
+4 estimator or power-flow failure, 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .attacks import (
     AttackError,
@@ -28,16 +31,15 @@ from .estimation import (
     DEFAULT_SIGMAS,
     BddPolicy,
     EstimationError,
-    MeasurementSet,
     chi_square_test,
     generate_measurements,
     measurement_set_from_csv,
     wls_estimate,
 )
 from .impact import compute_impact, render_report
-from .network import CaseError, NetworkCase, build_admittance, load_bundled_case39, load_case
+from .network import CaseError, build_admittance, load_bundled_case39, load_case
 from .powerflow import PowerFlowError, StateVector, solve_power_flow
-from .zones import AttackZone, ZoneError, build_zone, validate_zone
+from .zones import ZoneError, build_zone, validate_zone
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -47,9 +49,65 @@ EXIT_ESTIMATOR = 4
 
 log = logging.getLogger("acfdi")
 
+_MODES = ("optimal", "arbitrary")
+_FORMATS = ("json", "csv", "svg")
+# the solver fields a scenario file sets; the start seed comes from "seeds"
+_SOLVER_KEYS = tuple(
+    f.name for f in fields(SolverParams) if f.name not in ("tol_step", "seed", "max_start_draws")
+)
+
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class Limits:
+    """Convergence tolerance and iteration cap of an iterative solve."""
+
+    tol: float
+    max_iter: int
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """A scenario; each default is the value that an absent field takes."""
+
+    case_path: str
+    zone: dict[str, list[int]] = field(default_factory=dict)  # focal, or interior and boundary
+    targets: tuple[OverloadTarget, ...] = ()
+    modes: tuple[str, ...] = _MODES
+    sigmas: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_SIGMAS))
+    noise_seed: int = 0
+    bdd: BddPolicy = BddPolicy()
+    solver: SolverParams = SolverParams(seed=1)
+    pf: Limits = Limits(tol=1e-8, max_iter=20)
+    estimator: Limits = Limits(tol=1e-10, max_iter=50)
+    formats: tuple[str, ...] = _FORMATS
+
+    def echo(self) -> dict:
+        """The config in the shape of a scenario file, every default filled in."""
+        return {
+            "case": self.case_path,
+            "zone": self.zone,
+            "targets": [
+                {"from": t.from_bus, "to": t.to_bus, "lambda": t.factor} for t in self.targets
+            ],
+            "modes": list(self.modes),
+            "sigmas": self.sigmas,
+            "seeds": {"noise": self.noise_seed, "arbitrary_start": self.solver.seed},
+            "bdd": asdict(self.bdd),
+            "solver": {key: getattr(self.solver, key) for key in _SOLVER_KEYS},
+            "pf": asdict(self.pf),
+            "estimator": asdict(self.estimator),
+            "output": {"formats": list(self.formats)},
+        }
 
 
 def _setup_logging() -> None:
@@ -59,14 +117,6 @@ def _setup_logging() -> None:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-
-
-def _load_case_arg(path: str) -> NetworkCase:
-    if path == "case39":
-        return load_bundled_case39()
-    if not os.path.exists(path):
-        raise ConfigError(f"case file not found: {path}")
-    return load_case(path)
 
 
 def _write(path: str, content: str) -> None:
@@ -82,12 +132,9 @@ def _emit(content: str, out: str | None) -> None:
         sys.stdout.write(content)
 
 
-def _state_json(state: StateVector) -> str:
-    return json.dumps(state.to_dict(), indent=2)
-
-
-def _zone_json(zone: AttackZone) -> str:
-    return json.dumps(zone.to_dict(), indent=2)
+def _to_json(artifact) -> str:
+    """A state or zone artifact as JSON text."""
+    return json.dumps(artifact.to_dict(), indent=2)
 
 
 def _estimation_json(res, policy: BddPolicy) -> str:
@@ -101,269 +148,255 @@ def _estimation_json(res, policy: BddPolicy) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _impact_metadata(
-    mode: str, sigmas: dict[str, float], noise_seed: int, bdd: BddPolicy
-) -> dict:
-    """Stage-reproducible report metadata; identical whether the report comes
-    from `scenario run` or from the standalone `impact` subcommand."""
-    return {
-        "mode": mode,
-        "noise_seed": noise_seed,
-        "sigmas": dict(sorted(sigmas.items())),
-        "bdd": {"confidence": bdd.confidence, "lnr_threshold": bdd.lnr_threshold},
-    }
+def _number(value, kind: type, label: str):
+    """value as kind (int or float): a number or numeric text, not a boolean."""
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{label} must be {'an integer' if kind is int else 'a number'}")
 
 
-def _bus_list(value, name: str, path: str) -> list[int]:
+def _read_fields(default, doc: dict, name, section: str, keys=None):
+    """default with each field that doc gives, as the type of its default value.
+
+    Fields are replaced one at a time, so the class's own validation names
+    the one field at fault.
+    """
+    for key in keys or [f.name for f in fields(default)]:
+        if key in doc:
+            value = _number(doc[key], type(getattr(default, key)), name(section, key))
+            try:
+                default = replace(default, **{key: value})
+            except ValueError as exc:
+                raise ConfigError(f"{name(section, key)}: {exc}") from None
+    return default
+
+
+def _bus_list(value, label: str) -> list[int]:
+    """A list of integer bus ids, or command-line text such as "17,18,26"."""
+    if isinstance(value, str):
+        try:
+            value = [int(tok) for tok in value.split(",") if tok.strip()]
+        except ValueError:
+            pass
     if not isinstance(value, list) or not all(
         isinstance(b, int) and not isinstance(b, bool) for b in value
     ):
-        raise ConfigError(f"{path}: zone field '{name}' must be a list of integer bus ids")
+        raise ConfigError(f"{label} must be a list of integer bus ids")
     return value
 
 
-def _zone_from_file(case: NetworkCase, path: str) -> AttackZone:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        doc = {}
-    interior = _bus_list(doc.get("interior"), "interior", path)
-    boundary = _bus_list(doc.get("boundary"), "boundary", path)
-    return validate_zone(case, set(interior), set(boundary))
+def _read_target(doc, name, section: str) -> OverloadTarget:
+    """One overload target {"from", "to", "lambda"}; "factor" reads as "lambda"."""
+    doc = doc if isinstance(doc, dict) else {}
+    from_bus, to_bus = (_number(doc.get(key), int, name(section, key)) for key in ("from", "to"))
+    factor = _number(doc.get("lambda", doc.get("factor")), float, name(section, "lambda"))
+    if not factor > 0:
+        raise ConfigError(f"{name(section, 'lambda')} must be positive")
+    return OverloadTarget(from_bus, to_bus, factor)
 
 
-def _section(doc: dict, name: str, path: str) -> dict:
-    """An optional object-valued config field; absent reads as empty."""
-    value = doc.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: '{name}' must be an object")
-    return value
+def _read_config(config: ScenarioConfig, doc: dict, name) -> ScenarioConfig:
+    """config with every section that doc gives read over it.
 
+    doc has the shape of a scenario file; name(section, key) names a field
+    in error messages.
+    """
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated list of bus ids, got {text!r}") from None
+    def section(key: str) -> dict:
+        value = doc.get(key, {})
+        if not isinstance(value, dict):
+            raise ConfigError(f"'{key}' must be an object")
+        return value
 
-
-@dataclass
-class ScenarioConfig:
-    case_path: str
-    zone_focal: list[int] | None
-    zone_interior: list[int] | None
-    zone_boundary: list[int] | None
-    targets: list[OverloadTarget]
-    modes: list[str]
-    sigmas: dict[str, float]
-    noise_seed: int
-    arbitrary_seed: int
-    bdd: BddPolicy
-    solver: SolverParams
-    pf_tol: float
-    pf_max_iter: int
-    est_tol: float
-    est_max_iter: int
-    formats: list[str]
-
-    def echo(self) -> dict:
-        return {
-            "case": self.case_path,
-            "zone": (
-                {"focal": self.zone_focal}
-                if self.zone_focal is not None
-                else {"interior": self.zone_interior, "boundary": self.zone_boundary}
-            ),
-            "targets": [
-                {"from": t.from_bus, "to": t.to_bus, "lambda": t.factor} for t in self.targets
-            ],
-            "modes": self.modes,
-            "sigmas": self.sigmas,
-            "seeds": {"noise": self.noise_seed, "arbitrary_start": self.arbitrary_seed},
-            "bdd": {"confidence": self.bdd.confidence, "lnr_threshold": self.bdd.lnr_threshold},
-            "solver": {
-                "tol_eq": self.solver.tol_eq,
-                "max_outer": self.solver.max_outer,
-                "max_inner": self.solver.max_inner,
-                "penalty0": self.solver.penalty0,
-                "penalty_growth": self.solver.penalty_growth,
-                "ang_perturbation": self.solver.ang_perturbation,
-                "mag_perturbation": self.solver.mag_perturbation,
-                "vm_relax": self.solver.vm_relax,
-                "overload_margin": self.solver.overload_margin,
-            },
-            "pf": {"tol": self.pf_tol, "max_iter": self.pf_max_iter},
-            "estimator": {"tol": self.est_tol, "max_iter": self.est_max_iter},
-            "output": {"formats": self.formats},
+    new = {}
+    if "zone" in doc:
+        zone = section("zone")
+        lists = {
+            key: _bus_list(zone[key], name("zone", key))
+            for key in ("focal", "interior", "boundary")
+            if zone.get(key) is not None
         }
+        new["zone"] = {"focal": lists["focal"]} if "focal" in lists else lists
+        if "focal" not in lists and len(lists) < 2:
+            raise ConfigError(
+                f"zone needs {name('zone', 'focal')}, or both "
+                f"{name('zone', 'interior')} and {name('zone', 'boundary')}"
+            )
+    if "targets" in doc:
+        if not isinstance(doc["targets"], list):
+            raise ConfigError("'targets' must be a list")
+        new["targets"] = tuple(
+            _read_target(t, name, f"targets[{i}]") for i, t in enumerate(doc["targets"])
+        )
+        if not new["targets"]:
+            raise ConfigError("at least one overload target is required")
+    if "mode" in doc:
+        mode = doc["mode"]
+        if mode not in (*_MODES, "both"):
+            raise ConfigError(f"mode must be optimal, arbitrary, or both, got {mode!r}")
+        new["modes"] = _MODES if mode == "both" else (mode,)
+
+    new["sigmas"] = dict(config.sigmas)
+    for kind, value in section("sigmas").items():
+        label = name("sigmas", kind)
+        if kind not in new["sigmas"]:
+            raise ConfigError(f"{label} is not a measurement kind")
+        new["sigmas"][kind] = _number(value, float, label)
+        if not new["sigmas"][kind] >= 0:
+            raise ConfigError(f"{label} must be >= 0")
+
+    seeds = section("seeds")
+    new["noise_seed"], seed = (
+        _number(seeds.get(key, default), int, name("seeds", key))
+        for key, default in (("noise", config.noise_seed), ("arbitrary_start", config.solver.seed))
+    )
+    new["solver"] = _read_fields(
+        replace(config.solver, seed=seed), section("solver"), name, "solver", _SOLVER_KEYS
+    )
+    for key in ("bdd", "pf", "estimator"):
+        new[key] = _read_fields(getattr(config, key), section(key), name, key)
+
+    formats = section("output").get("formats", config.formats)
+    if not isinstance(formats, (list, tuple)) or any(f not in _FORMATS for f in formats):
+        raise ConfigError(f"{name('output', 'formats')} must be a list of {', '.join(_FORMATS)}")
+    new["formats"] = tuple(formats)
+    return replace(config, **new)
 
 
 def load_scenario_config(path: str) -> ScenarioConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
+            raise ConfigError(f"{path}: config is not valid JSON: {exc}") from None
 
     if not isinstance(doc, dict) or any(k not in doc for k in ("case", "zone", "targets")):
         raise ConfigError(f"{path}: config requires 'case', 'zone', and 'targets'")
-
-    zone = _section(doc, "zone", path)
-    focal, interior, boundary = (
-        None if zone.get(name) is None else _bus_list(zone[name], name, path)
-        for name in ("focal", "interior", "boundary")
-    )
-    if focal is None and (interior is None or boundary is None):
-        raise ConfigError(f"{path}: zone needs either 'focal' or both 'interior' and 'boundary'")
-
-    if not isinstance(doc["targets"], list):
-        raise ConfigError(f"{path}: 'targets' must be a list")
-    targets = []
-    for i, t in enumerate(doc["targets"]):
-        try:
-            from_bus, to_bus = int(t["from"]), int(t["to"])
-            factor = float(t.get("lambda", t.get("factor")))
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError(
-                f"{path}: targets[{i}] needs integer 'from' and 'to' bus ids and a 'lambda'"
-            ) from None
-        if factor <= 0:
-            raise ConfigError(f"{path}: targets[{i}] needs a positive 'lambda'")
-        targets.append(OverloadTarget(from_bus, to_bus, factor))
-    if not targets:
-        raise ConfigError("at least one overload target is required")
-
-    mode = doc.get("mode", "both")
-    if mode not in ("optimal", "arbitrary", "both"):
-        raise ConfigError(f"mode must be optimal, arbitrary, or both, got {mode!r}")
-    modes = ["optimal", "arbitrary"] if mode == "both" else [mode]
-
-    sigmas = dict(DEFAULT_SIGMAS)
-    for k, v in _section(doc, "sigmas", path).items():
-        if k not in sigmas:
-            raise ConfigError(f"unknown measurement kind in sigmas: {k!r}")
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
-            raise ConfigError(f"{path}: sigmas '{k}' must be a number >= 0")
-        sigmas[k] = float(v)
-
-    seeds = _section(doc, "seeds", path)
+    if not isinstance(doc["case"], str):
+        raise ConfigError(f"{path}: 'case' must be a case file path or 'case39'")
     try:
-        noise_seed = int(seeds.get("noise", 0))
-        arbitrary_seed = int(seeds.get("arbitrary_start", 1))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: seeds 'noise' and 'arbitrary_start' must be integers") from None
-
-    bdd_doc = _section(doc, "bdd", path)
-    try:
-        bdd = BddPolicy(
-            confidence=float(bdd_doc.get("confidence", 0.95)),
-            lnr_threshold=float(bdd_doc.get("lnr_threshold", 3.0)),
+        return _read_config(
+            ScenarioConfig(doc["case"]), doc, lambda section, key: f"{section} '{key}'"
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
-    solver_doc = _section(doc, "solver", path)
-    solver = SolverParams(
-        tol_eq=float(solver_doc.get("tol_eq", 1e-6)),
-        max_outer=int(solver_doc.get("max_outer", 20)),
-        max_inner=int(solver_doc.get("max_inner", 60)),
-        penalty0=float(solver_doc.get("penalty0", 10.0)),
-        penalty_growth=float(solver_doc.get("penalty_growth", 10.0)),
-        seed=arbitrary_seed,
-        ang_perturbation=float(solver_doc.get("ang_perturbation", 0.35)),
-        mag_perturbation=float(solver_doc.get("mag_perturbation", 0.05)),
-        vm_relax=float(solver_doc.get("vm_relax", 0.1)),
-        overload_margin=float(solver_doc.get("overload_margin", 1e-4)),
+
+def _flag(section: str, key: str) -> str:
+    """The command-line flag that sets a scenario field."""
+    if section == "sigmas":
+        return f"--sigma {key}"
+    if key in ("from", "to"):
+        return "--target"
+    return "--" + key.replace("_", "-")
+
+
+def _flags(args: argparse.Namespace, *keys: str) -> dict:
+    """The flags among keys that were given, by destination name."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
+def _network(path: str):
+    """The case ('case39' or a case file) and its admittance model."""
+    case = load_bundled_case39() if path == "case39" else load_case(path)
+    return case, build_admittance(case)
+
+
+def _check_targets(case, targets, label: str) -> None:
+    pairs = {(br.from_bus, br.to_bus) for br in case.in_service_branches()}
+    for t in targets:
+        if (t.from_bus, t.to_bus) not in pairs:
+            raise ConfigError(f"{label} references no in-service branch {t.from_bus}-{t.to_bus}")
+
+
+def _zone(case, config: ScenarioConfig):
+    if "focal" in config.zone:
+        return build_zone(case, set(config.zone["focal"]))
+    return validate_zone(case, set(config.zone["interior"]), set(config.zone["boundary"]))
+
+
+def _zone_from_file(case, path: str):
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f)
+    doc = doc if isinstance(doc, dict) else {}
+    interior, boundary = (
+        _bus_list(doc.get(key), f"{path}: zone field '{key}'") for key in ("interior", "boundary")
     )
+    return validate_zone(case, set(interior), set(boundary))
 
-    pf_doc = _section(doc, "pf", path)
-    est_doc = _section(doc, "estimator", path)
-    formats = _section(doc, "output", path).get("formats", ["json", "csv", "svg"])
-    if not isinstance(formats, list):
-        raise ConfigError(f"{path}: output 'formats' must be a list of json, csv, svg")
-    for f_ in formats:
-        if f_ not in ("json", "csv", "svg"):
-            raise ConfigError(f"unknown output format {f_!r}")
 
-    return ScenarioConfig(
-        case_path=doc["case"],
-        zone_focal=focal,
-        zone_interior=interior,
-        zone_boundary=boundary,
-        targets=targets,
-        modes=modes,
-        sigmas=sigmas,
-        noise_seed=noise_seed,
-        arbitrary_seed=arbitrary_seed,
-        bdd=bdd,
-        solver=solver,
-        pf_tol=float(pf_doc.get("tol", 1e-8)),
-        pf_max_iter=int(pf_doc.get("max_iter", 20)),
-        est_tol=float(est_doc.get("tol", 1e-10)),
-        est_max_iter=int(est_doc.get("max_iter", 50)),
-        formats=list(formats),
+def _attack(case, adm, base, zone, config: ScenarioConfig, mode: str) -> AttackVector:
+    spec = AttackSpec(zone=zone, targets=config.targets, mode=mode, params=config.solver)
+    return design_attack(case, base, spec, adm)
+
+
+def _measure(case, adm, base, config: ScenarioConfig):
+    """Noisy measurements of base and their estimate."""
+    ms = generate_measurements(case, base, sigmas=config.sigmas, seed=config.noise_seed, adm=adm)
+    return ms, wls_estimate(ms, case, adm, **asdict(config.estimator))
+
+
+def _assess(case, adm, zone, av: AttackVector, ms_clean, clean_est, config: ScenarioConfig):
+    """The attacked measurements, their estimate and the impact report, whose
+    mode and targets come from av, as they do when av is read from a file."""
+    ms_attacked = apply_attack(ms_clean, av)
+    attacked_est = wls_estimate(ms_attacked, case, adm, **asdict(config.estimator))
+    report = compute_impact(
+        case, av.x_base, av, clean_est, attacked_est, zone,
+        policy=config.bdd,
+        targets=tuple(
+            (t["from"], t["to"], t["factor"]) for t in av.solver_info.get("targets", [])
+        ),
+        metadata={
+            "mode": av.solver_info.get("mode", "optimal"),
+            "noise_seed": config.noise_seed,
+            "sigmas": dict(sorted(config.sigmas.items())),
+            "bdd": asdict(config.bdd),
+        },
+        adm=adm,
     )
+    return ms_attacked, attacked_est, report
+
+
+def _render(report, formats, write, suffix: str = "") -> None:
+    for fmt in formats:
+        for name, content in render_report(report, fmt).items():
+            stem, ext = name.rsplit(".", 1)
+            write(f"{stem}{suffix}.{ext}", content)
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str) -> dict:
     """Execute the full pipeline and write every stage artifact to out_dir."""
-    case = _load_case_arg(config.case_path)
-    adm = build_admittance(case)
 
+    def write(name: str, content: str) -> None:
+        _write(os.path.join(out_dir, name), content)
+
+    case, adm = _network(config.case_path)
+    _check_targets(case, config.targets, "target")
+    zone = _zone(case, config)
     log.info("solving base power flow for %s", config.case_path)
-    base = solve_power_flow(case, adm, tol=config.pf_tol, max_iter=config.pf_max_iter)
-    _write(os.path.join(out_dir, "state.json"), _state_json(base))
+    base = solve_power_flow(case, adm, **asdict(config.pf))
+    write("state.json", _to_json(base))
+    write("zone.json", _to_json(zone))
 
-    if config.zone_focal is not None:
-        zone = build_zone(case, set(config.zone_focal))
-    else:
-        zone = validate_zone(case, set(config.zone_interior), set(config.zone_boundary))
-    _write(os.path.join(out_dir, "zone.json"), _zone_json(zone))
-
-    pairs = {(br.from_bus, br.to_bus) for br in case.in_service_branches()}
-    for t in config.targets:
-        if (t.from_bus, t.to_bus) not in pairs:
-            raise ConfigError(f"target references no in-service branch {t.from_bus}-{t.to_bus}")
-
-    ms_clean = generate_measurements(
-        case, base, sigmas=config.sigmas, seed=config.noise_seed, adm=adm
-    )
-    _write(os.path.join(out_dir, "measurements_clean.csv"), ms_clean.to_csv())
-    clean_est = wls_estimate(
-        ms_clean, case, adm, tol=config.est_tol, max_iter=config.est_max_iter
-    )
-    _write(os.path.join(out_dir, "estimation_clean.json"), _estimation_json(clean_est, config.bdd))
+    ms_clean, clean_est = _measure(case, adm, base, config)
+    write("measurements_clean.csv", ms_clean.to_csv())
+    write("estimation_clean.json", _estimation_json(clean_est, config.bdd))
 
     summary: dict = {"config": config.echo(), "modes": {}}
     for mode in config.modes:
         log.info("designing %s attack", mode)
-        spec = AttackSpec(zone=zone, targets=tuple(config.targets), mode=mode, params=config.solver)
-        av = design_attack(case, base, spec, adm)
-        _write(os.path.join(out_dir, f"attack_{mode}.json"), av.to_json())
-
-        ms_attacked = apply_attack(ms_clean, av)
-        _write(os.path.join(out_dir, f"measurements_{mode}.csv"), ms_attacked.to_csv())
-        attacked_est = wls_estimate(
-            ms_attacked, case, adm, tol=config.est_tol, max_iter=config.est_max_iter
+        av = _attack(case, adm, base, zone, config, mode)
+        write(f"attack_{mode}.json", av.to_json())
+        ms_attacked, attacked_est, report = _assess(
+            case, adm, zone, av, ms_clean, clean_est, config
         )
-        _write(
-            os.path.join(out_dir, f"estimation_{mode}.json"),
-            _estimation_json(attacked_est, config.bdd),
-        )
-
-        report = compute_impact(
-            case, base, av, clean_est, attacked_est, zone,
-            policy=config.bdd,
-            targets=tuple((t.from_bus, t.to_bus, t.factor) for t in config.targets),
-            metadata=_impact_metadata(mode, config.sigmas, config.noise_seed, config.bdd),
-            adm=adm,
-        )
-        for fmt in config.formats:
-            for name, content in render_report(report, fmt).items():
-                stem, ext = name.rsplit(".", 1)
-                _write(os.path.join(out_dir, f"{stem}_{mode}.{ext}"), content)
+        write(f"measurements_{mode}.csv", ms_attacked.to_csv())
+        write(f"estimation_{mode}.json", _estimation_json(attacked_est, config.bdd))
+        _render(report, config.formats, write, suffix=f"_{mode}")
 
         deviation = sum(
             (av.x_attacked.magnitude(b) - base.magnitude(b)) ** 2
@@ -382,7 +415,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> dict:
             "solver_info": av.solver_info,
         }
 
-    _write(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2, sort_keys=True))
+    write("summary.json", json.dumps(summary, indent=2, sort_keys=True))
     return summary
 
 
@@ -390,122 +423,83 @@ def run_scenario_sweep(config: ScenarioConfig, out_dir: str, n_seeds: int) -> di
     """Independent runs with both seeds offset per run, merged in seed order."""
     runs = []
     for k in range(n_seeds):
-        cfg = ScenarioConfig(**{**config.__dict__})
-        cfg.noise_seed = config.noise_seed + k
-        cfg.arbitrary_seed = config.arbitrary_seed + k
-        cfg.solver = SolverParams(
-            **{**config.solver.__dict__, "seed": cfg.arbitrary_seed}
-        )
-        sub = os.path.join(out_dir, f"seed_{k:03d}")
-        summary = run_scenario(cfg, sub)
-        runs.append(
-            {
-                "index": k,
-                "noise_seed": cfg.noise_seed,
-                "arbitrary_seed": cfg.arbitrary_seed,
-                "modes": summary["modes"],
-            }
-        )
+        solver = replace(config.solver, seed=config.solver.seed + k)
+        cfg = replace(config, noise_seed=config.noise_seed + k, solver=solver)
+        summary = run_scenario(cfg, os.path.join(out_dir, f"seed_{k:03d}"))
+        runs.append({"index": k, "noise_seed": cfg.noise_seed,
+                     "arbitrary_seed": cfg.solver.seed, "modes": summary["modes"]})
     merged = {"config": config.echo(), "n_seeds": n_seeds, "runs": runs}
     _write(os.path.join(out_dir, "summary.json"), json.dumps(merged, indent=2, sort_keys=True))
     return merged
 
 
 def _cmd_pf(args: argparse.Namespace) -> int:
-    case = _load_case_arg(args.case)
-    state = solve_power_flow(case, tol=args.tol, max_iter=args.max_iter)
-    _emit(_state_json(state), args.out)
+    doc = {"pf": _flags(args, "tol", "max_iter")}
+    config = _read_config(ScenarioConfig(args.case), doc, _flag)
+    case, adm = _network(config.case_path)
+    _emit(_to_json(solve_power_flow(case, adm, **asdict(config.pf))), args.out)
     return EXIT_OK
 
 
 def _cmd_zone(args: argparse.Namespace) -> int:
-    case = _load_case_arg(args.case)
-    if args.focal:
-        zone = build_zone(case, set(_parse_int_list(args.focal)))
-    elif args.interior and args.boundary:
-        zone = validate_zone(
-            case, set(_parse_int_list(args.interior)), set(_parse_int_list(args.boundary))
-        )
-    else:
-        raise ConfigError("zone needs --focal or both --interior and --boundary")
-    _emit(_zone_json(zone), args.out)
+    doc = {"zone": {k: v for k in ("focal", "interior", "boundary") if (v := getattr(args, k))}}
+    config = _read_config(ScenarioConfig(args.case), doc, _flag)
+    case, _ = _network(config.case_path)
+    _emit(_to_json(_zone(case, config)), args.out)
     return EXIT_OK
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    case = _load_case_arg(args.case)
-    adm = build_admittance(case)
+    from_bus, _, to_bus = args.target.partition(":")
+    doc = {
+        "targets": [{"from": from_bus, "to": to_bus, "lambda": args.factor}],
+        "seeds": {"arbitrary_start": args.seed},
+    }
+    config = _read_config(ScenarioConfig(args.case), doc, _flag)
+    case, adm = _network(config.case_path)
+    _check_targets(case, config.targets, "--target")
     zone = _zone_from_file(case, args.zone)
-    try:
-        f, t = args.target.split(":")
-        target = OverloadTarget(int(f), int(t), args.factor)
-    except ValueError:
-        raise ConfigError(f"--target must look like FROM:TO, got {args.target!r}") from None
-
     if args.state:
         with open(args.state, encoding="utf-8") as fh:
             base = StateVector.from_dict(json.load(fh))
     else:
-        base = solve_power_flow(case, adm)
-    params = SolverParams(seed=args.seed)
-    spec = AttackSpec(zone=zone, targets=(target,), mode=args.mode, params=params)
-    av = design_attack(case, base, spec, adm)
-    _emit(av.to_json(), args.out)
+        base = solve_power_flow(case, adm, **asdict(config.pf))
+    _emit(_attack(case, adm, base, zone, config, args.mode).to_json(), args.out)
     return EXIT_OK
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    case = _load_case_arg(args.case)
-    with open(args.measurements, encoding="utf-8") as f:
-        text = f.read()
+    doc = {"estimator": _flags(args, "tol", "max_iter"),
+           "bdd": _flags(args, "confidence", "lnr_threshold")}
+    config = _read_config(ScenarioConfig(args.case), doc, _flag)
+    case, adm = _network(config.case_path)
     try:
-        ms = measurement_set_from_csv(text, case)
+        with open(args.measurements, encoding="utf-8") as f:
+            ms = measurement_set_from_csv(f.read(), case)
     except EstimationError as exc:
         raise ConfigError(f"{args.measurements}: {exc}") from None
-    res = wls_estimate(ms, case, tol=args.tol, max_iter=args.max_iter)
-    policy = BddPolicy(confidence=args.confidence, lnr_threshold=args.lnr_threshold)
-    _emit(_estimation_json(res, policy), args.out)
+    res = wls_estimate(ms, case, adm, **asdict(config.estimator))
+    _emit(_estimation_json(res, config.bdd), args.out)
     return EXIT_OK
 
 
 def _cmd_impact(args: argparse.Namespace) -> int:
-    case = _load_case_arg(args.case)
-    adm = build_admittance(case)
+    doc = {
+        "sigmas": dict(item.partition("=")[::2] for item in args.sigma or []),
+        "seeds": {} if args.noise_seed is None else {"noise": args.noise_seed},
+        "bdd": _flags(args, "confidence", "lnr_threshold"),
+    }
+    if args.formats is not None:
+        doc["output"] = {"formats": [f.strip() for f in args.formats.split(",") if f.strip()]}
+    config = _read_config(ScenarioConfig(args.case), doc, _flag)
+    case, adm = _network(config.case_path)
     zone = _zone_from_file(case, args.zone)
     with open(args.attack, encoding="utf-8") as f:
         av = AttackVector.from_json(f.read())
-    base = av.x_base
-
-    sigmas = dict(DEFAULT_SIGMAS)
-    for item in args.sigma or []:
-        k, _, v = item.partition("=")
-        if k not in sigmas:
-            raise ConfigError(f"unknown measurement kind {k!r}")
-        sigmas[k] = float(v)
-
-    mode = av.solver_info.get("mode", "optimal")
-    targets = tuple(
-        (t["from"], t["to"], t["factor"]) for t in av.solver_info.get("targets", [])
-    )
-    policy = BddPolicy(confidence=args.confidence, lnr_threshold=args.lnr_threshold)
-
-    ms_clean = generate_measurements(case, base, sigmas=sigmas, seed=args.noise_seed, adm=adm)
-    clean_est = wls_estimate(ms_clean, case, adm)
-    attacked_est = wls_estimate(apply_attack(ms_clean, av), case, adm)
-    report = compute_impact(
-        case, base, av, clean_est, attacked_est, zone,
-        policy=policy,
-        targets=targets,
-        metadata=_impact_metadata(mode, sigmas, args.noise_seed, policy),
-        adm=adm,
-    )
-    formats = [f.strip() for f in args.formats.split(",") if f.strip()]
-    for fmt in formats:
-        for name, content in render_report(report, fmt).items():
-            if args.out_dir:
-                _write(os.path.join(args.out_dir, name), content)
-            else:
-                sys.stdout.write(content)
+    ms_clean, clean_est = _measure(case, adm, av.x_base, config)
+    report = _assess(case, adm, zone, av, ms_clean, clean_est, config)[2]
+    _render(report, config.formats,
+            lambda name, content: _emit(content, args.out_dir and os.path.join(args.out_dir, name)))
     return EXIT_OK
 
 
@@ -523,6 +517,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `acfdi` parser. A flag left unset takes the scenario default."""
     ap = argparse.ArgumentParser(
         prog="acfdi",
         description="Design AC false-data-injection attacks, check detectability, report impact.",
@@ -531,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("pf", help="solve the base AC power flow")
     pf.add_argument("case", help="MATPOWER .m / model .json path, or 'case39'")
-    pf.add_argument("--tol", type=float, default=1e-8)
-    pf.add_argument("--max-iter", type=int, default=20)
+    pf.add_argument("--tol", type=float)
+    pf.add_argument("--max-iter", type=int)
     pf.add_argument("--out")
     pf.set_defaults(func=_cmd_pf)
 
@@ -550,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--target", required=True, help="target branch as FROM:TO")
     at.add_argument("--lambda", dest="factor", type=float, default=1.3,
                     help="required overload factor on the target's active flow")
-    at.add_argument("--mode", choices=("optimal", "arbitrary"), default="optimal")
+    at.add_argument("--mode", choices=_MODES, default="optimal")
     at.add_argument("--seed", type=int, default=0, help="arbitrary-mode start seed")
     at.add_argument("--state", help="base state JSON (defaults to solving the case)")
     at.add_argument("--out")
@@ -559,10 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
     es = sub.add_parser("estimate", help="run WLS estimation on a measurement CSV")
     es.add_argument("case")
     es.add_argument("measurements")
-    es.add_argument("--tol", type=float, default=1e-10)
-    es.add_argument("--max-iter", type=int, default=50)
-    es.add_argument("--confidence", type=float, default=0.95)
-    es.add_argument("--lnr-threshold", type=float, default=3.0)
+    es.add_argument("--tol", type=float)
+    es.add_argument("--max-iter", type=int)
+    es.add_argument("--confidence", type=float)
+    es.add_argument("--lnr-threshold", type=float)
     es.add_argument("--out")
     es.set_defaults(func=_cmd_estimate)
 
@@ -570,11 +565,11 @@ def build_parser() -> argparse.ArgumentParser:
     im.add_argument("case")
     im.add_argument("zone")
     im.add_argument("attack")
-    im.add_argument("--noise-seed", type=int, default=0)
+    im.add_argument("--noise-seed", type=int)
     im.add_argument("--sigma", action="append", metavar="KIND=VALUE")
-    im.add_argument("--confidence", type=float, default=0.95)
-    im.add_argument("--lnr-threshold", type=float, default=3.0)
-    im.add_argument("--formats", default="json,csv,svg")
+    im.add_argument("--confidence", type=float)
+    im.add_argument("--lnr-threshold", type=float)
+    im.add_argument("--formats", help="comma-separated subset of json,csv,svg")
     im.add_argument("--out-dir")
     im.set_defaults(func=_cmd_impact)
 

@@ -9,6 +9,7 @@ followed by all magnitudes; the slack angle is pinned at zero and excluded.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -323,19 +324,20 @@ class MeasurementModel:
         ])
         order = np.lexsort((cols, rows))
         self.rows, self.cols, self._source = rows[order], cols[order], source[order]
-        row_ptr = np.searchsorted(self.rows, np.arange(m + 1))
 
-        # every ordered pair (a, b) of entries sharing a row: G[col a, col b]
-        # and the row's quadratic form h G⁻¹ hᵀ both sum over them
+    @functools.cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(row, a, b, gain cell) of every ordered pair of entries sharing a row:
+        G[col a, col b] and the row's h G⁻¹ hᵀ sum over them. Built on first
+        use, as only gain and leverage read it."""
+        row_ptr = np.searchsorted(self.rows, np.arange(self.m + 1))
         per_row = np.diff(row_ptr)
         sq = per_row * per_row
-        self._pair_row = np.repeat(np.arange(m), sq)
-        step = _concat_ranges(np.zeros(m, dtype=int), sq)
+        step = _concat_ranges(np.zeros(self.m, dtype=int), sq)
         width = np.repeat(per_row, sq)
         start = np.repeat(row_ptr[:-1], sq)
-        self._pair_a = start + step // width
-        self._pair_b = start + step % width
-        self._pair_cell = self.cols[self._pair_a] * self.n_state + self.cols[self._pair_b]
+        a, b = start + step // width, start + step % width
+        return np.repeat(np.arange(self.m), sq), a, b, self.cols[a] * self.n_state + self.cols[b]
 
     def x_of(self, state: StateVector) -> np.ndarray:
         return np.concatenate([state.va[self._ang_pos], state.vm])
@@ -390,11 +392,10 @@ class MeasurementModel:
 
     def gain(self, values: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Dense HᵀWH from the Jacobian's nonzeros."""
+        _, a, b, cell = self._pairs
         weighted = values * w[self.rows]
         g = np.bincount(
-            self._pair_cell,
-            weights=weighted[self._pair_a] * values[self._pair_b],
-            minlength=self.n_state * self.n_state,
+            cell, weights=weighted[a] * values[b], minlength=self.n_state * self.n_state
         )
         return g.reshape(self.n_state, self.n_state)
 
@@ -404,12 +405,9 @@ class MeasurementModel:
 
     def leverage(self, values: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
         """diag(H G⁻¹ Hᵀ): one quadratic form per row over its nonzeros."""
-        terms = (
-            values[self._pair_a]
-            * g_inv[self.cols[self._pair_a], self.cols[self._pair_b]]
-            * values[self._pair_b]
-        )
-        return np.bincount(self._pair_row, weights=terms, minlength=self.m)
+        row, a, b, _ = self._pairs
+        terms = values[a] * g_inv[self.cols[a], self.cols[b]] * values[b]
+        return np.bincount(row, weights=terms, minlength=self.m)
 
 
 def measurement_model(

@@ -125,17 +125,6 @@ class ImpactReport:
     notes: tuple[str, ...]
 
 
-def _branch_role(br: Branch, zone: AttackZone) -> str:
-    idx = br.index
-    if any(b.index == idx for b in zone.interior_lines):
-        return "interior"
-    if any(b.index == idx for b in zone.frozen_lines):
-        return "frozen"
-    if any(b.index == idx for b in zone.tie_lines):
-        return "tie"
-    return "exterior"
-
-
 def _bus_role(bus: int, zone: AttackZone) -> str:
     if bus in zone.interior:
         return "interior"
@@ -171,6 +160,9 @@ def compute_impact(
     if not (clean_est.converged and attacked_est.converged):
         raise ReportError("impact report requires converged estimations")
 
+    lines = {"interior": zone.interior_lines, "frozen": zone.frozen_lines, "tie": zone.tie_lines}
+    # reversed, so that the first role listed wins for a line in two lists
+    role_of = {br.index: role for role, group in reversed(lines.items()) for br in group}
     notes: list[str] = []
     branches = []
     for br, attacked in replay_attacked_flows(case, base, av):
@@ -182,7 +174,7 @@ def compute_impact(
             BranchImpact(
                 from_bus=br.from_bus,
                 to_bus=br.to_bus,
-                role=_branch_role(br, zone),
+                role=role_of.get(br.index, "exterior"),
                 rating=rating,
                 base=base_flow,
                 attacked=attacked,

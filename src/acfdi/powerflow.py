@@ -8,6 +8,7 @@ phasor arithmetic and reused everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +31,15 @@ class StateVector:
         if len(self.bus_ids) != len(self.vm) or len(self.vm) != len(self.va):
             raise ValueError("bus_ids, vm, va must have equal length")
 
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        return {b: i for i, b in enumerate(self.bus_ids)}
+
     def index(self, bus_id: int) -> int:
-        return self.bus_ids.index(bus_id)
+        try:
+            return self._position[bus_id]
+        except KeyError:
+            raise ValueError(f"bus {bus_id} is not in the state") from None
 
     def magnitude(self, bus_id: int) -> float:
         return float(self.vm[self.index(bus_id)])
@@ -179,6 +187,8 @@ def newton_power_flow(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if adm is None:
         adm = build_admittance(case)
 
@@ -210,12 +220,10 @@ def newton_power_flow(
 
 
 def solve_power_flow(
-    case: NetworkCase,
-    adm: AdmittanceModel | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 20,
+    case: NetworkCase, adm: AdmittanceModel | None = None, **limits
 ) -> StateVector:
-    return newton_power_flow(case, adm, tol, max_iter).state
+    """The state newton_power_flow converges to; limits are its tol and max_iter."""
+    return newton_power_flow(case, adm, **limits).state
 
 
 def branch_flow(state: StateVector, branch: Branch) -> BranchFlow:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,11 @@ from pathlib import Path
 import pytest
 
 from acfdi.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
+import spans  # noqa: E402
+
+BUNDLED = Path(__file__).parent.parent / "scenarios" / "case39_overload.json"
 
 SCENARIO = {
     "case": "case39",
@@ -213,9 +220,8 @@ def test_power_flow_failure_exit_code(tmp_path, capsys):
 
 
 def test_bundled_scenario_config_runs(tmp_path):
-    bundled = Path(__file__).parent.parent / "scenarios" / "case39_overload.json"
     out = tmp_path / "bundled"
-    assert main(["scenario", "run", str(bundled), "--out", str(out)]) == EXIT_OK
+    assert main(["scenario", "run", str(BUNDLED), "--out", str(out)]) == EXIT_OK
     assert (out / "summary.json").exists()
 
 
@@ -310,6 +316,22 @@ def _formats_not_a_list(tmp_path):
     return _scenario_with(output={"formats": "json"})(tmp_path), "'formats'"
 
 
+def _case_not_a_path(tmp_path):
+    return _scenario_with(case=None)(tmp_path), "'case'"
+
+
+def _pf_tol_not_a_number(tmp_path):
+    return _scenario_with(pf={"tol": "abc"})(tmp_path), "'tol'"
+
+
+def _solver_max_outer_not_an_integer(tmp_path):
+    return _scenario_with(solver={"max_outer": "x"})(tmp_path), "'max_outer'"
+
+
+def _pf_max_iter_zero(tmp_path):
+    return _scenario_with(pf={"max_iter": 0})(tmp_path), "'max_iter'"
+
+
 def _zone_file_with_string_ids(tmp_path):
     path = tmp_path / "z.json"
     zone = {"interior": SCENARIO["zone"]["interior"], "boundary": ["3", "15"]}
@@ -323,6 +345,8 @@ def _zone_file_with_string_ids(tmp_path):
         _four_column_csv, _non_numeric_csv_value, _target_without_from, _zone_without_boundary,
         _targets_not_a_list, _sigmas_not_an_object, _seeds_not_an_object,
         _scenario_zone_with_string_ids, _formats_not_a_list, _zone_file_with_string_ids,
+        _pf_tol_not_a_number, _solver_max_outer_not_an_integer, _pf_max_iter_zero,
+        _case_not_a_path,
     ],
     ids=lambda make: make.__name__.strip("_"),
 )
@@ -332,6 +356,60 @@ def test_malformed_input_is_config_error_naming_file_and_field(make_input, tmp_p
     err = capsys.readouterr().err
     assert str(tmp_path) in err
     assert field_name in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["attack", "case39", "{zone}", "--target", "1:99"],
+        ["attack", "case39", "{zone}", "--target", "26:27", "--lambda", "-1"],
+        ["estimate", "case39", "{csv}", "--confidence", "2"],
+        ["estimate", "case39", "{csv}", "--lnr-threshold", "0"],
+        ["impact", "case39", "{zone}", "{attack}", "--sigma", "Pflow=abc"],
+        ["impact", "case39", "{zone}", "{attack}", "--sigma", "Pflow=-1"],
+        ["impact", "case39", "{zone}", "{attack}", "--confidence", "2"],
+        ["impact", "case39", "{zone}", "{attack}", "--formats", "json,pdf"],
+        ["pf", "case39", "--tol", "0"],
+        ["pf", "case39", "--max-iter", "0"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_malformed_flag_is_config_error_naming_flag(argv, scenario_out, tmp_path, capsys):
+    # the last flag given is the malformed one
+    flag = argv[-2]
+    _, run = scenario_out
+    files = {
+        "{zone}": run / "zone.json",
+        "{csv}": run / "measurements_clean.csv",
+        "{attack}": run / "attack_optimal.json",
+    }
+    out = tmp_path / "out"
+    argv = [str(files.get(a, a)) for a in argv]
+    argv += ["--out-dir" if argv[0] == "impact" else "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_traced_scenario_records_every_stage(tmp_path):
+    # bench/spans.py patches the stages' library calls as attributes of
+    # acfdi.cli; a stage moved out of the module would read 0 ms when traced
+    tracer = spans.Tracer()
+    argv = ["scenario", "run", str(BUNDLED), "--out", str(tmp_path / "o")]
+    with spans.instrument(tracer), contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == EXIT_OK
+    recorded = {name for name, *_ in tracer.spans}
+    for name in (
+        "network.load_case", "network.build_admittance", "powerflow.newton_power_flow",
+        "zones.validate_zone",
+        "attacks.design_attack.optimal", "attacks.design_attack.arbitrary",
+        "attacks.apply_attack",
+        "estimation.generate_measurements", "estimation.wls_estimate",
+        "impact.compute_impact", "impact.render_report",
+        "cli.load_scenario_config", "cli.run_scenario",
+    ):
+        assert name in recorded, name
 
 
 def test_import_loads_no_heavy_scipy_modules():

@@ -138,6 +138,14 @@ def test_nonconvergence_reports_final_mismatch(case39, adm39):
 def test_bad_tolerance_rejected(case39):
     with pytest.raises(ValueError, match="tol must be positive"):
         solve_power_flow(case39, tol=0.0)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        newton_power_flow(case39, max_iter=0)
+
+
+def test_state_vector_index_rejects_unknown_bus(base39):
+    assert base39.index(39) == 38
+    with pytest.raises(ValueError, match="bus 99"):
+        base39.index(99)
 
 
 def test_pass_through_bus_injection_is_zero(case39, adm39, base39):
@@ -254,3 +262,13 @@ def test_newton_power_flow_replays_dense_oracle(grid, case39, adm39, tile2):
     assert np.all(gap <= 1e-12 * history[0])
     assert np.max(np.abs(sol.state.vm - vm)) <= 1e-12
     assert np.max(np.abs(sol.state.va - va)) <= 1e-12
+
+
+def test_power_flow_model_builds_no_row_pair_index():
+    # only gain and leverage read the row-pair index (about 1 MB at n=312);
+    # power flow calls neither, so its compiled model never builds it
+    case = tiled_case39(2)
+    adm = build_admittance(case)
+    newton_power_flow(case, adm)
+    (model,) = adm.compiled_layouts.values()
+    assert "_pairs" not in vars(model)
