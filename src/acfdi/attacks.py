@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import MeasurementKey, eval_h, eval_jacobian, full_layout
+from .estimation import MeasurementKey, eval_h, eval_jacobian, full_layout, measurement_model
 from .network import AdmittanceModel, Branch, NetworkCase, build_admittance
 from .nlsolver import SolverError, solve_constrained
 from .powerflow import StateVector, all_injections, branch_flow
@@ -51,6 +51,20 @@ class SolverParams:
     vm_relax: float = 0.1  # widening of magnitude bounds in arbitrary mode
     overload_margin: float = 1e-4  # strict-feasibility offset on the overload bound
     max_start_draws: int = 100
+
+    def __post_init__(self):
+        # written as `not value > bound` so that NaN is rejected too
+        for name in ("max_outer", "max_inner", "max_start_draws"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("tol_eq", "tol_step", "penalty0"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.penalty_growth > 1:
+            raise ValueError("penalty_growth must be greater than 1")
+        for name in ("ang_perturbation", "mag_perturbation", "vm_relax", "overload_margin"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -123,17 +137,6 @@ def _in_service_position(case: NetworkCase) -> dict[int, int]:
     return {br.index: k for k, br in enumerate(case.in_service_branches())}
 
 
-def _interior_columns(case: NetworkCase, interior: list[int]) -> np.ndarray:
-    """Columns of the full (angle|magnitude) Jacobian owned by interior buses."""
-    slack = case.slack_bus
-    non_slack = [b.id for b in case.buses if b.id != slack]
-    ang_col = {b: i for i, b in enumerate(non_slack)}
-    n_ang = len(non_slack)
-    mag_col = {b.id: n_ang + i for i, b in enumerate(case.buses)}
-    cols = [ang_col[b] for b in interior] + [mag_col[b] for b in interior]
-    return np.array(cols, dtype=int)
-
-
 def design_attack(
     case: NetworkCase,
     base: StateVector,
@@ -186,16 +189,16 @@ def design_attack(
         [t.factor * f + params.overload_margin for t, f in zip(spec.targets, base_flows)]
     )
 
-    int_cols = _interior_columns(case, interior)
-    va0 = np.array([base.angle(b) for b in interior])
-    vm0 = np.array([base.magnitude(b) for b in interior])
+    int_pos = np.array([case.bus_index(b) for b in interior], dtype=int)
+    int_cols = measurement_model(adm, con_layout).state_columns(int_pos)
+    va0, vm0 = base.va[int_pos], base.vm[int_pos]
     n_targets = len(target_branches)
 
     def state_of(z: np.ndarray) -> StateVector:
-        return base.replace_buses(
-            {b: z[n_int + i] for i, b in enumerate(interior)},
-            {b: z[i] for i, b in enumerate(interior)},
-        )
+        vm, va = base.vm.copy(), base.va.copy()
+        vm[int_pos] = z[n_int : 2 * n_int]
+        va[int_pos] = z[:n_int]
+        return StateVector(base.bus_ids, vm, va)
 
     # the solver calls `constraints` at every trial point and
     # `constraint_jacobian` only at points it accepts
@@ -237,7 +240,7 @@ def design_attack(
         rng = np.random.default_rng(params.seed)
         z0 = None
         start_draws = 0
-        for _ in range(max(1, params.max_start_draws)):
+        for _ in range(params.max_start_draws):
             start_draws += 1
             va_try = va0 + rng.uniform(-params.ang_perturbation, params.ang_perturbation, n_int)
             vm_try = np.clip(

@@ -61,8 +61,7 @@ class MeasurementSet:
     measurements: tuple[Measurement, ...]
 
     def __post_init__(self):
-        ids = [m.id for m in self.measurements]
-        if len(set(ids)) != len(ids):
+        if len(self._position) != len(self.measurements):
             raise EstimationError("duplicate measurement ids")
         if any(m.variance <= 0 for m in self.measurements):
             raise EstimationError("all measurement variances must be positive")
@@ -83,11 +82,15 @@ class MeasurementSet:
     def variances(self) -> np.ndarray:
         return np.array([m.variance for m in self.measurements])
 
+    @functools.cached_property
+    def _position(self) -> dict[str, int]:
+        return {m.id: i for i, m in enumerate(self.measurements)}
+
     def index_of(self, meas_id: str) -> int:
-        for i, m in enumerate(self.measurements):
-            if m.id == meas_id:
-                return i
-        raise EstimationError(f"unknown measurement id {meas_id!r}")
+        try:
+            return self._position[meas_id]
+        except KeyError:
+            raise EstimationError(f"unknown measurement id {meas_id!r}") from None
 
     def with_values(self, values: np.ndarray) -> "MeasurementSet":
         return MeasurementSet(
@@ -226,9 +229,13 @@ class MeasurementModel:
     is gathered from, and where each Jacobian entry sits on the sparsity
     pattern of Ybus, Yf and Yt (MATPOWER's dSbus_dV/dSbr_dV formulation,
     Zimmerman, Murillo-Sanchez and Thomas, IEEE Trans. Power Syst. 2011).
-    Evaluation is then loop-free. The currents stay dense matvecs and each
-    derivative entry repeats the elementwise arithmetic of the dense
-    formulas, so h and the Jacobian match them bit for bit.
+    It also stacks the k rows of Ybus, Yf and Yt that the layout reads into
+    one dense k x n block (`y_rows`), so every evaluation makes one O(k n)
+    matvec for its currents instead of three full ones. Evaluation is then
+    loop-free. Each row of that matvec rounds as the same row of the full
+    product does, and each derivative entry repeats the elementwise
+    arithmetic of the dense formulas, so h and the Jacobian match them bit
+    for bit.
 
     The model also owns the state packing x = [non-slack angles (case bus
     order) | all magnitudes] and the row-pair index that assembles the gain
@@ -238,10 +245,7 @@ class MeasurementModel:
     def __init__(self, adm: AdmittanceModel, layout: tuple[MeasurementKey, ...]):
         case = adm.case
         n, nl, m = case.n_bus, len(adm.branches), len(layout)
-        # the model holds the admittance arrays, not the AdmittanceModel that
-        # caches it, so a dropped AdmittanceModel is freed without a cycle
-        self._ybus, self._yf, self._yt = adm.ybus, adm.yf, adm.yt
-        self._f, self._t = adm.f_idx, adm.t_idx
+        f, t = adm.f_idx, adm.t_idx
         self.m = m
         self.n_state = 2 * n - 1
         self._bus_ids = tuple(b.id for b in case.buses)
@@ -267,12 +271,36 @@ class MeasurementModel:
         flow, inj = kind < 2, (kind == 2) | (kind == 3)
         imag = (kind == 1) | (kind == 3)
 
-        # h gathers from [P, Q bus | P, Q from | P, Q to | vm | va]
-        offset = np.array([2 * n, 2 * n + nl, 0, n, 2 * n + 4 * nl, 3 * n + 4 * nl])
-        self._h_index = offset[kind] + np.where(flow & ~from_side, 2 * nl, 0) + where
+        # the current rows the layout reads, keyed by bus position for Ybus
+        # rows, n + branch for Yf rows and n + nl + branch for Yt rows; the
+        # model holds its own copy of them, not the AdmittanceModel that
+        # caches it, so a dropped AdmittanceModel is freed without a cycle
+        reads = flow | inj
+        row_key = np.where(flow, n + np.where(from_side, 0, nl) + where, where)
+        keys, cur_of_read = np.unique(row_key[reads], return_inverse=True)
+        cur = np.zeros(m, dtype=int)
+        cur[reads] = cur_of_read
+        bus = keys[keys < n]
+        br = keys[len(bus):] - n
+        to_end = br >= nl
+        br = np.where(to_end, br - nl, br)
+        # numpy sends a one-row product to dot, which rounds differently from
+        # the gemv of the full products; a zero second row keeps it on gemv
+        y = np.zeros((len(keys) + (len(keys) == 1), n), dtype=complex)
+        y[: len(bus)] = adm.ybus[bus]
+        branch_rows = np.arange(len(bus), len(keys))
+        y[branch_rows, f[br]] = np.where(to_end, adm.ytf[br], adm.yff[br])
+        y[branch_rows, t[br]] = np.where(to_end, adm.ytt[br], adm.yft[br])
+        self.y_rows = y
+        self._own = np.zeros(len(y), dtype=int)  # bus of each row's voltage
+        self._own[: len(keys)] = np.concatenate([bus, np.where(to_end, t[br], f[br])])
+
+        # h gathers from [P of each current row | Q of each | vm | va]
+        width = len(y)
+        offset = np.array([0, width, 0, width, 2 * width, 2 * width + n])
+        self._h_index = offset[kind] + np.where(reads, cur, where)
 
         # derivative entries of injection rows: the row's pattern in Ybus
-        f, t = self._f, self._t
         cells = np.unique(np.concatenate([f * n + t, t * n + f, np.arange(n) * (n + 1)]))
         ybus_row, ybus_col = np.divmod(cells, n)
         ybus_ptr = np.searchsorted(ybus_row, np.arange(n + 1))
@@ -284,22 +312,23 @@ class MeasurementModel:
         self._b_col = ybus_col[cells]
         self._b_y = adm.ybus[self._b_own, self._b_col]
         self._b_diag = np.flatnonzero(self._b_col == self._b_own)
+        self._b_cur = cur[b_row[self._b_diag]]
 
         # derivative entries of flow rows: both ends of the row's branch
         flow_rows = np.flatnonzero(flow)
         r_row = np.repeat(flow_rows, 2)
         k = where[r_row]
         at_f = np.arange(len(k)) % 2 == 0
-        self._r_k = k
-        self._r_from = from_side[r_row]
-        self._r_own = np.where(self._r_from, f[k], t[k])
+        r_from = from_side[r_row]
+        self._r_own = np.where(r_from, f[k], t[k])
         self._r_col = np.where(at_f, f[k], t[k])
         self._r_y = np.where(
             at_f,
-            np.where(self._r_from, adm.yff[k], adm.ytf[k]),
-            np.where(self._r_from, adm.yft[k], adm.ytt[k]),
+            np.where(r_from, adm.yff[k], adm.ytf[k]),
+            np.where(r_from, adm.yft[k], adm.ytt[k]),
         )
         self._r_diag = np.flatnonzero(self._r_col == self._r_own)
+        self._r_cur = cur[r_row[self._r_diag]]
 
         e_row = np.concatenate([b_row, r_row])
         e_col = np.concatenate([self._b_col, self._r_col])
@@ -339,6 +368,12 @@ class MeasurementModel:
         a, b = start + step // width, start + step % width
         return np.repeat(np.arange(self.m), sq), a, b, self.cols[a] * self.n_state + self.cols[b]
 
+    def state_columns(self, positions: np.ndarray) -> np.ndarray:
+        """Columns of x holding the angles, then the magnitudes, of the buses
+        at these positions; the slack bus has no angle column."""
+        angles = np.searchsorted(self._ang_pos, positions)
+        return np.concatenate([angles, len(self._ang_pos) + positions])
+
     def x_of(self, state: StateVector) -> np.ndarray:
         return np.concatenate([state.va[self._ang_pos], state.vm])
 
@@ -350,31 +385,29 @@ class MeasurementModel:
 
     def h(self, state: StateVector) -> np.ndarray:
         v = state.complex_voltages()
-        sbus = v * np.conj(self._ybus @ v)
-        sf = v[self._f] * np.conj(self._yf @ v)
-        st = v[self._t] * np.conj(self._yt @ v)
-        parts = (sbus.real, sbus.imag, sf.real, sf.imag, st.real, st.imag, state.vm, state.va)
-        return np.concatenate(parts)[self._h_index]
+        s = v[self._own] * np.conj(self.y_rows @ v)
+        return np.concatenate((s.real, s.imag, state.vm, state.va))[self._h_index]
 
     def jacobian_values(self, state: StateVector) -> np.ndarray:
         """Nonzeros of the Jacobian at (self.rows, self.cols)."""
         v = state.complex_voltages()
         vnorm = v / np.abs(v)
-        ibus = self._ybus @ v
+        current = self.y_rows @ v
 
         own, col, diag = self._b_own, self._b_col, self._b_diag
+        ibus = current[self._b_cur]
         at_diag = np.zeros(len(own), dtype=complex)
-        at_diag[diag] = (v * np.conj(ibus))[own[diag]]
+        at_diag[diag] = v[own[diag]] * np.conj(ibus)
         b_va = 1j * (at_diag - v[own] * np.conj(self._b_y * v[col]))
-        at_diag[diag] = (np.conj(ibus) * vnorm)[own[diag]]
+        at_diag[diag] = np.conj(ibus) * vnorm[own[diag]]
         b_vm = v[own] * np.conj(self._b_y * vnorm[col]) + at_diag
 
         own, col, diag = self._r_own, self._r_col, self._r_diag
-        current = np.where(self._r_from, (self._yf @ v)[self._r_k], (self._yt @ v)[self._r_k])
+        ibranch = current[self._r_cur]
         r_va = -1j * v[own] * np.conj(self._r_y * v[col])
-        r_va[diag] += 1j * np.conj(current[diag]) * v[own[diag]]
+        r_va[diag] += 1j * np.conj(ibranch) * v[own[diag]]
         r_vm = v[own] * np.conj(self._r_y * vnorm[col])
-        r_vm[diag] += np.conj(current[diag]) * vnorm[own[diag]]
+        r_vm[diag] += np.conj(ibranch) * vnorm[own[diag]]
 
         d_va = np.concatenate([b_va, r_va])
         d_vm = np.concatenate([b_vm, r_vm])

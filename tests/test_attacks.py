@@ -13,7 +13,8 @@ from acfdi.attacks import (
     compute_falsified_injections,
     design_attack,
 )
-from acfdi.estimation import full_layout, generate_measurements, wls_estimate
+from acfdi.estimation import full_layout, generate_measurements, measurement_model, wls_estimate
+from acfdi.network import build_admittance
 from acfdi.powerflow import branch_flow, bus_injection
 from acfdi.zones import build_zone
 
@@ -105,6 +106,47 @@ def test_target_must_be_interior_line(case39, base39, zone39):
     spec = AttackSpec(zone=zone39, targets=(OverloadTarget(2, 3, 1.3),), mode="optimal")
     with pytest.raises(AttackError, match="not an interior line"):
         design_attack(case39, base39, spec)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_outer", 0), ("max_inner", 0), ("max_start_draws", 0),
+        ("tol_eq", 0.0), ("tol_eq", -1.0), ("tol_step", 0.0), ("penalty0", 0.0),
+        ("tol_eq", float("nan")), ("penalty_growth", 1.0), ("penalty_growth", 0.5),
+        ("ang_perturbation", -0.1), ("mag_perturbation", -0.1), ("vm_relax", -0.1),
+        ("overload_margin", -1e-4),
+    ],
+)
+def test_solver_params_reject_out_of_range_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverParams(**{field: value})
+
+
+def test_solver_params_accept_boundary_values():
+    SolverParams(
+        max_outer=1, max_inner=1, max_start_draws=1, ang_perturbation=0.0,
+        mag_perturbation=0.0, vm_relax=0.0, overload_margin=0.0,
+    )
+
+
+def test_constraint_model_stacks_only_the_rows_it_reads(case39, base39, zone39):
+    # the shipped design reads P and Q at its zero-injection interior bus (one
+    # Ybus row) and the target's from-end flow (one Yf row): 2 of the
+    # 39 + 2 x 46 rows of Ybus, Yf and Yt
+    adm = build_admittance(case39)
+    spec = AttackSpec(
+        zone=zone39, targets=(OverloadTarget(*ref.TARGET, ref.OVERLOAD_FACTOR),), mode="optimal"
+    )
+    design_attack(case39, base39, spec, adm)
+    assert "yf" not in vars(adm) and "yt" not in vars(adm)
+    (bus,) = zone39.zero_injection_interior(case39)
+    by_id = {k.id: k for k in full_layout(case39)}
+    layout = tuple(by_id[i] for i in (f"Pinj:{bus}", f"Qinj:{bus}", "Pf:{}-{}".format(*ref.TARGET)))
+    assert layout in adm.compiled_layouts
+    (k,) = [k for k, br in enumerate(adm.branches) if (br.from_bus, br.to_bus) == ref.TARGET]
+    expected = np.stack([adm.ybus[case39.bus_index(bus)], adm.yf[k]])
+    assert np.array_equal(measurement_model(adm, layout).y_rows, expected)
 
 
 def test_bad_factor_and_mode_rejected(zone39):

@@ -332,6 +332,22 @@ def _pf_max_iter_zero(tmp_path):
     return _scenario_with(pf={"max_iter": 0})(tmp_path), "'max_iter'"
 
 
+def _solver_max_outer_zero(tmp_path):
+    return _scenario_with(solver={"max_outer": 0})(tmp_path), "'max_outer'"
+
+
+def _solver_max_inner_zero(tmp_path):
+    return _scenario_with(solver={"max_inner": 0})(tmp_path), "'max_inner'"
+
+
+def _solver_tol_eq_negative(tmp_path):
+    return _scenario_with(solver={"tol_eq": -1})(tmp_path), "'tol_eq'"
+
+
+def _solver_penalty_growth_below_one(tmp_path):
+    return _scenario_with(solver={"penalty_growth": 0.5})(tmp_path), "'penalty_growth'"
+
+
 def _zone_file_with_string_ids(tmp_path):
     path = tmp_path / "z.json"
     zone = {"interior": SCENARIO["zone"]["interior"], "boundary": ["3", "15"]}
@@ -346,7 +362,8 @@ def _zone_file_with_string_ids(tmp_path):
         _targets_not_a_list, _sigmas_not_an_object, _seeds_not_an_object,
         _scenario_zone_with_string_ids, _formats_not_a_list, _zone_file_with_string_ids,
         _pf_tol_not_a_number, _solver_max_outer_not_an_integer, _pf_max_iter_zero,
-        _case_not_a_path,
+        _case_not_a_path, _solver_max_outer_zero, _solver_max_inner_zero,
+        _solver_tol_eq_negative, _solver_penalty_growth_below_one,
     ],
     ids=lambda make: make.__name__.strip("_"),
 )

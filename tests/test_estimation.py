@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +24,13 @@ from acfdi.estimation import (
     wls_estimate,
 )
 from acfdi.network import build_admittance, parse_case
-from acfdi.powerflow import StateVector, branch_flow
+from acfdi.powerflow import StateVector, branch_flow, newton_power_flow
+from acfdi.zones import validate_zone
 from conftest import TWO_BUS_CASE
 import reference39 as ref
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
+from grids import tiled_case39  # noqa: E402
 
 
 # --- independent chi-square inverse CDF oracle ------------------------------
@@ -200,6 +206,55 @@ def test_compiled_model_matches_loop_oracle_bit_for_bit(
                 eval_jacobian(adm39, state, layout),
                 ref.loop_eval_jacobian(adm39, state, layout),
             )
+
+
+def _seeded_states(base, count, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        StateVector(
+            base.bus_ids,
+            base.vm + 0.05 * rng.standard_normal(len(base.vm)),
+            base.va + 0.2 * rng.standard_normal(len(base.va)),
+        )
+        for _ in range(count)
+    ]
+
+
+def _assert_matches_loop_oracle(adm, states, layout):
+    for state in states:
+        assert np.array_equal(eval_h(adm, state, layout), ref.loop_eval_h(adm, state, layout))
+        assert np.array_equal(
+            eval_jacobian(adm, state, layout), ref.loop_eval_jacobian(adm, state, layout)
+        )
+
+
+@pytest.mark.parametrize("meas_id", ["Pinj:27", "Pf:26-27", "Qt:26-27"])
+def test_single_row_layout_matches_loop_oracle_bit_for_bit(
+    case39, adm39, base39, attack_optimal, meas_id
+):
+    # one current row is padded to two, because numpy's one-row product
+    # rounds differently from the full products
+    (key,) = [k for k in full_layout(case39) if k.id == meas_id]
+    states = [base39, attack_optimal.x_attacked, *_seeded_states(base39, 40, seed=7)]
+    _assert_matches_loop_oracle(adm39, states, (key,))
+
+
+def test_attack_constraint_layout_matches_loop_oracle_on_tiled_grid():
+    case = tiled_case39(2)
+    adm = build_admittance(case)
+    base = newton_power_flow(case, adm).state
+    zone = validate_zone(case, ref.ZONE_INTERIOR, ref.ZONE_BOUNDARY)
+    layout = _attack_constraint_layout(case, zone)
+    _assert_matches_loop_oracle(adm, [base, *_seeded_states(base, 20, seed=8)], layout)
+
+
+def test_measurement_set_index_of(case39, adm39, base39):
+    ms = generate_measurements(case39, base39, seed=0, adm=adm39)
+    assert [ms.index_of(m.id) for m in ms.measurements] == list(range(ms.m))
+    with pytest.raises(EstimationError, match=r"^unknown measurement id 'Pinj:999'$"):
+        ms.index_of("Pinj:999")
+    with pytest.raises(EstimationError, match="duplicate measurement ids"):
+        MeasurementSet(ms.measurements[:2] + ms.measurements[:1])
 
 
 def test_layout_jacobian_full_rank_at_flat_start(case39, adm39):
