@@ -139,7 +139,7 @@ def _to_json(artifact) -> str:
 
 def _estimation_json(res, policy: BddPolicy) -> str:
     verdict = chi_square_test(res, policy)
-    doc = json.loads(res.to_json())
+    doc = res.to_dict()
     doc["bdd"] = {
         "passed": verdict.passed,
         "statistic": verdict.statistic,

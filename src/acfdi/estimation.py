@@ -13,10 +13,12 @@ import functools
 import io
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
+from .banded import BlockCholesky, concat_ranges, rcm_order
 from .network import AdmittanceModel, NetworkCase, build_admittance
 from .powerflow import StateVector
 
@@ -216,10 +218,17 @@ _COMPILED_PER_MODEL = 8
 _KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
 
 
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(s, s + c) for each (s, c)."""
-    ends = np.cumsum(counts)
-    return np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
+class _Band(NamedTuple):
+    """Where the gain of one layout sits in block-tridiagonal storage."""
+
+    order: np.ndarray  # state column at each band position
+    size: int  # block size b, the RCM bandwidth
+    blocks: int  # nb = ceil(dim / b)
+    slot: np.ndarray  # storage slot of each row pair's cell, upper cells mirrored
+    gain_a: np.ndarray  # the row pairs summed into storage: every lower-block cell
+    gain_b: np.ndarray
+    gain_slot: np.ndarray
+    pad_slot: np.ndarray  # diagonal slots of the padding
 
 
 class MeasurementModel:
@@ -239,7 +248,10 @@ class MeasurementModel:
 
     The model also owns the state packing x = [non-slack angles (case bus
     order) | all magnitudes] and the row-pair index that assembles the gain
-    HᵀWH and the leverages diag(H G⁻¹ Hᵀ) from the Jacobian's nonzeros.
+    HᵀWH and the leverages diag(H G⁻¹ Hᵀ) from the Jacobian's nonzeros. The
+    gain is kept in the block-tridiagonal band of an RCM order of its
+    pattern, factored by `banded.BlockCholesky`, and the leverages read the
+    factor's selected inverse, so no dense (2n - 1)² matrix is formed.
     """
 
     def __init__(self, adm: AdmittanceModel, layout: tuple[MeasurementKey, ...]):
@@ -306,7 +318,7 @@ class MeasurementModel:
         ybus_ptr = np.searchsorted(ybus_row, np.arange(n + 1))
         inj_rows = np.flatnonzero(inj)
         counts = np.diff(ybus_ptr)[where[inj_rows]]
-        cells = _concat_ranges(ybus_ptr[where[inj_rows]], counts)
+        cells = concat_ranges(ybus_ptr[where[inj_rows]], counts)
         b_row = np.repeat(inj_rows, counts)
         self._b_own = where[b_row]
         self._b_col = ybus_col[cells]
@@ -355,18 +367,46 @@ class MeasurementModel:
         self.rows, self.cols, self._source = rows[order], cols[order], source[order]
 
     @functools.cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(row, a, b, gain cell) of every ordered pair of entries sharing a row:
-        G[col a, col b] and the row's h G⁻¹ hᵀ sum over them. Built on first
-        use, as only gain and leverage read it."""
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, a, b) of every ordered pair of entries sharing a row: G[col a,
+        col b] and the row's h G⁻¹ hᵀ sum over them. Built on first use, as
+        only gain and leverage read it."""
         row_ptr = np.searchsorted(self.rows, np.arange(self.m + 1))
         per_row = np.diff(row_ptr)
         sq = per_row * per_row
-        step = _concat_ranges(np.zeros(self.m, dtype=int), sq)
+        step = concat_ranges(np.zeros(self.m, dtype=int), sq)
         width = np.repeat(per_row, sq)
         start = np.repeat(row_ptr[:-1], sq)
-        a, b = start + step // width, start + step % width
-        return np.repeat(np.arange(self.m), sq), a, b, self.cols[a] * self.n_state + self.cols[b]
+        return np.repeat(np.arange(self.m), sq), start + step // width, start + step % width
+
+    @functools.cached_property
+    def _band(self) -> _Band:
+        """The gain's band layout, built on first use from the row pairs.
+
+        The order is RCM over the gain's structural pattern, every cell some
+        row pair reaches, so a cell whose value is zero at one state (flat
+        start on a lossless branch) still lies in the band at every other."""
+        n = self.n_state
+        _, a, b = self._pairs
+        col_a, col_b = self.cols[a], self.cols[b]
+        order = rcm_order(n, *np.divmod(np.unique(col_a * n + col_b), n))
+        pos = np.empty(n, dtype=int)
+        pos[order] = np.arange(n)
+        pa, pb = pos[col_a], pos[col_b]
+        size = max(1, int(np.max(np.abs(pa - pb), initial=0)))
+        blocks = -(-n // size)
+        # a cell in a diagonal block keeps its place; one in an off-diagonal
+        # block goes to the block below the diagonal, as (later, earlier)
+        hi, lo = np.maximum(pa, pb), np.minimum(pa, pb)
+        same = hi // size == lo // size
+        slot = np.where(
+            same, pa * size + pb % size, (blocks - 1) * size * size + hi * size + lo % size
+        )
+        lower = np.flatnonzero(same | (hi == pa))
+        pad = np.arange(n, blocks * size)
+        return _Band(
+            order, size, blocks, slot, a[lower], b[lower], slot[lower], pad * size + pad % size
+        )
 
     def state_columns(self, positions: np.ndarray) -> np.ndarray:
         """Columns of x holding the angles, then the magnitudes, of the buses
@@ -423,23 +463,45 @@ class MeasurementModel:
         jac[self.rows, self.cols] = self.jacobian_values(state)
         return jac
 
-    def gain(self, values: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Dense HᵀWH from the Jacobian's nonzeros."""
-        _, a, b, cell = self._pairs
+    def gain(self, values: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """HᵀWH from the Jacobian's nonzeros, in RCM order, as the diagonal
+        blocks and the blocks below them of its block-tridiagonal band (the
+        storage `BlockCholesky` takes). The dimension is padded to whole
+        blocks with identity rows."""
+        band = self._band
         weighted = values * w[self.rows]
+        b2 = band.size * band.size
         g = np.bincount(
-            cell, weights=weighted[a] * values[b], minlength=self.n_state * self.n_state
+            band.gain_slot,
+            weights=weighted[band.gain_a] * values[band.gain_b],
+            minlength=(2 * band.blocks - 1) * b2,
         )
-        return g.reshape(self.n_state, self.n_state)
+        g[band.pad_slot] = 1.0
+        shape = (band.size, band.size)
+        return g[: band.blocks * b2].reshape(-1, *shape), g[band.blocks * b2 :].reshape(-1, *shape)
+
+    def solve(self, chol: BlockCholesky, rhs: np.ndarray) -> np.ndarray:
+        """G⁻¹ rhs in state order, from the factor of `gain`."""
+        band = self._band
+        order = band.order
+        padded = np.zeros(band.blocks * band.size)
+        padded[: len(order)] = rhs[order]
+        x = np.empty(len(order))
+        x[order] = chol.solve(padded)[: len(order)]
+        return x
 
     def transpose_times(self, values: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Hᵀy from the Jacobian's nonzeros."""
         return np.bincount(self.cols, weights=values * y[self.rows], minlength=self.n_state)
 
-    def leverage(self, values: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-        """diag(H G⁻¹ Hᵀ): one quadratic form per row over its nonzeros."""
-        row, a, b, _ = self._pairs
-        terms = values[a] * g_inv[self.cols[a], self.cols[b]] * values[b]
+    def leverage(self, values: np.ndarray, chol: BlockCholesky) -> np.ndarray:
+        """diag(H G⁻¹ Hᵀ): one quadratic form per row over its nonzeros.
+
+        Two columns that share a row share a gain cell, so every G⁻¹ entry
+        read here lies in the band of the selected inverse."""
+        row, a, b = self._pairs
+        g_inv = np.concatenate([z.ravel() for z in chol.selected_inverse()])
+        terms = values[a] * g_inv[self._band.slot] * values[b]
         return np.bincount(row, weights=terms, minlength=self.m)
 
 
@@ -525,26 +587,26 @@ class EstimationResult:
     gradient_norm: float
     objective_history: tuple[float, ...] = ()  # after each accepted step
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "converged": self.converged,
-                "iterations": self.iterations,
-                "dof": self.dof,
-                "j_statistic": self.j_statistic,
-                "gradient_norm": self.gradient_norm,
-                "state": self.x_hat.to_dict(),
-                "residuals": {
-                    i: r for i, r in zip(self.measurement_ids, self.residual.tolist())
-                },
-                "normalized_residuals": {
-                    i: (None if np.isnan(r) else r)
-                    for i, r in zip(self.measurement_ids, self.r_normalized.tolist())
-                },
-                "critical": list(self.critical_ids),
+    def to_dict(self) -> dict:
+        return {
+            "converged": self.converged,
+            "iterations": self.iterations,
+            "dof": self.dof,
+            "j_statistic": self.j_statistic,
+            "gradient_norm": self.gradient_norm,
+            "state": self.x_hat.to_dict(),
+            "residuals": {
+                i: r for i, r in zip(self.measurement_ids, self.residual.tolist())
             },
-            indent=2,
-        )
+            "normalized_residuals": {
+                i: (None if np.isnan(r) else r)
+                for i, r in zip(self.measurement_ids, self.r_normalized.tolist())
+            },
+            "critical": list(self.critical_ids),
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 @dataclass(frozen=True)
@@ -570,20 +632,24 @@ class BddVerdict:
 _UNOBSERVABLE = "measurement set is unobservable (rank-deficient gain)"
 
 
-def _require_observable(gain: np.ndarray) -> None:
-    """Pivot test on the Cholesky factor of the gain matrix.
-
-    A rank-deficient Jacobian leaves a Cholesky pivot at rounding level of
-    the largest one (or no factor at all). The cut-off is the dimension
-    times machine epsilon, relative to the largest pivot, as
-    np.linalg.matrix_rank uses for singular values.
-    """
+def _factor(gain: tuple[np.ndarray, np.ndarray]) -> BlockCholesky:
     try:
-        chol = np.linalg.cholesky(gain)
+        return BlockCholesky(*gain)
     except np.linalg.LinAlgError:
         raise EstimationError(_UNOBSERVABLE) from None
-    pivots = np.diag(chol) ** 2
-    if pivots.min() <= pivots.max() * len(pivots) * np.finfo(float).eps:
+
+
+def _require_observable(chol: BlockCholesky, n: int) -> None:
+    """Pivot test on the block Cholesky factor of the gain matrix.
+
+    A rank-deficient Jacobian leaves a Cholesky pivot at rounding level of
+    the largest one (or a block that fails to factor, which `_factor`
+    reports). The cut-off is the dimension times machine epsilon, relative
+    to the largest pivot, as np.linalg.matrix_rank uses for singular
+    values. The padding past the n state columns is not tested.
+    """
+    pivots = chol.pivots[:n]
+    if pivots.min() <= pivots.max() * n * np.finfo(float).eps:
         raise EstimationError(_UNOBSERVABLE)
 
 
@@ -626,14 +692,10 @@ def wls_estimate(
     for it in range(1, max_iter + 1):
         iterations = it
         jac = model.jacobian_values(model.state_of(x))
-        g = model.gain(jac, w)
+        chol = _factor(model.gain(jac, w))
         if it == 1:
-            _require_observable(g)
-        rhs = model.transpose_times(jac, w * r)
-        try:
-            dx = np.linalg.solve(g, rhs)
-        except np.linalg.LinAlgError:
-            raise EstimationError(_UNOBSERVABLE) from None
+            _require_observable(chol, n)
+        dx = model.solve(chol, model.transpose_times(jac, w * r))
         if not np.all(np.isfinite(dx)):
             raise EstimationError(_UNOBSERVABLE)
 
@@ -660,11 +722,7 @@ def wls_estimate(
     jac = model.jacobian_values(x_hat)
     grad = 2.0 * model.transpose_times(jac, w * r)
     # residual covariance diag: R - H G^-1 H^T
-    try:
-        g_inv = np.linalg.inv(model.gain(jac, w))
-    except np.linalg.LinAlgError:
-        raise EstimationError(_UNOBSERVABLE) from None
-    omega = ms.variances() - model.leverage(jac, g_inv)
+    omega = ms.variances() - model.leverage(jac, _factor(model.gain(jac, w)))
     critical = omega < CRITICAL_OMEGA
     r_norm = np.full(ms.m, np.nan)
     r_norm[~critical] = r[~critical] / np.sqrt(omega[~critical])

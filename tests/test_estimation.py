@@ -433,13 +433,13 @@ mpc.branch = [
         wls_estimate(ms, case, adm)
 
 
-def _random_sublayouts(case, adm, base, seed, count):
-    """Seeded random subsets of the full noisy layout, each with m > n."""
+def _random_sublayouts(case, adm, base, seed, count, most=200):
+    """Seeded random subsets of the full noisy layout, each with n < m < most."""
     n = 2 * case.n_bus - 1
     rng = np.random.default_rng(seed)
     full = generate_measurements(case, base, seed=seed, adm=adm)
     for _ in range(count):
-        pick = np.sort(rng.choice(full.m, int(rng.integers(n + 1, 200)), replace=False))
+        pick = np.sort(rng.choice(full.m, int(rng.integers(n + 1, most)), replace=False))
         yield MeasurementSet(tuple(full.measurements[i] for i in pick))
 
 
@@ -459,6 +459,27 @@ def test_observability_verdict_matches_matrix_rank_oracle(case39, adm39, base39)
         assert rejected != observable, [m.id for m in ms.measurements]
         verdicts[observable] += 1
     assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
+
+
+def test_observability_verdict_matches_matrix_rank_oracle_on_tiled_grid():
+    # the pivots are those of the block Cholesky factor in RCM order, which
+    # on two chained copies interleaves the copies' columns
+    case = tiled_case39(2)
+    adm = build_admittance(case)
+    base = newton_power_flow(case, adm).state
+    n = 2 * case.n_bus - 1
+    flat = StateVector(base.bus_ids, np.ones(case.n_bus), np.zeros(case.n_bus))
+    verdicts = {True: 0, False: 0}
+    for ms in _random_sublayouts(case, adm, base, seed=5, count=60, most=3 * n):
+        observable = np.linalg.matrix_rank(eval_jacobian(adm, flat, ms.keys())) == n
+        try:
+            wls_estimate(ms, case, adm)
+            rejected = False
+        except EstimationError as exc:
+            rejected = "unobservable" in str(exc)
+        assert rejected != observable, [m.id for m in ms.measurements]
+        verdicts[observable] += 1
+    assert verdicts[True] >= 15 and verdicts[False] >= 15, verdicts
 
 
 def _dense_omega(adm, res, ms):
