@@ -13,7 +13,7 @@ Two modes:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -275,7 +275,10 @@ def design_attack(
             penalty_growth=params.penalty_growth,
         )
     except SolverError as exc:
-        raise AttackError(f"{spec.mode} attack design infeasible: {exc}") from exc
+        raise AttackError(
+            f"{spec.mode} attack design infeasible: constraint {con_layout[exc.row].id} "
+            f"still off by {exc.value:+.3e} after {params.max_outer} outer rounds"
+        ) from exc
 
     x_attacked = state_of(result.z)
     info = {
@@ -288,6 +291,7 @@ def design_attack(
         "outer_iterations": result.outer_iterations,
         "inner_iterations": result.inner_iterations,
         "start_draws": start_draws,
+        "rounds": [asdict(rd) for rd in result.rounds],
         "target_flows": [float(branch_flow(x_attacked, br).pf) for br in target_branches],
         "target_bounds": [float(b) for b in bounds_flow],
     }

@@ -1,13 +1,37 @@
 """Equality-constrained nonlinear least squares via an augmented Lagrangian.
 
-Inner iterations run a damped Gauss-Newton with backtracking on the
-augmented objective, with simple projection onto box bounds; the outer loop
-updates multipliers and grows the penalty tenfold whenever the constraint
-violation stalls. Deterministic given the starting point.
+The outer loop updates multipliers and grows the penalty tenfold whenever
+the constraint violation stalls. Each outer round minimises the augmented
+objective f(z) = ||r(z)||^2 over the box bounds with a projected
+Levenberg-Marquardt iteration (More, 1978; Nocedal and Wright, Numerical
+Optimization, 2006, ch. 4, 10 and 17):
 
-Residuals and Jacobians come from separate callbacks. A backtracking trial
-is accepted or rejected on its residual alone; Jacobians are evaluated only
-at the start point of each outer round and at each accepted iterate.
+- Step. Variables at a bound that the gradient pushes against are held
+  there; the step d in the others solves (J^T J + mu I) d = -J^T r, with J
+  restricted to their columns. When that J has fewer rows than columns, as
+  in a pure feasibility solve, the same step is taken in its row-space form
+  d = -J^T (J J^T + mu I)^-1 r: d then lies exactly in the row space of J,
+  so rounding in the inputs has no null-space direction to grow along.
+- Trial. Each trial costs one residual evaluation, at z_try = P(z + d)
+  with P the projection onto the bounds. It is accepted when the gain ratio
+  rho = (f - f_try) / (f - ||r + J (z_try - z)||^2), the actual over the
+  predicted decrease, exceeds a small constant and f_try falls below f by
+  more than rounding (1e-16 max(1, f)). A step whose predicted decrease is
+  negative (the projection can do that) is damped further without a trial.
+- Damping. Nielsen's update: on success mu *= max(1/3, 1 - (2 rho - 1)^3)
+  and nu = 2; on failure mu *= nu and nu doubles. Each round starts at,
+  and never goes below, mu = 1e-10 max(1, max diag J^T J).
+- Stop. A round ends when the projected gradient vanishes; when no trial
+  is acceptable before mu passes its cap or the step degenerates (it
+  vanishes, or its predicted decrease is within rounding); or when an
+  accepted step moves less than tol_step although the damping had not
+  shrunk it (mu at its starting value).
+
+Residuals and Jacobians come from separate callbacks. A trial is accepted or
+rejected on its residual alone; Jacobians are evaluated only at the start
+point of each outer round and at each accepted iterate, and the constraint
+values of an accepted trial are reused, so a design costs one constraint
+evaluation plus one per trial. Deterministic given the starting point.
 """
 
 from __future__ import annotations
@@ -22,9 +46,30 @@ ResidualFn = Callable[[np.ndarray], np.ndarray]
 # Jacobian callback: z -> d(residual)/dz; called at round starts and accepted iterates
 JacobianFn = Callable[[np.ndarray], np.ndarray]
 
+_MU_START = 1e-10  # starting damping, relative to max(1, max diag J^T J)
+_MU_CAP = 1e12  # damping past which a round gives up, same scale
+_MIN_GAIN = 1e-4  # smallest gain ratio that accepts a trial
+
 
 class SolverError(RuntimeError):
-    pass
+    """No feasible point; `row` is the constraint with the largest violation
+    after the last round and `value` its residual there."""
+
+    def __init__(self, message: str, row: int, value: float):
+        super().__init__(message)
+        self.row = row
+        self.value = value
+
+
+@dataclass(frozen=True)
+class RoundInfo:
+    """One outer round: the constraint violation at its end, the penalty it
+    ran with, and its accepted steps and rejected trials."""
+
+    violation: float
+    penalty: float
+    accepted_steps: int
+    rejected_trials: int
 
 
 @dataclass(frozen=True)
@@ -36,6 +81,7 @@ class SolveResult:
     outer_iterations: int
     inner_iterations: int
     converged: bool
+    rounds: tuple[RoundInfo, ...]
 
 
 def _project(z: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -60,8 +106,8 @@ def solve_constrained(
     """Minimize ||r_obj(z)||^2 subject to c(z) = 0 and lower <= z <= upper.
 
     With objective=None this is a pure feasibility solve that stays close to
-    z0 (minimum-norm Gauss-Newton steps). `objective` and `objective_jacobian`
-    are given together or not at all.
+    z0 (minimum-norm steps). `objective` and `objective_jacobian` are given
+    together or not at all.
     """
     if (objective is None) != (objective_jacobian is None):
         raise ValueError("objective and objective_jacobian must be given together")
@@ -71,14 +117,17 @@ def solve_constrained(
     upper = np.full(nz, np.inf) if upper is None else np.asarray(upper, dtype=float)
     z = _project(z, lower, upper)
 
-    c0 = constraints(z)
-    lam = np.zeros(len(c0))
+    # constraint values at the current iterate, carried from the trial that
+    # reached it, so a round start costs no evaluation of its own
+    c = constraints(z)
+    lam = np.zeros(len(c))
     rho = penalty0
-    prev_violation = float(np.max(np.abs(c0))) if len(c0) else 0.0
+    prev_violation = float(np.max(np.abs(c))) if len(c) else 0.0
     total_inner = 0
+    rounds: list[RoundInfo] = []
 
-    def residual(zv: np.ndarray) -> np.ndarray:
-        r_pen = np.sqrt(rho / 2.0) * (constraints(zv) + lam / rho)
+    def residual(zv: np.ndarray, cv: np.ndarray) -> np.ndarray:
+        r_pen = np.sqrt(rho / 2.0) * (cv + lam / rho)
         if objective is None:
             return r_pen
         return np.concatenate([objective(zv), r_pen])
@@ -90,52 +139,66 @@ def solve_constrained(
         return np.vstack([objective_jacobian(zv), j_pen])
 
     for outer in range(1, max_outer + 1):
-        # inner: projected damped Gauss-Newton on the augmented objective
-        r, jac = residual(z), jacobian(z)
+        r, jac = residual(z, c), jacobian(z)
         f_cur = float(r @ r)
-        mu = 1e-10
+        scale = max(1.0, float(np.max(np.einsum("ij,ij->j", jac, jac), initial=0.0)))
+        mu = mu_start = _MU_START * scale
+        nu = 2.0
+        accepted = rejected = 0
         for _ in range(max_inner):
             total_inner += 1
             grad = 2.0 * jac.T @ r
-            # projected gradient accounts for active bounds
-            pg = grad.copy()
-            pg[(z <= lower) & (grad > 0)] = 0.0
-            pg[(z >= upper) & (grad < 0)] = 0.0
-            if np.max(np.abs(pg)) < 1e-12 or f_cur < 1e-28:
+            # variables the gradient pushes against a bound stay there; the
+            # step is taken in the others, whose gradient is the projected one
+            free = ~(((z <= lower) & (grad > 0)) | ((z >= upper) & (grad < 0)))
+            if np.max(np.abs(grad[free]), initial=0.0) < 1e-12 or f_cur < 1e-28:
                 break
 
-            jtj = jac.T @ jac
+            jf = jac[:, free]
+            wide = jf.shape[0] < jf.shape[1]
+            gram = jf @ jf.T if wide else jf.T @ jf
+            eye = np.eye(len(gram))
+            floor = 1e-16 * max(1.0, f_cur)
             step = None
-            while mu < 1e12:
-                try:
-                    d = np.linalg.solve(jtj + mu * np.eye(nz), -0.5 * grad)
-                except np.linalg.LinAlgError:
-                    mu = max(mu * 100.0, 1e-8)
-                    continue
-                alpha = 1.0
-                while alpha >= 1e-8:
-                    z_try = _project(z + alpha * d, lower, upper)
-                    r_try = residual(z_try)
+            while mu <= _MU_CAP * scale:
+                d = np.zeros(nz)
+                if wide:
+                    d[free] = -jf.T @ np.linalg.solve(gram + mu * eye, r)
+                else:
+                    d[free] = np.linalg.solve(gram + mu * eye, -0.5 * grad[free])
+                z_try = _project(z + d, lower, upper)
+                dz = z_try - z
+                lin = r + jac @ dz
+                predicted = f_cur - float(lin @ lin)
+                if not np.any(dz) or 0.0 <= predicted <= floor:
+                    break  # the step degenerated
+                # a step the model calls uphill (or a non-finite one) is
+                # damped further without an evaluation
+                if predicted > floor:
+                    c_try = constraints(z_try)
+                    r_try = residual(z_try, c_try)
                     f_try = float(r_try @ r_try)
-                    if f_try < f_cur - 1e-16 * max(1.0, f_cur):
-                        step = (z_try, r_try, f_try)
+                    gain = (f_cur - f_try) / predicted
+                    if gain > _MIN_GAIN and f_try < f_cur - floor:
+                        step = (z_try, c_try, r_try, f_try, mu)
+                        mu = max(mu_start, mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3))
+                        nu = 2.0
                         break
-                    alpha *= 0.5
-                if step is not None:
-                    mu = max(mu / 10.0, 1e-10)
-                    break
-                mu = max(mu * 100.0, 1e-8)
+                    rejected += 1
+                mu *= nu
+                nu *= 2.0
             if step is None:
                 break
-            z_new, r, f_new = step
+            accepted += 1
+            z_new, c, r, f_cur, mu_used = step
             moved = float(np.max(np.abs(z_new - z)))
-            z, f_cur = z_new, f_new
-            if moved < tol_step:
+            z = z_new
+            if moved < tol_step and mu_used <= mu_start:
                 break
             jac = jacobian(z)
 
-        c = constraints(z)
         violation = float(np.max(np.abs(c))) if len(c) else 0.0
+        rounds.append(RoundInfo(violation, rho, accepted, rejected))
         if violation < tol_eq:
             r_obj = objective(z) if objective is not None else np.zeros(0)
             return SolveResult(
@@ -146,13 +209,17 @@ def solve_constrained(
                 outer_iterations=outer,
                 inner_iterations=total_inner,
                 converged=True,
+                rounds=tuple(rounds),
             )
         lam = lam + rho * c
         if violation > 0.25 * prev_violation:
             rho *= penalty_growth
         prev_violation = violation
 
+    row = int(np.argmax(np.abs(c)))
     raise SolverError(
         f"no feasible point within {max_outer} outer rounds "
-        f"(max constraint violation {prev_violation:.3e})"
+        f"(max constraint violation {prev_violation:.3e} in row {row})",
+        row=row,
+        value=float(c[row]),
     )

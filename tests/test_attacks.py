@@ -15,7 +15,7 @@ from acfdi.attacks import (
 )
 from acfdi.estimation import full_layout, generate_measurements, measurement_model, wls_estimate
 from acfdi.network import build_admittance
-from acfdi.powerflow import branch_flow, bus_injection
+from acfdi.powerflow import StateVector, branch_flow, bus_injection
 from acfdi.zones import build_zone
 
 
@@ -93,6 +93,30 @@ def test_optimality_ordering_across_seeds(case39, adm39, base39, zone39, attack_
         )
         av = design_attack(case39, base39, spec, adm39)
         assert _deviation_norm(av, zone39) >= dev_opt
+
+
+@pytest.mark.parametrize(
+    "mode, seed", [("optimal", 0), ("arbitrary", 1), ("arbitrary", 2), ("arbitrary", 3)]
+)
+def test_rounding_in_the_base_state_does_not_move_the_attack(
+    case39, adm39, base39, zone39, mode, seed
+):
+    # a relative change of 2e-16 in every base vm and va is rounding in the
+    # inputs; the attacked state must not amplify it into a different attack
+    spec = AttackSpec(
+        zone=zone39,
+        targets=(OverloadTarget(*ref.TARGET, ref.OVERLOAD_FACTOR),),
+        mode=mode,
+        params=SolverParams(seed=seed),
+    )
+    reference = design_attack(case39, base39, spec, adm39).x_attacked
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        vm = base39.vm * (1.0 + 2e-16 * rng.standard_normal(len(base39.vm)))
+        va = base39.va * (1.0 + 2e-16 * rng.standard_normal(len(base39.va)))
+        moved = design_attack(case39, StateVector(base39.bus_ids, vm, va), spec, adm39).x_attacked
+        assert np.max(np.abs(moved.vm - reference.vm)) < 1e-9
+        assert np.max(np.abs(moved.va - reference.va)) < 1e-9
 
 
 def test_interior_magnitudes_within_bounds(case39, zone39, attack_optimal, attack_arbitrary):

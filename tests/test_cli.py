@@ -167,6 +167,16 @@ def test_infeasible_attack_exit_code(scenario_out, tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_unattainable_target_names_its_constraint(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    targets = [{"from": 26, "to": 27, "lambda": 50.0}]
+    config.write_text(json.dumps({**SCENARIO, "mode": "arbitrary", "targets": targets}))
+    rc = main(["scenario", "run", str(config), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "arbitrary attack design infeasible: constraint Pf:26-27 still off by -" in err
+
+
 def test_seed_sweep_merges_in_order(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**SCENARIO, "mode": "arbitrary"}))

@@ -3,8 +3,8 @@ import pytest
 
 import acfdi.attacks
 import reference39 as ref
-from acfdi.attacks import AttackSpec, OverloadTarget, design_attack
-from acfdi.nlsolver import SolverError, solve_constrained
+from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, design_attack
+from acfdi.nlsolver import _MIN_GAIN, SolverError, solve_constrained
 
 A = np.array([0.3, -1.2, 2.5, 0.7])
 
@@ -56,11 +56,13 @@ def test_jacobians_are_evaluated_only_at_the_start_and_accepted_iterates():
         jacobian_points.append(z.copy())
         return np.array([2.0 * z, [1.0, -3.0 * z[1] ** 2, 0.0]])
 
-    def merit(z):
-        # same operations as the solver's stacked residual, so ties break alike
+    def stacked(z):
+        # same operations as the solver's stacked residual and Jacobian, so
+        # ties break alike
         c = np.array([z @ z - 1.0, z[0] - z[1] ** 3])
         r = np.concatenate([z - target, np.sqrt(rho / 2.0) * c])
-        return float(r @ r)
+        j_pen = np.sqrt(rho / 2.0) * np.array([2.0 * z, [1.0, -3.0 * z[1] ** 2, 0.0]])
+        return r, np.vstack([np.eye(3), j_pen])
 
     z0 = np.array([3.0, -2.0, 0.5])
     with pytest.raises(SolverError):
@@ -70,14 +72,23 @@ def test_jacobians_are_evaluated_only_at_the_start_and_accepted_iterates():
             penalty0=rho, max_outer=1,
         )
 
-    # replay the acceptance rule over every point whose residual was evaluated
-    iterates = [z0]
-    for z in residual_points:
-        f_cur = merit(iterates[-1])
-        if merit(z) < f_cur - 1e-16 * max(1.0, f_cur):
+    # replay the acceptance rule (gain ratio and rounding floor) over every
+    # trial point; the first evaluation is the start point itself
+    assert np.array_equal(residual_points[0], z0)
+    iterates, rejected = [z0], 0
+    for z in residual_points[1:]:
+        r, jac = stacked(iterates[-1])
+        f_cur = float(r @ r)
+        lin = r + jac @ (z - iterates[-1])
+        r_try, _ = stacked(z)
+        f_try = float(r_try @ r_try)
+        gain = (f_cur - f_try) / (f_cur - float(lin @ lin))
+        if gain > _MIN_GAIN and f_try < f_cur - 1e-16 * max(1.0, f_cur):
             iterates.append(z)
+        else:
+            rejected += 1
 
-    assert len(residual_points) > 2 * len(iterates)  # backtracking rejected trials
+    assert rejected >= 1  # the rule was exercised on a trial it turned down
     assert len(jacobian_points) == len(iterates)
     for zj, zi in zip(jacobian_points, iterates):
         np.testing.assert_allclose(zj, zi, rtol=0, atol=1e-14)
@@ -99,3 +110,46 @@ def test_optimal_design_builds_one_jacobian_per_accepted_step(
     )
     info = design_attack(case39, base39, spec, adm39).solver_info
     assert 0 < len(calls) <= info["inner_iterations"] + info["outer_iterations"]
+
+
+@pytest.mark.parametrize("mode", ["optimal", "arbitrary"])
+def test_design_evaluates_constraints_a_few_times_per_step(
+    case39, adm39, base39, zone39, monkeypatch, mode
+):
+    evals = []
+    original = acfdi.attacks.solve_constrained
+
+    def counted(*args, constraints, **kwargs):
+        def wrapped(z):
+            evals.append(1)
+            return constraints(z)
+
+        return original(*args, constraints=wrapped, **kwargs)
+
+    monkeypatch.setattr(acfdi.attacks, "solve_constrained", counted)
+    spec = AttackSpec(
+        zone=zone39, targets=(OverloadTarget(*ref.TARGET, ref.OVERLOAD_FACTOR),), mode=mode,
+        params=SolverParams(seed=1),
+    )
+    info = design_attack(case39, base39, spec, adm39).solver_info
+    assert 0 < len(evals) <= 3 * info["inner_iterations"] + info["outer_iterations"]
+    # one evaluation at the start, then one per trial, accepted or rejected
+    rounds = info["rounds"]
+    assert len(evals) == 1 + sum(rd["accepted_steps"] + rd["rejected_trials"] for rd in rounds)
+    assert len(rounds) == info["outer_iterations"]
+    assert rounds[-1]["violation"] == info["max_violation"]
+    assert rounds[0]["penalty"] == SolverParams().penalty0
+
+
+def test_solver_error_names_the_most_violated_row():
+    # z0 <= 1 keeps the second constraint, z0 = 5, from being met
+    with pytest.raises(SolverError) as err:
+        solve_constrained(
+            np.zeros(2),
+            constraints=lambda z: np.array([z[1] - 1.0, z[0] - 5.0]),
+            constraint_jacobian=lambda z: np.array([[0.0, 1.0], [1.0, 0.0]]),
+            upper=np.array([1.0, np.inf]),
+            max_outer=3,
+        )
+    assert err.value.row == 1
+    assert err.value.value == pytest.approx(-4.0)
