@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .estimation import MeasurementKey, eval_h, eval_jacobian, full_layout, measurement_model
-from .network import AdmittanceModel, Branch, NetworkCase, build_admittance
+from .network import AdmittanceModel, NetworkCase, build_admittance
 from .nlsolver import SolverError, solve_constrained
-from .powerflow import StateVector, all_injections, branch_flow
+from .powerflow import StateVector, all_injections, branch_flows
 from .zones import AttackZone
 
 
@@ -125,18 +125,6 @@ class AttackVector:
         )
 
 
-def _find_branch(case: NetworkCase, from_bus: int, to_bus: int) -> Branch:
-    for br in case.in_service_branches():
-        if br.from_bus == from_bus and br.to_bus == to_bus:
-            return br
-    raise AttackError(f"no in-service branch {from_bus}-{to_bus}")
-
-
-def _in_service_position(case: NetworkCase) -> dict[int, int]:
-    """source-table branch index -> position in the in-service list."""
-    return {br.index: k for k, br in enumerate(case.in_service_branches())}
-
-
 def design_attack(
     case: NetworkCase,
     base: StateVector,
@@ -160,17 +148,18 @@ def design_attack(
     interior = sorted(zone.interior)
     n_int = len(interior)
 
-    interior_line_idx = {br.index for br in zone.interior_lines}
-    target_branches = []
+    interior_positions = {adm.position[br.index] for br in zone.interior_lines}
+    target_lines = []
     for t in spec.targets:
-        br = _find_branch(case, t.from_bus, t.to_bus)
-        if br.index not in interior_line_idx:
+        k = adm.pair_position.get((t.from_bus, t.to_bus))
+        if k is None:
+            raise AttackError(f"no in-service branch {t.from_bus}-{t.to_bus}")
+        if k not in interior_positions:
             raise AttackError(
                 f"target branch {t.from_bus}-{t.to_bus} is not an interior line of the zone"
             )
-        target_branches.append(br)
+        target_lines.append(k)
 
-    pos = _in_service_position(case)
     zero_inj = list(zone.zero_injection_interior(case))
 
     # constraint rows evaluated through the measurement machinery
@@ -178,13 +167,19 @@ def design_attack(
     for b in zero_inj:
         con_layout.append(MeasurementKey(f"Pinj:{b}", "Pinj", b, None, None))
         con_layout.append(MeasurementKey(f"Qinj:{b}", "Qinj", b, None, None))
-    for br in target_branches:
+    for t, k in zip(spec.targets, target_lines):
         con_layout.append(
-            MeasurementKey(f"Pf:{br.from_bus}-{br.to_bus}", "Pflow", None, pos[br.index], "from")
+            MeasurementKey(f"Pf:{t.from_bus}-{t.to_bus}", "Pflow", None, k, "from")
         )
     con_layout = tuple(con_layout)
+    n_targets = len(target_lines)
+    target_rows = 2 * len(zero_inj) + np.arange(n_targets)
 
-    base_flows = np.array([branch_flow(base, br).pf for br in target_branches])
+    def target_flows(state: StateVector) -> np.ndarray:
+        """From-end active flow of each target, read from its constraint row."""
+        return eval_h(adm, state, con_layout)[target_rows]
+
+    base_flows = target_flows(base)
     bounds_flow = np.array(
         [t.factor * f + params.overload_margin for t, f in zip(spec.targets, base_flows)]
     )
@@ -192,7 +187,6 @@ def design_attack(
     int_pos = np.array([case.bus_index(b) for b in interior], dtype=int)
     int_cols = measurement_model(adm, con_layout).state_columns(int_pos)
     va0, vm0 = base.va[int_pos], base.vm[int_pos]
-    n_targets = len(target_branches)
 
     def state_of(z: np.ndarray) -> StateVector:
         vm, va = base.vm.copy(), base.va.copy()
@@ -202,7 +196,6 @@ def design_attack(
 
     # the solver calls `constraints` at every trial point and
     # `constraint_jacobian` only at points it accepts
-    target_rows = 2 * len(zero_inj) + np.arange(n_targets)
     slack_cols = 2 * n_int + np.arange(n_targets)
 
     def constraints(z: np.ndarray) -> np.ndarray:
@@ -249,9 +242,7 @@ def design_attack(
                 vm_hi,
             )
             z_try = np.concatenate([va_try, vm_try, np.zeros(n_targets)])
-            flows = np.array(
-                [branch_flow(state_of(z_try), br).pf for br in target_branches]
-            )
+            flows = target_flows(state_of(z_try))
             z_try[2 * n_int :] = np.maximum(flows - bounds_flow, 0.0)
             z0 = z_try
             if np.all(flows >= bounds_flow):
@@ -292,7 +283,7 @@ def design_attack(
         "inner_iterations": result.inner_iterations,
         "start_draws": start_draws,
         "rounds": [asdict(rd) for rd in result.rounds],
-        "target_flows": [float(branch_flow(x_attacked, br).pf) for br in target_branches],
+        "target_flows": target_flows(x_attacked).tolist(),
         "target_bounds": [float(b) for b in bounds_flow],
     }
     return assemble_attack_vector(case, base, x_attacked, zone, layout, adm, solver_info=info)
@@ -315,31 +306,28 @@ def compute_falsified_injections(
         adm = build_admittance(case)
     p_base, q_base = all_injections(base, adm)
 
-    incident: dict[int, list[tuple[Branch, str]]] = {b: [] for b in zone.buses}
-    for br in zone.interior_lines:
-        incident[br.from_bus].append((br, "from"))
-        incident[br.to_bus].append((br, "to"))
+    # each interior line's flow change lands on its from bus, then its to bus,
+    # in zone order; bincount adds them in that order, so every bus sums its
+    # lines in the order the zone lists them
+    lines = np.array([adm.position[br.index] for br in zone.interior_lines], dtype=int)
+    sf_att, st_att = branch_flows(x_attacked, adm)
+    sf_base, st_base = branch_flows(base, adm)
+    ends = np.column_stack([adm.f_idx[lines], adm.t_idx[lines]]).ravel()
+    change = np.column_stack(
+        [sf_att[lines] - sf_base[lines], st_att[lines] - st_base[lines]]
+    ).ravel()
+    dp = np.bincount(ends, weights=change.real, minlength=case.n_bus)
+    dq = np.bincount(ends, weights=change.imag, minlength=case.n_bus)
 
     out: dict[int, tuple[float, float]] = {}
     for bus in sorted(zone.buses):
         i = case.bus_index(bus)
         if bus in zone.interior and not case.has_injection(bus):
             out[bus] = (0.0, 0.0)
-            continue
-        if bus in zone.inert_boundary:
+        elif bus in zone.inert_boundary:
             out[bus] = (float(p_base[i]), float(q_base[i]))
-            continue
-        dp = dq = 0.0
-        for br, side in incident[bus]:
-            f_att = branch_flow(x_attacked, br)
-            f_old = branch_flow(base, br)
-            if side == "from":
-                dp += f_att.pf - f_old.pf
-                dq += f_att.qf - f_old.qf
-            else:
-                dp += f_att.pt - f_old.pt
-                dq += f_att.qt - f_old.qt
-        out[bus] = (float(p_base[i] + dp), float(q_base[i] + dq))
+        else:
+            out[bus] = (float(p_base[i] + dp[i]), float(q_base[i] + dq[i]))
     return out
 
 
@@ -360,21 +348,13 @@ def assemble_attack_vector(
     if layout is None:
         layout = full_layout(case)
 
-    for b in base.bus_ids:
-        if b in zone.interior:
-            continue
-        if base.magnitude(b) != x_attacked.magnitude(b) or base.angle(b) != x_attacked.angle(b):
-            raise AttackError(f"attacked state moves non-interior bus {b}")
-
-    pos = _in_service_position(case)
-    interior_positions = {pos[br.index] for br in zone.interior_lines}
+    moved = (base.vm != x_attacked.vm) | (base.va != x_attacked.va)
+    moved &= ~np.isin(base.bus_ids, list(zone.interior))
+    if moved.any():
+        raise AttackError(f"attacked state moves non-interior bus {base.bus_ids[moved.argmax()]}")
 
     by_id = {k.id: k for k in layout}
-    tag_of = {
-        k.branch_index: k.id.split(":", 1)[1]
-        for k in layout
-        if k.kind == "Pflow" and k.side == "from"
-    }
+    flow_keys = {(k.kind, k.side, k.branch_index): k for k in layout if k.branch_index is not None}
     affected: list[MeasurementKey] = []
 
     def require(meas_id: str) -> None:
@@ -386,15 +366,18 @@ def assemble_attack_vector(
         affected.append(key)
 
     for br in zone.interior_lines:
-        k = pos[br.index]
-        tag = tag_of.get(k)
-        if tag is None:
+        k = adm.position[br.index]
+        readings = [
+            flow_keys.get((kind, side, k))
+            for kind in ("Pflow", "Qflow")
+            for side in ("from", "to")
+        ]
+        if None in readings:
             raise AttackError(
                 f"measurement layout is missing flow readings for interior line "
                 f"{br.from_bus}-{br.to_bus}"
             )
-        for prefix in ("Pf", "Pt", "Qf", "Qt"):
-            require(f"{prefix}:{tag}")
+        affected.extend(readings)
     for bus in sorted(zone.buses):
         require(f"Pinj:{bus}")
         require(f"Qinj:{bus}")

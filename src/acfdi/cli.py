@@ -305,10 +305,9 @@ def _network(path: str):
     return case, build_admittance(case)
 
 
-def _check_targets(case, targets, label: str) -> None:
-    pairs = {(br.from_bus, br.to_bus) for br in case.in_service_branches()}
+def _check_targets(adm, targets, label: str) -> None:
     for t in targets:
-        if (t.from_bus, t.to_bus) not in pairs:
+        if (t.from_bus, t.to_bus) not in adm.pair_position:
             raise ConfigError(f"{label} references no in-service branch {t.from_bus}-{t.to_bus}")
 
 
@@ -375,7 +374,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> dict:
         _write(os.path.join(out_dir, name), content)
 
     case, adm = _network(config.case_path)
-    _check_targets(case, config.targets, "target")
+    _check_targets(adm, config.targets, "target")
     zone = _zone(case, config)
     log.info("solving base power flow for %s", config.case_path)
     base = solve_power_flow(case, adm, **asdict(config.pf))
@@ -399,9 +398,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> dict:
         _render(report, config.formats, write, suffix=f"_{mode}")
 
         deviation = sum(
-            (av.x_attacked.magnitude(b) - base.magnitude(b)) ** 2
-            + (av.x_attacked.angle(b) - base.angle(b)) ** 2
-            for b in sorted(zone.interior)
+            d.dvm ** 2 + d.dva ** 2 for d in report.state_deviation if d.role == "interior"
         ) ** 0.5
         summary["modes"][mode] = {
             "deviation_norm": deviation,
@@ -457,7 +454,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     }
     config = _read_config(ScenarioConfig(args.case), doc, _flag)
     case, adm = _network(config.case_path)
-    _check_targets(case, config.targets, "--target")
+    _check_targets(adm, config.targets, "--target")
     zone = _zone_from_file(case, args.zone)
     if args.state:
         with open(args.state, encoding="utf-8") as fh:

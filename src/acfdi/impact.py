@@ -1,7 +1,9 @@
 """Attack impact quantification and report rendering.
 
-Replays every branch flow at the mixed state (interior buses attacked,
-everything else at base), tabulates flow/injection/state changes and the
+Evaluates every branch flow at the base state and at the mixed state
+(interior buses attacked, everything else at base, the deterministic
+stand-in for re-running the network with boundary voltages held by
+regulators), tabulates flow/injection/state changes and the
 detector's view of both measurement sets, and renders the result as JSON,
 CSV tables, or SVG bar charts. All output is deterministic byte for byte.
 """
@@ -21,8 +23,8 @@ from .estimation import (
     chi_square_test,
     largest_normalized_residual,
 )
-from .network import AdmittanceModel, Branch, NetworkCase, build_admittance
-from .powerflow import BranchFlow, StateVector, all_injections, branch_flow
+from .network import AdmittanceModel, NetworkCase, build_admittance
+from .powerflow import BranchFlow, StateVector, all_injections, branch_flows
 from .zones import AttackZone
 
 SCHEMA = "impact/1"
@@ -30,18 +32,6 @@ SCHEMA = "impact/1"
 
 class ReportError(ValueError):
     pass
-
-
-def replay_attacked_flows(
-    case: NetworkCase, base: StateVector, av: AttackVector
-) -> tuple[tuple[Branch, BranchFlow], ...]:
-    """Evaluate every in-service branch at the attacked mixed state.
-
-    The attacked state already pins boundary and exterior buses to their base
-    values, so this is the deterministic stand-in for re-running the network
-    with boundary voltages held by regulators.
-    """
-    return tuple((br, branch_flow(av.x_attacked, br)) for br in case.in_service_branches())
 
 
 @dataclass(frozen=True)
@@ -141,6 +131,14 @@ def _loading(flow: BranchFlow, rating: float | None) -> float | None:
     return 100.0 * max(flow.sf, flow.st) / rating
 
 
+def _flow_records(state: StateVector, adm: AdmittanceModel) -> list[BranchFlow]:
+    sf, st = branch_flows(state, adm)
+    return [
+        BranchFlow(*flow)
+        for flow in zip(sf.real.tolist(), sf.imag.tolist(), st.real.tolist(), st.imag.tolist())
+    ]
+
+
 def compute_impact(
     case: NetworkCase,
     base: StateVector,
@@ -164,13 +162,14 @@ def compute_impact(
     # reversed, so that the first role listed wins for a line in two lists
     role_of = {br.index: role for role, group in reversed(lines.items()) for br in group}
     notes: list[str] = []
-    branches = []
-    for br, attacked in replay_attacked_flows(case, base, av):
+    impacts = []  # in adm.branches order
+    for br, base_flow, attacked in zip(
+        adm.branches, _flow_records(base, adm), _flow_records(av.x_attacked, adm)
+    ):
         rating = br.rating if br.rating > 0 else None
-        base_flow = branch_flow(base, br)
         if rating is None:
             notes.append(f"branch {br.from_bus}-{br.to_bus} has no rating; loading omitted")
-        branches.append(
+        impacts.append(
             BranchImpact(
                 from_bus=br.from_bus,
                 to_bus=br.to_bus,
@@ -182,7 +181,7 @@ def compute_impact(
                 loading_attacked=_loading(attacked, rating),
             )
         )
-    branches.sort(key=lambda b: (b.from_bus, b.to_bus))
+    branches = sorted(impacts, key=lambda b: (b.from_bus, b.to_bus))
 
     p_base, q_base = all_injections(base, adm)
     p_att, q_att = all_injections(av.x_attacked, adm)
@@ -247,9 +246,10 @@ def compute_impact(
 
     target_summary = []
     for f, t, factor in targets:
-        row = next((b for b in branches if b.from_bus == f and b.to_bus == t), None)
-        if row is None:
+        k = adm.pair_position.get((f, t))
+        if k is None:
             raise ReportError(f"target branch {f}-{t} not found among in-service branches")
+        row = impacts[k]
         target_summary.append(
             {
                 "from": f,

@@ -356,7 +356,9 @@ class AdmittanceModel:
     """Nodal admittance matrix plus per-branch two-port terms.
 
     Out-of-service branches are dropped before assembly. Branch arrays are
-    aligned with `branches` (the in-service subset, source order).
+    aligned with `branches` (the in-service subset, source order). The stamps
+    yff/yft/ytf/ytt are the only definition of the branch two-port: Ybus sums
+    them, and branch flows and the measurement model read them.
     """
 
     case: NetworkCase
@@ -372,23 +374,19 @@ class AdmittanceModel:
     # acfdi.estimation.measurement_model and dropped with it
     compiled_layouts: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def _branch_map(self, at_from: np.ndarray, at_to: np.ndarray) -> np.ndarray:
-        nl, n = len(self.branches), self.case.n_bus
-        y = np.zeros((nl, n), dtype=complex)
-        y[np.arange(nl), self.f_idx] = at_from
-        y[np.arange(nl), self.t_idx] = at_to
-        y.flags.writeable = False  # built once and shared by every caller
-        return y
+    @functools.cached_property
+    def position(self) -> dict[int, int]:
+        """Row of each in-service branch in `branches` and the stamp arrays,
+        keyed by its source-table index (`Branch.index`)."""
+        return {br.index: k for k, br in enumerate(self.branches)}
 
     @functools.cached_property
-    def yf(self) -> np.ndarray:
-        """nl x n from-end current map: If = Yf @ V."""
-        return self._branch_map(self.yff, self.yft)
-
-    @functools.cached_property
-    def yt(self) -> np.ndarray:
-        """nl x n to-end current map: It = Yt @ V."""
-        return self._branch_map(self.ytf, self.ytt)
+    def pair_position(self) -> dict[tuple[int, int], int]:
+        """Row of the first in-service branch from each (from, to) bus pair."""
+        rows: dict[tuple[int, int], int] = {}
+        for k, br in enumerate(self.branches):
+            rows.setdefault((br.from_bus, br.to_bus), k)
+        return rows
 
 
 def build_admittance(case: NetworkCase) -> AdmittanceModel:

@@ -1,8 +1,9 @@
 """AC power flow: Newton-Raphson solution, branch flows, bus injections.
 
-The branch/injection evaluators are the physical ground truth every other
-module measures against, so they are written once here in plain complex
-phasor arithmetic and reused everywhere.
+Every evaluator here reads the admittance model: branch flows come from the
+two-port stamps that `network.build_admittance` writes, injections from Ybus,
+and the Newton-Raphson mismatch and Jacobian from the measurement model
+compiled against it. No branch equation is written in this module.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import AdmittanceModel, Branch, NetworkCase, build_admittance
+from .network import AdmittanceModel, NetworkCase, build_admittance
 
 
 class PowerFlowError(RuntimeError):
@@ -226,18 +227,26 @@ def solve_power_flow(
     return newton_power_flow(case, adm, **limits).state
 
 
-def branch_flow(state: StateVector, branch: Branch) -> BranchFlow:
-    """Exact two-port evaluation including tap, phase shift, and charging."""
-    vf = state.magnitude(branch.from_bus) * np.exp(1j * state.angle(branch.from_bus))
-    vt = state.magnitude(branch.to_bus) * np.exp(1j * state.angle(branch.to_bus))
-    ys = 1.0 / complex(branch.r, branch.x)
-    ysh = 0.5j * branch.b
-    tap = branch.tap * np.exp(1j * branch.shift)
-    i_from = (ys + ysh) * vf / (branch.tap * branch.tap) - ys * vt / np.conj(tap)
-    i_to = (ys + ysh) * vt - ys * vf / tap
-    sf = vf * np.conj(i_from)
-    st = vt * np.conj(i_to)
-    return BranchFlow(pf=sf.real, qf=sf.imag, pt=st.real, qt=st.imag)
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise complex a * b from real parts. numpy fuses its complex
+    array product into FMA on some hosts (AVX-512), which rounds differently
+    from scalar complex arithmetic; this rounds the same on every host."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def branch_flows(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray, np.ndarray]:
+    """Complex power (sf, st) entering every in-service branch at its from and
+    to end, aligned with adm.branches: sf = vf conj(yff vf + yft vt) and
+    st = vt conj(ytf vf + ytt vt), with tap, phase shift and charging all in
+    the stamps."""
+    v = state.complex_voltages()
+    vf, vt = v[adm.f_idx], v[adm.t_idx]
+    i_from = _product(adm.yff, vf) + _product(adm.yft, vt)
+    i_to = _product(adm.ytf, vf) + _product(adm.ytt, vt)
+    return _product(vf, np.conj(i_from)), _product(vt, np.conj(i_to))
 
 
 def bus_injection(

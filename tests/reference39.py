@@ -82,14 +82,29 @@ TARGET_FLOW = {"before": 2.5730, "optimal": 3.3466, "arbitrary": 11.4067}
 # key. The compiled model repeats the same elementwise arithmetic, so it must
 # match these bit for bit; the attack artifacts' byte identity rests on it.
 
+def current_maps(adm):
+    """Dense nl x n from- and to-end current maps, If = Yf @ V and It = Yt @ V,
+    laid out from the branch stamps."""
+    import numpy as np
+
+    nl, n = len(adm.branches), adm.case.n_bus
+    rows = np.arange(nl)
+    yf = np.zeros((nl, n), dtype=complex)
+    yt = np.zeros((nl, n), dtype=complex)
+    yf[rows, adm.f_idx], yf[rows, adm.t_idx] = adm.yff, adm.yft
+    yt[rows, adm.f_idx], yt[rows, adm.t_idx] = adm.ytf, adm.ytt
+    return yf, yt
+
+
 def loop_eval_h(adm, state, layout):
     import numpy as np
 
     case = adm.case
     v = state.complex_voltages()
+    yf, yt = current_maps(adm)
     sbus = v * np.conj(adm.ybus @ v)
-    sf = v[adm.f_idx] * np.conj(adm.yf @ v)
-    st = v[adm.t_idx] * np.conj(adm.yt @ v)
+    sf = v[adm.f_idx] * np.conj(yf @ v)
+    st = v[adm.t_idx] * np.conj(yt @ v)
 
     out = np.empty(len(layout))
     for i, key in enumerate(layout):
@@ -120,7 +135,7 @@ def loop_eval_jacobian(adm, state, layout):
     ds_dvm = v[:, None] * np.conj(adm.ybus * vnorm[None, :]) + np.diag(np.conj(ibus) * vnorm)
 
     nl = len(adm.branches)
-    yf, yt = adm.yf, adm.yt
+    yf, yt = current_maps(adm)
     i_f = yf @ v
     i_t = yt @ v
     rows = np.arange(nl)

@@ -26,8 +26,8 @@ from acfdi.estimation import (
     wls_estimate,
 )
 from acfdi.network import build_admittance
-from acfdi.powerflow import StateVector, branch_flow, bus_injection, solve_power_flow
-from conftest import table_state
+from acfdi.powerflow import StateVector, bus_injection, solve_power_flow
+from conftest import flow_of, table_state
 from test_estimation import _chi2_ppf_oracle
 
 N_SEEDS = 20
@@ -84,7 +84,7 @@ def _branch(case, pair):
     return next(b for b in case.branches if (b.from_bus, b.to_bus) == pair)
 
 
-def test_criterion_1_flow_replay(case39, base39):
+def test_criterion_1_flow_replay(case39, adm39, base39):
     with criterion(1, "flow replay vs published line-flow table"):
         replayable = {
             pair: cols
@@ -96,14 +96,15 @@ def test_criterion_1_flow_replay(case39, base39):
         for scenario in ("before", "optimal", "arbitrary"):
             state = table_state(base39, scenario)
             for pair, cols in replayable.items():
-                fl = branch_flow(state, _branch(case39, pair))
+                fl = flow_of(adm39, state, _branch(case39, pair))
                 p_ref, q_ref = cols[scenario]
                 assert fl.pf == pytest.approx(p_ref, abs=0.05), (pair, scenario)
                 assert fl.qf == pytest.approx(q_ref, abs=0.05), (pair, scenario)
         elapsed = time.perf_counter() - start
         # headline values
         state_b = table_state(base39, "before")
-        assert branch_flow(state_b, _branch(case39, (26, 27))).pf == pytest.approx(2.573, abs=0.05)
+        target = flow_of(adm39, state_b, _branch(case39, (26, 27)))
+        assert target.pf == pytest.approx(2.573, abs=0.05)
         assert elapsed < 1.0
 
 
@@ -142,7 +143,7 @@ def test_criterion_3_base_case(case39, adm39):
             vm_ref, va_ref = cols["before"]
             assert state.magnitude(bus) == pytest.approx(vm_ref, abs=0.01), bus
             assert math.degrees(state.angle(bus)) == pytest.approx(va_ref, abs=0.5), bus
-        fl = branch_flow(state, _branch(case39, (26, 27)))
+        fl = flow_of(adm39, state, _branch(case39, (26, 27)))
         assert fl.pf == pytest.approx(2.573, abs=0.02)
 
 
@@ -195,8 +196,8 @@ def test_criterion_5_optimal_attack_structure(case39, adm39, base39, zone39, att
     with criterion(5, "optimal attack constraint structure"):
         av = attack_optimal
         br = _branch(case39, ref.TARGET)
-        pf_base = branch_flow(base39, br).pf
-        pf_att = branch_flow(av.x_attacked, br).pf
+        pf_base = flow_of(adm39, base39, br).pf
+        pf_att = flow_of(adm39, av.x_attacked, br).pf
         bound = ref.OVERLOAD_FACTOR * pf_base
         assert bound <= pf_att <= bound + 1e-3  # binding
 
@@ -205,8 +206,8 @@ def test_criterion_5_optimal_attack_structure(case39, adm39, base39, zone39, att
             assert abs(p) < 1e-6 and abs(q) < 1e-6
 
         for line in zone39.tie_lines + zone39.frozen_lines:
-            before = branch_flow(base39, line)
-            after = branch_flow(av.x_attacked, line)
+            before = flow_of(adm39, base39, line)
+            after = flow_of(adm39, av.x_attacked, line)
             for a, b in ((after.pf, before.pf), (after.qf, before.qf),
                          (after.pt, before.pt), (after.qt, before.qt)):
                 assert abs(a - b) < 1e-8
@@ -218,7 +219,7 @@ def test_criterion_5_optimal_attack_structure(case39, adm39, base39, zone39, att
             assert av.x_attacked.angle(bus.id) == base39.angle(bus.id)
 
 
-def test_criterion_6_tradeoff_ordering(case39, base39, zone39, attack_optimal, noisy_runs):
+def test_criterion_6_tradeoff_ordering(case39, adm39, base39, zone39, attack_optimal, noisy_runs):
     with criterion(6, "stealth/impact trade-off ordering over seeds"):
         br = _branch(case39, ref.TARGET)
         dev_opt = np.sqrt(
@@ -228,7 +229,7 @@ def test_criterion_6_tradeoff_ordering(case39, base39, zone39, attack_optimal, n
                 for b in zone39.interior
             )
         )
-        flow_opt = branch_flow(attack_optimal.x_attacked, br).pf
+        flow_opt = flow_of(adm39, attack_optimal.x_attacked, br).pf
 
         def shift_norm(est):
             return float(
@@ -257,7 +258,7 @@ def test_criterion_6_tradeoff_ordering(case39, base39, zone39, attack_optimal, n
 
             assert shift_norm(run["opt"]) <= shift_norm(run["arb"]), run["seed"]
 
-            if branch_flow(av_arb.x_attacked, br).pf >= flow_opt:
+            if flow_of(adm39, av_arb.x_attacked, br).pf >= flow_opt:
                 flow_wins += 1
         assert flow_wins >= 18, f"arbitrary flow exceeded optimal in only {flow_wins}/20 seeds"
 

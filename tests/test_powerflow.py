@@ -11,13 +11,13 @@ from acfdi.powerflow import (
     StateVector,
     _newton_equations,
     all_injections,
-    branch_flow,
+    branch_flows,
     bus_injection,
     flat_start,
     newton_power_flow,
     solve_power_flow,
 )
-from conftest import TWO_BUS_CASE
+from conftest import TWO_BUS_CASE, flow_of
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
 from grids import tiled_case39  # noqa: E402
@@ -50,18 +50,18 @@ def test_case39_base_voltages_match_reference(base39):
     assert np.degrees(base39.angle(3)) == pytest.approx(va, abs=0.05)
 
 
-def test_case39_target_line_base_flow(case39, base39):
+def test_case39_target_line_base_flow(case39, adm39, base39):
     br = next(b for b in case39.branches if (b.from_bus, b.to_bus) == (26, 27))
-    fl = branch_flow(base39, br)
+    fl = flow_of(adm39, base39, br)
     assert fl.pf == pytest.approx(2.573, abs=0.02)
     assert fl.qf == pytest.approx(0.6821, abs=0.02)
 
 
-def test_case39_all_reference_base_flows(case39, base39):
+def test_case39_all_reference_base_flows(case39, adm39, base39):
     # every pinned reference flow row should replay from the solved base state
     for (f, t), cols in ref.FLOWS.items():
         br = next(b for b in case39.branches if (b.from_bus, b.to_bus) == (f, t))
-        fl = branch_flow(base39, br)
+        fl = flow_of(adm39, base39, br)
         assert fl.pf == pytest.approx(cols["before"][0], abs=0.02), (f, t)
         assert fl.qf == pytest.approx(cols["before"][1], abs=0.02), (f, t)
 
@@ -70,7 +70,7 @@ def test_no_potential_difference_no_flow():
     text = TWO_BUS_CASE.replace("1 2 0.01 0.1 0.02", "1 2 0 0.1 0")
     case = parse_case(text)
     state = StateVector((1, 2), np.array([1.02, 1.02]), np.array([0.0, 0.0]))
-    fl = branch_flow(state, case.branches[0])
+    fl = flow_of(build_admittance(case), state, case.branches[0])
     assert fl.pf == fl.qf == fl.pt == fl.qt == 0.0
 
 
@@ -78,33 +78,44 @@ def test_lossless_branch_antisymmetry():
     text = TWO_BUS_CASE.replace("1 2 0.01 0.1 0.02", "1 2 0 0.1 0")
     case = parse_case(text)
     state = StateVector((1, 2), np.array([1.05, 0.97]), np.array([0.0, -0.3]))
-    fl = branch_flow(state, case.branches[0])
+    fl = flow_of(build_admittance(case), state, case.branches[0])
     assert fl.pf == pytest.approx(-fl.pt, abs=1e-14)
 
 
-def test_branch_flow_matches_complex_oracle_on_random_states(case39, base39):
+def test_branch_flow_matches_complex_oracle_on_random_states(case39, adm39, base39):
     rng = np.random.default_rng(123)
     for _ in range(100):
         vm = base39.vm * (1.0 + 0.05 * rng.standard_normal(case39.n_bus))
         va = base39.va + 0.2 * rng.standard_normal(case39.n_bus)
         state = StateVector(base39.bus_ids, vm, va)
-        br = case39.branches[rng.integers(len(case39.branches))]
-        fl = branch_flow(state, br)
-        sf, st = _complex_flow_oracle(state, br)
-        assert fl.pf == pytest.approx(sf.real, abs=1e-10)
-        assert fl.qf == pytest.approx(sf.imag, abs=1e-10)
-        assert fl.pt == pytest.approx(st.real, abs=1e-10)
-        assert fl.qt == pytest.approx(st.imag, abs=1e-10)
+        sf, st = branch_flows(state, adm39)
+        for k, br in enumerate(adm39.branches):
+            sf_ref, st_ref = _complex_flow_oracle(state, br)
+            assert sf[k].real == pytest.approx(sf_ref.real, abs=1e-10)
+            assert sf[k].imag == pytest.approx(sf_ref.imag, abs=1e-10)
+            assert st[k].real == pytest.approx(st_ref.real, abs=1e-10)
+            assert st[k].imag == pytest.approx(st_ref.imag, abs=1e-10)
         # series loss is nonnegative whenever r >= 0
-        assert fl.pf + fl.pt >= -1e-12
+        assert np.all(sf.real + st.real >= -1e-12)
+
+
+def test_branch_flows_round_as_scalar_complex_arithmetic(case39, adm39, base39):
+    # numpy may fuse complex array products into FMA; the flows must not
+    # depend on whether the host does, so each equals the scalar evaluation
+    sf, st = branch_flows(base39, adm39)
+    v = base39.complex_voltages()
+    for k in range(len(adm39.branches)):
+        vf, vt = v[adm39.f_idx[k]], v[adm39.t_idx[k]]
+        assert sf[k] == vf * np.conj(adm39.yff[k] * vf + adm39.yft[k] * vt)
+        assert st[k] == vt * np.conj(adm39.ytf[k] * vf + adm39.ytt[k] * vt)
 
 
 def test_global_power_balance(case39, adm39, base39):
     # total net injection equals total branch + shunt losses, P and Q alike
     p_inj, q_inj = all_injections(base39, adm39)
-    flows = [branch_flow(base39, br) for br in case39.in_service_branches()]
-    p_loss = sum(fl.pf + fl.pt for fl in flows)
-    q_loss = sum(fl.qf + fl.qt for fl in flows)
+    sf, st = branch_flows(base39, adm39)
+    p_loss = sum(sf.real + st.real)
+    q_loss = sum(sf.imag + st.imag)
     p_shunt = sum(b.gs * base39.magnitude(b.id) ** 2 for b in case39.buses)
     q_shunt = sum(-b.bs * base39.magnitude(b.id) ** 2 for b in case39.buses)
     assert p_inj.sum() == pytest.approx(p_loss + p_shunt, abs=1e-7)
@@ -181,7 +192,8 @@ def test_phase_shifted_branch_flow():
     case = parse_case(shifted)
     br = case.branches[0]
     state = StateVector((1, 2), np.array([1.0, 1.0]), np.array([0.0, 0.0]))
-    fl = branch_flow(state, br)
+    adm = build_admittance(case)
+    fl = flow_of(adm, state, br)
     sf, st = _complex_flow_oracle(state, br)
     assert fl.pf == pytest.approx(sf.real, abs=1e-12)
     assert fl.qf == pytest.approx(sf.imag, abs=1e-12)
@@ -190,7 +202,6 @@ def test_phase_shifted_branch_flow():
     assert fl.pf < -1.0
     assert fl.pt > 1.0
     # the shift breaks complex symmetry: off-diagonals differ by e^{2j*shift}
-    adm = build_admittance(case)
     assert adm.ybus[0, 1] != adm.ybus[1, 0]
     assert adm.ybus[0, 1] == pytest.approx(
         adm.ybus[1, 0] * np.exp(2j * br.shift), abs=1e-12
