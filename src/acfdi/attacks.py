@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .estimation import MeasurementKey, eval_h, eval_jacobian, full_layout, measurement_model
+from .estimation import KIND_CODE, Layout, MeasurementSet, eval_h, eval_jacobian, measurement_model
 from .network import AdmittanceModel, NetworkCase, build_admittance
 from .nlsolver import SolverError, solve_constrained
 from .powerflow import StateVector, all_injections, branch_flows
@@ -130,7 +130,7 @@ def design_attack(
     base: StateVector,
     spec: AttackSpec,
     adm: AdmittanceModel | None = None,
-    layout: tuple[MeasurementKey, ...] | None = None,
+    layout: Layout | None = None,
 ) -> AttackVector:
     """Solve the attack-design problem and assemble the measurement deltas.
 
@@ -162,16 +162,14 @@ def design_attack(
 
     zero_inj = list(zone.zero_injection_interior(case))
 
-    # constraint rows evaluated through the measurement machinery
-    con_layout: list[MeasurementKey] = []
-    for b in zero_inj:
-        con_layout.append(MeasurementKey(f"Pinj:{b}", "Pinj", b, None, None))
-        con_layout.append(MeasurementKey(f"Qinj:{b}", "Qinj", b, None, None))
-    for t, k in zip(spec.targets, target_lines):
-        con_layout.append(
-            MeasurementKey(f"Pf:{t.from_bus}-{t.to_bus}", "Pflow", None, k, "from")
-        )
-    con_layout = tuple(con_layout)
+    # constraint rows evaluated through the measurement machinery: P and Q
+    # injection at each zero-injection interior bus, then the from-end active
+    # flow of each target
+    con_layout = Layout.from_rows(
+        [(f"{kind}:{b}", KIND_CODE[kind], b, False) for b in zero_inj for kind in ("Pinj", "Qinj")]
+        + [(f"Pf:{t.from_bus}-{t.to_bus}", KIND_CODE["Pflow"], k, True)
+           for t, k in zip(spec.targets, target_lines)]
+    )
     n_targets = len(target_lines)
     target_rows = 2 * len(zero_inj) + np.arange(n_targets)
 
@@ -231,10 +229,7 @@ def design_attack(
         # seeded start; redraw until the overload targets already hold so the
         # feasibility solve is not dragged down onto the overload bound
         rng = np.random.default_rng(params.seed)
-        z0 = None
-        start_draws = 0
-        for _ in range(params.max_start_draws):
-            start_draws += 1
+        for start_draws in range(1, params.max_start_draws + 1):
             va_try = va0 + rng.uniform(-params.ang_perturbation, params.ang_perturbation, n_int)
             vm_try = np.clip(
                 vm0 + rng.uniform(-params.mag_perturbation, params.mag_perturbation, n_int),
@@ -267,7 +262,7 @@ def design_attack(
         )
     except SolverError as exc:
         raise AttackError(
-            f"{spec.mode} attack design infeasible: constraint {con_layout[exc.row].id} "
+            f"{spec.mode} attack design infeasible: constraint {con_layout.ids[exc.row]} "
             f"still off by {exc.value:+.3e} after {params.max_outer} outer rounds"
         ) from exc
 
@@ -295,23 +290,29 @@ def compute_falsified_injections(
     x_attacked: StateVector,
     zone: AttackZone,
     adm: AdmittanceModel | None = None,
+    *,
+    flows: tuple[np.ndarray, ...] | None = None,
+    base_injections: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict[int, tuple[float, float]]:
     """What each zone bus must appear to inject after the attack.
 
     Non-zero-injection zone buses report their base injection plus the sum of
     interior-line flow changes on lines touching them; zero-injection interior
     buses stay at exactly (0, 0); inert boundary buses keep their base values.
+    A caller that has them passes `flows`, (sf, st) of `branch_flows` at base
+    and then at x_attacked, and `base_injections`, `all_injections` at base.
     """
     if adm is None:
         adm = build_admittance(case)
-    p_base, q_base = all_injections(base, adm)
+    if flows is None:
+        flows = (*branch_flows(base, adm), *branch_flows(x_attacked, adm))
+    p_base, q_base = all_injections(base, adm) if base_injections is None else base_injections
+    sf_base, st_base, sf_att, st_att = flows
 
     # each interior line's flow change lands on its from bus, then its to bus,
     # in zone order; bincount adds them in that order, so every bus sums its
     # lines in the order the zone lists them
     lines = np.array([adm.position[br.index] for br in zone.interior_lines], dtype=int)
-    sf_att, st_att = branch_flows(x_attacked, adm)
-    sf_base, st_base = branch_flows(base, adm)
     ends = np.column_stack([adm.f_idx[lines], adm.t_idx[lines]]).ravel()
     change = np.column_stack(
         [sf_att[lines] - sf_base[lines], st_att[lines] - st_base[lines]]
@@ -336,7 +337,7 @@ def assemble_attack_vector(
     base: StateVector,
     x_attacked: StateVector,
     zone: AttackZone,
-    layout: tuple[MeasurementKey, ...] | None = None,
+    layout: Layout | None = None,
     adm: AdmittanceModel | None = None,
     solver_info: dict | None = None,
 ) -> AttackVector:
@@ -346,66 +347,56 @@ def assemble_attack_vector(
     if adm is None:
         adm = build_admittance(case)
     if layout is None:
-        layout = full_layout(case)
+        layout = adm.full_layout
 
     moved = (base.vm != x_attacked.vm) | (base.va != x_attacked.va)
     moved &= ~np.isin(base.bus_ids, list(zone.interior))
     if moved.any():
         raise AttackError(f"attacked state moves non-interior bus {base.bus_ids[moved.argmax()]}")
 
-    by_id = {k.id: k for k in layout}
-    flow_keys = {(k.kind, k.side, k.branch_index): k for k in layout if k.branch_index is not None}
-    affected: list[MeasurementKey] = []
-
-    def require(meas_id: str) -> None:
-        key = by_id.get(meas_id)
-        if key is None:
+    # the first row of each flow reading by (branch row, P or Q, from end),
+    # len(layout) for none; then Pf, Pt, Qf, Qt of each interior line
+    nl, none = len(adm.branches), len(layout)
+    flow = np.flatnonzero((layout.kind < 2) & (layout.where >= 0) & (layout.where < nl))
+    reading = np.full((nl, 2, 2), none)
+    cell = (layout.where[flow], layout.kind[flow], layout.from_side[flow].astype(int))
+    np.minimum.at(reading, cell, flow)
+    lines = [adm.position[br.index] for br in zone.interior_lines]
+    rows = reading[lines][:, [0, 0, 1, 1], [1, 0, 1, 0]]
+    missing = np.flatnonzero((rows == none).any(axis=1))
+    if len(missing):
+        br = zone.interior_lines[missing[0]]
+        raise AttackError(
+            f"measurement layout is missing flow readings for interior line "
+            f"{br.from_bus}-{br.to_bus}"
+        )
+    wanted = [f"{kind}:{bus}" for bus in sorted(zone.buses) for kind in ("Pinj", "Qinj")]
+    wanted += [f"{kind}:{bus}" for bus in sorted(zone.interior) for kind in ("Vmag", "Vang")]
+    for meas_id in wanted:
+        if meas_id not in layout.position:
             raise AttackError(
                 f"measurement layout is missing {meas_id!r}, which the attack must alter"
             )
-        affected.append(key)
 
-    for br in zone.interior_lines:
-        k = adm.position[br.index]
-        readings = [
-            flow_keys.get((kind, side, k))
-            for kind in ("Pflow", "Qflow")
-            for side in ("from", "to")
-        ]
-        if None in readings:
-            raise AttackError(
-                f"measurement layout is missing flow readings for interior line "
-                f"{br.from_bus}-{br.to_bus}"
-            )
-        affected.extend(readings)
-    for bus in sorted(zone.buses):
-        require(f"Pinj:{bus}")
-        require(f"Qinj:{bus}")
-    for bus in sorted(zone.interior):
-        require(f"Vmag:{bus}")
-        require(f"Vang:{bus}")
-
-    sub_layout = tuple(affected)
+    sub_layout = layout.subset(rows.ravel().tolist() + [layout.position[i] for i in wanted])
     h_att = eval_h(adm, x_attacked, sub_layout)
     h_base = eval_h(adm, base, sub_layout)
-    deltas = {k.id: float(d) for k, d in zip(sub_layout, h_att - h_base)}
 
     return AttackVector(
         x_base=base,
         x_attacked=x_attacked,
-        deltas=deltas,
+        deltas=dict(zip(sub_layout.ids, (h_att - h_base).tolist())),
         falsified_injections=compute_falsified_injections(case, base, x_attacked, zone, adm),
         solver_info=solver_info or {},
     )
 
 
-def apply_attack(ms, av: AttackVector):
+def apply_attack(ms: MeasurementSet, av: AttackVector) -> MeasurementSet:
     """Shift measurement values by the attack deltas; variances stay put."""
-    values = ms.values().copy()
-    for meas_id, delta in av.deltas.items():
-        try:
-            idx = ms.index_of(meas_id)
-        except Exception:
-            raise AttackError(f"measurement set has no id {meas_id!r}") from None
-        values[idx] += delta
-    return ms.with_values(values)
+    try:
+        rows = [ms.layout.position[meas_id] for meas_id in av.deltas]
+    except KeyError as exc:
+        raise AttackError(f"measurement set has no id {exc.args[0]!r}") from None
+    values = ms.values.copy()
+    values[rows] += list(av.deltas.values())
+    return MeasurementSet(ms.layout, values, ms.variances)

@@ -23,6 +23,8 @@ from .network import AdmittanceModel, NetworkCase, build_admittance
 from .powerflow import StateVector
 
 KINDS = ("Pflow", "Qflow", "Pinj", "Qinj", "Vmag", "Vang")
+# a Layout stores each row's kind as its position in KINDS
+KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
 
 DEFAULT_SIGMAS = {
     "Pflow": 0.008,
@@ -41,9 +43,9 @@ class EstimationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class MeasurementKey:
-    """Identity of one metered quantity: what is measured and where."""
+class MeasurementKey(NamedTuple):
+    """One Layout row as the artifacts spell it: what is measured and where.
+    A layout is built from keys by `Layout.from_keys` and listed by `keys`."""
 
     id: str
     kind: str
@@ -52,101 +54,144 @@ class MeasurementKey:
     side: str | None = None  # flows: 'from' | 'to'
 
 
-@dataclass(frozen=True)
-class Measurement(MeasurementKey):
-    value: float = 0.0
-    variance: float = 1.0
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """What is metered, row by row, as read-only arrays: each row's id, kind
+    (position in KINDS), where (the bus id of an injection or voltage row,
+    the in-service branch row of a flow) and, for a flow, whether at the
+    from end. Built once and shared: `AdmittanceModel.full_layout` holds a
+    case's full layout, and every set derived from a set keeps its layout."""
 
-
-@dataclass(frozen=True)
-class MeasurementSet:
-    measurements: tuple[Measurement, ...]
+    ids: tuple[str, ...]
+    kind: np.ndarray
+    where: np.ndarray
+    from_side: np.ndarray
 
     def __post_init__(self):
-        if len(self._position) != len(self.measurements):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        for name, dtype in (("kind", np.intp), ("where", np.intp), ("from_side", bool)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            if array.shape != (len(self.ids),):
+                raise EstimationError(f"layout {name} must have one entry per id")
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        if np.any((self.kind < 0) | (self.kind >= len(KINDS))):
+            raise EstimationError("layout kind codes must index KINDS")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def from_rows(cls, rows: list[tuple[str, int, int, bool]]) -> "Layout":
+        """The layout of (id, kind code, where, from_side) rows."""
+        return cls(*zip(*rows)) if rows else cls((), [], [], [])
+
+    @classmethod
+    def from_keys(cls, keys) -> "Layout":
+        rows = []
+        for k in keys:
+            if k.kind not in KIND_CODE:
+                raise EstimationError(f"unknown measurement kind {k.kind!r}")
+            where = k.branch_index if KIND_CODE[k.kind] < 2 else k.bus
+            rows.append((k.id, KIND_CODE[k.kind], -1 if where is None else where, k.side == "from"))
+        return cls.from_rows(rows)
+
+    def keys(self) -> tuple[MeasurementKey, ...]:
+        rows = zip(self.ids, self.kind.tolist(), self.where.tolist(), self.from_side.tolist())
+        return tuple(
+            MeasurementKey(i, KINDS[code], None, w, "from" if from_end else "to")
+            if code < 2
+            else MeasurementKey(i, KINDS[code], w)
+            for i, code, w, from_end in rows
+        )
+
+    def subset(self, rows) -> "Layout":
+        """The layout of these rows, in this order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        ids = tuple(self.ids[i] for i in rows.tolist())
+        return Layout(ids, self.kind[rows], self.where[rows], self.from_side[rows])
+
+    @functools.cached_property
+    def signature(self) -> bytes:
+        """The arrays as bytes: equal exactly for layouts that compile to the
+        same MeasurementModel, whatever their ids."""
+        return self.kind.tobytes() + self.where.tobytes() + self.from_side.tobytes()
+
+    @functools.cached_property
+    def position(self) -> dict[str, int]:
+        """Row of each id; the last one for an id given twice."""
+        return {meas_id: i for i, meas_id in enumerate(self.ids)}
+
+
+@dataclass(frozen=True, eq=False)
+class MeasurementSet:
+    """Metered values and their variances, one of each per layout row. The
+    arrays are read-only copies of the ones given."""
+
+    layout: Layout
+    values: np.ndarray
+    variances: np.ndarray
+
+    def __post_init__(self):
+        for name in ("values", "variances"):
+            array = np.array(getattr(self, name), dtype=float)
+            if array.shape != (len(self.layout),):
+                raise EstimationError(f"measurement {name} must have one entry per layout row")
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        if len(self.layout.position) != len(self.layout):
             raise EstimationError("duplicate measurement ids")
-        if any(m.variance <= 0 for m in self.measurements):
+        if np.any(self.variances <= 0):
             raise EstimationError("all measurement variances must be positive")
 
     @property
     def m(self) -> int:
-        return len(self.measurements)
-
-    def keys(self) -> tuple[MeasurementKey, ...]:
-        return tuple(
-            MeasurementKey(m.id, m.kind, m.bus, m.branch_index, m.side)
-            for m in self.measurements
-        )
-
-    def values(self) -> np.ndarray:
-        return np.array([m.value for m in self.measurements])
-
-    def variances(self) -> np.ndarray:
-        return np.array([m.variance for m in self.measurements])
-
-    @functools.cached_property
-    def _position(self) -> dict[str, int]:
-        return {m.id: i for i, m in enumerate(self.measurements)}
+        return len(self.layout)
 
     def index_of(self, meas_id: str) -> int:
         try:
-            return self._position[meas_id]
+            return self.layout.position[meas_id]
         except KeyError:
             raise EstimationError(f"unknown measurement id {meas_id!r}") from None
 
-    def with_values(self, values: np.ndarray) -> "MeasurementSet":
-        return MeasurementSet(
-            tuple(
-                Measurement(m.id, m.kind, m.bus, m.branch_index, m.side, float(v), m.variance)
-                for m, v in zip(self.measurements, values)
-            )
-        )
-
     def to_csv(self) -> str:
+        lay = self.layout
+        location = [
+            f"branch{w}:{'from' if end else 'to'}" if code < 2 else f"{w}"
+            for code, w, end in zip(lay.kind.tolist(), lay.where.tolist(), lay.from_side.tolist())
+        ]
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["id", "kind", "location", "value", "variance"])
-        for m in self.measurements:
-            loc = f"{m.bus}" if m.bus is not None else f"branch{m.branch_index}:{m.side}"
-            w.writerow([m.id, m.kind, loc, repr(m.value), repr(m.variance)])
+        w.writerows(zip(
+            lay.ids, [KINDS[code] for code in lay.kind.tolist()], location,
+            map(repr, self.values.tolist()), map(repr, self.variances.tolist()),
+        ))
         return buf.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "measurements": [
-                    {
-                        "id": m.id, "kind": m.kind, "bus": m.bus,
-                        "branch_index": m.branch_index, "side": m.side,
-                        "value": m.value, "variance": m.variance,
-                    }
-                    for m in self.measurements
-                ]
-            },
-            indent=2,
-        )
+        rows = [
+            {**k._asdict(), "value": v, "variance": r}
+            for k, v, r in zip(self.layout.keys(), self.values.tolist(), self.variances.tolist())
+        ]
+        return json.dumps({"measurements": rows}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "MeasurementSet":
-        doc = json.loads(text)
-        return cls(
-            tuple(
-                Measurement(
-                    r["id"], r["kind"], r["bus"], r["branch_index"], r["side"],
-                    r["value"], r["variance"],
-                )
-                for r in doc["measurements"]
-            )
+        rows = json.loads(text)["measurements"]
+        layout = Layout.from_keys(
+            MeasurementKey(*(r[field] for field in MeasurementKey._fields)) for r in rows
         )
+        return cls(layout, [r["value"] for r in rows], [r["variance"] for r in rows])
 
 
 def measurement_set_from_csv(text: str, case: NetworkCase) -> MeasurementSet:
     """Rebuild a measurement set from CSV, resolving ids against the case layout."""
-    by_id = {k.id: k for k in full_layout(case)}
+    full = full_layout(case)
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0][:2] != ["id", "kind"]:
         raise EstimationError("measurement CSV must start with an id,kind,... header")
-    out = []
+    picked, values, variances = [], [], []
     for lineno, row in enumerate(rows[1:], 2):
         if not row:
             continue
@@ -156,66 +201,46 @@ def measurement_set_from_csv(text: str, case: NetworkCase) -> MeasurementSet:
                 "expected id,kind,location,value,variance"
             )
         meas_id, _kind, _loc, value, variance = row
-        key = by_id.get(meas_id)
-        if key is None:
+        i = full.position.get(meas_id)
+        if i is None:
             raise EstimationError(f"unknown measurement id {meas_id!r} for this case")
         try:
-            numbers = float(value), float(variance)
+            values.append(float(value))
+            variances.append(float(variance))
         except ValueError:
             raise EstimationError(
                 f"measurement CSV line {lineno}: value and variance must be numbers"
             ) from None
-        out.append(Measurement(key.id, key.kind, key.bus, key.branch_index, key.side, *numbers))
-    return MeasurementSet(tuple(out))
+        picked.append(i)
+    return MeasurementSet(full.subset(picked), values, variances)
 
 
-def full_layout(case: NetworkCase, kinds: tuple[str, ...] = KINDS) -> tuple[MeasurementKey, ...]:
+def full_layout(case: NetworkCase, kinds: tuple[str, ...] = KINDS) -> Layout:
     """Canonical layout: P/Q flow at both ends of every in-service branch,
     P/Q injection and V magnitude/angle at every bus."""
     for k in kinds:
         if k not in KINDS:
             raise EstimationError(f"unknown measurement kind {k!r}")
-    branches = [br for br in case.branches if br.status]
-    pair_count: dict[tuple[int, int], int] = {}
-    branch_tag = []
-    for br in branches:
-        pair = (br.from_bus, br.to_bus)
-        dup = pair_count.get(pair, 0)
-        pair_count[pair] = dup + 1
-        tag = f"{br.from_bus}-{br.to_bus}" + (f"#{dup}" if dup else "")
-        branch_tag.append(tag)
-
-    keys: list[MeasurementKey] = []
-    if "Pflow" in kinds or "Qflow" in kinds:
-        for k, tag in enumerate(branch_tag):
-            if "Pflow" in kinds:
-                keys.append(MeasurementKey(f"Pf:{tag}", "Pflow", None, k, "from"))
-                keys.append(MeasurementKey(f"Pt:{tag}", "Pflow", None, k, "to"))
-            if "Qflow" in kinds:
-                keys.append(MeasurementKey(f"Qf:{tag}", "Qflow", None, k, "from"))
-                keys.append(MeasurementKey(f"Qt:{tag}", "Qflow", None, k, "to"))
-    for b in case.buses:
-        if "Pinj" in kinds:
-            keys.append(MeasurementKey(f"Pinj:{b.id}", "Pinj", b.id, None, None))
-        if "Qinj" in kinds:
-            keys.append(MeasurementKey(f"Qinj:{b.id}", "Qinj", b.id, None, None))
-    for b in case.buses:
-        if "Vmag" in kinds:
-            keys.append(MeasurementKey(f"Vmag:{b.id}", "Vmag", b.id, None, None))
-    for b in case.buses:
-        if "Vang" in kinds:
-            keys.append(MeasurementKey(f"Vang:{b.id}", "Vang", b.id, None, None))
-    return tuple(keys)
-
-
-def state_dimension(case: NetworkCase) -> int:
-    return 2 * case.n_bus - 1
+    branch_tag, pair_count = [], {}
+    for br in case.in_service_branches():
+        dup = pair_count.get((br.from_bus, br.to_bus), 0)
+        pair_count[br.from_bus, br.to_bus] = dup + 1
+        branch_tag.append(f"{br.from_bus}-{br.to_bus}" + (f"#{dup}" if dup else ""))
+    flows = [(p, KIND_CODE[kind]) for p, kind in (("P", "Pflow"), ("Q", "Qflow")) if kind in kinds]
+    injections = [KIND_CODE[kind] for kind in ("Pinj", "Qinj") if kind in kinds]
+    voltages = [KIND_CODE[kind] for kind in ("Vmag", "Vang") if kind in kinds]
+    buses = [b.id for b in case.buses]
+    return Layout.from_rows(
+        [(f"{p}{end}:{tag}", code, k, end == "f")
+         for k, tag in enumerate(branch_tag) for p, code in flows for end in "ft"]
+        + [(f"{KINDS[code]}:{b}", code, b, False) for b in buses for code in injections]
+        + [(f"{KINDS[code]}:{b}", code, b, False) for code in voltages for b in buses]
+    )
 
 
 # compiled layouts kept per admittance model; the attack solver and the
 # estimator each reuse one layout, so a few entries cover every caller
 _COMPILED_PER_MODEL = 8
-_KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
 
 
 class _Band(NamedTuple):
@@ -254,7 +279,7 @@ class MeasurementModel:
     factor's selected inverse, so no dense (2n - 1)² matrix is formed.
     """
 
-    def __init__(self, adm: AdmittanceModel, layout: tuple[MeasurementKey, ...]):
+    def __init__(self, adm: AdmittanceModel, layout: Layout):
         case = adm.case
         n, nl, m = case.n_bus, len(adm.branches), len(layout)
         f, t = adm.f_idx, adm.t_idx
@@ -265,21 +290,12 @@ class MeasurementModel:
         ang_col = np.full(n, -1)
         ang_col[self._ang_pos] = np.arange(n - 1)
 
-        kind = np.empty(m, dtype=int)
-        where = np.empty(m, dtype=int)  # bus position, or branch index for flows
-        from_side = np.zeros(m, dtype=bool)
-        for i, key in enumerate(layout):
-            code = _KIND_CODE.get(key.kind)
-            if code is None:
-                raise EstimationError(f"unknown measurement kind {key.kind!r}")
-            kind[i] = code
-            if code < 2:
-                if key.branch_index is None or not 0 <= key.branch_index < nl:
-                    raise EstimationError(f"{key.id}: no in-service branch {key.branch_index}")
-                where[i] = key.branch_index
-                from_side[i] = key.side == "from"
-            else:
-                where[i] = case.bus_index(key.bus)
+        kind, from_side = layout.kind, layout.from_side
+        where = layout.where.copy()  # bus position, or branch index for flows
+        off = np.flatnonzero((kind < 2) & ((where < 0) | (where >= nl)))
+        if len(off):
+            raise EstimationError(f"{layout.ids[off[0]]}: no in-service branch {where[off[0]]}")
+        where[kind >= 2] = [case.bus_index(b) for b in where[kind >= 2].tolist()]
         flow, inj = kind < 2, (kind == 2) | (kind == 3)
         imag = (kind == 1) | (kind == 3)
 
@@ -505,28 +521,28 @@ class MeasurementModel:
         return np.bincount(row, weights=terms, minlength=self.m)
 
 
-def measurement_model(
-    adm: AdmittanceModel, layout: tuple[MeasurementKey, ...]
-) -> MeasurementModel:
-    """The layout compiled against adm, compiled on first use and then reused."""
+def measurement_model(adm: AdmittanceModel, layout: Layout) -> MeasurementModel:
+    """The layout compiled against adm, compiled on first use and then reused.
+
+    The cache is keyed by the layout's signature, which each Layout computes
+    once, so a lookup is one dict probe, and layouts built apart with the
+    same rows (both attack modes' constraint rows) share one model."""
     cache = adm.compiled_layouts
-    model = cache.get(layout)
+    model = cache.get(layout.signature)
     if model is None:
         model = MeasurementModel(adm, layout)
         if len(cache) >= _COMPILED_PER_MODEL:
             del cache[next(iter(cache))]
-        cache[layout] = model
+        cache[layout.signature] = model
     return model
 
 
-def eval_h(adm: AdmittanceModel, state: StateVector, layout: tuple[MeasurementKey, ...]) -> np.ndarray:
+def eval_h(adm: AdmittanceModel, state: StateVector, layout: Layout) -> np.ndarray:
     """Evaluate every metered quantity in layout order at the given state."""
     return measurement_model(adm, layout).h(state)
 
 
-def eval_jacobian(
-    adm: AdmittanceModel, state: StateVector, layout: tuple[MeasurementKey, ...]
-) -> np.ndarray:
+def eval_jacobian(adm: AdmittanceModel, state: StateVector, layout: Layout) -> np.ndarray:
     """m x n Jacobian of eval_h; columns are [non-slack angles | all magnitudes]."""
     return measurement_model(adm, layout).jacobian(state)
 
@@ -537,9 +553,10 @@ def generate_measurements(
     sigmas: dict[str, float] | None = None,
     seed: int = 0,
     adm: AdmittanceModel | None = None,
-    layout: tuple[MeasurementKey, ...] | None = None,
+    layout: Layout | None = None,
 ) -> MeasurementSet:
-    """Meter the full layout at a state with seeded Gaussian noise.
+    """Meter a layout, by default the full one, at a state with seeded
+    Gaussian noise.
 
     A kind with sigma 0 is measured exactly but keeps the kind's nominal
     variance so the estimator's weighting stays defined.
@@ -547,7 +564,7 @@ def generate_measurements(
     if adm is None:
         adm = build_admittance(case)
     if layout is None:
-        layout = full_layout(case)
+        layout = adm.full_layout
     sig = dict(DEFAULT_SIGMAS)
     if sigmas:
         for k, s in sigmas.items():
@@ -558,19 +575,13 @@ def generate_measurements(
             sig[k] = s
 
     truth = eval_h(adm, state, layout)
-    scale = np.array([sig[k.kind] for k in layout])
+    scale = np.array([sig[k] for k in KINDS])[layout.kind]
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(len(layout)) * scale
-    values = truth + noise
     variances = np.array(
-        [(sig[k.kind] if sig[k.kind] > 0 else DEFAULT_SIGMAS[k.kind]) ** 2 for k in layout]
-    )
-    return MeasurementSet(
-        tuple(
-            Measurement(k.id, k.kind, k.bus, k.branch_index, k.side, float(z), float(r))
-            for k, z, r in zip(layout, values, variances)
-        )
-    )
+        [(sig[k] if sig[k] > 0 else DEFAULT_SIGMAS[k]) ** 2 for k in KINDS]
+    )[layout.kind]
+    return MeasurementSet(layout, truth + noise, variances)
 
 
 @dataclass(frozen=True)
@@ -604,9 +615,6 @@ class EstimationResult:
             },
             "critical": list(self.critical_ids),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 @dataclass(frozen=True)
@@ -668,13 +676,13 @@ def wls_estimate(
     """
     if adm is None:
         adm = build_admittance(case)
-    n = state_dimension(case)
+    n = 2 * case.n_bus - 1
     if ms.m - n < 1:
         raise EstimationError(f"insufficient redundancy: m={ms.m}, n={n}")
 
-    model = measurement_model(adm, ms.keys())
-    z = ms.values()
-    w = 1.0 / ms.variances()
+    model = measurement_model(adm, ms.layout)
+    z = ms.values
+    w = 1.0 / ms.variances
 
     if init is None:
         x = np.concatenate([np.zeros(case.n_bus - 1), np.ones(case.n_bus)])
@@ -722,7 +730,7 @@ def wls_estimate(
     jac = model.jacobian_values(x_hat)
     grad = 2.0 * model.transpose_times(jac, w * r)
     # residual covariance diag: R - H G^-1 H^T
-    omega = ms.variances() - model.leverage(jac, _factor(model.gain(jac, w)))
+    omega = ms.variances - model.leverage(jac, _factor(model.gain(jac, w)))
     critical = omega < CRITICAL_OMEGA
     r_norm = np.full(ms.m, np.nan)
     r_norm[~critical] = r[~critical] / np.sqrt(omega[~critical])
@@ -735,10 +743,8 @@ def wls_estimate(
         converged=True,
         iterations=iterations,
         dof=ms.m - n,
-        measurement_ids=tuple(m.id for m in ms.measurements),
-        critical_ids=tuple(
-            m.id for m, c in zip(ms.measurements, critical) if c
-        ),
+        measurement_ids=ms.layout.ids,
+        critical_ids=tuple(ms.layout.ids[i] for i in np.flatnonzero(critical).tolist()),
         gradient_norm=float(np.max(np.abs(grad))),
         objective_history=tuple(history),
     )
@@ -771,11 +777,10 @@ def largest_normalized_residual(res: EstimationResult) -> tuple[str, float]:
     """Identify the most suspicious measurement; ties break to the lowest id."""
     if not res.converged:
         raise EstimationError("LNR test requires a converged estimate")
-    usable = [
-        (i, abs(r)) for i, r in zip(res.measurement_ids, res.r_normalized) if not np.isnan(r)
-    ]
-    if not usable:
+    size = np.abs(res.r_normalized)  # nan where critical
+    usable = ~np.isnan(size)
+    if not usable.any():
         raise EstimationError("all measurements are critical; LNR undefined")
-    worst = max(v for _, v in usable)
-    ties = [i for i, v in usable if v == worst]
-    return min(ties), float(worst)
+    worst = np.max(size, where=usable, initial=0.0)
+    ties = np.flatnonzero(size == worst).tolist()
+    return min(res.measurement_ids[i] for i in ties), float(worst)

@@ -131,8 +131,7 @@ def _loading(flow: BranchFlow, rating: float | None) -> float | None:
     return 100.0 * max(flow.sf, flow.st) / rating
 
 
-def _flow_records(state: StateVector, adm: AdmittanceModel) -> list[BranchFlow]:
-    sf, st = branch_flows(state, adm)
+def _flow_records(sf: np.ndarray, st: np.ndarray) -> list[BranchFlow]:
     return [
         BranchFlow(*flow)
         for flow in zip(sf.real.tolist(), sf.imag.tolist(), st.real.tolist(), st.imag.tolist())
@@ -163,8 +162,9 @@ def compute_impact(
     role_of = {br.index: role for role, group in reversed(lines.items()) for br in group}
     notes: list[str] = []
     impacts = []  # in adm.branches order
+    flows = (*branch_flows(base, adm), *branch_flows(av.x_attacked, adm))
     for br, base_flow, attacked in zip(
-        adm.branches, _flow_records(base, adm), _flow_records(av.x_attacked, adm)
+        adm.branches, _flow_records(*flows[:2]), _flow_records(*flows[2:])
     ):
         rating = br.rating if br.rating > 0 else None
         if rating is None:
@@ -185,7 +185,9 @@ def compute_impact(
 
     p_base, q_base = all_injections(base, adm)
     p_att, q_att = all_injections(av.x_attacked, adm)
-    falsified = compute_falsified_injections(case, base, av.x_attacked, zone, adm)
+    falsified = compute_falsified_injections(
+        case, base, av.x_attacked, zone, adm, flows=flows, base_injections=(p_base, q_base)
+    )
     buses = []
     for i, b in enumerate(case.buses):
         fal = falsified.get(b.id)

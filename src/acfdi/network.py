@@ -375,6 +375,15 @@ class AdmittanceModel:
     compiled_layouts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @functools.cached_property
+    def full_layout(self):
+        """The case's full measurement layout (`acfdi.estimation.full_layout`),
+        built on first use, so that every caller shares one Layout and the
+        model compiled from it."""
+        from .estimation import full_layout  # estimation imports this module
+
+        return full_layout(self.case)
+
+    @functools.cached_property
     def position(self) -> dict[int, int]:
         """Row of each in-service branch in `branches` and the stamp arrays,
         keyed by its source-table index (`Branch.index`)."""

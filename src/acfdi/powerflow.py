@@ -142,7 +142,7 @@ def _newton_equations(case: NetworkCase, adm: AdmittanceModel):
     magnitude columns are dropped. Returns (pvpq, pq, mismatch, jacobian).
     """
     # imported here because estimation imports StateVector from this module
-    from .estimation import MeasurementKey, measurement_model
+    from .estimation import KIND_CODE, Layout, measurement_model
 
     kinds = [b.kind for b in case.buses]
     pv = [i for i, k in enumerate(kinds) if k == "PV"]
@@ -152,8 +152,10 @@ def _newton_equations(case: NetworkCase, adm: AdmittanceModel):
     ids = [b.id for b in case.buses]
     model = measurement_model(
         adm,
-        tuple(MeasurementKey(f"Pinj:{ids[i]}", "Pinj", ids[i]) for i in pvpq)
-        + tuple(MeasurementKey(f"Qinj:{ids[i]}", "Qinj", ids[i]) for i in pq),
+        Layout.from_rows(
+            [(f"Pinj:{ids[i]}", KIND_CODE["Pinj"], ids[i], False) for i in pvpq]
+            + [(f"Qinj:{ids[i]}", KIND_CODE["Qinj"], ids[i], False) for i in pq]
+        ),
     )
     n_ang = len(pvpq)
     column = np.full(model.n_state, -1)

@@ -107,7 +107,7 @@ def loop_eval_h(adm, state, layout):
     st = v[adm.t_idx] * np.conj(yt @ v)
 
     out = np.empty(len(layout))
-    for i, key in enumerate(layout):
+    for i, key in enumerate(layout.keys()):
         if key.kind in ("Pflow", "Qflow"):
             s = sf[key.branch_index] if key.side == "from" else st[key.branch_index]
             out[i] = s.real if key.kind == "Pflow" else s.imag
@@ -159,7 +159,7 @@ def loop_eval_jacobian(adm, state, layout):
     ang_sel = [case.bus_index(b) for b in ang_cols]
 
     jac = np.zeros((len(layout), n_ang + n_bus))
-    for i, key in enumerate(layout):
+    for i, key in enumerate(layout.keys()):
         if key.kind in ("Pflow", "Qflow"):
             da = dsf_dva[key.branch_index] if key.side == "from" else dst_dva[key.branch_index]
             dm = dsf_dvm[key.branch_index] if key.side == "from" else dst_dvm[key.branch_index]

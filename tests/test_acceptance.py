@@ -172,8 +172,8 @@ def test_criterion_4_undetectability(case39, adm39, base39, zone39, attack_optim
             assert chi_square_test(opt).passed == chi_square_test(clean).passed, seed
             assert largest_normalized_residual(opt)[0] == largest_normalized_residual(clean)[0], seed
 
-            w = 1.0 / ms.variances()
-            e = ms.values() - h_base
+            w = 1.0 / ms.variances
+            e = ms.values - h_base
             dj = opt.j_statistic - clean.j_statistic
             dj_pred = e @ (_residual_projector(jac_att, w) - _residual_projector(jac_base, w)) @ e
             unexplained = abs(dj - dj_pred) / clean.j_statistic

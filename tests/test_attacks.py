@@ -165,9 +165,10 @@ def test_constraint_model_stacks_only_the_rows_it_reads(case39, base39, zone39):
     )
     design_attack(case39, base39, spec, adm)
     (bus,) = zone39.zero_injection_interior(case39)
-    by_id = {k.id: k for k in full_layout(case39)}
-    layout = tuple(by_id[i] for i in (f"Pinj:{bus}", f"Qinj:{bus}", "Pf:{}-{}".format(*ref.TARGET)))
-    assert layout in adm.compiled_layouts
+    full = full_layout(case39)
+    wanted = (f"Pinj:{bus}", f"Qinj:{bus}", "Pf:{}-{}".format(*ref.TARGET))
+    layout = full.subset([full.position[i] for i in wanted])
+    assert layout.signature in adm.compiled_layouts
     (k,) = [k for k, br in enumerate(adm.branches) if (br.from_bus, br.to_bus) == ref.TARGET]
     expected = np.stack([adm.ybus[case39.bus_index(bus)], ref.current_maps(adm)[0][k]])
     assert np.array_equal(measurement_model(adm, layout).y_rows, expected)
@@ -268,7 +269,8 @@ def test_delta_keys_cover_exactly_the_affected_measurements(case39, zone39, atta
 
 
 def test_assembly_rejects_layout_missing_required_measurement(case39, adm39, base39, zone39, attack_optimal):
-    layout = tuple(k for k in full_layout(case39) if k.id != "Pinj:27")
+    full = full_layout(case39)
+    layout = full.subset([i for i, meas_id in enumerate(full.ids) if meas_id != "Pinj:27"])
     with pytest.raises(AttackError, match="Pinj:27"):
         assemble_attack_vector(
             case39, base39, attack_optimal.x_attacked, zone39, layout, adm39
@@ -286,7 +288,7 @@ def test_assembly_rejects_moved_exterior_bus(case39, adm39, base39, zone39):
 def test_apply_zero_vector_is_identity(case39, adm39, base39, zone39, zero_sigmas):
     ms = generate_measurements(case39, base39, sigmas=zero_sigmas, seed=0, adm=adm39)
     av = assemble_attack_vector(case39, base39, base39, zone39, adm=adm39)
-    assert np.array_equal(apply_attack(ms, av).values(), ms.values())
+    assert np.array_equal(apply_attack(ms, av).values, ms.values)
 
 
 def test_apply_then_inverse_restores(case39, adm39, base39, zone39, attack_arbitrary):
@@ -303,8 +305,8 @@ def test_apply_then_inverse_restores(case39, adm39, base39, zone39, attack_arbit
     restored = apply_attack(attacked, inverse)
     # each application rounds once; the error is bounded by the ulp of the
     # larger intermediate value
-    diff = np.abs(restored.values() - ms.values())
-    bound = np.spacing(np.maximum(np.abs(ms.values()), np.abs(attacked.values())))
+    diff = np.abs(restored.values - ms.values)
+    bound = np.spacing(np.maximum(np.abs(ms.values), np.abs(attacked.values)))
     assert np.all(diff <= bound)
 
 
@@ -320,7 +322,7 @@ def test_attacked_magnitude_measurement_value(case39, adm39, base39, zone39, att
     ms = generate_measurements(case39, base39, sigmas=zero_sigmas, seed=0, adm=adm39)
     attacked = apply_attack(ms, attack_arbitrary)
     idx = attacked.index_of("Vmag:27")
-    assert attacked.measurements[idx].value == pytest.approx(
+    assert attacked.values[idx] == pytest.approx(
         attack_arbitrary.x_attacked.magnitude(27), abs=1e-12
     )
 

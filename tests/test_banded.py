@@ -49,7 +49,7 @@ def grid(request):
         base.va + 0.01 * rng.standard_normal(case.n_bus),
     )
     ms = generate_measurements(case, base, seed=2, adm=adm)
-    return case, adm, measurement_model(adm, ms.keys()), ms, state
+    return case, adm, measurement_model(adm, ms.layout), ms, state
 
 
 def _band_positions(model):
@@ -60,8 +60,8 @@ def _band_positions(model):
 
 
 def _dense_gain(adm, ms, state):
-    jac = eval_jacobian(adm, state, ms.keys())
-    return (jac / ms.variances()[:, None]).T @ jac
+    jac = eval_jacobian(adm, state, ms.layout)
+    return (jac / ms.variances[:, None]).T @ jac
 
 
 def test_rcm_bandwidth_within_tenth_of_scipy(grid):
@@ -84,14 +84,14 @@ def test_lattice_bandwidth_grows_with_its_side():
         adm = build_admittance(case)
         base = newton_power_flow(case, adm).state
         ms = generate_measurements(case, base, seed=0, adm=adm)
-        sizes.append(measurement_model(adm, ms.keys())._band.size)
+        sizes.append(measurement_model(adm, ms.layout)._band.size)
     assert sizes[1] >= 1.8 * sizes[0], sizes
 
 
 def test_banded_solve_matches_dense(grid):
     _, adm, model, ms, state = grid
     values = model.jacobian_values(state)
-    chol = BlockCholesky(*model.gain(values, 1.0 / ms.variances()))
+    chol = BlockCholesky(*model.gain(values, 1.0 / ms.variances))
     rhs = np.random.default_rng(7).standard_normal(model.n_state)
     expected = np.linalg.solve(_dense_gain(adm, ms, state), rhs)
     x = model.solve(chol, rhs)
@@ -101,7 +101,7 @@ def test_banded_solve_matches_dense(grid):
 def test_selected_inverse_matches_dense_on_band(grid):
     _, adm, model, ms, state = grid
     values = model.jacobian_values(state)
-    chol = BlockCholesky(*model.gain(values, 1.0 / ms.variances()))
+    chol = BlockCholesky(*model.gain(values, 1.0 / ms.variances))
     z_diag, z_sub = chol.selected_inverse()
     size, n = model._band.size, model.n_state
     padded = np.full(len(z_diag) * size, -1)
@@ -130,7 +130,7 @@ def test_band_keeps_cells_that_are_zero_at_flat_start():
     adm = build_admittance(case)
     base = newton_power_flow(case, adm).state
     ms = generate_measurements(case, base, seed=3, adm=adm)
-    model = measurement_model(adm, ms.keys())
+    model = measurement_model(adm, ms.layout)
     n_ang = case.n_bus - 1
     flat = StateVector(base.bus_ids, np.ones(case.n_bus), np.zeros(case.n_bus))
     flat_values = model.jacobian_values(flat)
@@ -138,8 +138,8 @@ def test_band_keeps_cells_that_are_zero_at_flat_start():
     assert np.all(_dense_gain(adm, ms, flat)[:n_ang, n_ang:] == 0)
 
     res = wls_estimate(ms, case, adm)
-    jac = eval_jacobian(adm, res.x_hat, ms.keys())
-    gain = (jac / ms.variances()[:, None]).T @ jac
+    jac = eval_jacobian(adm, res.x_hat, ms.layout)
+    gain = (jac / ms.variances[:, None]).T @ jac
     # the band is as narrow as an RCM order of the pattern at the estimate
     i, j = np.nonzero(gain)
     oracle = reverse_cuthill_mckee(csr_matrix(gain != 0), symmetric_mode=True)
@@ -150,10 +150,10 @@ def test_band_keeps_cells_that_are_zero_at_flat_start():
     _, a, b = model._pairs
     cross = (model.cols[a] < n_ang) & (model.cols[b] >= n_ang)
     assert np.min(np.abs(g_inv[model.cols[a][cross], model.cols[b][cross]])) > 0
-    omega = ms.variances() - np.diag(jac @ g_inv @ jac.T)
+    omega = ms.variances - np.diag(jac @ g_inv @ jac.T)
     assert res.critical_ids == ()
     implied = (res.residual / res.r_normalized) ** 2
-    assert np.all(np.abs(implied - omega) <= 1e-9 * ms.variances())
+    assert np.all(np.abs(implied - omega) <= 1e-9 * ms.variances)
 
 
 def test_rcm_order_covers_every_component():

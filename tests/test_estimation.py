@@ -9,7 +9,7 @@ from acfdi.estimation import (
     CRITICAL_OMEGA,
     BddPolicy,
     EstimationError,
-    Measurement,
+    Layout,
     MeasurementKey,
     MeasurementSet,
     chi_square_test,
@@ -23,6 +23,8 @@ from acfdi.estimation import (
     measurement_set_from_csv,
     wls_estimate,
 )
+from acfdi import estimation
+from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, apply_attack, design_attack
 from acfdi.network import build_admittance, parse_case
 from acfdi.powerflow import StateVector, branch_flows, newton_power_flow
 from acfdi.zones import validate_zone
@@ -86,27 +88,27 @@ def _chi2_ppf_oracle(p, dof):
 
 def test_noiseless_values_equal_h(case39, adm39, base39, zero_sigmas):
     ms = generate_measurements(case39, base39, sigmas=zero_sigmas, seed=3, adm=adm39)
-    truth = eval_h(adm39, base39, ms.keys())
-    assert np.array_equal(ms.values(), truth)
+    truth = eval_h(adm39, base39, ms.layout)
+    assert np.array_equal(ms.values, truth)
     # weighting stays defined through nominal variances
-    assert np.all(ms.variances() > 0)
+    assert np.all(ms.variances > 0)
 
 
 def test_same_seed_is_bit_identical(case39, adm39, base39):
     a = generate_measurements(case39, base39, seed=11, adm=adm39)
     b = generate_measurements(case39, base39, seed=11, adm=adm39)
-    assert np.array_equal(a.values(), b.values())
+    assert np.array_equal(a.values, b.values)
     c = generate_measurements(case39, base39, seed=12, adm=adm39)
-    assert not np.array_equal(a.values(), c.values())
+    assert not np.array_equal(a.values, c.values)
 
 
 def test_noise_scale_matches_requested_sigma(case39, adm39, base39):
-    key = (MeasurementKey("Vmag:17", "Vmag", 17, None, None),)
+    key = Layout.from_keys([MeasurementKey("Vmag:17", "Vmag", 17, None, None)])
     draws = np.array(
         [
             generate_measurements(
                 case39, base39, sigmas={"Vmag": 0.004}, seed=s, adm=adm39, layout=key
-            ).values()[0]
+            ).values[0]
             for s in range(10_000)
         ]
     )
@@ -117,13 +119,13 @@ def test_layout_counts(case39):
     layout = full_layout(case39)
     nl, nb = 46, 39
     assert len(layout) == 4 * nl + 4 * nb
-    kinds = {k.kind for k in layout}
+    kinds = {k.kind for k in layout.keys()}
     assert kinds == {"Pflow", "Qflow", "Pinj", "Qinj", "Vmag", "Vang"}
 
 
 def test_layout_kind_mask(case39):
     layout = full_layout(case39, kinds=("Pflow", "Qflow", "Pinj", "Qinj"))
-    assert all(k.kind in ("Pflow", "Qflow", "Pinj", "Qinj") for k in layout)
+    assert all(k.kind in ("Pflow", "Qflow", "Pinj", "Qinj") for k in layout.keys())
 
 
 # --- h and its Jacobian -------------------------------------------------------
@@ -132,7 +134,7 @@ def test_vmag_row_is_one_hot(case39, adm39, base39):
     layout = full_layout(case39)
     jac = eval_jacobian(adm39, base39, layout)
     n_ang = case39.n_bus - 1
-    for i, key in enumerate(layout):
+    for i, key in enumerate(layout.keys()):
         if key.kind == "Vmag" and key.bus == 17:
             row = jac[i]
             col = n_ang + case39.bus_index(17)
@@ -173,7 +175,7 @@ def test_jacobian_matches_central_differences(case39, adm39, base39):
 def test_flow_rows_agree_with_branch_flow(case39, adm39, base39):
     layout = full_layout(case39)
     h = eval_h(adm39, base39, layout)
-    by_id = {k.id: v for k, v in zip(layout, h)}
+    by_id = dict(zip(layout.ids, h))
     sf, st = branch_flows(base39, adm39)
     for k, br in enumerate(adm39.branches):
         tag = f"{br.from_bus}-{br.to_bus}"
@@ -188,8 +190,8 @@ def _attack_constraint_layout(case, zone):
     zero-injection interior bus and the target's from-end active flow."""
     (bus,) = zone.zero_injection_interior(case)
     wanted = (f"Pinj:{bus}", f"Qinj:{bus}", "Pf:{}-{}".format(*ref.TARGET))
-    by_id = {k.id: k for k in full_layout(case)}
-    return tuple(by_id[i] for i in wanted)
+    layout = full_layout(case)
+    return layout.subset([layout.position[i] for i in wanted])
 
 
 def test_compiled_model_matches_loop_oracle_bit_for_bit(
@@ -234,9 +236,9 @@ def test_single_row_layout_matches_loop_oracle_bit_for_bit(
 ):
     # one current row is padded to two, because numpy's one-row product
     # rounds differently from the full products
-    (key,) = [k for k in full_layout(case39) if k.id == meas_id]
+    layout = full_layout(case39)
     states = [base39, attack_optimal.x_attacked, *_seeded_states(base39, 40, seed=7)]
-    _assert_matches_loop_oracle(adm39, states, (key,))
+    _assert_matches_loop_oracle(adm39, states, layout.subset([layout.position[meas_id]]))
 
 
 def test_attack_constraint_layout_matches_loop_oracle_on_tiled_grid():
@@ -250,11 +252,12 @@ def test_attack_constraint_layout_matches_loop_oracle_on_tiled_grid():
 
 def test_measurement_set_index_of(case39, adm39, base39):
     ms = generate_measurements(case39, base39, seed=0, adm=adm39)
-    assert [ms.index_of(m.id) for m in ms.measurements] == list(range(ms.m))
+    assert [ms.index_of(i) for i in ms.layout.ids] == list(range(ms.m))
     with pytest.raises(EstimationError, match=r"^unknown measurement id 'Pinj:999'$"):
         ms.index_of("Pinj:999")
+    rows = [0, 1, 0]
     with pytest.raises(EstimationError, match="duplicate measurement ids"):
-        MeasurementSet(ms.measurements[:2] + ms.measurements[:1])
+        MeasurementSet(ms.layout.subset(rows), ms.values[rows], ms.variances[rows])
 
 
 def test_layout_jacobian_full_rank_at_flat_start(case39, adm39):
@@ -289,12 +292,7 @@ def test_objective_monotone_over_accepted_steps(case39, adm39, base39):
 def test_scale_consistency(case39, adm39, base39):
     ms = generate_measurements(case39, base39, seed=21, adm=adm39)
     res = wls_estimate(ms, case39, adm39)
-    scaled = MeasurementSet(
-        tuple(
-            Measurement(m.id, m.kind, m.bus, m.branch_index, m.side, m.value, m.variance * 4.0)
-            for m in ms.measurements
-        )
-    )
+    scaled = MeasurementSet(ms.layout, ms.values, ms.variances * 4.0)
     res4 = wls_estimate(scaled, case39, adm39)
     assert np.max(np.abs(res4.x_hat.vm - res.x_hat.vm)) < 1e-9
     assert np.max(np.abs(res4.x_hat.va - res.x_hat.va)) < 1e-9
@@ -305,21 +303,21 @@ def test_gross_error_detected_and_located(case39, adm39, base39, zero_sigmas):
     ms = generate_measurements(case39, base39, sigmas=zero_sigmas, seed=0, adm=adm39)
     bad_id = "Pf:23-24"
     idx = ms.index_of(bad_id)
-    sigma = math.sqrt(ms.measurements[idx].variance)
-    values = ms.values()
+    sigma = math.sqrt(ms.variances[idx])
+    values = ms.values.copy()
     values[idx] += 20.0 * sigma
 
     # linear-algebra oracle: with one gross error e on otherwise consistent
     # data, J = e^2 * omega_ii / R_ii with omega from the base-state Jacobian
-    jac = eval_jacobian(adm39, base39, ms.keys())
-    w = 1.0 / ms.variances()
+    jac = eval_jacobian(adm39, base39, ms.layout)
+    w = 1.0 / ms.variances
     gain = (jac * w[:, None]).T @ jac
     leverage = np.einsum(
         "ij,ji->i", jac, np.linalg.solve(gain, jac.T)
-    ) / ms.variances()
-    j_expected = (20.0 * sigma) ** 2 * (1.0 - leverage[idx]) / ms.measurements[idx].variance
+    ) / ms.variances
+    j_expected = (20.0 * sigma) ** 2 * (1.0 - leverage[idx]) / ms.variances[idx]
 
-    res = wls_estimate(ms.with_values(values), case39, adm39)
+    res = wls_estimate(MeasurementSet(ms.layout, values, ms.variances), case39, adm39)
     assert res.j_statistic == pytest.approx(j_expected, rel=0.05)
     verdict = chi_square_test(res, BddPolicy())
     assert not verdict.passed
@@ -381,6 +379,26 @@ def test_lnr_tie_break_on_zero_residuals(case39, adm39, base39, zero_sigmas):
     assert worst_id == min(res.measurement_ids)
 
 
+
+def test_lnr_skips_critical_rows_and_breaks_an_exact_tie_to_the_lowest_id(
+    case39, adm39, base39
+):
+    from dataclasses import replace
+
+    ms = generate_measurements(case39, base39, seed=0, adm=adm39)
+    res = wls_estimate(ms, case39, adm39)
+    # three rows tie at |r| = 3 and the lowest id sits between the other two,
+    # so neither the first nor the last tied row is the answer; the critical
+    # (nan) row has the lowest id of all
+    ids = ("Pf:1-2", "Vang:4", "Pinj:1", "Pf:2-3", "Pinj:9")
+    crafted = replace(
+        res,
+        measurement_ids=ids,
+        residual=np.zeros(len(ids)),
+        r_normalized=np.array([np.nan, 3.0, 1.0, -3.0, 3.0]),
+    )
+    assert largest_normalized_residual(crafted) == ("Pf:2-3", 3.0)
+
 def test_insufficient_redundancy_rejected(case39, adm39, base39):
     layout = full_layout(case39, kinds=("Vmag",))
     ms = generate_measurements(case39, base39, adm=adm39, layout=layout)
@@ -410,7 +428,7 @@ mpc.branch = [
 """
     case = parse_case(text)
     adm = build_admittance(case)
-    keys = (
+    layout = Layout.from_keys([
         MeasurementKey("Vmag:1", "Vmag", 1, None, None),
         MeasurementKey("Vmag:2", "Vmag", 2, None, None),
         MeasurementKey("Vmag:3", "Vmag", 3, None, None),
@@ -419,16 +437,10 @@ mpc.branch = [
         MeasurementKey("Pinj:1", "Pinj", 1, None, None),
         MeasurementKey("Pinj:2", "Pinj", 2, None, None),
         MeasurementKey("Pinj:3", "Pinj", 3, None, None),
-    )
+    ])
     shifted = StateVector((1, 2, 3, 4), np.array([1.02, 1.0, 0.99, 0.98]),
                           np.array([0.0, -0.05, -0.1, -0.12]))
-    values = eval_h(adm, shifted, keys)
-    ms = MeasurementSet(
-        tuple(
-            Measurement(k.id, k.kind, k.bus, k.branch_index, k.side, float(v), 1e-4)
-            for k, v in zip(keys, values)
-        )
-    )
+    ms = MeasurementSet(layout, eval_h(adm, shifted, layout), np.full(len(layout), 1e-4))
     with pytest.raises(EstimationError, match="unobservable"):
         wls_estimate(ms, case, adm)
 
@@ -440,7 +452,7 @@ def _random_sublayouts(case, adm, base, seed, count, most=200):
     full = generate_measurements(case, base, seed=seed, adm=adm)
     for _ in range(count):
         pick = np.sort(rng.choice(full.m, int(rng.integers(n + 1, most)), replace=False))
-        yield MeasurementSet(tuple(full.measurements[i] for i in pick))
+        yield MeasurementSet(full.layout.subset(pick), full.values[pick], full.variances[pick])
 
 
 def test_observability_verdict_matches_matrix_rank_oracle(case39, adm39, base39):
@@ -450,13 +462,13 @@ def test_observability_verdict_matches_matrix_rank_oracle(case39, adm39, base39)
     flat = StateVector(base39.bus_ids, np.ones(case39.n_bus), np.zeros(case39.n_bus))
     verdicts = {True: 0, False: 0}
     for ms in _random_sublayouts(case39, adm39, base39, seed=0, count=240):
-        observable = np.linalg.matrix_rank(eval_jacobian(adm39, flat, ms.keys())) == n
+        observable = np.linalg.matrix_rank(eval_jacobian(adm39, flat, ms.layout)) == n
         try:
             wls_estimate(ms, case39, adm39)
             rejected = False
         except EstimationError as exc:
             rejected = "unobservable" in str(exc)
-        assert rejected != observable, [m.id for m in ms.measurements]
+        assert rejected != observable, ms.layout.ids
         verdicts[observable] += 1
     assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
 
@@ -471,23 +483,23 @@ def test_observability_verdict_matches_matrix_rank_oracle_on_tiled_grid():
     flat = StateVector(base.bus_ids, np.ones(case.n_bus), np.zeros(case.n_bus))
     verdicts = {True: 0, False: 0}
     for ms in _random_sublayouts(case, adm, base, seed=5, count=60, most=3 * n):
-        observable = np.linalg.matrix_rank(eval_jacobian(adm, flat, ms.keys())) == n
+        observable = np.linalg.matrix_rank(eval_jacobian(adm, flat, ms.layout)) == n
         try:
             wls_estimate(ms, case, adm)
             rejected = False
         except EstimationError as exc:
             rejected = "unobservable" in str(exc)
-        assert rejected != observable, [m.id for m in ms.measurements]
+        assert rejected != observable, ms.layout.ids
         verdicts[observable] += 1
     assert verdicts[True] >= 15 and verdicts[False] >= 15, verdicts
 
 
 def _dense_omega(adm, res, ms):
     """diag(R - H (H^T W H)^-1 H^T), formed densely at the estimate."""
-    jac = eval_jacobian(adm, res.x_hat, ms.keys())
-    w = 1.0 / ms.variances()
+    jac = eval_jacobian(adm, res.x_hat, ms.layout)
+    w = 1.0 / ms.variances
     gain = (jac * w[:, None]).T @ jac
-    return ms.variances() - np.diag(jac @ np.linalg.inv(gain) @ jac.T)
+    return ms.variances - np.diag(jac @ np.linalg.inv(gain) @ jac.T)
 
 
 def test_normalized_residuals_match_dense_oracle(case39, adm39, base39):
@@ -516,11 +528,11 @@ def test_critical_measurements_match_dense_oracle(case39, adm39, base39):
         omega = _dense_omega(adm39, res, ms)
         critical = omega < CRITICAL_OMEGA
         assert res.critical_ids == tuple(
-            m.id for m, c in zip(ms.measurements, critical) if c
+            i for i, c in zip(ms.layout.ids, critical) if c
         )
         assert np.all(np.isnan(res.r_normalized[critical]))
         implied = (res.residual[~critical] / res.r_normalized[~critical]) ** 2
-        assert np.all(np.abs(implied - omega[~critical]) <= 1e-9 * ms.variances()[~critical])
+        assert np.all(np.abs(implied - omega[~critical]) <= 1e-9 * ms.variances[~critical])
         compared += 1
         critical_seen += bool(critical.any())
     assert compared >= 10 and critical_seen >= 3, (compared, critical_seen)
@@ -535,7 +547,7 @@ def test_nonconvergence_raises(case39, adm39, base39):
 def test_variance_must_be_positive():
     with pytest.raises(EstimationError, match="positive"):
         MeasurementSet(
-            (Measurement("Vmag:1", "Vmag", 1, None, None, 1.0, 0.0),)
+            Layout.from_keys([MeasurementKey("Vmag:1", "Vmag", 1, None, None)]), [1.0], [0.0]
         )
 
 
@@ -585,8 +597,8 @@ mpc.branch = [
 
     # independent dense-matrix oracle at the truth state
     ms0 = generate_measurements(case, truth, seed=0, adm=adm)
-    jac = eval_jacobian(adm, truth, ms0.keys())
-    variances = ms0.variances()
+    jac = eval_jacobian(adm, truth, ms0.layout)
+    variances = ms0.variances
     gain = (jac / variances[:, None]).T @ jac
     sensitivity = jac @ np.linalg.inv(gain) @ jac.T
     omega_oracle = variances - np.diag(sensitivity)
@@ -603,9 +615,9 @@ mpc.branch = [
 def test_csv_round_trip(case39, adm39, base39):
     ms = generate_measurements(case39, base39, seed=8, adm=adm39)
     again = measurement_set_from_csv(ms.to_csv(), case39)
-    assert np.array_equal(again.values(), ms.values())
-    assert np.array_equal(again.variances(), ms.variances())
-    assert again.keys() == ms.keys()
+    assert np.array_equal(again.values, ms.values)
+    assert np.array_equal(again.variances, ms.variances)
+    assert again.layout.keys() == ms.layout.keys()
 
 
 def test_csv_unknown_id_rejected(case39):
@@ -617,5 +629,56 @@ def test_csv_unknown_id_rejected(case39):
 def test_json_round_trip(case39, adm39, base39):
     ms = generate_measurements(case39, base39, seed=8, adm=adm39)
     again = MeasurementSet.from_json(ms.to_json())
-    assert np.array_equal(again.values(), ms.values())
-    assert again.keys() == ms.keys()
+    assert np.array_equal(again.values, ms.values)
+    assert again.layout.keys() == ms.layout.keys()
+
+
+# --- layouts are values, compiled once -----------------------------------------
+
+def _pipeline_item(case, adm, zone):
+    """The library calls of one scenario item: power flow, clean estimate,
+    then each attack design, applied and estimated."""
+    base = newton_power_flow(case, adm).state
+    ms = generate_measurements(case, base, seed=0, adm=adm)
+    wls_estimate(ms, case, adm)
+    for mode in ("optimal", "arbitrary"):
+        targets = (OverloadTarget(*ref.TARGET, ref.OVERLOAD_FACTOR),)
+        spec = AttackSpec(zone=zone, targets=targets, mode=mode, params=SolverParams(seed=1))
+        wls_estimate(apply_attack(ms, design_attack(case, base, spec, adm)), case, adm)
+
+
+def test_pipeline_builds_no_measurement_key_and_compiles_each_layout_once(
+    case39, zone39, monkeypatch
+):
+    _pipeline_item(case39, build_admittance(case39), zone39)  # warm-up
+    keys, layouts, compiled = [], [], []
+    new_key = estimation.MeasurementKey.__new__
+    init_layout = estimation.Layout.__post_init__
+    init_model = estimation.MeasurementModel.__init__
+
+    def counting_key(cls, *args, **kwargs):
+        keys.append(args)
+        return new_key(cls, *args, **kwargs)
+
+    def counting_layout(self):
+        layouts.append(self)
+        init_layout(self)
+
+    def counting_model(self, adm, layout):
+        compiled.append((id(adm), layout.signature))
+        init_model(self, adm, layout)
+
+    monkeypatch.setattr(estimation.MeasurementKey, "__new__", staticmethod(counting_key))
+    monkeypatch.setattr(estimation.Layout, "__post_init__", counting_layout)
+    monkeypatch.setattr(estimation.MeasurementModel, "__init__", counting_model)
+
+    adm = build_admittance(case39)
+    # the full layout is built on first use, not with the admittance model
+    assert (layouts, compiled, adm.compiled_layouts) == ([], [], {})
+    assert "full_layout" not in vars(adm)
+
+    _pipeline_item(case39, adm, zone39)
+    assert keys == []
+    # power flow, the full layout, and the constraint and delta rows that the
+    # two attack modes share: each compiled once
+    assert len(compiled) == len(set(compiled)) == 4

@@ -1,7 +1,8 @@
 """Metamorphic checks: the physics does not depend on how a case is written
 down. Renumbering the buses, reordering the bus rows and reordering the
 branch rows of case39 must leave every branch flow, matched by its (from, to)
-pair, and every flow and injection of the impact report unchanged."""
+pair, every flow and injection of the impact report, and the WLS estimate of
+the same readings unchanged."""
 
 import dataclasses
 
@@ -12,7 +13,15 @@ from hypothesis import strategies as st
 
 import reference39 as ref
 from acfdi.attacks import apply_attack, assemble_attack_vector
-from acfdi.estimation import generate_measurements, wls_estimate
+from acfdi.estimation import (
+    DEFAULT_SIGMAS,
+    Layout,
+    MeasurementSet,
+    chi_square_test,
+    generate_measurements,
+    largest_normalized_residual,
+    wls_estimate,
+)
 from acfdi.impact import compute_impact
 from acfdi.network import NetworkCase, build_admittance, load_bundled_case39
 from acfdi.powerflow import StateVector, branch_flows
@@ -140,3 +149,55 @@ def test_impact_flows_and_injections_do_not_depend_on_labels_or_row_order(
     ((got_target,), (want_target,)) = report.target_summary, impact39.target_summary
     for name in ("p_base", "p_attacked", "factor_attained"):
         assert abs(got_target[name] - want_target[name]) < 1e-10, name
+
+
+def _relabel_measurements(ms, adm_old, adm_new, rename, branch_order):
+    """The same readings, row for row, addressed in the relabelled case: bus
+    rows by the new bus id, flow rows by the branch's new in-service row."""
+    new_index = {j: pos for pos, j in enumerate(branch_order)}
+    new_row = np.array(
+        [adm_new.position[new_index[br.index]] for br in adm_old.branches], dtype=int
+    )
+    lay = ms.layout
+    flow = lay.kind < 2
+    where = np.where(
+        flow,
+        new_row[np.where(flow, lay.where, 0)],
+        [rename.get(w, w) for w in lay.where.tolist()],
+    )
+    layout = Layout(lay.ids, lay.kind, where, lay.from_side)
+    return MeasurementSet(layout, ms.values, ms.variances)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(relabelling=relabellings(), seed=st.integers(0, 2**16))
+def test_wls_estimate_does_not_depend_on_labels_or_row_order(
+    case39, adm39, base39, relabelling, seed
+):
+    bus_order, rename, branch_order = relabelling
+    case = _relabel_case(case39, bus_order, rename, branch_order)
+    adm = build_admittance(case)
+
+    def estimates(sigmas):
+        ms = generate_measurements(case39, base39, sigmas=sigmas, seed=seed, adm=adm39)
+        moved = _relabel_measurements(ms, adm39, adm, rename, branch_order)
+        return ms, wls_estimate(ms, case39, adm39), wls_estimate(moved, case, adm)
+
+    ms, want, got = estimates(None)
+    assert abs(got.j_statistic - want.j_statistic) < 1e-10 * want.j_statistic
+    assert chi_square_test(got).passed == chi_square_test(want).passed
+    assert got.critical_ids == want.critical_ids
+    # the largest normalized residual names the same row, or one tied with it
+    got_id, want_id = largest_normalized_residual(got)[0], largest_normalized_residual(want)[0]
+    want_lnr = np.abs(want.r_normalized[[ms.index_of(got_id), ms.index_of(want_id)]])
+    assert got_id == want_id or abs(want_lnr[0] - want_lnr[1]) < 1e-10 * want_lnr[1]
+
+    # The states are compared at 1/50 of the default sigmas. At the default
+    # ones Gauss-Newton converges only linearly, and near the minimum the line
+    # search's absolute 1e-14 acceptance lets rounding in J stop it up to
+    # about 1e-9 from the minimum, at a point that renumbering moves.
+    _, want, got = estimates({kind: s / 50 for kind, s in DEFAULT_SIGMAS.items()})
+    expected = _relabel_state(want.x_hat, bus_order, rename)
+    assert got.x_hat.bus_ids == expected.bus_ids
+    assert np.max(np.abs(got.x_hat.vm - expected.vm)) < 1e-10
+    assert np.max(np.abs(got.x_hat.va - expected.va)) < 1e-10
