@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .banded import BlockCholesky, concat_ranges, rcm_order
+from .banded import BlockBand, BlockCholesky, concat_ranges
 from .network import AdmittanceModel, NetworkCase, build_admittance
 from .powerflow import StateVector
 
@@ -243,17 +243,13 @@ def full_layout(case: NetworkCase, kinds: tuple[str, ...] = KINDS) -> Layout:
 _COMPILED_PER_MODEL = 8
 
 
-class _Band(NamedTuple):
-    """Where the gain of one layout sits in block-tridiagonal storage."""
+class _GainCells(NamedTuple):
+    """Where the row pairs of one layout sit in the gain's [sub | diag] storage."""
 
-    order: np.ndarray  # state column at each band position
-    size: int  # block size b, the RCM bandwidth
-    blocks: int  # nb = ceil(dim / b)
-    slot: np.ndarray  # storage slot of each row pair's cell, upper cells mirrored
-    gain_a: np.ndarray  # the row pairs summed into storage: every lower-block cell
-    gain_b: np.ndarray
-    gain_slot: np.ndarray
-    pad_slot: np.ndarray  # diagonal slots of the padding
+    slot: np.ndarray  # storage slot of each row pair's cell, upper-block cells mirrored
+    a: np.ndarray  # the row pairs summed into storage: every cell not mirrored
+    b: np.ndarray
+    summed_slot: np.ndarray
 
 
 class MeasurementModel:
@@ -396,7 +392,7 @@ class MeasurementModel:
         return np.repeat(np.arange(self.m), sq), start + step // width, start + step % width
 
     @functools.cached_property
-    def _band(self) -> _Band:
+    def _band(self) -> BlockBand:
         """The gain's band layout, built on first use from the row pairs.
 
         The order is RCM over the gain's structural pattern, every cell some
@@ -404,25 +400,14 @@ class MeasurementModel:
         start on a lossless branch) still lies in the band at every other."""
         n = self.n_state
         _, a, b = self._pairs
-        col_a, col_b = self.cols[a], self.cols[b]
-        order = rcm_order(n, *np.divmod(np.unique(col_a * n + col_b), n))
-        pos = np.empty(n, dtype=int)
-        pos[order] = np.arange(n)
-        pa, pb = pos[col_a], pos[col_b]
-        size = max(1, int(np.max(np.abs(pa - pb), initial=0)))
-        blocks = -(-n // size)
-        # a cell in a diagonal block keeps its place; one in an off-diagonal
-        # block goes to the block below the diagonal, as (later, earlier)
-        hi, lo = np.maximum(pa, pb), np.minimum(pa, pb)
-        same = hi // size == lo // size
-        slot = np.where(
-            same, pa * size + pb % size, (blocks - 1) * size * size + hi * size + lo % size
-        )
-        lower = np.flatnonzero(same | (hi == pa))
-        pad = np.arange(n, blocks * size)
-        return _Band(
-            order, size, blocks, slot, a[lower], b[lower], slot[lower], pad * size + pad % size
-        )
+        return BlockBand(n, *np.divmod(np.unique(self.cols[a] * n + self.cols[b]), n))
+
+    @functools.cached_property
+    def _gain_cells(self) -> _GainCells:
+        _, a, b = self._pairs
+        slot, kept = self._band.lower_slot(self.cols[a], self.cols[b])
+        kept = np.flatnonzero(kept)
+        return _GainCells(slot, a[kept], b[kept], slot[kept])
 
     def state_columns(self, positions: np.ndarray) -> np.ndarray:
         """Columns of x holding the angles, then the magnitudes, of the buses
@@ -484,27 +469,20 @@ class MeasurementModel:
         blocks and the blocks below them of its block-tridiagonal band (the
         storage `BlockCholesky` takes). The dimension is padded to whole
         blocks with identity rows."""
-        band = self._band
+        band, cells = self._band, self._gain_cells
         weighted = values * w[self.rows]
-        b2 = band.size * band.size
         g = np.bincount(
-            band.gain_slot,
-            weights=weighted[band.gain_a] * values[band.gain_b],
-            minlength=(2 * band.blocks - 1) * b2,
+            cells.summed_slot,
+            weights=weighted[cells.a] * values[cells.b],
+            minlength=(2 * band.blocks - 1) * band.size * band.size,
         )
         g[band.pad_slot] = 1.0
-        shape = (band.size, band.size)
-        return g[: band.blocks * b2].reshape(-1, *shape), g[band.blocks * b2 :].reshape(-1, *shape)
+        sub, diag, _ = band.split(g)
+        return diag, sub
 
     def solve(self, chol: BlockCholesky, rhs: np.ndarray) -> np.ndarray:
         """G⁻¹ rhs in state order, from the factor of `gain`."""
-        band = self._band
-        order = band.order
-        padded = np.zeros(band.blocks * band.size)
-        padded[: len(order)] = rhs[order]
-        x = np.empty(len(order))
-        x[order] = chol.solve(padded)[: len(order)]
-        return x
+        return self._band.scatter(chol.solve(self._band.gather(rhs)))
 
     def transpose_times(self, values: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Hᵀy from the Jacobian's nonzeros."""
@@ -516,8 +494,9 @@ class MeasurementModel:
         Two columns that share a row share a gain cell, so every G⁻¹ entry
         read here lies in the band of the selected inverse."""
         row, a, b = self._pairs
-        g_inv = np.concatenate([z.ravel() for z in chol.selected_inverse()])
-        terms = values[a] * g_inv[self._band.slot] * values[b]
+        z_diag, z_sub = chol.selected_inverse()
+        g_inv = np.concatenate([z_sub.ravel(), z_diag.ravel()])
+        terms = values[a] * g_inv[self._gain_cells.slot] * values[b]
         return np.bincount(row, weights=terms, minlength=self.m)
 
 

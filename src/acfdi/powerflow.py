@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .banded import BlockBand, block_lu_solve
 from .network import AdmittanceModel, NetworkCase, build_admittance
 
 
@@ -110,13 +111,15 @@ class PowerFlowSolution:
 
 def flat_start(case: NetworkCase) -> StateVector:
     """V = 1, angle = 0, with PV/slack magnitudes taken from generator setpoints."""
+    vset: dict[int, float] = {}
+    for g in case.gens:
+        if g.status:
+            vset.setdefault(g.bus, g.vset)  # the first in-service generator's
     vm = np.ones(case.n_bus)
     va = np.zeros(case.n_bus)
     for i, b in enumerate(case.buses):
-        if b.kind in ("PV", "slack"):
-            gens = case.gens_at(b.id)
-            if gens:
-                vm[i] = gens[0].vset
+        if b.kind in ("PV", "slack") and b.id in vset:
+            vm[i] = vset[b.id]
     return StateVector(tuple(b.id for b in case.buses), vm, va)
 
 
@@ -132,49 +135,87 @@ def scheduled_injections(case: NetworkCase) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _newton_equations(case: NetworkCase, adm: AdmittanceModel):
-    """The power-flow mismatch and its Jacobian as functions of the state.
+# bound on a Newton step's linear residual |J dx - r|, relative to
+# |J| |dx| + |r| in the infinity norm; a backward-stable solve leaves a few
+# ulps, a block LU that lost accuracy without pivoting across blocks far more
+_STEP_RESIDUAL_BOUND = 1e-10
+
+
+class _NewtonEquations:
+    """The power-flow mismatch and its Jacobian as functions of the state,
+    and the Newton step they give.
 
     Rows are [P at PV and PQ buses | Q at PQ buses] and columns [angles at PV
     and PQ buses | magnitudes at PQ buses], each in case bus order. Both come
     from the measurement model of those rows compiled against adm, whose
     columns are [non-slack angles | all magnitudes]: the PV and slack
-    magnitude columns are dropped. Returns (pvpq, pq, mismatch, jacobian).
+    magnitude columns are dropped. Row k and column k belong to the same bus
+    (P with angle, Q with magnitude), and two buses share a cell only where
+    Ybus couples them, so the pattern is structurally symmetric: the step is
+    a block LU over its `banded.BlockBand` layout, no dense m x m solve.
     """
-    # imported here because estimation imports StateVector from this module
-    from .estimation import KIND_CODE, Layout, measurement_model
 
-    kinds = [b.kind for b in case.buses]
-    pv = [i for i, k in enumerate(kinds) if k == "PV"]
-    pq = [i for i, k in enumerate(kinds) if k == "PQ"]
-    pvpq = sorted(pv + pq)
+    def __init__(self, case: NetworkCase, adm: AdmittanceModel):
+        # imported here because estimation imports StateVector from this module
+        from .estimation import KIND_CODE, Layout, measurement_model
 
-    ids = [b.id for b in case.buses]
-    model = measurement_model(
-        adm,
-        Layout.from_rows(
-            [(f"Pinj:{ids[i]}", KIND_CODE["Pinj"], ids[i], False) for i in pvpq]
-            + [(f"Qinj:{ids[i]}", KIND_CODE["Qinj"], ids[i], False) for i in pq]
-        ),
-    )
-    n_ang = len(pvpq)
-    column = np.full(model.n_state, -1)
-    column[:n_ang] = np.arange(n_ang)
-    column[n_ang + np.array(pq, dtype=int)] = n_ang + np.arange(len(pq))
-    kept = np.flatnonzero(column[model.cols] >= 0)
-    rows, cols = model.rows[kept], column[model.cols[kept]]
-    p_sched, q_sched = scheduled_injections(case)
-    scheduled = np.concatenate([p_sched[pvpq], q_sched[pq]])
+        kinds = [b.kind for b in case.buses]
+        self.pq = [i for i, k in enumerate(kinds) if k == "PQ"]
+        self.pvpq = [i for i, k in enumerate(kinds) if k in ("PV", "PQ")]
 
-    def mismatch(state: StateVector) -> np.ndarray:
-        return scheduled - model.h(state)
+        ids = [b.id for b in case.buses]
+        self._model = measurement_model(
+            adm,
+            Layout.from_rows(
+                [(f"Pinj:{ids[i]}", KIND_CODE["Pinj"], ids[i], False) for i in self.pvpq]
+                + [(f"Qinj:{ids[i]}", KIND_CODE["Qinj"], ids[i], False) for i in self.pq]
+            ),
+        )
+        self.m = self._model.m
+        n_ang = len(self.pvpq)
+        column = np.full(self._model.n_state, -1)
+        column[:n_ang] = np.arange(n_ang)
+        column[n_ang + np.array(self.pq, dtype=int)] = n_ang + np.arange(len(self.pq))
+        self._kept = np.flatnonzero(column[self._model.cols] >= 0)
+        self.rows = self._model.rows[self._kept]
+        self.cols = column[self._model.cols[self._kept]]
+        self._band = BlockBand(self.m, self.rows, self.cols)
+        self._slot = self._band.slot(self.rows, self.cols)
+        p_sched, q_sched = scheduled_injections(case)
+        self._scheduled = np.concatenate([p_sched[self.pvpq], q_sched[self.pq]])
 
-    def jacobian(state: StateVector) -> np.ndarray:
-        jac = np.zeros((model.m, model.m))
-        jac[rows, cols] = model.jacobian_values(state)[kept]
-        return jac
+    def mismatch(self, state: StateVector) -> np.ndarray:
+        return self._scheduled - self._model.h(state)
 
-    return pvpq, pq, mismatch, jacobian
+    def jacobian(self, state: StateVector) -> np.ndarray:
+        """The Jacobian's nonzeros at (rows, cols)."""
+        return self._model.jacobian_values(state)[self._kept]
+
+    def step(self, values: np.ndarray, mismatch: np.ndarray) -> np.ndarray:
+        """J⁻¹ mismatch for the Jacobian with these nonzeros.
+
+        Raises PowerFlowError when a diagonal block of the LU is singular or
+        when the step's linear residual exceeds _STEP_RESIDUAL_BOUND, which
+        one O(nnz) pass over the nonzeros measures."""
+        band = self._band
+        storage = np.zeros((3 * band.blocks - 2) * band.size * band.size)
+        storage[self._slot] = values
+        storage[band.pad_slot] = 1.0
+        try:
+            dx = band.scatter(block_lu_solve(*band.split(storage), band.gather(mismatch)))
+        except np.linalg.LinAlgError:
+            raise PowerFlowError("singular Jacobian block") from None
+        residual = np.bincount(self.rows, weights=values * dx[self.cols], minlength=self.m)
+        norm = np.max(np.bincount(self.rows, weights=np.abs(values), minlength=self.m))
+        scale = norm * np.max(np.abs(dx)) + np.max(np.abs(mismatch))
+        error = np.max(np.abs(residual - mismatch))
+        # written so that a nan residual fails too
+        if not error <= _STEP_RESIDUAL_BOUND * scale:
+            raise PowerFlowError(
+                f"inaccurate Newton step (linear residual {error:.3e}, "
+                f"{error / scale:.1e} relative)"
+            )
+        return dx
 
 
 def newton_power_flow(
@@ -186,7 +227,8 @@ def newton_power_flow(
     """Full Newton-Raphson from a flat start.
 
     PV magnitudes stay pinned to their setpoints and generator reactive
-    limits are not enforced. Raises on non-convergence or a singular Jacobian.
+    limits are not enforced. Raises on non-convergence, a singular Jacobian
+    block or an inaccurate step.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -197,22 +239,23 @@ def newton_power_flow(
 
     state = flat_start(case)
     vm, va = state.vm.copy(), state.va.copy()
-    pvpq, pq, mismatch_at, jacobian_at = _newton_equations(case, adm)
+    equations = _NewtonEquations(case, adm)
+    pvpq, pq = equations.pvpq, equations.pq
 
     history: list[float] = []
     for it in range(max_iter):
         current = StateVector(state.bus_ids, vm, va)
-        mismatch = mismatch_at(current)
+        mismatch = equations.mismatch(current)
         max_mis = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
         history.append(max_mis)
         if max_mis < tol:
             return PowerFlowSolution(current, True, it, tuple(history))
 
         try:
-            step = np.linalg.solve(jacobian_at(current), mismatch)
-        except np.linalg.LinAlgError:
+            step = equations.step(equations.jacobian(current), mismatch)
+        except PowerFlowError as err:
             raise PowerFlowError(
-                f"singular Jacobian at iteration {it} (max mismatch {max_mis:.3e})"
+                f"{err} at iteration {it} (max mismatch {max_mis:.3e})"
             ) from None
         va[pvpq] += step[: len(pvpq)]
         vm[pq] += step[len(pvpq):]

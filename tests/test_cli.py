@@ -12,6 +12,7 @@ from acfdi.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
 import spans  # noqa: E402
+from grids import tiled_case39  # noqa: E402
 
 BUNDLED = Path(__file__).parent.parent / "scenarios" / "case39_overload.json"
 
@@ -456,3 +457,33 @@ def test_import_loads_no_heavy_scipy_modules():
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert out.stdout.split() == [], module
+
+
+def test_tiled_scenario_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
+    # the shipped study on two chained case39 copies with a focal zone, in
+    # fresh interpreters at 1 and 2 OpenBLAS threads; a dense LU of the
+    # 135-wide power-flow Jacobian rounded differently at 2 threads and
+    # moved 21 of the 25 files, the block LU keeps every file's bytes
+    from acfdi import case_to_json
+
+    case_path = tmp_path / "case39x2.json"
+    case_path.write_text(case_to_json(tiled_case39(2)))
+    config = json.loads(BUNDLED.read_text())
+    config.update(case=str(case_path), zone={"focal": [18, 26, 27, 28]})
+    config_path = tmp_path / "tiled.json"
+    config_path.write_text(json.dumps(config))
+    for threads in (1, 2):
+        subprocess.run(
+            [sys.executable, "-m", "acfdi.cli", "scenario", "run", str(config_path),
+             "--out", str(tmp_path / f"threads{threads}")],
+            check=True, capture_output=True,
+            env={
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": str(threads),
+                "PYTHONPATH": os.pathsep.join(sys.path),
+            },
+        )
+    one, two = _tree_bytes(tmp_path / "threads1"), _tree_bytes(tmp_path / "threads2")
+    assert len(one) == 25
+    assert sorted(one) == sorted(two)
+    assert [name for name in one if one[name] != two[name]] == []

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import reference39 as ref
-from acfdi.network import build_admittance, parse_case
+from acfdi.cli import EXIT_ESTIMATOR, main
+from acfdi.network import Bus, NetworkCase, build_admittance, load_bundled_case39, parse_case
 from acfdi.powerflow import (
     PowerFlowError,
     StateVector,
-    _newton_equations,
+    _NewtonEquations,
     all_injections,
     branch_flows,
     bus_injection,
@@ -18,6 +19,7 @@ from acfdi.powerflow import (
     solve_power_flow,
 )
 from conftest import TWO_BUS_CASE, flow_of
+from meshgrid import meshed_case
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
 from grids import tiled_case39  # noqa: E402
@@ -229,12 +231,19 @@ def _jacobian_cases(case39, adm39, base39, tile2):
     yield "base-tile2", tile_case, tile_adm, newton_power_flow(tile_case, tile_adm).state
 
 
+def _dense_jacobian(equations, state):
+    jac = np.zeros((equations.m, equations.m))
+    jac[equations.rows, equations.cols] = equations.jacobian(state)
+    return jac
+
+
 def test_power_flow_jacobian_matches_dense_oracle_and_differences(case39, adm39, base39, tile2):
     # the compiled model rounds differently from the BLAS diag products of the
     # dense formulas, so agreement is to rounding, not bit for bit
     for label, case, adm, state in _jacobian_cases(case39, adm39, base39, tile2):
-        pvpq, pq, mismatch, jacobian = _newton_equations(case, adm)
-        jac = jacobian(state)
+        equations = _NewtonEquations(case, adm)
+        pvpq, pq, mismatch = equations.pvpq, equations.pq, equations.mismatch
+        jac = _dense_jacobian(equations, state)
         dense = ref.dense_power_flow_jacobian(case, adm, state)
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(jac - dense)) <= 1e-12 * scale, label
@@ -266,7 +275,7 @@ def test_newton_power_flow_replays_dense_oracle(grid, case39, adm39, tile2):
     # path's, so the first one keeps its bits; later ones follow iterates that
     # differ at rounding level, compared relative to the starting mismatch
     start = flat_start(case)
-    _, _, mismatch, _ = _newton_equations(case, adm)
+    mismatch = _NewtonEquations(case, adm).mismatch
     assert np.array_equal(mismatch(start), ref.dense_mismatch(case, adm, start.vm, start.va))
     assert sol.mismatch_history[0] == history[0]
     gap = np.abs(np.array(sol.mismatch_history) - np.array(history))
@@ -285,3 +294,113 @@ def test_power_flow_model_builds_no_row_pair_index():
     (model,) = adm.compiled_layouts.values()
     assert "_pairs" not in vars(model)
     assert "_band" not in vars(model)
+
+
+# The Newton step is a block LU over the RCM band of the Jacobian; it must
+# agree with the dense solve it replaced on chained grids, whose bandwidth
+# stays fixed as they grow, and on lattices, whose bandwidth grows with them.
+LU_GRIDS = {
+    "case39": load_bundled_case39,
+    **{f"tile{k}": (lambda k=k: tiled_case39(k)) for k in range(2, 9)},
+    "mesh6x6": lambda: meshed_case(6, 6),
+    "mesh10x10": lambda: meshed_case(10, 10),
+    "lossless8x8": lambda: meshed_case(8, 8, r=0.0),
+}
+
+# the widest dense LU and product that give the same bits at 1 and 2
+# OpenBLAS threads, measured on a 2-core Xeon guest with OpenBLAS 0.3.31
+THREAD_INVARIANT_WIDTH = 64
+
+
+@pytest.fixture(scope="module", params=sorted(LU_GRIDS))
+def lu_grid(request):
+    case = LU_GRIDS[request.param]()
+    return case, build_admittance(case)
+
+
+def test_block_lu_step_matches_dense_solve(lu_grid):
+    case, adm = lu_grid
+    equations = _NewtonEquations(case, adm)
+    base = newton_power_flow(case, adm).state
+    rng = np.random.default_rng(31)
+    states = [flat_start(case)] + [
+        StateVector(
+            base.bus_ids,
+            base.vm * (1.0 + 0.05 * rng.standard_normal(case.n_bus)),
+            base.va + 0.2 * rng.standard_normal(case.n_bus),
+        )
+        for _ in range(3)
+    ]
+    for state in states:
+        mismatch = equations.mismatch(state)
+        expected = np.linalg.solve(_dense_jacobian(equations, state), mismatch)
+        step = equations.step(equations.jacobian(state), mismatch)
+        assert np.max(np.abs(step - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+def test_newton_iterations_match_dense_replay(lu_grid):
+    case, adm = lu_grid
+    _, _, history = ref.dense_newton_replay(case, adm)
+    assert newton_power_flow(case, adm).iterations == len(history) - 1
+
+
+@pytest.mark.parametrize("tiles", range(1, 9))
+def test_newton_solve_stays_within_the_thread_invariant_width(tiles, monkeypatch):
+    # every dense operand of the block LU is a b x b block or a b x (b + 1)
+    # right-hand side of a block solve, so the solves bound every product too
+    case = load_bundled_case39() if tiles == 1 else tiled_case39(tiles)
+    adm = build_admittance(case)
+    widths = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        widths.append(max(a.shape + b.shape))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    newton_power_flow(case, adm)
+    assert widths and max(widths) <= THREAD_INVARIANT_WIDTH
+
+
+def _with_bus(case, bus):
+    return NetworkCase(case.base_mva, case.buses + (bus,), case.branches, case.gens, case.name)
+
+
+def test_isolated_pq_bus_is_a_singular_block():
+    # the isolated bus's P and Q rows are zero, so its diagonal block is
+    # singular; validation rejects such a case, so it is built directly
+    case = _with_bus(parse_case(TWO_BUS_CASE), Bus(3, "PQ", 0.1, 0.05, 0.0, 0.0, 0.9, 1.1))
+    with pytest.raises(PowerFlowError, match="singular Jacobian block at iteration 0"):
+        newton_power_flow(case)
+
+
+def _resistive_case(x: str) -> str:
+    return TWO_BUS_CASE.replace("1 2 0.01 0.1 0.02", f"1 2 0.01 {x} 0")
+
+
+def test_vanishing_block_on_a_resistive_branch_exits_4(tmp_path, capsys):
+    # at flat start dP/dtheta and dQ/dV of a purely resistive branch vanish:
+    # the full Jacobian is regular, but the LU does not pivot across blocks
+    # (here 1 x 1), so it stops instead of taking a wrong step
+    with pytest.raises(PowerFlowError, match="singular Jacobian block"):
+        newton_power_flow(parse_case(_resistive_case("0")))
+    path = tmp_path / "resistive.m"
+    path.write_text(_resistive_case("0"))
+    assert main(["pf", str(path)]) == EXIT_ESTIMATOR
+    assert "singular Jacobian block at iteration 0" in capsys.readouterr().err
+
+
+def test_inaccurate_block_step_is_rejected():
+    # a reactance far below the resistance leaves a tiny but nonzero dP/dtheta
+    # pivot: the block solve succeeds, and only the linear residual shows
+    # that its step is wrong
+    case = parse_case(_resistive_case("1e-15"))
+    equations = _NewtonEquations(case, build_admittance(case))
+    state = flat_start(case)
+    values, mismatch = equations.jacobian(state), equations.mismatch(state)
+    dense = np.linalg.solve(_dense_jacobian(equations, state), mismatch)
+    assert np.all(np.isfinite(dense))
+    with pytest.raises(PowerFlowError, match="inaccurate Newton step"):
+        equations.step(values, mismatch)
+    with pytest.raises(PowerFlowError, match="inaccurate Newton step .* at iteration 0"):
+        newton_power_flow(case)
