@@ -3,116 +3,67 @@
 Builds undetectable measurement attacks against weighted-least-squares state
 estimation, checks them against residual-based bad data detection, and
 quantifies the resulting line-flow impact.
+
+The package exports the library calls of README's Library section, the
+network and zone helpers that the benchmark's grid builders use, and the
+exceptions behind the CLI's exit codes. Everything else is reached through
+its module (`acfdi.estimation`, `acfdi.network`, ...).
 """
 
-from .attacks import (
-    AttackError,
-    AttackSpec,
-    AttackVector,
-    OverloadTarget,
-    SolverParams,
-    apply_attack,
-    assemble_attack_vector,
-    compute_falsified_injections,
-    design_attack,
-)
+from .attacks import AttackError, AttackSpec, OverloadTarget, apply_attack, design_attack
 from .estimation import (
-    BddPolicy,
-    BddVerdict,
     EstimationError,
-    EstimationResult,
     Layout,
     MeasurementSet,
-    chi_square_test,
-    chi_square_threshold,
-    eval_h,
-    eval_jacobian,
     full_layout,
     generate_measurements,
-    largest_normalized_residual,
     wls_estimate,
 )
-from .impact import ImpactReport, compute_impact, render_report
+from .impact import compute_impact, render_report
 from .network import (
-    AdmittanceModel,
     Branch,
-    Bus,
     CaseError,
-    CaseParseError,
-    CaseValidationError,
-    Gen,
     NetworkCase,
     build_admittance,
-    case_from_json,
     case_to_json,
     load_bundled_case39,
     load_case,
-    parse_case,
 )
-from .powerflow import (
-    BranchFlow,
-    PowerFlowError,
-    StateVector,
-    branch_flows,
-    bus_injection,
-    newton_power_flow,
-    solve_power_flow,
-)
-from .zones import AttackZone, ZoneError, build_zone, validate_zone
+from .powerflow import PowerFlowError, bus_injection, newton_power_flow, solve_power_flow
+from .zones import ZoneError, build_zone, validate_zone
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmittanceModel",
-    "AttackError",
+    # the library section of README
     "AttackSpec",
-    "AttackVector",
-    "AttackZone",
-    "BddPolicy",
-    "BddVerdict",
-    "Branch",
-    "BranchFlow",
-    "Bus",
-    "CaseError",
-    "CaseParseError",
-    "CaseValidationError",
-    "EstimationError",
-    "EstimationResult",
-    "Gen",
-    "ImpactReport",
     "Layout",
     "MeasurementSet",
-    "NetworkCase",
     "OverloadTarget",
-    "PowerFlowError",
-    "SolverParams",
-    "StateVector",
-    "ZoneError",
     "apply_attack",
-    "assemble_attack_vector",
-    "branch_flows",
-    "build_admittance",
-    "build_zone",
-    "bus_injection",
-    "case_from_json",
-    "case_to_json",
-    "chi_square_test",
-    "chi_square_threshold",
-    "compute_falsified_injections",
     "compute_impact",
     "design_attack",
-    "eval_h",
-    "eval_jacobian",
     "full_layout",
     "generate_measurements",
-    "largest_normalized_residual",
     "load_bundled_case39",
-    "load_case",
-    "newton_power_flow",
-    "parse_case",
     "render_report",
     "solve_power_flow",
     "validate_zone",
     "wls_estimate",
+    # grid building and set-up in bench/
+    "Branch",
+    "NetworkCase",
+    "build_admittance",
+    "build_zone",
+    "bus_injection",
+    "case_to_json",
+    "load_case",
+    "newton_power_flow",
+    # the exit-code exceptions
+    "AttackError",
+    "CaseError",
+    "EstimationError",
+    "PowerFlowError",
+    "ZoneError",
     "__version__",
 ]

@@ -130,7 +130,6 @@ def design_attack(
     base: StateVector,
     spec: AttackSpec,
     adm: AdmittanceModel | None = None,
-    layout: Layout | None = None,
 ) -> AttackVector:
     """Solve the attack-design problem and assemble the measurement deltas.
 
@@ -281,7 +280,7 @@ def design_attack(
         "target_flows": target_flows(x_attacked).tolist(),
         "target_bounds": [float(b) for b in bounds_flow],
     }
-    return assemble_attack_vector(case, base, x_attacked, zone, layout, adm, solver_info=info)
+    return assemble_attack_vector(case, base, x_attacked, zone, adm=adm, solver_info=info)
 
 
 def compute_falsified_injections(

@@ -1,9 +1,10 @@
 """Measurement generation, WLS AC state estimation, and bad data detection.
 
 The measurement function h maps a full voltage state to every metered
-quantity; the estimator inverts it by Gauss-Newton on the weighted normal
-equations. State ordering throughout: all non-slack angles (case bus order)
-followed by all magnitudes; the slack angle is pinned at zero and excluded.
+quantity; the estimator inverts it by damped Gauss-Newton on the weighted
+normal equations, under the trial rule it shares with the attack solver
+(`nlsolver.Damping`). State ordering throughout: all non-slack angles (case
+bus order) followed by all magnitudes; the slack angle is pinned at zero.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,6 +20,7 @@ from scipy import special
 
 from .banded import BlockBand, BlockCholesky, concat_ranges
 from .network import AdmittanceModel, NetworkCase, build_admittance
+from .nlsolver import Damping
 from .powerflow import StateVector
 
 KINDS = ("Pflow", "Qflow", "Pinj", "Qinj", "Vmag", "Vang")
@@ -137,6 +138,9 @@ class MeasurementSet:
             array = np.array(getattr(self, name), dtype=float)
             if array.shape != (len(self.layout),):
                 raise EstimationError(f"measurement {name} must have one entry per layout row")
+            bad = np.flatnonzero(~np.isfinite(array))
+            if len(bad):
+                raise EstimationError(f"measurement {self.layout.ids[bad[0]]}: {name[:-1]} is not finite")
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         if len(self.layout.position) != len(self.layout):
@@ -169,21 +173,6 @@ class MeasurementSet:
         ))
         return buf.getvalue()
 
-    def to_json(self) -> str:
-        rows = [
-            {**k._asdict(), "value": v, "variance": r}
-            for k, v, r in zip(self.layout.keys(), self.values.tolist(), self.variances.tolist())
-        ]
-        return json.dumps({"measurements": rows}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MeasurementSet":
-        rows = json.loads(text)["measurements"]
-        layout = Layout.from_keys(
-            MeasurementKey(*(r[field] for field in MeasurementKey._fields)) for r in rows
-        )
-        return cls(layout, [r["value"] for r in rows], [r["variance"] for r in rows])
-
 
 def measurement_set_from_csv(text: str, case: NetworkCase) -> MeasurementSet:
     """Rebuild a measurement set from CSV, resolving ids against the case layout."""
@@ -205,12 +194,15 @@ def measurement_set_from_csv(text: str, case: NetworkCase) -> MeasurementSet:
         if i is None:
             raise EstimationError(f"unknown measurement id {meas_id!r} for this case")
         try:
-            values.append(float(value))
-            variances.append(float(variance))
+            value, variance = float(value), float(variance)
         except ValueError:
+            value = variance = np.nan
+        if not (np.isfinite(value) and np.isfinite(variance)):
             raise EstimationError(
-                f"measurement CSV line {lineno}: value and variance must be numbers"
-            ) from None
+                f"measurement CSV line {lineno}: value and variance must be finite numbers"
+            )
+        values.append(value)
+        variances.append(variance)
         picked.append(i)
     return MeasurementSet(full.subset(picked), values, variances)
 
@@ -549,8 +541,8 @@ def generate_measurements(
         for k, s in sigmas.items():
             if k not in KINDS:
                 raise EstimationError(f"unknown measurement kind {k!r}")
-            if s < 0:
-                raise EstimationError("sigma must be >= 0")
+            if not s >= 0:
+                raise EstimationError(f"sigma of {k} must be >= 0")
             sig[k] = s
 
     truth = eval_h(adm, state, layout)
@@ -619,11 +611,11 @@ class BddVerdict:
 _UNOBSERVABLE = "measurement set is unobservable (rank-deficient gain)"
 
 
-def _factor(gain: tuple[np.ndarray, np.ndarray]) -> BlockCholesky:
+def _factor(gain: tuple[np.ndarray, np.ndarray], failure: str) -> BlockCholesky:
     try:
         return BlockCholesky(*gain)
     except np.linalg.LinAlgError:
-        raise EstimationError(_UNOBSERVABLE) from None
+        raise EstimationError(failure) from None
 
 
 def _require_observable(chol: BlockCholesky, n: int) -> None:
@@ -644,15 +636,25 @@ def wls_estimate(
     ms: MeasurementSet,
     case: NetworkCase,
     adm: AdmittanceModel | None = None,
-    init: StateVector | None = None,
     tol: float = 1e-10,
     max_iter: int = 50,
 ) -> EstimationResult:
-    """Gauss-Newton WLS estimation with backtracking on the weighted objective.
+    """WLS estimation from flat start by damped Gauss-Newton: the
+    Levenberg-Marquardt trial rule of `nlsolver.Damping`, which the attack
+    solver also uses.
 
-    Converges when the max state update falls below tol. Raises on a
-    rank-deficient (unobservable) layout or non-convergence.
+    Each iteration solves (G + mu I) dx = HᵀW r on the gain's band and
+    predicts the decrease dxᵀHᵀW r + mu |dx|² of J = rᵀW r. The pivot test
+    on the undamped gain of the first iteration decides observability;
+    after that a damped gain that does not factor is a rejected trial.
+    Converges on an accepted step below tol taken at the starting mu, or
+    when the predicted decrease is within rounding of J. Raises on an
+    unobservable layout, and on any other stop.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if adm is None:
         adm = build_admittance(case)
     n = 2 * case.n_bus - 1
@@ -663,59 +665,58 @@ def wls_estimate(
     z = ms.values
     w = 1.0 / ms.variances
 
-    if init is None:
-        x = np.concatenate([np.zeros(case.n_bus - 1), np.ones(case.n_bus)])
-    else:
-        x = model.x_of(init)
-
     def objective(xv: np.ndarray) -> tuple[float, np.ndarray]:
         r = z - model.h(model.state_of(xv))
         return float(r @ (w * r)), r
 
+    x = np.concatenate([np.zeros(case.n_bus - 1), np.ones(case.n_bus)])
     f_cur, r = objective(x)
     history = [f_cur]
-    converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
-        jac = model.jacobian_values(model.state_of(x))
-        chol = _factor(model.gain(jac, w))
-        if it == 1:
-            _require_observable(chol, n)
-        dx = model.solve(chol, model.transpose_times(jac, w * r))
-        if not np.all(np.isfinite(dx)):
-            raise EstimationError(_UNOBSERVABLE)
+    jac = model.jacobian_values(model.state_of(x))
+    diag, sub = model.gain(jac, w)
+    _require_observable(_factor((diag, sub), _UNOBSERVABLE), n)
+    damping = Damping(float(np.max(np.diagonal(diag, axis1=1, axis2=2))), ms.m)
 
-        alpha = 1.0
-        while True:
-            f_new, r_new = objective(x + alpha * dx)
-            if f_new <= f_cur + 1e-14 or alpha < 1e-4:
-                break
-            alpha *= 0.5
-        x = x + alpha * dx
-        f_cur, r = f_new, r_new
-        history.append(f_cur)
-        if np.max(np.abs(alpha * dx)) < tol:
-            converged = True
+    def solve(mu: float) -> tuple[np.ndarray, float] | None:
+        try:
+            chol = BlockCholesky(diag + mu * np.eye(len(diag[0])), sub)
+        except np.linalg.LinAlgError:
+            return None
+        dx = model.solve(chol, rhs)
+        return x + dx, float(dx @ rhs + mu * (dx @ dx))
+
+    for iterations in range(1, max_iter + 1):
+        rhs = model.transpose_times(jac, w * r)
+        step = damping.step(f_cur, solve, objective)
+        if step is None:
+            if damping.exhausted:
+                raise EstimationError(f"estimator found no step that lowers J = {f_cur:.6e}")
             break
-
-    if not converged:
+        x_new, f_cur, r, mu = step
+        moved = float(np.max(np.abs(x_new - x)))
+        x = x_new
+        history.append(f_cur)
+        jac = model.jacobian_values(model.state_of(x))
+        diag, sub = model.gain(jac, w)
+        if moved < tol and mu <= damping.mu_start:
+            break
+    else:
         raise EstimationError(
             f"estimator did not converge in {max_iter} iterations "
             f"(last objective {f_cur:.6e})"
         )
 
-    x_hat = model.state_of(x)
-    jac = model.jacobian_values(x_hat)
+    # jac and the gain are those at the estimate; residual covariance diag:
+    # R - H G^-1 H^T
     grad = 2.0 * model.transpose_times(jac, w * r)
-    # residual covariance diag: R - H G^-1 H^T
-    omega = ms.variances - model.leverage(jac, _factor(model.gain(jac, w)))
+    chol = _factor((diag, sub), "the gain does not factor at the estimate")
+    omega = ms.variances - model.leverage(jac, chol)
     critical = omega < CRITICAL_OMEGA
     r_norm = np.full(ms.m, np.nan)
     r_norm[~critical] = r[~critical] / np.sqrt(omega[~critical])
 
     return EstimationResult(
-        x_hat=x_hat,
+        x_hat=model.state_of(x),
         residual=r,
         j_statistic=f_cur,
         r_normalized=r_norm,

@@ -1,4 +1,5 @@
-"""Equality-constrained nonlinear least squares via an augmented Lagrangian.
+"""Equality-constrained nonlinear least squares via an augmented Lagrangian,
+and the damped Gauss-Newton trial rule that it and the WLS estimator share.
 
 The outer loop updates multipliers and grows the penalty tenfold whenever
 the constraint violation stalls. Each outer round minimises the augmented
@@ -13,19 +14,26 @@ Optimization, 2006, ch. 4, 10 and 17):
   d = -J^T (J J^T + mu I)^-1 r: d then lies exactly in the row space of J,
   so rounding in the inputs has no null-space direction to grow along.
 - Trial. Each trial costs one residual evaluation, at z_try = P(z + d)
-  with P the projection onto the bounds. It is accepted when the gain ratio
-  rho = (f - f_try) / (f - ||r + J (z_try - z)||^2), the actual over the
-  predicted decrease, exceeds a small constant and f_try falls below f by
-  more than rounding (1e-16 max(1, f)). A step whose predicted decrease is
-  negative (the projection can do that) is damped further without a trial.
-- Damping. Nielsen's update: on success mu *= max(1/3, 1 - (2 rho - 1)^3)
-  and nu = 2; on failure mu *= nu and nu doubles. Each round starts at,
-  and never goes below, mu = 1e-10 max(1, max diag J^T J).
+  with P the projection onto the bounds; its predicted decrease is
+  f - ||r + J (z_try - z)||^2. `Damping` judges it.
 - Stop. A round ends when the projected gradient vanishes; when no trial
-  is acceptable before mu passes its cap or the step degenerates (it
-  vanishes, or its predicted decrease is within rounding); or when an
-  accepted step moves less than tol_step although the damping had not
+  is acceptable before mu passes its cap or the step degenerates; or when
+  an accepted step moves less than tol_step although the damping had not
   shrunk it (mu at its starting value).
+
+`Damping` is the trial rule of both this solver and
+`estimation.wls_estimate` (Madsen, Nielsen and Tingleff, *Methods for
+Non-Linear Least Squares Problems*, 2004, sec. 3.2):
+
+- Acceptance. A trial is accepted when the gain ratio, the actual over the
+  predicted decrease, exceeds 1e-4 and the actual decrease beats the
+  rounding floor eps (1 + m f) of an f that sums m squares. A step whose
+  predicted decrease is within the floor has degenerated; one the model
+  calls uphill, or a non-finite one, is damped further without a trial.
+- Damping. Nielsen's update: on success mu *= max(1/3, 1 - (2 rho - 1)^3)
+  and nu = 2; on failure mu *= nu and nu doubles. mu starts at, and never
+  goes below, 1e-10 max(1, max diag J^T J), and past 1e12 times that scale
+  the caller gives up.
 
 Residuals and Jacobians come from separate callbacks. A trial is accepted or
 rejected on its residual alone; Jacobians are evaluated only at the start
@@ -47,8 +55,9 @@ ResidualFn = Callable[[np.ndarray], np.ndarray]
 JacobianFn = Callable[[np.ndarray], np.ndarray]
 
 _MU_START = 1e-10  # starting damping, relative to max(1, max diag J^T J)
-_MU_CAP = 1e12  # damping past which a round gives up, same scale
+_MU_CAP = 1e12  # damping past which the caller gives up, same scale
 _MIN_GAIN = 1e-4  # smallest gain ratio that accepts a trial
+_EPS = float(np.finfo(float).eps)
 
 
 class SolverError(RuntimeError):
@@ -82,6 +91,60 @@ class SolveResult:
     inner_iterations: int
     converged: bool
     rounds: tuple[RoundInfo, ...]
+
+
+class Damping:
+    """The trial rule of a damped Gauss-Newton iteration on an objective f
+    that sums `rows` squares, started where the Gauss-Newton matrix has
+    largest diagonal entry `gn_diag_max`. It keeps mu and nu across steps and
+    counts the accepted steps and rejected trials."""
+
+    def __init__(self, gn_diag_max: float, rows: int):
+        self.scale = max(1.0, gn_diag_max)
+        self.mu = self.mu_start = _MU_START * self.scale
+        self.nu = 2.0
+        self.rows = rows
+        self.accepted = self.rejected = 0
+
+    @property
+    def exhausted(self) -> bool:
+        return self.mu > _MU_CAP * self.scale
+
+    def floor(self, f: float) -> float:
+        """The rounding level of f: eps (1 + rows f)."""
+        return _EPS * (1.0 + self.rows * f)
+
+    def step(self, f: float, solve: Callable, evaluate: Callable) -> tuple | None:
+        """The first acceptable trial from a point where the objective is f.
+
+        solve(mu) gives the trial point of the step damped by mu and its
+        predicted decrease, or None when the damped system does not solve;
+        evaluate(point) gives the objective there and what the caller keeps
+        of it. Returns (point, objective, kept, mu) of the accepted trial, or
+        None when the step degenerates or, as `exhausted` then tells, mu
+        passes its cap.
+        """
+        floor = self.floor(f)
+        while not self.exhausted:
+            mu = self.mu
+            solved = solve(mu)
+            if solved is not None:
+                point, predicted = solved
+                if 0.0 <= predicted <= floor:
+                    return None  # the step degenerated
+                if predicted > 0.0:  # an uphill or non-finite one is not tried
+                    f_try, kept = evaluate(point)
+                    gain = (f - f_try) / predicted
+                    if gain > _MIN_GAIN and f_try < f - floor:
+                        shrink = max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                        self.mu = max(self.mu_start, mu * shrink)
+                        self.nu = 2.0
+                        self.accepted += 1
+                        return point, f_try, kept, mu
+                    self.rejected += 1
+            self.mu *= self.nu
+            self.nu *= 2.0
+        return None
 
 
 def _project(z: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -141,10 +204,7 @@ def solve_constrained(
     for outer in range(1, max_outer + 1):
         r, jac = residual(z, c), jacobian(z)
         f_cur = float(r @ r)
-        scale = max(1.0, float(np.max(np.einsum("ij,ij->j", jac, jac), initial=0.0)))
-        mu = mu_start = _MU_START * scale
-        nu = 2.0
-        accepted = rejected = 0
+        damping = Damping(float(np.max(np.einsum("ij,ij->j", jac, jac), initial=0.0)), len(r))
         for _ in range(max_inner):
             total_inner += 1
             grad = 2.0 * jac.T @ r
@@ -158,47 +218,34 @@ def solve_constrained(
             wide = jf.shape[0] < jf.shape[1]
             gram = jf @ jf.T if wide else jf.T @ jf
             eye = np.eye(len(gram))
-            floor = 1e-16 * max(1.0, f_cur)
-            step = None
-            while mu <= _MU_CAP * scale:
+
+            def solve(mu: float) -> tuple[np.ndarray, float]:
                 d = np.zeros(nz)
                 if wide:
                     d[free] = -jf.T @ np.linalg.solve(gram + mu * eye, r)
                 else:
                     d[free] = np.linalg.solve(gram + mu * eye, -0.5 * grad[free])
                 z_try = _project(z + d, lower, upper)
-                dz = z_try - z
-                lin = r + jac @ dz
-                predicted = f_cur - float(lin @ lin)
-                if not np.any(dz) or 0.0 <= predicted <= floor:
-                    break  # the step degenerated
-                # a step the model calls uphill (or a non-finite one) is
-                # damped further without an evaluation
-                if predicted > floor:
-                    c_try = constraints(z_try)
-                    r_try = residual(z_try, c_try)
-                    f_try = float(r_try @ r_try)
-                    gain = (f_cur - f_try) / predicted
-                    if gain > _MIN_GAIN and f_try < f_cur - floor:
-                        step = (z_try, c_try, r_try, f_try, mu)
-                        mu = max(mu_start, mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3))
-                        nu = 2.0
-                        break
-                    rejected += 1
-                mu *= nu
-                nu *= 2.0
+                lin = r + jac @ (z_try - z)
+                return z_try, f_cur - float(lin @ lin)
+
+            def evaluate(z_try: np.ndarray) -> tuple[float, tuple]:
+                c_try = constraints(z_try)
+                r_try = residual(z_try, c_try)
+                return float(r_try @ r_try), (c_try, r_try)
+
+            step = damping.step(f_cur, solve, evaluate)
             if step is None:
                 break
-            accepted += 1
-            z_new, c, r, f_cur, mu_used = step
+            z_new, f_cur, (c, r), mu_used = step
             moved = float(np.max(np.abs(z_new - z)))
             z = z_new
-            if moved < tol_step and mu_used <= mu_start:
+            if moved < tol_step and mu_used <= damping.mu_start:
                 break
             jac = jacobian(z)
 
         violation = float(np.max(np.abs(c))) if len(c) else 0.0
-        rounds.append(RoundInfo(violation, rho, accepted, rejected))
+        rounds.append(RoundInfo(violation, rho, damping.accepted, damping.rejected))
         if violation < tol_eq:
             r_obj = objective(z) if objective is not None else np.zeros(0)
             return SolveResult(

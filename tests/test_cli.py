@@ -285,6 +285,18 @@ def _non_numeric_csv_value(tmp_path):
     return ["estimate", "case39", str(path)], "line 2"
 
 
+def _nan_csv_value(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("id,kind,location,value,variance\nPinj:1,Pinj,1,0.0,1e-4\nPinj:2,Pinj,2,nan,1e-4\n")
+    return ["estimate", "case39", str(path)], "line 3"
+
+
+def _infinite_csv_variance(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("id,kind,location,value,variance\nPinj:1,Pinj,1,0.0,inf\n")
+    return ["estimate", "case39", str(path)], "line 2"
+
+
 def _target_without_from(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({**SCENARIO, "targets": [{"to": 27, "lambda": 1.3}]}))
@@ -369,7 +381,8 @@ def _zone_file_with_string_ids(tmp_path):
 @pytest.mark.parametrize(
     "make_input",
     [
-        _four_column_csv, _non_numeric_csv_value, _target_without_from, _zone_without_boundary,
+        _four_column_csv, _non_numeric_csv_value, _nan_csv_value, _infinite_csv_variance,
+        _target_without_from, _zone_without_boundary,
         _targets_not_a_list, _sigmas_not_an_object, _seeds_not_an_object,
         _scenario_zone_with_string_ids, _formats_not_a_list, _zone_file_with_string_ids,
         _pf_tol_not_a_number, _solver_max_outer_not_an_integer, _pf_max_iter_zero,

@@ -4,7 +4,7 @@ import pytest
 import acfdi.attacks
 import reference39 as ref
 from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, design_attack
-from acfdi.nlsolver import _MIN_GAIN, SolverError, solve_constrained
+from acfdi.nlsolver import _MIN_GAIN, Damping, SolverError, solve_constrained
 
 A = np.array([0.3, -1.2, 2.5, 0.7])
 
@@ -83,7 +83,7 @@ def test_jacobians_are_evaluated_only_at_the_start_and_accepted_iterates():
         r_try, _ = stacked(z)
         f_try = float(r_try @ r_try)
         gain = (f_cur - f_try) / (f_cur - float(lin @ lin))
-        if gain > _MIN_GAIN and f_try < f_cur - 1e-16 * max(1.0, f_cur):
+        if gain > _MIN_GAIN and f_try < f_cur - Damping(0.0, len(r)).floor(f_cur):
             iterates.append(z)
         else:
             rejected += 1
