@@ -40,6 +40,12 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
 
 
+def read_only(*arrays: np.ndarray) -> None:
+    """Mark arrays that many objects share as read-only."""
+    for array in arrays:
+        array.flags.writeable = False
+
+
 def rcm_order(dim: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Reverse Cuthill-McKee order of a symmetric pattern with cells (i, j).
 
@@ -82,7 +88,8 @@ class BlockBand:
     positions are cut into nb = ceil(dim / b) blocks, the last one padded.
     Values live in flat storage of b x b blocks [sub | diag | super]: the
     nb - 1 blocks below the diagonal, the nb diagonal blocks, the nb - 1
-    above. A symmetric matrix stores only [sub | diag].
+    above. A symmetric matrix stores only [sub | diag]. The layout's arrays
+    are read-only.
     """
 
     def __init__(self, dim: int, i: np.ndarray, j: np.ndarray):
@@ -94,6 +101,7 @@ class BlockBand:
         self.blocks = -(-dim // self.size)
         pad = np.arange(dim, self.blocks * self.size)
         self.pad_slot = self._slot_at(pad, pad)  # diagonal slots of the padding
+        read_only(self.order, self.pos, self.pad_slot)
 
     def _slot_at(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         b, nb = self.size, self.blocks

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
-from .banded import BlockBand, BlockCholesky, concat_ranges
+from .banded import BlockBand, BlockCholesky, concat_ranges, read_only
 from .network import AdmittanceModel, NetworkCase, build_admittance
 from .nlsolver import Damping
 from .powerflow import StateVector
@@ -234,6 +233,30 @@ def full_layout(case: NetworkCase, kinds: tuple[str, ...] = KINDS) -> Layout:
 # estimator each reuse one layout, so a few entries cover every caller
 _COMPILED_PER_MODEL = 8
 
+# entries kept by `shared`: a scenario reads six per topology (the full
+# layout, the Newton pattern and four layout patterns), so this covers two
+# grids at once; each entry is integer structure, 3.5 MB at most at n = 312
+# (the full layout's pattern with its gain band)
+_SHARED_LIMIT = 16
+_shared: dict[tuple, object] = {}
+
+
+def shared(key: tuple, build):
+    """The value kept under key, built by build() on a miss; the least
+    recently used entry is dropped past _SHARED_LIMIT.
+
+    A key starts with an `AdmittanceModel.topology`, so every admittance
+    model of one grid shares what is kept: full layouts, layout patterns and
+    Newton-Raphson patterns. None of them holds an admittance model, a case
+    or an admittance value, so a dropped model is still freed."""
+    value = _shared.pop(key, None)
+    if value is None:
+        value = build()
+        if len(_shared) >= _SHARED_LIMIT:
+            del _shared[next(iter(_shared))]
+    _shared[key] = value
+    return value
+
 
 class _GainCells(NamedTuple):
     """Where the row pairs of one layout sit in the gain's [sub | diag] storage."""
@@ -244,27 +267,22 @@ class _GainCells(NamedTuple):
     summed_slot: np.ndarray
 
 
-class MeasurementModel:
-    """A measurement layout compiled against one admittance model.
+class LayoutPattern:
+    """A measurement layout compiled against a network topology: every index
+    array of a `MeasurementModel` and none of its values.
+
+    Of the admittance model it reads only what `AdmittanceModel.topology`
+    holds -- bus positions, the slack and each branch's ends -- so the
+    models of one grid under any loads or admittance values share one
+    pattern (`layout_pattern`). Its arrays are read-only.
 
     Compilation turns the layout into index arrays once: where each row of h
     is gathered from, and where each Jacobian entry sits on the sparsity
     pattern of Ybus, Yf and Yt (MATPOWER's dSbus_dV/dSbr_dV formulation,
     Zimmerman, Murillo-Sanchez and Thomas, IEEE Trans. Power Syst. 2011).
-    It also stacks the k rows of Ybus, Yf and Yt that the layout reads into
-    one dense k x n block (`y_rows`), so every evaluation makes one O(k n)
-    matvec for its currents instead of three full ones. Evaluation is then
-    loop-free. Each row of that matvec rounds as the same row of the full
-    product does, and each derivative entry repeats the elementwise
-    arithmetic of the dense formulas, so h and the Jacobian match them bit
-    for bit.
-
-    The model also owns the state packing x = [non-slack angles (case bus
-    order) | all magnitudes] and the row-pair index that assembles the gain
-    HᵀWH and the leverages diag(H G⁻¹ Hᵀ) from the Jacobian's nonzeros. The
-    gain is kept in the block-tridiagonal band of an RCM order of its
-    pattern, factored by `banded.BlockCholesky`, and the leverages read the
-    factor's selected inverse, so no dense (2n - 1)² matrix is formed.
+    It also says where each of the k current rows the layout reads comes
+    from: Ybus rows at its injection buses, then Yf rows at its from-end
+    flows and Yt rows at its to-end flows, built from the branch stamps.
     """
 
     def __init__(self, adm: AdmittanceModel, layout: Layout):
@@ -288,9 +306,7 @@ class MeasurementModel:
         imag = (kind == 1) | (kind == 3)
 
         # the current rows the layout reads, keyed by bus position for Ybus
-        # rows, n + branch for Yf rows and n + nl + branch for Yt rows; the
-        # model holds its own copy of them, not the AdmittanceModel that
-        # caches it, so a dropped AdmittanceModel is freed without a cycle
+        # rows, n + branch for Yf rows and n + nl + branch for Yt rows
         reads = flow | inj
         row_key = np.where(flow, n + np.where(from_side, 0, nl) + where, where)
         keys, cur_of_read = np.unique(row_key[reads], return_inverse=True)
@@ -302,17 +318,20 @@ class MeasurementModel:
         br = np.where(to_end, br - nl, br)
         # numpy sends a one-row product to dot, which rounds differently from
         # the gemv of the full products; a zero second row keeps it on gemv
-        y = np.zeros((len(keys) + (len(keys) == 1), n), dtype=complex)
-        y[: len(bus)] = adm.ybus[bus]
-        branch_rows = np.arange(len(bus), len(keys))
-        y[branch_rows, f[br]] = np.where(to_end, adm.ytf[br], adm.yff[br])
-        y[branch_rows, t[br]] = np.where(to_end, adm.ytt[br], adm.yft[br])
-        self.y_rows = y
-        self._own = np.zeros(len(y), dtype=int)  # bus of each row's voltage
+        self._y_shape = (len(keys) + (len(keys) == 1), n)
+        self._y_bus = bus
+        # the branch cells of y_rows, flat, and the entry of the stacked
+        # stamps [yff | yft | ytf | ytt] each one copies
+        branch_rows = np.arange(len(bus), len(keys)) * n
+        self._y_cells = np.concatenate([branch_rows + f[br], branch_rows + t[br]])
+        self._y_stamp = np.concatenate(
+            [np.where(to_end, 2, 0) * nl + br, np.where(to_end, 3, 1) * nl + br]
+        )
+        self._own = np.zeros(self._y_shape[0], dtype=int)  # bus of each row's voltage
         self._own[: len(keys)] = np.concatenate([bus, np.where(to_end, t[br], f[br])])
 
         # h gathers from [P of each current row | Q of each | vm | va]
-        width = len(y)
+        width = self._y_shape[0]
         offset = np.array([0, width, 0, width, 2 * width, 2 * width + n])
         self._h_index = offset[kind] + np.where(reads, cur, where)
 
@@ -326,11 +345,11 @@ class MeasurementModel:
         b_row = np.repeat(inj_rows, counts)
         self._b_own = where[b_row]
         self._b_col = ybus_col[cells]
-        self._b_y = adm.ybus[self._b_own, self._b_col]
         self._b_diag = np.flatnonzero(self._b_col == self._b_own)
         self._b_cur = cur[b_row[self._b_diag]]
 
-        # derivative entries of flow rows: both ends of the row's branch
+        # derivative entries of flow rows: both ends of the row's branch,
+        # each the stamp [yff | yft | ytf | ytt] of its end and side
         flow_rows = np.flatnonzero(flow)
         r_row = np.repeat(flow_rows, 2)
         k = where[r_row]
@@ -338,11 +357,7 @@ class MeasurementModel:
         r_from = from_side[r_row]
         self._r_own = np.where(r_from, f[k], t[k])
         self._r_col = np.where(at_f, f[k], t[k])
-        self._r_y = np.where(
-            at_f,
-            np.where(r_from, adm.yff[k], adm.ytf[k]),
-            np.where(r_from, adm.yft[k], adm.ytt[k]),
-        )
+        self._r_stamp = (np.where(r_from, 0, 2) + np.where(at_f, 0, 1)) * nl + k
         self._r_diag = np.flatnonzero(self._r_col == self._r_own)
         self._r_cur = cur[r_row[self._r_diag]]
 
@@ -369,6 +384,7 @@ class MeasurementModel:
         ])
         order = np.lexsort((cols, rows))
         self.rows, self.cols, self._source = rows[order], cols[order], source[order]
+        read_only(*(a for a in vars(self).values() if isinstance(a, np.ndarray)))
 
     @functools.cached_property
     def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -381,7 +397,9 @@ class MeasurementModel:
         step = concat_ranges(np.zeros(self.m, dtype=int), sq)
         width = np.repeat(per_row, sq)
         start = np.repeat(row_ptr[:-1], sq)
-        return np.repeat(np.arange(self.m), sq), start + step // width, start + step % width
+        pairs = np.repeat(np.arange(self.m), sq), start + step // width, start + step % width
+        read_only(*pairs)
+        return pairs
 
     @functools.cached_property
     def _band(self) -> BlockBand:
@@ -399,44 +417,90 @@ class MeasurementModel:
         _, a, b = self._pairs
         slot, kept = self._band.lower_slot(self.cols[a], self.cols[b])
         kept = np.flatnonzero(kept)
-        return _GainCells(slot, a[kept], b[kept], slot[kept])
+        cells = _GainCells(slot, a[kept], b[kept], slot[kept])
+        read_only(*cells)
+        return cells
+
+
+def layout_pattern(adm: AdmittanceModel, layout: Layout) -> LayoutPattern:
+    """The pattern of layout on adm's topology, built once and shared."""
+    return shared((adm.topology, layout.signature), lambda: LayoutPattern(adm, layout))
+
+
+class MeasurementModel:
+    """A measurement layout compiled against one admittance model: the
+    layout's `LayoutPattern`, shared by every model of the topology, plus
+    three gathers of this model's admittance values.
+
+    `y_rows` stacks the k rows of Ybus, Yf and Yt that the layout reads into
+    one dense k x n block, so every evaluation makes one O(k n) matvec for
+    its currents instead of three full ones; `_b_y` and `_r_y` are the
+    admittances of the injection and flow derivative entries. Evaluation is
+    then loop-free. Each row of that matvec rounds as the same row of the
+    full product does, and each derivative entry repeats the elementwise
+    arithmetic of the dense formulas, so h and the Jacobian match them bit
+    for bit. The model holds its own copy of the values, not the
+    AdmittanceModel that caches it, so a dropped AdmittanceModel is freed
+    without a cycle.
+
+    The model also owns the state packing x = [non-slack angles (case bus
+    order) | all magnitudes] and the row-pair index that assembles the gain
+    HᵀWH and the leverages diag(H G⁻¹ Hᵀ) from the Jacobian's nonzeros. The
+    gain is kept in the block-tridiagonal band of an RCM order of its
+    pattern, factored by `banded.BlockCholesky`, and the leverages read the
+    factor's selected inverse, so no dense (2n - 1)² matrix is formed.
+    """
+
+    def __init__(self, adm: AdmittanceModel, layout: Layout):
+        p = self.pattern = layout_pattern(adm, layout)
+        self.m, self.n_state, self.rows, self.cols = p.m, p.n_state, p.rows, p.cols
+        stamps = np.concatenate([adm.yff, adm.yft, adm.ytf, adm.ytt])
+        y = np.zeros(p._y_shape, dtype=complex)
+        y[: len(p._y_bus)] = adm.ybus[p._y_bus]
+        y.ravel()[p._y_cells] = stamps[p._y_stamp]
+        self.y_rows = y
+        self._b_y = adm.ybus[p._b_own, p._b_col]
+        self._r_y = stamps[p._r_stamp]
 
     def state_columns(self, positions: np.ndarray) -> np.ndarray:
         """Columns of x holding the angles, then the magnitudes, of the buses
         at these positions; the slack bus has no angle column."""
-        angles = np.searchsorted(self._ang_pos, positions)
-        return np.concatenate([angles, len(self._ang_pos) + positions])
+        ang_pos = self.pattern._ang_pos
+        return np.concatenate([np.searchsorted(ang_pos, positions), len(ang_pos) + positions])
 
     def x_of(self, state: StateVector) -> np.ndarray:
-        return np.concatenate([state.va[self._ang_pos], state.vm])
+        return np.concatenate([state.va[self.pattern._ang_pos], state.vm])
 
     def state_of(self, x: np.ndarray) -> StateVector:
-        n_ang = len(self._ang_pos)
+        p = self.pattern
+        n_ang = len(p._ang_pos)
         va = np.zeros(n_ang + 1)
-        va[self._ang_pos] = x[:n_ang]
-        return StateVector(self._bus_ids, x[n_ang:].copy(), va)
+        va[p._ang_pos] = x[:n_ang]
+        return StateVector(p._bus_ids, x[n_ang:].copy(), va)
 
     def h(self, state: StateVector) -> np.ndarray:
+        p = self.pattern
         v = state.complex_voltages()
-        s = v[self._own] * np.conj(self.y_rows @ v)
-        return np.concatenate((s.real, s.imag, state.vm, state.va))[self._h_index]
+        s = v[p._own] * np.conj(self.y_rows @ v)
+        return np.concatenate((s.real, s.imag, state.vm, state.va))[p._h_index]
 
     def jacobian_values(self, state: StateVector) -> np.ndarray:
         """Nonzeros of the Jacobian at (self.rows, self.cols)."""
+        p = self.pattern
         v = state.complex_voltages()
         vnorm = v / np.abs(v)
         current = self.y_rows @ v
 
-        own, col, diag = self._b_own, self._b_col, self._b_diag
-        ibus = current[self._b_cur]
+        own, col, diag = p._b_own, p._b_col, p._b_diag
+        ibus = current[p._b_cur]
         at_diag = np.zeros(len(own), dtype=complex)
         at_diag[diag] = v[own[diag]] * np.conj(ibus)
         b_va = 1j * (at_diag - v[own] * np.conj(self._b_y * v[col]))
         at_diag[diag] = np.conj(ibus) * vnorm[own[diag]]
         b_vm = v[own] * np.conj(self._b_y * vnorm[col]) + at_diag
 
-        own, col, diag = self._r_own, self._r_col, self._r_diag
-        ibranch = current[self._r_cur]
+        own, col, diag = p._r_own, p._r_col, p._r_diag
+        ibranch = current[p._r_cur]
         r_va = -1j * v[own] * np.conj(self._r_y * v[col])
         r_va[diag] += 1j * np.conj(ibranch) * v[own[diag]]
         r_vm = v[own] * np.conj(self._r_y * vnorm[col])
@@ -445,11 +509,11 @@ class MeasurementModel:
         d_va = np.concatenate([b_va, r_va])
         d_vm = np.concatenate([b_vm, r_vm])
         values = np.concatenate([
-            np.where(self._e_imag, d_va.imag, d_va.real),
-            np.where(self._e_imag, d_vm.imag, d_vm.real),
+            np.where(p._e_imag, d_va.imag, d_va.real),
+            np.where(p._e_imag, d_vm.imag, d_vm.real),
             [1.0],
         ])
-        return values[self._source]
+        return values[p._source]
 
     def jacobian(self, state: StateVector) -> np.ndarray:
         jac = np.zeros((self.m, self.n_state))
@@ -461,7 +525,7 @@ class MeasurementModel:
         blocks and the blocks below them of its block-tridiagonal band (the
         storage `BlockCholesky` takes). The dimension is padded to whole
         blocks with identity rows."""
-        band, cells = self._band, self._gain_cells
+        band, cells = self.pattern._band, self.pattern._gain_cells
         weighted = values * w[self.rows]
         g = np.bincount(
             cells.summed_slot,
@@ -474,7 +538,8 @@ class MeasurementModel:
 
     def solve(self, chol: BlockCholesky, rhs: np.ndarray) -> np.ndarray:
         """G⁻¹ rhs in state order, from the factor of `gain`."""
-        return self._band.scatter(chol.solve(self._band.gather(rhs)))
+        band = self.pattern._band
+        return band.scatter(chol.solve(band.gather(rhs)))
 
     def transpose_times(self, values: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Hᵀy from the Jacobian's nonzeros."""
@@ -485,10 +550,10 @@ class MeasurementModel:
 
         Two columns that share a row share a gain cell, so every G⁻¹ entry
         read here lies in the band of the selected inverse."""
-        row, a, b = self._pairs
+        row, a, b = self.pattern._pairs
         z_diag, z_sub = chol.selected_inverse()
         g_inv = np.concatenate([z_sub.ravel(), z_diag.ravel()])
-        terms = values[a] * g_inv[self._gain_cells.slot] * values[b]
+        terms = values[a] * g_inv[self.pattern._gain_cells.slot] * values[b]
         return np.bincount(row, weights=terms, minlength=self.m)
 
 
@@ -497,7 +562,8 @@ def measurement_model(adm: AdmittanceModel, layout: Layout) -> MeasurementModel:
 
     The cache is keyed by the layout's signature, which each Layout computes
     once, so a lookup is one dict probe, and layouts built apart with the
-    same rows (both attack modes' constraint rows) share one model."""
+    same rows (both attack modes' constraint rows) share one model. A new
+    model of a topology seen before only gathers its values."""
     cache = adm.compiled_layouts
     model = cache.get(layout.signature)
     if model is None:
@@ -733,6 +799,10 @@ def wls_estimate(
 def chi_square_threshold(confidence: float, dof: int) -> float:
     if dof < 1:
         raise EstimationError("chi-square test needs dof >= 1")
+    # imported on first use: scipy.special adds about 0.4 s to the start-up
+    # of every command that runs no chi-square test
+    from scipy import special
+
     # scipy's own chi2.ppf formula; chdtri(dof, 1 - confidence) differs in
     # the last bits for some confidences because 1 - confidence rounds
     return float(2.0 * special.gammaincinv(dof / 2.0, confidence))

@@ -370,18 +370,32 @@ class AdmittanceModel:
     ytt: np.ndarray
     f_idx: np.ndarray  # from-bus positional indices
     t_idx: np.ndarray
-    # measurement layouts compiled against this model, filled by
-    # acfdi.estimation.measurement_model and dropped with it
+    # measurement models of this model's admittance values, keyed by layout
+    # signature: filled by acfdi.estimation.measurement_model, each one a
+    # shared topology pattern plus its own value gathers, dropped with it
     compiled_layouts: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @functools.cached_property
+    def topology(self) -> bytes:
+        """What every index array built for this model depends on, as bytes:
+        the bus ids and kinds in case order, the slack position and each
+        in-service branch's end positions. Models of one grid under other
+        loads or admittance values share it."""
+        case = self.case
+        sizes = [case.n_bus, len(self.branches), case.bus_index(case.slack_bus)]
+        ids = [b.id for b in case.buses]
+        kinds = [BUS_KINDS.index(b.kind) for b in case.buses]
+        parts = (sizes, ids, kinds, self.f_idx, self.t_idx)
+        return np.concatenate(parts).astype(np.int64).tobytes()
 
     @functools.cached_property
     def full_layout(self):
         """The case's full measurement layout (`acfdi.estimation.full_layout`),
-        built on first use, so that every caller shares one Layout and the
-        model compiled from it."""
-        from .estimation import full_layout  # estimation imports this module
+        built once per topology and shared, so that every caller shares one
+        Layout and the model compiled from it."""
+        from .estimation import full_layout, shared  # estimation imports this module
 
-        return full_layout(self.case)
+        return shared((self.topology, "full layout"), lambda: full_layout(self.case))
 
     @functools.cached_property
     def position(self) -> dict[int, int]:

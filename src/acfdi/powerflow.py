@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .banded import BlockBand, block_lu_solve
+from .banded import BlockBand, block_lu_solve, read_only
 from .network import AdmittanceModel, NetworkCase, build_admittance
 
 
@@ -141,6 +141,38 @@ def scheduled_injections(case: NetworkCase) -> tuple[np.ndarray, np.ndarray]:
 _STEP_RESIDUAL_BOUND = 1e-10
 
 
+class _NewtonPattern:
+    """What the Newton equations take from the topology alone: the layout of
+    their rows, the PV and PQ positions, the Jacobian's kept entries and
+    their band layout. Built once per topology (`estimation.shared`), from
+    the bus kinds of adm's case; holds no admittance model or value."""
+
+    def __init__(self, adm: AdmittanceModel):
+        # imported here because estimation imports StateVector from this module
+        from .estimation import KIND_CODE, Layout, layout_pattern
+
+        buses = adm.case.buses
+        kinds = np.array([b.kind for b in buses])
+        self.pq = np.flatnonzero(kinds == "PQ")
+        self.pvpq = np.flatnonzero(kinds != "slack")
+        self.layout = Layout.from_rows(
+            [(f"Pinj:{buses[i].id}", KIND_CODE["Pinj"], buses[i].id, False) for i in self.pvpq]
+            + [(f"Qinj:{buses[i].id}", KIND_CODE["Qinj"], buses[i].id, False) for i in self.pq]
+        )
+        pattern = layout_pattern(adm, self.layout)
+        self.m = pattern.m
+        n_ang = len(self.pvpq)
+        column = np.full(pattern.n_state, -1)
+        column[:n_ang] = np.arange(n_ang)
+        column[n_ang + self.pq] = n_ang + np.arange(len(self.pq))
+        self.kept = np.flatnonzero(column[pattern.cols] >= 0)
+        self.rows = pattern.rows[self.kept]
+        self.cols = column[pattern.cols[self.kept]]
+        self.band = BlockBand(self.m, self.rows, self.cols)
+        self.slot = self.band.slot(self.rows, self.cols)
+        read_only(self.pq, self.pvpq, self.kept, self.rows, self.cols, self.slot)
+
+
 class _NewtonEquations:
     """The power-flow mismatch and its Jacobian as functions of the state,
     and the Newton step they give.
@@ -153,34 +185,18 @@ class _NewtonEquations:
     (P with angle, Q with magnitude), and two buses share a cell only where
     Ybus couples them, so the pattern is structurally symmetric: the step is
     a block LU over its `banded.BlockBand` layout, no dense m x m solve.
+    Everything but the scheduled injections and the model's values comes
+    from the topology's `_NewtonPattern`.
     """
 
     def __init__(self, case: NetworkCase, adm: AdmittanceModel):
-        # imported here because estimation imports StateVector from this module
-        from .estimation import KIND_CODE, Layout, measurement_model
+        from .estimation import measurement_model, shared
 
-        kinds = [b.kind for b in case.buses]
-        self.pq = [i for i, k in enumerate(kinds) if k == "PQ"]
-        self.pvpq = [i for i, k in enumerate(kinds) if k in ("PV", "PQ")]
-
-        ids = [b.id for b in case.buses]
-        self._model = measurement_model(
-            adm,
-            Layout.from_rows(
-                [(f"Pinj:{ids[i]}", KIND_CODE["Pinj"], ids[i], False) for i in self.pvpq]
-                + [(f"Qinj:{ids[i]}", KIND_CODE["Qinj"], ids[i], False) for i in self.pq]
-            ),
-        )
-        self.m = self._model.m
-        n_ang = len(self.pvpq)
-        column = np.full(self._model.n_state, -1)
-        column[:n_ang] = np.arange(n_ang)
-        column[n_ang + np.array(self.pq, dtype=int)] = n_ang + np.arange(len(self.pq))
-        self._kept = np.flatnonzero(column[self._model.cols] >= 0)
-        self.rows = self._model.rows[self._kept]
-        self.cols = column[self._model.cols[self._kept]]
-        self._band = BlockBand(self.m, self.rows, self.cols)
-        self._slot = self._band.slot(self.rows, self.cols)
+        shape = shared((adm.topology, "newton"), lambda: _NewtonPattern(adm))
+        self.pq, self.pvpq, self.m = shape.pq, shape.pvpq, shape.m
+        self.rows, self.cols = shape.rows, shape.cols
+        self._kept, self._band, self._slot = shape.kept, shape.band, shape.slot
+        self._model = measurement_model(adm, shape.layout)
         p_sched, q_sched = scheduled_injections(case)
         self._scheduled = np.concatenate([p_sched[self.pvpq], q_sched[self.pq]])
 
@@ -230,7 +246,7 @@ def newton_power_flow(
     limits are not enforced. Raises on non-convergence, a singular Jacobian
     block or an inaccurate step.
     """
-    if tol <= 0:
+    if not tol > 0:  # written so that a nan tolerance fails too
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

@@ -53,7 +53,7 @@ def grid(request):
 
 
 def _band_positions(model):
-    order = model._band.order
+    order = model.pattern._band.order
     pos = np.empty(len(order), dtype=int)
     pos[order] = np.arange(len(order))
     return pos
@@ -69,12 +69,12 @@ def test_rcm_bandwidth_within_tenth_of_scipy(grid):
     pattern = _dense_gain(adm, ms, state) != 0
     i, j = np.nonzero(pattern)
     pos = _band_positions(model)
-    assert np.array_equal(np.sort(model._band.order), np.arange(model.n_state))
-    assert np.max(np.abs(pos[i] - pos[j])) <= model._band.size
+    assert np.array_equal(np.sort(model.pattern._band.order), np.arange(model.n_state))
+    assert np.max(np.abs(pos[i] - pos[j])) <= model.pattern._band.size
     oracle = reverse_cuthill_mckee(csr_matrix(pattern), symmetric_mode=True)
     oracle_pos = np.empty_like(oracle)
     oracle_pos[oracle] = np.arange(len(oracle))
-    assert model._band.size <= 1.1 * np.max(np.abs(oracle_pos[i] - oracle_pos[j]))
+    assert model.pattern._band.size <= 1.1 * np.max(np.abs(oracle_pos[i] - oracle_pos[j]))
 
 
 def test_lattice_bandwidth_grows_with_its_side():
@@ -84,7 +84,7 @@ def test_lattice_bandwidth_grows_with_its_side():
         adm = build_admittance(case)
         base = newton_power_flow(case, adm).state
         ms = generate_measurements(case, base, seed=0, adm=adm)
-        sizes.append(measurement_model(adm, ms.layout)._band.size)
+        sizes.append(measurement_model(adm, ms.layout).pattern._band.size)
     assert sizes[1] >= 1.8 * sizes[0], sizes
 
 
@@ -103,9 +103,9 @@ def test_selected_inverse_matches_dense_on_band(grid):
     values = model.jacobian_values(state)
     chol = BlockCholesky(*model.gain(values, 1.0 / ms.variances))
     z_diag, z_sub = chol.selected_inverse()
-    size, n = model._band.size, model.n_state
+    size, n = model.pattern._band.size, model.n_state
     padded = np.full(len(z_diag) * size, -1)
-    padded[:n] = model._band.order
+    padded[:n] = model.pattern._band.order
     expected = np.linalg.inv(_dense_gain(adm, ms, state))
     scale = np.max(np.abs(expected))
     for k, block in enumerate(z_diag):
@@ -145,9 +145,9 @@ def test_band_keeps_cells_that_are_zero_at_flat_start():
     oracle = reverse_cuthill_mckee(csr_matrix(gain != 0), symmetric_mode=True)
     oracle_pos = np.empty_like(oracle)
     oracle_pos[oracle] = np.arange(len(oracle))
-    assert model._band.size <= 1.1 * np.max(np.abs(oracle_pos[i] - oracle_pos[j]))
+    assert model.pattern._band.size <= 1.1 * np.max(np.abs(oracle_pos[i] - oracle_pos[j]))
     g_inv = np.linalg.inv(gain)
-    _, a, b = model._pairs
+    _, a, b = model.pattern._pairs
     cross = (model.cols[a] < n_ang) & (model.cols[b] >= n_ang)
     assert np.min(np.abs(g_inv[model.cols[a][cross], model.cols[b][cross]])) > 0
     omega = ms.variances - np.diag(jac @ g_inv @ jac.T)

@@ -472,6 +472,39 @@ def test_import_loads_no_heavy_scipy_modules():
         assert out.stdout.split() == [], module
 
 
+def test_cli_import_defers_scipy_special_to_the_chi_square_test():
+    # scipy.special costs about 0.4 s of start-up; only chi_square_threshold
+    # reads it, so `acfdi pf`, `zone` and `attack` never import it
+    code = "import sys, acfdi.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.split() == ["False"]
+
+
+def test_scenario_from_a_warm_pattern_cache_matches_a_fresh_process(tmp_path):
+    # the shipped study twice in this interpreter, first from a cleared cache
+    # of topology patterns and then from the patterns that run left, against
+    # a fresh interpreter's run
+    from acfdi import estimation
+
+    subprocess.run(
+        [sys.executable, "-m", "acfdi.cli", "scenario", "run", str(BUNDLED),
+         "--out", str(tmp_path / "fresh")],
+        check=True, capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    estimation._shared.clear()
+    for run in ("cold", "warm"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["scenario", "run", str(BUNDLED), "--out", str(tmp_path / run)]) == EXIT_OK
+    fresh = _tree_bytes(tmp_path / "fresh")
+    assert len(fresh) == 25
+    assert _tree_bytes(tmp_path / "cold") == fresh
+    assert _tree_bytes(tmp_path / "warm") == fresh
+
+
 def test_tiled_scenario_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
     # the shipped study on two chained case39 copies with a focal zone, in
     # fresh interpreters at 1 and 2 OpenBLAS threads; a dense LU of the

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +25,13 @@ from acfdi.estimation import (
     measurement_set_from_csv,
     wls_estimate,
 )
-from acfdi import estimation, nlsolver
+from acfdi import banded, estimation, nlsolver
 from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, apply_attack, design_attack
-from acfdi.network import build_admittance, parse_case
-from acfdi.powerflow import StateVector, branch_flows, newton_power_flow
+from acfdi.network import build_admittance, load_bundled_case39, parse_case
+from acfdi.powerflow import StateVector, _NewtonEquations, branch_flows, newton_power_flow
 from acfdi.zones import validate_zone
 from conftest import TWO_BUS_CASE
+from meshgrid import meshed_case
 import reference39 as ref
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
@@ -727,10 +730,12 @@ def test_pipeline_builds_no_measurement_key_and_compiles_each_layout_once(
     case39, zone39, monkeypatch
 ):
     _pipeline_item(case39, build_admittance(case39), zone39)  # warm-up
-    keys, layouts, compiled = [], [], []
+    keys, layouts, compiled, patterns, orders = [], [], [], [], []
     new_key = estimation.MeasurementKey.__new__
     init_layout = estimation.Layout.__post_init__
     init_model = estimation.MeasurementModel.__init__
+    init_pattern = estimation.LayoutPattern.__init__
+    rcm_order = banded.rcm_order
 
     def counting_key(cls, *args, **kwargs):
         keys.append(args)
@@ -744,9 +749,19 @@ def test_pipeline_builds_no_measurement_key_and_compiles_each_layout_once(
         compiled.append((id(adm), layout.signature))
         init_model(self, adm, layout)
 
+    def counting_pattern(self, adm, layout):
+        patterns.append(layout.signature)
+        init_pattern(self, adm, layout)
+
+    def counting_order(*args):
+        orders.append(args[0])
+        return rcm_order(*args)
+
     monkeypatch.setattr(estimation.MeasurementKey, "__new__", staticmethod(counting_key))
     monkeypatch.setattr(estimation.Layout, "__post_init__", counting_layout)
     monkeypatch.setattr(estimation.MeasurementModel, "__init__", counting_model)
+    monkeypatch.setattr(estimation.LayoutPattern, "__init__", counting_pattern)
+    monkeypatch.setattr(banded, "rcm_order", counting_order)
 
     adm = build_admittance(case39)
     # the full layout is built on first use, not with the admittance model
@@ -758,3 +773,154 @@ def test_pipeline_builds_no_measurement_key_and_compiles_each_layout_once(
     # power flow, the full layout, and the constraint and delta rows that the
     # two attack modes share: each compiled once
     assert len(compiled) == len(set(compiled)) == 4
+    # a second model of the same case only gathers its values: the warm-up
+    # model's patterns, full layout and band orders serve it
+    assert (patterns, orders) == ([], [])
+
+
+# --- patterns are shared per topology -----------------------------------------
+
+def _pipeline_bits(case, adm, seed=3):
+    """Every number the power flow and a noisy estimate of one snapshot give:
+    the NR state, h and the Jacobian there, and the WLS estimate."""
+    solution = newton_power_flow(case, adm)
+    state = solution.state
+    ms = generate_measurements(case, state, seed=seed, adm=adm)
+    model = measurement_model(adm, ms.layout)
+    est = wls_estimate(ms, case, adm)
+    return [
+        np.array(solution.mismatch_history), state.vm, state.va,
+        model.h(state), model.jacobian_values(state), ms.values,
+        est.x_hat.vm, est.x_hat.va, est.residual, est.r_normalized,
+        np.array([est.j_statistic, est.iterations]), np.array(est.measurement_ids),
+    ]
+
+
+PATTERN_GRIDS = {
+    "case39": load_bundled_case39,
+    "tile2": lambda: tiled_case39(2),
+    "mesh6x6": lambda: meshed_case(6, 6),
+    "lossless8x8": lambda: meshed_case(8, 8, r=0.0),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(PATTERN_GRIDS))
+def test_reused_pattern_gives_the_bits_of_a_fresh_one(grid):
+    case = PATTERN_GRIDS[grid]()
+    rng = np.random.default_rng(17)
+    warm_case, snapshot = perturb_loads(case, rng), perturb_loads(case, rng)
+
+    estimation._shared.clear()
+    adm = build_admittance(snapshot)
+    fresh = _pipeline_bits(snapshot, adm)
+    fresh_patterns = [m.pattern for m in adm.compiled_layouts.values()]
+
+    estimation._shared.clear()
+    warm_adm = build_admittance(warm_case)
+    _pipeline_bits(warm_case, warm_adm)
+    adm = build_admittance(snapshot)
+    reused = _pipeline_bits(snapshot, adm)
+    # the snapshot read the warm-up model's patterns, not patterns of its own
+    warm_patterns = {id(m.pattern) for m in warm_adm.compiled_layouts.values()}
+    assert {id(m.pattern) for m in adm.compiled_layouts.values()} == warm_patterns
+    assert len(fresh_patterns) == len(warm_patterns) == 2
+    for a, b in zip(fresh, reused):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+
+
+def _out_of_service(case):
+    # branch 1-2 lies on a loop, so the grid stays connected without it
+    branches = (dataclasses.replace(case.branches[0], status=False),) + case.branches[1:]
+    return dataclasses.replace(case, branches=branches)
+
+
+def _pv_to_pq(case):
+    buses = tuple(dataclasses.replace(b, kind="PQ") if b.id == 32 else b for b in case.buses)
+    return dataclasses.replace(case, buses=buses)
+
+
+def _renumbered(case, offset=1000):
+    rename = {b.id: b.id + offset for b in case.buses}
+    return dataclasses.replace(
+        case,
+        buses=tuple(dataclasses.replace(b, id=rename[b.id]) for b in case.buses),
+        branches=tuple(
+            dataclasses.replace(br, from_bus=rename[br.from_bus], to_bus=rename[br.to_bus])
+            for br in case.branches
+        ),
+        gens=tuple(dataclasses.replace(g, bus=rename[g.bus]) for g in case.gens),
+    )
+
+
+def _branches_reordered(case):
+    first, second, *rest = case.branches
+    branches = (
+        dataclasses.replace(second, index=0), dataclasses.replace(first, index=1), *rest
+    )
+    return dataclasses.replace(case, branches=branches)
+
+
+@pytest.mark.parametrize(
+    "change", [_out_of_service, _pv_to_pq, _renumbered, _branches_reordered],
+    ids=lambda change: change.__name__.strip("_"),
+)
+def test_a_changed_topology_builds_its_own_patterns(case39, change):
+    changed = change(case39)
+    estimation._shared.clear()
+    adm = build_admittance(changed)
+    fresh = _pipeline_bits(changed, adm)
+
+    estimation._shared.clear()
+    warm = build_admittance(case39)
+    _pipeline_bits(case39, warm)
+    kept = {id(value) for value in estimation._shared.values()}
+    assert len(kept) == 4
+    adm = build_admittance(changed)
+    assert adm.topology != warm.topology
+    after_changed = _pipeline_bits(changed, adm)
+    assert not any(id(m.pattern) in kept for m in adm.compiled_layouts.values())
+    assert id(adm.full_layout) not in kept
+    # bit for bit the numbers of a cleared cache, so nothing stale was read
+    for a, b in zip(fresh, after_changed):
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+
+
+def test_shared_cache_stays_within_its_bound(case39):
+    estimation._shared.clear()
+    for offset in range(1000, 21000, 1000):
+        case = _renumbered(case39, offset)
+        adm = build_admittance(case)
+        state = newton_power_flow(case, adm).state
+        generate_measurements(case, state, adm=adm)
+        assert len(estimation._shared) <= estimation._SHARED_LIMIT
+    # four entries per grid: full layout, Newton pattern, and two patterns
+    assert len(estimation._shared) == estimation._SHARED_LIMIT
+
+
+def test_dropped_admittance_model_is_freed(case39):
+    adm = build_admittance(case39)
+    _pipeline_bits(case39, adm)
+    _NewtonEquations(case39, adm)
+    assert len(adm.compiled_layouts) == 2
+    dropped = weakref.ref(adm)
+    del adm
+    # freed by reference counting alone: nothing shared points back to it
+    assert dropped() is None
+
+
+def test_shared_arrays_are_read_only(case39, adm39):
+    _pipeline_bits(case39, adm39)
+    equations = _NewtonEquations(case39, adm39)
+    model = measurement_model(adm39, adm39.full_layout)
+    pattern = model.pattern
+    arrays = [a for a in vars(pattern).values() if isinstance(a, np.ndarray)]
+    arrays += [*pattern._pairs, *pattern._gain_cells]
+    for band in (pattern._band, equations._band):
+        arrays += [band.order, band.pos, band.pad_slot]
+    arrays += [equations.pq, equations.pvpq, equations.rows, equations.cols, equations._slot]
+    arrays += [adm39.full_layout.kind, adm39.full_layout.where]
+    assert len(arrays) > 30
+    for array in arrays:
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        pattern.rows[0] = 1

@@ -2,9 +2,11 @@
 down. Renumbering the buses, reordering the bus rows and reordering the
 branch rows of case39 must leave every branch flow, matched by its (from, to)
 pair, every flow and injection of the impact report, and the WLS estimate of
-the same readings unchanged."""
+the same readings unchanged. So must writing the case on another MVA base,
+with powers compared in MW and MVAr."""
 
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
@@ -14,16 +16,18 @@ from hypothesis import strategies as st
 import reference39 as ref
 from acfdi.attacks import apply_attack, assemble_attack_vector
 from acfdi.estimation import (
+    KIND_CODE,
     Layout,
     MeasurementSet,
     chi_square_test,
     generate_measurements,
     largest_normalized_residual,
+    measurement_model,
     wls_estimate,
 )
 from acfdi.impact import compute_impact
 from acfdi.network import NetworkCase, build_admittance, load_bundled_case39
-from acfdi.powerflow import StateVector, branch_flows
+from acfdi.powerflow import StateVector, branch_flows, newton_power_flow
 from acfdi.zones import validate_zone
 
 _CASE = load_bundled_case39()
@@ -194,3 +198,120 @@ def test_wls_estimate_does_not_depend_on_labels_or_row_order(
     assert got.x_hat.bus_ids == expected.bus_ids
     assert np.max(np.abs(got.x_hat.vm - expected.vm)) < 1e-10
     assert np.max(np.abs(got.x_hat.va - expected.va)) < 1e-10
+
+
+# --- the MVA base ---------------------------------------------------------------
+
+# not a power of two times 100, so that every rescaled value rounds
+REBASED_MVA = 137.0
+
+
+def _rebase_case(case, base_mva):
+    """The same grid on another MVA base: per-unit impedances scale by
+    S_new / S_old; charging, shunts, powers and ratings by S_old / S_new."""
+    k = base_mva / case.base_mva
+    buses = tuple(
+        dataclasses.replace(b, pd=b.pd / k, qd=b.qd / k, gs=b.gs / k, bs=b.bs / k)
+        for b in case.buses
+    )
+    branches = tuple(
+        dataclasses.replace(br, r=br.r * k, x=br.x * k, b=br.b / k, rating=br.rating / k)
+        for br in case.branches
+    )
+    gens = tuple(
+        dataclasses.replace(
+            g, pg=g.pg / k, qg=g.qg / k, qmin=g.qmin / k, qmax=g.qmax / k,
+            pmin=g.pmin / k, pmax=g.pmax / k,
+        )
+        for g in case.gens
+    )
+    return NetworkCase(base_mva, buses, branches, gens, case.name)
+
+
+@pytest.fixture(scope="module")
+def rebased39(case39):
+    case = _rebase_case(case39, REBASED_MVA)
+    return case, build_admittance(case)
+
+
+def _rebase_measurements(ms, k):
+    """The same readings in per unit of a base k times larger."""
+    scale = np.where(ms.layout.kind < KIND_CODE["Vmag"], 1.0 / k, 1.0)
+    return MeasurementSet(ms.layout, ms.values * scale, ms.variances * scale**2)
+
+
+def test_power_flow_and_flows_do_not_depend_on_the_mva_base(case39, adm39, base39, rebased39):
+    # one topology, other admittance values: the rebased model reads the
+    # patterns compiled for case39
+    case, adm = rebased39[0], build_admittance(rebased39[0])
+    warm = build_admittance(case39)
+    newton_power_flow(case39, warm)
+    measurement_model(warm, warm.full_layout)
+    state = newton_power_flow(case, adm).state
+    assert adm.topology == warm.topology
+    assert adm.full_layout is warm.full_layout
+    measurement_model(adm, adm.full_layout)
+    patterns = [[m.pattern for m in a.compiled_layouts.values()] for a in (adm, warm)]
+    assert len(patterns[0]) == 2 and all(map(operator.is_, *patterns))
+    assert np.max(np.abs(state.vm - base39.vm)) < 1e-10
+    assert np.max(np.abs(state.va - base39.va)) < 1e-10
+    # flows in per unit of case39's base
+    k = case.base_mva / case39.base_mva
+    for got, want in zip(branch_flows(state, adm), branch_flows(base39, adm39)):
+        assert np.max(np.abs(got * k - want)) < 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_wls_estimate_does_not_depend_on_the_mva_base(case39, adm39, base39, rebased39, seed):
+    case, adm = rebased39
+    ms = generate_measurements(case39, base39, seed=seed, adm=adm39)
+    moved = _rebase_measurements(ms, case.base_mva / case39.base_mva)
+    want, got = wls_estimate(ms, case39, adm39), wls_estimate(moved, case, adm)
+    assert np.max(np.abs(got.x_hat.vm - want.x_hat.vm)) < 1e-10
+    assert np.max(np.abs(got.x_hat.va - want.x_hat.va)) < 1e-10
+    assert abs(got.j_statistic - want.j_statistic) < 1e-10 * want.j_statistic
+    assert got.critical_ids == want.critical_ids
+    assert largest_normalized_residual(got)[0] == largest_normalized_residual(want)[0]
+
+
+def test_impact_figures_do_not_depend_on_the_mva_base(
+    case39, base39, zone39, attack_optimal, zero_sigmas, impact39, rebased39
+):
+    case, adm = rebased39
+    # per-unit states do not depend on the base, so case39's serve here
+    zone = validate_zone(case, zone39.interior, zone39.boundary)
+    av = assemble_attack_vector(case, base39, attack_optimal.x_attacked, zone, adm=adm)
+    ms = generate_measurements(case, base39, sigmas=zero_sigmas, seed=0, adm=adm)
+    clean = wls_estimate(ms, case, adm)
+    attacked = wls_estimate(apply_attack(ms, av), case, adm)
+    report = compute_impact(
+        case, base39, av, clean, attacked, zone,
+        targets=(ref.TARGET + (ref.OVERLOAD_FACTOR,),), adm=adm,
+    )
+
+    def mw(value, on):
+        return value * on.base_mva
+
+    assert len(report.branches) == len(impact39.branches)
+    for got, want in zip(report.branches, impact39.branches):
+        assert (got.from_bus, got.to_bus, got.role) == (want.from_bus, want.to_bus, want.role)
+        for flow in ("base", "attacked"):
+            for part in ("pf", "qf", "pt", "qt"):
+                a, b = getattr(getattr(got, flow), part), getattr(getattr(want, flow), part)
+                assert abs(mw(a, case) - mw(b, case39)) < 1e-10, (want.from_bus, flow, part)
+        for loading in ("loading_base", "loading_attacked"):
+            a, b = getattr(got, loading), getattr(want, loading)
+            assert (a is None) == (b is None)
+            if b is not None:
+                assert abs(a - b) < 1e-10
+    for got, want in zip(report.buses, impact39.buses):
+        assert (got.bus, got.role) == (want.bus, want.role)
+        for name in ("p_base", "q_base", "p_attacked", "q_attacked", "p_falsified", "q_falsified"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), (want.bus, name)
+            if b is not None:
+                assert abs(mw(a, case) - mw(b, case39)) < 1e-10, (want.bus, name)
+    ((got_target,), (want_target,)) = report.target_summary, impact39.target_summary
+    for name in ("p_base", "p_attacked"):
+        assert abs(mw(got_target[name], case) - mw(want_target[name], case39)) < 1e-10
+    assert abs(got_target["factor_attained"] - want_target["factor_attained"]) < 1e-10

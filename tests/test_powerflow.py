@@ -151,6 +151,11 @@ def test_nonconvergence_reports_final_mismatch(case39, adm39):
 def test_bad_tolerance_rejected(case39):
     with pytest.raises(ValueError, match="tol must be positive"):
         solve_power_flow(case39, tol=0.0)
+    # a nan tolerance used to pass the check and end in "no convergence"
+    with pytest.raises(ValueError, match="tol must be positive"):
+        newton_power_flow(case39, tol=float("nan"))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_power_flow(case39, tol=float("nan"))
     with pytest.raises(ValueError, match="max_iter must be at least 1"):
         newton_power_flow(case39, max_iter=0)
 
@@ -292,8 +297,8 @@ def test_power_flow_model_builds_no_row_pair_index():
     adm = build_admittance(case)
     newton_power_flow(case, adm)
     (model,) = adm.compiled_layouts.values()
-    assert "_pairs" not in vars(model)
-    assert "_band" not in vars(model)
+    assert "_pairs" not in vars(model.pattern)
+    assert "_band" not in vars(model.pattern)
 
 
 # The Newton step is a block LU over the RCM band of the Jacobian; it must
