@@ -17,6 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import artifacts
+from .artifacts import ConfigError, member, typed
 from .estimation import KIND_CODE, Layout, MeasurementSet, eval_h, eval_jacobian, measurement_model
 from .network import AdmittanceModel, NetworkCase, build_admittance
 from .nlsolver import SolverError, solve_constrained
@@ -65,6 +67,10 @@ class SolverParams:
         for name in ("ang_perturbation", "mag_perturbation", "vm_relax", "overload_margin"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
+        for name in ("ang_perturbation", "mag_perturbation"):
+            # a start is drawn uniformly from [-value, value]
+            if not 2.0 * getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite, with a finite width 2 * {name}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,7 @@ class AttackVector:
     solver_info: dict
 
     def to_json(self) -> str:
-        return json.dumps(
+        return artifacts.to_json(
             {
                 "x_base": self.x_base.to_dict(),
                 "x_attacked": self.x_attacked.to_dict(),
@@ -107,21 +113,43 @@ class AttackVector:
                     str(b): [p, q] for b, (p, q) in sorted(self.falsified_injections.items())
                 },
                 "solver_info": self.solver_info,
-            },
-            indent=2,
+            }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "AttackVector":
-        doc = json.loads(text)
+        """The attack that `to_json` wrote. Text that is not such a document
+        raises ConfigError naming the missing or mistyped field."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"attack is not valid JSON: {exc}") from None
+        states = {
+            key: StateVector.from_dict(member(doc, key, dict, "attack"), f"attack {key}")
+            for key in ("x_base", "x_attacked")
+        }
+        deltas = member(doc, "deltas", dict, "attack")
+        falsified = member(doc, "falsified_injections", dict, "attack")
+        solver_info = member(doc, "solver_info", dict, "attack")
+        if "targets" in solver_info:
+            for i, t in enumerate(member(solver_info, "targets", list, "attack solver_info")):
+                for key, kind in (("from", int), ("to", int), ("factor", float)):
+                    member(t, key, kind, f"attack solver_info targets[{i}]")
+        injections = {}
+        for bus, pq in falsified.items():
+            where = f"attack falsified_injections '{bus}'"
+            try:
+                bus_id = int(bus)
+            except ValueError:
+                raise ConfigError(f"{where}: key must be a bus id") from None
+            if not isinstance(pq, list) or len(pq) != 2:
+                raise ConfigError(f"{where} must be a [p, q] pair")
+            injections[bus_id] = tuple(typed(x, float, where) for x in pq)
         return cls(
-            x_base=StateVector.from_dict(doc["x_base"]),
-            x_attacked=StateVector.from_dict(doc["x_attacked"]),
-            deltas=dict(doc["deltas"]),
-            falsified_injections={
-                int(b): (pq[0], pq[1]) for b, pq in doc["falsified_injections"].items()
-            },
-            solver_info=doc["solver_info"],
+            **states,
+            deltas={key: member(deltas, key, float, "attack deltas") for key in deltas},
+            falsified_injections=injections,
+            solver_info=solver_info,
         )
 
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
+from .artifacts import ConfigError, read_text, to_json
 from .attacks import (
     AttackError,
     AttackSpec,
@@ -55,10 +57,6 @@ _FORMATS = ("json", "csv", "svg")
 _SOLVER_KEYS = tuple(
     f.name for f in fields(SolverParams) if f.name not in ("tol_step", "seed", "max_start_draws")
 )
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,7 @@ def _emit(content: str, out: str | None) -> None:
 
 def _to_json(artifact) -> str:
     """A state or zone artifact as JSON text."""
-    return json.dumps(artifact.to_dict(), indent=2)
+    return to_json(artifact.to_dict())
 
 
 def _estimation_json(res, policy: BddPolicy) -> str:
@@ -145,7 +143,17 @@ def _estimation_json(res, policy: BddPolicy) -> str:
         "statistic": verdict.statistic,
         "threshold": verdict.threshold,
     }
-    return json.dumps(doc, indent=2)
+    return to_json(doc)
+
+
+def _read_json(path: str, what: str):
+    """The document in a JSON input file; a file that does not read as one is
+    a ConfigError naming it."""
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {what} is not valid JSON: {exc}") from None
 
 
 def _number(value, kind: type, label: str):
@@ -244,15 +252,18 @@ def _read_config(config: ScenarioConfig, doc: dict, name) -> ScenarioConfig:
         label = name("sigmas", kind)
         if kind not in new["sigmas"]:
             raise ConfigError(f"{label} is not a measurement kind")
-        new["sigmas"][kind] = _number(value, float, label)
-        if not new["sigmas"][kind] >= 0:
-            raise ConfigError(f"{label} must be >= 0")
+        new["sigmas"][kind] = sigma = _number(value, float, label)
+        if not (sigma >= 0 and sigma * sigma < math.inf):
+            raise ConfigError(f"{label} must be >= 0, with a finite square")
 
     seeds = section("seeds")
     new["noise_seed"], seed = (
         _number(seeds.get(key, default), int, name("seeds", key))
         for key, default in (("noise", config.noise_seed), ("arbitrary_start", config.solver.seed))
     )
+    for key, value in (("noise", new["noise_seed"]), ("arbitrary_start", seed)):
+        if value < 0:
+            raise ConfigError(f"{name('seeds', key)} must be >= 0")
     new["solver"] = _read_fields(
         replace(config.solver, seed=seed), section("solver"), name, "solver", _SOLVER_KEYS
     )
@@ -267,12 +278,7 @@ def _read_config(config: ScenarioConfig, doc: dict, name) -> ScenarioConfig:
 
 
 def load_scenario_config(path: str) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: config is not valid JSON: {exc}") from None
-
+    doc = _read_json(path, "config")
     if not isinstance(doc, dict) or any(k not in doc for k in ("case", "zone", "targets")):
         raise ConfigError(f"{path}: config requires 'case', 'zone', and 'targets'")
     if not isinstance(doc["case"], str):
@@ -289,6 +295,8 @@ def _flag(section: str, key: str) -> str:
     """The command-line flag that sets a scenario field."""
     if section == "sigmas":
         return f"--sigma {key}"
+    if section == "seeds":
+        return "--noise-seed" if key == "noise" else "--seed"
     if key in ("from", "to"):
         return "--target"
     return "--" + key.replace("_", "-")
@@ -311,6 +319,12 @@ def _check_targets(adm, targets, label: str) -> None:
             raise ConfigError(f"{label} references no in-service branch {t.from_bus}-{t.to_bus}")
 
 
+def _state_of_case(case, state: StateVector) -> StateVector:
+    if state.bus_ids != tuple(b.id for b in case.buses):
+        raise ConfigError("state buses are not the case's buses in case order")
+    return state
+
+
 def _zone(case, config: ScenarioConfig):
     if "focal" in config.zone:
         return build_zone(case, set(config.zone["focal"]))
@@ -318,8 +332,7 @@ def _zone(case, config: ScenarioConfig):
 
 
 def _zone_from_file(case, path: str):
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = _read_json(path, "zone")
     doc = doc if isinstance(doc, dict) else {}
     interior, boundary = (
         _bus_list(doc.get(key), f"{path}: zone field '{key}'") for key in ("interior", "boundary")
@@ -412,7 +425,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> dict:
             "solver_info": av.solver_info,
         }
 
-    write("summary.json", json.dumps(summary, indent=2, sort_keys=True))
+    write("summary.json", to_json(summary, sort_keys=True))
     return summary
 
 
@@ -426,7 +439,7 @@ def run_scenario_sweep(config: ScenarioConfig, out_dir: str, n_seeds: int) -> di
         runs.append({"index": k, "noise_seed": cfg.noise_seed,
                      "arbitrary_seed": cfg.solver.seed, "modes": summary["modes"]})
     merged = {"config": config.echo(), "n_seeds": n_seeds, "runs": runs}
-    _write(os.path.join(out_dir, "summary.json"), json.dumps(merged, indent=2, sort_keys=True))
+    _write(os.path.join(out_dir, "summary.json"), to_json(merged, sort_keys=True))
     return merged
 
 
@@ -457,8 +470,11 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     _check_targets(adm, config.targets, "--target")
     zone = _zone_from_file(case, args.zone)
     if args.state:
-        with open(args.state, encoding="utf-8") as fh:
-            base = StateVector.from_dict(json.load(fh))
+        doc = _read_json(args.state, "state")
+        try:
+            base = _state_of_case(case, StateVector.from_dict(doc))
+        except ConfigError as exc:
+            raise ConfigError(f"{args.state}: {exc}") from None
     else:
         base = solve_power_flow(case, adm, **asdict(config.pf))
     _emit(_attack(case, adm, base, zone, config, args.mode).to_json(), args.out)
@@ -470,9 +486,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
            "bdd": _flags(args, "confidence", "lnr_threshold")}
     config = _read_config(ScenarioConfig(args.case), doc, _flag)
     case, adm = _network(config.case_path)
+    text = read_text(args.measurements, "measurement CSV")
     try:
-        with open(args.measurements, encoding="utf-8") as f:
-            ms = measurement_set_from_csv(f.read(), case)
+        ms = measurement_set_from_csv(text, case)
     except EstimationError as exc:
         raise ConfigError(f"{args.measurements}: {exc}") from None
     res = wls_estimate(ms, case, adm, **asdict(config.estimator))
@@ -491,8 +507,18 @@ def _cmd_impact(args: argparse.Namespace) -> int:
     config = _read_config(ScenarioConfig(args.case), doc, _flag)
     case, adm = _network(config.case_path)
     zone = _zone_from_file(case, args.zone)
-    with open(args.attack, encoding="utf-8") as f:
-        av = AttackVector.from_json(f.read())
+    text = read_text(args.attack, "attack")
+    try:
+        av = AttackVector.from_json(text)
+        for state in (av.x_base, av.x_attacked):
+            _state_of_case(case, state)
+        targets = [
+            OverloadTarget(t["from"], t["to"], t["factor"])
+            for t in av.solver_info.get("targets", [])
+        ]
+        _check_targets(adm, targets, "attack solver_info 'targets'")
+    except ConfigError as exc:
+        raise ConfigError(f"{args.attack}: {exc}") from None
     ms_clean, clean_est = _measure(case, adm, av.x_base, config)
     report = _assess(case, adm, zone, av, ms_clean, clean_est, config)[2]
     _render(report, config.formats,

@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -122,6 +123,25 @@ class Layout:
         """Row of each id; the last one for an id given twice."""
         return {meas_id: i for i, meas_id in enumerate(self.ids)}
 
+    @functools.cached_property
+    def csv_prefixes(self) -> tuple[str, ...]:
+        """Each row's id, kind and location as `MeasurementSet.to_csv` writes
+        them, through `csv.writer` so that quoting is its own, each followed
+        by the comma before the value. The writer writes each row in one call."""
+        lines: list[str] = []
+        writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+        writer.writerows(zip(
+            self.ids,
+            [KINDS[code] for code in self.kind.tolist()],
+            [
+                f"branch{w}:{'from' if end else 'to'}" if code < 2 else f"{w}"
+                for code, w, end in zip(
+                    self.kind.tolist(), self.where.tolist(), self.from_side.tolist()
+                )
+            ],
+        ))
+        return tuple(line[:-1] + "," for line in lines)
+
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSet:
@@ -158,19 +178,14 @@ class MeasurementSet:
             raise EstimationError(f"unknown measurement id {meas_id!r}") from None
 
     def to_csv(self) -> str:
-        lay = self.layout
-        location = [
-            f"branch{w}:{'from' if end else 'to'}" if code < 2 else f"{w}"
-            for code, w, end in zip(lay.kind.tolist(), lay.where.tolist(), lay.from_side.tolist())
-        ]
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["id", "kind", "location", "value", "variance"])
-        w.writerows(zip(
-            lay.ids, [KINDS[code] for code in lay.kind.tolist()], location,
-            map(repr, self.values.tolist()), map(repr, self.variances.tolist()),
-        ))
-        return buf.getvalue()
+        """The set as CSV, one row per layout row. A float's repr needs no
+        quoting, so only the layout's columns go through `csv.writer`."""
+        variances = self.variances.tolist()
+        text = {v: repr(v) for v in set(variances)}
+        rows = zip(self.layout.csv_prefixes, self.values.tolist(), variances)
+        return "id,kind,location,value,variance\n" + "".join(
+            [f"{prefix}{value!r},{text[var]}\n" for prefix, value, var in rows]
+        )
 
 
 def measurement_set_from_csv(text: str, case: NetworkCase) -> MeasurementSet:
@@ -607,8 +622,8 @@ def generate_measurements(
         for k, s in sigmas.items():
             if k not in KINDS:
                 raise EstimationError(f"unknown measurement kind {k!r}")
-            if not s >= 0:
-                raise EstimationError(f"sigma of {k} must be >= 0")
+            if not (s >= 0 and s * s < np.inf):
+                raise EstimationError(f"sigma of {k} must be >= 0, with a finite square")
             sig[k] = s
 
     truth = eval_h(adm, state, layout)
@@ -647,7 +662,7 @@ class EstimationResult:
                 i: r for i, r in zip(self.measurement_ids, self.residual.tolist())
             },
             "normalized_residuals": {
-                i: (None if np.isnan(r) else r)
+                i: (None if r != r else r)
                 for i, r in zip(self.measurement_ids, self.r_normalized.tolist())
             },
             "critical": list(self.critical_ids),

@@ -10,12 +10,12 @@ CSV tables, or SVG bar charts. All output is deterministic byte for byte.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import to_json
 from .attacks import AttackVector, compute_falsified_injections
 from .estimation import (
     BddPolicy,
@@ -340,7 +340,7 @@ def report_to_json(report: ImpactReport) -> str:
         "targets": list(report.target_summary),
         "notes": list(report.notes),
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return to_json(doc, sort_keys=True)
 
 
 def report_to_csv(report: ImpactReport) -> dict[str, str]:

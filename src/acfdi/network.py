@@ -15,6 +15,8 @@ from importlib import resources
 
 import numpy as np
 
+from .artifacts import read_text, to_json
+
 BUS_KINDS = ("slack", "PV", "PQ")
 _MATPOWER_BUS_TYPE = {1: "PQ", 2: "PV", 3: "slack"}
 
@@ -147,6 +149,13 @@ def _scalar(text: str, name: str) -> float:
     return float(m.group(1))
 
 
+def _integer(value: float, what: str) -> int:
+    """A table entry that must be a whole number (NaN and Inf are not)."""
+    if not value.is_integer():
+        raise CaseParseError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_case(text: str, name: str = "case") -> NetworkCase:
     """Parse MATPOWER-format case text (baseMVA, bus, gen, branch; gencost ignored).
 
@@ -155,19 +164,20 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
     transformer" and is normalized to 1.
     """
     base_mva = _scalar(text, "baseMVA")
-    if base_mva <= 0:
-        raise CaseValidationError(f"baseMVA must be positive, got {base_mva}")
+    if not 0 < base_mva < math.inf:
+        raise CaseValidationError(f"baseMVA must be positive and finite, got {base_mva}")
 
     buses = []
     for row in _extract_table(text, "bus"):
         if len(row) < 13:
             raise CaseParseError(f"bus row too short: {row}")
-        kind = _MATPOWER_BUS_TYPE.get(int(row[1]))
+        bus_id = _integer(row[0], "bus id")
+        kind = _MATPOWER_BUS_TYPE.get(_integer(row[1], f"bus {bus_id}: bus type"))
         if kind is None:
-            raise CaseParseError(f"bus {int(row[0])}: unknown bus type {int(row[1])}")
+            raise CaseParseError(f"bus {bus_id}: unknown bus type {int(row[1])}")
         buses.append(
             Bus(
-                id=int(row[0]),
+                id=bus_id,
                 kind=kind,
                 pd=row[2] / base_mva,
                 qd=row[3] / base_mva,
@@ -184,7 +194,7 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
             raise CaseParseError(f"gen row too short: {row}")
         gens.append(
             Gen(
-                bus=int(row[0]),
+                bus=_integer(row[0], "generator bus"),
                 pg=row[1] / base_mva,
                 qg=row[2] / base_mva,
                 qmax=row[3] / base_mva,
@@ -202,8 +212,8 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
             raise CaseParseError(f"branch row too short: {row}")
         branches.append(
             Branch(
-                from_bus=int(row[0]),
-                to_bus=int(row[1]),
+                from_bus=_integer(row[0], "branch from bus"),
+                to_bus=_integer(row[1], "branch to bus"),
                 r=row[2],
                 x=row[3],
                 b=row[4],
@@ -273,12 +283,17 @@ def validate_case(case: NetworkCase) -> None:
 
 
 def load_case(path: str) -> NetworkCase:
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    if path.endswith(".json"):
-        return case_from_json(text)
-    name = re.sub(r"\.[^.]*$", "", path.replace("\\", "/").rsplit("/", 1)[-1])
-    return parse_case(text, name=name)
+    """A case from a MATPOWER file, or from a `case_to_json` file when path
+    ends in .json. A file that does not read as one raises CaseError naming
+    it."""
+    text = read_text(path, "case file", CaseParseError)
+    try:
+        if path.endswith(".json"):
+            return case_from_json(text)
+        name = re.sub(r"\.[^.]*$", "", path.replace("\\", "/").rsplit("/", 1)[-1])
+        return parse_case(text, name=name)
+    except CaseError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_bundled_case39() -> NetworkCase:
@@ -315,12 +330,24 @@ def case_to_json(case: NetworkCase) -> str:
             for g in case.gens
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return to_json(doc, sort_keys=True)
 
 
 def case_from_json(text: str) -> NetworkCase:
-    doc = json.loads(text)
-    case = NetworkCase(
+    try:
+        case = _case_of_doc(json.loads(text))
+        validate_case(case)
+    except CaseError:
+        raise
+    except KeyError as exc:
+        raise CaseParseError(f"case JSON field {exc} is missing") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise CaseParseError(f"case JSON is malformed: {exc}") from None
+    return case
+
+
+def _case_of_doc(doc: dict) -> NetworkCase:
+    return NetworkCase(
         base_mva=doc["base_mva"],
         buses=tuple(
             Bus(
@@ -347,8 +374,6 @@ def case_from_json(text: str) -> NetworkCase:
         ),
         name=doc.get("name", "case"),
     )
-    validate_case(case)
-    return case
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,10 @@ class Damping:
 
     @property
     def exhausted(self) -> bool:
-        return self.mu > _MU_CAP * self.scale
+        # an infinite mu, as a Gauss-Newton matrix with an infinite diagonal
+        # gives from the start, is exhausted too, although it is not above an
+        # infinite cap
+        return self.mu > _MU_CAP * self.scale or self.mu == np.inf
 
     def floor(self, f: float) -> float:
         """The rounding level of f: eps (1 + rows f)."""

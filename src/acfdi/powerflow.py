@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .artifacts import ConfigError, member
 from .banded import BlockBand, block_lu_solve, read_only
 from .network import AdmittanceModel, NetworkCase, build_admittance
 
@@ -64,19 +65,29 @@ class StateVector:
     def to_dict(self) -> dict:
         return {
             "buses": [
-                {"id": b, "vm": float(self.vm[i]), "va": float(self.va[i])}
-                for i, b in enumerate(self.bus_ids)
+                {"id": b, "vm": vm, "va": va}
+                for b, vm, va in zip(
+                    self.bus_ids,
+                    np.asarray(self.vm, dtype=float).tolist(),
+                    np.asarray(self.va, dtype=float).tolist(),
+                )
             ]
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "StateVector":
-        rows = doc["buses"]
-        return cls(
-            bus_ids=tuple(r["id"] for r in rows),
-            vm=np.array([r["vm"] for r in rows], dtype=float),
-            va=np.array([r["va"] for r in rows], dtype=float),
-        )
+    def from_dict(cls, doc: dict, where: str = "state") -> "StateVector":
+        """The state that `to_dict` wrote; a missing or mistyped field raises
+        ConfigError naming it."""
+        rows = [
+            (member(row, "id", int, f"{where} buses[{i}]"),
+             member(row, "vm", float, f"{where} buses[{i}]"),
+             member(row, "va", float, f"{where} buses[{i}]"))
+            for i, row in enumerate(member(doc, "buses", list, where))
+        ]
+        if not rows:
+            raise ConfigError(f"{where} field 'buses' is empty")
+        bus_ids, vm, va = zip(*rows)
+        return cls(bus_ids=bus_ids, vm=np.array(vm), va=np.array(va))
 
 
 @dataclass(frozen=True)
