@@ -20,7 +20,7 @@ import numpy as np
 from . import artifacts
 from .artifacts import ConfigError, member, typed
 from .estimation import KIND_CODE, Layout, MeasurementSet, eval_h, eval_jacobian, measurement_model
-from .network import AdmittanceModel, NetworkCase, build_admittance
+from .network import AdmittanceModel, NetworkCase, build_admittance, row_sums
 from .nlsolver import SolverError, solve_constrained
 from .powerflow import StateVector, all_injections, branch_flows
 from .zones import AttackZone
@@ -337,15 +337,14 @@ def compute_falsified_injections(
     sf_base, st_base, sf_att, st_att = flows
 
     # each interior line's flow change lands on its from bus, then its to bus,
-    # in zone order; bincount adds them in that order, so every bus sums its
+    # in zone order; row_sums adds them in that order, so every bus sums its
     # lines in the order the zone lists them
     lines = np.array([adm.position[br.index] for br in zone.interior_lines], dtype=int)
     ends = np.column_stack([adm.f_idx[lines], adm.t_idx[lines]]).ravel()
     change = np.column_stack(
         [sf_att[lines] - sf_base[lines], st_att[lines] - st_base[lines]]
     ).ravel()
-    dp = np.bincount(ends, weights=change.real, minlength=case.n_bus)
-    dq = np.bincount(ends, weights=change.imag, minlength=case.n_bus)
+    ds = row_sums(ends, change, case.n_bus)
 
     out: dict[int, tuple[float, float]] = {}
     for bus in sorted(zone.buses):
@@ -355,7 +354,7 @@ def compute_falsified_injections(
         elif bus in zone.inert_boundary:
             out[bus] = (float(p_base[i]), float(q_base[i]))
         else:
-            out[bus] = (float(p_base[i] + dp[i]), float(q_base[i] + dq[i]))
+            out[bus] = (float(p_base[i] + ds[i].real), float(q_base[i] + ds[i].imag))
     return out
 
 

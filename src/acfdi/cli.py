@@ -517,6 +517,9 @@ def _cmd_impact(args: argparse.Namespace) -> int:
             for t in av.solver_info.get("targets", [])
         ]
         _check_targets(adm, targets, "attack solver_info 'targets'")
+        unknown = [i for i in av.deltas if i not in adm.full_layout.position]
+        if unknown:
+            raise ConfigError(f"attack 'deltas': the case has no measurement id {unknown[0]!r}")
     except ConfigError as exc:
         raise ConfigError(f"{args.attack}: {exc}") from None
     ms_clean, clean_est = _measure(case, adm, av.x_base, config)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .banded import BlockBand, BlockCholesky, concat_ranges, read_only
-from .network import AdmittanceModel, NetworkCase, build_admittance
+from .network import AdmittanceModel, NetworkCase, build_admittance, product, row_sums
 from .nlsolver import Damping
 from .powerflow import StateVector
 
@@ -287,17 +287,19 @@ class LayoutPattern:
     array of a `MeasurementModel` and none of its values.
 
     Of the admittance model it reads only what `AdmittanceModel.topology`
-    holds -- bus positions, the slack and each branch's ends -- so the
-    models of one grid under any loads or admittance values share one
-    pattern (`layout_pattern`). Its arrays are read-only.
+    holds -- bus positions, the slack, each branch's ends and the Ybus cells
+    they give -- so the models of one grid under any loads or admittance
+    values share one pattern (`layout_pattern`). Its arrays are read-only.
 
-    Compilation turns the layout into index arrays once: where each row of h
-    is gathered from, and where each Jacobian entry sits on the sparsity
-    pattern of Ybus, Yf and Yt (MATPOWER's dSbus_dV/dSbr_dV formulation,
-    Zimmerman, Murillo-Sanchez and Thomas, IEEE Trans. Power Syst. 2011).
-    It also says where each of the k current rows the layout reads comes
-    from: Ybus rows at its injection buses, then Yf rows at its from-end
-    flows and Yt rows at its to-end flows, built from the branch stamps.
+    Compilation turns the layout into one entry list over the k current rows
+    it reads: Ybus rows at its injection buses, then Yf rows at its from-end
+    flows and Yt rows at its to-end flows. A Ybus row gives its cells in
+    column order and a branch end its two stamps; each entry records its
+    current row, its column, the bus of its row's voltage and its source in
+    [ybus_values | yff | yft | ytf | ytt]. The currents sum the entries, and
+    the Jacobian's derivative entries are the same entries (MATPOWER's
+    dSbus_dV/dSbr_dV formulation, Zimmerman, Murillo-Sanchez and Thomas,
+    IEEE Trans. Power Syst. 2011).
     """
 
     def __init__(self, adm: AdmittanceModel, layout: Layout):
@@ -317,12 +319,11 @@ class LayoutPattern:
         if len(off):
             raise EstimationError(f"{layout.ids[off[0]]}: no in-service branch {where[off[0]]}")
         where[kind >= 2] = [case.bus_index(b) for b in where[kind >= 2].tolist()]
-        flow, inj = kind < 2, (kind == 2) | (kind == 3)
+        flow, reads = kind < 2, kind < 4  # flows, and the rows that read a current
         imag = (kind == 1) | (kind == 3)
 
         # the current rows the layout reads, keyed by bus position for Ybus
         # rows, n + branch for Yf rows and n + nl + branch for Yt rows
-        reads = flow | inj
         row_key = np.where(flow, n + np.where(from_side, 0, nl) + where, where)
         keys, cur_of_read = np.unique(row_key[reads], return_inverse=True)
         cur = np.zeros(m, dtype=int)
@@ -331,59 +332,42 @@ class LayoutPattern:
         br = keys[len(bus):] - n
         to_end = br >= nl
         br = np.where(to_end, br - nl, br)
-        # numpy sends a one-row product to dot, which rounds differently from
-        # the gemv of the full products; a zero second row keeps it on gemv
-        self._y_shape = (len(keys) + (len(keys) == 1), n)
-        self._y_bus = bus
-        # the branch cells of y_rows, flat, and the entry of the stacked
-        # stamps [yff | yft | ytf | ytt] each one copies
-        branch_rows = np.arange(len(bus), len(keys)) * n
-        self._y_cells = np.concatenate([branch_rows + f[br], branch_rows + t[br]])
-        self._y_stamp = np.concatenate(
-            [np.where(to_end, 2, 0) * nl + br, np.where(to_end, 3, 1) * nl + br]
+        # the bus of each current row's voltage
+        self._own = np.concatenate([bus, np.where(to_end, t[br], f[br])])
+
+        # the entries: each Ybus row's cells, then each branch end's stamps
+        # at its from and to bus
+        ybus_row, ybus_col = np.divmod(adm.ybus_cells, n)
+        ybus_ptr = np.searchsorted(ybus_row, np.arange(n + 1))
+        counts = np.diff(ybus_ptr)[bus]
+        cells = concat_ranges(ybus_ptr[bus], counts)
+        end, at_t = np.repeat(br, 2), np.tile([0, 1], len(br))
+        self._e_cur = np.concatenate([
+            np.repeat(np.arange(len(bus)), counts), np.repeat(np.arange(len(bus), len(keys)), 2)
+        ])
+        self._e_col = np.concatenate([ybus_col[cells], np.where(at_t, t[end], f[end])])
+        self._e_y = np.concatenate(
+            [cells, len(adm.ybus_cells) + (2 * np.repeat(to_end, 2) + at_t) * nl + end]
         )
-        self._own = np.zeros(self._y_shape[0], dtype=int)  # bus of each row's voltage
-        self._own[: len(keys)] = np.concatenate([bus, np.where(to_end, t[br], f[br])])
+        self._e_own = self._own[self._e_cur]
+        self._e_diag = np.flatnonzero(self._e_col == self._e_own)
+        n_e = len(self._e_cur)
 
         # h gathers from [P of each current row | Q of each | vm | va]
-        width = self._y_shape[0]
-        offset = np.array([0, width, 0, width, 2 * width, 2 * width + n])
+        k = len(keys)
+        offset = np.array([0, k, 0, k, 2 * k, 2 * k + n])
         self._h_index = offset[kind] + np.where(reads, cur, where)
 
-        # derivative entries of injection rows: the row's pattern in Ybus
-        cells = np.unique(np.concatenate([f * n + t, t * n + f, np.arange(n) * (n + 1)]))
-        ybus_row, ybus_col = np.divmod(cells, n)
-        ybus_ptr = np.searchsorted(ybus_row, np.arange(n + 1))
-        inj_rows = np.flatnonzero(inj)
-        counts = np.diff(ybus_ptr)[where[inj_rows]]
-        cells = concat_ranges(ybus_ptr[where[inj_rows]], counts)
-        b_row = np.repeat(inj_rows, counts)
-        self._b_own = where[b_row]
-        self._b_col = ybus_col[cells]
-        self._b_diag = np.flatnonzero(self._b_col == self._b_own)
-        self._b_cur = cur[b_row[self._b_diag]]
-
-        # derivative entries of flow rows: both ends of the row's branch,
-        # each the stamp [yff | yft | ytf | ytt] of its end and side
-        flow_rows = np.flatnonzero(flow)
-        r_row = np.repeat(flow_rows, 2)
-        k = where[r_row]
-        at_f = np.arange(len(k)) % 2 == 0
-        r_from = from_side[r_row]
-        self._r_own = np.where(r_from, f[k], t[k])
-        self._r_col = np.where(at_f, f[k], t[k])
-        self._r_stamp = (np.where(r_from, 0, 2) + np.where(at_f, 0, 1)) * nl + k
-        self._r_diag = np.flatnonzero(self._r_col == self._r_own)
-        self._r_cur = cur[r_row[self._r_diag]]
-
-        e_row = np.concatenate([b_row, r_row])
-        e_col = np.concatenate([self._b_col, self._r_col])
-        self._e_imag = imag[e_row]
-        n_e = len(e_row)
-
-        # Jacobian entries: d/dva of every derivative entry off the slack
-        # column, d/dvm of every one, then the unit V rows; values come from
-        # [angle parts | magnitude parts | 1.0]
+        # Jacobian entries: every entry of a flow or injection row's current
+        # row, d/dva off the slack column and d/dvm, then the unit V rows;
+        # values come from [d/dva of P | of Q | d/dvm of P | of Q | 1.0]
+        e_ptr = np.searchsorted(self._e_cur, np.arange(k + 1))
+        read_rows = np.flatnonzero(reads)
+        counts = np.diff(e_ptr)[cur[read_rows]]
+        entry = concat_ranges(e_ptr[cur[read_rows]], counts)
+        e_row = np.repeat(read_rows, counts)
+        e_col = self._e_col[entry]
+        e_source = entry + n_e * imag[e_row]
         has_ang = ang_col[e_col] >= 0
         vmag_rows = np.flatnonzero(kind == 4)
         vang_rows = np.flatnonzero(kind == 5)
@@ -394,8 +378,8 @@ class LayoutPattern:
             n - 1 + where[vmag_rows], ang_col[where[vang_rows]],
         ])
         source = np.concatenate([
-            np.flatnonzero(has_ang), n_e + np.arange(n_e),
-            np.full(len(vmag_rows) + len(vang_rows), 2 * n_e),
+            e_source[has_ang], 2 * n_e + e_source,
+            np.full(len(vmag_rows) + len(vang_rows), 4 * n_e),
         ])
         order = np.lexsort((cols, rows))
         self.rows, self.cols, self._source = rows[order], cols[order], source[order]
@@ -445,18 +429,15 @@ def layout_pattern(adm: AdmittanceModel, layout: Layout) -> LayoutPattern:
 class MeasurementModel:
     """A measurement layout compiled against one admittance model: the
     layout's `LayoutPattern`, shared by every model of the topology, plus
-    three gathers of this model's admittance values.
+    the admittance of each of its entries, gathered once.
 
-    `y_rows` stacks the k rows of Ybus, Yf and Yt that the layout reads into
-    one dense k x n block, so every evaluation makes one O(k n) matvec for
-    its currents instead of three full ones; `_b_y` and `_r_y` are the
-    admittances of the injection and flow derivative entries. Evaluation is
-    then loop-free. Each row of that matvec rounds as the same row of the
-    full product does, and each derivative entry repeats the elementwise
-    arithmetic of the dense formulas, so h and the Jacobian match them bit
-    for bit. The model holds its own copy of the values, not the
-    AdmittanceModel that caches it, so a dropped AdmittanceModel is freed
-    without a cycle.
+    Every evaluation computes the k currents the layout reads as real-part
+    products (`network.product`) summed per row in entry order, and the
+    Jacobian's derivative entries with the same products, so h and the
+    Jacobian round as scalar complex arithmetic does, on every host and at
+    any BLAS thread count. The model holds its own copy of the values, not
+    the AdmittanceModel that caches it, so a dropped AdmittanceModel is
+    freed without a cycle.
 
     The model also owns the state packing x = [non-slack angles (case bus
     order) | all magnitudes] and the row-pair index that assembles the gain
@@ -469,13 +450,12 @@ class MeasurementModel:
     def __init__(self, adm: AdmittanceModel, layout: Layout):
         p = self.pattern = layout_pattern(adm, layout)
         self.m, self.n_state, self.rows, self.cols = p.m, p.n_state, p.rows, p.cols
-        stamps = np.concatenate([adm.yff, adm.yft, adm.ytf, adm.ytt])
-        y = np.zeros(p._y_shape, dtype=complex)
-        y[: len(p._y_bus)] = adm.ybus[p._y_bus]
-        y.ravel()[p._y_cells] = stamps[p._y_stamp]
-        self.y_rows = y
-        self._b_y = adm.ybus[p._b_own, p._b_col]
-        self._r_y = stamps[p._r_stamp]
+        values = np.concatenate([adm.ybus_values, adm.yff, adm.yft, adm.ytf, adm.ytt])
+        self._y = values[p._e_y]
+
+    def _currents(self, v: np.ndarray) -> np.ndarray:
+        p = self.pattern
+        return row_sums(p._e_cur, product(self._y, v[p._e_col]), len(p._own))
 
     def state_columns(self, positions: np.ndarray) -> np.ndarray:
         """Columns of x holding the angles, then the magnitudes, of the buses
@@ -496,39 +476,26 @@ class MeasurementModel:
     def h(self, state: StateVector) -> np.ndarray:
         p = self.pattern
         v = state.complex_voltages()
-        s = v[p._own] * np.conj(self.y_rows @ v)
+        s = product(v[p._own], np.conj(self._currents(v)))
         return np.concatenate((s.real, s.imag, state.vm, state.va))[p._h_index]
 
     def jacobian_values(self, state: StateVector) -> np.ndarray:
-        """Nonzeros of the Jacobian at (self.rows, self.cols)."""
+        """Nonzeros of the Jacobian at (self.rows, self.cols).
+
+        For an entry of admittance y in a row of current I, with own bus o
+        and column c, dS/dva_c = j a and dS/dvm_c = b, where a = d v_o conj(I)
+        - v_o conj(y v_c) and b = v_o conj(y v_c / |v_c|) + d conj(I) v_o / |v_o|,
+        and d is 1 where c = o and 0 elsewhere."""
         p = self.pattern
         v = state.complex_voltages()
         vnorm = v / np.abs(v)
-        current = self.y_rows @ v
-
-        own, col, diag = p._b_own, p._b_col, p._b_diag
-        ibus = current[p._b_cur]
-        at_diag = np.zeros(len(own), dtype=complex)
-        at_diag[diag] = v[own[diag]] * np.conj(ibus)
-        b_va = 1j * (at_diag - v[own] * np.conj(self._b_y * v[col]))
-        at_diag[diag] = np.conj(ibus) * vnorm[own[diag]]
-        b_vm = v[own] * np.conj(self._b_y * vnorm[col]) + at_diag
-
-        own, col, diag = p._r_own, p._r_col, p._r_diag
-        ibranch = current[p._r_cur]
-        r_va = -1j * v[own] * np.conj(self._r_y * v[col])
-        r_va[diag] += 1j * np.conj(ibranch) * v[own[diag]]
-        r_vm = v[own] * np.conj(self._r_y * vnorm[col])
-        r_vm[diag] += np.conj(ibranch) * vnorm[own[diag]]
-
-        d_va = np.concatenate([b_va, r_va])
-        d_vm = np.concatenate([b_vm, r_vm])
-        values = np.concatenate([
-            np.where(p._e_imag, d_va.imag, d_va.real),
-            np.where(p._e_imag, d_vm.imag, d_vm.real),
-            [1.0],
-        ])
-        return values[p._source]
+        own, col, diag = p._e_own, p._e_col, p._e_diag
+        conj_i = np.conj(self._currents(v))[p._e_cur[diag]]
+        a = -product(v[own], np.conj(product(self._y, v[col])))
+        a[diag] += product(v[own[diag]], conj_i)
+        b = product(v[own], np.conj(product(self._y, vnorm[col])))
+        b[diag] += product(conj_i, vnorm[own[diag]])
+        return np.concatenate([-a.imag, a.real, b.real, b.imag, [1.0]])[p._source]
 
     def jacobian(self, state: StateVector) -> np.ndarray:
         jac = np.zeros((self.m, self.n_state))

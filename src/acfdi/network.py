@@ -384,11 +384,16 @@ class AdmittanceModel:
     aligned with `branches` (the in-service subset, source order). The stamps
     yff/yft/ytf/ytt are the only definition of the branch two-port: Ybus sums
     them, and branch flows and the measurement model read them.
+
+    Ybus is kept as compressed rows: `ybus_cells` holds the flat positions
+    i * n + j of its pattern in ascending order, which depends on the
+    topology alone, and `ybus_values` one value per cell.
     """
 
     case: NetworkCase
     branches: tuple[Branch, ...]
-    ybus: np.ndarray  # n x n complex
+    ybus_cells: np.ndarray  # sorted flat positions of the Ybus pattern
+    ybus_values: np.ndarray  # complex, one per cell
     yff: np.ndarray  # per-branch self/mutual terms
     yft: np.ndarray
     ytf: np.ndarray
@@ -412,6 +417,15 @@ class AdmittanceModel:
         kinds = [BUS_KINDS.index(b.kind) for b in case.buses]
         parts = (sizes, ids, kinds, self.f_idx, self.t_idx)
         return np.concatenate(parts).astype(np.int64).tobytes()
+
+    @functools.cached_property
+    def ybus(self) -> np.ndarray:
+        """Ybus as a dense n x n array, scattered from the cells on first
+        access; the package itself reads only the cells."""
+        n = self.case.n_bus
+        dense = np.zeros((n, n), dtype=complex)
+        dense.ravel()[self.ybus_cells] = self.ybus_values
+        return dense
 
     @functools.cached_property
     def full_layout(self):
@@ -452,7 +466,6 @@ def build_admittance(case: NetworkCase) -> AdmittanceModel:
     f_idx = np.zeros(nl, dtype=int)
     t_idx = np.zeros(nl, dtype=int)
 
-    ybus = np.zeros((n, n), dtype=complex)
     for k, br in enumerate(branches):
         ys = 1.0 / complex(br.r, br.x)
         ysh = 0.5j * br.b
@@ -464,15 +477,36 @@ def build_admittance(case: NetworkCase) -> AdmittanceModel:
         i = case.bus_index(br.from_bus)
         j = case.bus_index(br.to_bus)
         f_idx[k], t_idx[k] = i, j
-        ybus[i, i] += yff[k]
-        ybus[i, j] += yft[k]
-        ybus[j, i] += ytf[k]
-        ybus[j, j] += ytt[k]
 
-    for i, b in enumerate(case.buses):
-        ybus[i, i] += complex(b.gs, b.bs)
+    # each branch's four stamps in branch order, then the bus shunts, summed
+    # into their cells in that order
+    at = np.stack([f_idx * (n + 1), f_idx * n + t_idx, t_idx * n + f_idx, t_idx * (n + 1)], 1)
+    stamped = np.concatenate([at.ravel(), np.arange(n) * (n + 1)])
+    cells = np.unique(stamped)
+    values = np.zeros(len(cells), dtype=complex)
+    shunts = [complex(b.gs, b.bs) for b in case.buses]
+    np.add.at(values, np.searchsorted(cells, stamped),
+              np.concatenate([np.stack([yff, yft, ytf, ytt], 1).ravel(), shunts]))
 
     return AdmittanceModel(
-        case=case, branches=branches, ybus=ybus,
+        case=case, branches=branches, ybus_cells=cells, ybus_values=values,
         yff=yff, yft=yft, ytf=ytf, ytt=ytt, f_idx=f_idx, t_idx=t_idx,
     )
+
+
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise complex a * b from real parts. numpy fuses its complex
+    array product into FMA on some hosts (AVX-512), which rounds differently
+    from scalar complex arithmetic; this rounds the same on every host."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def row_sums(row: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """The complex terms summed per row, each row's in the order given."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(row, terms.real, size)
+    out.imag = np.bincount(row, terms.imag, size)
+    return out

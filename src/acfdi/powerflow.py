@@ -1,9 +1,10 @@
 """AC power flow: Newton-Raphson solution, branch flows, bus injections.
 
 Every evaluator here reads the admittance model: branch flows come from the
-two-port stamps that `network.build_admittance` writes, injections from Ybus,
-and the Newton-Raphson mismatch and Jacobian from the measurement model
-compiled against it. No branch equation is written in this module.
+two-port stamps that `network.build_admittance` writes, injections from the
+cells of Ybus, and the Newton-Raphson mismatch and Jacobian from the
+measurement model compiled against it. No branch equation is written in this
+module.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .artifacts import ConfigError, member
 from .banded import BlockBand, block_lu_solve, read_only
-from .network import AdmittanceModel, NetworkCase, build_admittance
+from .network import AdmittanceModel, NetworkCase, build_admittance, product, row_sums
 
 
 class PowerFlowError(RuntimeError):
@@ -299,16 +300,6 @@ def solve_power_flow(
     return newton_power_flow(case, adm, **limits).state
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise complex a * b from real parts. numpy fuses its complex
-    array product into FMA on some hosts (AVX-512), which rounds differently
-    from scalar complex arithmetic; this rounds the same on every host."""
-    out = np.empty(a.shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def branch_flows(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray, np.ndarray]:
     """Complex power (sf, st) entering every in-service branch at its from and
     to end, aligned with adm.branches: sf = vf conj(yff vf + yft vt) and
@@ -316,9 +307,9 @@ def branch_flows(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray, 
     the stamps."""
     v = state.complex_voltages()
     vf, vt = v[adm.f_idx], v[adm.t_idx]
-    i_from = _product(adm.yff, vf) + _product(adm.yft, vt)
-    i_to = _product(adm.ytf, vf) + _product(adm.ytt, vt)
-    return _product(vf, np.conj(i_from)), _product(vt, np.conj(i_to))
+    i_from = product(adm.yff, vf) + product(adm.yft, vt)
+    i_to = product(adm.ytf, vf) + product(adm.ytt, vt)
+    return product(vf, np.conj(i_from)), product(vt, np.conj(i_to))
 
 
 def bus_injection(
@@ -331,13 +322,15 @@ def bus_injection(
     the sum of outgoing branch flows plus bus-shunt consumption."""
     if adm is None:
         adm = build_admittance(case)
+    p, q = all_injections(state, adm)
     i = case.bus_index(bus_id)
-    v = state.complex_voltages()
-    s = v[i] * np.conj(adm.ybus[i] @ v)
-    return float(s.real), float(s.imag)
+    return float(p[i]), float(q[i])
 
 
 def all_injections(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray, np.ndarray]:
+    """Net (P, Q) at every bus, v conj(Ybus v), each row of Ybus v summed
+    over its cells in column order."""
     v = state.complex_voltages()
-    s = v * np.conj(adm.ybus @ v)
+    row, col = np.divmod(adm.ybus_cells, len(v))
+    s = product(v, np.conj(row_sums(row, product(adm.ybus_values, v[col]), len(v))))
     return s.real, s.imag

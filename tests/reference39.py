@@ -76,107 +76,144 @@ INJECTIONS = {
 TARGET_FLOW = {"before": 2.5730, "optimal": 3.3466, "arbitrary": 11.4067}
 
 
-# --- loop oracles for the measurement function ---------------------------------
-# The per-key implementation of h and its Jacobian that the compiled
-# measurement model replaced: dense derivative matrices, then one row per
-# key. The compiled model repeats the same elementwise arithmetic, so it must
-# match these bit for bit; the attack artifacts' byte identity rests on it.
+# --- scalar oracles for the network equations -----------------------------------
+# h, its Jacobian, the bus injections and the power-flow mismatch evaluated
+# key by key in Python complex arithmetic, which rounds each product as
+# a.real * b.real - a.imag * b.imag and a.real * b.imag + a.imag * b.real, on
+# every host. Each current is summed over its row's nonzeros in column order.
+# The voltages v and v / |v| come from numpy, as the package computes them;
+# the oracle checks the sums and products built on them. The package must
+# match these bit for bit; the artifacts' byte identity rests on it.
 
-def current_maps(adm):
-    """Dense nl x n from- and to-end current maps, If = Yf @ V and It = Yt @ V,
-    laid out from the branch stamps."""
+def loop_ybus(adm):
+    """Dense Ybus summed entry by entry from the branch stamps in branch
+    order, then the bus shunts."""
     import numpy as np
 
-    nl, n = len(adm.branches), adm.case.n_bus
-    rows = np.arange(nl)
-    yf = np.zeros((nl, n), dtype=complex)
-    yt = np.zeros((nl, n), dtype=complex)
-    yf[rows, adm.f_idx], yf[rows, adm.t_idx] = adm.yff, adm.yft
-    yt[rows, adm.f_idx], yt[rows, adm.t_idx] = adm.ytf, adm.ytt
-    return yf, yt
+    n = adm.case.n_bus
+    ybus = np.zeros((n, n), dtype=complex)
+    for k in range(len(adm.branches)):
+        i, j = adm.f_idx[k], adm.t_idx[k]
+        ybus[i, i] += adm.yff[k]
+        ybus[i, j] += adm.yft[k]
+        ybus[j, i] += adm.ytf[k]
+        ybus[j, j] += adm.ytt[k]
+    for i, b in enumerate(adm.case.buses):
+        ybus[i, i] += complex(b.gs, b.bs)
+    return ybus
+
+
+def current_rows(adm):
+    """(Ybus rows by bus position, Yf rows and Yt rows by branch), each row a
+    list of (column, admittance as Python complex) in column order. A Ybus
+    row holds its bus and the buses a branch joins it to."""
+    n = adm.case.n_bus
+    f, t = adm.f_idx.tolist(), adm.t_idx.tolist()
+    neighbours = [{i} for i in range(n)]
+    for i, j in zip(f, t):
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    ybus = loop_ybus(adm).tolist()
+    ybus_rows = [[(j, ybus[i][j]) for j in sorted(neighbours[i])] for i in range(n)]
+    yf_rows = [sorted([(i, a), (j, b)]) for i, j, a, b in zip(f, t, adm.yff.tolist(), adm.yft.tolist())]
+    yt_rows = [sorted([(i, a), (j, b)]) for i, j, a, b in zip(f, t, adm.ytf.tolist(), adm.ytt.tolist())]
+    return ybus_rows, yf_rows, yt_rows
+
+
+def row_current(row, v):
+    total = 0j
+    for j, y in row:
+        total += y * v[j]
+    return total
+
+
+def loop_injections(adm, state):
+    """Net complex injection v_i conj(sum_j Y_ij v_j) at every bus."""
+    v = state.complex_voltages().tolist()
+    return [v[i] * row_current(row, v).conjugate() for i, row in enumerate(current_rows(adm)[0])]
+
+
+def _key_row(adm, key, rows):
+    """The current row a flow or injection key reads and the bus of its voltage."""
+    ybus_rows, yf_rows, yt_rows = rows
+    if key.kind in ("Pflow", "Qflow"):
+        k = key.branch_index
+        if key.side == "from":
+            return yf_rows[k], int(adm.f_idx[k])
+        return yt_rows[k], int(adm.t_idx[k])
+    i = adm.case.bus_index(key.bus)
+    return ybus_rows[i], i
 
 
 def loop_eval_h(adm, state, layout):
     import numpy as np
 
     case = adm.case
-    v = state.complex_voltages()
-    yf, yt = current_maps(adm)
-    sbus = v * np.conj(adm.ybus @ v)
-    sf = v[adm.f_idx] * np.conj(yf @ v)
-    st = v[adm.t_idx] * np.conj(yt @ v)
-
+    v = state.complex_voltages().tolist()
+    rows = current_rows(adm)
     out = np.empty(len(layout))
     for i, key in enumerate(layout.keys()):
-        if key.kind in ("Pflow", "Qflow"):
-            s = sf[key.branch_index] if key.side == "from" else st[key.branch_index]
-            out[i] = s.real if key.kind == "Pflow" else s.imag
-        elif key.kind == "Pinj":
-            out[i] = sbus.real[case.bus_index(key.bus)]
-        elif key.kind == "Qinj":
-            out[i] = sbus.imag[case.bus_index(key.bus)]
-        elif key.kind == "Vmag":
+        if key.kind == "Vmag":
             out[i] = state.vm[case.bus_index(key.bus)]
         elif key.kind == "Vang":
             out[i] = state.va[case.bus_index(key.bus)]
+        else:
+            row, own = _key_row(adm, key, rows)
+            s = v[own] * row_current(row, v).conjugate()
+            out[i] = s.real if key.kind in ("Pflow", "Pinj") else s.imag
     return out
 
 
 def loop_eval_jacobian(adm, state, layout):
+    """dS/dva_c = j a and dS/dvm_c = b for each nonzero y of the key's row,
+    with a = d v_o conj(I) - v_o conj(y v_c), b = v_o conj(y vn_c) + d conj(I) vn_o,
+    own bus o, vn = v / |v| and d = 1 at c = o, else 0."""
     import numpy as np
 
     case = adm.case
     n_bus = case.n_bus
-    v = state.complex_voltages()
-    vnorm = v / np.abs(v)
-    ibus = adm.ybus @ v
+    v_array = state.complex_voltages()
+    v = v_array.tolist()
+    vnorm = (v_array / np.abs(v_array)).tolist()
+    rows = current_rows(adm)
 
-    ds_dva = 1j * (np.diag(v * np.conj(ibus)) - v[:, None] * np.conj(adm.ybus * v[None, :]))
-    ds_dvm = v[:, None] * np.conj(adm.ybus * vnorm[None, :]) + np.diag(np.conj(ibus) * vnorm)
-
-    nl = len(adm.branches)
-    yf, yt = current_maps(adm)
-    i_f = yf @ v
-    i_t = yt @ v
-    rows = np.arange(nl)
-
-    dsf_dva = -1j * v[adm.f_idx, None] * np.conj(yf * v[None, :])
-    dsf_dva[rows, adm.f_idx] += 1j * np.conj(i_f) * v[adm.f_idx]
-    dsf_dvm = v[adm.f_idx, None] * np.conj(yf * vnorm[None, :])
-    dsf_dvm[rows, adm.f_idx] += np.conj(i_f) * vnorm[adm.f_idx]
-
-    dst_dva = -1j * v[adm.t_idx, None] * np.conj(yt * v[None, :])
-    dst_dva[rows, adm.t_idx] += 1j * np.conj(i_t) * v[adm.t_idx]
-    dst_dvm = v[adm.t_idx, None] * np.conj(yt * vnorm[None, :])
-    dst_dvm[rows, adm.t_idx] += np.conj(i_t) * vnorm[adm.t_idx]
-
-    slack = case.slack_bus
-    ang_cols = {}
-    for b in case.buses:
-        if b.id != slack:
-            ang_cols[b.id] = len(ang_cols)
-    n_ang = len(ang_cols)
-    ang_sel = [case.bus_index(b) for b in ang_cols]
-
-    jac = np.zeros((len(layout), n_ang + n_bus))
+    slack = case.bus_index(case.slack_bus)
+    ang_col = {c: k for k, c in enumerate(c for c in range(n_bus) if c != slack)}
+    jac = np.zeros((len(layout), len(ang_col) + n_bus))
     for i, key in enumerate(layout.keys()):
-        if key.kind in ("Pflow", "Qflow"):
-            da = dsf_dva[key.branch_index] if key.side == "from" else dst_dva[key.branch_index]
-            dm = dsf_dvm[key.branch_index] if key.side == "from" else dst_dvm[key.branch_index]
-            part = np.real if key.kind == "Pflow" else np.imag
-            jac[i, :n_ang] = part(da)[ang_sel]
-            jac[i, n_ang:] = part(dm)
-        elif key.kind in ("Pinj", "Qinj"):
-            bi = case.bus_index(key.bus)
-            part = np.real if key.kind == "Pinj" else np.imag
-            jac[i, :n_ang] = part(ds_dva[bi])[ang_sel]
-            jac[i, n_ang:] = part(ds_dvm[bi])
-        elif key.kind == "Vmag":
-            jac[i, n_ang + case.bus_index(key.bus)] = 1.0
-        elif key.kind == "Vang":
-            if key.bus != slack:
-                jac[i, ang_cols[key.bus]] = 1.0
+        if key.kind == "Vmag":
+            jac[i, len(ang_col) + case.bus_index(key.bus)] = 1.0
+            continue
+        if key.kind == "Vang":
+            if key.bus != case.slack_bus:
+                jac[i, ang_col[case.bus_index(key.bus)]] = 1.0
+            continue
+        row, own = _key_row(adm, key, rows)
+        conj_i = row_current(row, v).conjugate()
+        real = key.kind in ("Pflow", "Pinj")
+        for c, y in row:
+            a = -(v[own] * (y * v[c]).conjugate())
+            b = v[own] * (y * vnorm[c]).conjugate()
+            if c == own:
+                a += v[own] * conj_i
+                b += conj_i * vnorm[own]
+            d_va = 1j * a
+            if c in ang_col:
+                jac[i, ang_col[c]] = d_va.real if real else d_va.imag
+            jac[i, len(ang_col) + c] = b.real if real else b.imag
     return jac
+
+
+def loop_mismatch(case, adm, state):
+    """Scheduled minus calculated [P at PV and PQ buses | Q at PQ buses]."""
+    import numpy as np
+
+    from acfdi.powerflow import scheduled_injections
+
+    pvpq, pq = _pvpq_pq(case)
+    p_sched, q_sched = scheduled_injections(case)
+    s = loop_injections(adm, state)
+    return np.array([p_sched[i] - s[i].real for i in pvpq] + [q_sched[i] - s[i].imag for i in pq])
 
 
 # --- dense oracle for the power-flow Jacobian ----------------------------------

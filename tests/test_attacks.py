@@ -170,8 +170,12 @@ def test_constraint_model_stacks_only_the_rows_it_reads(case39, base39, zone39):
     layout = full.subset([full.position[i] for i in wanted])
     assert layout.signature in adm.compiled_layouts
     (k,) = [k for k, br in enumerate(adm.branches) if (br.from_bus, br.to_bus) == ref.TARGET]
-    expected = np.stack([adm.ybus[case39.bus_index(bus)], ref.current_maps(adm)[0][k]])
-    assert np.array_equal(measurement_model(adm, layout).y_rows, expected)
+    ybus_rows, yf_rows, _ = ref.current_rows(adm)
+    model = measurement_model(adm, layout)
+    row, col = model.pattern._e_cur, model.pattern._e_col
+    entries = [sorted(zip(col[row == r].tolist(), model._y[row == r].tolist())) for r in range(2)]
+    assert len(model.pattern._own) == 2
+    assert entries == [ybus_rows[case39.bus_index(bus)], yf_rows[k]]
 
 
 def test_bad_factor_and_mode_rejected(zone39):

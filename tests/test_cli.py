@@ -168,6 +168,22 @@ def test_infeasible_attack_exit_code(scenario_out, tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_attack_delta_on_an_unknown_measurement_is_config_error(scenario_out, tmp_path, capsys):
+    # a malformed attack file, not an infeasible design: exit 2 naming the
+    # file and the id
+    _, out = scenario_out
+    doc = json.loads((out / "attack_optimal.json").read_text())
+    doc["deltas"]["Pinj:999"] = 0.5
+    attack = tmp_path / "attack.json"
+    attack.write_text(json.dumps(doc))
+    rc = main(["impact", "case39", str(out / "zone.json"), str(attack), "--formats", "json",
+               "--out-dir", str(tmp_path / "i")])
+    assert rc == EXIT_CONFIG
+    assert f"{attack}: attack 'deltas': the case has no measurement id 'Pinj:999'" in (
+        capsys.readouterr().err
+    )
+
+
 def test_unattainable_target_names_its_constraint(tmp_path, capsys):
     config = tmp_path / "config.json"
     targets = [{"from": 26, "to": 27, "lambda": 50.0}]

@@ -237,8 +237,7 @@ def _assert_matches_loop_oracle(adm, states, layout):
 def test_single_row_layout_matches_loop_oracle_bit_for_bit(
     case39, adm39, base39, attack_optimal, meas_id
 ):
-    # one current row is padded to two, because numpy's one-row product
-    # rounds differently from the full products
+    # a layout that reads one current row sums it as a longer layout does
     layout = full_layout(case39)
     states = [base39, attack_optimal.x_attacked, *_seeded_states(base39, 40, seed=7)]
     _assert_matches_loop_oracle(adm39, states, layout.subset([layout.position[meas_id]]))

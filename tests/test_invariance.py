@@ -3,7 +3,8 @@ down. Renumbering the buses, reordering the bus rows and reordering the
 branch rows of case39 must leave every branch flow, matched by its (from, to)
 pair, every flow and injection of the impact report, and the WLS estimate of
 the same readings unchanged. So must writing the case on another MVA base,
-with powers compared in MW and MVAr."""
+with powers compared in MW and MVAr. Applying an attack and then its negation
+gives back the measurements, to rounding."""
 
 import dataclasses
 import operator
@@ -315,3 +316,24 @@ def test_impact_figures_do_not_depend_on_the_mva_base(
     for name in ("p_base", "p_attacked"):
         assert abs(mw(got_target[name], case) - mw(want_target[name], case39)) < 1e-10
     assert abs(got_target["factor_attained"] - want_target["factor_attained"]) < 1e-10
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), arbitrary=st.booleans(), scale=st.floats(1e-3, 1e3))
+def test_apply_attack_then_its_negation_is_the_identity(
+    case39, adm39, base39, attack_optimal, attack_arbitrary, seed, arbitrary, scale
+):
+    # each value goes x -> x + d -> (x + d) - d, two roundings, each within
+    # eps / 2 of its exact result; layout and variances are never touched
+    av = attack_arbitrary if arbitrary else attack_optimal
+    av = dataclasses.replace(av, deltas={i: scale * d for i, d in av.deltas.items()})
+    negated = dataclasses.replace(av, deltas={i: -d for i, d in av.deltas.items()})
+    ms = generate_measurements(case39, base39, seed=seed, adm=adm39)
+    back = apply_attack(apply_attack(ms, av), negated)
+    assert back.layout is ms.layout
+    assert np.array_equal(back.variances, ms.variances)
+    d = np.zeros(ms.m)
+    d[[ms.index_of(i) for i in av.deltas]] = list(av.deltas.values())
+    x = ms.values
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(back.values - x) <= eps * (np.abs(x + d) + np.abs(x)))

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,12 @@ from acfdi.network import (
     case_to_json,
     parse_case,
 )
+import reference39 as ref
 from conftest import TWO_BUS_CASE
+from meshgrid import meshed_case
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
+from grids import tiled_case39  # noqa: E402
 
 
 def _count_table_rows(text, name):
@@ -149,6 +156,25 @@ def test_case39_admittance_matches_bruteforce_stamps(case39, adm39):
     for k, bus in enumerate(case39.buses):
         oracle[k, k] += complex(bus.gs, bus.bs)
     assert np.max(np.abs(adm39.ybus - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("grid", ["case39", "tile8", "mesh6x7"])
+def test_ybus_cells_keep_the_bits_of_the_stamp_loop(grid, case39):
+    # Ybus sums its cells in the order the entry-by-entry loop does, so
+    # every entry keeps the loop's bits; the cells are the loop's pattern
+    case = {"case39": lambda: case39, "tile8": lambda: tiled_case39(8),
+            "mesh6x7": lambda: meshed_case(6, 7)}[grid]()
+    adm = build_admittance(case)
+    n = case.n_bus
+    dense = np.zeros((n, n), dtype=complex)
+    dense.ravel()[adm.ybus_cells] = adm.ybus_values
+    expected = ref.loop_ybus(adm)
+    assert np.array_equal(dense, expected)
+    assert np.array_equal(adm.ybus, expected)
+    pattern = {(i, i) for i in range(n)}
+    pattern |= {(i, j) for i, j in zip(adm.f_idx.tolist(), adm.t_idx.tolist())}
+    pattern |= {(j, i) for i, j in pattern}
+    assert adm.ybus_cells.tolist() == sorted(i * n + j for i, j in pattern)
 
 
 def test_admittance_sparsity_symmetric(adm39):

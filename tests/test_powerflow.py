@@ -102,14 +102,19 @@ def test_branch_flow_matches_complex_oracle_on_random_states(case39, adm39, base
 
 
 def test_branch_flows_round_as_scalar_complex_arithmetic(case39, adm39, base39):
-    # numpy may fuse complex array products into FMA; the flows must not
-    # depend on whether the host does, so each equals the scalar evaluation
+    # numpy may fuse complex array products into FMA; the flows and
+    # injections must not depend on whether the host does, so each equals the
+    # scalar evaluation
     sf, st = branch_flows(base39, adm39)
     v = base39.complex_voltages()
     for k in range(len(adm39.branches)):
         vf, vt = v[adm39.f_idx[k]], v[adm39.t_idx[k]]
         assert sf[k] == vf * np.conj(adm39.yff[k] * vf + adm39.yft[k] * vt)
         assert st[k] == vt * np.conj(adm39.ytf[k] * vf + adm39.ytt[k] * vt)
+    p, q = all_injections(base39, adm39)
+    for i, s in enumerate(ref.loop_injections(adm39, base39)):
+        assert (p[i], q[i]) == (s.real, s.imag)
+        assert bus_injection(base39, case39, case39.buses[i].id, adm39) == (s.real, s.imag)
 
 
 def test_global_power_balance(case39, adm39, base39):
@@ -276,13 +281,15 @@ def test_newton_power_flow_replays_dense_oracle(grid, case39, adm39, tile2):
     sol = newton_power_flow(case, adm)
     vm, va, history = ref.dense_newton_replay(case, adm)
     assert sol.iterations == len(history) - 1
-    # the mismatch is the same expression on the same array as the dense
-    # path's, so the first one keeps its bits; later ones follow iterates that
-    # differ at rounding level, compared relative to the starting mismatch
+    # the first mismatch rounds as scalar complex arithmetic does, so it
+    # keeps the scalar oracle's bits; later ones follow iterates that differ
+    # from the dense path's at rounding level, compared relative to the
+    # starting mismatch
     start = flat_start(case)
     mismatch = _NewtonEquations(case, adm).mismatch
-    assert np.array_equal(mismatch(start), ref.dense_mismatch(case, adm, start.vm, start.va))
-    assert sol.mismatch_history[0] == history[0]
+    first = ref.loop_mismatch(case, adm, start)
+    assert np.array_equal(mismatch(start), first)
+    assert sol.mismatch_history[0] == np.max(np.abs(first))
     gap = np.abs(np.array(sol.mismatch_history) - np.array(history))
     assert np.all(gap <= 1e-12 * history[0])
     assert np.max(np.abs(sol.state.vm - vm)) <= 1e-12
