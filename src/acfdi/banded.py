@@ -26,10 +26,12 @@ numpy has Cholesky but no triangular solve, so each Cholesky block step
 factors the 2b x 2b window [[S_k, B_kᵀ], [B_k, D_k+1]]: its lower-left block
 is B_k L_k⁻ᵀ. The inverses of the diagonal factor blocks, which the
 substitution and the selected inverse read, come from one batched doubling
-recursion over all blocks.
+recursion over all blocks, run when they are first read.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -205,7 +207,8 @@ class BlockCholesky:
     B_k below them, shape (nb - 1, b, b). L has diagonal blocks L_k
     (`lower`) and blocks C_k = B_k L_k⁻ᵀ below them (`coupling`); S_k =
     L_k L_kᵀ is the Schur complement D_k - C_k-1 C_k-1ᵀ. Raises
-    np.linalg.LinAlgError if a block fails to factor.
+    np.linalg.LinAlgError if a block fails to factor. The factor's arrays
+    are read-only, so one factor can be shared.
     """
 
     def __init__(self, diag: np.ndarray, sub: np.ndarray):
@@ -224,7 +227,16 @@ class BlockCholesky:
             self.coupling[k] = factor[b:, :b]
             schur = diag[k + 1] - self.coupling[k] @ self.coupling[k].T
         self.lower[nb - 1] = np.linalg.cholesky(schur)
-        self.inverse = _lower_inverses(self.lower)
+        read_only(self.lower, self.coupling)
+
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """The inverses of the diagonal factor blocks, built on the first
+        `solve` or `selected_inverse`: a factor read only for its `pivots`
+        never builds them."""
+        inverse = _lower_inverses(self.lower)
+        read_only(inverse)
+        return inverse
 
     @property
     def pivots(self) -> np.ndarray:

@@ -248,10 +248,10 @@ def full_layout(case: NetworkCase, kinds: tuple[str, ...] = KINDS) -> Layout:
 # estimator each reuse one layout, so a few entries cover every caller
 _COMPILED_PER_MODEL = 8
 
-# entries kept by `shared`: a scenario reads six per topology (the full
-# layout, the Newton pattern and four layout patterns), so this covers two
-# grids at once; each entry is integer structure, 3.5 MB at most at n = 312
-# (the full layout's pattern with its gain band)
+# entries kept by `shared`: a scenario reads seven per topology (the full
+# layout, the Newton pattern, four layout patterns and the flat start of its
+# estimates), so this covers two grids at once; a pattern is 3.5 MB at most
+# at n = 312 (the full layout's with its gain band), a flat start 1.5 MB
 _SHARED_LIMIT = 16
 _shared: dict[tuple, object] = {}
 
@@ -262,8 +262,10 @@ def shared(key: tuple, build):
 
     A key starts with an `AdmittanceModel.topology`, so every admittance
     model of one grid shares what is kept: full layouts, layout patterns and
-    Newton-Raphson patterns. None of them holds an admittance model, a case
-    or an admittance value, so a dropped model is still freed."""
+    Newton-Raphson patterns, and the flat starts of `MeasurementModel`, whose
+    key also holds the admittance values and weights their values derive
+    from. None of them holds an admittance model or a case, so a dropped
+    model is still freed."""
     value = _shared.pop(key, None)
     if value is None:
         value = build()
@@ -426,6 +428,24 @@ def layout_pattern(adm: AdmittanceModel, layout: Layout) -> LayoutPattern:
     return shared((adm.topology, layout.signature), lambda: LayoutPattern(adm, layout))
 
 
+class FlatStart(NamedTuple):
+    """The first step of every estimate on one model and weighting, which
+    reads no measured value: the flat state x, h and the Jacobian values
+    there, the gain's [sub | diag] blocks, its largest diagonal entry (the
+    scale of `nlsolver.Damping`), the starting damping mu of that scale and
+    the factor of the gain damped by mu, None when that does not factor.
+    The arrays are read-only."""
+
+    x: np.ndarray
+    h: np.ndarray
+    jac: np.ndarray
+    diag: np.ndarray
+    sub: np.ndarray
+    gain_max: float
+    mu: float
+    chol: BlockCholesky | None
+
+
 class MeasurementModel:
     """A measurement layout compiled against one admittance model: the
     layout's `LayoutPattern`, shared by every model of the topology, plus
@@ -452,6 +472,7 @@ class MeasurementModel:
         self.m, self.n_state, self.rows, self.cols = p.m, p.n_state, p.rows, p.cols
         values = np.concatenate([adm.ybus_values, adm.yff, adm.yft, adm.ytf, adm.ytt])
         self._y = values[p._e_y]
+        self._pattern_key = (adm.topology, layout.signature)
 
     def _currents(self, v: np.ndarray) -> np.ndarray:
         p = self.pattern
@@ -526,6 +547,26 @@ class MeasurementModel:
     def transpose_times(self, values: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Hᵀy from the Jacobian's nonzeros."""
         return np.bincount(self.cols, weights=values * y[self.rows], minlength=self.n_state)
+
+    def flat_start(self, w: np.ndarray) -> FlatStart:
+        """The flat start under weights w, built once and shared by every
+        model with this pattern and these admittance values. Raises, and
+        keeps nothing, when the layout is unobservable: the pivot test on
+        the undamped gain decides it."""
+        key = (*self._pattern_key, self._y.tobytes(), w.tobytes())
+        return shared(key, lambda: self._build_flat_start(w))
+
+    def _build_flat_start(self, w: np.ndarray) -> FlatStart:
+        n_bus = len(self.pattern._bus_ids)
+        x = np.concatenate([np.zeros(n_bus - 1), np.ones(n_bus)])
+        flat = self.state_of(x)
+        h, jac = self.h(flat), self.jacobian_values(flat)
+        diag, sub = self.gain(jac, w)
+        _require_observable(_factor((diag, sub), _UNOBSERVABLE), self.n_state)
+        gain_max = float(np.max(np.diagonal(diag, axis1=1, axis2=2)))
+        mu = Damping(gain_max, self.m).mu_start
+        read_only(x, h, jac, diag, sub)
+        return FlatStart(x, h, jac, diag, sub, gain_max, mu, _damped(diag, sub, mu))
 
     def leverage(self, values: np.ndarray, chol: BlockCholesky) -> np.ndarray:
         """diag(H G⁻¹ Hᵀ): one quadratic form per row over its nonzeros.
@@ -666,6 +707,14 @@ def _factor(gain: tuple[np.ndarray, np.ndarray], failure: str) -> BlockCholesky:
         raise EstimationError(failure) from None
 
 
+def _damped(diag: np.ndarray, sub: np.ndarray, mu: float) -> BlockCholesky | None:
+    """The factor of the gain plus mu I, or None when it does not factor."""
+    try:
+        return BlockCholesky(diag + mu * np.eye(len(diag[0])), sub)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _require_observable(chol: BlockCholesky, n: int) -> None:
     """Pivot test on the block Cholesky factor of the gain matrix.
 
@@ -694,7 +743,9 @@ def wls_estimate(
     Each iteration solves (G + mu I) dx = HᵀW r on the gain's band and
     predicts the decrease dxᵀHᵀW r + mu |dx|² of J = rᵀW r. The pivot test
     on the undamped gain of the first iteration decides observability;
-    after that a damped gain that does not factor is a rejected trial.
+    after that a damped gain that does not factor is a rejected trial. The
+    first iteration reads no measured value until its right-hand side, so
+    it starts from the model's shared `flat_start`.
     Converges on an accepted step below tol taken at the starting mu, or
     when the predicted decrease is within rounding of J. Raises on an
     unobservable layout, and on any other stop.
@@ -713,22 +764,22 @@ def wls_estimate(
     z = ms.values
     w = 1.0 / ms.variances
 
-    def objective(xv: np.ndarray) -> tuple[float, np.ndarray]:
-        r = z - model.h(model.state_of(xv))
+    def weighted(r: np.ndarray) -> tuple[float, np.ndarray]:
         return float(r @ (w * r)), r
 
-    x = np.concatenate([np.zeros(case.n_bus - 1), np.ones(case.n_bus)])
-    f_cur, r = objective(x)
+    def objective(xv: np.ndarray) -> tuple[float, np.ndarray]:
+        return weighted(z - model.h(model.state_of(xv)))
+
+    start = model.flat_start(w)
+    x, jac, diag, sub = start.x, start.jac, start.diag, start.sub
+    f_cur, r = weighted(z - start.h)
     history = [f_cur]
-    jac = model.jacobian_values(model.state_of(x))
-    diag, sub = model.gain(jac, w)
-    _require_observable(_factor((diag, sub), _UNOBSERVABLE), n)
-    damping = Damping(float(np.max(np.diagonal(diag, axis1=1, axis2=2))), ms.m)
+    damping = Damping(start.gain_max, ms.m)
 
     def solve(mu: float) -> tuple[np.ndarray, float] | None:
-        try:
-            chol = BlockCholesky(diag + mu * np.eye(len(diag[0])), sub)
-        except np.linalg.LinAlgError:
+        first = diag is start.diag and mu == start.mu
+        chol = start.chol if first else _damped(diag, sub, mu)
+        if chol is None:
             return None
         dx = model.solve(chol, rhs)
         return x + dx, float(dx @ rhs + mu * (dx @ dx))

@@ -15,6 +15,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from acfdi.banded import BlockCholesky, rcm_order
 from acfdi.estimation import (
+    _require_observable,
     eval_jacobian,
     generate_measurements,
     measurement_model,
@@ -96,6 +97,17 @@ def test_banded_solve_matches_dense(grid):
     expected = np.linalg.solve(_dense_gain(adm, ms, state), rhs)
     x = model.solve(chol, rhs)
     assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+def test_pivot_test_builds_no_block_inverses(grid):
+    # the observability test reads only the pivots; the inverses of the
+    # diagonal factor blocks (0.7 ms at n = 312) wait for the first solve
+    _, _, model, ms, state = grid
+    chol = BlockCholesky(*model.gain(model.jacobian_values(state), 1.0 / ms.variances))
+    _require_observable(chol, model.n_state)
+    assert "inverse" not in vars(chol)
+    model.solve(chol, np.ones(model.n_state))
+    assert "inverse" in vars(chol)
 
 
 def test_selected_inverse_matches_dense_on_band(grid):

@@ -863,7 +863,7 @@ def _branches_reordered(case):
     "change", [_out_of_service, _pv_to_pq, _renumbered, _branches_reordered],
     ids=lambda change: change.__name__.strip("_"),
 )
-def test_a_changed_topology_builds_its_own_patterns(case39, change):
+def test_a_changed_topology_builds_its_own_patterns(case39, change, monkeypatch):
     changed = change(case39)
     estimation._shared.clear()
     adm = build_admittance(changed)
@@ -873,15 +873,148 @@ def test_a_changed_topology_builds_its_own_patterns(case39, change):
     warm = build_admittance(case39)
     _pipeline_bits(case39, warm)
     kept = {id(value) for value in estimation._shared.values()}
-    assert len(kept) == 4
+    # the full layout, the Newton pattern, two layout patterns and the
+    # estimate's flat start
+    assert len(kept) == 5
+    read = _records_read(monkeypatch)
     adm = build_admittance(changed)
     assert adm.topology != warm.topology
     after_changed = _pipeline_bits(changed, adm)
     assert not any(id(m.pattern) in kept for m in adm.compiled_layouts.values())
     assert id(adm.full_layout) not in kept
+    assert len(read) == 1 and id(read[0]) not in kept
     # bit for bit the numbers of a cleared cache, so nothing stale was read
     for a, b in zip(fresh, after_changed):
         assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+
+
+def _records_read(monkeypatch):
+    """The flat starts that estimates read from here on, in call order."""
+    read = []
+    flat_start = estimation.MeasurementModel.flat_start
+
+    def recorded(model, w):
+        read.append(flat_start(model, w))
+        return read[-1]
+
+    monkeypatch.setattr(estimation.MeasurementModel, "flat_start", recorded)
+    return read
+
+
+def _factors_built(monkeypatch):
+    """A list that grows by one for each BlockCholesky the estimator builds."""
+    built = []
+
+    class Counted(banded.BlockCholesky):
+        def __init__(self, diag, sub):
+            built.append(self)
+            super().__init__(diag, sub)
+
+    monkeypatch.setattr(estimation, "BlockCholesky", Counted)
+    return built
+
+
+def _snapshot_measurements(grid, k):
+    case = perturb_loads(grid, np.random.default_rng([1, k]))
+    adm = build_admittance(case)
+    truth = newton_power_flow(case, adm).state
+    return case, adm, generate_measurements(case, truth, seed=k, adm=adm)
+
+
+def _estimate_bits(res):
+    return [res.x_hat.vm, res.x_hat.va, res.residual, res.r_normalized,
+            np.array([res.j_statistic, res.iterations, res.gradient_norm]),
+            np.array(res.objective_history)]
+
+
+def _assert_same_bits(one, other):
+    for a, b in zip(_estimate_bits(one), _estimate_bits(other)):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("tiles", [2, 8])
+def test_load_snapshots_of_one_grid_share_one_flat_start(tiles, monkeypatch):
+    # loads move the measured values, not the admittances: the second
+    # snapshot's estimate reads the first one's flat start and skips its two
+    # factorizations, the pivot test's and the first trial's
+    grid = tiled_case39(tiles)
+    estimation._shared.clear()
+    read, built = _records_read(monkeypatch), _factors_built(monkeypatch)
+    case, adm, ms = _snapshot_measurements(grid, 0)
+    wls_estimate(ms, case, adm)
+    case, adm, ms = _snapshot_measurements(grid, 1)
+    built.clear()
+    warm = wls_estimate(ms, case, adm)
+    warm_factors = len(built)
+    assert len(read) == 2 and read[0] is read[1]
+
+    estimation._shared.clear()
+    built.clear()
+    cold = wls_estimate(ms, case, adm)
+    assert read[2] is not read[1]
+    assert len(built) == warm_factors + 2
+    if tiles == 8:
+        assert (warm_factors, len(built)) == (5, 7)
+    _assert_same_bits(warm, cold)
+
+
+def test_new_admittance_values_or_sigmas_build_their_own_flat_start(monkeypatch):
+    grid = tiled_case39(2)
+    estimation._shared.clear()
+    read = _records_read(monkeypatch)
+    case, adm, ms = _snapshot_measurements(grid, 0)
+    wls_estimate(ms, case, adm)
+
+    # one branch's reactance scaled: the same topology, other values
+    branches = list(case.branches)
+    branches[5] = dataclasses.replace(branches[5], x=branches[5].x * 1.25)
+    stiffer = dataclasses.replace(case, branches=tuple(branches))
+    stiffer_adm = build_admittance(stiffer)
+    assert stiffer_adm.topology == adm.topology
+    truth = newton_power_flow(stiffer, stiffer_adm).state
+    stiffer_ms = generate_measurements(stiffer, truth, seed=0, adm=stiffer_adm)
+    # new sigmas: the same values, other weights
+    reweighted = generate_measurements(
+        case, newton_power_flow(case, adm).state, sigmas={"Vmag": 0.002}, seed=0, adm=adm
+    )
+    runs = [(stiffer_ms, stiffer, stiffer_adm), (reweighted, case, adm)]
+    warm = [wls_estimate(*run) for run in runs]
+    assert len({id(record) for record in read}) == 3
+    for result, run in zip(warm, runs):
+        estimation._shared.clear()
+        _assert_same_bits(result, wls_estimate(*run))
+
+
+def test_flat_start_arrays_are_read_only(case39, adm39, base39):
+    ms = generate_measurements(case39, base39, seed=4, adm=adm39)
+    wls_estimate(ms, case39, adm39)
+    record = measurement_model(adm39, ms.layout).flat_start(1.0 / ms.variances)
+    chol = record.chol
+    arrays = [record.x, record.h, record.jac, record.diag, record.sub]
+    arrays += [chol.lower, chol.coupling, chol.inverse]
+    for array in arrays:
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        record.diag[0, 0, 0] = 0.0
+
+
+def test_unobservable_layout_keeps_no_flat_start(case39, adm39, base39):
+    n = 2 * case39.n_bus - 1
+    flat = StateVector(base39.bus_ids, np.ones(case39.n_bus), np.zeros(case39.n_bus))
+    ms = next(
+        ms for ms in _random_sublayouts(case39, adm39, base39, seed=0, count=240)
+        if np.linalg.matrix_rank(eval_jacobian(adm39, flat, ms.layout)) < n
+    )
+    estimation._shared.clear()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(EstimationError) as raised:
+            wls_estimate(ms, case39, adm39)
+        messages.append(str(raised.value))
+        assert not any(
+            isinstance(value, estimation.FlatStart) for value in estimation._shared.values()
+        )
+    assert messages == [estimation._UNOBSERVABLE] * 2
 
 
 def test_shared_cache_stays_within_its_bound(case39):
