@@ -19,11 +19,15 @@ import numpy as np
 
 from . import artifacts
 from .artifacts import ConfigError, member, typed
-from .estimation import KIND_CODE, Layout, MeasurementSet, eval_h, eval_jacobian, measurement_model
+from .estimation import KIND_CODE, Layout, MeasurementModel, MeasurementSet, eval_h, eval_jacobian
 from .network import AdmittanceModel, NetworkCase, build_admittance, row_sums
 from .nlsolver import SolverError, solve_constrained
 from .powerflow import StateVector, all_injections, branch_flows
 from .zones import AttackZone
+
+
+# seeded arbitrary-mode starts drawn at most, until one meets the targets
+_MAX_START_DRAWS = 100
 
 
 class AttackError(RuntimeError):
@@ -42,7 +46,6 @@ class OverloadTarget:
 @dataclass(frozen=True)
 class SolverParams:
     tol_eq: float = 1e-6
-    tol_step: float = 1e-12
     max_outer: int = 20
     max_inner: int = 60
     penalty0: float = 10.0
@@ -52,14 +55,13 @@ class SolverParams:
     mag_perturbation: float = 0.05  # p.u., arbitrary-mode start
     vm_relax: float = 0.1  # widening of magnitude bounds in arbitrary mode
     overload_margin: float = 1e-4  # strict-feasibility offset on the overload bound
-    max_start_draws: int = 100
 
     def __post_init__(self):
         # written as `not value > bound` so that NaN is rejected too
-        for name in ("max_outer", "max_inner", "max_start_draws"):
+        for name in ("max_outer", "max_inner"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
-        for name in ("tol_eq", "tol_step", "penalty0"):
+        for name in ("tol_eq", "penalty0"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not self.penalty_growth > 1:
@@ -205,12 +207,18 @@ def design_attack(
         return eval_h(adm, state, con_layout)[target_rows]
 
     base_flows = target_flows(base)
+    for t, flow in zip(spec.targets, base_flows.tolist()):
+        if not flow > 0:
+            raise AttackError(
+                f"target branch {t.from_bus}-{t.to_bus} has base from-end flow "
+                f"{flow:+.6g} p.u.; an overload factor needs a positive one"
+            )
     bounds_flow = np.array(
         [t.factor * f + params.overload_margin for t, f in zip(spec.targets, base_flows)]
     )
 
     int_pos = np.array([case.bus_index(b) for b in interior], dtype=int)
-    int_cols = measurement_model(adm, con_layout).state_columns(int_pos)
+    int_cols = MeasurementModel(adm, con_layout).state_columns(int_pos)
     va0, vm0 = base.va[int_pos], base.vm[int_pos]
 
     def state_of(z: np.ndarray) -> StateVector:
@@ -256,7 +264,7 @@ def design_attack(
         # seeded start; redraw until the overload targets already hold so the
         # feasibility solve is not dragged down onto the overload bound
         rng = np.random.default_rng(params.seed)
-        for start_draws in range(1, params.max_start_draws + 1):
+        for start_draws in range(1, _MAX_START_DRAWS + 1):
             va_try = va0 + rng.uniform(-params.ang_perturbation, params.ang_perturbation, n_int)
             vm_try = np.clip(
                 vm0 + rng.uniform(-params.mag_perturbation, params.mag_perturbation, n_int),
@@ -281,7 +289,6 @@ def design_attack(
             lower=lower,
             upper=upper,
             tol_eq=params.tol_eq,
-            tol_step=params.tol_step,
             max_outer=params.max_outer,
             max_inner=params.max_inner,
             penalty0=params.penalty0,

@@ -54,9 +54,7 @@ log = logging.getLogger("acfdi")
 _MODES = ("optimal", "arbitrary")
 _FORMATS = ("json", "csv", "svg")
 # the solver fields a scenario file sets; the start seed comes from "seeds"
-_SOLVER_KEYS = tuple(
-    f.name for f in fields(SolverParams) if f.name not in ("tol_step", "seed", "max_start_draws")
-)
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverParams) if f.name != "seed")
 
 
 @dataclass(frozen=True)
@@ -488,7 +486,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     case, adm = _network(config.case_path)
     text = read_text(args.measurements, "measurement CSV")
     try:
-        ms = measurement_set_from_csv(text, case)
+        ms = measurement_set_from_csv(text, adm.full_layout)
     except EstimationError as exc:
         raise ConfigError(f"{args.measurements}: {exc}") from None
     res = wls_estimate(ms, case, adm, **asdict(config.estimator))

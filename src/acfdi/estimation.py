@@ -188,9 +188,9 @@ class MeasurementSet:
         )
 
 
-def measurement_set_from_csv(text: str, case: NetworkCase) -> MeasurementSet:
-    """Rebuild a measurement set from CSV, resolving ids against the case layout."""
-    full = full_layout(case)
+def measurement_set_from_csv(text: str, layout: Layout) -> MeasurementSet:
+    """Rebuild a measurement set from CSV, resolving ids against layout,
+    usually a case's full layout (`AdmittanceModel.full_layout`)."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0][:2] != ["id", "kind"]:
         raise EstimationError("measurement CSV must start with an id,kind,... header")
@@ -204,7 +204,7 @@ def measurement_set_from_csv(text: str, case: NetworkCase) -> MeasurementSet:
                 "expected id,kind,location,value,variance"
             )
         meas_id, _kind, _loc, value, variance = row
-        i = full.position.get(meas_id)
+        i = layout.position.get(meas_id)
         if i is None:
             raise EstimationError(f"unknown measurement id {meas_id!r} for this case")
         try:
@@ -218,7 +218,7 @@ def measurement_set_from_csv(text: str, case: NetworkCase) -> MeasurementSet:
         values.append(value)
         variances.append(variance)
         picked.append(i)
-    return MeasurementSet(full.subset(picked), values, variances)
+    return MeasurementSet(layout.subset(picked), values, variances)
 
 
 def full_layout(case: NetworkCase, kinds: tuple[str, ...] = KINDS) -> Layout:
@@ -244,10 +244,6 @@ def full_layout(case: NetworkCase, kinds: tuple[str, ...] = KINDS) -> Layout:
     )
 
 
-# compiled layouts kept per admittance model; the attack solver and the
-# estimator each reuse one layout, so a few entries cover every caller
-_COMPILED_PER_MODEL = 8
-
 # entries kept by `shared`: a scenario reads seven per topology (the full
 # layout, the Newton pattern, four layout patterns and the flat start of its
 # estimates), so this covers two grids at once; a pattern is 3.5 MB at most
@@ -258,14 +254,17 @@ _shared: dict[tuple, object] = {}
 
 def shared(key: tuple, build):
     """The value kept under key, built by build() on a miss; the least
-    recently used entry is dropped past _SHARED_LIMIT.
+    recently used entry is dropped past _SHARED_LIMIT. This is the package's
+    one cache.
 
     A key starts with an `AdmittanceModel.topology`, so every admittance
     model of one grid shares what is kept: full layouts, layout patterns and
-    Newton-Raphson patterns, and the flat starts of `MeasurementModel`, whose
-    key also holds the admittance values and weights their values derive
-    from. None of them holds an admittance model or a case, so a dropped
-    model is still freed."""
+    Newton-Raphson patterns, structure that the topology alone decides, and
+    the flat starts of `MeasurementModel`, whose key also holds the
+    admittance values and weights their values derive from. Admittance
+    values are otherwise gathered where they are used, by each
+    `MeasurementModel`. Nothing kept holds an admittance model or a case, so
+    a dropped model is freed."""
     value = _shared.pop(key, None)
     if value is None:
         value = build()
@@ -449,15 +448,15 @@ class FlatStart(NamedTuple):
 class MeasurementModel:
     """A measurement layout compiled against one admittance model: the
     layout's `LayoutPattern`, shared by every model of the topology, plus
-    the admittance of each of its entries, gathered once.
+    the admittance of each of its entries, gathered on construction. A
+    caller that evaluates one layout many times builds its model once.
 
     Every evaluation computes the k currents the layout reads as real-part
     products (`network.product`) summed per row in entry order, and the
     Jacobian's derivative entries with the same products, so h and the
     Jacobian round as scalar complex arithmetic does, on every host and at
     any BLAS thread count. The model holds its own copy of the values, not
-    the AdmittanceModel that caches it, so a dropped AdmittanceModel is
-    freed without a cycle.
+    the AdmittanceModel they come from.
 
     The model also owns the state packing x = [non-slack angles (case bus
     order) | all magnitudes] and the row-pair index that assembles the gain
@@ -580,31 +579,14 @@ class MeasurementModel:
         return np.bincount(row, weights=terms, minlength=self.m)
 
 
-def measurement_model(adm: AdmittanceModel, layout: Layout) -> MeasurementModel:
-    """The layout compiled against adm, compiled on first use and then reused.
-
-    The cache is keyed by the layout's signature, which each Layout computes
-    once, so a lookup is one dict probe, and layouts built apart with the
-    same rows (both attack modes' constraint rows) share one model. A new
-    model of a topology seen before only gathers its values."""
-    cache = adm.compiled_layouts
-    model = cache.get(layout.signature)
-    if model is None:
-        model = MeasurementModel(adm, layout)
-        if len(cache) >= _COMPILED_PER_MODEL:
-            del cache[next(iter(cache))]
-        cache[layout.signature] = model
-    return model
-
-
 def eval_h(adm: AdmittanceModel, state: StateVector, layout: Layout) -> np.ndarray:
     """Evaluate every metered quantity in layout order at the given state."""
-    return measurement_model(adm, layout).h(state)
+    return MeasurementModel(adm, layout).h(state)
 
 
 def eval_jacobian(adm: AdmittanceModel, state: StateVector, layout: Layout) -> np.ndarray:
     """m x n Jacobian of eval_h; columns are [non-slack angles | all magnitudes]."""
-    return measurement_model(adm, layout).jacobian(state)
+    return MeasurementModel(adm, layout).jacobian(state)
 
 
 def generate_measurements(
@@ -760,7 +742,7 @@ def wls_estimate(
     if ms.m - n < 1:
         raise EstimationError(f"insufficient redundancy: m={ms.m}, n={n}")
 
-    model = measurement_model(adm, ms.layout)
+    model = MeasurementModel(adm, ms.layout)
     z = ms.values
     w = 1.0 / ms.variances
 

@@ -400,10 +400,6 @@ class AdmittanceModel:
     ytt: np.ndarray
     f_idx: np.ndarray  # from-bus positional indices
     t_idx: np.ndarray
-    # measurement models of this model's admittance values, keyed by layout
-    # signature: filled by acfdi.estimation.measurement_model, each one a
-    # shared topology pattern plus its own value gathers, dropped with it
-    compiled_layouts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @functools.cached_property
     def topology(self) -> bytes:
@@ -431,7 +427,7 @@ class AdmittanceModel:
     def full_layout(self):
         """The case's full measurement layout (`acfdi.estimation.full_layout`),
         built once per topology and shared, so that every caller shares one
-        Layout and the model compiled from it."""
+        Layout and the pattern compiled from it."""
         from .estimation import full_layout, shared  # estimation imports this module
 
         return shared((self.topology, "full layout"), lambda: full_layout(self.case))

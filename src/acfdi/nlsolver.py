@@ -18,7 +18,7 @@ Optimization, 2006, ch. 4, 10 and 17):
   f - ||r + J (z_try - z)||^2. `Damping` judges it.
 - Stop. A round ends when the projected gradient vanishes; when no trial
   is acceptable before mu passes its cap or the step degenerates; or when
-  an accepted step moves less than tol_step although the damping had not
+  an accepted step moves less than _TOL_STEP although the damping had not
   shrunk it (mu at its starting value).
 
 `Damping` is the trial rule of both this solver and
@@ -57,6 +57,7 @@ JacobianFn = Callable[[np.ndarray], np.ndarray]
 _MU_START = 1e-10  # starting damping, relative to max(1, max diag J^T J)
 _MU_CAP = 1e12  # damping past which the caller gives up, same scale
 _MIN_GAIN = 1e-4  # smallest gain ratio that accepts a trial
+_TOL_STEP = 1e-12  # an undamped accepted step shorter than this ends a round
 _EPS = float(np.finfo(float).eps)
 
 
@@ -163,7 +164,6 @@ def solve_constrained(
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
     tol_eq: float = 1e-6,
-    tol_step: float = 1e-12,
     max_outer: int = 20,
     max_inner: int = 60,
     penalty0: float = 10.0,
@@ -243,7 +243,7 @@ def solve_constrained(
             z_new, f_cur, (c, r), mu_used = step
             moved = float(np.max(np.abs(z_new - z)))
             z = z_new
-            if moved < tol_step and mu_used <= damping.mu_start:
+            if moved < _TOL_STEP and mu_used <= damping.mu_start:
                 break
             jac = jacobian(z)
 

@@ -202,13 +202,13 @@ class _NewtonEquations:
     """
 
     def __init__(self, case: NetworkCase, adm: AdmittanceModel):
-        from .estimation import measurement_model, shared
+        from .estimation import MeasurementModel, shared
 
         shape = shared((adm.topology, "newton"), lambda: _NewtonPattern(adm))
         self.pq, self.pvpq, self.m = shape.pq, shape.pvpq, shape.m
         self.rows, self.cols = shape.rows, shape.cols
         self._kept, self._band, self._slot = shape.kept, shape.band, shape.slot
-        self._model = measurement_model(adm, shape.layout)
+        self._model = MeasurementModel(adm, shape.layout)
         p_sched, q_sched = scheduled_injections(case)
         self._scheduled = np.concatenate([p_sched[self.pvpq], q_sched[self.pq]])
 

@@ -15,6 +15,7 @@ import pytest
 import reference39 as ref
 from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, apply_attack, design_attack
 from acfdi.estimation import (
+    MeasurementModel,
     chi_square_test,
     chi_square_threshold,
     eval_h,
@@ -22,7 +23,6 @@ from acfdi.estimation import (
     full_layout,
     generate_measurements,
     largest_normalized_residual,
-    measurement_model,
     wls_estimate,
 )
 from acfdi.network import build_admittance
@@ -275,7 +275,7 @@ def test_criterion_7_numerical_hygiene(case39, adm39, base39):
             va[case39.bus_index(case39.slack_bus)] = 0.0
             state = StateVector(base39.bus_ids, vm, va)
             jac = eval_jacobian(adm39, state, layout)
-            model = measurement_model(adm39, layout)
+            model = MeasurementModel(adm39, layout)
             x0 = model.x_of(state)
             fd = np.empty_like(jac)
             for k in range(len(x0)):

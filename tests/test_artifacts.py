@@ -166,7 +166,7 @@ def test_writer_detects_a_circular_document():
 
 def test_measurement_csv_round_trips_bit_for_bit(case39, base39):
     ms = generate_measurements(case39, base39, seed=11)  # default, noisy sigmas
-    back = measurement_set_from_csv(ms.to_csv(), case39)
+    back = measurement_set_from_csv(ms.to_csv(), ms.layout)
     assert back.layout.ids == ms.layout.ids
     for name in ("values", "variances"):
         assert getattr(back, name).tobytes() == getattr(ms, name).tobytes()

@@ -13,7 +13,8 @@ from acfdi.attacks import (
     compute_falsified_injections,
     design_attack,
 )
-from acfdi.estimation import full_layout, generate_measurements, measurement_model, wls_estimate
+from acfdi import estimation
+from acfdi.estimation import MeasurementModel, full_layout, generate_measurements, wls_estimate
 from acfdi.network import build_admittance
 from acfdi.powerflow import StateVector, bus_injection
 from acfdi.zones import build_zone
@@ -133,11 +134,23 @@ def test_target_must_be_interior_line(case39, base39, zone39):
         design_attack(case39, base39, spec)
 
 
+@pytest.mark.parametrize("mode", ["optimal", "arbitrary"])
+def test_target_with_a_reverse_base_flow_is_rejected(case39, adm39, base39, zone39, mode):
+    # 3-18 carries -0.408 p.u. from its from end at base: scaling that flow
+    # by a factor asks for no overload, so the design names the target
+    # instead of driving the flow across zero
+    spec = AttackSpec(zone=zone39, targets=(OverloadTarget(3, 18, 1.3),), mode=mode)
+    with pytest.raises(
+        AttackError, match=r"^target branch 3-18 has base from-end flow -0\.4076\d* p\.u\."
+    ):
+        design_attack(case39, base39, spec, adm39)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("max_outer", 0), ("max_inner", 0), ("max_start_draws", 0),
-        ("tol_eq", 0.0), ("tol_eq", -1.0), ("tol_step", 0.0), ("penalty0", 0.0),
+        ("max_outer", 0), ("max_inner", 0),
+        ("tol_eq", 0.0), ("tol_eq", -1.0), ("penalty0", 0.0),
         ("tol_eq", float("nan")), ("penalty_growth", 1.0), ("penalty_growth", 0.5),
         ("ang_perturbation", -0.1), ("mag_perturbation", -0.1), ("vm_relax", -0.1),
         ("overload_margin", -1e-4),
@@ -150,7 +163,7 @@ def test_solver_params_reject_out_of_range_field(field, value):
 
 def test_solver_params_accept_boundary_values():
     SolverParams(
-        max_outer=1, max_inner=1, max_start_draws=1, ang_perturbation=0.0,
+        max_outer=1, max_inner=1, ang_perturbation=0.0,
         mag_perturbation=0.0, vm_relax=0.0, overload_margin=0.0,
     )
 
@@ -168,10 +181,11 @@ def test_constraint_model_stacks_only_the_rows_it_reads(case39, base39, zone39):
     full = full_layout(case39)
     wanted = (f"Pinj:{bus}", f"Qinj:{bus}", "Pf:{}-{}".format(*ref.TARGET))
     layout = full.subset([full.position[i] for i in wanted])
-    assert layout.signature in adm.compiled_layouts
+    pattern = estimation._shared[adm.topology, layout.signature]
     (k,) = [k for k, br in enumerate(adm.branches) if (br.from_bus, br.to_bus) == ref.TARGET]
     ybus_rows, yf_rows, _ = ref.current_rows(adm)
-    model = measurement_model(adm, layout)
+    model = MeasurementModel(adm, layout)
+    assert model.pattern is pattern
     row, col = model.pattern._e_cur, model.pattern._e_col
     entries = [sorted(zip(col[row == r].tolist(), model._y[row == r].tolist())) for r in range(2)]
     assert len(model.pattern._own) == 2

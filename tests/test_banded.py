@@ -15,10 +15,10 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from acfdi.banded import BlockCholesky, rcm_order
 from acfdi.estimation import (
+    MeasurementModel,
     _require_observable,
     eval_jacobian,
     generate_measurements,
-    measurement_model,
     wls_estimate,
 )
 from acfdi.network import build_admittance, load_bundled_case39
@@ -50,7 +50,7 @@ def grid(request):
         base.va + 0.01 * rng.standard_normal(case.n_bus),
     )
     ms = generate_measurements(case, base, seed=2, adm=adm)
-    return case, adm, measurement_model(adm, ms.layout), ms, state
+    return case, adm, MeasurementModel(adm, ms.layout), ms, state
 
 
 def _band_positions(model):
@@ -85,7 +85,7 @@ def test_lattice_bandwidth_grows_with_its_side():
         adm = build_admittance(case)
         base = newton_power_flow(case, adm).state
         ms = generate_measurements(case, base, seed=0, adm=adm)
-        sizes.append(measurement_model(adm, ms.layout).pattern._band.size)
+        sizes.append(MeasurementModel(adm, ms.layout).pattern._band.size)
     assert sizes[1] >= 1.8 * sizes[0], sizes
 
 
@@ -142,7 +142,7 @@ def test_band_keeps_cells_that_are_zero_at_flat_start():
     adm = build_admittance(case)
     base = newton_power_flow(case, adm).state
     ms = generate_measurements(case, base, seed=3, adm=adm)
-    model = measurement_model(adm, ms.layout)
+    model = MeasurementModel(adm, ms.layout)
     n_ang = case.n_bus - 1
     flat = StateVector(base.bus_ids, np.ones(case.n_bus), np.zeros(case.n_bus))
     flat_values = model.jacobian_values(flat)

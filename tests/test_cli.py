@@ -194,6 +194,17 @@ def test_unattainable_target_names_its_constraint(tmp_path, capsys):
     assert "arbitrary attack design infeasible: constraint Pf:26-27 still off by -" in err
 
 
+def test_target_with_a_reverse_base_flow_exits_3(tmp_path, capsys):
+    # 26-28 is an interior line of the zone, but its from-end flow is
+    # negative at base, so no overload factor applies to it
+    config = tmp_path / "config.json"
+    targets = [{"from": 26, "to": 28, "lambda": 1.3}]
+    config.write_text(json.dumps({**SCENARIO, "targets": targets}))
+    rc = main(["scenario", "run", str(config), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_INFEASIBLE
+    assert "target branch 26-28 has base from-end flow -1.408" in capsys.readouterr().err
+
+
 def test_seed_sweep_merges_in_order(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**SCENARIO, "mode": "arbitrary"}))

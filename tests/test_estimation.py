@@ -13,6 +13,7 @@ from acfdi.estimation import (
     EstimationError,
     Layout,
     MeasurementKey,
+    MeasurementModel,
     MeasurementSet,
     chi_square_test,
     chi_square_threshold,
@@ -21,7 +22,6 @@ from acfdi.estimation import (
     full_layout,
     generate_measurements,
     largest_normalized_residual,
-    measurement_model,
     measurement_set_from_csv,
     wls_estimate,
 )
@@ -160,7 +160,7 @@ def test_jacobian_matches_central_differences(case39, adm39, base39):
         va[case39.bus_index(case39.slack_bus)] = 0.0
         state = StateVector(base39.bus_ids, vm, va)
         jac = eval_jacobian(adm39, state, layout)
-        model = measurement_model(adm39, layout)
+        model = MeasurementModel(adm39, layout)
         x0 = model.x_of(state)
         fd = np.empty_like(jac)
         for k in range(len(x0)):
@@ -699,16 +699,16 @@ mpc.branch = [
 
 def test_csv_round_trip(case39, adm39, base39):
     ms = generate_measurements(case39, base39, seed=8, adm=adm39)
-    again = measurement_set_from_csv(ms.to_csv(), case39)
+    again = measurement_set_from_csv(ms.to_csv(), adm39.full_layout)
     assert np.array_equal(again.values, ms.values)
     assert np.array_equal(again.variances, ms.variances)
     assert again.layout.keys() == ms.layout.keys()
 
 
-def test_csv_unknown_id_rejected(case39):
+def test_csv_unknown_id_rejected(adm39):
     text = "id,kind,location,value,variance\nPf:1-99,Pflow,branch0:from,0.0,1e-4\n"
     with pytest.raises(EstimationError, match="unknown measurement id"):
-        measurement_set_from_csv(text, case39)
+        measurement_set_from_csv(text, adm39.full_layout)
 
 
 # --- layouts are values, compiled once -----------------------------------------
@@ -728,7 +728,6 @@ def _pipeline_item(case, adm, zone):
 def test_pipeline_builds_no_measurement_key_and_compiles_each_layout_once(
     case39, zone39, monkeypatch
 ):
-    _pipeline_item(case39, build_admittance(case39), zone39)  # warm-up
     keys, layouts, compiled, patterns, orders = [], [], [], [], []
     new_key = estimation.MeasurementKey.__new__
     init_layout = estimation.Layout.__post_init__
@@ -762,19 +761,41 @@ def test_pipeline_builds_no_measurement_key_and_compiles_each_layout_once(
     monkeypatch.setattr(estimation.LayoutPattern, "__init__", counting_pattern)
     monkeypatch.setattr(banded, "rcm_order", counting_order)
 
+    estimation._shared.clear()
+    _pipeline_item(case39, build_admittance(case39), zone39)  # cold
+    # power flow, the full layout, and the constraint and delta rows that the
+    # two attack modes share: each compiled once
+    assert len(patterns) == len(set(patterns)) == 4
+    cold_patterns = set(patterns)
+    for built in (keys, layouts, compiled, patterns, orders):
+        built.clear()
+
     adm = build_admittance(case39)
     # the full layout is built on first use, not with the admittance model
-    assert (layouts, compiled, adm.compiled_layouts) == ([], [], {})
+    assert (layouts, compiled) == ([], [])
     assert "full_layout" not in vars(adm)
 
     _pipeline_item(case39, adm, zone39)
     assert keys == []
-    # power flow, the full layout, and the constraint and delta rows that the
-    # two attack modes share: each compiled once
-    assert len(compiled) == len(set(compiled)) == 4
-    # a second model of the same case only gathers its values: the warm-up
-    # model's patterns, full layout and band orders serve it
+    # the models of a second admittance model of the same case are of those
+    # four layouts, and only gather its values: the cold run's patterns, full
+    # layout and band orders serve them
+    assert {id(adm)} == {owner for owner, _ in compiled}
+    assert {signature for _, signature in compiled} == cold_patterns
     assert (patterns, orders) == ([], [])
+
+
+def test_admittance_model_keeps_no_compiled_model(case39, zone39):
+    adm = build_admittance(case39)
+    one, other = MeasurementModel(adm, adm.full_layout), MeasurementModel(adm, adm.full_layout)
+    assert one.pattern is other.pattern
+    assert one._y is not other._y and np.array_equal(one._y, other._y)
+    _pipeline_item(case39, adm, zone39)
+    # no field is a dict of compiled models, and beyond its fields the model
+    # keeps only its own cached properties
+    fields = {field.name for field in dataclasses.fields(adm)}
+    assert not any(isinstance(getattr(adm, name), dict) for name in fields)
+    assert set(vars(adm)) - fields == {"topology", "full_layout", "position", "pair_position"}
 
 
 # --- patterns are shared per topology -----------------------------------------
@@ -785,13 +806,27 @@ def _pipeline_bits(case, adm, seed=3):
     solution = newton_power_flow(case, adm)
     state = solution.state
     ms = generate_measurements(case, state, seed=seed, adm=adm)
-    model = measurement_model(adm, ms.layout)
+    model = MeasurementModel(adm, ms.layout)
     est = wls_estimate(ms, case, adm)
     return [
         np.array(solution.mismatch_history), state.vm, state.va,
         model.h(state), model.jacobian_values(state), ms.values,
         est.x_hat.vm, est.x_hat.va, est.residual, est.r_normalized,
         np.array([est.j_statistic, est.iterations]), np.array(est.measurement_ids),
+    ]
+
+
+def _kept_patterns():
+    """The layout patterns the shared cache holds."""
+    return [v for v in estimation._shared.values() if isinstance(v, estimation.LayoutPattern)]
+
+
+def _model_patterns(case, adm):
+    """The patterns of the two layouts `_pipeline_bits` compiles against adm:
+    the Newton rows and the full layout."""
+    return [
+        _NewtonEquations(case, adm)._model.pattern,
+        MeasurementModel(adm, adm.full_layout).pattern,
     ]
 
 
@@ -812,7 +847,7 @@ def test_reused_pattern_gives_the_bits_of_a_fresh_one(grid):
     estimation._shared.clear()
     adm = build_admittance(snapshot)
     fresh = _pipeline_bits(snapshot, adm)
-    fresh_patterns = [m.pattern for m in adm.compiled_layouts.values()]
+    fresh_patterns = _kept_patterns()
 
     estimation._shared.clear()
     warm_adm = build_admittance(warm_case)
@@ -820,8 +855,9 @@ def test_reused_pattern_gives_the_bits_of_a_fresh_one(grid):
     adm = build_admittance(snapshot)
     reused = _pipeline_bits(snapshot, adm)
     # the snapshot read the warm-up model's patterns, not patterns of its own
-    warm_patterns = {id(m.pattern) for m in warm_adm.compiled_layouts.values()}
-    assert {id(m.pattern) for m in adm.compiled_layouts.values()} == warm_patterns
+    warm_patterns = {id(p) for p in _model_patterns(warm_case, warm_adm)}
+    assert {id(p) for p in _kept_patterns()} == warm_patterns
+    assert {id(p) for p in _model_patterns(snapshot, adm)} == warm_patterns
     assert len(fresh_patterns) == len(warm_patterns) == 2
     for a, b in zip(fresh, reused):
         assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
@@ -880,7 +916,7 @@ def test_a_changed_topology_builds_its_own_patterns(case39, change, monkeypatch)
     adm = build_admittance(changed)
     assert adm.topology != warm.topology
     after_changed = _pipeline_bits(changed, adm)
-    assert not any(id(m.pattern) in kept for m in adm.compiled_layouts.values())
+    assert not any(id(p) in kept for p in _model_patterns(changed, adm))
     assert id(adm.full_layout) not in kept
     assert len(read) == 1 and id(read[0]) not in kept
     # bit for bit the numbers of a cleared cache, so nothing stale was read
@@ -988,7 +1024,7 @@ def test_new_admittance_values_or_sigmas_build_their_own_flat_start(monkeypatch)
 def test_flat_start_arrays_are_read_only(case39, adm39, base39):
     ms = generate_measurements(case39, base39, seed=4, adm=adm39)
     wls_estimate(ms, case39, adm39)
-    record = measurement_model(adm39, ms.layout).flat_start(1.0 / ms.variances)
+    record = MeasurementModel(adm39, ms.layout).flat_start(1.0 / ms.variances)
     chol = record.chol
     arrays = [record.x, record.h, record.jac, record.diag, record.sub]
     arrays += [chol.lower, chol.coupling, chol.inverse]
@@ -1029,11 +1065,28 @@ def test_shared_cache_stays_within_its_bound(case39):
     assert len(estimation._shared) == estimation._SHARED_LIMIT
 
 
+def test_evicted_entries_rebuild_the_bits_of_a_cold_run(case39):
+    estimation._shared.clear()
+    adm = build_admittance(case39)
+    cold = _pipeline_bits(case39, adm)
+    # four renumbered copies read four entries each, so every one of
+    # case39's is dropped
+    for offset in range(1000, 5000, 1000):
+        case = _renumbered(case39, offset)
+        copy = build_admittance(case)
+        generate_measurements(case, newton_power_flow(case, copy).state, adm=copy)
+    assert not any(key[0] == adm.topology for key in estimation._shared)
+    again = _pipeline_bits(case39, build_admittance(case39))
+    for a, b in zip(cold, again):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+
+
 def test_dropped_admittance_model_is_freed(case39):
     adm = build_admittance(case39)
     _pipeline_bits(case39, adm)
-    _NewtonEquations(case39, adm)
-    assert len(adm.compiled_layouts) == 2
+    # the patterns its models read are kept in the shared cache
+    kept = {id(value) for value in estimation._shared.values()}
+    assert all(id(p) in kept for p in _model_patterns(case39, adm))
     dropped = weakref.ref(adm)
     del adm
     # freed by reference counting alone: nothing shared points back to it
@@ -1043,7 +1096,7 @@ def test_dropped_admittance_model_is_freed(case39):
 def test_shared_arrays_are_read_only(case39, adm39):
     _pipeline_bits(case39, adm39)
     equations = _NewtonEquations(case39, adm39)
-    model = measurement_model(adm39, adm39.full_layout)
+    model = MeasurementModel(adm39, adm39.full_layout)
     pattern = model.pattern
     arrays = [a for a in vars(pattern).values() if isinstance(a, np.ndarray)]
     arrays += [*pattern._pairs, *pattern._gain_cells]

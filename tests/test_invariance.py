@@ -19,16 +19,16 @@ from acfdi.attacks import apply_attack, assemble_attack_vector
 from acfdi.estimation import (
     KIND_CODE,
     Layout,
+    MeasurementModel,
     MeasurementSet,
     chi_square_test,
     generate_measurements,
     largest_normalized_residual,
-    measurement_model,
     wls_estimate,
 )
 from acfdi.impact import compute_impact
 from acfdi.network import NetworkCase, build_admittance, load_bundled_case39
-from acfdi.powerflow import StateVector, branch_flows, newton_power_flow
+from acfdi.powerflow import StateVector, _NewtonEquations, branch_flows, newton_power_flow
 from acfdi.zones import validate_zone
 
 _CASE = load_bundled_case39()
@@ -247,12 +247,14 @@ def test_power_flow_and_flows_do_not_depend_on_the_mva_base(case39, adm39, base3
     case, adm = rebased39[0], build_admittance(rebased39[0])
     warm = build_admittance(case39)
     newton_power_flow(case39, warm)
-    measurement_model(warm, warm.full_layout)
+    MeasurementModel(warm, warm.full_layout)
     state = newton_power_flow(case, adm).state
     assert adm.topology == warm.topology
     assert adm.full_layout is warm.full_layout
-    measurement_model(adm, adm.full_layout)
-    patterns = [[m.pattern for m in a.compiled_layouts.values()] for a in (adm, warm)]
+    patterns = [
+        [_NewtonEquations(c, a)._model.pattern, MeasurementModel(a, a.full_layout).pattern]
+        for c, a in ((case, adm), (case39, warm))
+    ]
     assert len(patterns[0]) == 2 and all(map(operator.is_, *patterns))
     assert np.max(np.abs(state.vm - base39.vm)) < 1e-10
     assert np.max(np.abs(state.va - base39.va)) < 1e-10

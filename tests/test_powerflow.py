@@ -303,9 +303,9 @@ def test_power_flow_model_builds_no_row_pair_index():
     case = tiled_case39(2)
     adm = build_admittance(case)
     newton_power_flow(case, adm)
-    (model,) = adm.compiled_layouts.values()
-    assert "_pairs" not in vars(model.pattern)
-    assert "_band" not in vars(model.pattern)
+    pattern = _NewtonEquations(case, adm)._model.pattern
+    assert "_pairs" not in vars(pattern)
+    assert "_band" not in vars(pattern)
 
 
 # The Newton step is a block LU over the RCM band of the Jacobian; it must
