@@ -22,7 +22,7 @@ from .artifacts import ConfigError, member, typed
 from .estimation import KIND_CODE, Layout, MeasurementModel, MeasurementSet, eval_h, eval_jacobian
 from .network import AdmittanceModel, NetworkCase, build_admittance, row_sums
 from .nlsolver import SolverError, solve_constrained
-from .powerflow import StateVector, all_injections, branch_flows
+from .powerflow import StateVector, network_powers
 from .zones import AttackZone
 
 
@@ -324,24 +324,17 @@ def compute_falsified_injections(
     x_attacked: StateVector,
     zone: AttackZone,
     adm: AdmittanceModel | None = None,
-    *,
-    flows: tuple[np.ndarray, ...] | None = None,
-    base_injections: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict[int, tuple[float, float]]:
     """What each zone bus must appear to inject after the attack.
 
     Non-zero-injection zone buses report their base injection plus the sum of
     interior-line flow changes on lines touching them; zero-injection interior
     buses stay at exactly (0, 0); inert boundary buses keep their base values.
-    A caller that has them passes `flows`, (sf, st) of `branch_flows` at base
-    and then at x_attacked, and `base_injections`, `all_injections` at base.
     """
     if adm is None:
         adm = build_admittance(case)
-    if flows is None:
-        flows = (*branch_flows(base, adm), *branch_flows(x_attacked, adm))
-    p_base, q_base = all_injections(base, adm) if base_injections is None else base_injections
-    sf_base, st_base, sf_att, st_att = flows
+    s_base, sf_base, st_base = network_powers(base, adm)
+    _, sf_att, st_att = network_powers(x_attacked, adm)
 
     # each interior line's flow change lands on its from bus, then its to bus,
     # in zone order; row_sums adds them in that order, so every bus sums its
@@ -359,9 +352,9 @@ def compute_falsified_injections(
         if bus in zone.interior and not case.has_injection(bus):
             out[bus] = (0.0, 0.0)
         elif bus in zone.inert_boundary:
-            out[bus] = (float(p_base[i]), float(q_base[i]))
+            out[bus] = (float(s_base[i].real), float(s_base[i].imag))
         else:
-            out[bus] = (float(p_base[i] + ds[i].real), float(q_base[i] + ds[i].imag))
+            out[bus] = (float(s_base[i].real + ds[i].real), float(s_base[i].imag + ds[i].imag))
     return out
 
 

@@ -115,15 +115,17 @@ def _setup_logging() -> None:
     )
 
 
-def _write(path: str, content: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(content)
+def _write(out_dir: str, files: dict[str, str]) -> None:
+    """Create out_dir, once, and write each named file's content into it."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, content in files.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
+            f.write(content)
 
 
 def _emit(content: str, out: str | None) -> None:
     if out:
-        _write(out, content)
+        _write(os.path.dirname(out) or ".", {os.path.basename(out): content})
     else:
         sys.stdout.write(content)
 
@@ -379,10 +381,10 @@ def _render(report, formats, write, suffix: str = "") -> None:
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str) -> dict:
-    """Execute the full pipeline and write every stage artifact to out_dir."""
-
-    def write(name: str, content: str) -> None:
-        _write(os.path.join(out_dir, name), content)
+    """Execute the full pipeline and write every stage artifact to out_dir,
+    all of them once the last stage succeeds: a failed run writes no file."""
+    artifacts: dict[str, str] = {}
+    write = artifacts.__setitem__
 
     case, adm = _network(config.case_path)
     _check_targets(adm, config.targets, "target")
@@ -424,6 +426,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> dict:
         }
 
     write("summary.json", to_json(summary, sort_keys=True))
+    _write(out_dir, artifacts)
     return summary
 
 
@@ -437,7 +440,7 @@ def run_scenario_sweep(config: ScenarioConfig, out_dir: str, n_seeds: int) -> di
         runs.append({"index": k, "noise_seed": cfg.noise_seed,
                      "arbitrary_seed": cfg.solver.seed, "modes": summary["modes"]})
     merged = {"config": config.echo(), "n_seeds": n_seeds, "runs": runs}
-    _write(os.path.join(out_dir, "summary.json"), to_json(merged, sort_keys=True))
+    _write(out_dir, {"summary.json": to_json(merged, sort_keys=True)})
     return merged
 
 

@@ -453,10 +453,10 @@ class MeasurementModel:
 
     Every evaluation computes the k currents the layout reads as real-part
     products (`network.product`) summed per row in entry order, and the
-    Jacobian's derivative entries with the same products, so h and the
-    Jacobian round as scalar complex arithmetic does, on every host and at
-    any BLAS thread count. The model holds its own copy of the values, not
-    the AdmittanceModel they come from.
+    Jacobian's derivative entries with the same products, so the powers
+    v conj(I) (no other code forms them), h and the Jacobian round as scalar
+    complex arithmetic does, on every host and at any BLAS thread count. The
+    model holds its own copy of the values, not the AdmittanceModel.
 
     The model also owns the state packing x = [non-slack angles (case bus
     order) | all magnitudes] and the row-pair index that assembles the gain
@@ -493,11 +493,14 @@ class MeasurementModel:
         va[p._ang_pos] = x[:n_ang]
         return StateVector(p._bus_ids, x[n_ang:].copy(), va)
 
-    def h(self, state: StateVector) -> np.ndarray:
-        p = self.pattern
+    def powers(self, state: StateVector) -> np.ndarray:
+        """v conj(I) of each current row the layout reads (`LayoutPattern`)."""
         v = state.complex_voltages()
-        s = product(v[p._own], np.conj(self._currents(v)))
-        return np.concatenate((s.real, s.imag, state.vm, state.va))[p._h_index]
+        return product(v[self.pattern._own], np.conj(self._currents(v)))
+
+    def h(self, state: StateVector) -> np.ndarray:
+        s = self.powers(state)
+        return np.concatenate((s.real, s.imag, state.vm, state.va))[self.pattern._h_index]
 
     def jacobian_values(self, state: StateVector) -> np.ndarray:
         """Nonzeros of the Jacobian at (self.rows, self.cols).

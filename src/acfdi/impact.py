@@ -24,7 +24,7 @@ from .estimation import (
     largest_normalized_residual,
 )
 from .network import AdmittanceModel, NetworkCase, build_admittance
-from .powerflow import BranchFlow, StateVector, all_injections, branch_flows
+from .powerflow import BranchFlow, StateVector, network_powers
 from .zones import AttackZone
 
 SCHEMA = "impact/1"
@@ -162,9 +162,10 @@ def compute_impact(
     role_of = {br.index: role for role, group in reversed(lines.items()) for br in group}
     notes: list[str] = []
     impacts = []  # in adm.branches order
-    flows = (*branch_flows(base, adm), *branch_flows(av.x_attacked, adm))
+    s_base, *flows_base = network_powers(base, adm)
+    s_att, *flows_att = network_powers(av.x_attacked, adm)
     for br, base_flow, attacked in zip(
-        adm.branches, _flow_records(*flows[:2]), _flow_records(*flows[2:])
+        adm.branches, _flow_records(*flows_base), _flow_records(*flows_att)
     ):
         rating = br.rating if br.rating > 0 else None
         if rating is None:
@@ -183,11 +184,7 @@ def compute_impact(
         )
     branches = sorted(impacts, key=lambda b: (b.from_bus, b.to_bus))
 
-    p_base, q_base = all_injections(base, adm)
-    p_att, q_att = all_injections(av.x_attacked, adm)
-    falsified = compute_falsified_injections(
-        case, base, av.x_attacked, zone, adm, flows=flows, base_injections=(p_base, q_base)
-    )
+    falsified = compute_falsified_injections(case, base, av.x_attacked, zone, adm)
     buses = []
     for i, b in enumerate(case.buses):
         fal = falsified.get(b.id)
@@ -195,10 +192,10 @@ def compute_impact(
             BusImpact(
                 bus=b.id,
                 role=_bus_role(b.id, zone),
-                p_base=float(p_base[i]),
-                q_base=float(q_base[i]),
-                p_attacked=float(p_att[i]),
-                q_attacked=float(q_att[i]),
+                p_base=float(s_base[i].real),
+                q_base=float(s_base[i].imag),
+                p_attacked=float(s_att[i].real),
+                q_attacked=float(s_att[i].imag),
                 p_falsified=None if fal is None else fal[0],
                 q_falsified=None if fal is None else fal[1],
             )

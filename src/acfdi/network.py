@@ -383,7 +383,8 @@ class AdmittanceModel:
     Out-of-service branches are dropped before assembly. Branch arrays are
     aligned with `branches` (the in-service subset, source order). The stamps
     yff/yft/ytf/ytt are the only definition of the branch two-port: Ybus sums
-    them, and branch flows and the measurement model read them.
+    them, and the measurement model, which also gives the branch flows,
+    reads them.
 
     Ybus is kept as compressed rows: `ybus_cells` holds the flat positions
     i * n + j of its pattern in ascending order, which depends on the

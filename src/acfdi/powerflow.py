@@ -1,10 +1,10 @@
 """AC power flow: Newton-Raphson solution, branch flows, bus injections.
 
-Every evaluator here reads the admittance model: branch flows come from the
-two-port stamps that `network.build_admittance` writes, injections from the
-cells of Ybus, and the Newton-Raphson mismatch and Jacobian from the
-measurement model compiled against it. No branch equation is written in this
-module.
+Every evaluator here reads a measurement model compiled against the
+admittance model: branch flows and bus injections are the powers of the full
+layout's model (`network_powers`), and the Newton-Raphson mismatch and
+Jacobian come from the model of its own rows. No network equation is written
+in this module.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .artifacts import ConfigError, member
 from .banded import BlockBand, block_lu_solve, read_only
-from .network import AdmittanceModel, NetworkCase, build_admittance, product, row_sums
+from .network import AdmittanceModel, NetworkCase, build_admittance
 
 
 class PowerFlowError(RuntimeError):
@@ -300,16 +300,22 @@ def solve_power_flow(
     return newton_power_flow(case, adm, **limits).state
 
 
+def network_powers(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray, ...]:
+    """Complex power (s_bus, s_from, s_to) at every bus in case order and at
+    both ends of every in-service branch, aligned with adm.branches: the
+    powers of the model of adm's full layout, whose current rows are every
+    bus's Ybus row, then every branch's from end, then its to end."""
+    from .estimation import MeasurementModel  # estimation imports this module
+
+    s = MeasurementModel(adm, adm.full_layout).powers(state)
+    n, nl = adm.case.n_bus, len(adm.branches)
+    return s[:n], s[n : n + nl], s[n + nl :]
+
+
 def branch_flows(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray, np.ndarray]:
     """Complex power (sf, st) entering every in-service branch at its from and
-    to end, aligned with adm.branches: sf = vf conj(yff vf + yft vt) and
-    st = vt conj(ytf vf + ytt vt), with tap, phase shift and charging all in
-    the stamps."""
-    v = state.complex_voltages()
-    vf, vt = v[adm.f_idx], v[adm.t_idx]
-    i_from = product(adm.yff, vf) + product(adm.yft, vt)
-    i_to = product(adm.ytf, vf) + product(adm.ytt, vt)
-    return product(vf, np.conj(i_from)), product(vt, np.conj(i_to))
+    to end, aligned with adm.branches (`network_powers`)."""
+    return network_powers(state, adm)[1:]
 
 
 def bus_injection(
@@ -322,15 +328,11 @@ def bus_injection(
     the sum of outgoing branch flows plus bus-shunt consumption."""
     if adm is None:
         adm = build_admittance(case)
-    p, q = all_injections(state, adm)
-    i = case.bus_index(bus_id)
-    return float(p[i]), float(q[i])
+    s = network_powers(state, adm)[0][case.bus_index(bus_id)]
+    return float(s.real), float(s.imag)
 
 
 def all_injections(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray, np.ndarray]:
-    """Net (P, Q) at every bus, v conj(Ybus v), each row of Ybus v summed
-    over its cells in column order."""
-    v = state.complex_voltages()
-    row, col = np.divmod(adm.ybus_cells, len(v))
-    s = product(v, np.conj(row_sums(row, product(adm.ybus_values, v[col]), len(v))))
+    """Net (P, Q) at every bus, v conj(Ybus v) (`network_powers`)."""
+    s = network_powers(state, adm)[0]
     return s.real, s.imag

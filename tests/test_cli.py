@@ -203,6 +203,32 @@ def test_target_with_a_reverse_base_flow_exits_3(tmp_path, capsys):
     rc = main(["scenario", "run", str(config), "--out", str(tmp_path / "o")])
     assert rc == EXIT_INFEASIBLE
     assert "target branch 26-28 has base from-end flow -1.408" in capsys.readouterr().err
+    # the base artifacts were rendered before the design failed; none is written
+    assert _tree_bytes(tmp_path / "o") == {}
+
+
+def test_a_failed_seed_keeps_the_earlier_sets_and_writes_no_merged_summary(
+    tmp_path, monkeypatch, scenario_out
+):
+    import acfdi.cli as cli
+    from acfdi.attacks import AttackError
+
+    design = cli.design_attack
+
+    def fail_at_the_third_seed(case, base, spec, adm):
+        if spec.params.seed == 3:
+            raise AttackError("attack design infeasible")
+        return design(case, base, spec, adm)
+
+    monkeypatch.setattr(cli, "design_attack", fail_at_the_third_seed)
+    config, single = scenario_out
+    out = tmp_path / "sweep"
+    rc = main(["scenario", "run", str(config), "--seeds", "3", "--out", str(out)])
+    assert rc == EXIT_INFEASIBLE
+    assert sorted(p.name for p in out.iterdir()) == ["seed_000", "seed_001"]
+    # a complete set: the first seed's bytes are the single run's
+    assert _tree_bytes(out / "seed_000") == _tree_bytes(single)
+    assert (out / "seed_001" / "summary.json").exists()
 
 
 def test_seed_sweep_merges_in_order(tmp_path):

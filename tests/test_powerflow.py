@@ -101,20 +101,41 @@ def test_branch_flow_matches_complex_oracle_on_random_states(case39, adm39, base
         assert np.all(sf.real + st.real >= -1e-12)
 
 
-def test_branch_flows_round_as_scalar_complex_arithmetic(case39, adm39, base39):
+def _same_bits(got, want):
+    # equal values, and equal signs of every real and imaginary zero
+    assert got == want
+    assert np.signbit(got.real) == np.signbit(want.real)
+    assert np.signbit(got.imag) == np.signbit(want.imag)
+
+
+_SCALAR_GRIDS = {
+    "case39": load_bundled_case39,
+    "tile4": lambda: tiled_case39(4),
+    "mesh6x6": lambda: meshed_case(6, 6),
+    # a lossless grid, where a product can be an exact zero
+    "mesh6x6_lossless": lambda: meshed_case(6, 6, r=0.0),
+}
+
+
+@pytest.mark.parametrize("grid", list(_SCALAR_GRIDS))
+def test_branch_flows_round_as_scalar_complex_arithmetic(grid):
     # numpy may fuse complex array products into FMA; the flows and
     # injections must not depend on whether the host does, so each equals the
-    # scalar evaluation
-    sf, st = branch_flows(base39, adm39)
-    v = base39.complex_voltages()
-    for k in range(len(adm39.branches)):
-        vf, vt = v[adm39.f_idx[k]], v[adm39.t_idx[k]]
-        assert sf[k] == vf * np.conj(adm39.yff[k] * vf + adm39.yft[k] * vt)
-        assert st[k] == vt * np.conj(adm39.ytf[k] * vf + adm39.ytt[k] * vt)
-    p, q = all_injections(base39, adm39)
-    for i, s in enumerate(ref.loop_injections(adm39, base39)):
-        assert (p[i], q[i]) == (s.real, s.imag)
-        assert bus_injection(base39, case39, case39.buses[i].id, adm39) == (s.real, s.imag)
+    # scalar evaluation, at flat start and at the power-flow solution
+    case = _SCALAR_GRIDS[grid]()
+    adm = build_admittance(case)
+    for state in (flat_start(case), solve_power_flow(case, adm)):
+        sf, st = branch_flows(state, adm)
+        v = state.complex_voltages()
+        for k in range(len(adm.branches)):
+            vf, vt = v[adm.f_idx[k]], v[adm.t_idx[k]]
+            _same_bits(sf[k], vf * np.conj(adm.yff[k] * vf + adm.yft[k] * vt))
+            _same_bits(st[k], vt * np.conj(adm.ytf[k] * vf + adm.ytt[k] * vt))
+        p, q = all_injections(state, adm)
+        for i, s in enumerate(ref.loop_injections(adm, state)):
+            _same_bits(complex(p[i], q[i]), s)
+            p_bus, q_bus = bus_injection(state, case, case.buses[i].id, adm)
+            _same_bits(complex(p_bus, q_bus), s)
 
 
 def test_global_power_balance(case39, adm39, base39):
