@@ -55,6 +55,9 @@ _MODES = ("optimal", "arbitrary")
 _FORMATS = ("json", "csv", "svg")
 # the solver fields a scenario file sets; the start seed comes from "seeds"
 _SOLVER_KEYS = tuple(f.name for f in fields(SolverParams) if f.name != "seed")
+# the top-level keys of a scenario file
+_SECTIONS = ("case", "zone", "targets", "mode", "sigmas", "seeds", "bdd", "solver", "pf",
+             "estimator", "output")
 
 
 @dataclass(frozen=True)
@@ -166,13 +169,22 @@ def _number(value, kind: type, label: str):
     raise ConfigError(f"{label} must be {'an integer' if kind is int else 'a number'}")
 
 
+def _known(doc: dict, keys, label) -> None:
+    """Raise ConfigError naming the first key of doc that keys lacks, as label(key)."""
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"unknown field {label(key)}")
+
+
 def _read_fields(default, doc: dict, name, section: str, keys=None):
     """default with each field that doc gives, as the type of its default value.
 
     Fields are replaced one at a time, so the class's own validation names
     the one field at fault.
     """
-    for key in keys or [f.name for f in fields(default)]:
+    keys = keys or [f.name for f in fields(default)]
+    _known(doc, keys, lambda key: name(section, key))
+    for key in keys:
         if key in doc:
             value = _number(doc[key], type(getattr(default, key)), name(section, key))
             try:
@@ -199,6 +211,7 @@ def _bus_list(value, label: str) -> list[int]:
 def _read_target(doc, name, section: str) -> OverloadTarget:
     """One overload target {"from", "to", "lambda"}; "factor" reads as "lambda"."""
     doc = doc if isinstance(doc, dict) else {}
+    _known(doc, ("from", "to", "lambda", "factor"), lambda key: name(section, key))
     from_bus, to_bus = (_number(doc.get(key), int, name(section, key)) for key in ("from", "to"))
     factor = _number(doc.get("lambda", doc.get("factor")), float, name(section, "lambda"))
     if not factor > 0:
@@ -219,9 +232,11 @@ def _read_config(config: ScenarioConfig, doc: dict, name) -> ScenarioConfig:
             raise ConfigError(f"'{key}' must be an object")
         return value
 
+    _known(doc, _SECTIONS, lambda key: f"'{key}'")
     new = {}
     if "zone" in doc:
         zone = section("zone")
+        _known(zone, ("focal", "interior", "boundary"), lambda key: name("zone", key))
         lists = {
             key: _bus_list(zone[key], name("zone", key))
             for key in ("focal", "interior", "boundary")
@@ -257,6 +272,7 @@ def _read_config(config: ScenarioConfig, doc: dict, name) -> ScenarioConfig:
             raise ConfigError(f"{label} must be >= 0, with a finite square")
 
     seeds = section("seeds")
+    _known(seeds, ("noise", "arbitrary_start"), lambda key: name("seeds", key))
     new["noise_seed"], seed = (
         _number(seeds.get(key, default), int, name("seeds", key))
         for key, default in (("noise", config.noise_seed), ("arbitrary_start", config.solver.seed))
@@ -270,7 +286,9 @@ def _read_config(config: ScenarioConfig, doc: dict, name) -> ScenarioConfig:
     for key in ("bdd", "pf", "estimator"):
         new[key] = _read_fields(getattr(config, key), section(key), name, key)
 
-    formats = section("output").get("formats", config.formats)
+    output = section("output")
+    _known(output, ("formats",), lambda key: name("output", key))
+    formats = output.get("formats", config.formats)
     if not isinstance(formats, (list, tuple)) or any(f not in _FORMATS for f in formats):
         raise ConfigError(f"{name('output', 'formats')} must be a list of {', '.join(_FORMATS)}")
     new["formats"] = tuple(formats)
@@ -357,11 +375,8 @@ def _assess(case, adm, zone, av: AttackVector, ms_clean, clean_est, config: Scen
     ms_attacked = apply_attack(ms_clean, av)
     attacked_est = wls_estimate(ms_attacked, case, adm, **asdict(config.estimator))
     report = compute_impact(
-        case, av.x_base, av, clean_est, attacked_est, zone,
+        case, av, clean_est, attacked_est, zone,
         policy=config.bdd,
-        targets=tuple(
-            (t["from"], t["to"], t["factor"]) for t in av.solver_info.get("targets", [])
-        ),
         metadata={
             "mode": av.solver_info.get("mode", "optimal"),
             "noise_seed": config.noise_seed,
@@ -410,18 +425,22 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> dict:
         write(f"estimation_{mode}.json", _estimation_json(attacked_est, config.bdd))
         _render(report, config.formats, write, suffix=f"_{mode}")
 
+        # from the states: the report holds the angle differences in degrees
+        x, x_base = av.x_attacked, av.x_base
         deviation = sum(
-            d.dvm ** 2 + d.dva ** 2 for d in report.state_deviation if d.role == "interior"
+            (x.magnitude(b) - x_base.magnitude(b)) ** 2 + (x.angle(b) - x_base.angle(b)) ** 2
+            for b in sorted(zone.interior)
         ) ** 0.5
+        residuals = report["residuals"]
         summary["modes"][mode] = {
             "deviation_norm": deviation,
-            "targets": list(report.target_summary),
-            "j_clean": report.residuals.j_clean,
-            "j_attacked": report.residuals.j_attacked,
-            "j_change": report.residuals.j_change,
-            "estimate_shift_norm": report.residuals.estimate_shift_norm,
-            "bdd_clean": "pass" if report.residuals.clean_passed else "fail",
-            "bdd_attacked": "pass" if report.residuals.attacked_passed else "fail",
+            "targets": report["targets"],
+            "j_clean": residuals["j_clean"],
+            "j_attacked": residuals["j_attacked"],
+            "j_change": residuals["j_change"],
+            "estimate_shift_norm": residuals["estimate_shift_norm"],
+            "bdd_clean": "pass" if residuals["clean_passed"] else "fail",
+            "bdd_attacked": "pass" if residuals["attacked_passed"] else "fail",
             "solver_info": av.solver_info,
         }
 

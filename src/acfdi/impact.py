@@ -5,13 +5,14 @@ Evaluates every branch flow at the base state and at the mixed state
 stand-in for re-running the network with boundary voltages held by
 regulators), tabulates flow/injection/state changes and the
 detector's view of both measurement sets, and renders the result as JSON,
-CSV tables, or SVG bar charts. All output is deterministic byte for byte.
+CSV tables, or SVG bar charts. The report is one document, the content of
+`impact.json`; the CSV and SVG renderers and the scenario summary read it.
+All output is deterministic byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .estimation import (
     largest_normalized_residual,
 )
 from .network import AdmittanceModel, NetworkCase, build_admittance
-from .powerflow import BranchFlow, StateVector, network_powers
+from .powerflow import StateVector, network_powers
 from .zones import AttackZone
 
 SCHEMA = "impact/1"
@@ -32,87 +33,6 @@ SCHEMA = "impact/1"
 
 class ReportError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class BranchImpact:
-    from_bus: int
-    to_bus: int
-    role: str  # interior | frozen | tie | exterior
-    rating: float | None  # p.u., None when the case gives no rating
-    base: BranchFlow
-    attacked: BranchFlow
-    loading_base: float | None  # percent
-    loading_attacked: float | None
-
-    @property
-    def dp(self) -> float:
-        return self.attacked.pf - self.base.pf
-
-    @property
-    def dq(self) -> float:
-        return self.attacked.qf - self.base.qf
-
-
-@dataclass(frozen=True)
-class BusImpact:
-    bus: int
-    role: str  # interior | boundary | inert-boundary | exterior
-    p_base: float
-    q_base: float
-    p_attacked: float
-    q_attacked: float
-    p_falsified: float | None  # zone buses only
-    q_falsified: float | None
-
-
-@dataclass(frozen=True)
-class StateDeviation:
-    bus: int
-    role: str
-    vm_base: float
-    va_base: float  # radians
-    vm_attacked: float
-    va_attacked: float
-
-    @property
-    def dvm(self) -> float:
-        return self.vm_attacked - self.vm_base
-
-    @property
-    def dva(self) -> float:
-        return self.va_attacked - self.va_base
-
-
-@dataclass(frozen=True)
-class ResidualSummary:
-    j_clean: float
-    j_attacked: float
-    threshold: float
-    dof: int
-    clean_passed: bool
-    attacked_passed: bool
-    lnr_clean: tuple[str, float]
-    lnr_attacked: tuple[str, float]
-    # Two readings of "estimator residuals", reported side by side:
-    # (a) change in the weighted measurement residual statistic
-    # (b) distance of the attacked estimate from the base state
-    j_change: float
-    estimate_shift_norm: float
-    per_state: tuple[tuple[int, float, float], ...]  # bus, |est-base| vm, va
-
-
-@dataclass(frozen=True)
-class ImpactReport:
-    schema: str
-    metadata: dict
-    zone: AttackZone
-    branches: tuple[BranchImpact, ...]
-    buses: tuple[BusImpact, ...]
-    state_deviation: tuple[StateDeviation, ...]
-    residuals: ResidualSummary
-    target_summary: tuple[dict, ...]
-    notes: tuple[str, ...]
 
 
 def _bus_role(bus: int, zone: AttackZone) -> str:
@@ -125,93 +45,94 @@ def _bus_role(bus: int, zone: AttackZone) -> str:
     return "exterior"
 
 
-def _loading(flow: BranchFlow, rating: float | None) -> float | None:
+def _powers(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray, list[dict]]:
+    """Bus injections, and each in-service branch's flow {pf, qf, pt, qt}
+    in adm.branches order, at state."""
+    s_bus, sf, st = network_powers(state, adm)
+    parts = (sf.real.tolist(), sf.imag.tolist(), st.real.tolist(), st.imag.tolist())
+    return s_bus, [dict(zip(("pf", "qf", "pt", "qt"), flow)) for flow in zip(*parts)]
+
+
+def _loading(flow: dict, rating: float | None) -> float | None:
+    """Percent of rating carried by the larger apparent power of the two ends."""
     if rating is None:
         return None
-    return 100.0 * max(flow.sf, flow.st) / rating
-
-
-def _flow_records(sf: np.ndarray, st: np.ndarray) -> list[BranchFlow]:
-    return [
-        BranchFlow(*flow)
-        for flow in zip(sf.real.tolist(), sf.imag.tolist(), st.real.tolist(), st.imag.tolist())
-    ]
+    sf = float(np.hypot(flow["pf"], flow["qf"]))
+    st = float(np.hypot(flow["pt"], flow["qt"]))
+    return 100.0 * max(sf, st) / rating
 
 
 def compute_impact(
     case: NetworkCase,
-    base: StateVector,
     av: AttackVector,
     clean_est: EstimationResult,
     attacked_est: EstimationResult,
     zone: AttackZone,
     policy: BddPolicy | None = None,
-    targets: tuple[tuple[int, int, float], ...] = (),
     metadata: dict | None = None,
     adm: AdmittanceModel | None = None,
-) -> ImpactReport:
+) -> dict:
+    """The impact.json document of av: flows and injections at av.x_base and
+    av.x_attacked, the zone's state deviation, both estimates' residuals and
+    the overload targets that av.solver_info names. Powers are in per unit,
+    angles in degrees except the per-state estimate shift (radians)."""
     if policy is None:
         policy = BddPolicy()
     if adm is None:
         adm = build_admittance(case)
     if not (clean_est.converged and attacked_est.converged):
         raise ReportError("impact report requires converged estimations")
+    base = av.x_base
 
     lines = {"interior": zone.interior_lines, "frozen": zone.frozen_lines, "tie": zone.tie_lines}
     # reversed, so that the first role listed wins for a line in two lists
     role_of = {br.index: role for role, group in reversed(lines.items()) for br in group}
     notes: list[str] = []
-    impacts = []  # in adm.branches order
-    s_base, *flows_base = network_powers(base, adm)
-    s_att, *flows_att = network_powers(av.x_attacked, adm)
-    for br, base_flow, attacked in zip(
-        adm.branches, _flow_records(*flows_base), _flow_records(*flows_att)
-    ):
+    rows = []  # in adm.branches order
+    s_base, flows_base = _powers(base, adm)
+    s_att, flows_att = _powers(av.x_attacked, adm)
+    for br, before, after in zip(adm.branches, flows_base, flows_att):
         rating = br.rating if br.rating > 0 else None
         if rating is None:
             notes.append(f"branch {br.from_bus}-{br.to_bus} has no rating; loading omitted")
-        impacts.append(
-            BranchImpact(
-                from_bus=br.from_bus,
-                to_bus=br.to_bus,
-                role=role_of.get(br.index, "exterior"),
-                rating=rating,
-                base=base_flow,
-                attacked=attacked,
-                loading_base=_loading(base_flow, rating),
-                loading_attacked=_loading(attacked, rating),
-            )
+        rows.append(
+            {
+                "from": br.from_bus, "to": br.to_bus,
+                "role": role_of.get(br.index, "exterior"),
+                "rating": rating,
+                "base": before, "attacked": after,
+                "dp": after["pf"] - before["pf"], "dq": after["qf"] - before["qf"],
+                "loading_base": _loading(before, rating),
+                "loading_attacked": _loading(after, rating),
+            }
         )
-    branches = sorted(impacts, key=lambda b: (b.from_bus, b.to_bus))
 
     falsified = compute_falsified_injections(case, base, av.x_attacked, zone, adm)
     buses = []
     for i, b in enumerate(case.buses):
         fal = falsified.get(b.id)
         buses.append(
-            BusImpact(
-                bus=b.id,
-                role=_bus_role(b.id, zone),
-                p_base=float(s_base[i].real),
-                q_base=float(s_base[i].imag),
-                p_attacked=float(s_att[i].real),
-                q_attacked=float(s_att[i].imag),
-                p_falsified=None if fal is None else fal[0],
-                q_falsified=None if fal is None else fal[1],
-            )
+            {
+                "bus": b.id, "role": _bus_role(b.id, zone),
+                "p_base": float(s_base[i].real), "q_base": float(s_base[i].imag),
+                "p_attacked": float(s_att[i].real), "q_attacked": float(s_att[i].imag),
+                "p_falsified": None if fal is None else fal[0],
+                "q_falsified": None if fal is None else fal[1],
+            }
         )
 
-    deviations = tuple(
-        StateDeviation(
-            bus=bus,
-            role=_bus_role(bus, zone),
-            vm_base=base.magnitude(bus),
-            va_base=base.angle(bus),
-            vm_attacked=av.x_attacked.magnitude(bus),
-            va_attacked=av.x_attacked.angle(bus),
+    deviations = []
+    for bus in sorted(zone.buses):
+        vm_base, va_base = base.magnitude(bus), base.angle(bus)
+        vm_att, va_att = av.x_attacked.magnitude(bus), av.x_attacked.angle(bus)
+        deviations.append(
+            {
+                "bus": bus, "role": _bus_role(bus, zone),
+                "vm_base": vm_base, "va_base_deg": math.degrees(va_base),
+                "vm_attacked": vm_att, "va_attacked_deg": math.degrees(va_att),
+                "dvm": vm_att - vm_base, "dva_deg": math.degrees(va_att - va_base),
+            }
         )
-        for bus in sorted(zone.buses)
-    )
 
     verdict_clean = chi_square_test(clean_est, policy)
     verdict_attacked = chi_square_test(attacked_est, policy)
@@ -221,56 +142,59 @@ def compute_impact(
             attacked_est.x_hat.va - base.va,
         ]
     )
-    per_state = tuple(
-        (
-            bus,
-            float(abs(attacked_est.x_hat.magnitude(bus) - base.magnitude(bus))),
-            float(abs(attacked_est.x_hat.angle(bus) - base.angle(bus))),
-        )
-        for bus in sorted(zone.buses)
-    )
-    residuals = ResidualSummary(
-        j_clean=clean_est.j_statistic,
-        j_attacked=attacked_est.j_statistic,
-        threshold=verdict_clean.threshold,
-        dof=clean_est.dof,
-        clean_passed=verdict_clean.passed,
-        attacked_passed=verdict_attacked.passed,
-        lnr_clean=largest_normalized_residual(clean_est),
-        lnr_attacked=largest_normalized_residual(attacked_est),
-        j_change=abs(attacked_est.j_statistic - clean_est.j_statistic),
-        estimate_shift_norm=float(np.linalg.norm(shift)),
-        per_state=per_state,
-    )
+    # Two readings of "estimator residuals", reported side by side:
+    # (a) change in the weighted measurement residual statistic
+    # (b) distance of the attacked estimate from the base state
+    residuals = {
+        "j_clean": clean_est.j_statistic,
+        "j_attacked": attacked_est.j_statistic,
+        "j_change": abs(attacked_est.j_statistic - clean_est.j_statistic),
+        "threshold": verdict_clean.threshold,
+        "dof": clean_est.dof,
+        "clean_passed": verdict_clean.passed,
+        "attacked_passed": verdict_attacked.passed,
+        "lnr_clean": list(largest_normalized_residual(clean_est)),
+        "lnr_attacked": list(largest_normalized_residual(attacked_est)),
+        "estimate_shift_norm": float(np.linalg.norm(shift)),
+        "per_state": [
+            {
+                "bus": bus,
+                "dvm_est": float(abs(attacked_est.x_hat.magnitude(bus) - base.magnitude(bus))),
+                "dva_est": float(abs(attacked_est.x_hat.angle(bus) - base.angle(bus))),
+            }
+            for bus in sorted(zone.buses)
+        ],
+    }
 
-    target_summary = []
-    for f, t, factor in targets:
-        k = adm.pair_position.get((f, t))
+    targets = []
+    for t in av.solver_info.get("targets", []):
+        f, to = t["from"], t["to"]
+        k = adm.pair_position.get((f, to))
         if k is None:
-            raise ReportError(f"target branch {f}-{t} not found among in-service branches")
-        row = impacts[k]
-        target_summary.append(
+            raise ReportError(f"target branch {f}-{to} not found among in-service branches")
+        p_base, p_attacked = rows[k]["base"]["pf"], rows[k]["attacked"]["pf"]
+        targets.append(
             {
                 "from": f,
-                "to": t,
-                "factor_required": factor,
-                "p_base": row.base.pf,
-                "p_attacked": row.attacked.pf,
-                "factor_attained": row.attacked.pf / row.base.pf if row.base.pf else None,
+                "to": to,
+                "factor_required": t["factor"],
+                "p_base": p_base,
+                "p_attacked": p_attacked,
+                "factor_attained": p_attacked / p_base if p_base else None,
             }
         )
 
-    return ImpactReport(
-        schema=SCHEMA,
-        metadata=metadata or {},
-        zone=zone,
-        branches=tuple(branches),
-        buses=tuple(buses),
-        state_deviation=deviations,
-        residuals=residuals,
-        target_summary=tuple(target_summary),
-        notes=tuple(dict.fromkeys(notes)),
-    )
+    return {
+        "schema": SCHEMA,
+        "metadata": metadata or {},
+        "zone": zone.to_dict(),
+        "branches": sorted(rows, key=lambda b: (b["from"], b["to"])),
+        "buses": buses,
+        "state_deviation": deviations,
+        "residuals": residuals,
+        "targets": targets,
+        "notes": list(dict.fromkeys(notes)),
+    }
 
 
 def _fmt(x: float | None) -> str:
@@ -279,118 +203,39 @@ def _fmt(x: float | None) -> str:
     return format(x, ".10g")
 
 
-def report_to_json(report: ImpactReport) -> str:
-    doc = {
-        "schema": report.schema,
-        "metadata": report.metadata,
-        "zone": report.zone.to_dict(),
-        "branches": [
-            {
-                "from": b.from_bus, "to": b.to_bus, "role": b.role,
-                "rating": b.rating,
-                "base": {"pf": b.base.pf, "qf": b.base.qf, "pt": b.base.pt, "qt": b.base.qt},
-                "attacked": {
-                    "pf": b.attacked.pf, "qf": b.attacked.qf,
-                    "pt": b.attacked.pt, "qt": b.attacked.qt,
-                },
-                "dp": b.dp, "dq": b.dq,
-                "loading_base": b.loading_base,
-                "loading_attacked": b.loading_attacked,
-            }
-            for b in report.branches
-        ],
-        "buses": [
-            {
-                "bus": b.bus, "role": b.role,
-                "p_base": b.p_base, "q_base": b.q_base,
-                "p_attacked": b.p_attacked, "q_attacked": b.q_attacked,
-                "p_falsified": b.p_falsified, "q_falsified": b.q_falsified,
-            }
-            for b in report.buses
-        ],
-        "state_deviation": [
-            {
-                "bus": d.bus, "role": d.role,
-                "vm_base": d.vm_base, "va_base_deg": math.degrees(d.va_base),
-                "vm_attacked": d.vm_attacked,
-                "va_attacked_deg": math.degrees(d.va_attacked),
-                "dvm": d.dvm, "dva_deg": math.degrees(d.dva),
-            }
-            for d in report.state_deviation
-        ],
-        "residuals": {
-            "j_clean": report.residuals.j_clean,
-            "j_attacked": report.residuals.j_attacked,
-            "j_change": report.residuals.j_change,
-            "threshold": report.residuals.threshold,
-            "dof": report.residuals.dof,
-            "clean_passed": report.residuals.clean_passed,
-            "attacked_passed": report.residuals.attacked_passed,
-            "lnr_clean": list(report.residuals.lnr_clean),
-            "lnr_attacked": list(report.residuals.lnr_attacked),
-            "estimate_shift_norm": report.residuals.estimate_shift_norm,
-            "per_state": [
-                {"bus": bus, "dvm_est": dv, "dva_est": da}
-                for bus, dv, da in report.residuals.per_state
-            ],
-        },
-        "targets": list(report.target_summary),
-        "notes": list(report.notes),
-    }
-    return to_json(doc, sort_keys=True)
+def _csv_rows(header: str, rows: list[dict], labels: tuple[str, ...], values) -> str:
+    """header, then each row's label fields as text and its values(row) as .10g."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join([*(str(row[k]) for k in labels), *map(_fmt, values(row))]))
+    return "\n".join(lines) + "\n"
 
 
-def report_to_csv(report: ImpactReport) -> dict[str, str]:
+def report_to_csv(doc: dict) -> dict[str, str]:
     """Three tables: zone voltages, zone injections, all branch flows."""
-    voltages = ["bus,role,vm_base_pu,va_base_deg,vm_attacked_pu,va_attacked_deg"]
-    for d in report.state_deviation:
-        voltages.append(
-            ",".join(
-                [
-                    str(d.bus), d.role,
-                    _fmt(d.vm_base), _fmt(math.degrees(d.va_base)),
-                    _fmt(d.vm_attacked), _fmt(math.degrees(d.va_attacked)),
-                ]
-            )
-        )
-
-    injections = [
-        "bus,role,p_base_pu,q_base_pu,p_falsified_pu,q_falsified_pu"
-    ]
-    for b in report.buses:
-        if b.p_falsified is None:
-            continue
-        injections.append(
-            ",".join(
-                [
-                    str(b.bus), b.role,
-                    _fmt(b.p_base), _fmt(b.q_base),
-                    _fmt(b.p_falsified), _fmt(b.q_falsified),
-                ]
-            )
-        )
-
-    flows = [
-        "from,to,role,p_base_pu,q_base_pu,p_attacked_pu,q_attacked_pu,"
-        "dp_pu,dq_pu,loading_base_pct,loading_attacked_pct"
-    ]
-    for b in report.branches:
-        flows.append(
-            ",".join(
-                [
-                    str(b.from_bus), str(b.to_bus), b.role,
-                    _fmt(b.base.pf), _fmt(b.base.qf),
-                    _fmt(b.attacked.pf), _fmt(b.attacked.qf),
-                    _fmt(b.dp), _fmt(b.dq),
-                    _fmt(b.loading_base), _fmt(b.loading_attacked),
-                ]
-            )
-        )
-
     return {
-        "voltages.csv": "\n".join(voltages) + "\n",
-        "injections.csv": "\n".join(injections) + "\n",
-        "flows.csv": "\n".join(flows) + "\n",
+        "voltages.csv": _csv_rows(
+            "bus,role,vm_base_pu,va_base_deg,vm_attacked_pu,va_attacked_deg",
+            doc["state_deviation"],
+            ("bus", "role"),
+            lambda d: (d["vm_base"], d["va_base_deg"], d["vm_attacked"], d["va_attacked_deg"]),
+        ),
+        "injections.csv": _csv_rows(
+            "bus,role,p_base_pu,q_base_pu,p_falsified_pu,q_falsified_pu",
+            [b for b in doc["buses"] if b["p_falsified"] is not None],
+            ("bus", "role"),
+            lambda b: (b["p_base"], b["q_base"], b["p_falsified"], b["q_falsified"]),
+        ),
+        "flows.csv": _csv_rows(
+            "from,to,role,p_base_pu,q_base_pu,p_attacked_pu,q_attacked_pu,"
+            "dp_pu,dq_pu,loading_base_pct,loading_attacked_pct",
+            doc["branches"],
+            ("from", "to", "role"),
+            lambda b: (
+                b["base"]["pf"], b["base"]["qf"], b["attacked"]["pf"], b["attacked"]["qf"],
+                b["dp"], b["dq"], b["loading_base"], b["loading_attacked"],
+            ),
+        ),
     }
 
 
@@ -444,15 +289,15 @@ def _svg_bar_chart(
     return "\n".join(parts) + "\n"
 
 
-def report_to_svg(report: ImpactReport) -> dict[str, str]:
-    interior = sorted(report.zone.interior)
+def report_to_svg(doc: dict) -> dict[str, str]:
+    interior = doc["zone"]["interior"]  # sorted
     cats = [str(b) for b in interior]
-    dev = {d.bus: d for d in report.state_deviation}
-    angle_deltas = [math.degrees(dev[b].dva) for b in interior]
-    mag_deltas = [dev[b].dvm for b in interior]
-    per_state = {bus: (dv, da) for bus, dv, da in report.residuals.per_state}
-    est_vm = [per_state[b][0] for b in interior]
-    est_va = [math.degrees(per_state[b][1]) for b in interior]
+    dev = {d["bus"]: d for d in doc["state_deviation"]}
+    angle_deltas = [dev[b]["dva_deg"] for b in interior]
+    mag_deltas = [dev[b]["dvm"] for b in interior]
+    per_state = {row["bus"]: row for row in doc["residuals"]["per_state"]}
+    est_vm = [per_state[b]["dvm_est"] for b in interior]
+    est_va = [math.degrees(per_state[b]["dva_est"]) for b in interior]
 
     return {
         "attack_angle.svg": _svg_bar_chart(
@@ -479,12 +324,12 @@ def report_to_svg(report: ImpactReport) -> dict[str, str]:
     }
 
 
-def render_report(report: ImpactReport, fmt: str) -> dict[str, str]:
-    """Render to named documents; callers decide where the bytes go."""
+def render_report(doc: dict, fmt: str) -> dict[str, str]:
+    """Render the document to named files; callers decide where the bytes go."""
     if fmt == "json":
-        return {"impact.json": report_to_json(report)}
+        return {"impact.json": to_json(doc, sort_keys=True)}
     if fmt == "csv":
-        return report_to_csv(report)
+        return report_to_csv(doc)
     if fmt == "svg":
-        return report_to_svg(report)
+        return report_to_svg(doc)
     raise ReportError(f"unknown report format {fmt!r}")

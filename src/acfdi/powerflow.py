@@ -92,24 +92,6 @@ class StateVector:
 
 
 @dataclass(frozen=True)
-class BranchFlow:
-    """Two-port flow at a given state: from-end and to-end P/Q plus apparent magnitudes."""
-
-    pf: float
-    qf: float
-    pt: float
-    qt: float
-
-    @property
-    def sf(self) -> float:
-        return float(np.hypot(self.pf, self.qf))
-
-    @property
-    def st(self) -> float:
-        return float(np.hypot(self.pt, self.qt))
-
-
-@dataclass(frozen=True)
 class PowerFlowSolution:
     state: StateVector
     converged: bool

@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, design_attack
 from acfdi.network import build_admittance, load_bundled_case39
-from acfdi.powerflow import BranchFlow, branch_flows, newton_power_flow
+from acfdi.powerflow import branch_flows, newton_power_flow
 from acfdi.zones import validate_zone
 
 import reference39 as ref
@@ -72,10 +72,11 @@ def attack_arbitrary(case39, adm39, base39, zone39):
 
 
 def flow_of(adm, state, br):
-    """One branch's flow record at a state, read from branch_flows."""
+    """One branch's flow at a state, read from branch_flows, keyed as the
+    impact report's flow objects: {"pf", "qf", "pt", "qt"}."""
     sf, st = branch_flows(state, adm)
     k = adm.position[br.index]
-    return BranchFlow(sf[k].real, sf[k].imag, st[k].real, st[k].imag)
+    return {"pf": sf[k].real, "qf": sf[k].imag, "pt": st[k].real, "qt": st[k].imag}
 
 
 def table_state(base, scenario):

@@ -98,13 +98,13 @@ def test_criterion_1_flow_replay(case39, adm39, base39):
             for pair, cols in replayable.items():
                 fl = flow_of(adm39, state, _branch(case39, pair))
                 p_ref, q_ref = cols[scenario]
-                assert fl.pf == pytest.approx(p_ref, abs=0.05), (pair, scenario)
-                assert fl.qf == pytest.approx(q_ref, abs=0.05), (pair, scenario)
+                assert fl["pf"] == pytest.approx(p_ref, abs=0.05), (pair, scenario)
+                assert fl["qf"] == pytest.approx(q_ref, abs=0.05), (pair, scenario)
         elapsed = time.perf_counter() - start
         # headline values
         state_b = table_state(base39, "before")
         target = flow_of(adm39, state_b, _branch(case39, (26, 27)))
-        assert target.pf == pytest.approx(2.573, abs=0.05)
+        assert target["pf"] == pytest.approx(2.573, abs=0.05)
         assert elapsed < 1.0
 
 
@@ -144,7 +144,7 @@ def test_criterion_3_base_case(case39, adm39):
             assert state.magnitude(bus) == pytest.approx(vm_ref, abs=0.01), bus
             assert math.degrees(state.angle(bus)) == pytest.approx(va_ref, abs=0.5), bus
         fl = flow_of(adm39, state, _branch(case39, (26, 27)))
-        assert fl.pf == pytest.approx(2.573, abs=0.02)
+        assert fl["pf"] == pytest.approx(2.573, abs=0.02)
 
 
 def test_criterion_4_undetectability(case39, adm39, base39, zone39, attack_optimal,
@@ -196,8 +196,8 @@ def test_criterion_5_optimal_attack_structure(case39, adm39, base39, zone39, att
     with criterion(5, "optimal attack constraint structure"):
         av = attack_optimal
         br = _branch(case39, ref.TARGET)
-        pf_base = flow_of(adm39, base39, br).pf
-        pf_att = flow_of(adm39, av.x_attacked, br).pf
+        pf_base = flow_of(adm39, base39, br)["pf"]
+        pf_att = flow_of(adm39, av.x_attacked, br)["pf"]
         bound = ref.OVERLOAD_FACTOR * pf_base
         assert bound <= pf_att <= bound + 1e-3  # binding
 
@@ -208,8 +208,8 @@ def test_criterion_5_optimal_attack_structure(case39, adm39, base39, zone39, att
         for line in zone39.tie_lines + zone39.frozen_lines:
             before = flow_of(adm39, base39, line)
             after = flow_of(adm39, av.x_attacked, line)
-            for a, b in ((after.pf, before.pf), (after.qf, before.qf),
-                         (after.pt, before.pt), (after.qt, before.qt)):
+            for a, b in ((after["pf"], before["pf"]), (after["qf"], before["qf"]),
+                         (after["pt"], before["pt"]), (after["qt"], before["qt"])):
                 assert abs(a - b) < 1e-8
 
         for bus in case39.buses:
@@ -229,7 +229,7 @@ def test_criterion_6_tradeoff_ordering(case39, adm39, base39, zone39, attack_opt
                 for b in zone39.interior
             )
         )
-        flow_opt = flow_of(adm39, attack_optimal.x_attacked, br).pf
+        flow_opt = flow_of(adm39, attack_optimal.x_attacked, br)["pf"]
 
         def shift_norm(est):
             return float(
@@ -258,7 +258,7 @@ def test_criterion_6_tradeoff_ordering(case39, adm39, base39, zone39, attack_opt
 
             assert shift_norm(run["opt"]) <= shift_norm(run["arb"]), run["seed"]
 
-            if flow_of(adm39, av_arb.x_attacked, br).pf >= flow_opt:
+            if flow_of(adm39, av_arb.x_attacked, br)["pf"] >= flow_opt:
                 flow_wins += 1
         assert flow_wins >= 18, f"arbitrary flow exceeded optimal in only {flow_wins}/20 seeds"
 

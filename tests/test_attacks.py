@@ -37,8 +37,8 @@ def _target_branch(case):
 
 def test_optimal_attack_meets_overload_binding(case39, adm39, base39, zone39, attack_optimal):
     br = _target_branch(case39)
-    pf_base = flow_of(adm39, base39, br).pf
-    pf_att = flow_of(adm39, attack_optimal.x_attacked, br).pf
+    pf_base = flow_of(adm39, base39, br)["pf"]
+    pf_att = flow_of(adm39, attack_optimal.x_attacked, br)["pf"]
     bound = ref.OVERLOAD_FACTOR * pf_base
     assert bound <= pf_att <= bound + 1e-3
 
@@ -63,10 +63,10 @@ def test_tie_and_frozen_line_flows_invariant(case39, adm39, zone39, attack_optim
         for br in zone39.tie_lines + zone39.frozen_lines:
             before = flow_of(adm39, av.x_base, br)
             after = flow_of(adm39, av.x_attacked, br)
-            assert abs(after.pf - before.pf) < 1e-10, (br.from_bus, br.to_bus)
-            assert abs(after.qf - before.qf) < 1e-10
-            assert abs(after.pt - before.pt) < 1e-10
-            assert abs(after.qt - before.qt) < 1e-10
+            assert abs(after["pf"] - before["pf"]) < 1e-10, (br.from_bus, br.to_bus)
+            assert abs(after["qf"] - before["qf"]) < 1e-10
+            assert abs(after["pt"] - before["pt"]) < 1e-10
+            assert abs(after["qt"] - before["qt"]) < 1e-10
 
 
 def test_slack_factor_returns_base_unchanged(case39, adm39, base39, zone39):
@@ -252,10 +252,10 @@ def test_deltas_match_independent_reevaluation(case39, adm39, base39, zone39):
             fl_att = flow_of(adm39, x_att, branch_by_pair[(f, t)])
             fl_base = flow_of(adm39, base39, branch_by_pair[(f, t)])
             expected = {
-                "Pf": fl_att.pf - fl_base.pf,
-                "Pt": fl_att.pt - fl_base.pt,
-                "Qf": fl_att.qf - fl_base.qf,
-                "Qt": fl_att.qt - fl_base.qt,
+                "Pf": fl_att["pf"] - fl_base["pf"],
+                "Pt": fl_att["pt"] - fl_base["pt"],
+                "Qf": fl_att["qf"] - fl_base["qf"],
+                "Qt": fl_att["qt"] - fl_base["qt"],
             }[prefix]
         elif prefix in ("Pinj", "Qinj"):
             p_att, q_att = bus_injection(x_att, case39, int(loc), adm39)
@@ -368,7 +368,7 @@ def test_design_with_built_zone(case39, adm39, base39):
     )
     av = design_attack(case39, base39, spec, adm39)
     br = next(b for b in case39.branches if (b.from_bus, b.to_bus) == (26, 27))
-    assert flow_of(adm39, av.x_attacked, br).pf >= 1.1 * flow_of(adm39, base39, br).pf
+    assert flow_of(adm39, av.x_attacked, br)["pf"] >= 1.1 * flow_of(adm39, base39, br)["pf"]
 
 
 def test_multi_target_attack(case39, adm39, base39, zone39):
@@ -379,8 +379,8 @@ def test_multi_target_attack(case39, adm39, base39, zone39):
         br = next(
             b for b in case39.branches if (b.from_bus, b.to_bus) == (t.from_bus, t.to_bus)
         )
-        pf_base = flow_of(adm39, base39, br).pf
-        pf_att = flow_of(adm39, av.x_attacked, br).pf
+        pf_base = flow_of(adm39, base39, br)["pf"]
+        pf_att = flow_of(adm39, av.x_attacked, br)["pf"]
         assert pf_att >= t.factor * pf_base, (t.from_bus, t.to_bus)
     for bus in zone39.zero_injection_interior(case39):
         p, q = bus_injection(av.x_attacked, case39, bus, adm39)

@@ -424,6 +424,40 @@ def _solver_penalty_growth_below_one(tmp_path):
     return _scenario_with(solver={"penalty_growth": 0.5})(tmp_path), "'penalty_growth'"
 
 
+def _misspelled_top_level_mode(tmp_path):
+    return _scenario_with(modes=["optimal"])(tmp_path), "'modes'"
+
+
+def _misspelled_pf_max_iter(tmp_path):
+    return _scenario_with(pf={"max_iters": 5})(tmp_path), "'max_iters'"
+
+
+def _misspelled_solver_max_outer(tmp_path):
+    return _scenario_with(solver={"max_outr": 2})(tmp_path), "'max_outr'"
+
+
+def _misspelled_bdd_confidence(tmp_path):
+    return _scenario_with(bdd={"confidance": 0.9})(tmp_path), "'confidance'"
+
+
+def _misspelled_seeds_noise(tmp_path):
+    return _scenario_with(seeds={**SCENARIO["seeds"], "noize": 3})(tmp_path), "'noize'"
+
+
+def _misspelled_output_formats(tmp_path):
+    return _scenario_with(output={"format": ["json"]})(tmp_path), "'format'"
+
+
+def _misspelled_zone_focal_beside_explicit_lists(tmp_path):
+    zone = {**SCENARIO["zone"], "focul": [26]}
+    return _scenario_with(zone=zone)(tmp_path), "'focul'"
+
+
+def _misspelled_target_lambda(tmp_path):
+    targets = [{"from": 26, "to": 27, "lambda": 1.3, "lamda": 2.0}]
+    return _scenario_with(targets=targets)(tmp_path), "'lamda'"
+
+
 def _zone_file_with_string_ids(tmp_path):
     path = tmp_path / "z.json"
     zone = {"interior": SCENARIO["zone"]["interior"], "boundary": ["3", "15"]}
@@ -441,6 +475,9 @@ def _zone_file_with_string_ids(tmp_path):
         _pf_tol_not_a_number, _solver_max_outer_not_an_integer, _pf_max_iter_zero,
         _case_not_a_path, _solver_max_outer_zero, _solver_max_inner_zero,
         _solver_tol_eq_negative, _solver_penalty_growth_below_one,
+        _misspelled_top_level_mode, _misspelled_pf_max_iter, _misspelled_solver_max_outer,
+        _misspelled_bdd_confidence, _misspelled_seeds_noise, _misspelled_output_formats,
+        _misspelled_zone_focal_beside_explicit_lists, _misspelled_target_lambda,
     ],
     ids=lambda make: make.__name__.strip("_"),
 )

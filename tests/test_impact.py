@@ -8,12 +8,7 @@ import pytest
 import reference39 as ref
 from acfdi.attacks import apply_attack, assemble_attack_vector
 from acfdi.estimation import generate_measurements, wls_estimate
-from acfdi.impact import (
-    ReportError,
-    compute_impact,
-    render_report,
-    report_to_json,
-)
+from acfdi.impact import ReportError, compute_impact, render_report
 from acfdi.powerflow import branch_flows
 from conftest import flow_of
 from acfdi.zones import validate_zone
@@ -28,11 +23,10 @@ def estimates(case39, adm39, base39, zone39, attack_optimal, zero_sigmas):
 
 
 @pytest.fixture(scope="module")
-def report(case39, adm39, base39, zone39, attack_optimal, estimates):
+def report(case39, adm39, zone39, attack_optimal, estimates):
     _, clean, attacked = estimates
     return compute_impact(
-        case39, base39, attack_optimal, clean, attacked, zone39,
-        targets=((26, 27, 1.3),),
+        case39, attack_optimal, clean, attacked, zone39,
         metadata={"mode": "optimal"},
         adm=adm39,
     )
@@ -56,25 +50,25 @@ def test_replay_tie_line_invariant(case39, adm39, base39, attack_arbitrary):
 
 
 def test_report_covers_every_in_service_branch(case39, report):
-    assert len(report.branches) == len(case39.in_service_branches())
-    assert report.schema == "impact/1"
-    for b in report.branches:
-        if b.loading_base is not None:
-            assert b.loading_base >= 0.0
-            assert b.loading_attacked >= 0.0
+    assert len(report["branches"]) == len(case39.in_service_branches())
+    assert report["schema"] == "impact/1"
+    for b in report["branches"]:
+        if b["loading_base"] is not None:
+            assert b["loading_base"] >= 0.0
+            assert b["loading_attacked"] >= 0.0
 
 
 def test_zone_conservation(case39, adm39, zone39, base39, attack_optimal, report):
     # injection changes summed over the zone equal the interior-line loss change
     d_inj = 0.0
-    for b in report.buses:
-        if b.p_falsified is not None:
-            d_inj += b.p_falsified - b.p_base
+    for b in report["buses"]:
+        if b["p_falsified"] is not None:
+            d_inj += b["p_falsified"] - b["p_base"]
     d_loss = 0.0
     for br in zone39.interior_lines:
         before = flow_of(adm39, base39, br)
         after = flow_of(adm39, attack_optimal.x_attacked, br)
-        d_loss += (after.pf + after.pt) - (before.pf + before.pt)
+        d_loss += (after["pf"] + after["pt"]) - (before["pf"] + before["pt"])
     assert d_inj == pytest.approx(d_loss, abs=1e-6)
 
 
@@ -92,52 +86,52 @@ def test_zone_conservation_arbitrary_attack(case39, adm39, base39, zone39, attac
     for br in zone39.interior_lines:
         before = flow_of(adm39, base39, br)
         after = flow_of(adm39, av.x_attacked, br)
-        d_loss += (after.pf + after.pt) - (before.pf + before.pt)
-        d_loss_q += (after.qf + after.qt) - (before.qf + before.qt)
+        d_loss += (after["pf"] + after["pt"]) - (before["pf"] + before["pt"])
+        d_loss_q += (after["qf"] + after["qt"]) - (before["qf"] + before["qt"])
     assert d_inj == pytest.approx(d_loss, abs=1e-6)
     assert d_inj_q == pytest.approx(d_loss_q, abs=1e-6)
 
 
 def test_inert_boundary_invariance(report):
-    for b in report.buses:
-        if b.role == "inert-boundary":
-            assert b.p_falsified == pytest.approx(b.p_base, abs=1e-12)
-            assert b.q_falsified == pytest.approx(b.q_base, abs=1e-12)
+    for b in report["buses"]:
+        if b["role"] == "inert-boundary":
+            assert b["p_falsified"] == pytest.approx(b["p_base"], abs=1e-12)
+            assert b["q_falsified"] == pytest.approx(b["q_base"], abs=1e-12)
 
 
 def test_report_agrees_with_attack_deltas_on_interior_lines(zone39, attack_optimal, report):
-    rows = {(b.from_bus, b.to_bus): b for b in report.branches}
+    rows = {(b["from"], b["to"]): b for b in report["branches"]}
     for br in zone39.interior_lines:
         row = rows[(br.from_bus, br.to_bus)]
         delta = attack_optimal.deltas[f"Pf:{br.from_bus}-{br.to_bus}"]
-        assert row.attacked.pf == pytest.approx(row.base.pf + delta, abs=1e-10)
+        assert row["attacked"]["pf"] == pytest.approx(row["base"]["pf"] + delta, abs=1e-10)
 
 
 def test_loading_formula(case39, report):
     br = next(b for b in case39.branches if (b.from_bus, b.to_bus) == (26, 27))
     assert br.rating == pytest.approx(6.0)  # 600 MVA on a 100 MVA base
-    row = next(b for b in report.branches if (b.from_bus, b.to_bus) == (26, 27))
-    assert row.loading_base == pytest.approx(
-        100.0 * max(row.base.sf, row.base.st) / 6.0
-    )
-    assert row.loading_attacked == pytest.approx(
-        100.0 * max(row.attacked.sf, row.attacked.st) / 6.0
-    )
+    row = next(b for b in report["branches"] if (b["from"], b["to"]) == (26, 27))
+
+    def apparent(flow):
+        return max(np.hypot(flow["pf"], flow["qf"]), np.hypot(flow["pt"], flow["qt"]))
+
+    assert row["loading_base"] == pytest.approx(100.0 * apparent(row["base"]) / 6.0)
+    assert row["loading_attacked"] == pytest.approx(100.0 * apparent(row["attacked"]) / 6.0)
     # the attack drives the target line harder
-    assert row.loading_attacked > row.loading_base
+    assert row["loading_attacked"] > row["loading_base"]
 
 
 def test_target_summary(report):
-    (t,) = report.target_summary
+    (t,) = report["targets"]
     assert (t["from"], t["to"]) == (26, 27)
     assert t["factor_attained"] >= 1.3
     assert t["p_attacked"] >= 1.3 * t["p_base"]
 
 
 def test_verdicts_pass_at_zero_noise(report):
-    assert report.residuals.clean_passed
-    assert report.residuals.attacked_passed
-    assert report.residuals.j_change < 1e-10
+    assert report["residuals"]["clean_passed"]
+    assert report["residuals"]["attacked_passed"]
+    assert report["residuals"]["j_change"] < 1e-10
 
 
 def test_render_deterministic(report):
@@ -186,13 +180,13 @@ def test_svg_bar_heights_proportional_to_values(report):
 
 
 def test_json_report_round_trips_and_sorted(report):
-    doc = json.loads(report_to_json(report))
+    doc = json.loads(render_report(report, "json")["impact.json"])
     assert doc["schema"] == "impact/1"
     assert [b["bus"] for b in doc["state_deviation"]] == sorted(ref.ZONE_INTERIOR | ref.ZONE_BOUNDARY)
     assert doc["residuals"]["clean_passed"] is True
 
 
-def test_missing_rating_flagged(case39, adm39, base39, zone39, attack_optimal, estimates):
+def test_missing_rating_flagged(case39, zone39, attack_optimal, estimates):
     import dataclasses
 
     _, clean, attacked = estimates
@@ -204,18 +198,50 @@ def test_missing_rating_flagged(case39, adm39, base39, zone39, attack_optimal, e
     from acfdi.network import build_admittance
 
     adm = build_admittance(case_norating)
-    rep = compute_impact(
-        case_norating, base39, attack_optimal, clean, attacked, zone39, adm=adm
-    )
-    row = next(b for b in rep.branches if (b.from_bus, b.to_bus) == (26, 28))
-    assert row.loading_base is None and row.loading_attacked is None
-    assert any("26-28 has no rating" in n for n in rep.notes)
+    rep = compute_impact(case_norating, attack_optimal, clean, attacked, zone39, adm=adm)
+    row = next(b for b in rep["branches"] if (b["from"], b["to"]) == (26, 28))
+    assert row["loading_base"] is None and row["loading_attacked"] is None
+    assert any("26-28 has no rating" in n for n in rep["notes"])
 
 
-def test_requires_converged_estimations(case39, adm39, base39, zone39, attack_optimal, estimates):
+def test_requires_converged_estimations(case39, adm39, zone39, attack_optimal, estimates):
     import dataclasses
 
     _, clean, attacked = estimates
     broken = dataclasses.replace(clean, converged=False)
     with pytest.raises(ReportError, match="converged"):
-        compute_impact(case39, base39, attack_optimal, broken, attacked, zone39, adm=adm39)
+        compute_impact(case39, attack_optimal, broken, attacked, zone39, adm=adm39)
+
+
+def test_report_is_the_document_that_every_renderer_reads(report):
+    assert json.loads(render_report(report, "json")["impact.json"]) == report
+    tables = render_report(report, "csv")
+    flows = tables["flows.csv"].splitlines()[1:]
+    assert len(flows) == len(report["branches"])
+    for line, b in zip(flows, report["branches"]):
+        want = [
+            str(b["from"]), str(b["to"]), b["role"],
+            *(format(v, ".10g") if v is not None else "" for v in (
+                b["base"]["pf"], b["base"]["qf"], b["attacked"]["pf"], b["attacked"]["qf"],
+                b["dp"], b["dq"], b["loading_base"], b["loading_attacked"],
+            )),
+        ]
+        assert line.split(",") == want
+    voltages = tables["voltages.csv"].splitlines()[1:]
+    assert len(voltages) == len(report["state_deviation"])
+    for line, d in zip(voltages, report["state_deviation"]):
+        values = (d["vm_base"], d["va_base_deg"], d["vm_attacked"], d["va_attacked_deg"])
+        assert line.split(",") == [str(d["bus"]), d["role"], *(format(v, ".10g") for v in values)]
+
+
+def test_target_with_no_in_service_branch_is_rejected(
+    case39, adm39, zone39, attack_optimal, estimates
+):
+    import dataclasses
+
+    _, clean, attacked = estimates
+    av = dataclasses.replace(
+        attack_optimal, solver_info={"targets": [{"from": 1, "to": 99, "factor": 1.3}]}
+    )
+    with pytest.raises(ReportError, match="1-99 not found"):
+        compute_impact(case39, av, clean, attacked, zone39, adm=adm39)

@@ -97,10 +97,7 @@ def impact39(case39, adm39, base39, zone39, attack_optimal, zero_sigmas):
     ms = generate_measurements(case39, base39, sigmas=zero_sigmas, seed=0, adm=adm39)
     clean = wls_estimate(ms, case39, adm39)
     attacked = wls_estimate(apply_attack(ms, attack_optimal), case39, adm39)
-    return compute_impact(
-        case39, base39, attack_optimal, clean, attacked, zone39,
-        targets=(ref.TARGET + (ref.OVERLOAD_FACTOR,),), adm=adm39,
-    )
+    return compute_impact(case39, attack_optimal, clean, attacked, zone39, adm=adm39)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -116,41 +113,41 @@ def test_impact_flows_and_injections_do_not_depend_on_labels_or_row_order(
         case, {rename[b] for b in zone39.interior}, {rename[b] for b in zone39.boundary}
     )
     x_attacked = _relabel_state(attack_optimal.x_attacked, bus_order, rename)
-    av = assemble_attack_vector(case, base, x_attacked, zone, adm=adm)
+    f, t = ref.TARGET
+    target = {"from": rename[f], "to": rename[t], "factor": ref.OVERLOAD_FACTOR}
+    av = assemble_attack_vector(
+        case, base, x_attacked, zone, adm=adm, solver_info={"targets": [target]}
+    )
     ms = generate_measurements(case, base, sigmas=zero_sigmas, seed=0, adm=adm)
     clean = wls_estimate(ms, case, adm)
     attacked = wls_estimate(apply_attack(ms, av), case, adm)
-    f, t = ref.TARGET
-    report = compute_impact(
-        case, base, av, clean, attacked, zone,
-        targets=((rename[f], rename[t], ref.OVERLOAD_FACTOR),), adm=adm,
-    )
+    report = compute_impact(case, av, clean, attacked, zone, adm=adm)
 
-    branches = {(b.from_bus, b.to_bus): b for b in report.branches}
-    assert len(branches) == len(impact39.branches)
-    for want in impact39.branches:
-        got = branches[(rename[want.from_bus], rename[want.to_bus])]
-        assert got.role == want.role
+    branches = {(b["from"], b["to"]): b for b in report["branches"]}
+    assert len(branches) == len(impact39["branches"])
+    for want in impact39["branches"]:
+        got = branches[(rename[want["from"]], rename[want["to"]])]
+        assert got["role"] == want["role"]
         for flow in ("base", "attacked"):
             for part in ("pf", "qf", "pt", "qt"):
-                a, b = getattr(getattr(got, flow), part), getattr(getattr(want, flow), part)
-                assert abs(a - b) < 1e-10, (want.from_bus, want.to_bus, flow, part)
+                a, b = got[flow][part], want[flow][part]
+                assert abs(a - b) < 1e-10, (want["from"], want["to"], flow, part)
         for loading in ("loading_base", "loading_attacked"):
-            assert abs(getattr(got, loading) - getattr(want, loading)) < 1e-10
+            assert abs(got[loading] - want[loading]) < 1e-10
 
-    buses = {b.bus: b for b in report.buses}
-    for want in impact39.buses:
-        got = buses[rename[want.bus]]
-        assert got.role == want.role
+    buses = {b["bus"]: b for b in report["buses"]}
+    for want in impact39["buses"]:
+        got = buses[rename[want["bus"]]]
+        assert got["role"] == want["role"]
         for name in ("p_base", "q_base", "p_attacked", "q_attacked"):
-            assert abs(getattr(got, name) - getattr(want, name)) < 1e-10, (want.bus, name)
+            assert abs(got[name] - want[name]) < 1e-10, (want["bus"], name)
         for name in ("p_falsified", "q_falsified"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a is None) == (b is None), (want.bus, name)
+            a, b = got[name], want[name]
+            assert (a is None) == (b is None), (want["bus"], name)
             if b is not None:
-                assert abs(a - b) < 1e-10, (want.bus, name)
+                assert abs(a - b) < 1e-10, (want["bus"], name)
 
-    ((got_target,), (want_target,)) = report.target_summary, impact39.target_summary
+    ((got_target,), (want_target,)) = report["targets"], impact39["targets"]
     for name in ("p_base", "p_attacked", "factor_attained"):
         assert abs(got_target[name] - want_target[name]) < 1e-10, name
 
@@ -283,38 +280,38 @@ def test_impact_figures_do_not_depend_on_the_mva_base(
     case, adm = rebased39
     # per-unit states do not depend on the base, so case39's serve here
     zone = validate_zone(case, zone39.interior, zone39.boundary)
-    av = assemble_attack_vector(case, base39, attack_optimal.x_attacked, zone, adm=adm)
+    av = assemble_attack_vector(
+        case, base39, attack_optimal.x_attacked, zone, adm=adm,
+        solver_info={"targets": [{"from": 26, "to": 27, "factor": ref.OVERLOAD_FACTOR}]},
+    )
     ms = generate_measurements(case, base39, sigmas=zero_sigmas, seed=0, adm=adm)
     clean = wls_estimate(ms, case, adm)
     attacked = wls_estimate(apply_attack(ms, av), case, adm)
-    report = compute_impact(
-        case, base39, av, clean, attacked, zone,
-        targets=(ref.TARGET + (ref.OVERLOAD_FACTOR,),), adm=adm,
-    )
+    report = compute_impact(case, av, clean, attacked, zone, adm=adm)
 
     def mw(value, on):
         return value * on.base_mva
 
-    assert len(report.branches) == len(impact39.branches)
-    for got, want in zip(report.branches, impact39.branches):
-        assert (got.from_bus, got.to_bus, got.role) == (want.from_bus, want.to_bus, want.role)
+    assert len(report["branches"]) == len(impact39["branches"])
+    for got, want in zip(report["branches"], impact39["branches"]):
+        assert (got["from"], got["to"], got["role"]) == (want["from"], want["to"], want["role"])
         for flow in ("base", "attacked"):
             for part in ("pf", "qf", "pt", "qt"):
-                a, b = getattr(getattr(got, flow), part), getattr(getattr(want, flow), part)
-                assert abs(mw(a, case) - mw(b, case39)) < 1e-10, (want.from_bus, flow, part)
+                a, b = got[flow][part], want[flow][part]
+                assert abs(mw(a, case) - mw(b, case39)) < 1e-10, (want["from"], flow, part)
         for loading in ("loading_base", "loading_attacked"):
-            a, b = getattr(got, loading), getattr(want, loading)
+            a, b = got[loading], want[loading]
             assert (a is None) == (b is None)
             if b is not None:
                 assert abs(a - b) < 1e-10
-    for got, want in zip(report.buses, impact39.buses):
-        assert (got.bus, got.role) == (want.bus, want.role)
+    for got, want in zip(report["buses"], impact39["buses"]):
+        assert (got["bus"], got["role"]) == (want["bus"], want["role"])
         for name in ("p_base", "q_base", "p_attacked", "q_attacked", "p_falsified", "q_falsified"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a is None) == (b is None), (want.bus, name)
+            a, b = got[name], want[name]
+            assert (a is None) == (b is None), (want["bus"], name)
             if b is not None:
-                assert abs(mw(a, case) - mw(b, case39)) < 1e-10, (want.bus, name)
-    ((got_target,), (want_target,)) = report.target_summary, impact39.target_summary
+                assert abs(mw(a, case) - mw(b, case39)) < 1e-10, (want["bus"], name)
+    ((got_target,), (want_target,)) = report["targets"], impact39["targets"]
     for name in ("p_base", "p_attacked"):
         assert abs(mw(got_target[name], case) - mw(want_target[name], case39)) < 1e-10
     assert abs(got_target["factor_attained"] - want_target["factor_attained"]) < 1e-10

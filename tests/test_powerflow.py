@@ -55,8 +55,8 @@ def test_case39_base_voltages_match_reference(base39):
 def test_case39_target_line_base_flow(case39, adm39, base39):
     br = next(b for b in case39.branches if (b.from_bus, b.to_bus) == (26, 27))
     fl = flow_of(adm39, base39, br)
-    assert fl.pf == pytest.approx(2.573, abs=0.02)
-    assert fl.qf == pytest.approx(0.6821, abs=0.02)
+    assert fl["pf"] == pytest.approx(2.573, abs=0.02)
+    assert fl["qf"] == pytest.approx(0.6821, abs=0.02)
 
 
 def test_case39_all_reference_base_flows(case39, adm39, base39):
@@ -64,8 +64,8 @@ def test_case39_all_reference_base_flows(case39, adm39, base39):
     for (f, t), cols in ref.FLOWS.items():
         br = next(b for b in case39.branches if (b.from_bus, b.to_bus) == (f, t))
         fl = flow_of(adm39, base39, br)
-        assert fl.pf == pytest.approx(cols["before"][0], abs=0.02), (f, t)
-        assert fl.qf == pytest.approx(cols["before"][1], abs=0.02), (f, t)
+        assert fl["pf"] == pytest.approx(cols["before"][0], abs=0.02), (f, t)
+        assert fl["qf"] == pytest.approx(cols["before"][1], abs=0.02), (f, t)
 
 
 def test_no_potential_difference_no_flow():
@@ -73,7 +73,7 @@ def test_no_potential_difference_no_flow():
     case = parse_case(text)
     state = StateVector((1, 2), np.array([1.02, 1.02]), np.array([0.0, 0.0]))
     fl = flow_of(build_admittance(case), state, case.branches[0])
-    assert fl.pf == fl.qf == fl.pt == fl.qt == 0.0
+    assert fl["pf"] == fl["qf"] == fl["pt"] == fl["qt"] == 0.0
 
 
 def test_lossless_branch_antisymmetry():
@@ -81,7 +81,7 @@ def test_lossless_branch_antisymmetry():
     case = parse_case(text)
     state = StateVector((1, 2), np.array([1.05, 0.97]), np.array([0.0, -0.3]))
     fl = flow_of(build_admittance(case), state, case.branches[0])
-    assert fl.pf == pytest.approx(-fl.pt, abs=1e-14)
+    assert fl["pf"] == pytest.approx(-fl["pt"], abs=1e-14)
 
 
 def test_branch_flow_matches_complex_oracle_on_random_states(case39, adm39, base39):
@@ -228,12 +228,12 @@ def test_phase_shifted_branch_flow():
     adm = build_admittance(case)
     fl = flow_of(adm, state, br)
     sf, st = _complex_flow_oracle(state, br)
-    assert fl.pf == pytest.approx(sf.real, abs=1e-12)
-    assert fl.qf == pytest.approx(sf.imag, abs=1e-12)
+    assert fl["pf"] == pytest.approx(sf.real, abs=1e-12)
+    assert fl["qf"] == pytest.approx(sf.imag, abs=1e-12)
     # positive shift makes the internal node lag, pulling power toward the
     # from side even with equal terminal angles
-    assert fl.pf < -1.0
-    assert fl.pt > 1.0
+    assert fl["pf"] < -1.0
+    assert fl["pt"] > 1.0
     # the shift breaks complex symmetry: off-diagonals differ by e^{2j*shift}
     assert adm.ybus[0, 1] != adm.ybus[1, 0]
     assert adm.ybus[0, 1] == pytest.approx(
