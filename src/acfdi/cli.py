@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .artifacts import ConfigError, read_text, to_json
+from .artifacts import ConfigError, member, read_text, to_json
 from .attacks import (
     AttackError,
     AttackSpec,
@@ -209,9 +209,14 @@ def _bus_list(value, label: str) -> list[int]:
 
 
 def _read_target(doc, name, section: str) -> OverloadTarget:
-    """One overload target {"from", "to", "lambda"}; "factor" reads as "lambda"."""
+    """One overload target {"from", "to", "lambda"}; "factor" reads as "lambda",
+    and a target gives one of the two."""
     doc = doc if isinstance(doc, dict) else {}
     _known(doc, ("from", "to", "lambda", "factor"), lambda key: name(section, key))
+    if "lambda" in doc and "factor" in doc:
+        raise ConfigError(
+            f"{name(section, 'lambda')} and {name(section, 'factor')} name one field; give one"
+        )
     from_bus, to_bus = (_number(doc.get(key), int, name(section, key)) for key in ("from", "to"))
     factor = _number(doc.get("lambda", doc.get("factor")), float, name(section, "lambda"))
     if not factor > 0:
@@ -378,7 +383,7 @@ def _assess(case, adm, zone, av: AttackVector, ms_clean, clean_est, config: Scen
         case, av, clean_est, attacked_est, zone,
         policy=config.bdd,
         metadata={
-            "mode": av.solver_info.get("mode", "optimal"),
+            "mode": av.solver_info["mode"],
             "noise_seed": config.noise_seed,
             "sigmas": dict(sorted(config.sigmas.items())),
             "bdd": asdict(config.bdd),
@@ -532,6 +537,11 @@ def _cmd_impact(args: argparse.Namespace) -> int:
         av = AttackVector.from_json(text)
         for state in (av.x_base, av.x_attacked):
             _state_of_case(case, state)
+        mode = member(av.solver_info, "mode", str, "attack solver_info")
+        if mode not in _MODES:
+            raise ConfigError(
+                f"attack solver_info field 'mode' must be optimal or arbitrary, got {mode!r}"
+            )
         targets = [
             OverloadTarget(t["from"], t["to"], t["factor"])
             for t in av.solver_info.get("targets", [])

@@ -44,17 +44,6 @@ class EstimationError(RuntimeError):
     pass
 
 
-class MeasurementKey(NamedTuple):
-    """One Layout row as the artifacts spell it: what is measured and where.
-    A layout is built from keys by `Layout.from_keys` and listed by `keys`."""
-
-    id: str
-    kind: str
-    bus: int | None = None  # Pinj/Qinj/Vmag/Vang
-    branch_index: int | None = None  # flows: index into in-service branches
-    side: str | None = None  # flows: 'from' | 'to'
-
-
 @dataclass(frozen=True, eq=False)
 class Layout:
     """What is metered, row by row, as read-only arrays: each row's id, kind
@@ -86,25 +75,6 @@ class Layout:
     def from_rows(cls, rows: list[tuple[str, int, int, bool]]) -> "Layout":
         """The layout of (id, kind code, where, from_side) rows."""
         return cls(*zip(*rows)) if rows else cls((), [], [], [])
-
-    @classmethod
-    def from_keys(cls, keys) -> "Layout":
-        rows = []
-        for k in keys:
-            if k.kind not in KIND_CODE:
-                raise EstimationError(f"unknown measurement kind {k.kind!r}")
-            where = k.branch_index if KIND_CODE[k.kind] < 2 else k.bus
-            rows.append((k.id, KIND_CODE[k.kind], -1 if where is None else where, k.side == "from"))
-        return cls.from_rows(rows)
-
-    def keys(self) -> tuple[MeasurementKey, ...]:
-        rows = zip(self.ids, self.kind.tolist(), self.where.tolist(), self.from_side.tolist())
-        return tuple(
-            MeasurementKey(i, KINDS[code], None, w, "from" if from_end else "to")
-            if code < 2
-            else MeasurementKey(i, KINDS[code], w)
-            for i, code, w, from_end in rows
-        )
 
     def subset(self, rows) -> "Layout":
         """The layout of these rows, in this order."""
@@ -170,12 +140,6 @@ class MeasurementSet:
     @property
     def m(self) -> int:
         return len(self.layout)
-
-    def index_of(self, meas_id: str) -> int:
-        try:
-            return self.layout.position[meas_id]
-        except KeyError:
-            raise EstimationError(f"unknown measurement id {meas_id!r}") from None
 
     def to_csv(self) -> str:
         """The set as CSV, one row per layout row. A float's repr needs no

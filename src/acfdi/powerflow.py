@@ -54,15 +54,6 @@ class StateVector:
     def complex_voltages(self) -> np.ndarray:
         return self.vm * np.exp(1j * self.va)
 
-    def replace_buses(self, vm_by_bus: dict[int, float], va_by_bus: dict[int, float]) -> "StateVector":
-        vm = self.vm.copy()
-        va = self.va.copy()
-        for bus, v in vm_by_bus.items():
-            vm[self.index(bus)] = v
-        for bus, a in va_by_bus.items():
-            va[self.index(bus)] = a
-        return StateVector(self.bus_ids, vm, va)
-
     def to_dict(self) -> dict:
         return {
             "buses": [
@@ -97,10 +88,6 @@ class PowerFlowSolution:
     converged: bool
     iterations: int
     mismatch_history: tuple[float, ...]  # max |P,Q| mismatch before each update
-
-    @property
-    def final_mismatch(self) -> float:
-        return self.mismatch_history[-1] if self.mismatch_history else float("inf")
 
 
 def flat_start(case: NetworkCase) -> StateVector:
@@ -294,12 +281,6 @@ def network_powers(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray
     return s[:n], s[n : n + nl], s[n + nl :]
 
 
-def branch_flows(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray, np.ndarray]:
-    """Complex power (sf, st) entering every in-service branch at its from and
-    to end, aligned with adm.branches (`network_powers`)."""
-    return network_powers(state, adm)[1:]
-
-
 def bus_injection(
     state: StateVector,
     case: NetworkCase,
@@ -312,9 +293,3 @@ def bus_injection(
         adm = build_admittance(case)
     s = network_powers(state, adm)[0][case.bus_index(bus_id)]
     return float(s.real), float(s.imag)
-
-
-def all_injections(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray, np.ndarray]:
-    """Net (P, Q) at every bus, v conj(Ybus v) (`network_powers`)."""
-    s = network_powers(state, adm)[0]
-    return s.real, s.imag

@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, design_attack
 from acfdi.network import build_admittance, load_bundled_case39
-from acfdi.powerflow import branch_flows, newton_power_flow
+from acfdi.powerflow import StateVector, network_powers, newton_power_flow
 from acfdi.zones import validate_zone
 
 import reference39 as ref
@@ -72,18 +72,29 @@ def attack_arbitrary(case39, adm39, base39, zone39):
 
 
 def flow_of(adm, state, br):
-    """One branch's flow at a state, read from branch_flows, keyed as the
+    """One branch's flow at a state, read from network_powers, keyed as the
     impact report's flow objects: {"pf", "qf", "pt", "qt"}."""
-    sf, st = branch_flows(state, adm)
+    sf, st = network_powers(state, adm)[1:]
     k = adm.position[br.index]
     return {"pf": sf[k].real, "qf": sf[k].imag, "pt": st[k].real, "qt": st[k].imag}
+
+
+def replace_buses(state, vm_by_bus, va_by_bus):
+    """state with the magnitudes and angles of these buses replaced."""
+    vm = state.vm.copy()
+    va = state.va.copy()
+    for bus, v in vm_by_bus.items():
+        vm[state.index(bus)] = v
+    for bus, a in va_by_bus.items():
+        va[state.index(bus)] = a
+    return StateVector(state.bus_ids, vm, va)
 
 
 def table_state(base, scenario):
     """Base state with the zone buses replaced by the pinned reference voltages."""
     vm = {b: cols[scenario][0] for b, cols in ref.VOLTAGES.items()}
     va = {b: np.radians(cols[scenario][1]) for b, cols in ref.VOLTAGES.items()}
-    return base.replace_buses(vm, va)
+    return replace_buses(base, vm, va)
 
 
 @pytest.fixture(scope="session")

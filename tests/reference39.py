@@ -133,15 +133,28 @@ def loop_injections(adm, state):
     return [v[i] * row_current(row, v).conjugate() for i, row in enumerate(current_rows(adm)[0])]
 
 
-def _key_row(adm, key, rows):
-    """The current row a flow or injection key reads and the bus of its voltage."""
+def layout_rows(layout):
+    """Each layout row as (kind, where, from_end): the name of its kind, the
+    bus of an injection or voltage row or the branch row of a flow, and
+    whether a flow is metered at its from end."""
+    from acfdi.estimation import KINDS
+
+    return [
+        (KINDS[code], where, from_end)
+        for code, where, from_end in zip(
+            layout.kind.tolist(), layout.where.tolist(), layout.from_side.tolist()
+        )
+    ]
+
+
+def _current_row(adm, kind, where, from_end, rows):
+    """The current row a flow or injection row reads and the bus of its voltage."""
     ybus_rows, yf_rows, yt_rows = rows
-    if key.kind in ("Pflow", "Qflow"):
-        k = key.branch_index
-        if key.side == "from":
-            return yf_rows[k], int(adm.f_idx[k])
-        return yt_rows[k], int(adm.t_idx[k])
-    i = adm.case.bus_index(key.bus)
+    if kind in ("Pflow", "Qflow"):
+        if from_end:
+            return yf_rows[where], int(adm.f_idx[where])
+        return yt_rows[where], int(adm.t_idx[where])
+    i = adm.case.bus_index(where)
     return ybus_rows[i], i
 
 
@@ -152,20 +165,20 @@ def loop_eval_h(adm, state, layout):
     v = state.complex_voltages().tolist()
     rows = current_rows(adm)
     out = np.empty(len(layout))
-    for i, key in enumerate(layout.keys()):
-        if key.kind == "Vmag":
-            out[i] = state.vm[case.bus_index(key.bus)]
-        elif key.kind == "Vang":
-            out[i] = state.va[case.bus_index(key.bus)]
+    for i, (kind, where, from_end) in enumerate(layout_rows(layout)):
+        if kind == "Vmag":
+            out[i] = state.vm[case.bus_index(where)]
+        elif kind == "Vang":
+            out[i] = state.va[case.bus_index(where)]
         else:
-            row, own = _key_row(adm, key, rows)
+            row, own = _current_row(adm, kind, where, from_end, rows)
             s = v[own] * row_current(row, v).conjugate()
-            out[i] = s.real if key.kind in ("Pflow", "Pinj") else s.imag
+            out[i] = s.real if kind in ("Pflow", "Pinj") else s.imag
     return out
 
 
 def loop_eval_jacobian(adm, state, layout):
-    """dS/dva_c = j a and dS/dvm_c = b for each nonzero y of the key's row,
+    """dS/dva_c = j a and dS/dvm_c = b for each nonzero y of the row's current row,
     with a = d v_o conj(I) - v_o conj(y v_c), b = v_o conj(y vn_c) + d conj(I) vn_o,
     own bus o, vn = v / |v| and d = 1 at c = o, else 0."""
     import numpy as np
@@ -180,17 +193,17 @@ def loop_eval_jacobian(adm, state, layout):
     slack = case.bus_index(case.slack_bus)
     ang_col = {c: k for k, c in enumerate(c for c in range(n_bus) if c != slack)}
     jac = np.zeros((len(layout), len(ang_col) + n_bus))
-    for i, key in enumerate(layout.keys()):
-        if key.kind == "Vmag":
-            jac[i, len(ang_col) + case.bus_index(key.bus)] = 1.0
+    for i, (kind, where, from_end) in enumerate(layout_rows(layout)):
+        if kind == "Vmag":
+            jac[i, len(ang_col) + case.bus_index(where)] = 1.0
             continue
-        if key.kind == "Vang":
-            if key.bus != case.slack_bus:
-                jac[i, ang_col[case.bus_index(key.bus)]] = 1.0
+        if kind == "Vang":
+            if where != case.slack_bus:
+                jac[i, ang_col[case.bus_index(where)]] = 1.0
             continue
-        row, own = _key_row(adm, key, rows)
+        row, own = _current_row(adm, kind, where, from_end, rows)
         conj_i = row_current(row, v).conjugate()
-        real = key.kind in ("Pflow", "Pinj")
+        real = kind in ("Pflow", "Pinj")
         for c, y in row:
             a = -(v[own] * (y * v[c]).conjugate())
             b = v[own] * (y * vnorm[c]).conjugate()

@@ -18,7 +18,6 @@ from acfdi import artifacts, cli, impact, network
 from acfdi.estimation import (
     KINDS,
     Layout,
-    MeasurementKey,
     MeasurementSet,
     generate_measurements,
     measurement_set_from_csv,
@@ -174,16 +173,17 @@ def test_measurement_csv_round_trips_bit_for_bit(case39, base39):
 
 def test_measurement_csv_quotes_ids_as_csv_writer_does():
     ids = ["plain", "with,comma", 'with"quote', "with\nnewline", "with\rreturn", " spaced "]
-    layout = Layout.from_keys(
-        [MeasurementKey(i, "Vmag", bus=k) for k, i in enumerate(ids)]
-        + [MeasurementKey("flow,1", "Pflow", branch_index=3, side="to")]
+    # (id, kind, bus or branch index, side) of each row
+    rows = [(i, "Vmag", k, None) for k, i in enumerate(ids)] + [("flow,1", "Pflow", 3, "to")]
+    layout = Layout.from_rows(
+        [(i, KINDS.index(kind), w, side == "from") for i, kind, w, side in rows]
     )
     values = np.array([1.0, -0.0, 1e-300, 2.5e10, 1 / 3, 7.0, 0.1])
     ms = MeasurementSet(layout, values, np.full(len(layout), 1.6e-5))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "kind", "location", "value", "variance"])
-    for key, value in zip(layout.keys(), values.tolist()):
-        where = f"branch{key.branch_index}:{key.side}" if KINDS.index(key.kind) < 2 else key.bus
-        writer.writerow([key.id, key.kind, where, repr(value), repr(1.6e-5)])
+    for (meas_id, kind, w, side), value in zip(rows, values.tolist()):
+        where = f"branch{w}:{side}" if KINDS.index(kind) < 2 else w
+        writer.writerow([meas_id, kind, where, repr(value), repr(1.6e-5)])
     assert ms.to_csv() == buf.getvalue()

@@ -18,7 +18,7 @@ from acfdi.estimation import MeasurementModel, full_layout, generate_measurement
 from acfdi.network import build_admittance
 from acfdi.powerflow import StateVector, bus_injection
 from acfdi.zones import build_zone
-from conftest import flow_of
+from conftest import flow_of, replace_buses
 
 
 def _deviation_norm(av, zone):
@@ -241,7 +241,7 @@ def test_deltas_match_independent_reevaluation(case39, adm39, base39, zone39):
     rng = np.random.default_rng(17)
     vm = {b: base39.magnitude(b) + 0.02 * rng.standard_normal() for b in zone39.interior}
     va = {b: base39.angle(b) + 0.1 * rng.standard_normal() for b in zone39.interior}
-    x_att = base39.replace_buses(vm, va)
+    x_att = replace_buses(base39, vm, va)
     av = assemble_attack_vector(case39, base39, x_att, zone39, adm=adm39)
 
     branch_by_pair = {(br.from_bus, br.to_bus): br for br in case39.in_service_branches()}
@@ -296,7 +296,7 @@ def test_assembly_rejects_layout_missing_required_measurement(case39, adm39, bas
 
 
 def test_assembly_rejects_moved_exterior_bus(case39, adm39, base39, zone39):
-    x_bad = base39.replace_buses({5: 1.01}, {})
+    x_bad = replace_buses(base39, {5: 1.01}, {})
     with pytest.raises(AttackError, match="non-interior bus 5"):
         assemble_attack_vector(case39, base39, x_bad, zone39, adm=adm39)
 
@@ -339,7 +339,7 @@ def test_apply_unknown_measurement_rejected(case39, adm39, base39, zone39, attac
 def test_attacked_magnitude_measurement_value(case39, adm39, base39, zone39, attack_arbitrary, zero_sigmas):
     ms = generate_measurements(case39, base39, sigmas=zero_sigmas, seed=0, adm=adm39)
     attacked = apply_attack(ms, attack_arbitrary)
-    idx = attacked.index_of("Vmag:27")
+    idx = attacked.layout.position["Vmag:27"]
     assert attacked.values[idx] == pytest.approx(
         attack_arbitrary.x_attacked.magnitude(27), abs=1e-12
     )

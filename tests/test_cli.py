@@ -184,6 +184,28 @@ def test_attack_delta_on_an_unknown_measurement_is_config_error(scenario_out, tm
     )
 
 
+@pytest.mark.parametrize(
+    "mode, message",
+    [(None, "field 'mode' is missing"), ("both", "field 'mode' must be optimal or arbitrary")],
+)
+def test_attack_without_a_design_mode_is_config_error(
+    scenario_out, tmp_path, capsys, mode, message
+):
+    # the report's metadata.mode is read from the attack file, never assumed
+    _, out = scenario_out
+    doc = json.loads((out / "attack_arbitrary.json").read_text())
+    doc["solver_info"].pop("mode")
+    if mode is not None:
+        doc["solver_info"]["mode"] = mode
+    attack = tmp_path / "attack.json"
+    attack.write_text(json.dumps(doc))
+    rc = main(["impact", "case39", str(out / "zone.json"), str(attack), "--formats", "json",
+               "--out-dir", str(tmp_path / "i")])
+    assert rc == EXIT_CONFIG
+    assert f"{attack}: attack solver_info {message}" in capsys.readouterr().err
+    assert not (tmp_path / "i").exists()
+
+
 def test_unattainable_target_names_its_constraint(tmp_path, capsys):
     config = tmp_path / "config.json"
     targets = [{"from": 26, "to": 27, "lambda": 50.0}]
@@ -458,6 +480,11 @@ def _misspelled_target_lambda(tmp_path):
     return _scenario_with(targets=targets)(tmp_path), "'lamda'"
 
 
+def _target_with_both_lambda_and_factor(tmp_path):
+    targets = [{"from": 26, "to": 27, "lambda": 1.3, "factor": 5.0}]
+    return _scenario_with(targets=targets)(tmp_path), "targets[0] 'lambda' and targets[0] 'factor'"
+
+
 def _zone_file_with_string_ids(tmp_path):
     path = tmp_path / "z.json"
     zone = {"interior": SCENARIO["zone"]["interior"], "boundary": ["3", "15"]}
@@ -478,6 +505,7 @@ def _zone_file_with_string_ids(tmp_path):
         _misspelled_top_level_mode, _misspelled_pf_max_iter, _misspelled_solver_max_outer,
         _misspelled_bdd_confidence, _misspelled_seeds_noise, _misspelled_output_formats,
         _misspelled_zone_focal_beside_explicit_lists, _misspelled_target_lambda,
+        _target_with_both_lambda_and_factor,
     ],
     ids=lambda make: make.__name__.strip("_"),
 )

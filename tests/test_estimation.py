@@ -9,10 +9,11 @@ import pytest
 
 from acfdi.estimation import (
     CRITICAL_OMEGA,
+    KIND_CODE,
+    KINDS,
     BddPolicy,
     EstimationError,
     Layout,
-    MeasurementKey,
     MeasurementModel,
     MeasurementSet,
     chi_square_test,
@@ -28,7 +29,7 @@ from acfdi.estimation import (
 from acfdi import banded, estimation, nlsolver
 from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, apply_attack, design_attack
 from acfdi.network import build_admittance, load_bundled_case39, parse_case
-from acfdi.powerflow import StateVector, _NewtonEquations, branch_flows, newton_power_flow
+from acfdi.powerflow import StateVector, _NewtonEquations, network_powers, newton_power_flow
 from acfdi.zones import validate_zone
 from conftest import TWO_BUS_CASE
 from meshgrid import meshed_case
@@ -106,7 +107,7 @@ def test_same_seed_is_bit_identical(case39, adm39, base39):
 
 
 def test_noise_scale_matches_requested_sigma(case39, adm39, base39):
-    key = Layout.from_keys([MeasurementKey("Vmag:17", "Vmag", 17, None, None)])
+    key = Layout.from_rows([("Vmag:17", KIND_CODE["Vmag"], 17, False)])
     draws = np.array(
         [
             generate_measurements(
@@ -122,13 +123,13 @@ def test_layout_counts(case39):
     layout = full_layout(case39)
     nl, nb = 46, 39
     assert len(layout) == 4 * nl + 4 * nb
-    kinds = {k.kind for k in layout.keys()}
+    kinds = {KINDS[code] for code in layout.kind.tolist()}
     assert kinds == {"Pflow", "Qflow", "Pinj", "Qinj", "Vmag", "Vang"}
 
 
 def test_layout_kind_mask(case39):
     layout = full_layout(case39, kinds=("Pflow", "Qflow", "Pinj", "Qinj"))
-    assert all(k.kind in ("Pflow", "Qflow", "Pinj", "Qinj") for k in layout.keys())
+    assert all(KINDS[code] in ("Pflow", "Qflow", "Pinj", "Qinj") for code in layout.kind.tolist())
 
 
 # --- h and its Jacobian -------------------------------------------------------
@@ -137,16 +138,16 @@ def test_vmag_row_is_one_hot(case39, adm39, base39):
     layout = full_layout(case39)
     jac = eval_jacobian(adm39, base39, layout)
     n_ang = case39.n_bus - 1
-    for i, key in enumerate(layout.keys()):
-        if key.kind == "Vmag" and key.bus == 17:
+    for i, (kind, bus, _) in enumerate(ref.layout_rows(layout)):
+        if kind == "Vmag" and bus == 17:
             row = jac[i]
             col = n_ang + case39.bus_index(17)
             assert row[col] == 1.0
             assert np.count_nonzero(row) == 1
-        if key.kind == "Vang" and key.bus == 17:
+        if kind == "Vang" and bus == 17:
             row = jac[i]
             assert np.count_nonzero(row) == 1
-        if key.kind == "Vang" and key.bus == case39.slack_bus:
+        if kind == "Vang" and bus == case39.slack_bus:
             assert np.count_nonzero(jac[i]) == 0
 
 
@@ -179,7 +180,7 @@ def test_flow_rows_agree_with_branch_flow(case39, adm39, base39):
     layout = full_layout(case39)
     h = eval_h(adm39, base39, layout)
     by_id = dict(zip(layout.ids, h))
-    sf, st = branch_flows(base39, adm39)
+    sf, st = network_powers(base39, adm39)[1:]
     for k, br in enumerate(adm39.branches):
         tag = f"{br.from_bus}-{br.to_bus}"
         assert by_id[f"Pf:{tag}"] == pytest.approx(sf[k].real, abs=1e-12)
@@ -252,11 +253,9 @@ def test_attack_constraint_layout_matches_loop_oracle_on_tiled_grid():
     _assert_matches_loop_oracle(adm, [base, *_seeded_states(base, 20, seed=8)], layout)
 
 
-def test_measurement_set_index_of(case39, adm39, base39):
+def test_measurement_set_rejects_duplicate_ids(case39, adm39, base39):
     ms = generate_measurements(case39, base39, seed=0, adm=adm39)
-    assert [ms.index_of(i) for i in ms.layout.ids] == list(range(ms.m))
-    with pytest.raises(EstimationError, match=r"^unknown measurement id 'Pinj:999'$"):
-        ms.index_of("Pinj:999")
+    assert [ms.layout.position[i] for i in ms.layout.ids] == list(range(ms.m))
     rows = [0, 1, 0]
     with pytest.raises(EstimationError, match="duplicate measurement ids"):
         MeasurementSet(ms.layout.subset(rows), ms.values[rows], ms.variances[rows])
@@ -320,7 +319,7 @@ def test_scale_consistency(case39, adm39, base39):
 def test_gross_error_detected_and_located(case39, adm39, base39, zero_sigmas):
     ms = generate_measurements(case39, base39, sigmas=zero_sigmas, seed=0, adm=adm39)
     bad_id = "Pf:23-24"
-    idx = ms.index_of(bad_id)
+    idx = ms.layout.position[bad_id]
     sigma = math.sqrt(ms.variances[idx])
     values = ms.values.copy()
     values[idx] += 20.0 * sigma
@@ -446,15 +445,10 @@ mpc.branch = [
 """
     case = parse_case(text)
     adm = build_admittance(case)
-    layout = Layout.from_keys([
-        MeasurementKey("Vmag:1", "Vmag", 1, None, None),
-        MeasurementKey("Vmag:2", "Vmag", 2, None, None),
-        MeasurementKey("Vmag:3", "Vmag", 3, None, None),
-        MeasurementKey("Vang:2", "Vang", 2, None, None),
-        MeasurementKey("Vang:3", "Vang", 3, None, None),
-        MeasurementKey("Pinj:1", "Pinj", 1, None, None),
-        MeasurementKey("Pinj:2", "Pinj", 2, None, None),
-        MeasurementKey("Pinj:3", "Pinj", 3, None, None),
+    layout = Layout.from_rows([
+        (f"{kind}:{bus}", KIND_CODE[kind], bus, False)
+        for kind, buses in (("Vmag", (1, 2, 3)), ("Vang", (2, 3)), ("Pinj", (1, 2, 3)))
+        for bus in buses
     ])
     shifted = StateVector((1, 2, 3, 4), np.array([1.02, 1.0, 0.99, 0.98]),
                           np.array([0.0, -0.05, -0.1, -0.12]))
@@ -607,9 +601,7 @@ def test_wls_estimate_rejects_an_iteration_cap_below_one(case39, adm39, base39):
 @pytest.mark.parametrize("field", ["value", "variance"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_measurement_set_rejects_non_finite_entries_naming_the_row(field, bad):
-    layout = Layout.from_keys(
-        [MeasurementKey(f"Vmag:{b}", "Vmag", b, None, None) for b in (1, 2, 3)]
-    )
+    layout = Layout.from_rows([(f"Vmag:{b}", KIND_CODE["Vmag"], b, False) for b in (1, 2, 3)])
     arrays = {"value": [1.0, 1.0, 1.0], "variance": [1e-4, 1e-4, 1e-4]}
     arrays[field][1] = bad
     with pytest.raises(EstimationError, match=f"Vmag:2: {field} is not finite"):
@@ -632,7 +624,7 @@ def test_estimate_stops_named_when_no_damped_step_lowers_j(case39, adm39, base39
 def test_variance_must_be_positive():
     with pytest.raises(EstimationError, match="positive"):
         MeasurementSet(
-            Layout.from_keys([MeasurementKey("Vmag:1", "Vmag", 1, None, None)]), [1.0], [0.0]
+            Layout.from_rows([("Vmag:1", KIND_CODE["Vmag"], 1, False)]), [1.0], [0.0]
         )
 
 
@@ -702,7 +694,7 @@ def test_csv_round_trip(case39, adm39, base39):
     again = measurement_set_from_csv(ms.to_csv(), adm39.full_layout)
     assert np.array_equal(again.values, ms.values)
     assert np.array_equal(again.variances, ms.variances)
-    assert again.layout.keys() == ms.layout.keys()
+    assert (again.layout.ids, again.layout.signature) == (ms.layout.ids, ms.layout.signature)
 
 
 def test_csv_unknown_id_rejected(adm39):
@@ -725,19 +717,12 @@ def _pipeline_item(case, adm, zone):
         wls_estimate(apply_attack(ms, design_attack(case, base, spec, adm)), case, adm)
 
 
-def test_pipeline_builds_no_measurement_key_and_compiles_each_layout_once(
-    case39, zone39, monkeypatch
-):
-    keys, layouts, compiled, patterns, orders = [], [], [], [], []
-    new_key = estimation.MeasurementKey.__new__
+def test_pipeline_compiles_each_layout_once(case39, zone39, monkeypatch):
+    layouts, compiled, patterns, orders = [], [], [], []
     init_layout = estimation.Layout.__post_init__
     init_model = estimation.MeasurementModel.__init__
     init_pattern = estimation.LayoutPattern.__init__
     rcm_order = banded.rcm_order
-
-    def counting_key(cls, *args, **kwargs):
-        keys.append(args)
-        return new_key(cls, *args, **kwargs)
 
     def counting_layout(self):
         layouts.append(self)
@@ -755,7 +740,6 @@ def test_pipeline_builds_no_measurement_key_and_compiles_each_layout_once(
         orders.append(args[0])
         return rcm_order(*args)
 
-    monkeypatch.setattr(estimation.MeasurementKey, "__new__", staticmethod(counting_key))
     monkeypatch.setattr(estimation.Layout, "__post_init__", counting_layout)
     monkeypatch.setattr(estimation.MeasurementModel, "__init__", counting_model)
     monkeypatch.setattr(estimation.LayoutPattern, "__init__", counting_pattern)
@@ -767,7 +751,7 @@ def test_pipeline_builds_no_measurement_key_and_compiles_each_layout_once(
     # two attack modes share: each compiled once
     assert len(patterns) == len(set(patterns)) == 4
     cold_patterns = set(patterns)
-    for built in (keys, layouts, compiled, patterns, orders):
+    for built in (layouts, compiled, patterns, orders):
         built.clear()
 
     adm = build_admittance(case39)
@@ -776,7 +760,6 @@ def test_pipeline_builds_no_measurement_key_and_compiles_each_layout_once(
     assert "full_layout" not in vars(adm)
 
     _pipeline_item(case39, adm, zone39)
-    assert keys == []
     # the models of a second admittance model of the same case are of those
     # four layouts, and only gather its values: the cold run's patterns, full
     # layout and band orders serve them

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import reference39 as ref
 from acfdi.attacks import apply_attack, assemble_attack_vector
 from acfdi.estimation import generate_measurements, wls_estimate
 from acfdi.impact import ReportError, compute_impact, render_report
-from acfdi.powerflow import branch_flows
+from acfdi.powerflow import network_powers
 from conftest import flow_of
 from acfdi.zones import validate_zone
 
@@ -34,13 +36,13 @@ def report(case39, adm39, zone39, attack_optimal, estimates):
 
 def test_replay_zero_vector_equals_base(case39, adm39, base39, zone39):
     av = assemble_attack_vector(case39, base39, base39, zone39, adm=adm39)
-    for attacked, base in zip(branch_flows(av.x_attacked, adm39), branch_flows(base39, adm39)):
+    for attacked, base in zip(network_powers(av.x_attacked, adm39)[1:], network_powers(base39, adm39)[1:]):
         assert np.array_equal(attacked, base)
 
 
 def test_replay_tie_line_invariant(case39, adm39, base39, attack_arbitrary):
-    sf_att, _ = branch_flows(attack_arbitrary.x_attacked, adm39)
-    sf_base, _ = branch_flows(base39, adm39)
+    sf_att = network_powers(attack_arbitrary.x_attacked, adm39)[1]
+    sf_base = network_powers(base39, adm39)[1]
     for pair in ref.INVARIANT_FLOWS:
         k = adm39.pair_position.get(pair)
         if k is None:
@@ -73,10 +75,9 @@ def test_zone_conservation(case39, adm39, zone39, base39, attack_optimal, report
 
 
 def test_zone_conservation_arbitrary_attack(case39, adm39, base39, zone39, attack_arbitrary):
-    from acfdi.powerflow import all_injections
-
     av = attack_arbitrary
-    p_base, q_base = all_injections(base39, adm39)
+    s_base = network_powers(base39, adm39)[0]
+    p_base, q_base = s_base.real, s_base.imag
     d_inj = d_inj_q = 0.0
     for bus, (p, q) in av.falsified_injections.items():
         i = case39.bus_index(bus)
@@ -245,3 +246,17 @@ def test_target_with_no_in_service_branch_is_rejected(
     )
     with pytest.raises(ReportError, match="1-99 not found"):
         compute_impact(case39, av, clean, attacked, zone39, adm=adm39)
+
+
+def test_readme_library_example_runs_as_written():
+    # the python block under README's "## Library", executed verbatim
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    names = {}
+    exec(code, names)
+    (target,) = names["report"]["targets"]
+    assert names["attack"].solver_info["mode"] == "optimal"
+    assert target["factor_attained"] >= 1.3
+    tables = names["acfdi"].render_report(names["report"], "csv")
+    assert set(tables) == {"flows.csv", "voltages.csv", "injections.csv"}

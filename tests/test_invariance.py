@@ -28,7 +28,7 @@ from acfdi.estimation import (
 )
 from acfdi.impact import compute_impact
 from acfdi.network import NetworkCase, build_admittance, load_bundled_case39
-from acfdi.powerflow import StateVector, _NewtonEquations, branch_flows, newton_power_flow
+from acfdi.powerflow import StateVector, _NewtonEquations, network_powers, newton_power_flow
 from acfdi.zones import validate_zone
 
 _CASE = load_bundled_case39()
@@ -67,7 +67,7 @@ def _relabel_state(state, bus_order, rename):
 
 def _flows_by_pair(adm, state, rename=None):
     rename = rename or {}
-    sf, st = branch_flows(state, adm)
+    sf, st = network_powers(state, adm)[1:]
     return {
         (rename.get(br.from_bus, br.from_bus), rename.get(br.to_bus, br.to_bus)): (sf[k], st[k])
         for k, br in enumerate(adm.branches)
@@ -187,7 +187,7 @@ def test_wls_estimate_does_not_depend_on_labels_or_row_order(
     assert got.critical_ids == want.critical_ids
     # the largest normalized residual names the same row, or one tied with it
     got_id, want_id = largest_normalized_residual(got)[0], largest_normalized_residual(want)[0]
-    want_lnr = np.abs(want.r_normalized[[ms.index_of(got_id), ms.index_of(want_id)]])
+    want_lnr = np.abs(want.r_normalized[[ms.layout.position[got_id], ms.layout.position[want_id]]])
     assert got_id == want_id or abs(want_lnr[0] - want_lnr[1]) < 1e-10 * want_lnr[1]
 
     # no accepted step lowers J by less than its rounding, so the rounding
@@ -257,7 +257,7 @@ def test_power_flow_and_flows_do_not_depend_on_the_mva_base(case39, adm39, base3
     assert np.max(np.abs(state.va - base39.va)) < 1e-10
     # flows in per unit of case39's base
     k = case.base_mva / case39.base_mva
-    for got, want in zip(branch_flows(state, adm), branch_flows(base39, adm39)):
+    for got, want in zip(network_powers(state, adm)[1:], network_powers(base39, adm39)[1:]):
         assert np.max(np.abs(got * k - want)) < 1e-10
 
 
@@ -332,7 +332,7 @@ def test_apply_attack_then_its_negation_is_the_identity(
     assert back.layout is ms.layout
     assert np.array_equal(back.variances, ms.variances)
     d = np.zeros(ms.m)
-    d[[ms.index_of(i) for i in av.deltas]] = list(av.deltas.values())
+    d[[ms.layout.position[i] for i in av.deltas]] = list(av.deltas.values())
     x = ms.values
     eps = np.finfo(float).eps
     assert np.all(np.abs(back.values - x) <= eps * (np.abs(x + d) + np.abs(x)))
