@@ -24,9 +24,11 @@ Cholesky's 2b.
 
 numpy has Cholesky but no triangular solve, so each Cholesky block step
 factors the 2b x 2b window [[S_k, B_kᵀ], [B_k, D_k+1]]: its lower-left block
-is B_k L_k⁻ᵀ. The inverses of the diagonal factor blocks, which the
-substitution and the selected inverse read, come from one batched doubling
-recursion over all blocks, run when they are first read.
+is B_k L_k⁻ᵀ. np.linalg.cholesky reads only the lower triangle of the
+window, so B_kᵀ is never copied into it and the caller gives only the lower
+triangle of each diagonal block. The inverses of the diagonal factor
+blocks, which the substitution and the selected inverse read, come from one
+batched doubling recursion over all blocks, run when they are first read.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -118,10 +121,11 @@ class BlockBand:
     def lower_slot(self, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Slots of cells of a symmetric matrix in [sub | diag] storage: a cell
         of a block above the diagonal takes its mirror's slot. Also returns
-        which cells were not mirrored."""
+        which cells lie on or below the diagonal, the lower triangle that
+        `BlockCholesky` reads."""
         p, q = self.pos[i], self.pos[j]
         kept = p // self.size >= q // self.size
-        return self._slot_at(np.where(kept, p, q), np.where(kept, q, p)), kept
+        return self._slot_at(np.where(kept, p, q), np.where(kept, q, p)), p >= q
 
     def split(self, storage: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sub, diag, super) block views of flat storage; super is empty for
@@ -177,27 +181,33 @@ def _lower_inverses(lower: np.ndarray) -> np.ndarray:
     """Inverses of a stack of lower-triangular blocks.
 
     By doubling: the inverse of [[A, 0], [C, D]] is [[A⁻¹, 0], [-D⁻¹ C A⁻¹,
-    D⁻¹]]. Blocks are padded with the identity to a power of two, and each
-    doubling is one batched product over every pair in every block.
+    D⁻¹]]. The blocks are copied into one stack padded with the identity to
+    a power of two, which becomes their inverses in place: the diagonal is
+    inverted first, and each doubling overwrites C with -D⁻¹ C A⁻¹ in every
+    pair of every block at once, through strided views of the stack. C is
+    read before it is written, and A⁻¹ and D⁻¹ are complete from the
+    doublings before.
     """
     count, b, _ = lower.shape
     size = 1 << (b - 1).bit_length()
-    padded = np.broadcast_to(np.eye(size), (count, size, size)).copy()
-    padded[:, :b, :b] = lower
-    inv = np.zeros_like(padded)
-    d = np.arange(size)
-    inv[:, d, d] = 1.0 / padded[:, d, d]
+    stack = np.zeros((count, size, size))
+    stack[:, :b, :b] = lower
+    diagonal = stack.reshape(count, -1)[:, :: size + 1]
+    diagonal[:, b:] = 1.0
+    np.divide(1.0, diagonal, out=diagonal)
+    stride, row, col = stack.strides
     half = 1
     while half < size:
-        pairs = size // (2 * half)
-        q = np.arange(pairs)
-        shape = (count, pairs, 2 * half, pairs, 2 * half)
-        low, out = padded.reshape(shape), inv.reshape(shape)
-        out[:, q, half:, q, :half] = -(
-            out[:, q, half:, q, half:] @ low[:, q, half:, q, :half] @ out[:, q, :half, q, :half]
+        # the diagonal 2 half x 2 half blocks of every stacked block
+        pairs = as_strided(
+            stack,
+            (count, size // (2 * half), 2 * half, 2 * half),
+            (stride, 2 * half * (row + col), row, col),
         )
+        a, c, d = pairs[..., :half, :half], pairs[..., half:, :half], pairs[..., half:, half:]
+        np.negative(d @ c @ a, out=c)
         half *= 2
-    return inv[:, :b, :b]
+    return stack[:, :b, :b]
 
 
 class BlockCholesky:
@@ -206,7 +216,10 @@ class BlockCholesky:
     G is given as its diagonal blocks D_k, shape (nb, b, b), and the blocks
     B_k below them, shape (nb - 1, b, b). L has diagonal blocks L_k
     (`lower`) and blocks C_k = B_k L_k⁻ᵀ below them (`coupling`); S_k =
-    L_k L_kᵀ is the Schur complement D_k - C_k-1 C_k-1ᵀ. Raises
+    L_k L_kᵀ is the Schur complement D_k - C_k-1 C_k-1ᵀ. Only the lower
+    triangle of each D_k is read: np.linalg.cholesky reads only the lower
+    triangle of the windows it factors, so B_kᵀ is not written into them
+    and the strict upper triangles of D_k and S_k may hold anything. Raises
     np.linalg.LinAlgError if a block fails to factor. The factor's arrays
     are read-only, so one factor can be shared.
     """
@@ -215,12 +228,11 @@ class BlockCholesky:
         nb, b, _ = diag.shape
         self.lower = np.empty_like(diag)
         self.coupling = np.empty_like(sub)
-        window = np.empty((2 * b, 2 * b))
+        window = np.empty((2 * b, 2 * b))  # its upper-right block is never read
         schur = diag[0]
         for k in range(nb - 1):
             window[:b, :b] = schur
             window[b:, :b] = sub[k]
-            window[:b, b:] = sub[k].T
             window[b:, b:] = diag[k + 1]
             factor = np.linalg.cholesky(window)
             self.lower[k] = factor[:b, :b]

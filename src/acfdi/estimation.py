@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .banded import BlockBand, BlockCholesky, concat_ranges, read_only
-from .network import AdmittanceModel, NetworkCase, build_admittance, product, row_sums
+from .network import AdmittanceModel, NetworkCase, build_admittance
 from .nlsolver import Damping
 from .powerflow import StateVector
 
@@ -242,7 +242,7 @@ class _GainCells(NamedTuple):
     """Where the row pairs of one layout sit in the gain's [sub | diag] storage."""
 
     slot: np.ndarray  # storage slot of each row pair's cell, upper-block cells mirrored
-    a: np.ndarray  # the row pairs summed into storage: every cell not mirrored
+    a: np.ndarray  # the row pairs summed into storage: the cells on or below the diagonal
     b: np.ndarray
     summed_slot: np.ndarray
 
@@ -379,9 +379,9 @@ class LayoutPattern:
     @functools.cached_property
     def _gain_cells(self) -> _GainCells:
         _, a, b = self._pairs
-        slot, kept = self._band.lower_slot(self.cols[a], self.cols[b])
-        kept = np.flatnonzero(kept)
-        cells = _GainCells(slot, a[kept], b[kept], slot[kept])
+        slot, lower = self._band.lower_slot(self.cols[a], self.cols[b])
+        summed = np.flatnonzero(lower)
+        cells = _GainCells(slot, a[summed], b[summed], slot[summed])
         read_only(*cells)
         return cells
 
@@ -412,15 +412,17 @@ class FlatStart(NamedTuple):
 class MeasurementModel:
     """A measurement layout compiled against one admittance model: the
     layout's `LayoutPattern`, shared by every model of the topology, plus
-    the admittance of each of its entries, gathered on construction. A
-    caller that evaluates one layout many times builds its model once.
+    the admittance of each of its entries, gathered on construction as
+    contiguous real and imaginary parts. The model holds its own copy of the
+    values, not the AdmittanceModel. A caller that evaluates one layout many
+    times builds its model once.
 
-    Every evaluation computes the k currents the layout reads as real-part
-    products (`network.product`) summed per row in entry order, and the
-    Jacobian's derivative entries with the same products, so the powers
-    v conj(I) (no other code forms them), h and the Jacobian round as scalar
-    complex arithmetic does, on every host and at any BLAS thread count. The
-    model holds its own copy of the values, not the AdmittanceModel.
+    `evaluate` reads a state once (`Evaluation`): the currents, the powers
+    v conj(I) (no other code forms them), h and the Jacobian all come from
+    its real arithmetic, each complex product written as the four real
+    products and two sums of scalar complex arithmetic, so they round the
+    same on every host and at any BLAS thread count. numpy's complex array
+    product would not: it fuses into FMA on some hosts (AVX-512).
 
     The model also owns the state packing x = [non-slack angles (case bus
     order) | all magnitudes] and the row-pair index that assembles the gain
@@ -433,13 +435,13 @@ class MeasurementModel:
     def __init__(self, adm: AdmittanceModel, layout: Layout):
         p = self.pattern = layout_pattern(adm, layout)
         self.m, self.n_state, self.rows, self.cols = p.m, p.n_state, p.rows, p.cols
-        values = np.concatenate([adm.ybus_values, adm.yff, adm.yft, adm.ytf, adm.ytt])
-        self._y = values[p._e_y]
+        values = np.concatenate([adm.ybus_values, adm.yff, adm.yft, adm.ytf, adm.ytt])[p._e_y]
+        self._yr, self._yi = values.real.copy(), values.imag.copy()
         self._pattern_key = (adm.topology, layout.signature)
 
-    def _currents(self, v: np.ndarray) -> np.ndarray:
-        p = self.pattern
-        return row_sums(p._e_cur, product(self._y, v[p._e_col]), len(p._own))
+    def evaluate(self, state: StateVector) -> Evaluation:
+        """The model at state: the one place a state is evaluated."""
+        return Evaluation(self, state)
 
     def state_columns(self, positions: np.ndarray) -> np.ndarray:
         """Columns of x holding the angles, then the magnitudes, of the buses
@@ -457,43 +459,13 @@ class MeasurementModel:
         va[p._ang_pos] = x[:n_ang]
         return StateVector(p._bus_ids, x[n_ang:].copy(), va)
 
-    def powers(self, state: StateVector) -> np.ndarray:
-        """v conj(I) of each current row the layout reads (`LayoutPattern`)."""
-        v = state.complex_voltages()
-        return product(v[self.pattern._own], np.conj(self._currents(v)))
-
-    def h(self, state: StateVector) -> np.ndarray:
-        s = self.powers(state)
-        return np.concatenate((s.real, s.imag, state.vm, state.va))[self.pattern._h_index]
-
-    def jacobian_values(self, state: StateVector) -> np.ndarray:
-        """Nonzeros of the Jacobian at (self.rows, self.cols).
-
-        For an entry of admittance y in a row of current I, with own bus o
-        and column c, dS/dva_c = j a and dS/dvm_c = b, where a = d v_o conj(I)
-        - v_o conj(y v_c) and b = v_o conj(y v_c / |v_c|) + d conj(I) v_o / |v_o|,
-        and d is 1 where c = o and 0 elsewhere."""
-        p = self.pattern
-        v = state.complex_voltages()
-        vnorm = v / np.abs(v)
-        own, col, diag = p._e_own, p._e_col, p._e_diag
-        conj_i = np.conj(self._currents(v))[p._e_cur[diag]]
-        a = -product(v[own], np.conj(product(self._y, v[col])))
-        a[diag] += product(v[own[diag]], conj_i)
-        b = product(v[own], np.conj(product(self._y, vnorm[col])))
-        b[diag] += product(conj_i, vnorm[own[diag]])
-        return np.concatenate([-a.imag, a.real, b.real, b.imag, [1.0]])[p._source]
-
-    def jacobian(self, state: StateVector) -> np.ndarray:
-        jac = np.zeros((self.m, self.n_state))
-        jac[self.rows, self.cols] = self.jacobian_values(state)
-        return jac
-
     def gain(self, values: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """HᵀWH from the Jacobian's nonzeros, in RCM order, as the diagonal
         blocks and the blocks below them of its block-tridiagonal band (the
-        storage `BlockCholesky` takes). The dimension is padded to whole
-        blocks with identity rows."""
+        storage `BlockCholesky` takes). Only the lower triangle of each
+        diagonal block is summed, the only one the factor reads; the strict
+        upper triangle is left zero. The dimension is padded to whole blocks
+        with identity rows."""
         band, cells = self.pattern._band, self.pattern._gain_cells
         weighted = values * w[self.rows]
         g = np.bincount(
@@ -519,14 +491,14 @@ class MeasurementModel:
         model with this pattern and these admittance values. Raises, and
         keeps nothing, when the layout is unobservable: the pivot test on
         the undamped gain decides it."""
-        key = (*self._pattern_key, self._y.tobytes(), w.tobytes())
+        key = (*self._pattern_key, self._yr.tobytes(), self._yi.tobytes(), w.tobytes())
         return shared(key, lambda: self._build_flat_start(w))
 
     def _build_flat_start(self, w: np.ndarray) -> FlatStart:
         n_bus = len(self.pattern._bus_ids)
         x = np.concatenate([np.zeros(n_bus - 1), np.ones(n_bus)])
-        flat = self.state_of(x)
-        h, jac = self.h(flat), self.jacobian_values(flat)
+        flat = self.evaluate(self.state_of(x))
+        h, jac = flat.h(), flat.jacobian_values()
         diag, sub = self.gain(jac, w)
         _require_observable(_factor((diag, sub), _UNOBSERVABLE), self.n_state)
         gain_max = float(np.max(np.diagonal(diag, axis1=1, axis2=2)))
@@ -546,14 +518,87 @@ class MeasurementModel:
         return np.bincount(row, weights=terms, minlength=self.m)
 
 
+class Evaluation:
+    """A `MeasurementModel` at one state, built by `MeasurementModel.evaluate`.
+
+    Construction forms what `powers`, `h` and `jacobian_values` share, once
+    and in real arithmetic on contiguous arrays: the voltages v, each
+    entry's product y·v of its admittance and its column's voltage, and the
+    k currents, those products summed per row in entry order. A complex
+    product a·b is written as (a.re b.re - a.im b.im, a.re b.im + a.im b.re)
+    and a product with a conjugate by the same terms with the sign folded
+    into the sum, which rounds identically."""
+
+    def __init__(self, model: MeasurementModel, state: StateVector):
+        p = model.pattern
+        self.model, self.state = model, state
+        self._v = state.complex_voltages()
+        self._vr, self._vi = self._v.real.copy(), self._v.imag.copy()
+        vr, vi = self._vr[p._e_col], self._vi[p._e_col]
+        yr, yi = model._yr, model._yi
+        self._yv = yr * vr - yi * vi, yr * vi + yi * vr
+        k = len(p._own)
+        self._current = np.bincount(p._e_cur, self._yv[0], k), np.bincount(p._e_cur, self._yv[1], k)
+
+    def _power_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        own = self.model.pattern._own
+        vr, vi = self._vr[own], self._vi[own]
+        ir, ii = self._current
+        return vr * ir + vi * ii, vi * ir - vr * ii
+
+    def powers(self) -> np.ndarray:
+        """v conj(I) of each current row the layout reads (`LayoutPattern`)."""
+        s = np.empty(len(self.model.pattern._own), dtype=complex)
+        s.real, s.imag = self._power_parts()
+        return s
+
+    def h(self) -> np.ndarray:
+        state = self.state
+        return np.concatenate((*self._power_parts(), state.vm, state.va))[
+            self.model.pattern._h_index
+        ]
+
+    def jacobian_values(self) -> np.ndarray:
+        """Nonzeros of the Jacobian at (model.rows, model.cols).
+
+        For an entry of admittance y in a row of current I, with own bus o
+        and column c, dS/dva_c = j a and dS/dvm_c = b, where a = d v_o conj(I)
+        - v_o conj(y v_c) and b = v_o conj(y v_c / |v_c|) + d conj(I) v_o / |v_o|,
+        and d is 1 where c = o and 0 elsewhere."""
+        model = self.model
+        p = model.pattern
+        own, col, diag = p._e_own, p._e_col, p._e_diag
+        vnorm = self._v / np.abs(self._v)
+        nr, ni = vnorm.real.copy(), vnorm.imag.copy()
+        vr, vi = self._vr[own], self._vi[own]
+        row = p._e_cur[diag]
+        ir, ii = self._current[0][row], self._current[1][row]
+        pr, pi = self._yv
+        ar, ai = -(vr * pr + vi * pi), -(vi * pr - vr * pi)
+        dr, di = vr[diag], vi[diag]
+        ar[diag] += dr * ir + di * ii
+        ai[diag] += di * ir - dr * ii
+        cr, ci = nr[col], ni[col]
+        yr, yi = model._yr, model._yi
+        qr, qi = yr * cr - yi * ci, yr * ci + yi * cr
+        br, bi = vr * qr + vi * qi, vi * qr - vr * qi
+        ur, ui = nr[own[diag]], ni[own[diag]]
+        br[diag] += ir * ur + ii * ui
+        bi[diag] += ir * ui - ii * ur
+        return np.concatenate([-ai, ar, br, bi, [1.0]])[p._source]
+
+
 def eval_h(adm: AdmittanceModel, state: StateVector, layout: Layout) -> np.ndarray:
     """Evaluate every metered quantity in layout order at the given state."""
-    return MeasurementModel(adm, layout).h(state)
+    return MeasurementModel(adm, layout).evaluate(state).h()
 
 
 def eval_jacobian(adm: AdmittanceModel, state: StateVector, layout: Layout) -> np.ndarray:
     """m x n Jacobian of eval_h; columns are [non-slack angles | all magnitudes]."""
-    return MeasurementModel(adm, layout).jacobian(state)
+    model = MeasurementModel(adm, layout)
+    jac = np.zeros((model.m, model.n_state))
+    jac[model.rows, model.cols] = model.evaluate(state).jacobian_values()
+    return jac
 
 
 def generate_measurements(
@@ -694,7 +739,9 @@ def wls_estimate(
     on the undamped gain of the first iteration decides observability;
     after that a damped gain that does not factor is a rejected trial. The
     first iteration reads no measured value until its right-hand side, so
-    it starts from the model's shared `flat_start`.
+    it starts from the model's shared `flat_start`. Each trial evaluates
+    the model once, and the accepted trial's evaluation gives the next
+    Jacobian.
     Converges on an accepted step below tol taken at the starting mu, or
     when the predicted decrease is within rounding of J. Raises on an
     unobservable layout, and on any other stop.
@@ -716,8 +763,10 @@ def wls_estimate(
     def weighted(r: np.ndarray) -> tuple[float, np.ndarray]:
         return float(r @ (w * r)), r
 
-    def objective(xv: np.ndarray) -> tuple[float, np.ndarray]:
-        return weighted(z - model.h(model.state_of(xv)))
+    def objective(xv: np.ndarray) -> tuple[float, tuple[np.ndarray, Evaluation]]:
+        evaluation = model.evaluate(model.state_of(xv))
+        f, r = weighted(z - evaluation.h())
+        return f, (r, evaluation)
 
     start = model.flat_start(w)
     x, jac, diag, sub = start.x, start.jac, start.diag, start.sub
@@ -740,11 +789,11 @@ def wls_estimate(
             if damping.exhausted:
                 raise EstimationError(f"estimator found no step that lowers J = {f_cur:.6e}")
             break
-        x_new, f_cur, r, mu = step
+        x_new, f_cur, (r, evaluation), mu = step
         moved = float(np.max(np.abs(x_new - x)))
         x = x_new
         history.append(f_cur)
-        jac = model.jacobian_values(model.state_of(x))
+        jac = evaluation.jacobian_values()
         diag, sub = model.gain(jac, w)
         if moved < tol and mu <= damping.mu_start:
             break

@@ -491,16 +491,6 @@ def build_admittance(case: NetworkCase) -> AdmittanceModel:
     )
 
 
-def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise complex a * b from real parts. numpy fuses its complex
-    array product into FMA on some hosts (AVX-512), which rounds differently
-    from scalar complex arithmetic; this rounds the same on every host."""
-    out = np.empty(a.shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def row_sums(row: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
     """The complex terms summed per row, each row's in the order given."""
     out = np.empty(size, dtype=complex)

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .artifacts import ConfigError, member
 from .banded import BlockBand, block_lu_solve, read_only
 from .network import AdmittanceModel, NetworkCase, build_admittance
+
+if TYPE_CHECKING:
+    from .estimation import Evaluation
 
 
 class PowerFlowError(RuntimeError):
@@ -178,15 +182,23 @@ class _NewtonEquations:
         self.rows, self.cols = shape.rows, shape.cols
         self._kept, self._band, self._slot = shape.kept, shape.band, shape.slot
         self._model = MeasurementModel(adm, shape.layout)
+        self.evaluate = self._model.evaluate
         p_sched, q_sched = scheduled_injections(case)
         self._scheduled = np.concatenate([p_sched[self.pvpq], q_sched[self.pq]])
+        # the band storage of every step: the slots of the nonzeros are
+        # rewritten, every other cell keeps its zero or its padding one
+        band = self._band
+        self._storage = np.zeros((3 * band.blocks - 2) * band.size * band.size)
+        self._storage[band.pad_slot] = 1.0
 
-    def mismatch(self, state: StateVector) -> np.ndarray:
-        return self._scheduled - self._model.h(state)
+    def mismatch(self, evaluation: Evaluation) -> np.ndarray:
+        """The mismatch at the state of this evaluation (`evaluate`)."""
+        return self._scheduled - evaluation.h()
 
-    def jacobian(self, state: StateVector) -> np.ndarray:
-        """The Jacobian's nonzeros at (rows, cols)."""
-        return self._model.jacobian_values(state)[self._kept]
+    def jacobian(self, evaluation: Evaluation) -> np.ndarray:
+        """The Jacobian's nonzeros at (rows, cols), at the state of this
+        evaluation."""
+        return evaluation.jacobian_values()[self._kept]
 
     def step(self, values: np.ndarray, mismatch: np.ndarray) -> np.ndarray:
         """J⁻¹ mismatch for the Jacobian with these nonzeros.
@@ -194,10 +206,8 @@ class _NewtonEquations:
         Raises PowerFlowError when a diagonal block of the LU is singular or
         when the step's linear residual exceeds _STEP_RESIDUAL_BOUND, which
         one O(nnz) pass over the nonzeros measures."""
-        band = self._band
-        storage = np.zeros((3 * band.blocks - 2) * band.size * band.size)
+        band, storage = self._band, self._storage
         storage[self._slot] = values
-        storage[band.pad_slot] = 1.0
         try:
             dx = band.scatter(block_lu_solve(*band.split(storage), band.gather(mismatch)))
         except np.linalg.LinAlgError:
@@ -242,14 +252,15 @@ def newton_power_flow(
     history: list[float] = []
     for it in range(max_iter):
         current = StateVector(state.bus_ids, vm, va)
-        mismatch = equations.mismatch(current)
+        evaluation = equations.evaluate(current)
+        mismatch = equations.mismatch(evaluation)
         max_mis = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
         history.append(max_mis)
         if max_mis < tol:
             return PowerFlowSolution(current, True, it, tuple(history))
 
         try:
-            step = equations.step(equations.jacobian(current), mismatch)
+            step = equations.step(equations.jacobian(evaluation), mismatch)
         except PowerFlowError as err:
             raise PowerFlowError(
                 f"{err} at iteration {it} (max mismatch {max_mis:.3e})"
@@ -276,7 +287,7 @@ def network_powers(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray
     bus's Ybus row, then every branch's from end, then its to end."""
     from .estimation import MeasurementModel  # estimation imports this module
 
-    s = MeasurementModel(adm, adm.full_layout).powers(state)
+    s = MeasurementModel(adm, adm.full_layout).evaluate(state).powers()
     n, nl = adm.case.n_bus, len(adm.branches)
     return s[:n], s[n : n + nl], s[n + nl :]
 

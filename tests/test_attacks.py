@@ -187,7 +187,8 @@ def test_constraint_model_stacks_only_the_rows_it_reads(case39, base39, zone39):
     model = MeasurementModel(adm, layout)
     assert model.pattern is pattern
     row, col = model.pattern._e_cur, model.pattern._e_col
-    entries = [sorted(zip(col[row == r].tolist(), model._y[row == r].tolist())) for r in range(2)]
+    y = model._yr + 1j * model._yi
+    entries = [sorted(zip(col[row == r].tolist(), y[row == r].tolist())) for r in range(2)]
     assert len(model.pattern._own) == 2
     assert entries == [ybus_rows[case39.bus_index(bus)], yf_rows[k]]
 

@@ -13,7 +13,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from acfdi.banded import BlockCholesky, rcm_order
+from acfdi.banded import BlockCholesky, _lower_inverses, rcm_order
 from acfdi.estimation import (
     MeasurementModel,
     _require_observable,
@@ -91,7 +91,7 @@ def test_lattice_bandwidth_grows_with_its_side():
 
 def test_banded_solve_matches_dense(grid):
     _, adm, model, ms, state = grid
-    values = model.jacobian_values(state)
+    values = model.evaluate(state).jacobian_values()
     chol = BlockCholesky(*model.gain(values, 1.0 / ms.variances))
     rhs = np.random.default_rng(7).standard_normal(model.n_state)
     expected = np.linalg.solve(_dense_gain(adm, ms, state), rhs)
@@ -103,7 +103,7 @@ def test_pivot_test_builds_no_block_inverses(grid):
     # the observability test reads only the pivots; the inverses of the
     # diagonal factor blocks (0.7 ms at n = 312) wait for the first solve
     _, _, model, ms, state = grid
-    chol = BlockCholesky(*model.gain(model.jacobian_values(state), 1.0 / ms.variances))
+    chol = BlockCholesky(*model.gain(model.evaluate(state).jacobian_values(), 1.0 / ms.variances))
     _require_observable(chol, model.n_state)
     assert "inverse" not in vars(chol)
     model.solve(chol, np.ones(model.n_state))
@@ -112,7 +112,7 @@ def test_pivot_test_builds_no_block_inverses(grid):
 
 def test_selected_inverse_matches_dense_on_band(grid):
     _, adm, model, ms, state = grid
-    values = model.jacobian_values(state)
+    values = model.evaluate(state).jacobian_values()
     chol = BlockCholesky(*model.gain(values, 1.0 / ms.variances))
     z_diag, z_sub = chol.selected_inverse()
     size, n = model.pattern._band.size, model.n_state
@@ -145,7 +145,7 @@ def test_band_keeps_cells_that_are_zero_at_flat_start():
     model = MeasurementModel(adm, ms.layout)
     n_ang = case.n_bus - 1
     flat = StateVector(base.bus_ids, np.ones(case.n_bus), np.zeros(case.n_bus))
-    flat_values = model.jacobian_values(flat)
+    flat_values = model.evaluate(flat).jacobian_values()
     assert np.any((flat_values == 0) & (model.cols >= n_ang))
     assert np.all(_dense_gain(adm, ms, flat)[:n_ang, n_ang:] == 0)
 
@@ -184,3 +184,74 @@ def test_block_cholesky_rejects_an_indefinite_block():
     with pytest.raises(np.linalg.LinAlgError):
         BlockCholesky(diag, np.zeros((1, 2, 2)))
 
+
+
+LOWER_GRIDS = {
+    "case39": load_bundled_case39,
+    "tile4": lambda: tiled_case39(4),
+    "mesh10x10": lambda: meshed_case(10, 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOWER_GRIDS))
+def test_factor_reads_only_the_lower_triangle(name):
+    # the gain sums only the lower triangle of each diagonal block and the
+    # factor's windows get no upper-right block: both rest on
+    # np.linalg.cholesky reading the lower triangle alone
+    case = LOWER_GRIDS[name]()
+    adm = build_admittance(case)
+    base = newton_power_flow(case, adm).state
+    ms = generate_measurements(case, base, seed=6, adm=adm)
+    model = MeasurementModel(adm, ms.layout)
+    diag, sub = model.gain(model.evaluate(base).jacobian_values(), 1.0 / ms.variances)
+    assert np.all(np.triu(diag, 1) == 0)
+    mirrored = np.tril(diag) + np.swapaxes(np.tril(diag, -1), 1, 2)
+    lower_only, full = BlockCholesky(diag, sub), BlockCholesky(mirrored, sub)
+    for part in ("lower", "coupling", "inverse"):
+        assert np.array_equal(getattr(lower_only, part), getattr(full, part)), part
+
+    b = diag.shape[1]
+    window = np.block([[mirrored[0], sub[0].T], [sub[0], mirrored[1]]])
+    unread = np.tril(window) + np.triu(np.full((2 * b, 2 * b), np.nan), 1)
+    assert np.array_equal(np.linalg.cholesky(unread), np.linalg.cholesky(window))
+
+
+def _padded_lower_inverses(lower):
+    """The doubling recursion on an identity-padded copy and a separate
+    inverse array, as `_lower_inverses` first computed it."""
+    count, b, _ = lower.shape
+    size = 1 << (b - 1).bit_length()
+    padded = np.broadcast_to(np.eye(size), (count, size, size)).copy()
+    padded[:, :b, :b] = lower
+    inv = np.zeros_like(padded)
+    d = np.arange(size)
+    inv[:, d, d] = 1.0 / padded[:, d, d]
+    half = 1
+    while half < size:
+        pairs = size // (2 * half)
+        q = np.arange(pairs)
+        shape = (count, pairs, 2 * half, pairs, 2 * half)
+        low, out = padded.reshape(shape), inv.reshape(shape)
+        out[:, q, half:, q, :half] = -(
+            out[:, q, half:, q, half:] @ low[:, q, half:, q, :half] @ out[:, q, :half, q, :half]
+        )
+        half *= 2
+    return inv[:, :b, :b]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 31, 32, 33, 57, 64])
+@pytest.mark.parametrize("count", [1, 3, 11])
+def test_lower_inverses_match_the_padded_recursion_bit_for_bit(size, count):
+    rng = np.random.default_rng(size * 100 + count)
+    a = rng.standard_normal((count, size, size))
+    lower = np.linalg.cholesky(a @ np.swapaxes(a, 1, 2) + size * np.eye(size))
+    got = _lower_inverses(lower)
+    assert got.tobytes() == _padded_lower_inverses(lower).tobytes()
+    assert np.max(np.abs(got @ lower - np.eye(size))) <= 1e-12
+
+
+def test_block_inverses_are_read_only(grid):
+    _, _, model, ms, state = grid
+    chol = BlockCholesky(*model.gain(model.evaluate(state).jacobian_values(), 1.0 / ms.variances))
+    with pytest.raises(ValueError, match="read-only"):
+        chol.inverse[0, 0, 0] = 0.0

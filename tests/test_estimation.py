@@ -772,7 +772,9 @@ def test_admittance_model_keeps_no_compiled_model(case39, zone39):
     adm = build_admittance(case39)
     one, other = MeasurementModel(adm, adm.full_layout), MeasurementModel(adm, adm.full_layout)
     assert one.pattern is other.pattern
-    assert one._y is not other._y and np.array_equal(one._y, other._y)
+    for part in ("_yr", "_yi"):
+        mine, theirs = getattr(one, part), getattr(other, part)
+        assert mine is not theirs and np.array_equal(mine, theirs)
     _pipeline_item(case39, adm, zone39)
     # no field is a dict of compiled models, and beyond its fields the model
     # keeps only its own cached properties
@@ -789,11 +791,11 @@ def _pipeline_bits(case, adm, seed=3):
     solution = newton_power_flow(case, adm)
     state = solution.state
     ms = generate_measurements(case, state, seed=seed, adm=adm)
-    model = MeasurementModel(adm, ms.layout)
+    evaluation = MeasurementModel(adm, ms.layout).evaluate(state)
     est = wls_estimate(ms, case, adm)
     return [
         np.array(solution.mismatch_history), state.vm, state.va,
-        model.h(state), model.jacobian_values(state), ms.values,
+        evaluation.h(), evaluation.jacobian_values(), ms.values,
         est.x_hat.vm, est.x_hat.va, est.residual, est.r_normalized,
         np.array([est.j_statistic, est.iterations]), np.array(est.measurement_ids),
     ]
@@ -1092,3 +1094,62 @@ def test_shared_arrays_are_read_only(case39, adm39):
         assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         pattern.rows[0] = 1
+
+
+# --- one evaluation per state ---------------------------------------------------
+
+def _record_evaluations(monkeypatch):
+    """The state of each `MeasurementModel.evaluate` call, as bytes, and each
+    evaluation whose Jacobian is read, in call order."""
+    states, jacobians = [], []
+    evaluate = estimation.MeasurementModel.evaluate
+    jacobian_values = estimation.Evaluation.jacobian_values
+
+    def recording(model, state):
+        states.append(state.vm.tobytes() + state.va.tobytes())
+        return evaluate(model, state)
+
+    def recording_jacobian(evaluation):
+        jacobians.append(evaluation)
+        return jacobian_values(evaluation)
+
+    monkeypatch.setattr(estimation.MeasurementModel, "evaluate", recording)
+    monkeypatch.setattr(estimation.Evaluation, "jacobian_values", recording_jacobian)
+    return states, jacobians
+
+
+def test_newton_power_flow_evaluates_each_iterate_once(case39, adm39, monkeypatch):
+    states, jacobians = _record_evaluations(monkeypatch)
+    sol = newton_power_flow(case39, adm39)
+    assert sol.iterations == 4
+    assert len(states) == sol.iterations + 1 == len(set(states))
+    # every iterate but the converged one reads its Jacobian from its evaluation
+    assert len(jacobians) == sol.iterations == len(set(map(id, jacobians)))
+
+
+@pytest.mark.parametrize("tiles", [1, 2])
+def test_wls_estimate_evaluates_each_trial_once(tiles, monkeypatch):
+    case = load_bundled_case39() if tiles == 1 else tiled_case39(tiles)
+    adm = build_admittance(case)
+    ms = generate_measurements(case, newton_power_flow(case, adm).state, seed=5, adm=adm)
+    estimation._shared.clear()  # so that the flat start is evaluated too
+    trials = []
+    step = nlsolver.Damping.step
+
+    def counting(damping, f, solve, evaluate):
+        def counted(point):
+            trials.append(point)
+            return evaluate(point)
+
+        return step(damping, f, solve, counted)
+
+    monkeypatch.setattr(nlsolver.Damping, "step", counting)
+    states, jacobians = _record_evaluations(monkeypatch)
+    est = wls_estimate(ms, case, adm)
+    assert est.iterations == 5
+    # the flat start, then every trial, each state once
+    assert len(trials) >= len(est.objective_history) - 1
+    assert len(states) == 1 + len(trials) == len(set(states))
+    # the flat start's Jacobian and one per accepted step, each from the
+    # evaluation of its trial
+    assert len(jacobians) == len(est.objective_history) == len(set(map(id, jacobians)))
