@@ -242,9 +242,6 @@ def design_attack(
         jac[target_rows, slack_cols] = -1.0
         return jac
 
-    def objective(z: np.ndarray) -> np.ndarray:
-        return np.concatenate([z[:n_int] - va0, z[n_int : 2 * n_int] - vm0])
-
     vm_lo = np.array([case.bus(b).vmin for b in interior])
     vm_hi = np.array([case.bus(b).vmax for b in interior])
     if spec.mode == "arbitrary":
@@ -254,11 +251,8 @@ def design_attack(
     upper = np.concatenate([np.full(n_int, np.inf), vm_hi, np.full(n_targets, np.inf)])
 
     if spec.mode == "optimal":
-        z0 = np.concatenate([va0, vm0, np.maximum(base_flows - bounds_flow, 0.0)])
-        # the objective is linear in z, so its Jacobian is one constant matrix
-        objective_jac = np.zeros((2 * n_int, 2 * n_int + n_targets))
-        objective_jac[:, : 2 * n_int] = np.eye(2 * n_int)
-        obj_fn, obj_jac_fn = objective, lambda z: objective_jac
+        anchor = np.concatenate([va0, vm0])
+        z0 = np.concatenate([anchor, np.maximum(base_flows - bounds_flow, 0.0)])
         start_draws = 0
     else:
         # seeded start; redraw until the overload targets already hold so the
@@ -277,15 +271,14 @@ def design_attack(
             z0 = z_try
             if np.all(flows >= bounds_flow):
                 break
-        obj_fn = obj_jac_fn = None
+        anchor = None
 
     try:
         result = solve_constrained(
             z0,
             constraints=constraints,
             constraint_jacobian=constraint_jacobian,
-            objective=obj_fn,
-            objective_jacobian=obj_jac_fn,
+            anchor=anchor,
             lower=lower,
             upper=upper,
             tol_eq=params.tol_eq,
@@ -320,21 +313,20 @@ def design_attack(
 
 def compute_falsified_injections(
     case: NetworkCase,
-    base: StateVector,
-    x_attacked: StateVector,
     zone: AttackZone,
-    adm: AdmittanceModel | None = None,
+    adm: AdmittanceModel,
+    base_powers: tuple[np.ndarray, ...],
+    attacked_powers: tuple[np.ndarray, ...],
 ) -> dict[int, tuple[float, float]]:
-    """What each zone bus must appear to inject after the attack.
+    """What each zone bus must appear to inject after the attack, from the
+    `network_powers` triples at the base and the attacked state.
 
     Non-zero-injection zone buses report their base injection plus the sum of
     interior-line flow changes on lines touching them; zero-injection interior
     buses stay at exactly (0, 0); inert boundary buses keep their base values.
     """
-    if adm is None:
-        adm = build_admittance(case)
-    s_base, sf_base, st_base = network_powers(base, adm)
-    _, sf_att, st_att = network_powers(x_attacked, adm)
+    s_base, sf_base, st_base = base_powers
+    _, sf_att, st_att = attacked_powers
 
     # each interior line's flow change lands on its from bus, then its to bus,
     # in zone order; row_sums adds them in that order, so every bus sums its
@@ -363,56 +355,44 @@ def assemble_attack_vector(
     base: StateVector,
     x_attacked: StateVector,
     zone: AttackZone,
-    layout: Layout | None = None,
     adm: AdmittanceModel | None = None,
     solver_info: dict | None = None,
 ) -> AttackVector:
     """Populate the per-measurement deltas for everything the attack touches:
     interior V and angle readings, both ends of interior-line flows, and zone
-    bus injections. Every other measurement keeps a zero delta (omitted)."""
+    bus injections, read from the case's full layout. Every other measurement
+    keeps a zero delta (omitted)."""
     if adm is None:
         adm = build_admittance(case)
-    if layout is None:
-        layout = adm.full_layout
+    layout = adm.full_layout
 
     moved = (base.vm != x_attacked.vm) | (base.va != x_attacked.va)
     moved &= ~np.isin(base.bus_ids, list(zone.interior))
     if moved.any():
         raise AttackError(f"attacked state moves non-interior bus {base.bus_ids[moved.argmax()]}")
 
-    # the first row of each flow reading by (branch row, P or Q, from end),
-    # len(layout) for none; then Pf, Pt, Qf, Qt of each interior line
-    nl, none = len(adm.branches), len(layout)
+    # the first row of each flow reading by (branch row, P or Q, from end);
+    # then Pf, Pt, Qf, Qt of each interior line
+    nl = len(adm.branches)
     flow = np.flatnonzero((layout.kind < 2) & (layout.where >= 0) & (layout.where < nl))
-    reading = np.full((nl, 2, 2), none)
+    reading = np.full((nl, 2, 2), len(layout))
     cell = (layout.where[flow], layout.kind[flow], layout.from_side[flow].astype(int))
     np.minimum.at(reading, cell, flow)
     lines = [adm.position[br.index] for br in zone.interior_lines]
     rows = reading[lines][:, [0, 0, 1, 1], [1, 0, 1, 0]]
-    missing = np.flatnonzero((rows == none).any(axis=1))
-    if len(missing):
-        br = zone.interior_lines[missing[0]]
-        raise AttackError(
-            f"measurement layout is missing flow readings for interior line "
-            f"{br.from_bus}-{br.to_bus}"
-        )
     wanted = [f"{kind}:{bus}" for bus in sorted(zone.buses) for kind in ("Pinj", "Qinj")]
     wanted += [f"{kind}:{bus}" for bus in sorted(zone.interior) for kind in ("Vmag", "Vang")]
-    for meas_id in wanted:
-        if meas_id not in layout.position:
-            raise AttackError(
-                f"measurement layout is missing {meas_id!r}, which the attack must alter"
-            )
 
     sub_layout = layout.subset(rows.ravel().tolist() + [layout.position[i] for i in wanted])
     h_att = eval_h(adm, x_attacked, sub_layout)
     h_base = eval_h(adm, base, sub_layout)
+    powers = (network_powers(base, adm), network_powers(x_attacked, adm))
 
     return AttackVector(
         x_base=base,
         x_attacked=x_attacked,
         deltas=dict(zip(sub_layout.ids, (h_att - h_base).tolist())),
-        falsified_injections=compute_falsified_injections(case, base, x_attacked, zone, adm),
+        falsified_injections=compute_falsified_injections(case, zone, adm, *powers),
         solver_info=solver_info or {},
     )
 

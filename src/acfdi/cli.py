@@ -119,11 +119,17 @@ def _setup_logging() -> None:
 
 
 def _write(out_dir: str, files: dict[str, str]) -> None:
-    """Create out_dir, once, and write each named file's content into it."""
-    os.makedirs(out_dir, exist_ok=True)
-    for name, content in files.items():
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
-            f.write(content)
+    """Create out_dir, once, and write each named file's content into it. A
+    path that cannot be written raises ConfigError naming it."""
+    path = out_dir
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, content in files.items():
+            path = os.path.join(out_dir, name)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(content)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _emit(content: str, out: str | None) -> None:

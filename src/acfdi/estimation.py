@@ -688,7 +688,6 @@ class BddVerdict:
     passed: bool
     statistic: float
     threshold: float
-    dof: int
 
 
 _UNOBSERVABLE = "measurement set is unobservable (rank-deficient gain)"
@@ -850,7 +849,6 @@ def chi_square_test(res: EstimationResult, policy: BddPolicy | None = None) -> B
         passed=res.j_statistic <= threshold,
         statistic=res.j_statistic,
         threshold=threshold,
-        dof=res.dof,
     )
 
 

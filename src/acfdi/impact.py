@@ -25,7 +25,7 @@ from .estimation import (
     largest_normalized_residual,
 )
 from .network import AdmittanceModel, NetworkCase, build_admittance
-from .powerflow import StateVector, network_powers
+from .powerflow import network_powers
 from .zones import AttackZone
 
 SCHEMA = "impact/1"
@@ -45,12 +45,12 @@ def _bus_role(bus: int, zone: AttackZone) -> str:
     return "exterior"
 
 
-def _powers(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray, list[dict]]:
-    """Bus injections, and each in-service branch's flow {pf, qf, pt, qt}
-    in adm.branches order, at state."""
-    s_bus, sf, st = network_powers(state, adm)
+def _flows(powers: tuple[np.ndarray, ...]) -> list[dict]:
+    """Each in-service branch's flow {pf, qf, pt, qt} in adm.branches order,
+    from the `network_powers` triple of a state."""
+    _, sf, st = powers
     parts = (sf.real.tolist(), sf.imag.tolist(), st.real.tolist(), st.imag.tolist())
-    return s_bus, [dict(zip(("pf", "qf", "pt", "qt"), flow)) for flow in zip(*parts)]
+    return [dict(zip(("pf", "qf", "pt", "qt"), flow)) for flow in zip(*parts)]
 
 
 def _loading(flow: dict, rating: float | None) -> float | None:
@@ -89,9 +89,10 @@ def compute_impact(
     role_of = {br.index: role for role, group in reversed(lines.items()) for br in group}
     notes: list[str] = []
     rows = []  # in adm.branches order
-    s_base, flows_base = _powers(base, adm)
-    s_att, flows_att = _powers(av.x_attacked, adm)
-    for br, before, after in zip(adm.branches, flows_base, flows_att):
+    powers_base = network_powers(base, adm)
+    powers_att = network_powers(av.x_attacked, adm)
+    s_base, s_att = powers_base[0], powers_att[0]
+    for br, before, after in zip(adm.branches, _flows(powers_base), _flows(powers_att)):
         rating = br.rating if br.rating > 0 else None
         if rating is None:
             notes.append(f"branch {br.from_bus}-{br.to_bus} has no rating; loading omitted")
@@ -107,7 +108,7 @@ def compute_impact(
             }
         )
 
-    falsified = compute_falsified_injections(case, base, av.x_attacked, zone, adm)
+    falsified = compute_falsified_injections(case, zone, adm, powers_base, powers_att)
     buses = []
     for i, b in enumerate(case.buses):
         fal = falsified.get(b.id)

@@ -35,11 +35,13 @@ Non-Linear Least Squares Problems*, 2004, sec. 3.2):
   goes below, 1e-10 max(1, max diag J^T J), and past 1e12 times that scale
   the caller gives up.
 
-Residuals and Jacobians come from separate callbacks. A trial is accepted or
-rejected on its residual alone; Jacobians are evaluated only at the start
-point of each outer round and at each accepted iterate, and the constraint
-values of an accepted trial are reused, so a design costs one constraint
-evaluation plus one per trial. Deterministic given the starting point.
+Constraint values and their Jacobian come from separate callbacks; the
+objective's rows z[:k] - anchor and their constant Jacobian are the
+solver's own. A trial is accepted or rejected on its residual alone;
+Jacobians are evaluated only at the start point of each outer round and at
+each accepted iterate, and the constraint values of an accepted trial are
+reused, so a design costs one constraint evaluation plus one per trial.
+Deterministic given the starting point.
 """
 
 from __future__ import annotations
@@ -85,12 +87,10 @@ class RoundInfo:
 @dataclass(frozen=True)
 class SolveResult:
     z: np.ndarray
-    multipliers: np.ndarray
     max_violation: float
     objective: float
     outer_iterations: int
     inner_iterations: int
-    converged: bool
     rounds: tuple[RoundInfo, ...]
 
 
@@ -159,8 +159,7 @@ def solve_constrained(
     z0: np.ndarray,
     constraints: ResidualFn,
     constraint_jacobian: JacobianFn,
-    objective: ResidualFn | None = None,
-    objective_jacobian: JacobianFn | None = None,
+    anchor: np.ndarray | None = None,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
     tol_eq: float = 1e-6,
@@ -169,16 +168,17 @@ def solve_constrained(
     penalty0: float = 10.0,
     penalty_growth: float = 10.0,
 ) -> SolveResult:
-    """Minimize ||r_obj(z)||^2 subject to c(z) = 0 and lower <= z <= upper.
+    """Minimize ||z[:k] - anchor||^2, k = len(anchor), subject to c(z) = 0 and
+    lower <= z <= upper; the variables past k (slacks) are free of cost.
 
-    With objective=None this is a pure feasibility solve that stays close to
-    z0 (minimum-norm steps). `objective` and `objective_jacobian` are given
-    together or not at all.
+    With anchor=None this is a pure feasibility solve that stays close to
+    z0 (minimum-norm steps).
     """
-    if (objective is None) != (objective_jacobian is None):
-        raise ValueError("objective and objective_jacobian must be given together")
     z = np.asarray(z0, dtype=float).copy()
     nz = len(z)
+    anchor = np.zeros(0) if anchor is None else np.asarray(anchor, dtype=float)
+    k = len(anchor)
+    anchor_jac = np.eye(k, nz)  # the objective is linear in z
     lower = np.full(nz, -np.inf) if lower is None else np.asarray(lower, dtype=float)
     upper = np.full(nz, np.inf) if upper is None else np.asarray(upper, dtype=float)
     z = _project(z, lower, upper)
@@ -194,15 +194,10 @@ def solve_constrained(
 
     def residual(zv: np.ndarray, cv: np.ndarray) -> np.ndarray:
         r_pen = np.sqrt(rho / 2.0) * (cv + lam / rho)
-        if objective is None:
-            return r_pen
-        return np.concatenate([objective(zv), r_pen])
+        return np.concatenate([zv[:k] - anchor, r_pen])
 
     def jacobian(zv: np.ndarray) -> np.ndarray:
-        j_pen = np.sqrt(rho / 2.0) * constraint_jacobian(zv)
-        if objective_jacobian is None:
-            return j_pen
-        return np.vstack([objective_jacobian(zv), j_pen])
+        return np.vstack([anchor_jac, np.sqrt(rho / 2.0) * constraint_jacobian(zv)])
 
     for outer in range(1, max_outer + 1):
         r, jac = residual(z, c), jacobian(z)
@@ -250,15 +245,13 @@ def solve_constrained(
         violation = float(np.max(np.abs(c))) if len(c) else 0.0
         rounds.append(RoundInfo(violation, rho, damping.accepted, damping.rejected))
         if violation < tol_eq:
-            r_obj = objective(z) if objective is not None else np.zeros(0)
+            r_obj = z[:k] - anchor
             return SolveResult(
                 z=z,
-                multipliers=lam,
                 max_violation=violation,
                 objective=float(r_obj @ r_obj),
                 outer_iterations=outer,
                 inner_iterations=total_inner,
-                converged=True,
                 rounds=tuple(rounds),
             )
         lam = lam + rho * c

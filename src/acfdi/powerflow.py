@@ -89,7 +89,6 @@ class StateVector:
 @dataclass(frozen=True)
 class PowerFlowSolution:
     state: StateVector
-    converged: bool
     iterations: int
     mismatch_history: tuple[float, ...]  # max |P,Q| mismatch before each update
 
@@ -257,7 +256,7 @@ def newton_power_flow(
         max_mis = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
         history.append(max_mis)
         if max_mis < tol:
-            return PowerFlowSolution(current, True, it, tuple(history))
+            return PowerFlowSolution(current, it, tuple(history))
 
         try:
             step = equations.step(equations.jacobian(evaluation), mismatch)

@@ -64,12 +64,6 @@ def _classify_lines(
             else:
                 frozen_lines.append(br)
         elif f_in or t_in:
-            inside = br.from_bus if f_in else br.to_bus
-            if inside in interior:
-                raise ZoneError(
-                    f"interior bus {inside} is adjacent to exterior bus "
-                    f"{br.to_bus if f_in else br.from_bus}"
-                )
             tie_lines.append(br)
     return tuple(interior_lines), tuple(frozen_lines), tuple(tie_lines)
 

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from acfdi import estimation
 from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, design_attack
 from acfdi.network import build_admittance, load_bundled_case39
 from acfdi.powerflow import StateVector, network_powers, newton_power_flow
@@ -88,6 +89,25 @@ def replace_buses(state, vm_by_bus, va_by_bus):
     for bus, a in va_by_bus.items():
         va[state.index(bus)] = a
     return StateVector(state.bus_ids, vm, va)
+
+
+def state_bytes(state):
+    """A state as bytes, the key of an evaluation in `record_evaluations`."""
+    return state.vm.tobytes() + state.va.tobytes()
+
+
+def record_evaluations(monkeypatch):
+    """(rows of the model, state as bytes) of each `MeasurementModel.evaluate`
+    call, in call order."""
+    calls = []
+    evaluate = estimation.MeasurementModel.evaluate
+
+    def recording(model, state):
+        calls.append((model.m, state_bytes(state)))
+        return evaluate(model, state)
+
+    monkeypatch.setattr(estimation.MeasurementModel, "evaluate", recording)
+    return calls
 
 
 def table_state(base, scenario):

@@ -26,7 +26,7 @@ from acfdi.estimation import (
     wls_estimate,
 )
 from acfdi.network import build_admittance
-from acfdi.powerflow import StateVector, bus_injection, solve_power_flow
+from acfdi.powerflow import StateVector, bus_injection, network_powers, solve_power_flow
 from conftest import flow_of, replace_buses, table_state
 from test_estimation import _chi2_ppf_oracle
 
@@ -119,7 +119,9 @@ def test_criterion_2_injection_replay(case39, adm39, base39, zone39):
             interior_vm = {b: x_att.magnitude(b) for b in ref.ZONE_INTERIOR}
             interior_va = {b: x_att.angle(b) for b in ref.ZONE_INTERIOR}
             mixed = replace_buses(base39, interior_vm, interior_va)
-            falsified = compute_falsified_injections(case39, base39, mixed, zone39, adm39)
+            falsified = compute_falsified_injections(
+                case39, zone39, adm39, network_powers(base39, adm39), network_powers(mixed, adm39)
+            )
             for bus, cols in ref.INJECTIONS.items():
                 p_ref, q_ref = cols[scenario]
                 p, q = falsified[bus]

@@ -16,9 +16,9 @@ from acfdi.attacks import (
 from acfdi import estimation
 from acfdi.estimation import MeasurementModel, full_layout, generate_measurements, wls_estimate
 from acfdi.network import build_admittance
-from acfdi.powerflow import StateVector, bus_injection
+from acfdi.powerflow import StateVector, bus_injection, network_powers
 from acfdi.zones import build_zone
-from conftest import flow_of, replace_buses
+from conftest import flow_of, record_evaluations, replace_buses, state_bytes
 
 
 def _deviation_norm(av, zone):
@@ -287,13 +287,22 @@ def test_delta_keys_cover_exactly_the_affected_measurements(case39, zone39, atta
     assert "Pinj:1" not in ids
 
 
-def test_assembly_rejects_layout_missing_required_measurement(case39, adm39, base39, zone39, attack_optimal):
-    full = full_layout(case39)
-    layout = full.subset([i for i, meas_id in enumerate(full.ids) if meas_id != "Pinj:27"])
-    with pytest.raises(AttackError, match="Pinj:27"):
-        assemble_attack_vector(
-            case39, base39, attack_optimal.x_attacked, zone39, layout, adm39
-        )
+def test_assembly_computes_network_powers_once_per_state(
+    case39, adm39, base39, zone39, attack_arbitrary, monkeypatch
+):
+    x_att = attack_arbitrary.x_attacked
+    calls = record_evaluations(monkeypatch)
+    av = assemble_attack_vector(case39, base39, x_att, zone39, adm=adm39)
+    full = len(adm39.full_layout)
+    assert sorted(state for m, state in calls if m == full) == sorted(
+        [state_bytes(base39), state_bytes(x_att)]
+    )
+    # the falsified injections read those powers and evaluate nothing
+    calls.clear()
+    powers = [network_powers(s, adm39) for s in (base39, x_att)]
+    assert len(calls) == 2
+    assert compute_falsified_injections(case39, zone39, adm39, *powers) == av.falsified_injections
+    assert len(calls) == 2
 
 
 def test_assembly_rejects_moved_exterior_bus(case39, adm39, base39, zone39):

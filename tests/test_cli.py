@@ -317,6 +317,23 @@ def test_pf_writes_to_stdout_without_out(capsys):
     assert len(doc["buses"]) == 39
 
 
+def test_pf_out_naming_a_directory_is_config_error(tmp_path, capsys):
+    out = tmp_path / "some_dir"
+    out.mkdir()
+    assert main(["pf", "case39", "--out", f"{out}{os.sep}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(out) in err and "unexpected" not in err
+
+
+def test_scenario_out_naming_a_regular_file_is_config_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    assert main(["scenario", "run", str(BUNDLED), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(out) in err and "unexpected" not in err
+    assert out.read_text() == "keep"
+
+
 def test_focal_zone_scenario_runs(tmp_path):
     config = tmp_path / "focal.json"
     config.write_text(

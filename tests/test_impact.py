@@ -12,7 +12,7 @@ from acfdi.attacks import apply_attack, assemble_attack_vector
 from acfdi.estimation import generate_measurements, wls_estimate
 from acfdi.impact import ReportError, compute_impact, render_report
 from acfdi.powerflow import network_powers
-from conftest import flow_of
+from conftest import flow_of, record_evaluations, state_bytes
 from acfdi.zones import validate_zone
 
 
@@ -32,6 +32,19 @@ def report(case39, adm39, zone39, attack_optimal, estimates):
         metadata={"mode": "optimal"},
         adm=adm39,
     )
+
+
+def test_report_evaluates_the_full_layout_once_per_state(
+    case39, adm39, zone39, attack_optimal, estimates, monkeypatch
+):
+    _, clean, attacked = estimates
+    calls = record_evaluations(monkeypatch)
+    compute_impact(case39, attack_optimal, clean, attacked, zone39, adm=adm39)
+    full = len(adm39.full_layout)
+    assert calls == [
+        (full, state_bytes(attack_optimal.x_base)),
+        (full, state_bytes(attack_optimal.x_attacked)),
+    ]
 
 
 def test_replay_zero_vector_equals_base(case39, adm39, base39, zone39):

@@ -23,22 +23,29 @@ def test_projection_onto_hyperplane_matches_closed_form():
         np.zeros(len(A)),
         constraints=_sum_to_one,
         constraint_jacobian=_sum_jacobian,
-        objective=lambda z: z - A,
-        objective_jacobian=lambda z: np.eye(len(z)),
+        anchor=A,
         tol_eq=1e-10,
     )
     expected = A + (1.0 - A.sum()) / len(A)
-    assert res.converged
     np.testing.assert_allclose(res.z, expected, rtol=0, atol=1e-8)
     assert res.max_violation < 1e-10
 
 
-def test_objective_without_its_jacobian_is_rejected():
-    with pytest.raises(ValueError, match="together"):
-        solve_constrained(
-            np.zeros(2), constraints=_sum_to_one, constraint_jacobian=_sum_jacobian,
-            objective=lambda z: z,
-        )
+def test_anchor_shorter_than_z_leaves_the_rest_free_of_cost():
+    # argmin ||z[:k] - a||^2 s.t. sum(z[:k]) = 1 and z[k] = 2 is
+    # z[:k] = a + (1 - sum(a)) / k and z[k] = 2
+    k = len(A)
+    res = solve_constrained(
+        np.zeros(k + 1),
+        constraints=lambda z: np.array([z[:k].sum() - 1.0, z[k] - 2.0]),
+        constraint_jacobian=lambda z: np.vstack([np.r_[np.ones(k), 0.0], np.eye(1, k + 1, k)]),
+        anchor=A,
+        tol_eq=1e-10,
+    )
+    np.testing.assert_allclose(res.z[:k], A + (1.0 - A.sum()) / k, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(res.z[k], 2.0, rtol=0, atol=1e-8)
+    assert res.max_violation < 1e-10
+    assert res.objective == pytest.approx(k * ((1.0 - A.sum()) / k) ** 2, rel=1e-8)
 
 
 def test_jacobians_are_evaluated_only_at_the_start_and_accepted_iterates():
@@ -67,8 +74,7 @@ def test_jacobians_are_evaluated_only_at_the_start_and_accepted_iterates():
     z0 = np.array([3.0, -2.0, 0.5])
     with pytest.raises(SolverError):
         solve_constrained(
-            z0, constraints=curve, constraint_jacobian=curve_jacobian,
-            objective=lambda z: z - target, objective_jacobian=lambda z: np.eye(3),
+            z0, constraints=curve, constraint_jacobian=curve_jacobian, anchor=target,
             penalty0=rho, max_outer=1,
         )
 
