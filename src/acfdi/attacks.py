@@ -22,7 +22,7 @@ from .artifacts import ConfigError, member, typed
 from .estimation import KIND_CODE, Layout, MeasurementModel, MeasurementSet, eval_h, eval_jacobian
 from .network import AdmittanceModel, NetworkCase, build_admittance, row_sums
 from .nlsolver import SolverError, solve_constrained
-from .powerflow import StateVector, network_powers
+from .powerflow import StateVector, full_layout_powers
 from .zones import AttackZone
 
 
@@ -355,15 +355,14 @@ def assemble_attack_vector(
     base: StateVector,
     x_attacked: StateVector,
     zone: AttackZone,
-    adm: AdmittanceModel | None = None,
+    adm: AdmittanceModel,
     solver_info: dict | None = None,
 ) -> AttackVector:
     """Populate the per-measurement deltas for everything the attack touches:
-    interior V and angle readings, both ends of interior-line flows, and zone
-    bus injections, read from the case's full layout. Every other measurement
-    keeps a zero delta (omitted)."""
-    if adm is None:
-        adm = build_admittance(case)
+    both ends of interior-line flows, zone bus injections, and interior V and
+    angle readings. One evaluation of the case's full layout per state gives
+    the deltas on those rows and the powers of the falsified injections.
+    Every other measurement keeps a zero delta (omitted)."""
     layout = adm.full_layout
 
     moved = (base.vm != x_attacked.vm) | (base.va != x_attacked.va)
@@ -371,27 +370,22 @@ def assemble_attack_vector(
     if moved.any():
         raise AttackError(f"attacked state moves non-interior bus {base.bus_ids[moved.argmax()]}")
 
-    # the first row of each flow reading by (branch row, P or Q, from end);
-    # then Pf, Pt, Qf, Qt of each interior line
-    nl = len(adm.branches)
-    flow = np.flatnonzero((layout.kind < 2) & (layout.where >= 0) & (layout.where < nl))
-    reading = np.full((nl, 2, 2), len(layout))
-    cell = (layout.where[flow], layout.kind[flow], layout.from_side[flow].astype(int))
-    np.minimum.at(reading, cell, flow)
+    # `where` is a flow row's branch row and any other row's bus id
+    kind, where = layout.kind, layout.where
     lines = [adm.position[br.index] for br in zone.interior_lines]
-    rows = reading[lines][:, [0, 0, 1, 1], [1, 0, 1, 0]]
-    wanted = [f"{kind}:{bus}" for bus in sorted(zone.buses) for kind in ("Pinj", "Qinj")]
-    wanted += [f"{kind}:{bus}" for bus in sorted(zone.interior) for kind in ("Vmag", "Vang")]
-
-    sub_layout = layout.subset(rows.ravel().tolist() + [layout.position[i] for i in wanted])
-    h_att = eval_h(adm, x_attacked, sub_layout)
-    h_base = eval_h(adm, base, sub_layout)
-    powers = (network_powers(base, adm), network_powers(x_attacked, adm))
+    rows = np.flatnonzero(np.select(
+        [kind < 2, kind < 4], [np.isin(where, lines), np.isin(where, list(zone.buses))],
+        np.isin(where, list(zone.interior)),
+    ))
+    model = MeasurementModel(adm, layout)
+    at_base, at_attacked = model.evaluate(base), model.evaluate(x_attacked)
+    deltas = at_attacked.h()[rows] - at_base.h()[rows]
+    powers = (full_layout_powers(at_base, adm), full_layout_powers(at_attacked, adm))
 
     return AttackVector(
         x_base=base,
         x_attacked=x_attacked,
-        deltas=dict(zip(sub_layout.ids, (h_att - h_base).tolist())),
+        deltas=dict(zip([layout.ids[i] for i in rows.tolist()], deltas.tolist())),
         falsified_injections=compute_falsified_injections(case, zone, adm, *powers),
         solver_info=solver_info or {},
     )

@@ -40,7 +40,7 @@ from .estimation import (
 )
 from .impact import compute_impact, render_report
 from .network import CaseError, build_admittance, load_bundled_case39, load_case
-from .powerflow import PowerFlowError, StateVector, solve_power_flow
+from .powerflow import PowerFlowError, StateVector, check_limits, solve_power_flow
 from .zones import ZoneError, build_zone, validate_zone
 
 EXIT_OK = 0
@@ -68,10 +68,7 @@ class Limits:
     max_iter: int
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        check_limits(self.tol, self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ class ScenarioConfig:
     formats: tuple[str, ...] = _FORMATS
 
     def echo(self) -> dict:
-        """The config in the shape of a scenario file, every default filled in."""
+        """Every value used, by scenario-file section, with `modes` where a file has `mode`."""
         return {
             "case": self.case_path,
             "zone": self.zone,
@@ -166,13 +163,16 @@ def _read_json(path: str, what: str):
 
 
 def _number(value, kind: type, label: str):
-    """value as kind (int or float): a number or numeric text, not a boolean."""
+    """value as kind, a finite float or a whole int, from a number or numeric text."""
     if not isinstance(value, bool):
         try:
-            return kind(value)
+            number = kind(value)
+            exact = kind is float or isinstance(value, str) or number == value  # int(2.7) is 2
+            if exact and math.isfinite(number):
+                return number
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ConfigError(f"{label} must be {'an integer' if kind is int else 'a number'}")
+    raise ConfigError(f"{label} must be {'an integer' if kind is int else 'a finite number'}")
 
 
 def _known(doc: dict, keys, label) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 from .banded import BlockBand, BlockCholesky, concat_ranges, read_only
 from .network import AdmittanceModel, NetworkCase, build_admittance
 from .nlsolver import Damping
-from .powerflow import StateVector
+from .powerflow import StateVector, check_limits
 
 KINDS = ("Pflow", "Qflow", "Pinj", "Qinj", "Vmag", "Vang")
 # a Layout stores each row's kind as its position in KINDS
@@ -208,8 +208,8 @@ def full_layout(case: NetworkCase, kinds: tuple[str, ...] = KINDS) -> Layout:
     )
 
 
-# entries kept by `shared`: a scenario reads seven per topology (the full
-# layout, the Newton pattern, four layout patterns and the flat start of its
+# entries kept by `shared`: a scenario reads six per topology (the full
+# layout, the Newton pattern, three layout patterns and the flat start of its
 # estimates), so this covers two grids at once; a pattern is 3.5 MB at most
 # at n = 312 (the full layout's with its gain band), a flat start 1.5 MB
 _SHARED_LIMIT = 16
@@ -745,10 +745,7 @@ def wls_estimate(
     when the predicted decrease is within rounding of J. Raises on an
     unobservable layout, and on any other stop.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    check_limits(tol, max_iter)
     if adm is None:
         adm = build_admittance(case)
     n = 2 * case.n_bus - 1

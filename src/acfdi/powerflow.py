@@ -224,6 +224,14 @@ class _NewtonEquations:
         return dx
 
 
+def check_limits(tol: float, max_iter: int) -> None:
+    """Raise ValueError unless 0 < tol < inf (a nan fails) and max_iter >= 1."""
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    if not max_iter >= 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 def newton_power_flow(
     case: NetworkCase,
     adm: AdmittanceModel | None = None,
@@ -236,10 +244,7 @@ def newton_power_flow(
     limits are not enforced. Raises on non-convergence, a singular Jacobian
     block or an inaccurate step.
     """
-    if not tol > 0:  # written so that a nan tolerance fails too
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    check_limits(tol, max_iter)
     if adm is None:
         adm = build_admittance(case)
 
@@ -279,16 +284,20 @@ def solve_power_flow(
     return newton_power_flow(case, adm, **limits).state
 
 
-def network_powers(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray, ...]:
-    """Complex power (s_bus, s_from, s_to) at every bus in case order and at
-    both ends of every in-service branch, aligned with adm.branches: the
-    powers of the model of adm's full layout, whose current rows are every
-    bus's Ybus row, then every branch's from end, then its to end."""
-    from .estimation import MeasurementModel  # estimation imports this module
-
-    s = MeasurementModel(adm, adm.full_layout).evaluate(state).powers()
+def full_layout_powers(evaluation: Evaluation, adm: AdmittanceModel) -> tuple[np.ndarray, ...]:
+    """Complex power (s_bus, s_from, s_to) at every bus in case order and at both
+    ends of every in-service branch, aligned with adm.branches, from an evaluation
+    of adm's full layout: its current rows are the Ybus rows, from ends, to ends."""
+    s = evaluation.powers()
     n, nl = adm.case.n_bus, len(adm.branches)
     return s[:n], s[n : n + nl], s[n + nl :]
+
+
+def network_powers(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray, ...]:
+    """The `full_layout_powers` of adm's full layout at state."""
+    from .estimation import MeasurementModel  # estimation imports this module
+
+    return full_layout_powers(MeasurementModel(adm, adm.full_layout).evaluate(state), adm)
 
 
 def bus_injection(

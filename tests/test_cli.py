@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -548,6 +549,9 @@ def test_malformed_input_is_config_error_naming_file_and_field(make_input, tmp_p
         ["impact", "case39", "{zone}", "{attack}", "--formats", "json,pdf"],
         ["pf", "case39", "--tol", "0"],
         ["pf", "case39", "--max-iter", "0"],
+        ["pf", "case39", "--tol", "inf"],
+        ["estimate", "case39", "{csv}", "--tol", "inf"],
+        ["attack", "case39", "{zone}", "--target", "26.7:27"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )
@@ -638,6 +642,19 @@ def test_scenario_from_a_warm_pattern_cache_matches_a_fresh_process(tmp_path):
     assert len(fresh) == 25
     assert _tree_bytes(tmp_path / "cold") == fresh
     assert _tree_bytes(tmp_path / "warm") == fresh
+
+
+def test_cold_scenario_keeps_six_shared_entries(tmp_path):
+    # one topology: its full layout, its Newton pattern, the layout patterns
+    # of the Newton rows, the full layout and the design constraints, and
+    # the flat start that the clean and attacked estimates share
+    from acfdi import estimation
+
+    estimation._shared.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["scenario", "run", str(BUNDLED), "--out", str(tmp_path)]) == EXIT_OK
+    kept = Counter(type(value).__name__ for value in estimation._shared.values())
+    assert kept == {"Layout": 1, "_NewtonPattern": 1, "LayoutPattern": 3, "FlatStart": 1}
 
 
 def test_tiled_scenario_is_byte_identical_at_one_and_two_blas_threads(tmp_path):

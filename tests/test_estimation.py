@@ -585,7 +585,7 @@ def test_nonconvergence_raises(case39, adm39, base39):
         wls_estimate(ms, case39, adm39, max_iter=1)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
 def test_wls_estimate_rejects_a_tolerance_that_is_not_positive(case39, adm39, base39, tol):
     ms = generate_measurements(case39, base39, seed=2, adm=adm39)
     with pytest.raises(ValueError, match="tol must be positive"):
@@ -747,9 +747,9 @@ def test_pipeline_compiles_each_layout_once(case39, zone39, monkeypatch):
 
     estimation._shared.clear()
     _pipeline_item(case39, build_admittance(case39), zone39)  # cold
-    # power flow, the full layout, and the constraint and delta rows that the
-    # two attack modes share: each compiled once
-    assert len(patterns) == len(set(patterns)) == 4
+    # power flow, the full layout, and the constraint rows that the two
+    # attack modes share: each compiled once
+    assert len(patterns) == len(set(patterns)) == 3
     cold_patterns = set(patterns)
     for built in (layouts, compiled, patterns, orders):
         built.clear()
@@ -761,7 +761,7 @@ def test_pipeline_compiles_each_layout_once(case39, zone39, monkeypatch):
 
     _pipeline_item(case39, adm, zone39)
     # the models of a second admittance model of the same case are of those
-    # four layouts, and only gather its values: the cold run's patterns, full
+    # three layouts, and only gather its values: the cold run's patterns, full
     # layout and band orders serve them
     assert {id(adm)} == {owner for owner, _ in compiled}
     assert {signature for _, signature in compiled} == cold_patterns

@@ -4,7 +4,7 @@ import pytest
 import acfdi.attacks
 import reference39 as ref
 from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, design_attack
-from acfdi.nlsolver import _MIN_GAIN, Damping, SolverError, solve_constrained
+from acfdi.nlsolver import _MIN_GAIN, _TOL_STEP, Damping, SolverError, solve_constrained
 
 A = np.array([0.3, -1.2, 2.5, 0.7])
 
@@ -159,3 +159,25 @@ def test_solver_error_names_the_most_violated_row():
         )
     assert err.value.row == 1
     assert err.value.value == pytest.approx(-4.0)
+
+
+def test_an_undamped_step_shorter_than_the_step_tolerance_ends_the_round():
+    # c(z) = 1e13 (z - 1) from z0 = 1 + 1e-13: the first step, taken at the
+    # starting mu, lands on z = 1 but moves about 1e-13, below _TOL_STEP, so
+    # the round ends without a Jacobian at the new point
+    jacobian_points = []
+
+    def jacobian(z):
+        jacobian_points.append(z.copy())
+        return np.array([[1e13]])
+
+    res = solve_constrained(
+        np.array([1.0 + 1e-13]),
+        constraints=lambda z: 1e13 * (z - 1.0),
+        constraint_jacobian=jacobian,
+    )
+    assert 1e-13 < _TOL_STEP
+    assert res.z.tolist() == [1.0]
+    assert (res.outer_iterations, res.inner_iterations) == (1, 1)
+    assert res.rounds[0].accepted_steps == 1
+    assert len(jacobian_points) == 1

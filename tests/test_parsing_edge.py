@@ -134,13 +134,22 @@ def test_unreadable_or_malformed_input_exits_2_naming_the_file(
         ("seeds", "arbitrary_start", -1),
         ("sigmas", "Vmag", 1e200),
         ("solver", "ang_perturbation", 1e308),
+        # a 1e400 in the file reads as this infinity, as does the Infinity
+        # that json.dumps writes; an int field would truncate 2.7, 0.9, 26.7
+        ("pf", "tol", float("inf")),
+        ("estimator", "tol", float("inf")),
+        ("solver", "tol_eq", float("inf")),
+        ("pf", "max_iter", 2.7),
+        ("seeds", "noise", 0.9),
+        ("targets", "from", 26.7),
     ],
 )
 def test_scenario_field_that_used_to_fail_unexpectedly_is_config_error(
     section, key, value, tmp_path, capsys
 ):
     config = json.loads(SHIPPED.read_text())
-    config.setdefault(section, {})[key] = value
+    fields = config["targets"][0] if section == "targets" else config.setdefault(section, {})
+    fields[key] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main(["scenario", "run", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -184,6 +184,9 @@ def test_bad_tolerance_rejected(case39):
         solve_power_flow(case39, tol=float("nan"))
     with pytest.raises(ValueError, match="max_iter must be at least 1"):
         newton_power_flow(case39, max_iter=0)
+    # an infinite one used to accept the flat start as the solution
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        newton_power_flow(case39, tol=float("inf"))
 
 
 def test_state_vector_index_rejects_unknown_bus(base39):
