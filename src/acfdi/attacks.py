@@ -19,6 +19,7 @@ import numpy as np
 
 from . import artifacts
 from .artifacts import ConfigError, member, typed
+# eval_h and eval_jacobian are not called here: bench/spans.py patches them in this module
 from .estimation import KIND_CODE, Layout, MeasurementModel, MeasurementSet, eval_h, eval_jacobian
 from .network import AdmittanceModel, NetworkCase, build_admittance, row_sums
 from .nlsolver import SolverError, solve_constrained
@@ -201,10 +202,11 @@ def design_attack(
     )
     n_targets = len(target_lines)
     target_rows = 2 * len(zero_inj) + np.arange(n_targets)
+    model = MeasurementModel(adm, con_layout)
 
     def target_flows(state: StateVector) -> np.ndarray:
         """From-end active flow of each target, read from its constraint row."""
-        return eval_h(adm, state, con_layout)[target_rows]
+        return model.evaluate(state).h()[target_rows]
 
     base_flows = target_flows(base)
     for t, flow in zip(spec.targets, base_flows.tolist()):
@@ -218,7 +220,7 @@ def design_attack(
     )
 
     int_pos = np.array([case.bus_index(b) for b in interior], dtype=int)
-    int_cols = MeasurementModel(adm, con_layout).state_columns(int_pos)
+    int_cols = model.state_columns(int_pos)
     va0, vm0 = base.va[int_pos], base.vm[int_pos]
 
     def state_of(z: np.ndarray) -> StateVector:
@@ -227,20 +229,22 @@ def design_attack(
         va[int_pos] = z[:n_int]
         return StateVector(base.bus_ids, vm, va)
 
-    # the solver calls `constraints` at every trial point and
-    # `constraint_jacobian` only at points it accepts
     slack_cols = 2 * n_int + np.arange(n_targets)
 
-    def constraints(z: np.ndarray) -> np.ndarray:
-        c = eval_h(adm, state_of(z), con_layout)
+    def constraints(z: np.ndarray) -> tuple:
+        at = model.evaluate(state_of(z))
+        c = at.h()
         c[target_rows] = c[target_rows] - bounds_flow - z[slack_cols]
-        return c
 
-    def constraint_jacobian(z: np.ndarray) -> np.ndarray:
-        jac = np.zeros((len(con_layout), 2 * n_int + n_targets))
-        jac[:, : 2 * n_int] = eval_jacobian(adm, state_of(z), con_layout)[:, int_cols]
-        jac[target_rows, slack_cols] = -1.0
-        return jac
+        def jacobian() -> np.ndarray:
+            full = np.zeros((model.m, model.n_state))
+            full[model.rows, model.cols] = at.jacobian_values()
+            jac = np.zeros((model.m, 2 * n_int + n_targets))
+            jac[:, : 2 * n_int] = full[:, int_cols]
+            jac[target_rows, slack_cols] = -1.0
+            return jac
+
+        return c, jacobian
 
     vm_lo = np.array([case.bus(b).vmin for b in interior])
     vm_hi = np.array([case.bus(b).vmax for b in interior])
@@ -277,7 +281,6 @@ def design_attack(
         result = solve_constrained(
             z0,
             constraints=constraints,
-            constraint_jacobian=constraint_jacobian,
             anchor=anchor,
             lower=lower,
             upper=upper,
@@ -350,6 +353,17 @@ def compute_falsified_injections(
     return out
 
 
+def check_moves_only_interior(
+    base: StateVector, x_attacked: StateVector, zone: AttackZone, error: type[Exception]
+) -> None:
+    """Raise error naming the first bus outside the zone interior whose
+    magnitude or angle differs between the two states."""
+    moved = (base.vm != x_attacked.vm) | (base.va != x_attacked.va)
+    moved &= ~np.isin(base.bus_ids, list(zone.interior))
+    if moved.any():
+        raise error(f"attacked state moves non-interior bus {base.bus_ids[moved.argmax()]}")
+
+
 def assemble_attack_vector(
     case: NetworkCase,
     base: StateVector,
@@ -364,11 +378,7 @@ def assemble_attack_vector(
     the deltas on those rows and the powers of the falsified injections.
     Every other measurement keeps a zero delta (omitted)."""
     layout = adm.full_layout
-
-    moved = (base.vm != x_attacked.vm) | (base.va != x_attacked.va)
-    moved &= ~np.isin(base.bus_ids, list(zone.interior))
-    if moved.any():
-        raise AttackError(f"attacked state moves non-interior bus {base.bus_ids[moved.argmax()]}")
+    check_moves_only_interior(base, x_attacked, zone, AttackError)
 
     # `where` is a flow row's branch row and any other row's bus id
     kind, where = layout.kind, layout.where

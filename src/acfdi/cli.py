@@ -27,6 +27,7 @@ from .attacks import (
     OverloadTarget,
     SolverParams,
     apply_attack,
+    check_moves_only_interior,
     design_attack,
 )
 from .estimation import (
@@ -543,6 +544,7 @@ def _cmd_impact(args: argparse.Namespace) -> int:
         av = AttackVector.from_json(text)
         for state in (av.x_base, av.x_attacked):
             _state_of_case(case, state)
+        check_moves_only_interior(av.x_base, av.x_attacked, zone, ConfigError)
         mode = member(av.solver_info, "mode", str, "attack solver_info")
         if mode not in _MODES:
             raise ConfigError(

@@ -35,13 +35,13 @@ Non-Linear Least Squares Problems*, 2004, sec. 3.2):
   goes below, 1e-10 max(1, max diag J^T J), and past 1e12 times that scale
   the caller gives up.
 
-Constraint values and their Jacobian come from separate callbacks; the
-objective's rows z[:k] - anchor and their constant Jacobian are the
-solver's own. A trial is accepted or rejected on its residual alone;
-Jacobians are evaluated only at the start point of each outer round and at
-each accepted iterate, and the constraint values of an accepted trial are
-reused, so a design costs one constraint evaluation plus one per trial.
-Deterministic given the starting point.
+One callback evaluates the constraints at a point: their values, and a
+function that reads dc/dz off the same evaluation; the objective's rows
+z[:k] - anchor and their constant Jacobian are the solver's own. A trial is
+accepted or rejected on its residual alone. A Jacobian is read at most once
+per point, at the start and at accepted iterates, and an accepted trial's
+values and Jacobian carry into the next step and round, so a design costs
+one constraint evaluation plus one per trial. Deterministic given z0.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ from typing import Callable
 
 import numpy as np
 
-# residual callback: z -> residual vector; called at every trial point
-ResidualFn = Callable[[np.ndarray], np.ndarray]
-# Jacobian callback: z -> d(residual)/dz; called at round starts and accepted iterates
-JacobianFn = Callable[[np.ndarray], np.ndarray]
+# constraint callback, called at every trial point: z -> (c(z), jacobian),
+# where jacobian() gives dc/dz at z from the same evaluation
+ConstraintFn = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
 
 _MU_START = 1e-10  # starting damping, relative to max(1, max diag J^T J)
 _MU_CAP = 1e12  # damping past which the caller gives up, same scale
@@ -157,8 +156,7 @@ def _project(z: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 def solve_constrained(
     z0: np.ndarray,
-    constraints: ResidualFn,
-    constraint_jacobian: JacobianFn,
+    constraints: ConstraintFn,
     anchor: np.ndarray | None = None,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
@@ -183,9 +181,10 @@ def solve_constrained(
     upper = np.full(nz, np.inf) if upper is None else np.asarray(upper, dtype=float)
     z = _project(z, lower, upper)
 
-    # constraint values at the current iterate, carried from the trial that
-    # reached it, so a round start costs no evaluation of its own
-    c = constraints(z)
+    # c, its Jacobian's reader and c_jac (None until read) are those of the
+    # current iterate, carried from the trial that reached it
+    c, read_jac = constraints(z)
+    c_jac = None
     lam = np.zeros(len(c))
     rho = penalty0
     prev_violation = float(np.max(np.abs(c))) if len(c) else 0.0
@@ -196,11 +195,13 @@ def solve_constrained(
         r_pen = np.sqrt(rho / 2.0) * (cv + lam / rho)
         return np.concatenate([zv[:k] - anchor, r_pen])
 
-    def jacobian(zv: np.ndarray) -> np.ndarray:
-        return np.vstack([anchor_jac, np.sqrt(rho / 2.0) * constraint_jacobian(zv)])
+    def jacobian(c_jac: np.ndarray) -> np.ndarray:
+        return np.vstack([anchor_jac, np.sqrt(rho / 2.0) * c_jac])
 
     for outer in range(1, max_outer + 1):
-        r, jac = residual(z, c), jacobian(z)
+        if c_jac is None:
+            c_jac = read_jac()
+        r, jac = residual(z, c), jacobian(c_jac)
         f_cur = float(r @ r)
         damping = Damping(float(np.max(np.einsum("ij,ij->j", jac, jac), initial=0.0)), len(r))
         for _ in range(max_inner):
@@ -228,19 +229,20 @@ def solve_constrained(
                 return z_try, f_cur - float(lin @ lin)
 
             def evaluate(z_try: np.ndarray) -> tuple[float, tuple]:
-                c_try = constraints(z_try)
+                c_try, read_try = constraints(z_try)
                 r_try = residual(z_try, c_try)
-                return float(r_try @ r_try), (c_try, r_try)
+                return float(r_try @ r_try), (c_try, read_try, r_try)
 
             step = damping.step(f_cur, solve, evaluate)
             if step is None:
                 break
-            z_new, f_cur, (c, r), mu_used = step
+            z_new, f_cur, (c, read_jac, r), mu_used = step
             moved = float(np.max(np.abs(z_new - z)))
-            z = z_new
+            z, c_jac = z_new, None
             if moved < _TOL_STEP and mu_used <= damping.mu_start:
                 break
-            jac = jacobian(z)
+            c_jac = read_jac()
+            jac = jacobian(c_jac)
 
         violation = float(np.max(np.abs(c))) if len(c) else 0.0
         rounds.append(RoundInfo(violation, rho, damping.accepted, damping.rejected))

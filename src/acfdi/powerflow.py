@@ -83,6 +83,9 @@ class StateVector:
         if not rows:
             raise ConfigError(f"{where} field 'buses' is empty")
         bus_ids, vm, va = zip(*rows)
+        for i, magnitude in enumerate(vm):
+            if magnitude <= 0:
+                raise ConfigError(f"{where} buses[{i}] field 'vm' must be positive")
         return cls(bus_ids=bus_ids, vm=np.array(vm), va=np.array(va))
 
 

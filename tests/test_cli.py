@@ -185,6 +185,40 @@ def test_attack_delta_on_an_unknown_measurement_is_config_error(scenario_out, tm
     )
 
 
+def test_impact_with_a_zone_the_attack_does_not_fit_is_config_error(
+    scenario_out, tmp_path, capsys
+):
+    # the focal-21 zone's interior is [21, 22]; the shipped attack moves buses
+    # of the 17-18-26-27-28 interior, the first of them bus 17
+    _, out = scenario_out
+    zone = tmp_path / "zone.json"
+    assert main(["zone", "case39", "--focal", "21", "--out", str(zone)]) == EXIT_OK
+    assert json.loads(zone.read_text())["interior"] == [21, 22]
+    attack = out / "attack_optimal.json"
+    rc = main(["impact", "case39", str(zone), str(attack), "--out-dir", str(tmp_path / "i")])
+    assert rc == EXIT_CONFIG
+    assert f"{attack}: attacked state moves non-interior bus 17" in capsys.readouterr().err
+    assert not (tmp_path / "i").exists()
+
+
+@pytest.mark.parametrize("key", ["x_base", "x_attacked"])
+def test_attack_state_with_a_non_positive_magnitude_is_config_error(
+    scenario_out, tmp_path, capsys, key
+):
+    _, out = scenario_out
+    doc = json.loads((out / "attack_optimal.json").read_text())
+    doc[key]["buses"][25]["vm"] = -1.0
+    attack = tmp_path / "attack.json"
+    attack.write_text(json.dumps(doc))
+    rc = main(["impact", "case39", str(out / "zone.json"), str(attack),
+               "--out-dir", str(tmp_path / "i")])
+    assert rc == EXIT_CONFIG
+    assert f"{attack}: attack {key} buses[25] field 'vm' must be positive" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "i").exists()
+
+
 @pytest.mark.parametrize(
     "mode, message",
     [(None, "field 'mode' is missing"), ("both", "field 'mode' must be optimal or arbitrary")],
@@ -510,6 +544,23 @@ def _zone_file_with_string_ids(tmp_path):
     return ["attack", "case39", str(path), "--target", "26:27"], "'boundary'"
 
 
+def _state_with_magnitude(vm):
+    def make(tmp_path):
+        # bus 26 is case39's 26th bus, an interior bus of the zone
+        state = tmp_path / "state.json"
+        assert main(["pf", "case39", "--out", str(state)]) == EXIT_OK
+        doc = json.loads(state.read_text())
+        doc["buses"][25]["vm"] = vm
+        state.write_text(json.dumps(doc))
+        zone = tmp_path / "z.json"
+        zone.write_text(json.dumps(SCENARIO["zone"]))
+        argv = ["attack", "case39", str(zone), "--target", "26:27", "--state", str(state)]
+        return argv + ["--out", str(tmp_path / "o")], "state buses[25] field 'vm' must be positive"
+
+    make.__name__ = f"_state_with_magnitude_{vm}"
+    return make
+
+
 @pytest.mark.parametrize(
     "make_input",
     [
@@ -523,7 +574,8 @@ def _zone_file_with_string_ids(tmp_path):
         _misspelled_top_level_mode, _misspelled_pf_max_iter, _misspelled_solver_max_outer,
         _misspelled_bdd_confidence, _misspelled_seeds_noise, _misspelled_output_formats,
         _misspelled_zone_focal_beside_explicit_lists, _misspelled_target_lambda,
-        _target_with_both_lambda_and_factor,
+        _target_with_both_lambda_and_factor, _state_with_magnitude(-1.0),
+        _state_with_magnitude(0.0),
     ],
     ids=lambda make: make.__name__.strip("_"),
 )
