@@ -15,6 +15,7 @@ from .estimation import (
     EstimationError,
     Layout,
     MeasurementSet,
+    bus_injection,
     full_layout,
     generate_measurements,
     wls_estimate,
@@ -29,7 +30,7 @@ from .network import (
     load_bundled_case39,
     load_case,
 )
-from .powerflow import PowerFlowError, bus_injection, newton_power_flow, solve_power_flow
+from .powerflow import PowerFlowError, newton_power_flow, solve_power_flow
 from .zones import ZoneError, build_zone, validate_zone
 
 __version__ = "0.1.0"

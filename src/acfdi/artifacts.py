@@ -45,19 +45,23 @@ def read_text(path: str, what: str, error: type[Exception] = ConfigError) -> str
 
 
 _FLOAT_MAX = sys.float_info.max
+NUMBER = (int, float)
 _KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
-               float: "a finite number"}
+               float: "a finite number", NUMBER: "a number", bool: "true or false"}
 
 
 def typed(value, kind: type, label: str):
-    """value, checked to be of kind: dict, list, str, int (not a bool) or
-    float (a finite int or float, returned as float)."""
-    valid = isinstance(value, (int, float) if kind is float else kind)
-    if isinstance(value, bool):
+    """value, checked to be of kind: dict, list, str, bool, int (not a bool),
+    NUMBER (a float, or an int within float range, not a bool, returned as
+    given) or float (a finite int or float, returned as float)."""
+    valid = isinstance(value, NUMBER if kind is float else kind)
+    if isinstance(value, bool) and kind is not bool:
         valid = False
     elif valid and kind is float:
         value = float(value) if abs(value) <= _FLOAT_MAX else math.inf
         valid = math.isfinite(value)
+    elif valid and kind is NUMBER and isinstance(value, int):
+        valid = abs(value) <= _FLOAT_MAX  # no float holds a larger int
     if not valid:
         raise ConfigError(f"{label} must be {_KIND_NAMES[kind]}")
     return value

@@ -20,10 +20,11 @@ import numpy as np
 from . import artifacts
 from .artifacts import ConfigError, member, typed
 # eval_h and eval_jacobian are not called here: bench/spans.py patches them in this module
-from .estimation import KIND_CODE, Layout, MeasurementModel, MeasurementSet, eval_h, eval_jacobian
-from .network import AdmittanceModel, NetworkCase, build_admittance, row_sums
+from .estimation import (
+    KIND_CODE, Layout, MeasurementModel, MeasurementSet, eval_h, eval_jacobian, full_layout_powers,
+)
+from .network import AdmittanceModel, NetworkCase, StateVector, build_admittance
 from .nlsolver import SolverError, solve_constrained
-from .powerflow import StateVector, full_layout_powers
 from .zones import AttackZone
 
 
@@ -322,7 +323,7 @@ def compute_falsified_injections(
     attacked_powers: tuple[np.ndarray, ...],
 ) -> dict[int, tuple[float, float]]:
     """What each zone bus must appear to inject after the attack, from the
-    `network_powers` triples at the base and the attacked state.
+    `estimation.network_powers` triples at the base and the attacked state.
 
     Non-zero-injection zone buses report their base injection plus the sum of
     interior-line flow changes on lines touching them; zero-injection interior
@@ -332,14 +333,15 @@ def compute_falsified_injections(
     _, sf_att, st_att = attacked_powers
 
     # each interior line's flow change lands on its from bus, then its to bus,
-    # in zone order; row_sums adds them in that order, so every bus sums its
+    # in zone order; bincount adds them in that order, so every bus sums its
     # lines in the order the zone lists them
     lines = np.array([adm.position[br.index] for br in zone.interior_lines], dtype=int)
     ends = np.column_stack([adm.f_idx[lines], adm.t_idx[lines]]).ravel()
     change = np.column_stack(
         [sf_att[lines] - sf_base[lines], st_att[lines] - st_base[lines]]
     ).ravel()
-    ds = row_sums(ends, change, case.n_bus)
+    dp = np.bincount(ends, change.real, case.n_bus)
+    dq = np.bincount(ends, change.imag, case.n_bus)
 
     out: dict[int, tuple[float, float]] = {}
     for bus in sorted(zone.buses):
@@ -349,7 +351,7 @@ def compute_falsified_injections(
         elif bus in zone.inert_boundary:
             out[bus] = (float(s_base[i].real), float(s_base[i].imag))
         else:
-            out[bus] = (float(s_base[i].real + ds[i].real), float(s_base[i].imag + ds[i].imag))
+            out[bus] = (float(s_base[i].real + dp[i]), float(s_base[i].imag + dq[i]))
     return out
 
 

@@ -40,8 +40,9 @@ from .estimation import (
     wls_estimate,
 )
 from .impact import compute_impact, render_report
-from .network import CaseError, build_admittance, load_bundled_case39, load_case
-from .powerflow import PowerFlowError, StateVector, check_limits, solve_power_flow
+from .network import CaseError, StateVector, build_admittance, load_bundled_case39, load_case
+from .nlsolver import check_limits
+from .powerflow import PowerFlowError, solve_power_flow
 from .zones import ZoneError, build_zone, validate_zone
 
 EXIT_OK = 0

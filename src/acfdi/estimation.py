@@ -1,10 +1,15 @@
-"""Measurement generation, WLS AC state estimation, and bad data detection.
+"""The network equations, measurement generation, WLS AC state estimation,
+and bad data detection.
 
-The measurement function h maps a full voltage state to every metered
-quantity; the estimator inverts it by damped Gauss-Newton on the weighted
-normal equations, under the trial rule it shares with the attack solver
-(`nlsolver.Damping`). State ordering throughout: all non-slack angles (case
-bus order) followed by all magnitudes; the slack angle is pinned at zero.
+The network equations are written once, in `MeasurementModel`: Newton-Raphson
+power flow, attack design and WLS read it, and the branch flows and bus
+injections of a state are the powers of the full layout's model
+(`network_powers`). The measurement function h maps a full voltage state to
+every metered quantity; the estimator inverts it by damped Gauss-Newton on
+the weighted normal equations, under the trial rule it shares with the
+attack solver (`nlsolver.Damping`). State ordering throughout: all non-slack
+angles (case bus order) followed by all magnitudes; the slack angle is
+pinned at zero.
 """
 
 from __future__ import annotations
@@ -19,9 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .banded import BlockBand, BlockCholesky, concat_ranges, read_only
-from .network import AdmittanceModel, NetworkCase, build_admittance
-from .nlsolver import Damping
-from .powerflow import StateVector, check_limits
+from .network import AdmittanceModel, NetworkCase, StateVector, build_admittance
+from .nlsolver import Damping, check_limits
 
 KINDS = ("Pflow", "Qflow", "Pinj", "Qinj", "Vmag", "Vang")
 # a Layout stores each row's kind as its position in KINDS
@@ -449,9 +453,6 @@ class MeasurementModel:
         ang_pos = self.pattern._ang_pos
         return np.concatenate([np.searchsorted(ang_pos, positions), len(ang_pos) + positions])
 
-    def x_of(self, state: StateVector) -> np.ndarray:
-        return np.concatenate([state.va[self.pattern._ang_pos], state.vm])
-
     def state_of(self, x: np.ndarray) -> StateVector:
         p = self.pattern
         n_ang = len(p._ang_pos)
@@ -586,6 +587,35 @@ class Evaluation:
         br[diag] += ir * ur + ii * ui
         bi[diag] += ir * ui - ii * ur
         return np.concatenate([-ai, ar, br, bi, [1.0]])[p._source]
+
+
+def full_layout_powers(evaluation: Evaluation, adm: AdmittanceModel) -> tuple[np.ndarray, ...]:
+    """Complex power (s_bus, s_from, s_to) at every bus in case order and at both
+    ends of every in-service branch, aligned with adm.branches, from an evaluation
+    of adm's full layout, whose current rows `LayoutPattern` orders as the Ybus
+    rows, the from ends, the to ends."""
+    s = evaluation.powers()
+    n, nl = adm.case.n_bus, len(adm.branches)
+    return s[:n], s[n : n + nl], s[n + nl :]
+
+
+def network_powers(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray, ...]:
+    """The `full_layout_powers` of adm's full layout at state."""
+    return full_layout_powers(MeasurementModel(adm, adm.full_layout).evaluate(state), adm)
+
+
+def bus_injection(
+    state: StateVector,
+    case: NetworkCase,
+    bus_id: int,
+    adm: AdmittanceModel | None = None,
+) -> tuple[float, float]:
+    """Net complex injection at a bus (generation minus load convention):
+    the sum of outgoing branch flows plus bus-shunt consumption."""
+    if adm is None:
+        adm = build_admittance(case)
+    s = network_powers(state, adm)[0][case.bus_index(bus_id)]
+    return float(s.real), float(s.imag)
 
 
 def eval_h(adm: AdmittanceModel, state: StateVector, layout: Layout) -> np.ndarray:

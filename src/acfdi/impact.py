@@ -23,9 +23,9 @@ from .estimation import (
     EstimationResult,
     chi_square_test,
     largest_normalized_residual,
+    network_powers,
 )
 from .network import AdmittanceModel, NetworkCase, build_admittance
-from .powerflow import network_powers
 from .zones import AttackZone
 
 SCHEMA = "impact/1"

@@ -1,4 +1,5 @@
-"""Grid model: MATPOWER case parsing, validation, and admittance assembly.
+"""Grid model: MATPOWER case parsing, validation, admittance assembly, and
+the voltage state in case bus order.
 
 Everything downstream works in per-unit on the system MVA base with angles
 in radians; conversion from the MW/MVAr/degree source format happens here.
@@ -15,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .artifacts import read_text, to_json
+from .artifacts import NUMBER, ConfigError, member, read_text, to_json
 
 BUS_KINDS = ("slack", "PV", "PQ")
 _MATPOWER_BUS_TYPE = {1: "PQ", 2: "PV", 3: "slack"}
@@ -120,6 +121,68 @@ class NetworkCase:
             elif br.to_bus == bus_id:
                 out.add(br.from_bus)
         return tuple(sorted(out))
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """Per-bus voltage magnitude (p.u.) and angle (radians), case bus order."""
+
+    bus_ids: tuple[int, ...]
+    vm: np.ndarray
+    va: np.ndarray
+
+    def __post_init__(self):
+        if len(self.bus_ids) != len(self.vm) or len(self.vm) != len(self.va):
+            raise ValueError("bus_ids, vm, va must have equal length")
+
+    @functools.cached_property
+    def _position(self) -> dict[int, int]:
+        return {b: i for i, b in enumerate(self.bus_ids)}
+
+    def index(self, bus_id: int) -> int:
+        try:
+            return self._position[bus_id]
+        except KeyError:
+            raise ValueError(f"bus {bus_id} is not in the state") from None
+
+    def magnitude(self, bus_id: int) -> float:
+        return float(self.vm[self.index(bus_id)])
+
+    def angle(self, bus_id: int) -> float:
+        return float(self.va[self.index(bus_id)])
+
+    def complex_voltages(self) -> np.ndarray:
+        return self.vm * np.exp(1j * self.va)
+
+    def to_dict(self) -> dict:
+        return {
+            "buses": [
+                {"id": b, "vm": vm, "va": va}
+                for b, vm, va in zip(
+                    self.bus_ids,
+                    np.asarray(self.vm, dtype=float).tolist(),
+                    np.asarray(self.va, dtype=float).tolist(),
+                )
+            ]
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict, where: str = "state") -> "StateVector":
+        """The state that `to_dict` wrote; a missing or mistyped field raises
+        ConfigError naming it."""
+        rows = [
+            (member(row, "id", int, f"{where} buses[{i}]"),
+             member(row, "vm", float, f"{where} buses[{i}]"),
+             member(row, "va", float, f"{where} buses[{i}]"))
+            for i, row in enumerate(member(doc, "buses", list, where))
+        ]
+        if not rows:
+            raise ConfigError(f"{where} field 'buses' is empty")
+        bus_ids, vm, va = zip(*rows)
+        for i, magnitude in enumerate(vm):
+            if magnitude <= 0:
+                raise ConfigError(f"{where} buses[{i}] field 'vm' must be positive")
+        return cls(bus_ids=bus_ids, vm=np.array(vm), va=np.array(va))
 
 
 def _extract_table(text: str, name: str) -> list[list[float]]:
@@ -334,19 +397,53 @@ def case_to_json(case: NetworkCase) -> str:
 
 
 def case_from_json(text: str) -> NetworkCase:
+    """The case of a `case_to_json` text. A field that is missing or not of
+    its kind raises CaseParseError naming its row and field."""
     try:
         case = _case_of_doc(json.loads(text))
-        validate_case(case)
-    except CaseError:
-        raise
-    except KeyError as exc:
-        raise CaseParseError(f"case JSON field {exc} is missing") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except ValueError as exc:  # a JSON syntax error or a field's ConfigError
         raise CaseParseError(f"case JSON is malformed: {exc}") from None
+    validate_case(case)
     return case
 
 
-def _case_of_doc(doc: dict) -> NetworkCase:
+# each case JSON table's fields and their kinds (`artifacts.typed`); a
+# number may be any JSON number, as a MATPOWER table may hold Inf or NaN
+_BUS_FIELDS = {
+    "id": int, "kind": str, **dict.fromkeys(["pd", "qd", "gs", "bs", "vmin", "vmax"], NUMBER),
+}
+_BRANCH_FIELDS = {
+    "from": int, "to": int, **dict.fromkeys(["r", "x", "b", "tap", "shift", "rating"], NUMBER),
+    "status": bool,
+}
+_GEN_FIELDS = {
+    "bus": int, **dict.fromkeys(["pg", "qg", "vset", "qmin", "qmax", "pmin", "pmax"], NUMBER),
+    "status": bool,
+}
+
+
+def _table(doc, name: str, fields: dict) -> list[dict]:
+    """doc[name], each row checked to hold its fields of their kinds. The
+    values are only checked, never converted, so a case that loads is the
+    model its file describes bit for bit."""
+    rows = member(doc, name, list, "case")
+    for i, row in enumerate(rows):
+        for key, kind in fields.items():
+            member(row, key, kind, f"{name}[{i}]")
+    return rows
+
+
+def _case_of_doc(doc) -> NetworkCase:
+    member(doc, "base_mva", NUMBER, "case")
+    buses = _table(doc, "buses", _BUS_FIELDS)
+    branches = _table(doc, "branches", _BRANCH_FIELDS)
+    gens = _table(doc, "gens", _GEN_FIELDS)
+    for i, b in enumerate(buses):
+        if b["kind"] not in BUS_KINDS:
+            raise ConfigError(f"buses[{i}] field 'kind' must be one of {', '.join(BUS_KINDS)}")
+    for i, br in enumerate(branches):
+        if br["tap"] == 0:
+            raise ConfigError(f"branches[{i}] field 'tap' must not be 0")
     return NetworkCase(
         base_mva=doc["base_mva"],
         buses=tuple(
@@ -354,7 +451,7 @@ def _case_of_doc(doc: dict) -> NetworkCase:
                 id=b["id"], kind=b["kind"], pd=b["pd"], qd=b["qd"],
                 gs=b["gs"], bs=b["bs"], vmin=b["vmin"], vmax=b["vmax"],
             )
-            for b in doc["buses"]
+            for b in buses
         ),
         branches=tuple(
             Branch(
@@ -362,7 +459,7 @@ def _case_of_doc(doc: dict) -> NetworkCase:
                 b=br["b"], tap=br["tap"], shift=br["shift"],
                 rating=br["rating"], status=br["status"], index=i,
             )
-            for i, br in enumerate(doc["branches"])
+            for i, br in enumerate(branches)
         ),
         gens=tuple(
             Gen(
@@ -370,7 +467,7 @@ def _case_of_doc(doc: dict) -> NetworkCase:
                 qmin=g["qmin"], qmax=g["qmax"], pmin=g["pmin"], pmax=g["pmax"],
                 status=g["status"],
             )
-            for g in doc["gens"]
+            for g in gens
         ),
         name=doc.get("name", "case"),
     )
@@ -490,10 +587,3 @@ def build_admittance(case: NetworkCase) -> AdmittanceModel:
         yff=yff, yft=yft, ytf=ytf, ytt=ytt, f_idx=f_idx, t_idx=t_idx,
     )
 
-
-def row_sums(row: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
-    """The complex terms summed per row, each row's in the order given."""
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(row, terms.real, size)
-    out.imag = np.bincount(row, terms.imag, size)
-    return out

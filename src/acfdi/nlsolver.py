@@ -150,6 +150,14 @@ class Damping:
         return None
 
 
+def check_limits(tol: float, max_iter: int) -> None:
+    """Raise ValueError unless 0 < tol < inf (a nan fails) and max_iter >= 1."""
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    if not max_iter >= 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 def _project(z: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(z, lower), upper)
 

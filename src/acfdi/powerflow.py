@@ -1,92 +1,25 @@
-"""AC power flow: Newton-Raphson solution, branch flows, bus injections.
+"""AC power flow: Newton-Raphson from a flat start.
 
-Every evaluator here reads a measurement model compiled against the
-admittance model: branch flows and bus injections are the powers of the full
-layout's model (`network_powers`), and the Newton-Raphson mismatch and
-Jacobian come from the model of its own rows. No network equation is written
-in this module.
+The mismatch and its Jacobian come from the measurement model of the Newton
+rows (`estimation.MeasurementModel`); no network equation is written in this
+module. The branch flows and bus injections of a solved state are read from
+the full layout's model (`estimation.network_powers`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .artifacts import ConfigError, member
 from .banded import BlockBand, block_lu_solve, read_only
-from .network import AdmittanceModel, NetworkCase, build_admittance
-
-if TYPE_CHECKING:
-    from .estimation import Evaluation
+from .estimation import KIND_CODE, Evaluation, Layout, MeasurementModel, layout_pattern, shared
+from .network import AdmittanceModel, NetworkCase, StateVector, build_admittance
+from .nlsolver import check_limits
 
 
 class PowerFlowError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Per-bus voltage magnitude (p.u.) and angle (radians), case bus order."""
-
-    bus_ids: tuple[int, ...]
-    vm: np.ndarray
-    va: np.ndarray
-
-    def __post_init__(self):
-        if len(self.bus_ids) != len(self.vm) or len(self.vm) != len(self.va):
-            raise ValueError("bus_ids, vm, va must have equal length")
-
-    @cached_property
-    def _position(self) -> dict[int, int]:
-        return {b: i for i, b in enumerate(self.bus_ids)}
-
-    def index(self, bus_id: int) -> int:
-        try:
-            return self._position[bus_id]
-        except KeyError:
-            raise ValueError(f"bus {bus_id} is not in the state") from None
-
-    def magnitude(self, bus_id: int) -> float:
-        return float(self.vm[self.index(bus_id)])
-
-    def angle(self, bus_id: int) -> float:
-        return float(self.va[self.index(bus_id)])
-
-    def complex_voltages(self) -> np.ndarray:
-        return self.vm * np.exp(1j * self.va)
-
-    def to_dict(self) -> dict:
-        return {
-            "buses": [
-                {"id": b, "vm": vm, "va": va}
-                for b, vm, va in zip(
-                    self.bus_ids,
-                    np.asarray(self.vm, dtype=float).tolist(),
-                    np.asarray(self.va, dtype=float).tolist(),
-                )
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict, where: str = "state") -> "StateVector":
-        """The state that `to_dict` wrote; a missing or mistyped field raises
-        ConfigError naming it."""
-        rows = [
-            (member(row, "id", int, f"{where} buses[{i}]"),
-             member(row, "vm", float, f"{where} buses[{i}]"),
-             member(row, "va", float, f"{where} buses[{i}]"))
-            for i, row in enumerate(member(doc, "buses", list, where))
-        ]
-        if not rows:
-            raise ConfigError(f"{where} field 'buses' is empty")
-        bus_ids, vm, va = zip(*rows)
-        for i, magnitude in enumerate(vm):
-            if magnitude <= 0:
-                raise ConfigError(f"{where} buses[{i}] field 'vm' must be positive")
-        return cls(bus_ids=bus_ids, vm=np.array(vm), va=np.array(va))
 
 
 @dataclass(frozen=True)
@@ -135,9 +68,6 @@ class _NewtonPattern:
     the bus kinds of adm's case; holds no admittance model or value."""
 
     def __init__(self, adm: AdmittanceModel):
-        # imported here because estimation imports StateVector from this module
-        from .estimation import KIND_CODE, Layout, layout_pattern
-
         buses = adm.case.buses
         kinds = np.array([b.kind for b in buses])
         self.pq = np.flatnonzero(kinds == "PQ")
@@ -177,8 +107,6 @@ class _NewtonEquations:
     """
 
     def __init__(self, case: NetworkCase, adm: AdmittanceModel):
-        from .estimation import MeasurementModel, shared
-
         shape = shared((adm.topology, "newton"), lambda: _NewtonPattern(adm))
         self.pq, self.pvpq, self.m = shape.pq, shape.pvpq, shape.m
         self.rows, self.cols = shape.rows, shape.cols
@@ -225,14 +153,6 @@ class _NewtonEquations:
                 f"{error / scale:.1e} relative)"
             )
         return dx
-
-
-def check_limits(tol: float, max_iter: int) -> None:
-    """Raise ValueError unless 0 < tol < inf (a nan fails) and max_iter >= 1."""
-    if not 0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite")
-    if not max_iter >= 1:
-        raise ValueError("max_iter must be at least 1")
 
 
 def newton_power_flow(
@@ -285,33 +205,3 @@ def solve_power_flow(
 ) -> StateVector:
     """The state newton_power_flow converges to; limits are its tol and max_iter."""
     return newton_power_flow(case, adm, **limits).state
-
-
-def full_layout_powers(evaluation: Evaluation, adm: AdmittanceModel) -> tuple[np.ndarray, ...]:
-    """Complex power (s_bus, s_from, s_to) at every bus in case order and at both
-    ends of every in-service branch, aligned with adm.branches, from an evaluation
-    of adm's full layout: its current rows are the Ybus rows, from ends, to ends."""
-    s = evaluation.powers()
-    n, nl = adm.case.n_bus, len(adm.branches)
-    return s[:n], s[n : n + nl], s[n + nl :]
-
-
-def network_powers(state: StateVector, adm: AdmittanceModel) -> tuple[np.ndarray, ...]:
-    """The `full_layout_powers` of adm's full layout at state."""
-    from .estimation import MeasurementModel  # estimation imports this module
-
-    return full_layout_powers(MeasurementModel(adm, adm.full_layout).evaluate(state), adm)
-
-
-def bus_injection(
-    state: StateVector,
-    case: NetworkCase,
-    bus_id: int,
-    adm: AdmittanceModel | None = None,
-) -> tuple[float, float]:
-    """Net complex injection at a bus (generation minus load convention):
-    the sum of outgoing branch flows plus bus-shunt consumption."""
-    if adm is None:
-        adm = build_admittance(case)
-    s = network_powers(state, adm)[0][case.bus_index(bus_id)]
-    return float(s.real), float(s.imag)

@@ -8,8 +8,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from acfdi import estimation
 from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, design_attack
-from acfdi.network import build_admittance, load_bundled_case39
-from acfdi.powerflow import StateVector, network_powers, newton_power_flow
+from acfdi.estimation import network_powers
+from acfdi.network import StateVector, build_admittance, load_bundled_case39
+from acfdi.powerflow import newton_power_flow
 from acfdi.zones import validate_zone
 
 import reference39 as ref

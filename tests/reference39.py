@@ -285,7 +285,8 @@ def dense_newton_replay(case, adm, tol=1e-8, max_iter=20):
     returns (vm, va, mismatch history)."""
     import numpy as np
 
-    from acfdi.powerflow import StateVector, flat_start
+    from acfdi.network import StateVector
+    from acfdi.powerflow import flat_start
 
     start = flat_start(case)
     vm, va = start.vm.copy(), start.va.copy()

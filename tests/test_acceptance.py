@@ -16,6 +16,7 @@ import reference39 as ref
 from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, apply_attack, design_attack
 from acfdi.estimation import (
     MeasurementModel,
+    bus_injection,
     chi_square_test,
     chi_square_threshold,
     eval_h,
@@ -23,10 +24,11 @@ from acfdi.estimation import (
     full_layout,
     generate_measurements,
     largest_normalized_residual,
+    network_powers,
     wls_estimate,
 )
-from acfdi.network import build_admittance
-from acfdi.powerflow import StateVector, bus_injection, network_powers, solve_power_flow
+from acfdi.network import StateVector, build_admittance
+from acfdi.powerflow import solve_power_flow
 from conftest import flow_of, replace_buses, table_state
 from test_estimation import _chi2_ppf_oracle
 
@@ -278,7 +280,7 @@ def test_criterion_7_numerical_hygiene(case39, adm39, base39):
             state = StateVector(base39.bus_ids, vm, va)
             jac = eval_jacobian(adm39, state, layout)
             model = MeasurementModel(adm39, layout)
-            x0 = model.x_of(state)
+            x0 = np.concatenate([np.delete(va, case39.bus_index(case39.slack_bus)), vm])
             fd = np.empty_like(jac)
             for k in range(len(x0)):
                 xp, xm = x0.copy(), x0.copy()

@@ -14,9 +14,15 @@ from acfdi.attacks import (
     design_attack,
 )
 from acfdi import estimation
-from acfdi.estimation import MeasurementModel, full_layout, generate_measurements, wls_estimate
-from acfdi.network import build_admittance
-from acfdi.powerflow import StateVector, bus_injection, network_powers
+from acfdi.estimation import (
+    MeasurementModel,
+    bus_injection,
+    full_layout,
+    generate_measurements,
+    network_powers,
+    wls_estimate,
+)
+from acfdi.network import StateVector, build_admittance
 from acfdi.zones import build_zone
 from conftest import flow_of, record_evaluations, replace_buses, state_bytes
 

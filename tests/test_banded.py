@@ -21,8 +21,8 @@ from acfdi.estimation import (
     generate_measurements,
     wls_estimate,
 )
-from acfdi.network import build_admittance, load_bundled_case39
-from acfdi.powerflow import StateVector, newton_power_flow
+from acfdi.network import StateVector, build_admittance, load_bundled_case39
+from acfdi.powerflow import newton_power_flow
 
 from meshgrid import meshed_case
 

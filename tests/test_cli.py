@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from acfdi import case_to_json, load_bundled_case39
 from acfdi.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
@@ -561,6 +562,23 @@ def _state_with_magnitude(vm):
     return make
 
 
+def _case_json_with(table, row, key, value, command="pf"):
+    def make(tmp_path):
+        # each of these values failed unexpectedly (exit 1) when the case
+        # was solved, or, as a "pq" kind, was read without complaint
+        doc = json.loads(case_to_json(load_bundled_case39()))
+        doc[table][row][key] = value
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path), *(["--focal", "18"] if command == "zone" else [])]
+        return argv + ["--out", str(tmp_path / "o")], f"{table}[{row}] field '{key}'"
+
+    text = json.dumps(value)  # an integer too large for a float is named 1eN
+    label = text if len(text) < 20 else f"{text[0]}e{len(text) - 1}"
+    make.__name__ = f"_{command}_case_json_{table}_{key}_{label}"
+    return make
+
+
 @pytest.mark.parametrize(
     "make_input",
     [
@@ -576,6 +594,12 @@ def _state_with_magnitude(vm):
         _misspelled_zone_focal_beside_explicit_lists, _misspelled_target_lambda,
         _target_with_both_lambda_and_factor, _state_with_magnitude(-1.0),
         _state_with_magnitude(0.0),
+        _case_json_with("buses", 5, "kind", "pq"), _case_json_with("buses", 5, "kind", "pq", "zone"),
+        _case_json_with("buses", 5, "kind", None), _case_json_with("buses", 5, "pd", "1"),
+        _case_json_with("buses", 5, "gs", True), _case_json_with("branches", 3, "b", None),
+        _case_json_with("branches", 3, "shift", []), _case_json_with("branches", 3, "tap", 0),
+        _case_json_with("branches", 3, "status", 1), _case_json_with("gens", 2, "qg", {}),
+        _case_json_with("gens", 2, "vset", []), _case_json_with("buses", 5, "pd", 10**400),
     ],
     ids=lambda make: make.__name__.strip("_"),
 )
@@ -648,8 +672,7 @@ def test_import_loads_no_heavy_scipy_modules():
     # scipy.stats, scipy.linalg and scipy.sparse.linalg each add a large
     # share to the CLI's start-up time and memory; none is needed. Each
     # module is imported alone in a fresh interpreter, which also guards the
-    # edge from powerflow to estimation, which imports powerflow, against an
-    # import cycle.
+    # edge from powerflow to estimation against an import cycle.
     for module in ("acfdi.cli", "acfdi.powerflow", "acfdi.estimation"):
         code = (
             f"import sys, {module}; "
@@ -714,8 +737,6 @@ def test_tiled_scenario_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
     # fresh interpreters at 1 and 2 OpenBLAS threads; a dense LU of the
     # 135-wide power-flow Jacobian rounded differently at 2 threads and
     # moved 21 of the 25 files, the block LU keeps every file's bytes
-    from acfdi import case_to_json
-
     case_path = tmp_path / "case39x2.json"
     case_path.write_text(case_to_json(tiled_case39(2)))
     config = json.loads(BUNDLED.read_text())

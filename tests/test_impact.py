@@ -9,9 +9,8 @@ import pytest
 
 import reference39 as ref
 from acfdi.attacks import apply_attack, assemble_attack_vector
-from acfdi.estimation import generate_measurements, wls_estimate
+from acfdi.estimation import generate_measurements, network_powers, wls_estimate
 from acfdi.impact import ReportError, compute_impact, render_report
-from acfdi.powerflow import network_powers
 from conftest import flow_of, record_evaluations, state_bytes
 from acfdi.zones import validate_zone
 

@@ -24,11 +24,12 @@ from acfdi.estimation import (
     chi_square_test,
     generate_measurements,
     largest_normalized_residual,
+    network_powers,
     wls_estimate,
 )
 from acfdi.impact import compute_impact
-from acfdi.network import NetworkCase, build_admittance, load_bundled_case39
-from acfdi.powerflow import StateVector, _NewtonEquations, network_powers, newton_power_flow
+from acfdi.network import NetworkCase, StateVector, build_admittance, load_bundled_case39
+from acfdi.powerflow import _NewtonEquations, newton_power_flow
 from acfdi.zones import validate_zone
 
 _CASE = load_bundled_case39()

@@ -6,14 +6,19 @@ import pytest
 
 import reference39 as ref
 from acfdi.cli import EXIT_ESTIMATOR, main
-from acfdi.network import Bus, NetworkCase, build_admittance, load_bundled_case39, parse_case
+from acfdi.estimation import bus_injection, network_powers
+from acfdi.network import (
+    Bus,
+    NetworkCase,
+    StateVector,
+    build_admittance,
+    load_bundled_case39,
+    parse_case,
+)
 from acfdi.powerflow import (
     PowerFlowError,
-    StateVector,
     _NewtonEquations,
-    bus_injection,
     flat_start,
-    network_powers,
     newton_power_flow,
     solve_power_flow,
 )
