@@ -11,7 +11,8 @@ encoded string never holds a raw newline (it is written as \\n), so every
 raw newline of the C encoding is a separator.
 
 Input files are read through `read_text`, and their fields through `member`
-and `typed`, which raise `ConfigError` naming the file or the field at fault.
+and `typed`, which raise `ConfigError` naming the file or the field at fault;
+`typed_column` tests a table's column in one pass.
 """
 
 from __future__ import annotations
@@ -65,6 +66,23 @@ def typed(value, kind: type, label: str):
     if not valid:
         raise ConfigError(f"{label} must be {_KIND_NAMES[kind]}")
     return value
+
+
+# the value types that `typed` takes as each kind, by exact type
+_TYPES = {int: {int}, str: {str}, bool: {bool}, NUMBER: {int, float}}
+
+
+def typed_column(values, kind: type) -> bool:
+    """Whether `typed` takes each of values as kind (int, str, bool or
+    NUMBER), tested over the whole column at once. A value of a subclass
+    reads as False, so a False only says that `typed` must look row by row."""
+    types = set(map(type, values))
+    if not types <= _TYPES[kind]:
+        return False
+    if kind is NUMBER and int in types:
+        ints = [v for v in values if type(v) is int]
+        return -_FLOAT_MAX <= min(ints) and max(ints) <= _FLOAT_MAX  # as `typed` bounds them
+    return True
 
 
 def member(doc, key: str, kind: type, where: str):

@@ -409,6 +409,4 @@ def apply_attack(ms: MeasurementSet, av: AttackVector) -> MeasurementSet:
         rows = [ms.layout.position[meas_id] for meas_id in av.deltas]
     except KeyError as exc:
         raise AttackError(f"measurement set has no id {exc.args[0]!r}") from None
-    values = ms.values.copy()
-    values[rows] += list(av.deltas.values())
-    return MeasurementSet(ms.layout, values, ms.variances)
+    return ms.shifted(rows, list(av.deltas.values()))

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible attack design,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -650,10 +651,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that `main` reads: built once per process, since parsing
+    leaves it as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, CaseError, ZoneError, json.JSONDecodeError, FileNotFoundError) as exc:

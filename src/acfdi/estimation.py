@@ -145,15 +145,35 @@ class MeasurementSet:
     def m(self) -> int:
         return len(self.layout)
 
-    def to_csv(self) -> str:
-        """The set as CSV, one row per layout row. A float's repr needs no
-        quoting, so only the layout's columns go through `csv.writer`."""
-        variances = self.variances.tolist()
+    def shifted(self, rows: list[int], deltas: list[float]) -> "MeasurementSet":
+        """This set with deltas added to the values of rows, which are
+        distinct positions; the variances stay. Its CSV reformats only those
+        rows and takes every other row's line from this set's."""
+        values = self.values.copy()
+        values[rows] += deltas
+        derived = MeasurementSet(self.layout, values, self.variances)
+        object.__setattr__(derived, "_shifted_from", (self, rows))
+        return derived
+
+    @functools.cached_property
+    def _lines(self) -> list[str]:
+        """Each row's CSV line. A float's repr needs no quoting, so only the
+        layout's columns go through `csv.writer`."""
+        prefixes = self.layout.csv_prefixes
+        values, variances = self.values.tolist(), self.variances.tolist()
         text = {v: repr(v) for v in set(variances)}
-        rows = zip(self.layout.csv_prefixes, self.values.tolist(), variances)
-        return "id,kind,location,value,variance\n" + "".join(
-            [f"{prefix}{value!r},{text[var]}\n" for prefix, value, var in rows]
-        )
+        source, rows = self.__dict__.get("_shifted_from", (None, ()))
+        if source is None:
+            return [f"{prefix}{value!r},{text[var]}\n"
+                    for prefix, value, var in zip(prefixes, values, variances)]
+        lines = list(source._lines)
+        for i in rows:
+            lines[i] = f"{prefixes[i]}{values[i]!r},{text[variances[i]]}\n"
+        return lines
+
+    def to_csv(self) -> str:
+        """The set as CSV, one row per layout row."""
+        return "id,kind,location,value,variance\n" + "".join(self._lines)
 
 
 def measurement_set_from_csv(text: str, layout: Layout) -> MeasurementSet:

@@ -53,13 +53,16 @@ def _flows(powers: tuple[np.ndarray, ...]) -> list[dict]:
     return [dict(zip(("pf", "qf", "pt", "qt"), flow)) for flow in zip(*parts)]
 
 
-def _loading(flow: dict, rating: float | None) -> float | None:
-    """Percent of rating carried by the larger apparent power of the two ends."""
-    if rating is None:
-        return None
-    sf = float(np.hypot(flow["pf"], flow["qf"]))
-    st = float(np.hypot(flow["pt"], flow["qt"]))
-    return 100.0 * max(sf, st) / rating
+def _loadings(powers: tuple[np.ndarray, ...], ratings: np.ndarray) -> list[float | None]:
+    """Each in-service branch's percent of rating carried by the larger
+    apparent power of its two ends, from the `network_powers` triple of a
+    state; None where ratings holds no positive rating."""
+    _, sf, st = powers
+    larger = np.maximum(np.hypot(sf.real, sf.imag), np.hypot(st.real, st.imag))
+    rated = ratings > 0
+    loading = np.zeros(len(ratings))
+    loading[rated] = 100.0 * larger[rated] / ratings[rated]
+    return [x if r else None for x, r in zip(loading.tolist(), rated.tolist())]
 
 
 def compute_impact(
@@ -91,8 +94,13 @@ def compute_impact(
     rows = []  # in adm.branches order
     powers_base = network_powers(base, adm)
     powers_att = network_powers(av.x_attacked, adm)
-    s_base, s_att = powers_base[0], powers_att[0]
-    for br, before, after in zip(adm.branches, _flows(powers_base), _flows(powers_att)):
+    (s_base, sf_base, _), (s_att, sf_att, _) = powers_base, powers_att
+    ratings = np.array([br.rating for br in adm.branches])
+    for br, before, after, dp, dq, loading_base, loading_att in zip(
+        adm.branches, _flows(powers_base), _flows(powers_att),
+        (sf_att.real - sf_base.real).tolist(), (sf_att.imag - sf_base.imag).tolist(),
+        _loadings(powers_base, ratings), _loadings(powers_att, ratings),
+    ):
         rating = br.rating if br.rating > 0 else None
         if rating is None:
             notes.append(f"branch {br.from_bus}-{br.to_bus} has no rating; loading omitted")
@@ -102,21 +110,24 @@ def compute_impact(
                 "role": role_of.get(br.index, "exterior"),
                 "rating": rating,
                 "base": before, "attacked": after,
-                "dp": after["pf"] - before["pf"], "dq": after["qf"] - before["qf"],
-                "loading_base": _loading(before, rating),
-                "loading_attacked": _loading(after, rating),
+                "dp": dp, "dq": dq,
+                "loading_base": loading_base,
+                "loading_attacked": loading_att,
             }
         )
 
     falsified = compute_falsified_injections(case, zone, adm, powers_base, powers_att)
     buses = []
-    for i, b in enumerate(case.buses):
+    for b, p_base, q_base, p_att, q_att in zip(
+        case.buses, s_base.real.tolist(), s_base.imag.tolist(),
+        s_att.real.tolist(), s_att.imag.tolist(),
+    ):
         fal = falsified.get(b.id)
         buses.append(
             {
                 "bus": b.id, "role": _bus_role(b.id, zone),
-                "p_base": float(s_base[i].real), "q_base": float(s_base[i].imag),
-                "p_attacked": float(s_att[i].real), "q_attacked": float(s_att[i].imag),
+                "p_base": p_base, "q_base": q_base,
+                "p_attacked": p_att, "q_attacked": q_att,
                 "p_falsified": None if fal is None else fal[0],
                 "q_falsified": None if fal is None else fal[1],
             }

@@ -10,16 +10,23 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .artifacts import NUMBER, ConfigError, member, read_text, to_json
+from .artifacts import NUMBER, ConfigError, member, read_text, to_json, typed_column
 
 BUS_KINDS = ("slack", "PV", "PQ")
 _MATPOWER_BUS_TYPE = {1: "PQ", 2: "PV", 3: "slack"}
+# how a MATPOWER case's errors name a row of each table
+_MATPOWER_ROW = {
+    "buses": lambda b: f"bus {b.id}",
+    "branches": lambda br: f"branch {br.from_bus}-{br.to_bus}",
+    "gens": lambda g: f"generator at bus {g.bus}",
+}
 
 
 class CaseError(ValueError):
@@ -296,6 +303,7 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
         name=name,
     )
     validate_case(case)
+    _check_values(case, lambda table, i: _MATPOWER_ROW[table](getattr(case, table)[i]))
     return case
 
 
@@ -398,17 +406,24 @@ def case_to_json(case: NetworkCase) -> str:
 
 def case_from_json(text: str) -> NetworkCase:
     """The case of a `case_to_json` text. A field that is missing or not of
-    its kind raises CaseParseError naming its row and field."""
+    its kind raises CaseParseError naming its row and field, and a value that
+    no stage can use (`_check_values`) CaseValidationError."""
     try:
         case = _case_of_doc(json.loads(text))
     except ValueError as exc:  # a JSON syntax error or a field's ConfigError
         raise CaseParseError(f"case JSON is malformed: {exc}") from None
     validate_case(case)
+    if not 0 < case.base_mva < math.inf:
+        raise CaseValidationError(
+            f"case field 'base_mva' must be positive and finite, got {case.base_mva}"
+        )
+    _check_values(case, lambda table, i: f"{table}[{i}]")
     return case
 
 
-# each case JSON table's fields and their kinds (`artifacts.typed`); a
-# number may be any JSON number, as a MATPOWER table may hold Inf or NaN
+# each case JSON table's fields and their kinds (`artifacts.typed`), in the
+# order of its dataclass's fields; a number may be any JSON number, as a
+# MATPOWER table may hold Inf or NaN
 _BUS_FIELDS = {
     "id": int, "kind": str, **dict.fromkeys(["pd", "qd", "gs", "bs", "vmin", "vmax"], NUMBER),
 }
@@ -422,55 +437,78 @@ _GEN_FIELDS = {
 }
 
 
-def _table(doc, name: str, fields: dict) -> list[dict]:
-    """doc[name], each row checked to hold its fields of their kinds. The
-    values are only checked, never converted, so a case that loads is the
-    model its file describes bit for bit."""
+def _table(doc, name: str, fields: dict) -> list[tuple]:
+    """doc[name]'s rows, each as the tuple of its fields' values, checked to
+    be of their kinds. Each field is checked over its whole column; only when
+    a column fails does the row loop run, to name the first row and field at
+    fault. The values are only checked, never converted, so a case that loads
+    is the model its file describes bit for bit."""
     rows = member(doc, name, list, "case")
-    for i, row in enumerate(rows):
-        for key, kind in fields.items():
-            member(row, key, kind, f"{name}[{i}]")
-    return rows
+    try:
+        values = list(map(operator.itemgetter(*fields), rows))
+    except (KeyError, TypeError):  # a missing field, or a row that is no JSON object
+        values = None
+    if values is None or not all(
+        typed_column(column, kind) for column, kind in zip(zip(*values), fields.values())
+    ):
+        for i, row in enumerate(rows):
+            for key, kind in fields.items():
+                member(row, key, kind, f"{name}[{i}]")
+    return values
 
 
 def _case_of_doc(doc) -> NetworkCase:
     member(doc, "base_mva", NUMBER, "case")
-    buses = _table(doc, "buses", _BUS_FIELDS)
-    branches = _table(doc, "branches", _BRANCH_FIELDS)
-    gens = _table(doc, "gens", _GEN_FIELDS)
+    buses = tuple(Bus(*row) for row in _table(doc, "buses", _BUS_FIELDS))
+    branches = tuple(
+        Branch(*row, index=i) for i, row in enumerate(_table(doc, "branches", _BRANCH_FIELDS))
+    )
+    gens = tuple(Gen(*row) for row in _table(doc, "gens", _GEN_FIELDS))
     for i, b in enumerate(buses):
-        if b["kind"] not in BUS_KINDS:
+        if b.kind not in BUS_KINDS:
             raise ConfigError(f"buses[{i}] field 'kind' must be one of {', '.join(BUS_KINDS)}")
     for i, br in enumerate(branches):
-        if br["tap"] == 0:
+        if br.tap == 0:
             raise ConfigError(f"branches[{i}] field 'tap' must not be 0")
     return NetworkCase(
-        base_mva=doc["base_mva"],
-        buses=tuple(
-            Bus(
-                id=b["id"], kind=b["kind"], pd=b["pd"], qd=b["qd"],
-                gs=b["gs"], bs=b["bs"], vmin=b["vmin"], vmax=b["vmax"],
-            )
-            for b in buses
-        ),
-        branches=tuple(
-            Branch(
-                from_bus=br["from"], to_bus=br["to"], r=br["r"], x=br["x"],
-                b=br["b"], tap=br["tap"], shift=br["shift"],
-                rating=br["rating"], status=br["status"], index=i,
-            )
-            for i, br in enumerate(branches)
-        ),
-        gens=tuple(
-            Gen(
-                bus=g["bus"], pg=g["pg"], qg=g["qg"], vset=g["vset"],
-                qmin=g["qmin"], qmax=g["qmax"], pmin=g["pmin"], pmax=g["pmax"],
-                status=g["status"],
-            )
-            for g in gens
-        ),
+        base_mva=doc["base_mva"], buses=buses, branches=branches, gens=gens,
         name=doc.get("name", "case"),
     )
+
+
+# what each model field that a stage reads must hold: power flow reads the
+# finite ones; attack design and impact read the bounds and the rating, which
+# may be infinite (no limit) but not NaN. No stage reads qmin, qmax, pmin or
+# pmax, which a MATPOWER table may leave infinite or NaN
+_VALUE_RULES = {
+    "buses": {**dict.fromkeys(("pd", "qd", "gs", "bs"), "finite"),
+              **dict.fromkeys(("vmin", "vmax"), "not NaN")},
+    "branches": {**dict.fromkeys(("r", "x", "b", "tap", "shift"), "finite"), "rating": "not NaN"},
+    "gens": {"pg": "finite", "qg": "finite", "vset": "positive"},
+}
+# each rule's test of a column, and how it names a value that fails it
+_VALUE_TESTS = {
+    "finite": (np.isfinite, "must be finite"),
+    "not NaN": (lambda column: ~np.isnan(column), "must not be NaN"),
+    "positive": (lambda column: np.isfinite(column) & (column > 0), "must be positive and finite"),
+}
+
+
+def _check_values(case: NetworkCase, row_name) -> None:
+    """Raise CaseValidationError naming the first row (by row_name(table, i))
+    and field of case whose value no stage can use (`_VALUE_RULES`). Each
+    field is tested over its whole column."""
+    for table, rules in _VALUE_RULES.items():
+        rows = getattr(case, table)
+        values = np.array(list(map(operator.attrgetter(*rules), rows)), dtype=float)
+        holds = np.column_stack([
+            _VALUE_TESTS[rule][0](column)
+            for rule, column in zip(rules.values(), values.reshape(len(rows), len(rules)).T)
+        ])
+        if not holds.all():
+            i, j = np.argwhere(~holds)[0]
+            key, rule = list(rules.items())[j]
+            raise CaseValidationError(f"{row_name(table, i)} field '{key}' {_VALUE_TESTS[rule][1]}")
 
 
 @dataclass(frozen=True)

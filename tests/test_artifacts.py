@@ -8,6 +8,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acfdi import artifacts, cli, impact, network
+from acfdi.attacks import apply_attack
 from acfdi.estimation import (
     KINDS,
     Layout,
@@ -169,6 +171,40 @@ def test_measurement_csv_round_trips_bit_for_bit(case39, base39):
     assert back.layout.ids == ms.layout.ids
     for name in ("values", "variances"):
         assert getattr(back, name).tobytes() == getattr(ms, name).tobytes()
+
+
+def _assert_fresh_and_round_trips(ms):
+    # the attacked text reuses its source's lines; a fresh set formats all
+    text = ms.to_csv()
+    assert text == MeasurementSet(ms.layout, ms.values, ms.variances).to_csv()
+    back = measurement_set_from_csv(text, ms.layout)
+    for name in ("values", "variances"):
+        assert getattr(back, name).tobytes() == getattr(ms, name).tobytes()
+
+
+def test_attacked_measurement_csv_equals_a_fresh_formatting(case39, base39, attack_optimal):
+    ms = generate_measurements(case39, base39, seed=11)  # default, noisy sigmas
+    ms.to_csv()
+    attacked = apply_attack(ms, attack_optimal)
+    assert attacked.values.tobytes() != ms.values.tobytes()
+    _assert_fresh_and_round_trips(attacked)
+    # a set derived from a derived set, and one whose source never wrote
+    _assert_fresh_and_round_trips(apply_attack(attacked, attack_optimal))
+    _assert_fresh_and_round_trips(apply_attack(generate_measurements(case39, base39), attack_optimal))
+
+
+def test_attacked_measurement_csv_rewrites_every_attacked_row():
+    # a zero delta turns -0.0 into 0.0, which repr tells apart
+    layout = Layout.from_rows([(f"Vmag:{k}", KINDS.index("Vmag"), k, False) for k in range(5)])
+    ms = MeasurementSet(layout, [-0.0, 1.0, 1e-300, -0.0, 2.5], np.full(5, 1e-4))
+    ms.to_csv()
+    attack = SimpleNamespace(deltas={"Vmag:0": 0.0, "Vmag:2": 1e-300, "Vmag:4": -2.5})
+    attacked = apply_attack(ms, attack)
+    _assert_fresh_and_round_trips(attacked)
+    assert attacked.to_csv().splitlines()[1:] == [
+        "Vmag:0,Vmag,0,0.0,0.0001", "Vmag:1,Vmag,1,1.0,0.0001", "Vmag:2,Vmag,2,2e-300,0.0001",
+        "Vmag:3,Vmag,3,-0.0,0.0001", "Vmag:4,Vmag,4,0.0,0.0001",
+    ]
 
 
 def test_measurement_csv_quotes_ids_as_csv_writer_does():

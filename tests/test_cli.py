@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -579,6 +580,40 @@ def _case_json_with(table, row, key, value, command="pf"):
     return make
 
 
+def _case_json_base_mva(value):
+    def make(tmp_path):
+        # a case JSON with such a base loaded (exit 0), where the MATPOWER
+        # reader refuses it
+        doc = json.loads(case_to_json(load_bundled_case39()))
+        doc["base_mva"] = value
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        return ["pf", str(path), "--out", str(tmp_path / "o")], "case field 'base_mva'"
+
+    make.__name__ = f"_pf_case_json_base_mva_{json.dumps(value)}"
+    return make
+
+
+def _case_m_with(table, row, column, token, named):
+    def make(tmp_path):
+        # one entry of a case39.m table replaced; named is how the error names
+        # the row and field
+        text = (Path(__file__).parent.parent / "src" / "acfdi" / "data" / "case39.m").read_text()
+        head, rest = text.split(f"mpc.{table} = [", 1)
+        body, tail = rest.split("];", 1)
+        lines = body.split("\n")
+        rows = [i for i, line in enumerate(lines) if line.split("%")[0].strip()]
+        tokens = lines[rows[row]].split()
+        tokens[column] = token
+        lines[rows[row]] = "\t".join(tokens)
+        path = tmp_path / "case.m"
+        path.write_text(f"{head}mpc.{table} = [" + "\n".join(lines) + "];" + tail)
+        return ["pf", str(path), "--out", str(tmp_path / "o")], named
+
+    make.__name__ = f"_pf_case_m_{table}_{column}_{token}"
+    return make
+
+
 @pytest.mark.parametrize(
     "make_input",
     [
@@ -600,6 +635,20 @@ def _case_json_with(table, row, key, value, command="pf"):
         _case_json_with("branches", 3, "shift", []), _case_json_with("branches", 3, "tap", 0),
         _case_json_with("branches", 3, "status", 1), _case_json_with("gens", 2, "qg", {}),
         _case_json_with("gens", 2, "vset", []), _case_json_with("buses", 5, "pd", 10**400),
+        # values no stage can use: each exited 4 in power flow, or 0
+        *(_case_json_with("buses", 5, key, value)
+          for key, value in (("pd", math.nan), ("qd", math.inf), ("gs", -math.inf),
+                             ("bs", math.nan), ("vmin", math.nan), ("vmax", math.nan))),
+        *(_case_json_with("branches", 3, key, value)
+          for key, value in (("r", math.nan), ("x", math.nan), ("r", math.inf), ("b", math.inf),
+                             ("shift", math.nan), ("tap", -math.inf), ("rating", math.nan))),
+        *(_case_json_with("gens", 2, key, value)
+          for key, value in (("pg", math.nan), ("qg", math.inf), ("vset", -1), ("vset", 0))),
+        _case_json_base_mva(0), _case_json_base_mva(-1), _case_json_base_mva(math.nan),
+        _case_m_with("bus", 5, 2, "NaN", "bus 6 field 'pd'"),
+        _case_m_with("bus", 5, 12, "nan", "bus 6 field 'vmin'"),
+        _case_m_with("branch", 3, 3, "Inf", "branch 2-25 field 'x'"),
+        _case_m_with("gen", 2, 5, "0", "generator at bus 32 field 'vset'"),
     ],
     ids=lambda make: make.__name__.strip("_"),
 )
@@ -717,6 +766,21 @@ def test_scenario_from_a_warm_pattern_cache_matches_a_fresh_process(tmp_path):
     assert len(fresh) == 25
     assert _tree_bytes(tmp_path / "cold") == fresh
     assert _tree_bytes(tmp_path / "warm") == fresh
+
+
+def test_pf_then_scenario_in_one_process_write_what_fresh_processes_write(tmp_path):
+    # main builds its parser once per process; a second call reads it again
+    for argv, name in ((["pf", "case39"], "pf.json"), (["scenario", "run", str(BUNDLED)], "run")):
+        subprocess.run(
+            [sys.executable, "-m", "acfdi.cli", *argv, "--out", str(tmp_path / "fresh" / name)],
+            check=True, capture_output=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", str(tmp_path / "one" / name)]) == EXIT_OK
+    fresh = _tree_bytes(tmp_path / "fresh")
+    assert len(fresh) == 1 + 25
+    assert _tree_bytes(tmp_path / "one") == fresh
 
 
 def test_cold_scenario_keeps_six_shared_entries(tmp_path):

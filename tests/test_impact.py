@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import re
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -8,11 +11,18 @@ import numpy as np
 import pytest
 
 import reference39 as ref
+from acfdi import cli, impact
 from acfdi.attacks import apply_attack, assemble_attack_vector
 from acfdi.estimation import generate_measurements, network_powers, wls_estimate
 from acfdi.impact import ReportError, compute_impact, render_report
+from acfdi.network import case_to_json
 from conftest import flow_of, record_evaluations, state_bytes
 from acfdi.zones import validate_zone
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
+from grids import tiled_case39  # noqa: E402
+
+SHIPPED = Path(__file__).parent.parent / "scenarios" / "case39_overload.json"
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +142,61 @@ def test_loading_formula(case39, report):
     assert row["loading_attacked"] == pytest.approx(100.0 * apparent(row["attacked"]) / 6.0)
     # the attack drives the target line harder
     assert row["loading_attacked"] > row["loading_base"]
+
+
+def _scalar_loading(flow: dict, rating):
+    """A branch's loading as the report computed it branch by branch, with
+    scalar hypot calls: the reference for the array-built `impact._loadings`."""
+    if rating is None:
+        return None
+    sf = float(np.hypot(flow["pf"], flow["qf"]))
+    st = float(np.hypot(flow["pt"], flow["qt"]))
+    return 100.0 * max(sf, st) / rating
+
+
+def _assert_scalar_loadings(doc):
+    for row in doc["branches"]:
+        for state in ("base", "attacked"):
+            expected = _scalar_loading(row[state], row["rating"])
+            assert repr(row[f"loading_{state}"]) == repr(expected), (row["from"], row["to"])
+
+
+def test_loadings_equal_the_scalar_formula_on_the_shipped_and_tile4_reports(report, tmp_path):
+    _assert_scalar_loadings(report)
+    case_path = tmp_path / "case39x4.json"
+    case_path.write_text(case_to_json(tiled_case39(4)))
+    config = json.loads(SHIPPED.read_text())
+    config.update(case=str(case_path), zone={"focal": [18, 26, 27, 28]})
+    (tmp_path / "tile4.json").write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()):
+        argv = ["scenario", "run", str(tmp_path / "tile4.json"), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_OK
+    for mode in ("optimal", "arbitrary"):
+        doc = json.loads((tmp_path / "out" / f"impact_{mode}.json").read_text())
+        assert len(doc["branches"]) == 4 * 46 + 3  # every copy's branches and the tie lines
+        _assert_scalar_loadings(doc)
+
+
+def test_loadings_equal_the_scalar_formula_on_extreme_flows():
+    # signed zeros, subnormals and 1e300 among ordinary flows; a host whose
+    # array hypot rounds other than its scalar hypot fails here
+    rng = np.random.default_rng(2024)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300]
+    n = 2000
+    parts = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-8, 8, (4, n))
+    picked = rng.random((4, n)) < 0.4
+    parts[picked] = rng.choice(special, picked.sum())
+    sf, st = np.empty(n, complex), np.empty(n, complex)
+    sf.real, sf.imag, st.real, st.imag = parts
+    ratings = rng.choice([0.0, -1.0, 0.01, 1.0, 6.0, 1e3], n) * rng.uniform(1, 2, n)
+    loadings = impact._loadings((None, sf, st), ratings)
+    flows = [dict(zip(("pf", "qf", "pt", "qt"), flow)) for flow in zip(*parts.tolist())]
+    expected = [
+        _scalar_loading(flow, rating if rating > 0 else None)
+        for flow, rating in zip(flows, ratings.tolist())
+    ]
+    assert list(map(repr, loadings)) == list(map(repr, expected))
+    assert {None, 0.0} <= set(loadings)
 
 
 def test_target_summary(report):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -6,14 +7,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference39 as ref
+from acfdi import network
+from acfdi.artifacts import NUMBER, ConfigError, member
 from acfdi.network import (
+    BUS_KINDS,
+    Branch,
+    Bus,
     CaseParseError,
     CaseValidationError,
+    Gen,
+    NetworkCase,
     build_admittance,
     case_from_json,
     case_to_json,
+    load_bundled_case39,
     parse_case,
 )
 from conftest import TWO_BUS_CASE
@@ -227,3 +238,93 @@ def test_case_json_is_valid_json(case39):
     doc = json.loads(case_to_json(case39))
     assert doc["base_mva"] == 100.0
     assert len(doc["buses"]) == 39
+
+
+def _case_of_doc_by_rows(doc):
+    """The case JSON reader as it checked each row and field in turn: the
+    reference for the column check of `network._case_of_doc`."""
+    member(doc, "base_mva", NUMBER, "case")
+    tables = {}
+    for name, fields in (("buses", network._BUS_FIELDS), ("branches", network._BRANCH_FIELDS),
+                         ("gens", network._GEN_FIELDS)):
+        tables[name] = member(doc, name, list, "case")
+        for i, row in enumerate(tables[name]):
+            for key, kind in fields.items():
+                member(row, key, kind, f"{name}[{i}]")
+    for i, b in enumerate(tables["buses"]):
+        if b["kind"] not in BUS_KINDS:
+            raise ConfigError(f"buses[{i}] field 'kind' must be one of {', '.join(BUS_KINDS)}")
+    for i, br in enumerate(tables["branches"]):
+        if br["tap"] == 0:
+            raise ConfigError(f"branches[{i}] field 'tap' must not be 0")
+    return NetworkCase(
+        base_mva=doc["base_mva"],
+        buses=tuple(
+            Bus(id=b["id"], kind=b["kind"], pd=b["pd"], qd=b["qd"], gs=b["gs"], bs=b["bs"],
+                vmin=b["vmin"], vmax=b["vmax"])
+            for b in tables["buses"]
+        ),
+        branches=tuple(
+            Branch(from_bus=br["from"], to_bus=br["to"], r=br["r"], x=br["x"], b=br["b"],
+                   tap=br["tap"], shift=br["shift"], rating=br["rating"], status=br["status"],
+                   index=i)
+            for i, br in enumerate(tables["branches"])
+        ),
+        gens=tuple(
+            Gen(bus=g["bus"], pg=g["pg"], qg=g["qg"], vset=g["vset"], qmin=g["qmin"],
+                qmax=g["qmax"], pmin=g["pmin"], pmax=g["pmax"], status=g["status"])
+            for g in tables["gens"]
+        ),
+        name=doc.get("name", "case"),
+    )
+
+
+_CASE39_DOC = json.loads(case_to_json(load_bundled_case39()))
+_MISSING = object()
+# ROADMAP item 5's value family, an int beyond float range and a missing key
+_SUBSTITUTES = [-1, 0, -0.0, 2.5, 1e308, math.nan, math.inf, "1", None, [], {}, True, 10**30,
+                10**400, _MISSING]
+# every table, row and field of case39's document, and base_mva
+_PLACES = [("base_mva",), *((t,) for t in ("buses", "branches", "gens"))] + [
+    (table, i, *key)
+    for table in ("buses", "branches", "gens")
+    for i, row in enumerate(_CASE39_DOC[table])
+    for key in [(), *((k,) for k in row)]
+]
+
+
+def _read(reader, doc):
+    try:
+        return reader(doc)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(_PLACES), st.sampled_from(_SUBSTITUTES)),
+                min_size=1, max_size=3))
+def test_column_check_reads_as_the_row_loop(substitutions):
+    # each substitution replaces (or, for the missing key, deletes) one table,
+    # row or field; the column check must take exactly what the row loop
+    # takes, give the same case for it, and name the same first row and field
+    doc = copy.deepcopy(_CASE39_DOC)
+    for place, value in substitutions:
+        *path, last = place
+        parent = doc
+        for step in path:  # an earlier substitution may have replaced the way
+            try:
+                parent = parent[step]
+            except (KeyError, IndexError, TypeError):
+                parent = None
+        if isinstance(parent, dict):
+            if value is _MISSING:
+                parent.pop(last, None)
+            else:
+                parent[last] = value
+        elif isinstance(parent, list) and last < len(parent):
+            if value is _MISSING:
+                del parent[last]
+            else:
+                parent[last] = value
+    expected = _read(_case_of_doc_by_rows, doc)
+    assert _read(network._case_of_doc, doc) == expected
