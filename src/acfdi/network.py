@@ -477,13 +477,15 @@ def _case_of_doc(doc) -> NetworkCase:
 
 
 # what each model field that a stage reads must hold: power flow reads the
-# finite ones; attack design and impact read the bounds and the rating, which
-# may be infinite (no limit) but not NaN. No stage reads qmin, qmax, pmin or
-# pmax, which a MATPOWER table may leave infinite or NaN
+# finite ones and needs a positive tap ratio and set-point voltage; attack
+# design and impact read the bounds and the rating, which may be infinite
+# (no limit) but not NaN. No stage reads qmin, qmax, pmin or pmax, which a
+# MATPOWER table may leave infinite or NaN
 _VALUE_RULES = {
     "buses": {**dict.fromkeys(("pd", "qd", "gs", "bs"), "finite"),
               **dict.fromkeys(("vmin", "vmax"), "not NaN")},
-    "branches": {**dict.fromkeys(("r", "x", "b", "tap", "shift"), "finite"), "rating": "not NaN"},
+    "branches": {"r": "finite", "x": "finite", "b": "finite", "tap": "positive",
+                 "shift": "finite", "rating": "not NaN"},
     "gens": {"pg": "finite", "qg": "finite", "vset": "positive"},
 }
 # each rule's test of a column, and how it names a value that fails it

@@ -644,11 +644,14 @@ def _case_m_with(table, row, column, token, named):
                              ("shift", math.nan), ("tap", -math.inf), ("rating", math.nan))),
         *(_case_json_with("gens", 2, key, value)
           for key, value in (("pg", math.nan), ("qg", math.inf), ("vset", -1), ("vset", 0))),
+        # a negative transformer ratio exited 4 in power flow
+        _case_json_with("branches", 3, "tap", -1),
         _case_json_base_mva(0), _case_json_base_mva(-1), _case_json_base_mva(math.nan),
         _case_m_with("bus", 5, 2, "NaN", "bus 6 field 'pd'"),
         _case_m_with("bus", 5, 12, "nan", "bus 6 field 'vmin'"),
         _case_m_with("branch", 3, 3, "Inf", "branch 2-25 field 'x'"),
         _case_m_with("gen", 2, 5, "0", "generator at bus 32 field 'vset'"),
+        _case_m_with("branch", 3, 8, "-1", "branch 2-25 field 'tap'"),
     ],
     ids=lambda make: make.__name__.strip("_"),
 )
@@ -735,15 +738,35 @@ def test_import_loads_no_heavy_scipy_modules():
         assert out.stdout.split() == [], module
 
 
-def test_cli_import_defers_scipy_special_to_the_chi_square_test():
-    # scipy.special costs about 0.4 s of start-up; only chi_square_threshold
-    # reads it, so `acfdi pf`, `zone` and `attack` never import it
+def test_cli_import_defers_scipy_special_to_the_chi_square_test(tmp_path):
+    # the scipy.special package costs about 0.2 s and 25 MB of start-up; the
+    # chi-square test loads only the extension module that holds gammaincinv,
+    # so no command imports the package: not `acfdi pf`, `zone` or `attack`,
+    # which run no chi-square test, nor `scenario run` and `estimate`
     code = "import sys, acfdi.cli; print('scipy.special' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stdout.split() == ["False"]
+    run = tmp_path / "run"
+    code = (
+        "import contextlib, io, sys\n"
+        "from acfdi.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['scenario', 'run', {str(BUNDLED)!r}, '--out', {str(run)!r}]) == 0\n"
+        f"    assert main(['estimate', 'case39', {str(run / 'measurements_clean.csv')!r},\n"
+        f"                 '--out', {str(tmp_path / 'estimate.json')!r}]) == 0\n"
+        "print('scipy.special' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.split() == ["False"]
+    # both commands ran the test: the threshold is scipy's chi2.ppf(0.95, 263)
+    bdd = json.loads((tmp_path / "estimate.json").read_text())["bdd"]
+    assert bdd["threshold"] == pytest.approx(301.8266, abs=1e-4)
 
 
 def test_scenario_from_a_warm_pattern_cache_matches_a_fresh_process(tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import weakref
 from pathlib import Path
@@ -376,6 +378,62 @@ def test_chi_square_threshold_matches_scipy_stats_bit_for_bit():
     for dof in (1, 2, 3, 10, 263, 1000, 20000):
         for conf in (0.5, 0.9, 0.95, 0.99, 0.999):
             assert chi_square_threshold(conf, dof) == float(stats.chi2.ppf(conf, df=dof))
+
+
+# a fresh interpreter's thresholds on the grid above against scipy.stats,
+# with the scipy.special package loaded (1) or not (0) after each step
+_ORDER_CODE = """
+import sys
+import scipy
+from importlib.machinery import PathFinder
+
+GRID = [(conf, dof) for dof in (1, 2, 3, 10, 263, 1000, 20000)
+        for conf in (0.5, 0.9, 0.95, 0.99, 0.999)]
+
+def thresholds():
+    from acfdi.estimation import chi_square_threshold
+    return [chi_square_threshold(conf, dof) for conf, dof in GRID]
+
+def ppfs():
+    from scipy import stats
+    return [float(stats.chi2.ppf(conf, df=dof)) for conf, dof in GRID]
+
+if sys.argv[1] == "fallback":
+    # the loader's lookup of the extension module finds nothing; the
+    # package's own import of it, in the fallback, finds it
+    real = PathFinder.__dict__["find_spec"]
+
+    def find_spec(name, path=None, target=None):
+        if name == "scipy.special._special_ufuncs":
+            PathFinder.find_spec = real
+            return None
+        return real.__get__(None, PathFinder)(name, path, target)
+
+    PathFinder.find_spec = staticmethod(find_spec)
+first, second = (ppfs, thresholds) if sys.argv[1] == "stats first" else (thresholds, ppfs)
+a = first()
+loaded = int("scipy.special" in sys.modules)
+b = second()
+print(loaded, int("scipy.special" in sys.modules), int(a == b))
+"""
+
+
+@pytest.mark.parametrize(
+    "order, loaded",
+    [("threshold first", "0 1 1"), ("stats first", "1 1 1"), ("fallback", "1 1 1")],
+    ids=["threshold first", "stats first", "fallback"],
+)
+def test_chi_square_threshold_is_scipys_in_either_import_order_and_from_the_fallback(
+    order, loaded
+):
+    # the threshold loads gammaincinv's extension module without the
+    # scipy.special package; the package, imported before or after it, must
+    # give the same ufunc, and so must the fallback to the package
+    out = subprocess.run(
+        [sys.executable, "-c", _ORDER_CODE, order], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.split() == loaded.split()
 
 
 def test_zero_statistic_passes_any_policy(case39, adm39, base39, zero_sigmas):
