@@ -21,7 +21,8 @@ from . import artifacts
 from .artifacts import ConfigError, member, typed
 # eval_h and eval_jacobian are not called here: bench/spans.py patches them in this module
 from .estimation import (
-    KIND_CODE, Layout, MeasurementModel, MeasurementSet, eval_h, eval_jacobian, full_layout_powers,
+    KIND_CODE, Evaluation, Layout, MeasurementModel, MeasurementSet, eval_h, eval_jacobian,
+    full_layout_powers,
 )
 from .network import AdmittanceModel, NetworkCase, StateVector, build_admittance
 from .nlsolver import SolverError, solve_constrained
@@ -205,11 +206,11 @@ def design_attack(
     target_rows = 2 * len(zero_inj) + np.arange(n_targets)
     model = MeasurementModel(adm, con_layout)
 
-    def target_flows(state: StateVector) -> np.ndarray:
-        """From-end active flow of each target, read from its constraint row."""
-        return model.evaluate(state).h()[target_rows]
-
-    base_flows = target_flows(base)
+    # the target flows and the attack read the full layout's model at the
+    # base and at the attacked state, each evaluated once
+    full_model = MeasurementModel(adm, adm.full_layout)
+    at_base = full_model.evaluate(base)
+    base_flows = full_layout_powers(at_base, adm)[1][target_lines].real
     for t, flow in zip(spec.targets, base_flows.tolist()):
         if not flow > 0:
             raise AttackError(
@@ -232,8 +233,8 @@ def design_attack(
 
     slack_cols = 2 * n_int + np.arange(n_targets)
 
-    def constraints(z: np.ndarray) -> tuple:
-        at = model.evaluate(state_of(z))
+    def constraints_at(z: np.ndarray, at: Evaluation) -> tuple:
+        """The constraints at z, read off the model's evaluation at state_of(z)."""
         c = at.h()
         c[target_rows] = c[target_rows] - bounds_flow - z[slack_cols]
 
@@ -247,6 +248,9 @@ def design_attack(
 
         return c, jacobian
 
+    def constraints(z: np.ndarray) -> tuple:
+        return constraints_at(z, model.evaluate(state_of(z)))
+
     vm_lo = np.array([case.bus(b).vmin for b in interior])
     vm_hi = np.array([case.bus(b).vmax for b in interior])
     if spec.mode == "arbitrary":
@@ -258,10 +262,13 @@ def design_attack(
     if spec.mode == "optimal":
         anchor = np.concatenate([va0, vm0])
         z0 = np.concatenate([anchor, np.maximum(base_flows - bounds_flow, 0.0)])
+        z0 = np.minimum(np.maximum(z0, lower), upper)  # the solver's start lies in the bounds
+        start = (z0, *constraints(z0))
         start_draws = 0
     else:
         # seeded start; redraw until the overload targets already hold so the
-        # feasibility solve is not dragged down onto the overload bound
+        # feasibility solve is not dragged down onto the overload bound. The
+        # last draw's evaluation is the solver's start
         rng = np.random.default_rng(params.seed)
         for start_draws in range(1, _MAX_START_DRAWS + 1):
             va_try = va0 + rng.uniform(-params.ang_perturbation, params.ang_perturbation, n_int)
@@ -270,17 +277,18 @@ def design_attack(
                 vm_lo,
                 vm_hi,
             )
-            z_try = np.concatenate([va_try, vm_try, np.zeros(n_targets)])
-            flows = target_flows(state_of(z_try))
-            z_try[2 * n_int :] = np.maximum(flows - bounds_flow, 0.0)
-            z0 = z_try
+            z0 = np.concatenate([va_try, vm_try, np.zeros(n_targets)])
+            at = model.evaluate(state_of(z0))
+            flows = at.h()[target_rows]
+            z0[2 * n_int :] = np.maximum(flows - bounds_flow, 0.0)
             if np.all(flows >= bounds_flow):
                 break
+        start = (z0, *constraints_at(z0, at))
         anchor = None
 
     try:
         result = solve_constrained(
-            z0,
+            start,
             constraints=constraints,
             anchor=anchor,
             lower=lower,
@@ -297,7 +305,7 @@ def design_attack(
             f"still off by {exc.value:+.3e} after {params.max_outer} outer rounds"
         ) from exc
 
-    x_attacked = state_of(result.z)
+    at_attacked = full_model.evaluate(state_of(result.z))
     info = {
         "mode": spec.mode,
         "targets": [
@@ -309,10 +317,10 @@ def design_attack(
         "inner_iterations": result.inner_iterations,
         "start_draws": start_draws,
         "rounds": [asdict(rd) for rd in result.rounds],
-        "target_flows": target_flows(x_attacked).tolist(),
+        "target_flows": full_layout_powers(at_attacked, adm)[1][target_lines].real.tolist(),
         "target_bounds": [float(b) for b in bounds_flow],
     }
-    return assemble_attack_vector(case, base, x_attacked, zone, adm=adm, solver_info=info)
+    return assemble_attack_vector(case, at_base, at_attacked, zone, adm=adm, solver_info=info)
 
 
 def compute_falsified_injections(
@@ -368,18 +376,21 @@ def check_moves_only_interior(
 
 def assemble_attack_vector(
     case: NetworkCase,
-    base: StateVector,
-    x_attacked: StateVector,
+    at_base: Evaluation,
+    at_attacked: Evaluation,
     zone: AttackZone,
     adm: AdmittanceModel,
     solver_info: dict | None = None,
 ) -> AttackVector:
     """Populate the per-measurement deltas for everything the attack touches:
     both ends of interior-line flows, zone bus injections, and interior V and
-    angle readings. One evaluation of the case's full layout per state gives
-    the deltas on those rows and the powers of the falsified injections.
-    Every other measurement keeps a zero delta (omitted)."""
+    angle readings. at_base and at_attacked are evaluations of the case's
+    full layout (`AdmittanceModel.full_layout`) at the base and the attacked
+    state; they give the deltas on those rows and the powers of the
+    falsified injections. Every other measurement keeps a zero delta
+    (omitted)."""
     layout = adm.full_layout
+    base, x_attacked = at_base.state, at_attacked.state
     check_moves_only_interior(base, x_attacked, zone, AttackError)
 
     # `where` is a flow row's branch row and any other row's bus id
@@ -389,8 +400,6 @@ def assemble_attack_vector(
         [kind < 2, kind < 4], [np.isin(where, lines), np.isin(where, list(zone.buses))],
         np.isin(where, list(zone.interior)),
     ))
-    model = MeasurementModel(adm, layout)
-    at_base, at_attacked = model.evaluate(base), model.evaluate(x_attacked)
     deltas = at_attacked.h()[rows] - at_base.h()[rows]
     powers = (full_layout_powers(at_base, adm), full_layout_powers(at_attacked, adm))
 

@@ -476,23 +476,26 @@ def _case_of_doc(doc) -> NetworkCase:
     )
 
 
-# what each model field that a stage reads must hold: power flow reads the
-# finite ones and needs a positive tap ratio and set-point voltage; attack
-# design and impact read the bounds and the rating, which may be infinite
-# (no limit) but not NaN. No stage reads qmin, qmax, pmin or pmax, which a
-# MATPOWER table may leave infinite or NaN
+# the rules that each model field that a stage reads must hold, the first
+# failed one named: power flow reads the finite ones and needs a positive
+# set-point voltage and tap ratio, whose square it divides by; attack design
+# and impact read the bounds and the rating, which may be infinite (no limit)
+# but not NaN. No stage reads qmin, qmax, pmin or pmax, which a MATPOWER
+# table may leave infinite or NaN
 _VALUE_RULES = {
     "buses": {**dict.fromkeys(("pd", "qd", "gs", "bs"), "finite"),
-              **dict.fromkeys(("vmin", "vmax"), "not NaN")},
-    "branches": {"r": "finite", "x": "finite", "b": "finite", "tap": "positive",
-                 "shift": "finite", "rating": "not NaN"},
+              **dict.fromkeys(("vmin", "vmax"), "not-NaN")},
+    "branches": {"r": "finite", "x": "finite", "b": "finite", "tap": "positive square",
+                 "shift": "finite", "rating": "not-NaN"},
     "gens": {"pg": "finite", "qg": "finite", "vset": "positive"},
 }
 # each rule's test of a column, and how it names a value that fails it
 _VALUE_TESTS = {
     "finite": (np.isfinite, "must be finite"),
-    "not NaN": (lambda column: ~np.isnan(column), "must not be NaN"),
+    "not-NaN": (lambda column: ~np.isnan(column), "must not be NaN"),
     "positive": (lambda column: np.isfinite(column) & (column > 0), "must be positive and finite"),
+    "square": (lambda column: np.isfinite(column * column) & (column * column > 0),
+               "must have a square that is positive and finite"),
 }
 
 
@@ -502,14 +505,17 @@ def _check_values(case: NetworkCase, row_name) -> None:
     field is tested over its whole column."""
     for table, rules in _VALUE_RULES.items():
         rows = getattr(case, table)
-        values = np.array(list(map(operator.attrgetter(*rules), rows)), dtype=float)
-        holds = np.column_stack([
-            _VALUE_TESTS[rule][0](column)
-            for rule, column in zip(rules.values(), values.reshape(len(rows), len(rules)).T)
-        ])
+        checks = [(key, rule) for key, named in rules.items() for rule in named.split()]
+        keys = operator.attrgetter(*(key for key, _ in checks))
+        values = np.array(list(map(keys, rows)), dtype=float)
+        columns = values.reshape(len(rows), len(checks)).T
+        with np.errstate(over="ignore"):  # a square may overflow
+            holds = np.column_stack(
+                [_VALUE_TESTS[rule][0](column) for (_, rule), column in zip(checks, columns)]
+            )
         if not holds.all():
             i, j = np.argwhere(~holds)[0]
-            key, rule = list(rules.items())[j]
+            key, rule = checks[j]
             raise CaseValidationError(f"{row_name(table, i)} field '{key}' {_VALUE_TESTS[rule][1]}")
 
 

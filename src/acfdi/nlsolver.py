@@ -40,8 +40,8 @@ function that reads dc/dz off the same evaluation; the objective's rows
 z[:k] - anchor and their constant Jacobian are the solver's own. A trial is
 accepted or rejected on its residual alone. A Jacobian is read at most once
 per point, at the start and at accepted iterates, and an accepted trial's
-values and Jacobian carry into the next step and round, so a design costs
-one constraint evaluation plus one per trial. Deterministic given z0.
+values and Jacobian carry into the next step and round. The caller
+evaluates the start and the solver each trial. Deterministic given z0.
 """
 
 from __future__ import annotations
@@ -163,35 +163,35 @@ def _project(z: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 
 def solve_constrained(
-    z0: np.ndarray,
+    start: tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]],
     constraints: ConstraintFn,
-    anchor: np.ndarray | None = None,
-    lower: np.ndarray | None = None,
-    upper: np.ndarray | None = None,
-    tol_eq: float = 1e-6,
-    max_outer: int = 20,
-    max_inner: int = 60,
-    penalty0: float = 10.0,
-    penalty_growth: float = 10.0,
+    anchor: np.ndarray | None,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    tol_eq: float,
+    max_outer: int,
+    max_inner: int,
+    penalty0: float,
+    penalty_growth: float,
 ) -> SolveResult:
     """Minimize ||z[:k] - anchor||^2, k = len(anchor), subject to c(z) = 0 and
     lower <= z <= upper; the variables past k (slacks) are free of cost.
 
-    With anchor=None this is a pure feasibility solve that stays close to
-    z0 (minimum-norm steps).
+    start = (z0, *constraints(z0)) is the caller's evaluation at a z0 inside
+    the bounds (else ValueError). With anchor=None this is a pure
+    feasibility solve that stays close to z0 (minimum-norm steps).
     """
+    z0, c, read_jac = start
     z = np.asarray(z0, dtype=float).copy()
     nz = len(z)
     anchor = np.zeros(0) if anchor is None else np.asarray(anchor, dtype=float)
     k = len(anchor)
     anchor_jac = np.eye(k, nz)  # the objective is linear in z
-    lower = np.full(nz, -np.inf) if lower is None else np.asarray(lower, dtype=float)
-    upper = np.full(nz, np.inf) if upper is None else np.asarray(upper, dtype=float)
-    z = _project(z, lower, upper)
+    if np.any(z < lower) or np.any(z > upper):
+        raise ValueError("the start lies outside the bounds")
 
     # c, its Jacobian's reader and c_jac (None until read) are those of the
-    # current iterate, carried from the trial that reached it
-    c, read_jac = constraints(z)
+    # current iterate, carried from the start or the trial that reached it
     c_jac = None
     lam = np.zeros(len(c))
     rho = penalty0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .banded import BlockBand, block_lu_solve, read_only
-from .estimation import KIND_CODE, Evaluation, Layout, MeasurementModel, layout_pattern, shared
+from .estimation import KIND_CODE, Layout, MeasurementModel, layout_pattern, shared
 from .network import AdmittanceModel, NetworkCase, StateVector, build_admittance
 from .nlsolver import check_limits
 
@@ -62,10 +62,20 @@ _STEP_RESIDUAL_BOUND = 1e-10
 
 
 class _NewtonPattern:
-    """What the Newton equations take from the topology alone: the layout of
-    their rows, the PV and PQ positions, the Jacobian's kept entries and
-    their band layout. Built once per topology (`estimation.shared`), from
-    the bus kinds of adm's case; holds no admittance model or value."""
+    """The Newton equations as far as the topology fixes them, and the step
+    they give. Built once per topology (`estimation.shared`), from the bus
+    kinds of adm's case; holds no admittance model or value.
+
+    Rows are [P at PV and PQ buses | Q at PQ buses] and columns [angles at PV
+    and PQ buses | magnitudes at PQ buses], each in case bus order. Both come
+    from the measurement model of `layout` compiled against an admittance
+    model, whose columns are [non-slack angles | all magnitudes]: `kept`
+    drops the PV and slack magnitude columns. Row k and column k belong to
+    the same bus (P with angle, Q with magnitude), and two buses share a cell
+    only where Ybus couples them, so the pattern is structurally symmetric:
+    the step is a block LU over its `banded.BlockBand` layout, no dense m x m
+    solve.
+    """
 
     def __init__(self, adm: AdmittanceModel):
         buses = adm.case.buses
@@ -89,55 +99,17 @@ class _NewtonPattern:
         self.slot = self.band.slot(self.rows, self.cols)
         read_only(self.pq, self.pvpq, self.kept, self.rows, self.cols, self.slot)
 
-
-class _NewtonEquations:
-    """The power-flow mismatch and its Jacobian as functions of the state,
-    and the Newton step they give.
-
-    Rows are [P at PV and PQ buses | Q at PQ buses] and columns [angles at PV
-    and PQ buses | magnitudes at PQ buses], each in case bus order. Both come
-    from the measurement model of those rows compiled against adm, whose
-    columns are [non-slack angles | all magnitudes]: the PV and slack
-    magnitude columns are dropped. Row k and column k belong to the same bus
-    (P with angle, Q with magnitude), and two buses share a cell only where
-    Ybus couples them, so the pattern is structurally symmetric: the step is
-    a block LU over its `banded.BlockBand` layout, no dense m x m solve.
-    Everything but the scheduled injections and the model's values comes
-    from the topology's `_NewtonPattern`.
-    """
-
-    def __init__(self, case: NetworkCase, adm: AdmittanceModel):
-        shape = shared((adm.topology, "newton"), lambda: _NewtonPattern(adm))
-        self.pq, self.pvpq, self.m = shape.pq, shape.pvpq, shape.m
-        self.rows, self.cols = shape.rows, shape.cols
-        self._kept, self._band, self._slot = shape.kept, shape.band, shape.slot
-        self._model = MeasurementModel(adm, shape.layout)
-        self.evaluate = self._model.evaluate
-        p_sched, q_sched = scheduled_injections(case)
-        self._scheduled = np.concatenate([p_sched[self.pvpq], q_sched[self.pq]])
-        # the band storage of every step: the slots of the nonzeros are
-        # rewritten, every other cell keeps its zero or its padding one
-        band = self._band
-        self._storage = np.zeros((3 * band.blocks - 2) * band.size * band.size)
-        self._storage[band.pad_slot] = 1.0
-
-    def mismatch(self, evaluation: Evaluation) -> np.ndarray:
-        """The mismatch at the state of this evaluation (`evaluate`)."""
-        return self._scheduled - evaluation.h()
-
-    def jacobian(self, evaluation: Evaluation) -> np.ndarray:
-        """The Jacobian's nonzeros at (rows, cols), at the state of this
-        evaluation."""
-        return evaluation.jacobian_values()[self._kept]
-
     def step(self, values: np.ndarray, mismatch: np.ndarray) -> np.ndarray:
-        """J⁻¹ mismatch for the Jacobian with these nonzeros.
+        """J⁻¹ mismatch for the Jacobian with these nonzeros at (rows, cols).
 
         Raises PowerFlowError when a diagonal block of the LU is singular or
         when the step's linear residual exceeds _STEP_RESIDUAL_BOUND, which
         one O(nnz) pass over the nonzeros measures."""
-        band, storage = self._band, self._storage
-        storage[self._slot] = values
+        band = self.band
+        # every cell but the nonzeros' slots holds a zero or a padding one
+        storage = np.zeros((3 * band.blocks - 2) * band.size * band.size)
+        storage[band.pad_slot] = 1.0
+        storage[self.slot] = values
         try:
             dx = band.scatter(block_lu_solve(*band.split(storage), band.gather(mismatch)))
         except np.linalg.LinAlgError:
@@ -163,9 +135,13 @@ def newton_power_flow(
 ) -> PowerFlowSolution:
     """Full Newton-Raphson from a flat start.
 
-    PV magnitudes stay pinned to their setpoints and generator reactive
-    limits are not enforced. Raises on non-convergence, a singular Jacobian
-    block or an inaccurate step.
+    Each iterate is evaluated once by the measurement model of the Newton
+    rows (`_NewtonPattern`): the mismatch is the scheduled injections minus
+    its h, and the step reads its kept Jacobian values. PV magnitudes stay
+    pinned to their setpoints and generator reactive limits are not
+    enforced. Raises on non-convergence, a mismatch that is not finite, a
+    singular Jacobian block or an inaccurate step; numpy's floating-point
+    warnings are silenced, as these checks report what they would.
     """
     check_limits(tol, max_iter)
     if adm is None:
@@ -173,27 +149,33 @@ def newton_power_flow(
 
     state = flat_start(case)
     vm, va = state.vm.copy(), state.va.copy()
-    equations = _NewtonEquations(case, adm)
-    pvpq, pq = equations.pvpq, equations.pq
+    pattern = shared((adm.topology, "newton"), lambda: _NewtonPattern(adm))
+    pvpq, pq = pattern.pvpq, pattern.pq
+    model = MeasurementModel(adm, pattern.layout)
+    p_sched, q_sched = scheduled_injections(case)
+    scheduled = np.concatenate([p_sched[pvpq], q_sched[pq]])
 
     history: list[float] = []
-    for it in range(max_iter):
-        current = StateVector(state.bus_ids, vm, va)
-        evaluation = equations.evaluate(current)
-        mismatch = equations.mismatch(evaluation)
-        max_mis = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
-        history.append(max_mis)
-        if max_mis < tol:
-            return PowerFlowSolution(current, it, tuple(history))
+    with np.errstate(all="ignore"):
+        for it in range(max_iter):
+            current = StateVector(state.bus_ids, vm, va)
+            evaluation = model.evaluate(current)
+            mismatch = scheduled - evaluation.h()
+            max_mis = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
+            if not np.isfinite(max_mis):
+                raise PowerFlowError(f"mismatch is not finite at iteration {it}")
+            history.append(max_mis)
+            if max_mis < tol:
+                return PowerFlowSolution(current, it, tuple(history))
 
-        try:
-            step = equations.step(equations.jacobian(evaluation), mismatch)
-        except PowerFlowError as err:
-            raise PowerFlowError(
-                f"{err} at iteration {it} (max mismatch {max_mis:.3e})"
-            ) from None
-        va[pvpq] += step[: len(pvpq)]
-        vm[pq] += step[len(pvpq):]
+            try:
+                step = pattern.step(evaluation.jacobian_values()[pattern.kept], mismatch)
+            except PowerFlowError as err:
+                raise PowerFlowError(
+                    f"{err} at iteration {it} (max mismatch {max_mis:.3e})"
+                ) from None
+            va[pvpq] += step[: len(pvpq)]
+            vm[pq] += step[len(pvpq):]
 
     raise PowerFlowError(
         f"no convergence in {max_iter} iterations (final max mismatch {history[-1]:.3e})"

@@ -7,8 +7,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from acfdi import estimation
-from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, design_attack
-from acfdi.estimation import network_powers
+from acfdi.attacks import (
+    AttackSpec, OverloadTarget, SolverParams, assemble_attack_vector, design_attack,
+)
+from acfdi.estimation import MeasurementModel, network_powers
 from acfdi.network import StateVector, build_admittance, load_bundled_case39
 from acfdi.powerflow import newton_power_flow
 from acfdi.zones import validate_zone
@@ -95,6 +97,14 @@ def replace_buses(state, vm_by_bus, va_by_bus):
 def state_bytes(state):
     """A state as bytes, the key of an evaluation in `record_evaluations`."""
     return state.vm.tobytes() + state.va.tobytes()
+
+
+def assemble(case, base, x_attacked, zone, adm, solver_info=None):
+    """`assemble_attack_vector` from the full layout's evaluations at base and
+    at x_attacked, as `design_attack` passes them."""
+    model = MeasurementModel(adm, adm.full_layout)
+    at_base, at_attacked = model.evaluate(base), model.evaluate(x_attacked)
+    return assemble_attack_vector(case, at_base, at_attacked, zone, adm, solver_info)
 
 
 def record_evaluations(monkeypatch):

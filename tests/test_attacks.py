@@ -24,7 +24,7 @@ from acfdi.estimation import (
 )
 from acfdi.network import StateVector, build_admittance
 from acfdi.zones import build_zone
-from conftest import flow_of, record_evaluations, replace_buses, state_bytes
+from conftest import assemble, flow_of, record_evaluations, replace_buses, state_bytes
 
 
 def _deviation_norm(av, zone):
@@ -239,7 +239,7 @@ def test_falsified_sum_matches_mixed_state_evaluation(case39, adm39, base39, zon
 # --- attack vector assembly ----------------------------------------------------
 
 def test_zero_attack_vector_has_zero_deltas(case39, adm39, base39, zone39):
-    av = assemble_attack_vector(case39, base39, base39, zone39, adm=adm39)
+    av = assemble(case39, base39, base39, zone39, adm39)
     assert av.deltas
     assert all(d == 0.0 for d in av.deltas.values())
 
@@ -249,7 +249,7 @@ def test_deltas_match_independent_reevaluation(case39, adm39, base39, zone39):
     vm = {b: base39.magnitude(b) + 0.02 * rng.standard_normal() for b in zone39.interior}
     va = {b: base39.angle(b) + 0.1 * rng.standard_normal() for b in zone39.interior}
     x_att = replace_buses(base39, vm, va)
-    av = assemble_attack_vector(case39, base39, x_att, zone39, adm=adm39)
+    av = assemble(case39, base39, x_att, zone39, adm39)
 
     branch_by_pair = {(br.from_bus, br.to_bus): br for br in case39.in_service_branches()}
     for meas_id, delta in av.deltas.items():
@@ -297,12 +297,14 @@ def test_assembly_computes_network_powers_once_per_state(
     case39, adm39, base39, zone39, attack_arbitrary, monkeypatch
 ):
     x_att = attack_arbitrary.x_attacked
+    model = MeasurementModel(adm39, adm39.full_layout)
+    at_base, at_attacked = model.evaluate(base39), model.evaluate(x_att)
+    # the caller's one evaluation of the full layout per state gives both the
+    # deltas and the powers; assembly evaluates nothing
     calls = record_evaluations(monkeypatch)
-    av = assemble_attack_vector(case39, base39, x_att, zone39, adm=adm39)
-    # one evaluation of the full layout per state gives both the deltas and
-    # the powers
-    full = len(adm39.full_layout)
-    assert calls == [(full, state_bytes(base39)), (full, state_bytes(x_att))]
+    av = assemble_attack_vector(case39, at_base, at_attacked, zone39, adm39)
+    assert calls == []
+    assert av.to_json() == assemble(case39, base39, x_att, zone39, adm39).to_json()
     # the falsified injections read those powers and evaluate nothing
     calls.clear()
     powers = [network_powers(s, adm39) for s in (base39, x_att)]
@@ -314,14 +316,14 @@ def test_assembly_computes_network_powers_once_per_state(
 def test_assembly_rejects_moved_exterior_bus(case39, adm39, base39, zone39):
     x_bad = replace_buses(base39, {5: 1.01}, {})
     with pytest.raises(AttackError, match="non-interior bus 5"):
-        assemble_attack_vector(case39, base39, x_bad, zone39, adm=adm39)
+        assemble(case39, base39, x_bad, zone39, adm39)
 
 
 # --- applying attacks -----------------------------------------------------------
 
 def test_apply_zero_vector_is_identity(case39, adm39, base39, zone39, zero_sigmas):
     ms = generate_measurements(case39, base39, sigmas=zero_sigmas, seed=0, adm=adm39)
-    av = assemble_attack_vector(case39, base39, base39, zone39, adm=adm39)
+    av = assemble(case39, base39, base39, zone39, adm39)
     assert np.array_equal(apply_attack(ms, av).values, ms.values)
 
 

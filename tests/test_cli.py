@@ -342,6 +342,33 @@ def test_power_flow_failure_exit_code(tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "table,row,key,value",
+    [("buses", 5, "pd", 1e308), ("buses", 5, "gs", -1e308), ("gens", 2, "vset", 1e308)],
+    ids=["pd", "gs", "vset"],
+)
+def test_diverging_power_flow_exits_4_without_numpy_warnings(table, row, key, value, tmp_path):
+    # each of these overflows in the Newton iterations, which printed numpy
+    # RuntimeWarnings before exiting 4; a fresh interpreter shows what a run
+    # prints on stderr
+    from acfdi.cli import EXIT_ESTIMATOR
+
+    doc = json.loads(case_to_json(load_bundled_case39()))
+    doc[table][row][key] = value
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    state = tmp_path / "state.json"
+    out = subprocess.run(
+        [sys.executable, "-m", "acfdi.cli", "pf", str(path), "--out", str(state)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.returncode == EXIT_ESTIMATOR
+    assert "Warning" not in out.stderr
+    assert "iteration" in out.stderr
+    assert not state.exists()
+
+
 def test_bundled_scenario_config_runs(tmp_path):
     out = tmp_path / "bundled"
     assert main(["scenario", "run", str(BUNDLED), "--out", str(out)]) == EXIT_OK
@@ -646,12 +673,16 @@ def _case_m_with(table, row, column, token, named):
           for key, value in (("pg", math.nan), ("qg", math.inf), ("vset", -1), ("vset", 0))),
         # a negative transformer ratio exited 4 in power flow
         _case_json_with("branches", 3, "tap", -1),
+        # a tap whose square underflows to 0 exited 1, one whose square
+        # overflows opened the branch (exit 0)
+        *(_case_json_with("branches", 3, "tap", value) for value in (1e-308, 5e-324, 1e308)),
         _case_json_base_mva(0), _case_json_base_mva(-1), _case_json_base_mva(math.nan),
         _case_m_with("bus", 5, 2, "NaN", "bus 6 field 'pd'"),
         _case_m_with("bus", 5, 12, "nan", "bus 6 field 'vmin'"),
         _case_m_with("branch", 3, 3, "Inf", "branch 2-25 field 'x'"),
         _case_m_with("gen", 2, 5, "0", "generator at bus 32 field 'vset'"),
         _case_m_with("branch", 3, 8, "-1", "branch 2-25 field 'tap'"),
+        _case_m_with("branch", 3, 8, "1e-308", "branch 2-25 field 'tap'"),
     ],
     ids=lambda make: make.__name__.strip("_"),
 )

@@ -32,7 +32,7 @@ from acfdi.estimation import (
 from acfdi import banded, estimation, nlsolver
 from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, apply_attack, design_attack
 from acfdi.network import StateVector, build_admittance, load_bundled_case39, parse_case
-from acfdi.powerflow import _NewtonEquations, newton_power_flow
+from acfdi.powerflow import _NewtonPattern, newton_power_flow
 from acfdi.zones import validate_zone
 from conftest import TWO_BUS_CASE
 from meshgrid import meshed_case
@@ -869,7 +869,7 @@ def _model_patterns(case, adm):
     """The patterns of the two layouts `_pipeline_bits` compiles against adm:
     the Newton rows and the full layout."""
     return [
-        _NewtonEquations(case, adm)._model.pattern,
+        MeasurementModel(adm, _NewtonPattern(adm).layout).pattern,
         MeasurementModel(adm, adm.full_layout).pattern,
     ]
 
@@ -1139,14 +1139,14 @@ def test_dropped_admittance_model_is_freed(case39):
 
 def test_shared_arrays_are_read_only(case39, adm39):
     _pipeline_bits(case39, adm39)
-    equations = _NewtonEquations(case39, adm39)
+    newton = estimation._shared[(adm39.topology, "newton")]  # power flow's
     model = MeasurementModel(adm39, adm39.full_layout)
     pattern = model.pattern
     arrays = [a for a in vars(pattern).values() if isinstance(a, np.ndarray)]
     arrays += [*pattern._pairs, *pattern._gain_cells]
-    for band in (pattern._band, equations._band):
+    for band in (pattern._band, newton.band):
         arrays += [band.order, band.pos, band.pad_slot]
-    arrays += [equations.pq, equations.pvpq, equations.rows, equations.cols, equations._slot]
+    arrays += [newton.pq, newton.pvpq, newton.kept, newton.rows, newton.cols, newton.slot]
     arrays += [adm39.full_layout.kind, adm39.full_layout.where]
     assert len(arrays) > 30
     for array in arrays:

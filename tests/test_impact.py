@@ -12,11 +12,11 @@ import pytest
 
 import reference39 as ref
 from acfdi import cli, impact
-from acfdi.attacks import apply_attack, assemble_attack_vector
+from acfdi.attacks import apply_attack
 from acfdi.estimation import generate_measurements, network_powers, wls_estimate
 from acfdi.impact import ReportError, compute_impact, render_report
 from acfdi.network import case_to_json
-from conftest import flow_of, record_evaluations, state_bytes
+from conftest import assemble, flow_of, record_evaluations, state_bytes
 from acfdi.zones import validate_zone
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
@@ -57,7 +57,7 @@ def test_report_evaluates_the_full_layout_once_per_state(
 
 
 def test_replay_zero_vector_equals_base(case39, adm39, base39, zone39):
-    av = assemble_attack_vector(case39, base39, base39, zone39, adm=adm39)
+    av = assemble(case39, base39, base39, zone39, adm39)
     for attacked, base in zip(network_powers(av.x_attacked, adm39)[1:], network_powers(base39, adm39)[1:]):
         assert np.array_equal(attacked, base)
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference39 as ref
-from acfdi.attacks import apply_attack, assemble_attack_vector
+from acfdi.attacks import apply_attack
 from acfdi.estimation import (
     KIND_CODE,
     Layout,
@@ -29,8 +29,9 @@ from acfdi.estimation import (
 )
 from acfdi.impact import compute_impact
 from acfdi.network import NetworkCase, StateVector, build_admittance, load_bundled_case39
-from acfdi.powerflow import _NewtonEquations, newton_power_flow
+from acfdi.powerflow import _NewtonPattern, newton_power_flow
 from acfdi.zones import validate_zone
+from conftest import assemble
 
 _CASE = load_bundled_case39()
 
@@ -116,9 +117,7 @@ def test_impact_flows_and_injections_do_not_depend_on_labels_or_row_order(
     x_attacked = _relabel_state(attack_optimal.x_attacked, bus_order, rename)
     f, t = ref.TARGET
     target = {"from": rename[f], "to": rename[t], "factor": ref.OVERLOAD_FACTOR}
-    av = assemble_attack_vector(
-        case, base, x_attacked, zone, adm=adm, solver_info={"targets": [target]}
-    )
+    av = assemble(case, base, x_attacked, zone, adm, solver_info={"targets": [target]})
     ms = generate_measurements(case, base, sigmas=zero_sigmas, seed=0, adm=adm)
     clean = wls_estimate(ms, case, adm)
     attacked = wls_estimate(apply_attack(ms, av), case, adm)
@@ -250,8 +249,9 @@ def test_power_flow_and_flows_do_not_depend_on_the_mva_base(case39, adm39, base3
     assert adm.topology == warm.topology
     assert adm.full_layout is warm.full_layout
     patterns = [
-        [_NewtonEquations(c, a)._model.pattern, MeasurementModel(a, a.full_layout).pattern]
-        for c, a in ((case, adm), (case39, warm))
+        [MeasurementModel(a, _NewtonPattern(a).layout).pattern,
+         MeasurementModel(a, a.full_layout).pattern]
+        for a in (adm, warm)
     ]
     assert len(patterns[0]) == 2 and all(map(operator.is_, *patterns))
     assert np.max(np.abs(state.vm - base39.vm)) < 1e-10
@@ -281,8 +281,8 @@ def test_impact_figures_do_not_depend_on_the_mva_base(
     case, adm = rebased39
     # per-unit states do not depend on the base, so case39's serve here
     zone = validate_zone(case, zone39.interior, zone39.boundary)
-    av = assemble_attack_vector(
-        case, base39, attack_optimal.x_attacked, zone, adm=adm,
+    av = assemble(
+        case, base39, attack_optimal.x_attacked, zone, adm,
         solver_info={"targets": [{"from": 26, "to": 27, "factor": ref.OVERLOAD_FACTOR}]},
     )
     ms = generate_measurements(case, base39, sigmas=zero_sigmas, seed=0, adm=adm)

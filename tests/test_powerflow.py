@@ -6,7 +6,7 @@ import pytest
 
 import reference39 as ref
 from acfdi.cli import EXIT_ESTIMATOR, main
-from acfdi.estimation import bus_injection, network_powers
+from acfdi.estimation import MeasurementModel, bus_injection, network_powers
 from acfdi.network import (
     Bus,
     NetworkCase,
@@ -17,9 +17,10 @@ from acfdi.network import (
 )
 from acfdi.powerflow import (
     PowerFlowError,
-    _NewtonEquations,
+    _NewtonPattern,
     flat_start,
     newton_power_flow,
+    scheduled_injections,
     solve_power_flow,
 )
 from conftest import TWO_BUS_CASE, flow_of
@@ -270,9 +271,25 @@ def _jacobian_cases(case39, adm39, base39, tile2):
     yield "base-tile2", tile_case, tile_adm, newton_power_flow(tile_case, tile_adm).state
 
 
-def _dense_jacobian(equations, state):
-    jac = np.zeros((equations.m, equations.m))
-    jac[equations.rows, equations.cols] = equations.jacobian(equations.evaluate(state))
+def _newton_equations(case, adm):
+    """The Newton pattern of adm's topology, and the function that gives the
+    mismatch and the Jacobian's kept nonzeros at a state from one evaluation,
+    as newton_power_flow reads them."""
+    pattern = _NewtonPattern(adm)
+    model = MeasurementModel(adm, pattern.layout)
+    p_sched, q_sched = scheduled_injections(case)
+    scheduled = np.concatenate([p_sched[pattern.pvpq], q_sched[pattern.pq]])
+
+    def at(state):
+        evaluation = model.evaluate(state)
+        return scheduled - evaluation.h(), evaluation.jacobian_values()[pattern.kept]
+
+    return pattern, at
+
+
+def _dense_jacobian(pattern, values):
+    jac = np.zeros((pattern.m, pattern.m))
+    jac[pattern.rows, pattern.cols] = values
     return jac
 
 
@@ -280,9 +297,9 @@ def test_power_flow_jacobian_matches_dense_oracle_and_differences(case39, adm39,
     # the compiled model rounds differently from the BLAS diag products of the
     # dense formulas, so agreement is to rounding, not bit for bit
     for label, case, adm, state in _jacobian_cases(case39, adm39, base39, tile2):
-        equations = _NewtonEquations(case, adm)
-        pvpq, pq, mismatch = equations.pvpq, equations.pq, equations.mismatch
-        jac = _dense_jacobian(equations, state)
+        pattern, equations_at = _newton_equations(case, adm)
+        pvpq, pq = pattern.pvpq, pattern.pq
+        jac = _dense_jacobian(pattern, equations_at(state)[1])
         dense = ref.dense_power_flow_jacobian(case, adm, state)
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(jac - dense)) <= 1e-12 * scale, label
@@ -291,7 +308,7 @@ def test_power_flow_jacobian_matches_dense_oracle_and_differences(case39, adm39,
             vm, va = state.vm.copy(), state.va.copy()
             va[pvpq] = x[: len(pvpq)]
             vm[pq] = x[len(pvpq):]
-            return mismatch(equations.evaluate(StateVector(state.bus_ids, vm, va)))
+            return equations_at(StateVector(state.bus_ids, vm, va))[0]
 
         x0 = np.concatenate([state.va[pvpq], state.vm[pq]])
         step = 1e-6
@@ -315,9 +332,9 @@ def test_newton_power_flow_replays_dense_oracle(grid, case39, adm39, tile2):
     # from the dense path's at rounding level, compared relative to the
     # starting mismatch
     start = flat_start(case)
-    equations = _NewtonEquations(case, adm)
+    _, equations_at = _newton_equations(case, adm)
     first = ref.loop_mismatch(case, adm, start)
-    assert np.array_equal(equations.mismatch(equations.evaluate(start)), first)
+    assert np.array_equal(equations_at(start)[0], first)
     assert sol.mismatch_history[0] == np.max(np.abs(first))
     gap = np.abs(np.array(sol.mismatch_history) - np.array(history))
     assert np.all(gap <= 1e-12 * history[0])
@@ -332,7 +349,7 @@ def test_power_flow_model_builds_no_row_pair_index():
     case = tiled_case39(2)
     adm = build_admittance(case)
     newton_power_flow(case, adm)
-    pattern = _NewtonEquations(case, adm)._model.pattern
+    pattern = MeasurementModel(adm, _NewtonPattern(adm).layout).pattern
     assert "_pairs" not in vars(pattern)
     assert "_band" not in vars(pattern)
 
@@ -361,7 +378,7 @@ def lu_grid(request):
 
 def test_block_lu_step_matches_dense_solve(lu_grid):
     case, adm = lu_grid
-    equations = _NewtonEquations(case, adm)
+    pattern, equations_at = _newton_equations(case, adm)
     base = newton_power_flow(case, adm).state
     rng = np.random.default_rng(31)
     states = [flat_start(case)] + [
@@ -373,10 +390,9 @@ def test_block_lu_step_matches_dense_solve(lu_grid):
         for _ in range(3)
     ]
     for state in states:
-        evaluation = equations.evaluate(state)
-        mismatch = equations.mismatch(evaluation)
-        expected = np.linalg.solve(_dense_jacobian(equations, state), mismatch)
-        step = equations.step(equations.jacobian(evaluation), mismatch)
+        mismatch, values = equations_at(state)
+        expected = np.linalg.solve(_dense_jacobian(pattern, values), mismatch)
+        step = pattern.step(values, mismatch)
         assert np.max(np.abs(step - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
@@ -437,13 +453,11 @@ def test_inaccurate_block_step_is_rejected():
     # pivot: the block solve succeeds, and only the linear residual shows
     # that its step is wrong
     case = parse_case(_resistive_case("1e-15"))
-    equations = _NewtonEquations(case, build_admittance(case))
-    state = flat_start(case)
-    evaluation = equations.evaluate(state)
-    values, mismatch = equations.jacobian(evaluation), equations.mismatch(evaluation)
-    dense = np.linalg.solve(_dense_jacobian(equations, state), mismatch)
+    pattern, equations_at = _newton_equations(case, build_admittance(case))
+    mismatch, values = equations_at(flat_start(case))
+    dense = np.linalg.solve(_dense_jacobian(pattern, values), mismatch)
     assert np.all(np.isfinite(dense))
     with pytest.raises(PowerFlowError, match="inaccurate Newton step"):
-        equations.step(values, mismatch)
+        pattern.step(values, mismatch)
     with pytest.raises(PowerFlowError, match="inaccurate Newton step .* at iteration 0"):
         newton_power_flow(case)
