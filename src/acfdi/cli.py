@@ -663,7 +663,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CaseError, ZoneError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ConfigError, CaseError, ZoneError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AttackError as exc:

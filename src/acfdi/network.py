@@ -1,12 +1,16 @@
-"""Grid model: MATPOWER case parsing, validation, admittance assembly, and
-the voltage state in case bus order.
+"""Grid model: MATPOWER case parsing, the case JSON format, validation,
+admittance assembly, and the voltage state in case bus order.
 
 Everything downstream works in per-unit on the system MVA base with angles
 in radians; conversion from the MW/MVAr/degree source format happens here.
+The case JSON format is written once, as one field table per row type
+(`_CASE_TABLES`), which its writer, its reader and the value checks of both
+readers read.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -372,42 +376,52 @@ def load_bundled_case39() -> NetworkCase:
     return parse_case(text, name="case39")
 
 
+# the case format: each JSON table's row type and fields, in that type's
+# field order, with each field's kind (`artifacts.typed`; a number may be any
+# JSON number, as a MATPOWER table may hold Inf or NaN) and the rules its
+# value must hold (`_VALUE_TESTS`), in order. Power flow reads the finite
+# ones and divides by the square of a tap; design and impact read the bounds
+# and the rating, which may be infinite (no limit). No stage reads qmin,
+# qmax, pmin or pmax
+_FINITE, _NOT_NAN = (NUMBER, "finite"), (NUMBER, "not-NaN")
+_CASE_TABLES = {
+    "buses": (Bus, {
+        "id": (int, ""), "kind": (str, ""), **dict.fromkeys(("pd", "qd", "gs", "bs"), _FINITE),
+        "vmin": _NOT_NAN, "vmax": _NOT_NAN,
+    }),
+    "branches": (Branch, {
+        "from": (int, ""), "to": (int, ""), "r": _FINITE, "x": _FINITE, "b": _FINITE,
+        "tap": (NUMBER, "positive square"), "shift": _FINITE, "rating": _NOT_NAN,
+        "status": (bool, ""),
+    }),
+    "gens": (Gen, {
+        "bus": (int, ""), "pg": _FINITE, "qg": _FINITE, "vset": (NUMBER, "positive"),
+        **dict.fromkeys(("qmin", "qmax", "pmin", "pmax"), (NUMBER, "")), "status": (bool, ""),
+    }),
+}
+# each rule's test of a column, and how it names a value that fails it
+_VALUE_TESTS = {
+    "finite": (np.isfinite, "must be finite"),
+    "not-NaN": (lambda column: ~np.isnan(column), "must not be NaN"),
+    "positive": (lambda column: np.isfinite(column) & (column > 0), "must be positive and finite"),
+    "square": (lambda column: np.isfinite(column * column) & (column * column > 0),
+               "must have a square that is positive and finite"),
+}
+
+
 def case_to_json(case: NetworkCase) -> str:
     """Canonical JSON rendering; reparsing it reproduces the model exactly."""
-    doc = {
-        "name": case.name,
-        "base_mva": case.base_mva,
-        "buses": [
-            {
-                "id": b.id, "kind": b.kind, "pd": b.pd, "qd": b.qd,
-                "gs": b.gs, "bs": b.bs, "vmin": b.vmin, "vmax": b.vmax,
-            }
-            for b in case.buses
-        ],
-        "branches": [
-            {
-                "from": br.from_bus, "to": br.to_bus, "r": br.r, "x": br.x,
-                "b": br.b, "tap": br.tap, "shift": br.shift,
-                "rating": br.rating, "status": br.status,
-            }
-            for br in case.branches
-        ],
-        "gens": [
-            {
-                "bus": g.bus, "pg": g.pg, "qg": g.qg, "vset": g.vset,
-                "qmin": g.qmin, "qmax": g.qmax, "pmin": g.pmin, "pmax": g.pmax,
-                "status": g.status,
-            }
-            for g in case.gens
-        ],
-    }
+    doc = {"name": case.name, "base_mva": case.base_mva}
+    for table, (row_type, fields) in _CASE_TABLES.items():
+        values = operator.attrgetter(*(f.name for f in dataclasses.fields(row_type)[:len(fields)]))
+        doc[table] = [dict(zip(fields, values(row))) for row in getattr(case, table)]
     return to_json(doc, sort_keys=True)
 
 
 def case_from_json(text: str) -> NetworkCase:
-    """The case of a `case_to_json` text. A field that is missing or not of
-    its kind raises CaseParseError naming its row and field, and a value that
-    no stage can use (`_check_values`) CaseValidationError."""
+    """The case of a `case_to_json` text. A field that is missing, unknown or
+    not of its kind raises CaseParseError naming its row and field, and a
+    value that no stage can use (`_check_values`) CaseValidationError."""
     try:
         case = _case_of_doc(json.loads(text))
     except ValueError as exc:  # a JSON syntax error or a field's ConfigError
@@ -421,92 +435,60 @@ def case_from_json(text: str) -> NetworkCase:
     return case
 
 
-# each case JSON table's fields and their kinds (`artifacts.typed`), in the
-# order of its dataclass's fields; a number may be any JSON number, as a
-# MATPOWER table may hold Inf or NaN
-_BUS_FIELDS = {
-    "id": int, "kind": str, **dict.fromkeys(["pd", "qd", "gs", "bs", "vmin", "vmax"], NUMBER),
-}
-_BRANCH_FIELDS = {
-    "from": int, "to": int, **dict.fromkeys(["r", "x", "b", "tap", "shift", "rating"], NUMBER),
-    "status": bool,
-}
-_GEN_FIELDS = {
-    "bus": int, **dict.fromkeys(["pg", "qg", "vset", "qmin", "qmax", "pmin", "pmax"], NUMBER),
-    "status": bool,
-}
+def _known(doc: dict, keys, where: str) -> None:
+    """Raise ConfigError naming the first key of doc that keys lacks."""
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"{where} field '{key}' is unknown")
 
 
-def _table(doc, name: str, fields: dict) -> list[tuple]:
+def _table(doc, name: str) -> list[tuple]:
     """doc[name]'s rows, each as the tuple of its fields' values, checked to
-    be of their kinds. Each field is checked over its whole column; only when
-    a column fails does the row loop run, to name the first row and field at
-    fault. The values are only checked, never converted, so a case that loads
-    is the model its file describes bit for bit."""
+    be of their kinds and to hold no other key. Each field is checked over its
+    whole column; only when a column fails does the row loop run, to name the
+    first row and field at fault. The values are only checked, never
+    converted, so a case that loads is the model its file describes bit for
+    bit."""
+    fields = _CASE_TABLES[name][1]
     rows = member(doc, name, list, "case")
     try:
         values = list(map(operator.itemgetter(*fields), rows))
     except (KeyError, TypeError):  # a missing field, or a row that is no JSON object
         values = None
-    if values is None or not all(
-        typed_column(column, kind) for column, kind in zip(zip(*values), fields.values())
+    # with every field present, a row of another length holds an unknown key
+    if values is None or set(map(len, rows)) - {len(fields)} or not all(
+        typed_column(column, kind) for column, (kind, _) in zip(zip(*values), fields.values())
     ):
         for i, row in enumerate(rows):
-            for key, kind in fields.items():
+            for key, (kind, _) in fields.items():
                 member(row, key, kind, f"{name}[{i}]")
+            _known(row, fields, f"{name}[{i}]")
     return values
 
 
 def _case_of_doc(doc) -> NetworkCase:
     member(doc, "base_mva", NUMBER, "case")
-    buses = tuple(Bus(*row) for row in _table(doc, "buses", _BUS_FIELDS))
-    branches = tuple(
-        Branch(*row, index=i) for i, row in enumerate(_table(doc, "branches", _BRANCH_FIELDS))
-    )
-    gens = tuple(Gen(*row) for row in _table(doc, "gens", _GEN_FIELDS))
+    _known(doc, ("name", "base_mva", *_CASE_TABLES), "case")
+    buses = tuple(Bus(*row) for row in _table(doc, "buses"))
+    branches = tuple(Branch(*row, index=i) for i, row in enumerate(_table(doc, "branches")))
+    gens = tuple(Gen(*row) for row in _table(doc, "gens"))
     for i, b in enumerate(buses):
         if b.kind not in BUS_KINDS:
             raise ConfigError(f"buses[{i}] field 'kind' must be one of {', '.join(BUS_KINDS)}")
-    for i, br in enumerate(branches):
-        if br.tap == 0:
-            raise ConfigError(f"branches[{i}] field 'tap' must not be 0")
     return NetworkCase(
         base_mva=doc["base_mva"], buses=buses, branches=branches, gens=gens,
         name=doc.get("name", "case"),
     )
 
 
-# the rules that each model field that a stage reads must hold, the first
-# failed one named: power flow reads the finite ones and needs a positive
-# set-point voltage and tap ratio, whose square it divides by; attack design
-# and impact read the bounds and the rating, which may be infinite (no limit)
-# but not NaN. No stage reads qmin, qmax, pmin or pmax, which a MATPOWER
-# table may leave infinite or NaN
-_VALUE_RULES = {
-    "buses": {**dict.fromkeys(("pd", "qd", "gs", "bs"), "finite"),
-              **dict.fromkeys(("vmin", "vmax"), "not-NaN")},
-    "branches": {"r": "finite", "x": "finite", "b": "finite", "tap": "positive square",
-                 "shift": "finite", "rating": "not-NaN"},
-    "gens": {"pg": "finite", "qg": "finite", "vset": "positive"},
-}
-# each rule's test of a column, and how it names a value that fails it
-_VALUE_TESTS = {
-    "finite": (np.isfinite, "must be finite"),
-    "not-NaN": (lambda column: ~np.isnan(column), "must not be NaN"),
-    "positive": (lambda column: np.isfinite(column) & (column > 0), "must be positive and finite"),
-    "square": (lambda column: np.isfinite(column * column) & (column * column > 0),
-               "must have a square that is positive and finite"),
-}
-
-
 def _check_values(case: NetworkCase, row_name) -> None:
     """Raise CaseValidationError naming the first row (by row_name(table, i))
-    and field of case whose value no stage can use (`_VALUE_RULES`). Each
-    field is tested over its whole column."""
-    for table, rules in _VALUE_RULES.items():
+    and field of case whose value no stage can use (`_CASE_TABLES`' rules).
+    Each field is tested over its whole column."""
+    for table, (_, fields) in _CASE_TABLES.items():
         rows = getattr(case, table)
-        checks = [(key, rule) for key, named in rules.items() for rule in named.split()]
-        keys = operator.attrgetter(*(key for key, _ in checks))
+        checks = [(key, rule) for key, (_, rules) in fields.items() for rule in rules.split()]
+        keys = operator.attrgetter(*(key for key, _ in checks))  # a ruled key is an attribute
         values = np.array(list(map(keys, rows)), dtype=float)
         columns = values.reshape(len(rows), len(checks)).T
         with np.errstate(over="ignore"):  # a square may overflow

@@ -22,6 +22,10 @@ class PowerFlowError(RuntimeError):
     pass
 
 
+class _StepOverflow(PowerFlowError):
+    """A Newton step whose product with the Jacobian is not finite."""
+
+
 @dataclass(frozen=True)
 class PowerFlowSolution:
     state: StateVector
@@ -102,9 +106,10 @@ class _NewtonPattern:
     def step(self, values: np.ndarray, mismatch: np.ndarray) -> np.ndarray:
         """J⁻¹ mismatch for the Jacobian with these nonzeros at (rows, cols).
 
-        Raises PowerFlowError when a diagonal block of the LU is singular or
-        when the step's linear residual exceeds _STEP_RESIDUAL_BOUND, which
-        one O(nnz) pass over the nonzeros measures."""
+        Raises PowerFlowError when a diagonal block of the LU is singular,
+        when the step overflows or when its linear residual exceeds
+        _STEP_RESIDUAL_BOUND, which one O(nnz) pass over the nonzeros
+        measures."""
         band = self.band
         # every cell but the nonzeros' slots holds a zero or a padding one
         storage = np.zeros((3 * band.blocks - 2) * band.size * band.size)
@@ -115,6 +120,8 @@ class _NewtonPattern:
         except np.linalg.LinAlgError:
             raise PowerFlowError("singular Jacobian block") from None
         residual = np.bincount(self.rows, weights=values * dx[self.cols], minlength=self.m)
+        if not np.isfinite(residual).all():  # the Jacobian, dx or J dx overflowed
+            raise _StepOverflow("Newton step overflows")
         norm = np.max(np.bincount(self.rows, weights=np.abs(values), minlength=self.m))
         scale = norm * np.max(np.abs(dx)) + np.max(np.abs(mismatch))
         error = np.max(np.abs(residual - mismatch))
@@ -140,7 +147,8 @@ def newton_power_flow(
     its h, and the step reads its kept Jacobian values. PV magnitudes stay
     pinned to their setpoints and generator reactive limits are not
     enforced. Raises on non-convergence, a mismatch that is not finite, a
-    singular Jacobian block or an inaccurate step; numpy's floating-point
+    singular Jacobian block, a step that overflows, naming the bus of the
+    largest mismatch, or an inaccurate step; numpy's floating-point
     warnings are silenced, as these checks report what they would.
     """
     check_limits(tol, max_iter)
@@ -171,8 +179,10 @@ def newton_power_flow(
             try:
                 step = pattern.step(evaluation.jacobian_values()[pattern.kept], mismatch)
             except PowerFlowError as err:
+                worst = pattern.layout.where[np.argmax(np.abs(mismatch))]
+                at = f" at bus {worst}" if isinstance(err, _StepOverflow) else ""
                 raise PowerFlowError(
-                    f"{err} at iteration {it} (max mismatch {max_mis:.3e})"
+                    f"{err} at iteration {it} (max mismatch {max_mis:.3e}{at})"
                 ) from None
             va[pvpq] += step[: len(pvpq)]
             vm[pq] += step[len(pvpq):]

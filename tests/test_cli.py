@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -369,6 +370,32 @@ def test_diverging_power_flow_exits_4_without_numpy_warnings(table, row, key, va
     assert not state.exists()
 
 
+@pytest.mark.parametrize("value", [1e308, -1e308])
+@pytest.mark.parametrize(
+    "table, row, key, bus",
+    [("buses", 5, key, 6) for key in ("pd", "qd", "gs", "bs")] + [("gens", 2, "pg", 32)],
+    ids=["pd", "qd", "gs", "bs", "pg"],
+)
+def test_overflowing_newton_step_names_its_bus(table, row, key, bus, value, tmp_path, capsys):
+    # each of these gave "inaccurate Newton step (linear residual nan, nan
+    # relative)", although no step was inaccurate: the Jacobian, the LU
+    # solve or their product overflowed
+    from acfdi.cli import EXIT_ESTIMATOR
+
+    doc = json.loads(case_to_json(load_bundled_case39()))
+    doc[table][row][key] = value
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    state = tmp_path / "state.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["pf", str(path), "--out", str(state)]) == EXIT_ESTIMATOR
+    err = capsys.readouterr().err
+    assert f"Newton step overflows at iteration 0 (max mismatch 1.000e+308 at bus {bus})" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not state.exists()
+
+
 def test_bundled_scenario_config_runs(tmp_path):
     out = tmp_path / "bundled"
     assert main(["scenario", "run", str(BUNDLED), "--out", str(out)]) == EXIT_OK
@@ -607,17 +634,18 @@ def _case_json_with(table, row, key, value, command="pf"):
     return make
 
 
-def _case_json_base_mva(value):
+def _case_json_field(key, value):
     def make(tmp_path):
-        # a case JSON with such a base loaded (exit 0), where the MATPOWER
-        # reader refuses it
+        # a case JSON with such a base, or with a top-level key that the
+        # format does not name, loaded (exit 0); the MATPOWER reader refuses
+        # such a base
         doc = json.loads(case_to_json(load_bundled_case39()))
-        doc["base_mva"] = value
+        doc[key] = value
         path = tmp_path / "case.json"
         path.write_text(json.dumps(doc))
-        return ["pf", str(path), "--out", str(tmp_path / "o")], "case field 'base_mva'"
+        return ["pf", str(path), "--out", str(tmp_path / "o")], f"case field '{key}'"
 
-    make.__name__ = f"_pf_case_json_base_mva_{json.dumps(value)}"
+    make.__name__ = f"_pf_case_json_{key}_{json.dumps(value)}"
     return make
 
 
@@ -676,7 +704,12 @@ def _case_m_with(table, row, column, token, named):
         # a tap whose square underflows to 0 exited 1, one whose square
         # overflows opened the branch (exit 0)
         *(_case_json_with("branches", 3, "tap", value) for value in (1e-308, 5e-324, 1e308)),
-        _case_json_base_mva(0), _case_json_base_mva(-1), _case_json_base_mva(math.nan),
+        _case_json_field("base_mva", 0), _case_json_field("base_mva", -1),
+        _case_json_field("base_mva", math.nan),
+        # a key that the case format does not name was dropped (exit 0)
+        _case_json_field("baseMVA", 100), _case_json_field("areas", []),
+        _case_json_with("buses", 5, "Pd", 1.0), _case_json_with("branches", 3, "ratio", 1.0),
+        _case_json_with("gens", 2, "mbase", 100), _case_json_with("gens", 2, "mbase", 100, "zone"),
         _case_m_with("bus", 5, 2, "NaN", "bus 6 field 'pd'"),
         _case_m_with("bus", 5, 12, "nan", "bus 6 field 'vmin'"),
         _case_m_with("branch", 3, 3, "Inf", "branch 2-25 field 'x'"),

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -216,6 +217,29 @@ def test_json_round_trip(case39):
     assert case_to_json(again) == case_to_json(case39)
 
 
+def test_case_field_tables_follow_their_row_types():
+    # the case JSON writer and reader both take a row's values in the order
+    # of its type's fields; only a branch's source position is not written
+    for row_type, fields in network._CASE_TABLES.values():
+        names = [f.name for f in dataclasses.fields(row_type)]
+        json_names = [{"from_bus": "from", "to_bus": "to"}.get(n, n) for n in names]
+        assert json_names[: len(fields)] == list(fields)
+        assert names[len(fields):] == (["index"] if row_type is Branch else [])
+
+
+def test_json_round_trip_keeps_every_field_away_from_its_default(case39):
+    branches, gens = list(case39.branches), list(case39.gens)
+    branches[3] = dataclasses.replace(branches[3], status=False)
+    branches[5] = dataclasses.replace(branches[5], tap=1.05, shift=0.1)
+    branches[7] = dataclasses.replace(branches[7], rating=0.0)
+    gens[2] = dataclasses.replace(gens[2], status=False)
+    case = dataclasses.replace(case39, branches=tuple(branches), gens=tuple(gens), name="odd")
+    again = case_from_json(case_to_json(case))
+    assert again == case
+    assert [br.index for br in again.branches] == list(range(len(branches)))
+    assert (again.branches[3].status, again.gens[2].status) == (False, False)
+
+
 def test_per_unit_consistency():
     # scaling every MW/MVAr input together with baseMVA leaves the model unchanged
     doubled = TWO_BUS_CASE
@@ -240,23 +264,27 @@ def test_case_json_is_valid_json(case39):
     assert len(doc["buses"]) == 39
 
 
+def _known_by_rows(doc, keys, where):
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"{where} field '{key}' is unknown")
+
+
 def _case_of_doc_by_rows(doc):
     """The case JSON reader as it checked each row and field in turn: the
     reference for the column check of `network._case_of_doc`."""
     member(doc, "base_mva", NUMBER, "case")
+    _known_by_rows(doc, ("name", "base_mva", "buses", "branches", "gens"), "case")
     tables = {}
-    for name, fields in (("buses", network._BUS_FIELDS), ("branches", network._BRANCH_FIELDS),
-                         ("gens", network._GEN_FIELDS)):
+    for name, (_, fields) in network._CASE_TABLES.items():
         tables[name] = member(doc, name, list, "case")
         for i, row in enumerate(tables[name]):
-            for key, kind in fields.items():
+            for key, (kind, _) in fields.items():
                 member(row, key, kind, f"{name}[{i}]")
+            _known_by_rows(row, fields, f"{name}[{i}]")
     for i, b in enumerate(tables["buses"]):
         if b["kind"] not in BUS_KINDS:
             raise ConfigError(f"buses[{i}] field 'kind' must be one of {', '.join(BUS_KINDS)}")
-    for i, br in enumerate(tables["branches"]):
-        if br["tap"] == 0:
-            raise ConfigError(f"branches[{i}] field 'tap' must not be 0")
     return NetworkCase(
         base_mva=doc["base_mva"],
         buses=tuple(
@@ -284,12 +312,13 @@ _MISSING = object()
 # ROADMAP item 5's value family, an int beyond float range and a missing key
 _SUBSTITUTES = [-1, 0, -0.0, 2.5, 1e308, math.nan, math.inf, "1", None, [], {}, True, 10**30,
                 10**400, _MISSING]
-# every table, row and field of case39's document, and base_mva
-_PLACES = [("base_mva",), *((t,) for t in ("buses", "branches", "gens"))] + [
+# every table, row and field of case39's document, base_mva, and a key that
+# neither the document nor a row has
+_PLACES = [("base_mva",), ("extra",), *((t,) for t in ("buses", "branches", "gens"))] + [
     (table, i, *key)
     for table in ("buses", "branches", "gens")
     for i, row in enumerate(_CASE39_DOC[table])
-    for key in [(), *((k,) for k in row)]
+    for key in [(), ("extra",), *((k,) for k in row)]
 ]
 
 
@@ -305,8 +334,9 @@ def _read(reader, doc):
                 min_size=1, max_size=3))
 def test_column_check_reads_as_the_row_loop(substitutions):
     # each substitution replaces (or, for the missing key, deletes) one table,
-    # row or field; the column check must take exactly what the row loop
-    # takes, give the same case for it, and name the same first row and field
+    # row or field, or adds an unknown key; the column check must take
+    # exactly what the row loop takes, give the same case for it, and name
+    # the same first row and field
     doc = copy.deepcopy(_CASE39_DOC)
     for place, value in substitutions:
         *path, last = place
