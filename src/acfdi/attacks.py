@@ -326,41 +326,17 @@ def design_attack(
 def compute_falsified_injections(
     case: NetworkCase,
     zone: AttackZone,
-    adm: AdmittanceModel,
-    base_powers: tuple[np.ndarray, ...],
     attacked_powers: tuple[np.ndarray, ...],
 ) -> dict[int, tuple[float, float]]:
-    """What each zone bus must appear to inject after the attack, from the
-    `estimation.network_powers` triples at the base and the attacked state.
-
-    Non-zero-injection zone buses report their base injection plus the sum of
-    interior-line flow changes on lines touching them; zero-injection interior
-    buses stay at exactly (0, 0); inert boundary buses keep their base values.
-    """
-    s_base, sf_base, st_base = base_powers
-    _, sf_att, st_att = attacked_powers
-
-    # each interior line's flow change lands on its from bus, then its to bus,
-    # in zone order; bincount adds them in that order, so every bus sums its
-    # lines in the order the zone lists them
-    lines = np.array([adm.position[br.index] for br in zone.interior_lines], dtype=int)
-    ends = np.column_stack([adm.f_idx[lines], adm.t_idx[lines]]).ravel()
-    change = np.column_stack(
-        [sf_att[lines] - sf_base[lines], st_att[lines] - st_base[lines]]
-    ).ravel()
-    dp = np.bincount(ends, change.real, case.n_bus)
-    dq = np.bincount(ends, change.imag, case.n_bus)
-
-    out: dict[int, tuple[float, float]] = {}
-    for bus in sorted(zone.buses):
-        i = case.bus_index(bus)
-        if bus in zone.interior and not case.has_injection(bus):
-            out[bus] = (0.0, 0.0)
-        elif bus in zone.inert_boundary:
-            out[bus] = (float(s_base[i].real), float(s_base[i].imag))
-        else:
-            out[bus] = (float(s_base[i].real + dp[i]), float(s_base[i].imag + dq[i]))
-    return out
+    """What each zone bus must appear to inject after the attack: exactly
+    (0, 0) at a zero-injection interior bus and, at every other zone bus, its
+    injection in the `estimation.network_powers` triple of the attacked
+    state, which is what the attacked injection meters show. An inert
+    boundary bus has no moved Ybus neighbour, so that is its base injection."""
+    buses = sorted(zone.buses)
+    s_bus = attacked_powers[0][[case.bus_index(b) for b in buses]].tolist()
+    zero = zone.zero_injection_interior(case)
+    return {b: (0.0, 0.0) if b in zero else (s.real, s.imag) for b, s in zip(buses, s_bus)}
 
 
 def check_moves_only_interior(
@@ -386,8 +362,8 @@ def assemble_attack_vector(
     both ends of interior-line flows, zone bus injections, and interior V and
     angle readings. at_base and at_attacked are evaluations of the case's
     full layout (`AdmittanceModel.full_layout`) at the base and the attacked
-    state; they give the deltas on those rows and the powers of the
-    falsified injections. Every other measurement keeps a zero delta
+    state; they give the deltas on those rows, and at_attacked the powers
+    of the falsified injections. Every other measurement keeps a zero delta
     (omitted)."""
     layout = adm.full_layout
     base, x_attacked = at_base.state, at_attacked.state
@@ -401,13 +377,13 @@ def assemble_attack_vector(
         np.isin(where, list(zone.interior)),
     ))
     deltas = at_attacked.h()[rows] - at_base.h()[rows]
-    powers = (full_layout_powers(at_base, adm), full_layout_powers(at_attacked, adm))
+    falsified = compute_falsified_injections(case, zone, full_layout_powers(at_attacked, adm))
 
     return AttackVector(
         x_base=base,
         x_attacked=x_attacked,
         deltas=dict(zip([layout.ids[i] for i in rows.tolist()], deltas.tolist())),
-        falsified_injections=compute_falsified_injections(case, zone, adm, *powers),
+        falsified_injections=falsified,
         solver_info=solver_info or {},
     )
 

@@ -564,6 +564,16 @@ def _cmd_impact(args: argparse.Namespace) -> int:
         raise ConfigError(f"{args.attack}: {exc}") from None
     ms_clean, clean_est = _measure(case, adm, av.x_base, config)
     report = _assess(case, adm, zone, av, ms_clean, clean_est, config)[2]
+    # the report reads the falsified injections off the attacked state, as the
+    # design that wrote the file did, so a file that differs was edited
+    shown = {row["bus"]: (row["p_falsified"], row["q_falsified"])
+             for row in report["buses"] if row["p_falsified"] is not None}
+    for bus in sorted(shown.keys() | av.falsified_injections.keys()):
+        given, wanted = (list(pqs.get(bus) or ()) for pqs in (av.falsified_injections, shown))
+        if given != wanted:
+            raise ConfigError(f"{args.attack}: attack falsified_injections '{bus}' is "
+                              f"{given or 'missing'}, where the attacked state gives "
+                              f"{wanted or 'no zone bus'}")
     _render(report, config.formats,
             lambda name, content: _emit(content, args.out_dir and os.path.join(args.out_dir, name)))
     return EXIT_OK

@@ -116,7 +116,7 @@ def compute_impact(
             }
         )
 
-    falsified = compute_falsified_injections(case, zone, adm, powers_base, powers_att)
+    falsified = compute_falsified_injections(case, zone, powers_att)
     buses = []
     for b, p_base, q_base, p_att, q_att in zip(
         case.buses, s_base.real.tolist(), s_base.imag.tolist(),

@@ -317,6 +317,10 @@ def validate_case(case: NetworkCase) -> None:
         if b.id in seen:
             raise CaseValidationError(f"duplicate bus id {b.id}")
         seen.add(b.id)
+        if b.vmin > b.vmax:  # false for a NaN, which `_check_values` names
+            raise CaseValidationError(
+                f"bus {b.id} field 'vmin' ({b.vmin!r}) is above its 'vmax' ({b.vmax!r})"
+            )
 
     for br in case.branches:
         for end in (br.from_bus, br.to_bus):
@@ -380,9 +384,9 @@ def load_bundled_case39() -> NetworkCase:
 # field order, with each field's kind (`artifacts.typed`; a number may be any
 # JSON number, as a MATPOWER table may hold Inf or NaN) and the rules its
 # value must hold (`_VALUE_TESTS`), in order. Power flow reads the finite
-# ones and divides by the square of a tap; design and impact read the bounds
-# and the rating, which may be infinite (no limit). No stage reads qmin,
-# qmax, pmin or pmax
+# ones and divides by the square of a tap and by r² + x²; design and impact
+# read the bounds and the rating, which may be infinite (no limit). No stage
+# reads qmin, qmax, pmin or pmax
 _FINITE, _NOT_NAN = (NUMBER, "finite"), (NUMBER, "not-NaN")
 _CASE_TABLES = {
     "buses": (Bus, {
@@ -390,7 +394,8 @@ _CASE_TABLES = {
         "vmin": _NOT_NAN, "vmax": _NOT_NAN,
     }),
     "branches": (Branch, {
-        "from": (int, ""), "to": (int, ""), "r": _FINITE, "x": _FINITE, "b": _FINITE,
+        "from": (int, ""), "to": (int, ""),
+        **dict.fromkeys(("r", "x"), (NUMBER, "finite finite-square")), "b": _FINITE,
         "tap": (NUMBER, "positive square"), "shift": _FINITE, "rating": _NOT_NAN,
         "status": (bool, ""),
     }),
@@ -406,6 +411,7 @@ _VALUE_TESTS = {
     "positive": (lambda column: np.isfinite(column) & (column > 0), "must be positive and finite"),
     "square": (lambda column: np.isfinite(column * column) & (column * column > 0),
                "must have a square that is positive and finite"),
+    "finite-square": (lambda column: np.isfinite(column * column), "must have a finite square"),
 }
 
 
@@ -469,6 +475,7 @@ def _table(doc, name: str) -> list[tuple]:
 def _case_of_doc(doc) -> NetworkCase:
     member(doc, "base_mva", NUMBER, "case")
     _known(doc, ("name", "base_mva", *_CASE_TABLES), "case")
+    name = member(doc, "name", str, "case") if "name" in doc else "case"
     buses = tuple(Bus(*row) for row in _table(doc, "buses"))
     branches = tuple(Branch(*row, index=i) for i, row in enumerate(_table(doc, "branches")))
     gens = tuple(Gen(*row) for row in _table(doc, "gens"))
@@ -477,7 +484,7 @@ def _case_of_doc(doc) -> NetworkCase:
             raise ConfigError(f"buses[{i}] field 'kind' must be one of {', '.join(BUS_KINDS)}")
     return NetworkCase(
         base_mva=doc["base_mva"], buses=buses, branches=branches, gens=gens,
-        name=doc.get("name", "case"),
+        name=name,
     )
 
 

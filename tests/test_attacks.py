@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from acfdi.estimation import (
     wls_estimate,
 )
 from acfdi.network import StateVector, build_admittance
-from acfdi.zones import build_zone
+from acfdi.powerflow import newton_power_flow
+from acfdi.zones import build_zone, validate_zone
 from conftest import assemble, flow_of, record_evaluations, replace_buses, state_bytes
 
 
@@ -211,9 +214,7 @@ def test_bad_factor_and_mode_rejected(zone39):
 def test_inert_boundary_injections_unchanged(case39, adm39, base39, zone39, attack_arbitrary):
     fal = attack_arbitrary.falsified_injections
     for bus in ref.INERT_BOUNDARY:
-        p0, q0 = bus_injection(base39, case39, bus, adm39)
-        assert fal[bus][0] == pytest.approx(p0, abs=1e-12)
-        assert fal[bus][1] == pytest.approx(q0, abs=1e-12)
+        assert fal[bus] == bus_injection(base39, case39, bus, adm39), bus
 
 
 def test_zero_injection_interior_maps_to_exact_zero(zone39, attack_optimal):
@@ -221,19 +222,47 @@ def test_zero_injection_interior_maps_to_exact_zero(zone39, attack_optimal):
 
 
 def test_falsified_sum_matches_mixed_state_evaluation(case39, adm39, base39, zone39, attack_arbitrary):
-    # the incident-line summation must reproduce a direct injection
-    # evaluation at the mixed state for every non-zero-injection zone bus
+    # every non-zero-injection zone bus, inert boundary included, reports a
+    # direct injection evaluation at the mixed state bit for bit; a
+    # zero-injection interior bus reports exactly 0, and the design holds its
+    # evaluated injection to the solver tolerance
     av = attack_arbitrary
     for bus, (p, q) in av.falsified_injections.items():
-        if bus in zone39.inert_boundary:
-            continue
         if bus in zone39.interior and not case39.has_injection(bus):
+            assert (p, q) == (0.0, 0.0)
             pd, qd = bus_injection(av.x_attacked, case39, bus, adm39)
             assert abs(pd) < 1e-6 and abs(qd) < 1e-6
             continue
-        p_direct, q_direct = bus_injection(av.x_attacked, case39, bus, adm39)
-        assert p == pytest.approx(p_direct, abs=1e-10), bus
-        assert q == pytest.approx(q_direct, abs=1e-10), bus
+        assert (p, q) == bus_injection(av.x_attacked, case39, bus, adm39), bus
+
+
+@pytest.mark.parametrize("mode", ["optimal", "arbitrary"])
+def test_falsified_injections_are_the_attacked_injections_at_a_shunt_bus(case39, mode):
+    # a bus shunt at interior bus 18, which carries load: its injection holds
+    # a shunt term that no sum of line flows gives. Every zone bus without
+    # zero injection must show what the attacked injection meters show
+    buses = tuple(
+        dataclasses.replace(b, gs=0.1, bs=0.5) if b.id == 18 else b for b in case39.buses
+    )
+    case = dataclasses.replace(case39, buses=buses)
+    adm = build_admittance(case)
+    base = newton_power_flow(case, adm).state
+    zone = validate_zone(case, ref.ZONE_INTERIOR, ref.ZONE_BOUNDARY)
+    spec = AttackSpec(
+        zone=zone,
+        targets=(OverloadTarget(*ref.TARGET, ref.OVERLOAD_FACTOR),),
+        mode=mode,
+        params=SolverParams(seed=1),
+    )
+    av = design_attack(case, base, spec, adm)
+    s_bus = network_powers(av.x_attacked, adm)[0]
+    assert case.has_injection(18) and sorted(av.falsified_injections) == sorted(zone.buses)
+    for bus, pq in av.falsified_injections.items():
+        if bus in zone.interior and not case.has_injection(bus):
+            assert pq == (0.0, 0.0)
+        else:
+            s = s_bus[case.bus_index(bus)]
+            assert pq == (s.real, s.imag), bus
 
 
 # --- attack vector assembly ----------------------------------------------------
@@ -305,12 +334,12 @@ def test_assembly_computes_network_powers_once_per_state(
     av = assemble_attack_vector(case39, at_base, at_attacked, zone39, adm39)
     assert calls == []
     assert av.to_json() == assemble(case39, base39, x_att, zone39, adm39).to_json()
-    # the falsified injections read those powers and evaluate nothing
+    # the falsified injections read the attacked powers and evaluate nothing
     calls.clear()
-    powers = [network_powers(s, adm39) for s in (base39, x_att)]
-    assert len(calls) == 2
-    assert compute_falsified_injections(case39, zone39, adm39, *powers) == av.falsified_injections
-    assert len(calls) == 2
+    powers = network_powers(x_att, adm39)
+    assert len(calls) == 1
+    assert compute_falsified_injections(case39, zone39, powers) == av.falsified_injections
+    assert len(calls) == 1
 
 
 def test_assembly_rejects_moved_exterior_bus(case39, adm39, base39, zone39):

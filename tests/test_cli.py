@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -219,6 +220,41 @@ def test_attack_state_with_a_non_positive_magnitude_is_config_error(
     assert f"{attack}: attack {key} buses[25] field 'vm' must be positive" in (
         capsys.readouterr().err
     )
+    assert not (tmp_path / "i").exists()
+
+
+def _shifted_p(injections):
+    injections["18"][0] += 1.0
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_shifted_p, r"'18' is \[-0\.39\d*, -0\.30\d*\], where the attacked state gives "
+                     r"\[-1\.39\d*, -0\.30\d*\]$"),
+        (lambda injections: injections.pop("17"), r"'17' is missing, where the attacked state "
+                                                   r"gives \[0\.0, 0\.0\]$"),
+        (lambda injections: injections.update({"1": [0.0, 0.0]}),
+         r"'1' is \[0\.0, 0\.0\], where the attacked state gives no zone bus$"),
+    ],
+    ids=["shifted", "missing", "extra"],
+)
+def test_attack_with_edited_falsified_injections_is_config_error(
+    scenario_out, tmp_path, capsys, edit, message
+):
+    # the report reads the falsified injections off the attacked state, as
+    # the design did, so an edited entry is named and nothing is written
+    _, out = scenario_out
+    doc = json.loads((out / "attack_optimal.json").read_text())
+    edit(doc["falsified_injections"])
+    attack = tmp_path / "attack.json"
+    attack.write_text(json.dumps(doc))
+    rc = main(["impact", "case39", str(out / "zone.json"), str(attack),
+               "--out-dir", str(tmp_path / "i")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert re.search(rf"^error: {re.escape(str(attack))}: attack falsified_injections {message}",
+                     err), err
     assert not (tmp_path / "i").exists()
 
 
@@ -636,9 +672,9 @@ def _case_json_with(table, row, key, value, command="pf"):
 
 def _case_json_field(key, value):
     def make(tmp_path):
-        # a case JSON with such a base, or with a top-level key that the
-        # format does not name, loaded (exit 0); the MATPOWER reader refuses
-        # such a base
+        # a case JSON with such a base, with a name that is not a string, or
+        # with a top-level key that the format does not name, loaded (exit 0);
+        # the MATPOWER reader refuses such a base
         doc = json.loads(case_to_json(load_bundled_case39()))
         doc[key] = value
         path = tmp_path / "case.json"
@@ -647,6 +683,18 @@ def _case_json_field(key, value):
 
     make.__name__ = f"_pf_case_json_{key}_{json.dumps(value)}"
     return make
+
+
+def _scenario_on_a_case_json_with_vmin_above_vmax(tmp_path):
+    # attack design projected its start into the empty band [2.5, 1.06] and
+    # the solver refused it (exit 1, "unexpected error")
+    doc = json.loads(case_to_json(load_bundled_case39()))
+    doc["buses"][25]["vmin"] = 2.5
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SCENARIO, "case": str(case)}))
+    return ["scenario", "run", str(config), "--out", str(tmp_path / "o")], "bus 26 field 'vmin'"
 
 
 def _case_m_with(table, row, column, token, named):
@@ -710,6 +758,15 @@ def _case_m_with(table, row, column, token, named):
         _case_json_field("baseMVA", 100), _case_json_field("areas", []),
         _case_json_with("buses", 5, "Pd", 1.0), _case_json_with("branches", 3, "ratio", 1.0),
         _case_json_with("gens", 2, "mbase", 100), _case_json_with("gens", 2, "mbase", 100, "zone"),
+        # a band with vmin above vmax exited 1 in attack design; an r or x
+        # of ±1e308 opened the branch, and a name of any JSON value loaded
+        # (exit 0)
+        _scenario_on_a_case_json_with_vmin_above_vmax,
+        _case_json_with("branches", 3, "r", 1e308), _case_json_with("branches", 3, "x", -1e308),
+        _case_json_field("name", 3), _case_json_field("name", None),
+        _case_m_with("bus", 25, 12, "2.5", "bus 26 field 'vmin'"),
+        _case_m_with("branch", 3, 2, "1e308", "branch 2-25 field 'r'"),
+        _case_m_with("branch", 3, 3, "-1e308", "branch 2-25 field 'x'"),
         _case_m_with("bus", 5, 2, "NaN", "bus 6 field 'pd'"),
         _case_m_with("bus", 5, 12, "nan", "bus 6 field 'vmin'"),
         _case_m_with("branch", 3, 3, "Inf", "branch 2-25 field 'x'"),

@@ -114,6 +114,79 @@ def test_self_loop_rejected():
         parse_case(bad)
 
 
+def test_vmin_above_vmax_is_refused_by_both_readers(case39):
+    # attack design projects its start into [vmin, vmax]: an empty band made
+    # `scenario run` exit 1
+    bad = TWO_BUS_CASE.replace("1.06 0.94;\n];", "1.06 1.07;\n];")
+    assert bad != TWO_BUS_CASE
+    with pytest.raises(
+        CaseValidationError, match=r"^bus 2 field 'vmin' \(1\.07\) is above its 'vmax' \(1\.06\)$"
+    ):
+        parse_case(bad)
+    doc = json.loads(case_to_json(case39))
+    vmax = doc["buses"][25]["vmax"]
+    doc["buses"][25]["vmin"] = 2.5
+    with pytest.raises(
+        CaseValidationError,
+        match=rf"^bus 26 field 'vmin' \(2\.5\) is above its 'vmax' \({re.escape(repr(vmax))}\)$",
+    ):
+        case_from_json(json.dumps(doc))
+    # an equal pair is a band of one point, and a NaN keeps its own message
+    doc["buses"][25]["vmin"] = vmax
+    assert case_from_json(json.dumps(doc)).bus(26).vmin == vmax
+    doc["buses"][25]["vmin"] = math.nan
+    with pytest.raises(CaseValidationError, match=r"^buses\[25\] field 'vmin' must not be NaN$"):
+        case_from_json(json.dumps(doc))
+
+
+_EDGE = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
+
+
+@pytest.mark.parametrize("key, column", [("r", 2), ("x", 3)])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (_EDGE, None), (-_EDGE, None),
+        (math.nextafter(_EDGE, math.inf), "must have a finite square"),
+        (-math.nextafter(_EDGE, math.inf), "must have a finite square"),
+        (1e308, "must have a finite square"), (-1e308, "must have a finite square"),
+        (math.nan, "must be finite"), (math.inf, "must be finite"), (-math.inf, "must be finite"),
+    ],
+)
+def test_branch_impedance_bound_is_a_finite_square_in_both_readers(
+    case39, key, column, value, message
+):
+    # an r or x of 1e308 loaded and power flow ran with the branch as good as
+    # open; admittance assembly divides by r² + x²
+    assert math.isfinite(_EDGE * _EDGE)
+    tokens = "1 2 0.01 0.1 0.02".split()
+    tokens[column] = repr(value)
+    text = TWO_BUS_CASE.replace("1 2 0.01 0.1 0.02", " ".join(tokens))
+    doc = json.loads(case_to_json(case39))
+    doc["branches"][3][key] = value
+    if message is None:
+        assert getattr(parse_case(text).branches[0], key) == value
+        assert getattr(case_from_json(json.dumps(doc)).branches[3], key) == value
+        return
+    with pytest.raises(CaseValidationError, match=rf"^branch 1-2 field '{key}' {message}$"):
+        parse_case(text)
+    with pytest.raises(CaseValidationError, match=rf"^branches\[3\] field '{key}' {message}$"):
+        case_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name", [3, 2.5, math.nan, None, [], {}, True])
+def test_case_json_name_must_be_a_string(case39, name):
+    doc = json.loads(case_to_json(case39))
+    doc["name"] = name
+    with pytest.raises(
+        CaseParseError, match=r"^case JSON is malformed: case field 'name' must be a string$"
+    ):
+        case_from_json(json.dumps(doc))
+    # an absent name still reads as "case"
+    del doc["name"]
+    assert case_from_json(json.dumps(doc)).name == "case"
+
+
 def test_tap_zero_normalized_to_one(case39):
     taps = {br.tap for br in case39.branches}
     assert 0.0 not in taps
@@ -275,6 +348,8 @@ def _case_of_doc_by_rows(doc):
     reference for the column check of `network._case_of_doc`."""
     member(doc, "base_mva", NUMBER, "case")
     _known_by_rows(doc, ("name", "base_mva", "buses", "branches", "gens"), "case")
+    if "name" in doc:
+        member(doc, "name", str, "case")
     tables = {}
     for name, (_, fields) in network._CASE_TABLES.items():
         tables[name] = member(doc, name, list, "case")
@@ -312,9 +387,9 @@ _MISSING = object()
 # ROADMAP item 5's value family, an int beyond float range and a missing key
 _SUBSTITUTES = [-1, 0, -0.0, 2.5, 1e308, math.nan, math.inf, "1", None, [], {}, True, 10**30,
                 10**400, _MISSING]
-# every table, row and field of case39's document, base_mva, and a key that
-# neither the document nor a row has
-_PLACES = [("base_mva",), ("extra",), *((t,) for t in ("buses", "branches", "gens"))] + [
+# every table, row and field of case39's document, name, base_mva, and a key
+# that neither the document nor a row has
+_PLACES = [("name",), ("base_mva",), ("extra",), *((t,) for t in ("buses", "branches", "gens"))] + [
     (table, i, *key)
     for table in ("buses", "branches", "gens")
     for i, row in enumerate(_CASE39_DOC[table])
