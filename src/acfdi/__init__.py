@@ -20,7 +20,7 @@ from .estimation import (
     generate_measurements,
     wls_estimate,
 )
-from .impact import compute_impact, render_report
+from .impact import base_document, compute_impact, render_report
 from .network import (
     Branch,
     CaseError,
@@ -42,6 +42,7 @@ __all__ = [
     "MeasurementSet",
     "OverloadTarget",
     "apply_attack",
+    "base_document",
     "compute_impact",
     "design_attack",
     "full_layout",

@@ -10,9 +10,9 @@ the members, and only the containers above them are walked in Python. An
 encoded string never holds a raw newline (it is written as \\n), so every
 raw newline of the C encoding is a separator.
 
-Input files are read through `read_text`, and their fields through `member`
-and `typed`, which raise `ConfigError` naming the file or the field at fault;
-`typed_column` tests a table's column in one pass.
+Input files are read through `read_text`, and their fields through `member`,
+`typed` and `known`, which raise `ConfigError` naming the file or the field at
+fault; `typed_column` tests a table's column in one pass.
 """
 
 from __future__ import annotations
@@ -83,6 +83,13 @@ def typed_column(values, kind: type) -> bool:
         ints = [v for v in values if type(v) is int]
         return -_FLOAT_MAX <= min(ints) and max(ints) <= _FLOAT_MAX  # as `typed` bounds them
     return True
+
+
+def known(doc: dict, keys, where: str) -> None:
+    """Raise ConfigError naming the first key of doc that keys lacks."""
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"{where} field '{key}' is unknown")
 
 
 def member(doc, key: str, kind: type, where: str):

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import artifacts
-from .artifacts import ConfigError, member, typed
+from .artifacts import ConfigError, known, member, typed
 # eval_h and eval_jacobian are not called here: bench/spans.py patches them in this module
 from .estimation import (
     KIND_CODE, Evaluation, Layout, MeasurementModel, MeasurementSet, eval_h, eval_jacobian,
@@ -133,6 +133,8 @@ class AttackVector:
             key: StateVector.from_dict(member(doc, key, dict, "attack"), f"attack {key}")
             for key in ("x_base", "x_attacked")
         }
+        known(doc, ("x_base", "x_attacked", "deltas", "falsified_injections", "solver_info"),
+              "attack")
         deltas = member(doc, "deltas", dict, "attack")
         falsified = member(doc, "falsified_injections", dict, "attack")
         solver_info = member(doc, "solver_info", dict, "attack")

@@ -20,7 +20,9 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .artifacts import ConfigError, member, read_text, to_json
+import numpy as np
+
+from .artifacts import ConfigError, known, member, read_text, to_json, typed
 from .attacks import (
     AttackError,
     AttackSpec,
@@ -38,9 +40,10 @@ from .estimation import (
     chi_square_test,
     generate_measurements,
     measurement_set_from_csv,
+    network_powers,
     wls_estimate,
 )
-from .impact import compute_impact, render_report
+from .impact import base_document, compute_impact, render_report
 from .network import CaseError, StateVector, build_admittance, load_bundled_case39, load_case
 from .nlsolver import check_limits
 from .powerflow import PowerFlowError, solve_power_flow
@@ -61,6 +64,9 @@ _SOLVER_KEYS = tuple(f.name for f in fields(SolverParams) if f.name != "seed")
 # the top-level keys of a scenario file
 _SECTIONS = ("case", "zone", "targets", "mode", "sigmas", "seeds", "bdd", "solver", "pf",
              "estimator", "output")
+# the fields of a zone file, as `AttackZone.to_dict` writes them
+_ZONE_FIELDS = ("focal", "interior", "boundary", "inert_boundary", "interior_lines",
+                "frozen_lines", "tie_lines")
 
 
 @dataclass(frozen=True)
@@ -357,19 +363,61 @@ def _state_of_case(case, state: StateVector) -> StateVector:
     return state
 
 
+def _finite_state(adm, state: StateVector, where: str) -> StateVector:
+    """state, whose flows and injections are finite; else ConfigError naming
+    the first bus, in case order, whose injection or branch end is not."""
+    with np.errstate(all="ignore"):
+        s, sf, st = network_powers(state, adm)
+    bad = ~np.isfinite(s)
+    bad[adm.f_idx[~np.isfinite(sf)]] = True
+    bad[adm.t_idx[~np.isfinite(st)]] = True
+    if bad.any():
+        bus = state.bus_ids[bad.argmax()]
+        raise ConfigError(f"{where} bus {bus}: the flows or injections at this state "
+                          "are not finite")
+    return state
+
+
 def _zone(case, config: ScenarioConfig):
     if "focal" in config.zone:
         return build_zone(case, set(config.zone["focal"]))
     return validate_zone(case, set(config.zone["interior"]), set(config.zone["boundary"]))
 
 
+def _same_entries(given, derived: list, label: str) -> None:
+    """Raise ConfigError naming the first entry of given that is not derived's.
+    Entries compare as JSON text, so that 16.0 or true is not the bus 16 or 1."""
+    given = typed(given, list, label)
+    for i in range(max(len(given), len(derived))):
+        have, want = (json.dumps(x[i]) if i < len(x) else None for x in (given, derived))
+        if have != want:
+            raise ConfigError(f"{label} entry {i} is {have or 'missing'}, where the zone "
+                              f"gives {want or 'no entry'}")
+
+
 def _zone_from_file(case, path: str):
+    """The zone of a zone file's interior and boundary, with its focal buses,
+    which lie in the interior. Every other field the file gives is what the
+    zone derives: its inert boundary and line lists are the zone's."""
     doc = _read_json(path, "zone")
-    doc = doc if isinstance(doc, dict) else {}
-    interior, boundary = (
-        _bus_list(doc.get(key), f"{path}: zone field '{key}'") for key in ("interior", "boundary")
-    )
-    return validate_zone(case, set(interior), set(boundary))
+    try:
+        interior, boundary = (
+            _bus_list(member(doc, key, list, "zone"), f"zone field '{key}'")
+            for key in ("interior", "boundary")
+        )
+        known(doc, _ZONE_FIELDS, "zone")
+        zone = validate_zone(case, set(interior), set(boundary))
+        derived = zone.to_dict()
+        for key in _ZONE_FIELDS[3:]:
+            if key in doc:
+                _same_entries(doc[key], derived[key], f"zone field '{key}'")
+        focal = member(doc, "focal", list, "zone") if "focal" in doc else []
+        for i, bus in enumerate(_bus_list(focal, "zone field 'focal'")):
+            if bus not in zone.interior:
+                raise ConfigError(f"zone field 'focal' entry {i} is {bus}, not an interior bus")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return replace(zone, focal=frozenset(focal))
 
 
 def _attack(case, adm, base, zone, config: ScenarioConfig, mode: str) -> AttackVector:
@@ -402,9 +450,9 @@ def _assess(case, adm, zone, av: AttackVector, ms_clean, clean_est, config: Scen
     return ms_attacked, attacked_est, report
 
 
-def _render(report, formats, write, suffix: str = "") -> None:
+def _render(report, base_doc, formats, write, suffix: str = "") -> None:
     for fmt in formats:
-        for name, content in render_report(report, fmt).items():
+        for name, content in render_report(report, fmt, base_doc).items():
             stem, ext = name.rsplit(".", 1)
             write(f"{stem}{suffix}.{ext}", content)
 
@@ -420,7 +468,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> dict:
     zone = _zone(case, config)
     log.info("solving base power flow for %s", config.case_path)
     base = solve_power_flow(case, adm, **asdict(config.pf))
+    base_doc = base_document(case, base, adm)
     write("state.json", _to_json(base))
+    write("base.json", to_json(base_doc))
     write("zone.json", _to_json(zone))
 
     ms_clean, clean_est = _measure(case, adm, base, config)
@@ -437,7 +487,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> dict:
         )
         write(f"measurements_{mode}.csv", ms_attacked.to_csv())
         write(f"estimation_{mode}.json", _estimation_json(attacked_est, config.bdd))
-        _render(report, config.formats, write, suffix=f"_{mode}")
+        _render(report, base_doc, config.formats, write, suffix=f"_{mode}")
 
         # from the states: the report holds the angle differences in degrees
         x, x_base = av.x_attacked, av.x_base
@@ -506,7 +556,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     if args.state:
         doc = _read_json(args.state, "state")
         try:
-            base = _state_of_case(case, StateVector.from_dict(doc))
+            base = _finite_state(adm, _state_of_case(case, StateVector.from_dict(doc)), "state")
         except ConfigError as exc:
             raise ConfigError(f"{args.state}: {exc}") from None
     else:
@@ -544,8 +594,8 @@ def _cmd_impact(args: argparse.Namespace) -> int:
     text = read_text(args.attack, "attack")
     try:
         av = AttackVector.from_json(text)
-        for state in (av.x_base, av.x_attacked):
-            _state_of_case(case, state)
+        for key in ("x_base", "x_attacked"):
+            _finite_state(adm, _state_of_case(case, getattr(av, key)), f"attack {key}")
         check_moves_only_interior(av.x_base, av.x_attacked, zone, ConfigError)
         mode = member(av.solver_info, "mode", str, "attack solver_info")
         if mode not in _MODES:
@@ -574,7 +624,11 @@ def _cmd_impact(args: argparse.Namespace) -> int:
             raise ConfigError(f"{args.attack}: attack falsified_injections '{bus}' is "
                               f"{given or 'missing'}, where the attacked state gives "
                               f"{wanted or 'no zone bus'}")
-    _render(report, config.formats,
+    # the base document goes beside the report files; stdout takes the report alone
+    base_doc = base_document(case, av.x_base, adm)
+    if args.out_dir:
+        _write(args.out_dir, {"base.json": to_json(base_doc)})
+    _render(report, base_doc, config.formats,
             lambda name, content: _emit(content, args.out_dir and os.path.join(args.out_dir, name)))
     return EXIT_OK
 

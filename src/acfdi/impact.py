@@ -7,7 +7,14 @@ regulators), tabulates flow/injection/state changes and the
 detector's view of both measurement sets, and renders the result as JSON,
 CSV tables, or SVG bar charts. The report is one document, the content of
 `impact.json`; the CSV and SVG renderers and the scenario summary read it.
-All output is deterministic byte for byte.
+
+An attack moves only interior states, so a flow can change only on a zone
+line and an injection only at a zone bus: the report lists those rows, the
+attack's footprint, and counts the rows it omits, which must not have moved.
+The base state's flows and injections of every branch and bus are one
+document of their own, `base.json`, written once per scenario; the CSV flow
+table reads its omitted rows from there. All output is deterministic byte
+for byte.
 """
 
 from __future__ import annotations
@@ -25,10 +32,11 @@ from .estimation import (
     largest_normalized_residual,
     network_powers,
 )
-from .network import AdmittanceModel, NetworkCase, build_admittance
+from .network import AdmittanceModel, NetworkCase, StateVector, build_admittance
 from .zones import AttackZone
 
-SCHEMA = "impact/1"
+SCHEMA = "impact/2"
+BASE_SCHEMA = "base/1"
 
 
 class ReportError(ValueError):
@@ -45,24 +53,62 @@ def _bus_role(bus: int, zone: AttackZone) -> str:
     return "exterior"
 
 
-def _flows(powers: tuple[np.ndarray, ...]) -> list[dict]:
-    """Each in-service branch's flow {pf, qf, pt, qt} in adm.branches order,
-    from the `network_powers` triple of a state."""
+def _flows(powers: tuple[np.ndarray, ...], rows: np.ndarray) -> list[tuple[float, ...]]:
+    """The flow (pf, qf, pt, qt) of each in-service branch at these positions
+    of adm.branches, from the `network_powers` triple of a state."""
     _, sf, st = powers
-    parts = (sf.real.tolist(), sf.imag.tolist(), st.real.tolist(), st.imag.tolist())
-    return [dict(zip(("pf", "qf", "pt", "qt"), flow)) for flow in zip(*parts)]
+    sf, st = sf[rows], st[rows]
+    return list(zip(sf.real.tolist(), sf.imag.tolist(), st.real.tolist(), st.imag.tolist()))
 
 
-def _loadings(powers: tuple[np.ndarray, ...], ratings: np.ndarray) -> list[float | None]:
+def _loadings(powers: tuple[np.ndarray, ...], ratings: np.ndarray) -> np.ndarray:
     """Each in-service branch's percent of rating carried by the larger
     apparent power of its two ends, from the `network_powers` triple of a
-    state; None where ratings holds no positive rating."""
+    state; 0.0 where ratings holds no positive rating."""
     _, sf, st = powers
     larger = np.maximum(np.hypot(sf.real, sf.imag), np.hypot(st.real, st.imag))
     rated = ratings > 0
     loading = np.zeros(len(ratings))
     loading[rated] = 100.0 * larger[rated] / ratings[rated]
-    return [x if r else None for x, r in zip(loading.tolist(), rated.tolist())]
+    return loading
+
+
+def _rated(values: np.ndarray, ratings: np.ndarray) -> list[float | None]:
+    """values as floats, None where ratings holds no positive rating."""
+    return [x if r > 0 else None for x, r in zip(values.tolist(), ratings.tolist())]
+
+
+def _ratings(adm: AdmittanceModel) -> np.ndarray:
+    return np.array([br.rating for br in adm.branches])
+
+
+def _by_ends(rows: list[dict]) -> list[dict]:
+    return sorted(rows, key=lambda b: (b["from"], b["to"]))
+
+
+def base_document(
+    case: NetworkCase, state: StateVector, adm: AdmittanceModel | None = None
+) -> dict:
+    """The base.json document of a base state: every in-service branch's
+    flow and loading, sorted by its ends as the report's rows are, and every
+    bus's injection, in case order. Powers are in per unit."""
+    if adm is None:
+        adm = build_admittance(case)
+    powers = network_powers(state, adm)
+    ratings = _ratings(adm)
+    rows = [
+        {"from": br.from_bus, "to": br.to_bus, "pf": pf, "qf": qf, "pt": pt, "qt": qt,
+         "loading": loading}
+        for br, (pf, qf, pt, qt), loading in zip(
+            adm.branches, _flows(powers, slice(None)), _rated(_loadings(powers, ratings), ratings)
+        )
+    ]
+    s = powers[0]
+    buses = [
+        {"bus": b.id, "p": p, "q": q}
+        for b, p, q in zip(case.buses, s.real.tolist(), s.imag.tolist())
+    ]
+    return {"schema": BASE_SCHEMA, "branches": _by_ends(rows), "buses": buses}
 
 
 def compute_impact(
@@ -75,10 +121,12 @@ def compute_impact(
     metadata: dict | None = None,
     adm: AdmittanceModel | None = None,
 ) -> dict:
-    """The impact.json document of av: flows and injections at av.x_base and
-    av.x_attacked, the zone's state deviation, both estimates' residuals and
-    the overload targets that av.solver_info names. Powers are in per unit,
-    angles in degrees except the per-state estimate shift (radians)."""
+    """The impact.json document of av: flows of the zone's lines and
+    injections of its buses at av.x_base and av.x_attacked, the count of the
+    rows it omits and their largest changes, the zone's state deviation,
+    both estimates' residuals and the overload targets that av.solver_info
+    names. An omitted row that moved raises ReportError. Powers are in per
+    unit, angles in degrees except the per-state estimate shift (radians)."""
     if policy is None:
         policy = BddPolicy()
     if adm is None:
@@ -90,49 +138,77 @@ def compute_impact(
     lines = {"interior": zone.interior_lines, "frozen": zone.frozen_lines, "tie": zone.tie_lines}
     # reversed, so that the first role listed wins for a line in two lists
     role_of = {br.index: role for role, group in reversed(lines.items()) for br in group}
-    notes: list[str] = []
-    rows = []  # in adm.branches order
+    notes = [
+        f"branch {br.from_bus}-{br.to_bus} has no rating; loading omitted"
+        for br in adm.branches if not br.rating > 0
+    ]
     powers_base = network_powers(base, adm)
     powers_att = network_powers(av.x_attacked, adm)
     (s_base, sf_base, _), (s_att, sf_att, _) = powers_base, powers_att
-    ratings = np.array([br.rating for br in adm.branches])
-    for br, before, after, dp, dq, loading_base, loading_att in zip(
-        adm.branches, _flows(powers_base), _flows(powers_att),
-        (sf_att.real - sf_base.real).tolist(), (sf_att.imag - sf_base.imag).tolist(),
-        _loadings(powers_base, ratings), _loadings(powers_att, ratings),
+    ratings = _ratings(adm)
+    loading_base, loading_att = _loadings(powers_base, ratings), _loadings(powers_att, ratings)
+    dp, dq = sf_att.real - sf_base.real, sf_att.imag - sf_base.imag
+    ds = s_att - s_base
+
+    # the attack's footprint: the zone's lines, in adm.branches order, and its buses
+    kept = np.array(sorted(adm.position[i] for i in role_of), dtype=int)
+    in_zone = np.array([b.id in zone.buses for b in case.buses])
+    lines_out = np.ones(len(adm.branches), dtype=bool)
+    lines_out[kept] = False
+    buses_out = ~in_zone
+    omitted = {"branches": int(lines_out.sum()), "buses": int(buses_out.sum())}
+    for name, change, out in (
+        ("dp", dp, lines_out),
+        ("dq", dq, lines_out),
+        ("dloading", loading_att - loading_base, lines_out),
+        ("dp_injection", ds.real, buses_out),
+        ("dq_injection", ds.imag, buses_out),
     ):
-        rating = br.rating if br.rating > 0 else None
-        if rating is None:
-            notes.append(f"branch {br.from_bus}-{br.to_bus} has no rating; loading omitted")
-        rows.append(
-            {
-                "from": br.from_bus, "to": br.to_bus,
-                "role": role_of.get(br.index, "exterior"),
-                "rating": rating,
-                "base": before, "attacked": after,
-                "dp": dp, "dq": dq,
-                "loading_base": loading_base,
-                "loading_attacked": loading_att,
-            }
+        moved = np.flatnonzero(out & (change != 0))
+        if len(moved):
+            k = moved[0]
+            br = adm.branches[k] if out is lines_out else None
+            where = f"bus {case.buses[k].id}" if br is None else f"branch {br.from_bus}-{br.to_bus}"
+            raise ReportError(f"{where} lies outside the zone, yet the attack moves it "
+                              f"({name} {float(change[k])!r})")
+        omitted[f"max_abs_{name}"] = float(np.max(np.abs(change[out]), initial=0.0))
+
+    rows = [
+        {
+            "from": br.from_bus, "to": br.to_bus,
+            "role": role_of[br.index],
+            "rating": br.rating if br.rating > 0 else None,
+            "base": dict(zip(("pf", "qf", "pt", "qt"), before)),
+            "attacked": dict(zip(("pf", "qf", "pt", "qt"), after)),
+            "dp": dp_k, "dq": dq_k,
+            "loading_base": at_base,
+            "loading_attacked": at_att,
+        }
+        for br, before, after, dp_k, dq_k, at_base, at_att in zip(
+            map(adm.branches.__getitem__, kept.tolist()),
+            _flows(powers_base, kept), _flows(powers_att, kept),
+            dp[kept].tolist(), dq[kept].tolist(),
+            _rated(loading_base[kept], ratings[kept]), _rated(loading_att[kept], ratings[kept]),
         )
+    ]
 
     falsified = compute_falsified_injections(case, zone, powers_att)
+    zone_buses = np.flatnonzero(in_zone)
     buses = []
-    for b, p_base, q_base, p_att, q_att in zip(
-        case.buses, s_base.real.tolist(), s_base.imag.tolist(),
-        s_att.real.tolist(), s_att.imag.tolist(),
+    for i, p_base, q_base, p_att, q_att in zip(
+        zone_buses.tolist(), s_base.real[zone_buses].tolist(), s_base.imag[zone_buses].tolist(),
+        s_att.real[zone_buses].tolist(), s_att.imag[zone_buses].tolist(),
     ):
-        fal = falsified.get(b.id)
+        bus = case.buses[i].id
+        p_fal, q_fal = falsified[bus]
         buses.append(
             {
-                "bus": b.id, "role": _bus_role(b.id, zone),
+                "bus": bus, "role": _bus_role(bus, zone),
                 "p_base": p_base, "q_base": q_base,
                 "p_attacked": p_att, "q_attacked": q_att,
-                "p_falsified": None if fal is None else fal[0],
-                "q_falsified": None if fal is None else fal[1],
+                "p_falsified": p_fal, "q_falsified": q_fal,
             }
         )
-
     deviations = []
     for bus in sorted(zone.buses):
         vm_base, va_base = base.magnitude(bus), base.angle(bus)
@@ -184,7 +260,7 @@ def compute_impact(
         k = adm.pair_position.get((f, to))
         if k is None:
             raise ReportError(f"target branch {f}-{to} not found among in-service branches")
-        p_base, p_attacked = rows[k]["base"]["pf"], rows[k]["attacked"]["pf"]
+        p_base, p_attacked = float(sf_base.real[k]), float(sf_att.real[k])
         targets.append(
             {
                 "from": f,
@@ -200,8 +276,9 @@ def compute_impact(
         "schema": SCHEMA,
         "metadata": metadata or {},
         "zone": zone.to_dict(),
-        "branches": sorted(rows, key=lambda b: (b["from"], b["to"])),
+        "branches": _by_ends(rows),
         "buses": buses,
+        "omitted": omitted,
         "state_deviation": deviations,
         "residuals": residuals,
         "targets": targets,
@@ -215,7 +292,7 @@ def _fmt(x: float | None) -> str:
     return format(x, ".10g")
 
 
-def _csv_rows(header: str, rows: list[dict], labels: tuple[str, ...], values) -> str:
+def _csv_rows(header: str, rows, labels: tuple[str, ...], values) -> str:
     """header, then each row's label fields as text and its values(row) as .10g."""
     lines = [header]
     for row in rows:
@@ -223,7 +300,22 @@ def _csv_rows(header: str, rows: list[dict], labels: tuple[str, ...], values) ->
     return "\n".join(lines) + "\n"
 
 
-def report_to_csv(doc: dict) -> dict[str, str]:
+def _all_branches(doc: dict, base: dict):
+    """A row for every in-service branch, in the base document's order: the
+    report's own, or for a branch that the report omits, one read off the base
+    document, since its attacked flow is its base flow."""
+    kept = iter(doc["branches"])
+    pairs = {(b["from"], b["to"]) for b in doc["branches"]}
+    for row in base["branches"]:
+        if (row["from"], row["to"]) in pairs:
+            yield next(kept)
+        else:
+            yield {"from": row["from"], "to": row["to"], "role": "exterior",
+                   "base": row, "attacked": row, "dp": 0.0, "dq": 0.0,
+                   "loading_base": row["loading"], "loading_attacked": row["loading"]}
+
+
+def report_to_csv(doc: dict, base: dict) -> dict[str, str]:
     """Three tables: zone voltages, zone injections, all branch flows."""
     return {
         "voltages.csv": _csv_rows(
@@ -234,14 +326,14 @@ def report_to_csv(doc: dict) -> dict[str, str]:
         ),
         "injections.csv": _csv_rows(
             "bus,role,p_base_pu,q_base_pu,p_falsified_pu,q_falsified_pu",
-            [b for b in doc["buses"] if b["p_falsified"] is not None],
+            doc["buses"],
             ("bus", "role"),
             lambda b: (b["p_base"], b["q_base"], b["p_falsified"], b["q_falsified"]),
         ),
         "flows.csv": _csv_rows(
             "from,to,role,p_base_pu,q_base_pu,p_attacked_pu,q_attacked_pu,"
             "dp_pu,dq_pu,loading_base_pct,loading_attacked_pct",
-            doc["branches"],
+            _all_branches(doc, base),
             ("from", "to", "role"),
             lambda b: (
                 b["base"]["pf"], b["base"]["qf"], b["attacked"]["pf"], b["attacked"]["qf"],
@@ -336,12 +428,14 @@ def report_to_svg(doc: dict) -> dict[str, str]:
     }
 
 
-def render_report(doc: dict, fmt: str) -> dict[str, str]:
-    """Render the document to named files; callers decide where the bytes go."""
+def render_report(doc: dict, fmt: str, base: dict) -> dict[str, str]:
+    """Render the document to named files; callers decide where the bytes go.
+    base is the `base_document` of the report's base state, whose rows the
+    CSV flow table shows for the branches that the report omits."""
     if fmt == "json":
         return {"impact.json": to_json(doc, sort_keys=True)}
     if fmt == "csv":
-        return report_to_csv(doc)
+        return report_to_csv(doc, base)
     if fmt == "svg":
         return report_to_svg(doc)
     raise ReportError(f"unknown report format {fmt!r}")

@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .artifacts import NUMBER, ConfigError, member, read_text, to_json, typed_column
+from .artifacts import NUMBER, ConfigError, known, member, read_text, to_json, typed_column
 
 BUS_KINDS = ("slack", "PV", "PQ")
 _MATPOWER_BUS_TYPE = {1: "PQ", 2: "PV", 3: "slack"}
@@ -179,14 +179,15 @@ class StateVector:
 
     @classmethod
     def from_dict(cls, doc: dict, where: str = "state") -> "StateVector":
-        """The state that `to_dict` wrote; a missing or mistyped field raises
-        ConfigError naming it."""
-        rows = [
-            (member(row, "id", int, f"{where} buses[{i}]"),
-             member(row, "vm", float, f"{where} buses[{i}]"),
-             member(row, "va", float, f"{where} buses[{i}]"))
-            for i, row in enumerate(member(doc, "buses", list, where))
-        ]
+        """The state that `to_dict` wrote; a missing, mistyped or unknown
+        field raises ConfigError naming it."""
+        buses = member(doc, "buses", list, where)
+        known(doc, ("buses",), where)
+        rows = []
+        for i, row in enumerate(buses):
+            rows.append(tuple(member(row, key, kind, f"{where} buses[{i}]")
+                              for key, kind in (("id", int), ("vm", float), ("va", float))))
+            known(row, ("id", "vm", "va"), f"{where} buses[{i}]")
         if not rows:
             raise ConfigError(f"{where} field 'buses' is empty")
         bus_ids, vm, va = zip(*rows)
@@ -441,13 +442,6 @@ def case_from_json(text: str) -> NetworkCase:
     return case
 
 
-def _known(doc: dict, keys, where: str) -> None:
-    """Raise ConfigError naming the first key of doc that keys lacks."""
-    for key in doc:
-        if key not in keys:
-            raise ConfigError(f"{where} field '{key}' is unknown")
-
-
 def _table(doc, name: str) -> list[tuple]:
     """doc[name]'s rows, each as the tuple of its fields' values, checked to
     be of their kinds and to hold no other key. Each field is checked over its
@@ -468,13 +462,13 @@ def _table(doc, name: str) -> list[tuple]:
         for i, row in enumerate(rows):
             for key, (kind, _) in fields.items():
                 member(row, key, kind, f"{name}[{i}]")
-            _known(row, fields, f"{name}[{i}]")
+            known(row, fields, f"{name}[{i}]")
     return values
 
 
 def _case_of_doc(doc) -> NetworkCase:
     member(doc, "base_mva", NUMBER, "case")
-    _known(doc, ("name", "base_mva", *_CASE_TABLES), "case")
+    known(doc, ("name", "base_mva", *_CASE_TABLES), "case")
     name = member(doc, "name", str, "case") if "name" in doc else "case"
     buses = tuple(Bus(*row) for row in _table(doc, "buses"))
     branches = tuple(Branch(*row, index=i) for i, row in enumerate(_table(doc, "branches")))

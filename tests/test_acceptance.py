@@ -27,9 +27,10 @@ from acfdi.estimation import (
     network_powers,
     wls_estimate,
 )
+from acfdi.impact import base_document, compute_impact
 from acfdi.network import StateVector, build_admittance
 from acfdi.powerflow import solve_power_flow
-from conftest import flow_of, replace_buses, table_state
+from conftest import assemble, flow_of, replace_buses, table_state
 from test_estimation import _chi2_ppf_oracle
 
 N_SEEDS = 20
@@ -136,6 +137,49 @@ def test_criterion_2_injection_replay(case39, adm39, base39, zone39):
             p, q = bus_injection(base39, case39, bus, adm39)
             assert p == pytest.approx(cols["before"][0], abs=0.05)
             assert q == pytest.approx(cols["before"][1], abs=0.05)
+
+
+def test_criteria_1_and_2_replay_from_the_base_document_and_the_report(
+    case39, adm39, base39, zone39, zero_sigmas
+):
+    # the published tables read off the written documents: the "before"
+    # column off base.json, each attack's column off the report's rows, and a
+    # flow the report omits off base.json, since the attack did not move it
+    with criterion("1-2", "flow and injection replay from base.json and impact.json"):
+        base_doc = base_document(case39, base39, adm39)
+        base_flows = {(b["from"], b["to"]): b for b in base_doc["branches"]}
+        base_injections = {b["bus"]: (b["p"], b["q"]) for b in base_doc["buses"]}
+        ms = generate_measurements(case39, base39, sigmas=zero_sigmas, seed=0, adm=adm39)
+        clean = wls_estimate(ms, case39, adm39)
+        for scenario in ("before", "optimal", "arbitrary"):
+            flows, injections = base_flows, base_injections
+            if scenario != "before":
+                # boundary rows in the published table equal the base state, so
+                # only the interior moves, as the attack moves it
+                table = table_state(base39, scenario)
+                mixed = replace_buses(
+                    base39,
+                    {b: table.magnitude(b) for b in ref.ZONE_INTERIOR},
+                    {b: table.angle(b) for b in ref.ZONE_INTERIOR},
+                )
+                av = assemble(case39, base39, mixed, zone39, adm39)
+                report = compute_impact(
+                    case39, av, clean, wls_estimate(apply_attack(ms, av), case39, adm39),
+                    zone39, adm=adm39,
+                )
+                rows = {(b["from"], b["to"]): b["attacked"] for b in report["branches"]}
+                flows = {pair: rows.get(pair, base_flows[pair]) for pair in base_flows}
+                injections = {b["bus"]: (b["p_falsified"], b["q_falsified"])
+                              for b in report["buses"]}
+            for pair, cols in ref.FLOWS.items():
+                p_ref, q_ref = cols[scenario]
+                assert flows[pair]["pf"] == pytest.approx(p_ref, abs=0.05), (pair, scenario)
+                assert flows[pair]["qf"] == pytest.approx(q_ref, abs=0.05), (pair, scenario)
+            for bus, cols in ref.INJECTIONS.items():
+                p_ref, q_ref = cols[scenario]
+                assert injections[bus][0] == pytest.approx(p_ref, abs=0.05), (bus, scenario)
+                assert injections[bus][1] == pytest.approx(q_ref, abs=0.05), (bus, scenario)
+        assert flows[ref.TARGET]["pf"] == pytest.approx(ref.TARGET_FLOW["arbitrary"], abs=0.05)
 
 
 def test_criterion_3_base_case(case39, adm39):

@@ -63,13 +63,14 @@ def test_writer_matches_stdlib_on_every_artifact_document(tmp_path, monkeypatch)
     (tmp_path / "tile2.json").write_text(json.dumps(config))
     _run("scenario", "run", tmp_path / "tile2.json", "--out", tmp_path / "tile2")
     network.case_to_json(tiled_case39(8))
-    # 10 per scenario run (state, zone, clean estimate, summary, and per mode
-    # the attack, estimate and impact report), the sweep's summary, two cases
-    assert len(calls) == 10 * 5 + 1 + 2
+    # 11 per scenario run (state, base document, zone, clean estimate,
+    # summary, and per mode the attack, estimate and impact report), the
+    # sweep's summary, two cases
+    assert len(calls) == 11 * 5 + 1 + 2
 
     # the stdlib alone re-reads and re-writes each file to the same bytes
     files = sorted(tmp_path.rglob("*.json"))
-    assert len(files) == 10 * 5 + 1 + 2
+    assert len(files) == 11 * 5 + 1 + 2
     for path in files:
         if path.name != "tile2.json":
             text = path.read_text(encoding="utf-8")

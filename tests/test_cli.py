@@ -52,7 +52,7 @@ def test_scenario_writes_expected_artifacts(scenario_out):
     _, out = scenario_out
     names = {p.name for p in out.iterdir()}
     for required in (
-        "state.json", "zone.json", "summary.json",
+        "state.json", "base.json", "zone.json", "summary.json",
         "attack_optimal.json", "attack_arbitrary.json",
         "measurements_clean.csv", "estimation_clean.json",
         "impact_optimal.json", "flows_optimal.csv", "voltages_optimal.csv",
@@ -135,11 +135,29 @@ def test_impact_stage_parity(scenario_out, tmp_path):
     for kind in ("Pflow", "Qflow", "Pinj", "Qinj", "Vmag", "Vang"):
         args += ["--sigma", f"{kind}=0"]
     assert main(args) == EXIT_OK
+    assert (impact_dir / "base.json").read_bytes() == (out / "base.json").read_bytes()
     assert (impact_dir / "impact.json").read_bytes() == (out / "impact_optimal.json").read_bytes()
     assert (impact_dir / "flows.csv").read_bytes() == (out / "flows_optimal.csv").read_bytes()
     assert (impact_dir / "attack_angle.svg").read_bytes() == (
         out / "attack_angle_optimal.svg"
     ).read_bytes()
+
+
+def test_impact_stage_parity_on_a_focal_zone(tmp_path):
+    # the zone file of a focal scenario names its focal buses, and the
+    # report's zone keeps them, as the scenario's does
+    config = tmp_path / "focal.json"
+    config.write_text(json.dumps({**SCENARIO, "zone": {"focal": [18, 26, 27, 28]}}))
+    out = tmp_path / "run"
+    assert main(["scenario", "run", str(config), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "zone.json").read_text())["focal"] == [18, 26, 27, 28]
+    args = ["impact", "case39", str(out / "zone.json"), str(out / "attack_arbitrary.json"),
+            "--formats", "json", "--out-dir", str(tmp_path / "impact")]
+    for kind in ("Pflow", "Qflow", "Pinj", "Qinj", "Vmag", "Vang"):
+        args += ["--sigma", f"{kind}=0"]
+    assert main(args) == EXIT_OK
+    for name, twin in (("impact.json", "impact_arbitrary.json"), ("base.json", "base.json")):
+        assert (tmp_path / "impact" / name).read_bytes() == (out / twin).read_bytes(), name
 
 
 def test_unknown_focal_bus_is_config_error(tmp_path, capsys):
@@ -256,6 +274,38 @@ def test_attack_with_edited_falsified_injections_is_config_error(
     assert re.search(rf"^error: {re.escape(str(attack))}: attack falsified_injections {message}",
                      err), err
     assert not (tmp_path / "i").exists()
+
+
+@pytest.mark.parametrize("key", ["state", "x_base", "x_attacked"])
+def test_state_whose_powers_overflow_is_config_error_without_warnings(
+    scenario_out, tmp_path, capsys, key
+):
+    # bus 1 at 1e308 p.u. overflows its flows and injections: a base state
+    # for `attack`, or a state of an attack file for `impact`, is refused
+    # naming the file and the bus, and numpy warns of nothing
+    _, out = scenario_out
+    if key == "state":
+        doc = json.loads((out / "state.json").read_text())
+        doc["buses"][0]["vm"] = 1e308
+        path = tmp_path / "state.json"
+        argv = ["attack", "case39", str(out / "zone.json"), "--target", "26:27",
+                "--state", str(path), "--out", str(tmp_path / "o" / "attack.json")]
+    else:
+        doc = json.loads((out / "attack_optimal.json").read_text())
+        doc[key]["buses"][0]["vm"] = 1e308
+        path = tmp_path / "attack.json"
+        argv = ["impact", "case39", str(out / "zone.json"), str(path),
+                "--out-dir", str(tmp_path / "o")]
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_CONFIG
+    assert [str(w.message) for w in caught] == []
+    where = "state" if key == "state" else f"attack {key}"
+    assert capsys.readouterr().err == (
+        f"error: {path}: {where} bus 1: the flows or injections at this state are not finite\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -636,20 +686,66 @@ def _zone_file_with_string_ids(tmp_path):
     return ["attack", "case39", str(path), "--target", "26:27"], "'boundary'"
 
 
-def _state_with_magnitude(vm):
-    def make(tmp_path):
-        # bus 26 is case39's 26th bus, an interior bus of the zone
-        state = tmp_path / "state.json"
-        assert main(["pf", "case39", "--out", str(state)]) == EXIT_OK
-        doc = json.loads(state.read_text())
-        doc["buses"][25]["vm"] = vm
-        state.write_text(json.dumps(doc))
-        zone = tmp_path / "z.json"
-        zone.write_text(json.dumps(SCENARIO["zone"]))
-        argv = ["attack", "case39", str(zone), "--target", "26:27", "--state", str(state)]
-        return argv + ["--out", str(tmp_path / "o")], "state buses[25] field 'vm' must be positive"
+def _attack_on_state(tmp_path, edit):
+    """`attack` argv on the case39 base state as `edit` leaves its document."""
+    state = tmp_path / "state.json"
+    assert main(["pf", "case39", "--out", str(state)]) == EXIT_OK
+    doc = json.loads(state.read_text())
+    edit(doc)
+    state.write_text(json.dumps(doc))
+    zone = tmp_path / "z.json"
+    zone.write_text(json.dumps(SCENARIO["zone"]))
+    argv = ["attack", "case39", str(zone), "--target", "26:27", "--state", str(state)]
+    return argv + ["--out", str(tmp_path / "o")]
 
-    make.__name__ = f"_state_with_magnitude_{vm}"
+
+def _state_with_magnitude(vm, bus=26, named="state buses[25] field 'vm' must be positive"):
+    def make(tmp_path):
+        # bus k is case39's k-th bus; bus 26 is an interior bus of the zone
+        def edit(doc):
+            doc["buses"][bus - 1]["vm"] = vm
+
+        return _attack_on_state(tmp_path, edit), named
+
+    make.__name__ = f"_state_with_magnitude_{vm}_at_bus_{bus}"
+    return make
+
+
+def _state_with_unknown_key(tmp_path):
+    # a key that the state format does not name was dropped (exit 0)
+    return _attack_on_state(tmp_path, lambda doc: doc.update(bogus=1)), "state field 'bogus' is unknown"
+
+
+def _state_row_with_unknown_key(tmp_path):
+    return (_attack_on_state(tmp_path, lambda doc: doc["buses"][3].update(vmag=1.0)),
+            "state buses[3] field 'vmag' is unknown")
+
+
+def _attack_file_with_unknown_key(tmp_path):
+    # the shipped attack with a key that the attack format does not name
+    # (exit 0, the key dropped)
+    run = tmp_path / "run"
+    assert main(["scenario", "run", str(BUNDLED), "--out", str(run)]) == EXIT_OK
+    doc = json.loads((run / "attack_optimal.json").read_text())
+    doc["bogus"] = {}
+    attack = tmp_path / "attack.json"
+    attack.write_text(json.dumps(doc))
+    argv = ["impact", "case39", str(run / "zone.json"), str(attack), "--out-dir", str(tmp_path / "o")]
+    return argv, "attack field 'bogus' is unknown"
+
+
+def _zone_file_with(named, **fields):
+    def make(tmp_path):
+        # the shipped zone's file with fields replaced; each ran (exit 0) with
+        # the replaced field unread
+        zone = tmp_path / "zone.json"
+        assert main(["zone", "case39", "--interior", "17,18,26,27,28",
+                     "--boundary", "3,15,16,21,24,25,29", "--out", str(zone)]) == EXIT_OK
+        zone.write_text(json.dumps({**json.loads(zone.read_text()), **fields}))
+        return ["attack", "case39", str(zone), "--target", "26:27",
+                "--out", str(tmp_path / "o")], named
+
+    make.__name__ = "_zone_file_with_" + "_".join(fields)
     return make
 
 
@@ -732,6 +828,23 @@ def _case_m_with(table, row, column, token, named):
         _misspelled_zone_focal_beside_explicit_lists, _misspelled_target_lambda,
         _target_with_both_lambda_and_factor, _state_with_magnitude(-1.0),
         _state_with_magnitude(0.0),
+        # a state whose powers overflow ran (exit 0) after three numpy
+        # RuntimeWarnings; unknown keys in a state or an attack file, and a
+        # zone file whose derived fields or focal buses are not its zone's,
+        # were read without complaint (exit 0)
+        _state_with_magnitude(1e308, 1, "state bus 1: the flows or injections at this state"),
+        _state_with_unknown_key, _state_row_with_unknown_key, _attack_file_with_unknown_key,
+        _zone_file_with("zone field 'tie_lines' entry 0 is [1, 2], where the zone gives [2, 3]",
+                        tie_lines=[[1, 2]]),
+        _zone_file_with("zone field 'bogus' is unknown", bogus=True),
+        _zone_file_with("zone field 'focal' entry 0 is 1, not an interior bus", focal=[1]),
+        _zone_file_with("zone field 'interior' must be a list", interior="17,18,26,27,28"),
+        _zone_file_with("zone field 'interior_lines' entry 5 is missing, where the zone gives",
+                        interior_lines=[[3, 18], [16, 17], [17, 18], [17, 27], [25, 26]]),
+        _zone_file_with("zone field 'inert_boundary' entry 0 is 15.0, where the zone gives 15",
+                        inert_boundary=[15.0, 21, 24]),
+        _zone_file_with("zone field 'frozen_lines' entry 3 is [1, 2], where the zone gives no entry",
+                        frozen_lines=[[15, 16], [16, 21], [16, 24], [1, 2]]),
         _case_json_with("buses", 5, "kind", "pq"), _case_json_with("buses", 5, "kind", "pq", "zone"),
         _case_json_with("buses", 5, "kind", None), _case_json_with("buses", 5, "pd", "1"),
         _case_json_with("buses", 5, "gs", True), _case_json_with("branches", 3, "b", None),
@@ -907,7 +1020,7 @@ def test_scenario_from_a_warm_pattern_cache_matches_a_fresh_process(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["scenario", "run", str(BUNDLED), "--out", str(tmp_path / run)]) == EXIT_OK
     fresh = _tree_bytes(tmp_path / "fresh")
-    assert len(fresh) == 25
+    assert len(fresh) == 26
     assert _tree_bytes(tmp_path / "cold") == fresh
     assert _tree_bytes(tmp_path / "warm") == fresh
 
@@ -923,7 +1036,7 @@ def test_pf_then_scenario_in_one_process_write_what_fresh_processes_write(tmp_pa
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([*argv, "--out", str(tmp_path / "one" / name)]) == EXIT_OK
     fresh = _tree_bytes(tmp_path / "fresh")
-    assert len(fresh) == 1 + 25
+    assert len(fresh) == 1 + 26
     assert _tree_bytes(tmp_path / "one") == fresh
 
 
@@ -963,6 +1076,6 @@ def test_tiled_scenario_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
             },
         )
     one, two = _tree_bytes(tmp_path / "threads1"), _tree_bytes(tmp_path / "threads2")
-    assert len(one) == 25
+    assert len(one) == 26
     assert sorted(one) == sorted(two)
     assert [name for name in one if one[name] != two[name]] == []

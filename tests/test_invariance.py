@@ -1,9 +1,9 @@
 """Metamorphic checks: the physics does not depend on how a case is written
 down. Renumbering the buses, reordering the bus rows and reordering the
 branch rows of case39 must leave every branch flow, matched by its (from, to)
-pair, every flow and injection of the impact report, and the WLS estimate of
-the same readings unchanged. So must writing the case on another MVA base,
-with powers compared in MW and MVAr. Applying an attack and then its negation
+pair, every flow and injection of the impact report and its base document,
+and the WLS estimate of the same readings unchanged. So must writing the case
+on another MVA base, with powers compared in MW and MVAr. Applying an attack and then its negation
 gives back the measurements, to rounding."""
 
 import dataclasses
@@ -27,7 +27,7 @@ from acfdi.estimation import (
     network_powers,
     wls_estimate,
 )
-from acfdi.impact import compute_impact
+from acfdi.impact import base_document, compute_impact
 from acfdi.network import NetworkCase, StateVector, build_admittance, load_bundled_case39
 from acfdi.powerflow import _NewtonPattern, newton_power_flow
 from acfdi.zones import validate_zone
@@ -102,10 +102,36 @@ def impact39(case39, adm39, base39, zone39, attack_optimal, zero_sigmas):
     return compute_impact(case39, attack_optimal, clean, attacked, zone39, adm=adm39)
 
 
+@pytest.fixture(scope="module")
+def base_doc39(case39, adm39, base39):
+    return base_document(case39, base39, adm39)
+
+
+def _assert_same_base_document(got, want, rename=lambda b: b, scale=(1.0, 1.0)):
+    """got lists every branch and bus of want, relabelled by rename, with
+    flows, loadings and injections within 1e-10; scale = (got's MVA base,
+    want's) compares powers in MW and MVAr."""
+    assert len(got["branches"]) == len(want["branches"])
+    assert len(got["buses"]) == len(want["buses"])
+    rows = {(b["from"], b["to"]): b for b in got["branches"]}
+    for w in want["branches"]:
+        g = rows[(rename(w["from"]), rename(w["to"]))]
+        for part in ("pf", "qf", "pt", "qt"):
+            assert abs(g[part] * scale[0] - w[part] * scale[1]) < 1e-10, (w["from"], w["to"], part)
+        assert (g["loading"] is None) == (w["loading"] is None)
+        if w["loading"] is not None:
+            assert abs(g["loading"] - w["loading"]) < 1e-10
+    buses = {b["bus"]: b for b in got["buses"]}
+    for w in want["buses"]:
+        g = buses[rename(w["bus"])]
+        for part in ("p", "q"):
+            assert abs(g[part] * scale[0] - w[part] * scale[1]) < 1e-10, (w["bus"], part)
+
+
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(relabelling=relabellings())
 def test_impact_flows_and_injections_do_not_depend_on_labels_or_row_order(
-    case39, base39, zone39, attack_optimal, zero_sigmas, impact39, relabelling
+    case39, base39, zone39, attack_optimal, zero_sigmas, impact39, base_doc39, relabelling
 ):
     bus_order, rename, branch_order = relabelling
     case = _relabel_case(case39, bus_order, rename, branch_order)
@@ -122,6 +148,8 @@ def test_impact_flows_and_injections_do_not_depend_on_labels_or_row_order(
     clean = wls_estimate(ms, case, adm)
     attacked = wls_estimate(apply_attack(ms, av), case, adm)
     report = compute_impact(case, av, clean, attacked, zone, adm=adm)
+    _assert_same_base_document(base_document(case, base, adm), base_doc39, rename.__getitem__)
+    assert report["omitted"] == impact39["omitted"]
 
     branches = {(b["from"], b["to"]): b for b in report["branches"]}
     assert len(branches) == len(impact39["branches"])
@@ -276,7 +304,7 @@ def test_wls_estimate_does_not_depend_on_the_mva_base(case39, adm39, base39, reb
 
 
 def test_impact_figures_do_not_depend_on_the_mva_base(
-    case39, base39, zone39, attack_optimal, zero_sigmas, impact39, rebased39
+    case39, base39, zone39, attack_optimal, zero_sigmas, impact39, base_doc39, rebased39
 ):
     case, adm = rebased39
     # per-unit states do not depend on the base, so case39's serve here
@@ -293,6 +321,9 @@ def test_impact_figures_do_not_depend_on_the_mva_base(
     def mw(value, on):
         return value * on.base_mva
 
+    scale = (case.base_mva, case39.base_mva)
+    _assert_same_base_document(base_document(case, base39, adm), base_doc39, scale=scale)
+    assert report["omitted"] == impact39["omitted"]
     assert len(report["branches"]) == len(impact39["branches"])
     for got, want in zip(report["branches"], impact39["branches"]):
         assert (got["from"], got["to"], got["role"]) == (want["from"], want["to"], want["role"])
