@@ -1,5 +1,5 @@
-"""Block-tridiagonal systems in plain numpy: the band layout, a block LU and a
-block Cholesky.
+"""Banded systems: the band layout, a block LU in plain numpy and a band
+Cholesky from LAPACK.
 
 A structurally symmetric sparse pattern, reordered by reverse Cuthill-McKee
 (Cuthill and McKee, 1969), is a band of half-width b far below its
@@ -12,28 +12,33 @@ for both systems the package solves:
 - the Newton-Raphson power-flow Jacobian, whose rows and columns pair by bus
   (P with angle, Q with magnitude). `block_lu_solve` factors it by block LU
   (Golub and Van Loan, *Matrix Computations*, sec. 4.5), pivoting partially
-  inside each diagonal block and not across blocks;
-- the WLS gain HᵀWH, symmetric positive definite. `BlockCholesky` factors
-  it; its factor is block lower-bidiagonal. It solves by block substitution
-  and gives the selected inverse: every entry of G⁻¹ inside the factor's
-  band, by the recurrence of Takahashi, Fagan and Chen (1973), without
-  forming G⁻¹.
+  inside each diagonal block and not across blocks; its dense calls are at
+  most b + 1 wide;
+- the WLS gain HᵀWH, symmetric positive definite, kept in LAPACK's lower
+  band storage. `BlockCholesky` factors it by LAPACK's band Cholesky
+  `dpbtrf` and solves with `dpbtrs` (Anderson et al., *LAPACK Users'
+  Guide*, 3rd ed., 1999, sec. 2.4; Golub and Van Loan, sec. 4.3). Its
+  factor is block lower-bidiagonal; the selected inverse, every entry of
+  G⁻¹ inside the factor's block band, comes from the recurrence of
+  Takahashi, Fagan and Chen (1973), without forming G⁻¹.
 
-Each costs O(dim·b²). The LU's dense calls are at most b + 1 wide, the
-Cholesky's 2b.
-
-numpy has Cholesky but no triangular solve, so each Cholesky block step
-factors the 2b x 2b window [[S_k, B_kᵀ], [B_k, D_k+1]]: its lower-left block
-is B_k L_k⁻ᵀ. np.linalg.cholesky reads only the lower triangle of the
-window, so B_kᵀ is never copied into it and the caller gives only the lower
-triangle of each diagonal block. The inverses of the diagonal factor
-blocks, which the substitution and the selected inverse read, come from one
-batched doubling recursion over all blocks, run when they are first read.
+Each costs O(dim·b²). numpy ships no LAPACK band routine, but its wheel
+bundles an OpenBLAS that exports them: `_lapack` binds `dpbtrf` and `dpbtrs`
+from that library through ctypes (ILP64 Fortran entry points, every
+argument by reference, plus the hidden length of the uplo string). Where
+numpy bundles no such library, it binds the same routines from the capsules
+of `scipy.linalg.cython_lapack`, loaded by spec so that the scipy.linalg
+package's __init__ never runs. At b <= 64 `dpbtrf` factors column by column with
+rank-one updates at most b wide. The inverses of the diagonal factor
+blocks, which only the selected inverse reads, come from one batched
+doubling recursion over all blocks.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import os
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -121,11 +126,16 @@ class BlockBand:
     def lower_slot(self, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Slots of cells of a symmetric matrix in [sub | diag] storage: a cell
         of a block above the diagonal takes its mirror's slot. Also returns
-        which cells lie on or below the diagonal, the lower triangle that
-        `BlockCholesky` reads."""
+        which cells lie on or below the diagonal."""
         p, q = self.pos[i], self.pos[j]
         kept = p // self.size >= q // self.size
         return self._slot_at(np.where(kept, p, q), np.where(kept, q, p)), p >= q
+
+    def band_slot(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Slots of cells (i, j) on or below the diagonal in the flat lower
+        band storage `BlockCholesky` takes: cell (p, q) of the band order
+        at row q, column p - q, which is slot q·b + p."""
+        return self.pos[j] * self.size + self.pos[i]
 
     def split(self, storage: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sub, diag, super) block views of flat storage; super is empty for
@@ -211,67 +221,75 @@ def _lower_inverses(lower: np.ndarray) -> np.ndarray:
 
 
 class BlockCholesky:
-    """G = L Lᵀ for a symmetric positive definite block-tridiagonal G.
+    """G + shift·I = L Lᵀ for a symmetric positive definite band matrix G,
+    by LAPACK's band Cholesky.
 
-    G is given as its diagonal blocks D_k, shape (nb, b, b), and the blocks
-    B_k below them, shape (nb - 1, b, b). L has diagonal blocks L_k
-    (`lower`) and blocks C_k = B_k L_k⁻ᵀ below them (`coupling`); S_k =
-    L_k L_kᵀ is the Schur complement D_k - C_k-1 C_k-1ᵀ. Only the lower
-    triangle of each D_k is read: np.linalg.cholesky reads only the lower
-    triangle of the windows it factors, so B_kᵀ is not written into them
-    and the strict upper triangles of D_k and S_k may hold anything. Raises
-    np.linalg.LinAlgError if a block fails to factor. The factor's arrays
-    are read-only, so one factor can be shared.
+    G is given in LAPACK's lower band storage for half-bandwidth b: an
+    array of shape (N, b + 1) whose row j holds G[j, j], G[j + 1, j], ...,
+    G[j + b, j], the last b rows padded past the matrix; N is a multiple
+    of b. `dpbtrf` factors a copy in place, so the factor L is in the same
+    storage (`factor`, read-only, so one factor can be shared), and
+    `dpbtrs` solves with it. Raises np.linalg.LinAlgError if a leading
+    minor is not positive definite. Cut into b x b blocks, L is block
+    lower-bidiagonal; its diagonal blocks L_k and the blocks C_k below them
+    are read off the band only for `selected_inverse`.
     """
 
-    def __init__(self, diag: np.ndarray, sub: np.ndarray):
-        nb, b, _ = diag.shape
-        self.lower = np.empty_like(diag)
-        self.coupling = np.empty_like(sub)
-        window = np.empty((2 * b, 2 * b))  # its upper-right block is never read
-        schur = diag[0]
-        for k in range(nb - 1):
-            window[:b, :b] = schur
-            window[b:, :b] = sub[k]
-            window[b:, b:] = diag[k + 1]
-            factor = np.linalg.cholesky(window)
-            self.lower[k] = factor[:b, :b]
-            self.coupling[k] = factor[b:, :b]
-            schur = diag[k + 1] - self.coupling[k] @ self.coupling[k].T
-        self.lower[nb - 1] = np.linalg.cholesky(schur)
-        read_only(self.lower, self.coupling)
+    def __init__(self, band: np.ndarray, shift: float = 0.0):
+        self.factor = np.array(band, dtype=float, order="C")
+        self.size = self.factor.shape[-1] - 1  # b
+        if self.factor.ndim != 2 or self.size < 1 or len(self.factor) % self.size:
+            raise ValueError(f"band storage of shape {self.factor.shape} is not whole b x b blocks")
+        self.factor[:, 0] += shift
+        info = _lapack().pbtrf(self.factor)
+        if info:
+            raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
+        read_only(self.factor)
+
+    def _blocks(self, start: int, count: int) -> np.ndarray:
+        """count b x b blocks of L, the first with its top-left cell at
+        flat slot start. L[i, j] sits at flat slot j·b + i of the band, so
+        block k's cell (r, c) is b(b + 1)·k + b·c + r slots past start;
+        cells outside the band read other cells of it."""
+        flat = self.factor.reshape(-1)
+        b, step = self.size, flat.strides[0]
+        return as_strided(
+            flat[start:], (count, b, b), (b * (b + 1) * step, step, b * step), writeable=False
+        )
 
     @functools.cached_property
     def inverse(self) -> np.ndarray:
-        """The inverses of the diagonal factor blocks, built on the first
-        `solve` or `selected_inverse`: a factor read only for its `pivots`
-        never builds them."""
-        inverse = _lower_inverses(self.lower)
+        """The inverses of the diagonal factor blocks L_k, built on the first
+        `selected_inverse`: `pivots` and `solve` read the band alone."""
+        inverse = _lower_inverses(np.tril(self._blocks(0, len(self.factor) // self.size)))
         read_only(inverse)
         return inverse
+
+    @functools.cached_property
+    def coupling(self) -> np.ndarray:
+        """The blocks C_k below the diagonal blocks of L: upper triangular,
+        since L has half-bandwidth b."""
+        b = self.size
+        coupling = np.triu(self._blocks(b, len(self.factor) // b - 1))
+        read_only(coupling)
+        return coupling
 
     @property
     def pivots(self) -> np.ndarray:
         """Squared diagonal of L, in band order."""
-        return np.diagonal(self.lower, axis1=1, axis2=2).ravel() ** 2
+        return self.factor[:, 0] ** 2
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """G⁻¹ rhs by block forward and back substitution."""
-        inv, c = self.inverse, self.coupling
-        nb = len(inv)
-        y = rhs.reshape(nb, -1).copy()
-        for k in range(nb):
-            if k:
-                y[k] -= c[k - 1] @ y[k - 1]
-            y[k] = inv[k] @ y[k]
-        for k in reversed(range(nb)):
-            if k < nb - 1:
-                y[k] -= c[k].T @ y[k + 1]
-            y[k] = inv[k].T @ y[k]
-        return y.ravel()
+        """(G + shift·I)⁻¹ rhs by `dpbtrs`."""
+        x = np.array(rhs, dtype=float)
+        if x.shape != self.factor.shape[:1]:
+            raise ValueError(f"right-hand side of shape {x.shape} for {len(self.factor)} rows")
+        _lapack().pbtrs(self.factor, x)
+        return x
 
     def selected_inverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """The diagonal and sub-diagonal blocks of G⁻¹, in G's storage.
+        """The diagonal blocks of (G + shift·I)⁻¹ and the blocks below them,
+        in `BlockBand`'s [sub | diag] block storage.
 
         With W_k = L_k⁻¹: Z_k+1,k = -Z_k+1,k+1 C_k W_k and Z_k,k =
         W_kᵀ (W_k - C_kᵀ Z_k+1,k), from the last block back.
@@ -284,3 +302,96 @@ class BlockCholesky:
             z_sub[k] = -(z_diag[k + 1] @ c[k]) @ inv[k]
             z_diag[k] = inv[k].T @ (inv[k] - c[k].T @ z_sub[k])
         return z_diag, z_sub
+
+
+class _Lapack:
+    """`dpbtrf` and `dpbtrs` with uplo 'L' on C-ordered band storage, which
+    is LAPACK's column-major storage with leading dimension b + 1.
+
+    Each routine is a ctypes function taking its arguments by reference,
+    integers of `index` type, plus the hidden length of uplo when
+    `hidden_length` is set, as gfortran passes it to a Fortran entry point.
+    """
+
+    def __init__(self, pbtrf, pbtrs, index: type, hidden_length: bool):
+        self._pbtrf, self._pbtrs, self._index = pbtrf, pbtrs, index
+        self._tail = (1,) if hidden_length else ()
+        length = [ctypes.c_size_t] if hidden_length else []
+        # after uplo: (n, kd, ab, ldab, info) and (n, kd, nrhs, ab, ldab, b, ldb, info)
+        for routine, pointers in ((pbtrf, 5), (pbtrs, 8)):
+            routine.argtypes = [ctypes.c_char_p, *[ctypes.c_void_p] * pointers, *length]
+            routine.restype = None
+
+    def _call(self, routine, *args) -> int:
+        info = self._index(0)
+        refs = [
+            a.ctypes.data if isinstance(a, np.ndarray) else ctypes.byref(self._index(a))
+            for a in args
+        ]
+        routine(b"L", *refs, ctypes.byref(info), *self._tail)
+        if info.value < 0:
+            raise ValueError(f"LAPACK argument {-info.value} is invalid")
+        return info.value
+
+    def pbtrf(self, band: np.ndarray) -> int:
+        """Factor band in place; 0, or the order of the first leading minor
+        that is not positive definite."""
+        n, width = band.shape
+        return self._call(self._pbtrf, n, width - 1, band, width)
+
+    def pbtrs(self, factor: np.ndarray, x: np.ndarray) -> None:
+        """Overwrite x with the solution of L Lᵀ x = x."""
+        n, width = factor.shape
+        self._call(self._pbtrs, n, width - 1, 1, factor, width, x, n)
+
+
+def _numpy_openblas() -> str | None:
+    """The OpenBLAS library that numpy's wheel bundles (numpy.libs/ on
+    Linux and Windows, numpy/.dylibs/ on macOS), or None."""
+    package = os.path.dirname(np.__file__)
+    for folder in (package + ".libs", os.path.join(package, ".dylibs")):
+        if os.path.isdir(folder):
+            found = sorted(name for name in os.listdir(folder) if "openblas" in name)
+            if found:
+                return os.path.join(folder, found[0])
+    return None
+
+
+def _scipy_lapack() -> _Lapack:
+    """The routines of `scipy.linalg.cython_lapack` (LP64; their C wrappers
+    pass the hidden lengths), read from the module's capsules. The module
+    is loaded by spec, so the scipy.linalg package's __init__ never runs."""
+    import importlib.machinery
+    import importlib.util
+
+    import scipy
+
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg.cython_lapack", [os.path.join(os.path.dirname(scipy.__file__), "linalg")]
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    api = ctypes.pythonapi
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+
+    def routine(name: str):
+        capsule = module.__pyx_capi__[name]
+        return ctypes.CFUNCTYPE(None)(pointer_of(capsule, name_of(capsule)))
+
+    return _Lapack(routine("dpbtrf"), routine("dpbtrs"), ctypes.c_int, False)
+
+
+@functools.cache
+def _lapack() -> _Lapack:
+    """The band Cholesky routines, bound on the first factor: from numpy's
+    own OpenBLAS (ILP64, symbols scipy_dpbtrf_64_ and scipy_dpbtrs_64_),
+    which numpy has already loaded, else from scipy's cython_lapack."""
+    path = _numpy_openblas()
+    if path is not None:
+        library = ctypes.CDLL(path)
+        if hasattr(library, "scipy_dpbtrf_64_") and hasattr(library, "scipy_dpbtrs_64_"):
+            return _Lapack(library.scipy_dpbtrf_64_, library.scipy_dpbtrs_64_, ctypes.c_int64, True)
+    return _scipy_lapack()

@@ -263,12 +263,13 @@ def shared(key: tuple, build):
 
 
 class _GainCells(NamedTuple):
-    """Where the row pairs of one layout sit in the gain's [sub | diag] storage."""
+    """Where the row pairs of one layout sit in the gain's band storage and in
+    its selected inverse's [sub | diag] block storage."""
 
-    slot: np.ndarray  # storage slot of each row pair's cell, upper-block cells mirrored
-    a: np.ndarray  # the row pairs summed into storage: the cells on or below the diagonal
+    slot: np.ndarray  # block slot of each row pair's cell, upper-block cells mirrored
+    a: np.ndarray  # the row pairs summed into the gain: the cells on or below the diagonal
     b: np.ndarray
-    summed_slot: np.ndarray
+    summed_slot: np.ndarray  # their slots in the lower band storage
 
 
 class LayoutPattern:
@@ -405,7 +406,8 @@ class LayoutPattern:
         _, a, b = self._pairs
         slot, lower = self._band.lower_slot(self.cols[a], self.cols[b])
         summed = np.flatnonzero(lower)
-        cells = _GainCells(slot, a[summed], b[summed], slot[summed])
+        a, b = a[summed], b[summed]
+        cells = _GainCells(slot, a, b, self._band.band_slot(self.cols[a], self.cols[b]))
         read_only(*cells)
         return cells
 
@@ -418,16 +420,15 @@ def layout_pattern(adm: AdmittanceModel, layout: Layout) -> LayoutPattern:
 class FlatStart(NamedTuple):
     """The first step of every estimate on one model and weighting, which
     reads no measured value: the flat state x, h and the Jacobian values
-    there, the gain's [sub | diag] blocks, its largest diagonal entry (the
-    scale of `nlsolver.Damping`), the starting damping mu of that scale and
-    the factor of the gain damped by mu, None when that does not factor.
-    The arrays are read-only."""
+    there, the gain's band storage, its largest diagonal entry (the scale of
+    `nlsolver.Damping`), the starting damping mu of that scale and the
+    factor of the gain damped by mu, None when that does not factor. The
+    arrays are read-only."""
 
     x: np.ndarray
     h: np.ndarray
     jac: np.ndarray
-    diag: np.ndarray
-    sub: np.ndarray
+    gain: np.ndarray
     gain_max: float
     mu: float
     chol: BlockCholesky | None
@@ -451,9 +452,12 @@ class MeasurementModel:
     The model also owns the state packing x = [non-slack angles (case bus
     order) | all magnitudes] and the row-pair index that assembles the gain
     HᵀWH and the leverages diag(H G⁻¹ Hᵀ) from the Jacobian's nonzeros. The
-    gain is kept in the block-tridiagonal band of an RCM order of its
-    pattern, factored by `banded.BlockCholesky`, and the leverages read the
-    factor's selected inverse, so no dense (2n - 1)² matrix is formed.
+    gain is summed straight into LAPACK's lower band storage of an RCM order
+    of its pattern; `banded.BlockCholesky` factors and solves it with
+    LAPACK's band Cholesky `dpbtrf`/`dpbtrs`, bound from numpy's own
+    OpenBLAS (from scipy's `cython_lapack` where numpy bundles none), and the
+    leverages read the factor's selected inverse, so no dense (2n - 1)²
+    matrix is formed.
     """
 
     def __init__(self, adm: AdmittanceModel, layout: Layout):
@@ -480,23 +484,21 @@ class MeasurementModel:
         va[p._ang_pos] = x[:n_ang]
         return StateVector(p._bus_ids, x[n_ang:].copy(), va)
 
-    def gain(self, values: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """HᵀWH from the Jacobian's nonzeros, in RCM order, as the diagonal
-        blocks and the blocks below them of its block-tridiagonal band (the
-        storage `BlockCholesky` takes). Only the lower triangle of each
-        diagonal block is summed, the only one the factor reads; the strict
-        upper triangle is left zero. The dimension is padded to whole blocks
-        with identity rows."""
+    def gain(self, values: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """HᵀWH from the Jacobian's nonzeros, in RCM order, in the lower band
+        storage `BlockCholesky` takes: shape (N, b + 1), row q holding the
+        cells on and below the diagonal of column q. The dimension N is
+        padded to whole b x b blocks with identity rows."""
         band, cells = self.pattern._band, self.pattern._gain_cells
+        width = band.size + 1
         weighted = values * w[self.rows]
         g = np.bincount(
             cells.summed_slot,
             weights=weighted[cells.a] * values[cells.b],
-            minlength=(2 * band.blocks - 1) * band.size * band.size,
+            minlength=band.blocks * band.size * width,
         )
-        g[band.pad_slot] = 1.0
-        sub, diag, _ = band.split(g)
-        return diag, sub
+        g[band.dim * width :: width] = 1.0
+        return g.reshape(-1, width)
 
     def solve(self, chol: BlockCholesky, rhs: np.ndarray) -> np.ndarray:
         """G⁻¹ rhs in state order, from the factor of `gain`."""
@@ -520,12 +522,12 @@ class MeasurementModel:
         x = np.concatenate([np.zeros(n_bus - 1), np.ones(n_bus)])
         flat = self.evaluate(self.state_of(x))
         h, jac = flat.h(), flat.jacobian_values()
-        diag, sub = self.gain(jac, w)
-        _require_observable(_factor((diag, sub), _UNOBSERVABLE), self.n_state)
-        gain_max = float(np.max(np.diagonal(diag, axis1=1, axis2=2)))
+        gain = self.gain(jac, w)
+        _nonsingular_factor(gain, self.n_state, _UNOBSERVABLE)
+        gain_max = float(np.max(gain[:, 0]))
         mu = Damping(gain_max, self.m).mu_start
-        read_only(x, h, jac, diag, sub)
-        return FlatStart(x, h, jac, diag, sub, gain_max, mu, _damped(diag, sub, mu))
+        read_only(x, h, jac, gain)
+        return FlatStart(x, h, jac, gain, gain_max, mu, _damped(gain, mu))
 
     def leverage(self, values: np.ndarray, chol: BlockCholesky) -> np.ndarray:
         """diag(H G⁻¹ Hᵀ): one quadratic form per row over its nonzeros.
@@ -741,35 +743,36 @@ class BddVerdict:
 
 
 _UNOBSERVABLE = "measurement set is unobservable (rank-deficient gain)"
+_SINGULAR = "the gain is singular at the estimate"
 
 
-def _factor(gain: tuple[np.ndarray, np.ndarray], failure: str) -> BlockCholesky:
-    try:
-        return BlockCholesky(*gain)
-    except np.linalg.LinAlgError:
-        raise EstimationError(failure) from None
-
-
-def _damped(diag: np.ndarray, sub: np.ndarray, mu: float) -> BlockCholesky | None:
+def _damped(gain: np.ndarray, mu: float) -> BlockCholesky | None:
     """The factor of the gain plus mu I, or None when it does not factor."""
     try:
-        return BlockCholesky(diag + mu * np.eye(len(diag[0])), sub)
+        return BlockCholesky(gain, mu)
     except np.linalg.LinAlgError:
         return None
 
 
-def _require_observable(chol: BlockCholesky, n: int) -> None:
-    """Pivot test on the block Cholesky factor of the gain matrix.
+def _nonsingular_factor(gain: np.ndarray, n: int, failure: str) -> BlockCholesky:
+    """The factor of the gain, after the pivot test; raises failure when the
+    gain does not factor or fails the test.
 
     A rank-deficient Jacobian leaves a Cholesky pivot at rounding level of
-    the largest one (or a block that fails to factor, which `_factor`
-    reports). The cut-off is the dimension times machine epsilon, relative
-    to the largest pivot, as np.linalg.matrix_rank uses for singular
-    values. The padding past the n state columns is not tested.
+    the largest one, or a leading minor that rounding leaves not positive
+    definite: which of the two is decided by rounding. The cut-off is the
+    dimension times machine epsilon, relative to the largest pivot, as
+    np.linalg.matrix_rank uses for singular values. The padding past the n
+    state columns is not tested.
     """
+    try:
+        chol = BlockCholesky(gain)
+    except np.linalg.LinAlgError:
+        raise EstimationError(failure) from None
     pivots = chol.pivots[:n]
     if pivots.min() <= pivots.max() * n * np.finfo(float).eps:
-        raise EstimationError(_UNOBSERVABLE)
+        raise EstimationError(failure)
+    return chol
 
 
 def wls_estimate(
@@ -793,7 +796,8 @@ def wls_estimate(
     Jacobian.
     Converges on an accepted step below tol taken at the starting mu, or
     when the predicted decrease is within rounding of J. Raises on an
-    unobservable layout, and on any other stop.
+    unobservable layout, on a gain that fails the same pivot test at the
+    estimate, and on any other stop.
     """
     check_limits(tol, max_iter)
     if adm is None:
@@ -815,14 +819,14 @@ def wls_estimate(
         return f, (r, evaluation)
 
     start = model.flat_start(w)
-    x, jac, diag, sub = start.x, start.jac, start.diag, start.sub
+    x, jac, gain = start.x, start.jac, start.gain
     f_cur, r = weighted(z - start.h)
     history = [f_cur]
     damping = Damping(start.gain_max, ms.m)
 
     def solve(mu: float) -> tuple[np.ndarray, float] | None:
-        first = diag is start.diag and mu == start.mu
-        chol = start.chol if first else _damped(diag, sub, mu)
+        first = gain is start.gain and mu == start.mu
+        chol = start.chol if first else _damped(gain, mu)
         if chol is None:
             return None
         dx = model.solve(chol, rhs)
@@ -840,7 +844,7 @@ def wls_estimate(
         x = x_new
         history.append(f_cur)
         jac = evaluation.jacobian_values()
-        diag, sub = model.gain(jac, w)
+        gain = model.gain(jac, w)
         if moved < tol and mu <= damping.mu_start:
             break
     else:
@@ -852,7 +856,7 @@ def wls_estimate(
     # jac and the gain are those at the estimate; residual covariance diag:
     # R - H G^-1 H^T
     grad = 2.0 * model.transpose_times(jac, w * r)
-    chol = _factor((diag, sub), "the gain does not factor at the estimate")
+    chol = _nonsingular_factor(gain, n, _SINGULAR)
     omega = ms.variances - model.leverage(jac, chol)
     critical = omega < CRITICAL_OMEGA
     r_norm = np.full(ms.m, np.nan)

@@ -1,10 +1,12 @@
-"""The banded gain: RCM order, block Cholesky solve and selected inverse.
+"""The banded gain: RCM order, its band storage, the band Cholesky solve
+and the selected inverse, and the two LAPACK bindings that factor it.
 
 Every check runs on case39, on two chained case39 copies and on a 2-D
 lattice, whose bandwidth grows with the grid, against dense numpy and
 scipy.sparse.csgraph oracles.
 """
 
+import ctypes
 import sys
 from pathlib import Path
 
@@ -13,12 +15,15 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from acfdi import banded, estimation
 from acfdi.banded import BlockCholesky, _lower_inverses, rcm_order
 from acfdi.estimation import (
     MeasurementModel,
-    _require_observable,
+    _nonsingular_factor,
+    chi_square_test,
     eval_jacobian,
     generate_measurements,
+    largest_normalized_residual,
     wls_estimate,
 )
 from acfdi.network import StateVector, build_admittance, load_bundled_case39
@@ -92,7 +97,7 @@ def test_lattice_bandwidth_grows_with_its_side():
 def test_banded_solve_matches_dense(grid):
     _, adm, model, ms, state = grid
     values = model.evaluate(state).jacobian_values()
-    chol = BlockCholesky(*model.gain(values, 1.0 / ms.variances))
+    chol = BlockCholesky(model.gain(values, 1.0 / ms.variances))
     rhs = np.random.default_rng(7).standard_normal(model.n_state)
     expected = np.linalg.solve(_dense_gain(adm, ms, state), rhs)
     x = model.solve(chol, rhs)
@@ -100,20 +105,22 @@ def test_banded_solve_matches_dense(grid):
 
 
 def test_pivot_test_builds_no_block_inverses(grid):
-    # the observability test reads only the pivots; the inverses of the
-    # diagonal factor blocks (0.7 ms at n = 312) wait for the first solve
+    # the pivot test reads the band's diagonal and dpbtrs solves on the band;
+    # only the selected inverse reads the factor's blocks and inverts the
+    # diagonal ones (0.7 ms at n = 312)
     _, _, model, ms, state = grid
-    chol = BlockCholesky(*model.gain(model.evaluate(state).jacobian_values(), 1.0 / ms.variances))
-    _require_observable(chol, model.n_state)
-    assert "inverse" not in vars(chol)
+    gain = model.gain(model.evaluate(state).jacobian_values(), 1.0 / ms.variances)
+    chol = _nonsingular_factor(gain, model.n_state, "singular")
     model.solve(chol, np.ones(model.n_state))
-    assert "inverse" in vars(chol)
+    assert "inverse" not in vars(chol) and "coupling" not in vars(chol)
+    chol.selected_inverse()
+    assert "inverse" in vars(chol) and "coupling" in vars(chol)
 
 
 def test_selected_inverse_matches_dense_on_band(grid):
     _, adm, model, ms, state = grid
     values = model.evaluate(state).jacobian_values()
-    chol = BlockCholesky(*model.gain(values, 1.0 / ms.variances))
+    chol = BlockCholesky(model.gain(values, 1.0 / ms.variances))
     z_diag, z_sub = chol.selected_inverse()
     size, n = model.pattern._band.size, model.n_state
     padded = np.full(len(z_diag) * size, -1)
@@ -180,10 +187,10 @@ def test_rcm_order_covers_every_component():
 
 
 def test_block_cholesky_rejects_an_indefinite_block():
-    diag = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+    # blocks I and [[1, 2], [2, 1]] in lower band storage of half-bandwidth 2
+    band = np.array([[1.0, 0, 0], [1, 0, 0], [1, 2, 0], [1, 0, 0]])
     with pytest.raises(np.linalg.LinAlgError):
-        BlockCholesky(diag, np.zeros((1, 2, 2)))
-
+        BlockCholesky(band)
 
 
 LOWER_GRIDS = {
@@ -194,26 +201,26 @@ LOWER_GRIDS = {
 
 
 @pytest.mark.parametrize("name", sorted(LOWER_GRIDS))
-def test_factor_reads_only_the_lower_triangle(name):
-    # the gain sums only the lower triangle of each diagonal block and the
-    # factor's windows get no upper-right block: both rest on
-    # np.linalg.cholesky reading the lower triangle alone
+def test_gain_band_is_the_dense_lower_band(name):
+    # row q of the band storage holds G[q, q], G[q + 1, q], ..., G[q + b, q]
+    # of the gain in band order; past the dimension it holds the identity
     case = LOWER_GRIDS[name]()
     adm = build_admittance(case)
     base = newton_power_flow(case, adm).state
     ms = generate_measurements(case, base, seed=6, adm=adm)
     model = MeasurementModel(adm, ms.layout)
-    diag, sub = model.gain(model.evaluate(base).jacobian_values(), 1.0 / ms.variances)
-    assert np.all(np.triu(diag, 1) == 0)
-    mirrored = np.tril(diag) + np.swapaxes(np.tril(diag, -1), 1, 2)
-    lower_only, full = BlockCholesky(diag, sub), BlockCholesky(mirrored, sub)
-    for part in ("lower", "coupling", "inverse"):
-        assert np.array_equal(getattr(lower_only, part), getattr(full, part)), part
-
-    b = diag.shape[1]
-    window = np.block([[mirrored[0], sub[0].T], [sub[0], mirrored[1]]])
-    unread = np.tril(window) + np.triu(np.full((2 * b, 2 * b), np.nan), 1)
-    assert np.array_equal(np.linalg.cholesky(unread), np.linalg.cholesky(window))
+    gain = model.gain(model.evaluate(base).jacobian_values(), 1.0 / ms.variances)
+    band = model.pattern._band
+    b, n = band.size, model.n_state
+    assert gain.shape == (band.blocks * b, b + 1)
+    padded = np.eye(len(gain))
+    padded[:n, :n] = _dense_gain(adm, ms, base)[np.ix_(band.order, band.order)]
+    q, d = np.indices(gain.shape)
+    inside = q + d < len(gain)
+    want = np.zeros_like(gain)
+    want[inside] = padded[(q + d)[inside], q[inside]]
+    assert np.max(np.abs(gain - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.all(gain[~inside] == 0) and np.all(gain[n:, 0] == 1.0)
 
 
 def _padded_lower_inverses(lower):
@@ -252,6 +259,41 @@ def test_lower_inverses_match_the_padded_recursion_bit_for_bit(size, count):
 
 def test_block_inverses_are_read_only(grid):
     _, _, model, ms, state = grid
-    chol = BlockCholesky(*model.gain(model.evaluate(state).jacobian_values(), 1.0 / ms.variances))
-    with pytest.raises(ValueError, match="read-only"):
-        chol.inverse[0, 0, 0] = 0.0
+    chol = BlockCholesky(model.gain(model.evaluate(state).jacobian_values(), 1.0 / ms.variances))
+    for array in (chol.factor, chol.inverse, chol.coupling):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+
+
+def _factor_and_verdicts(name):
+    case = GRIDS[name]()
+    adm = build_admittance(case)
+    base = newton_power_flow(case, adm).state
+    ms = generate_measurements(case, base, seed=5, adm=adm)
+    model = MeasurementModel(adm, ms.layout)
+    gain = model.gain(model.evaluate(base).jacobian_values(), 1.0 / ms.variances)
+    estimation._shared.clear()  # no flat-start factor from the other binding
+    res = wls_estimate(ms, case, adm)
+    verdicts = (res.converged, res.iterations, res.critical_ids, chi_square_test(res).passed,
+                largest_normalized_residual(res)[0])
+    return BlockCholesky(gain).factor, verdicts
+
+
+@pytest.mark.parametrize("name", ["case39", "case39x2"])
+def test_cython_lapack_fallback_matches_numpys_openblas(name, monkeypatch):
+    # where numpy's wheel bundles no OpenBLAS the routines come from scipy's
+    # cython_lapack, whose OpenBLAS may round otherwise: the factor agrees
+    # to rounding and every estimator verdict is the same
+    banded._lapack.cache_clear()
+    primary, primary_verdicts = _factor_and_verdicts(name)
+    assert banded._lapack()._index is ctypes.c_int64
+    monkeypatch.setattr(banded, "_numpy_openblas", lambda: None)
+    banded._lapack.cache_clear()
+    try:
+        fallback, fallback_verdicts = _factor_and_verdicts(name)
+        assert banded._lapack()._index is ctypes.c_int
+    finally:
+        banded._lapack.cache_clear()
+        estimation._shared.clear()  # no flat start keeps a fallback factor
+    assert np.max(np.abs(fallback - primary)) <= 1e-12 * np.max(np.abs(primary))
+    assert fallback_verdicts == primary_verdicts

@@ -972,6 +972,27 @@ def test_import_loads_no_heavy_scipy_modules():
         assert out.stdout.split() == [], module
 
 
+def test_scenario_run_on_numpys_openblas_imports_no_scipy_linalg(tmp_path):
+    # the WLS factor binds LAPACK's band Cholesky from the OpenBLAS numpy's
+    # wheel bundles: a whole scenario loads no scipy.linalg module, not even
+    # the cython_lapack the binding falls back to where numpy bundles none
+    code = (
+        "import contextlib, io, sys\n"
+        "from acfdi import banded\n"
+        "from acfdi.cli import main\n"
+        "assert banded._numpy_openblas() is not None\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['scenario', 'run', {str(BUNDLED)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.split() == []
+    assert (tmp_path / "summary.json").exists()
+
+
 def test_cli_import_defers_scipy_special_to_the_chi_square_test(tmp_path):
     # the scipy.special package costs about 0.2 s and 25 MB of start-up; the
     # chi-square test loads only the extension module that holds gammaincinv,

@@ -544,32 +544,49 @@ def test_observability_verdict_matches_matrix_rank_oracle(case39, adm39, base39)
     assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
 
 
-def test_every_observable_sublayout_converges_or_stops_named_on_tiled_grid():
+def test_every_observable_sublayout_converges_or_stops_named_on_tiled_grid(monkeypatch):
     # sparse layouts of two chained copies, many of them nearly critical:
-    # every observable one either converges within the default 50
-    # iterations or stops with a message other than unobservability
+    # every observable one converges within the default 50 iterations, or
+    # stops with a message other than unobservability. It stops on a
+    # singular gain exactly where the dense gain at the iterate it stops at
+    # is singular to the pivot test's cut-off, by its eigenvalues: the
+    # singular ones read at most 4e-17, every other at least 4e-10
     case = tiled_case39(2)
     adm = build_admittance(case)
     base = newton_power_flow(case, adm).state
     n = 2 * case.n_bus - 1
     flat = StateVector(base.bus_ids, np.ones(case.n_bus), np.zeros(case.n_bus))
-    converged, stopped, local = 0, [], 0
+    iterates = []
+    jacobian_values = estimation.Evaluation.jacobian_values
+
+    def recorded(evaluation):
+        iterates.append(evaluation.state)  # the flat start, then each accepted step
+        return jacobian_values(evaluation)
+
+    monkeypatch.setattr(estimation.Evaluation, "jacobian_values", recorded)
+    outcomes, local = {"converged": 0, "singular": 0, "stopped": 0}, 0
     for ms in _random_sublayouts(case, adm, base, seed=5, count=400, most=440):
         if np.linalg.matrix_rank(eval_jacobian(adm, flat, ms.layout)) < n:
             continue
+        iterates.clear()
         try:
             res = wls_estimate(ms, case, adm)
+            outcome = "converged"
         except EstimationError as exc:
             assert "unobservable" not in str(exc), ms.layout.ids
-            stopped.append(str(exc))
-            continue
-        converged += 1
+            outcome = "singular" if str(exc) == estimation._SINGULAR else "stopped"
+        jac = eval_jacobian(adm, iterates[-1], ms.layout)
+        eigenvalues = np.linalg.eigvalsh((jac / ms.variances[:, None]).T @ jac)
+        singular = eigenvalues[0] <= eigenvalues[-1] * n * np.finfo(float).eps
+        assert (outcome == "singular") == singular, (outcome, eigenvalues[0] / eigenvalues[-1])
+        outcomes[outcome] += 1
         # a minimum above J at the true state is not the global one
-        r = ms.values - eval_h(adm, base, ms.layout)
-        if res.j_statistic > r @ (r / ms.variances):
-            assert not chi_square_test(res).passed, ms.layout.ids
-            local += 1
-    assert converged >= 145 and len(stopped) <= 2, stopped
+        if outcome == "converged":
+            r = ms.values - eval_h(adm, base, ms.layout)
+            if res.j_statistic > r @ (r / ms.variances):
+                assert not chi_square_test(res).passed, ms.layout.ids
+                local += 1
+    assert outcomes == {"converged": 139, "singular": 7, "stopped": 1}, outcomes
     assert local >= 1
 
 
@@ -986,9 +1003,9 @@ def _factors_built(monkeypatch):
     built = []
 
     class Counted(banded.BlockCholesky):
-        def __init__(self, diag, sub):
+        def __init__(self, band, shift=0.0):
             built.append(self)
-            super().__init__(diag, sub)
+            super().__init__(band, shift)
 
     monkeypatch.setattr(estimation, "BlockCholesky", Counted)
     return built
@@ -1070,12 +1087,12 @@ def test_flat_start_arrays_are_read_only(case39, adm39, base39):
     wls_estimate(ms, case39, adm39)
     record = MeasurementModel(adm39, ms.layout).flat_start(1.0 / ms.variances)
     chol = record.chol
-    arrays = [record.x, record.h, record.jac, record.diag, record.sub]
-    arrays += [chol.lower, chol.coupling, chol.inverse]
+    arrays = [record.x, record.h, record.jac, record.gain]
+    arrays += [chol.factor, chol.coupling, chol.inverse]
     for array in arrays:
         assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        record.diag[0, 0, 0] = 0.0
+        record.gain[0, 0] = 0.0
 
 
 def test_unobservable_layout_keeps_no_flat_start(case39, adm39, base39):
