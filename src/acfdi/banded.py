@@ -1,37 +1,34 @@
-"""Banded systems: the band layout, a block LU in plain numpy and a band
-Cholesky from LAPACK.
+"""Banded systems: the band layout, and LAPACK's band LU and band Cholesky.
 
 A structurally symmetric sparse pattern, reordered by reverse Cuthill-McKee
 (Cuthill and McKee, 1969), is a band of half-width b far below its
-dimension. Cut into b x b blocks, a matrix of half-bandwidth b is
-block-tridiagonal (George and Liu, *Computer Solution of Large Sparse
-Positive Definite Systems*, 1981, ch. 4). `BlockBand` writes that step once
--- RCM order, bandwidth, block count, and the storage slot of each cell --
-for both systems the package solves:
+dimension (George and Liu, *Computer Solution of Large Sparse Positive
+Definite Systems*, 1981, ch. 4). `BlockBand` writes that step once -- RCM
+order, bandwidth, and the storage slot of each cell -- for both systems the
+package solves, each by LAPACK (Anderson et al., *LAPACK Users' Guide*, 3rd
+ed., 1999, sec. 2.4; Golub and Van Loan, *Matrix Computations*, sec. 4.3):
 
 - the Newton-Raphson power-flow Jacobian, whose rows and columns pair by bus
-  (P with angle, Q with magnitude). `block_lu_solve` factors it by block LU
-  (Golub and Van Loan, *Matrix Computations*, sec. 4.5), pivoting partially
-  inside each diagonal block and not across blocks; its dense calls are at
-  most b + 1 wide;
+  (P with angle, Q with magnitude), kept in LAPACK's general band storage
+  and factored by the band LU `dgbtrf`, with partial pivoting over the
+  whole band, and solved with `dgbtrs`;
 - the WLS gain HᵀWH, symmetric positive definite, kept in LAPACK's lower
-  band storage. `BlockCholesky` factors it by LAPACK's band Cholesky
-  `dpbtrf` and solves with `dpbtrs` (Anderson et al., *LAPACK Users'
-  Guide*, 3rd ed., 1999, sec. 2.4; Golub and Van Loan, sec. 4.3). Its
-  factor is block lower-bidiagonal; the selected inverse, every entry of
-  G⁻¹ inside the factor's block band, comes from the recurrence of
-  Takahashi, Fagan and Chen (1973), without forming G⁻¹.
+  band storage. `BlockCholesky` factors it by the band Cholesky `dpbtrf`
+  and solves with `dpbtrs`. Cut into b x b blocks, its factor is block
+  lower-bidiagonal; the selected inverse, every entry of G⁻¹ inside the
+  factor's block band, comes from the recurrence of Takahashi, Fagan and
+  Chen (1973), without forming G⁻¹.
 
 Each costs O(dim·b²). numpy ships no LAPACK band routine, but its wheel
-bundles an OpenBLAS that exports them: `_lapack` binds `dpbtrf` and `dpbtrs`
+bundles an OpenBLAS that exports them: `lapack` binds the four routines
 from that library through ctypes (ILP64 Fortran entry points, every
-argument by reference, plus the hidden length of the uplo string). Where
-numpy bundles no such library, it binds the same routines from the capsules
-of `scipy.linalg.cython_lapack`, loaded by spec so that the scipy.linalg
-package's __init__ never runs. At b <= 64 `dpbtrf` factors column by column with
-rank-one updates at most b wide. The inverses of the diagonal factor
-blocks, which only the selected inverse reads, come from one batched
-doubling recursion over all blocks.
+argument by reference, plus the hidden length of each character argument).
+Where numpy bundles no such library, it binds the same routines from the
+capsules of `scipy.linalg.cython_lapack`, loaded by spec so that the
+scipy.linalg package's __init__ never runs. At b <= 64 both factors run
+unblocked, column by column with rank-one updates at most 2b wide. The
+inverses of the diagonal factor blocks, which only the selected inverse
+reads, come from one batched doubling recursion over all blocks.
 """
 
 from __future__ import annotations
@@ -90,16 +87,13 @@ def rcm_order(dim: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 class BlockBand:
-    """The block-tridiagonal layout of a structurally symmetric pattern.
+    """The band layout of a structurally symmetric pattern.
 
     The pattern's cells are (i, j) over dim rows and columns. Position p of
-    the band holds index order[p], an RCM order of the pattern; the block
-    size b is the largest |pos[i] - pos[j]| over the cells, and the dim
-    positions are cut into nb = ceil(dim / b) blocks, the last one padded.
-    Values live in flat storage of b x b blocks [sub | diag | super]: the
-    nb - 1 blocks below the diagonal, the nb diagonal blocks, the nb - 1
-    above. A symmetric matrix stores only [sub | diag]. The layout's arrays
-    are read-only.
+    the band holds index order[p], an RCM order of the pattern; the
+    half-bandwidth b is the largest |pos[i] - pos[j]| over the cells. Cut
+    into nb = ceil(dim / b) blocks of b x b, the last one padded, the
+    matrix is block-tridiagonal. The layout's arrays are read-only.
     """
 
     def __init__(self, dim: int, i: np.ndarray, j: np.ndarray):
@@ -109,27 +103,20 @@ class BlockBand:
         self.pos[self.order] = np.arange(dim)
         self.size = max(1, int(np.max(np.abs(self.pos[i] - self.pos[j]), initial=0)))
         self.blocks = -(-dim // self.size)
-        pad = np.arange(dim, self.blocks * self.size)
-        self.pad_slot = self._slot_at(pad, pad)  # diagonal slots of the padding
-        read_only(self.order, self.pos, self.pad_slot)
-
-    def _slot_at(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        b, nb = self.size, self.blocks
-        r, c = p // b, q // b
-        first = np.array([0, nb - 1, 2 * nb - 1])[c - r + 1]  # block stack of the cell
-        return ((first + np.minimum(r, c)) * b + p % b) * b + q % b
-
-    def slot(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Storage slot of each cell (i, j); every cell must lie in the band."""
-        return self._slot_at(self.pos[i], self.pos[j])
+        read_only(self.order, self.pos)
 
     def lower_slot(self, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Slots of cells of a symmetric matrix in [sub | diag] storage: a cell
-        of a block above the diagonal takes its mirror's slot. Also returns
-        which cells lie on or below the diagonal."""
+        """Slots of cells of a symmetric matrix in flat [sub | diag] storage
+        of b x b blocks: the nb - 1 blocks below the diagonal, then the nb
+        diagonal blocks. A cell of a block above the diagonal takes its
+        mirror's slot. Also returns which cells lie on or below the
+        diagonal."""
+        b = self.size
         p, q = self.pos[i], self.pos[j]
-        kept = p // self.size >= q // self.size
-        return self._slot_at(np.where(kept, p, q), np.where(kept, q, p)), p >= q
+        kept = p // b >= q // b
+        row, col = np.where(kept, p, q), np.where(kept, q, p)
+        first = np.where(row // b > col // b, 0, self.blocks - 1)  # the sub or diag stack
+        return ((first + col // b) * b + row % b) * b + col % b, p >= q
 
     def band_slot(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Slots of cells (i, j) on or below the diagonal in the flat lower
@@ -137,12 +124,11 @@ class BlockBand:
         at row q, column p - q, which is slot q·b + p."""
         return self.pos[j] * self.size + self.pos[i]
 
-    def split(self, storage: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sub, diag, super) block views of flat storage; super is empty for
-        [sub | diag] storage."""
-        nb = self.blocks
-        blocks = storage.reshape(-1, self.size, self.size)
-        return blocks[: nb - 1], blocks[nb - 1 : 2 * nb - 1], blocks[2 * nb - 1 :]
+    def lu_slot(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Slots of cells (i, j) in the flat general band storage of
+        `_Lapack.gbtrf` with kl = ku = b: cell (p, q) of the band order at
+        row q, column 2b + p - q, which is slot (3q + 2)·b + p."""
+        return (3 * self.pos[j] + 2) * self.size + self.pos[i]
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """x in band order, padded with zeros to whole blocks."""
@@ -155,36 +141,6 @@ class BlockBand:
         x = np.empty(self.dim)
         x[self.order] = y[: self.dim]
         return x
-
-
-def block_lu_solve(
-    sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """T⁻¹ rhs for a block-tridiagonal T, by block LU without pivoting across
-    blocks.
-
-    T has diagonal blocks A_k, blocks C_k below and B_k above them. With
-    S_0 = A_0 and y_0 = r_0, each step solves S_k [G_k | z_k] = [B_k | y_k]
-    by LU with partial pivoting inside S_k; then S_k+1 = A_k+1 - C_k G_k and
-    y_k+1 = r_k+1 - C_k z_k come from one product. Back substitution gives
-    x_k = z_k - G_k x_k+1. Raises np.linalg.LinAlgError if some S_k is
-    singular.
-    """
-    nb, b, _ = diag.shape
-    work = np.empty((nb, b, b + 1))  # [B_k | y_k], then [G_k | z_k]
-    work[:-1, :, :b] = sup
-    work[:, :, b] = rhs.reshape(nb, b)
-    schur = diag[0]
-    for k in range(nb - 1):
-        work[k] = np.linalg.solve(schur, work[k])
-        update = sub[k] @ work[k]
-        schur = diag[k + 1] - update[:, :b]
-        work[k + 1, :, b] -= update[:, b]
-    x = work[:, :, b]
-    x[-1] = np.linalg.solve(schur, x[-1])
-    for k in reversed(range(nb - 1)):
-        x[k] -= work[k, :, :b] @ x[k + 1]
-    return x.ravel()
 
 
 def _lower_inverses(lower: np.ndarray) -> np.ndarray:
@@ -241,7 +197,7 @@ class BlockCholesky:
         if self.factor.ndim != 2 or self.size < 1 or len(self.factor) % self.size:
             raise ValueError(f"band storage of shape {self.factor.shape} is not whole b x b blocks")
         self.factor[:, 0] += shift
-        info = _lapack().pbtrf(self.factor)
+        info = lapack().pbtrf(self.factor)
         if info:
             raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
         read_only(self.factor)
@@ -284,7 +240,7 @@ class BlockCholesky:
         x = np.array(rhs, dtype=float)
         if x.shape != self.factor.shape[:1]:
             raise ValueError(f"right-hand side of shape {x.shape} for {len(self.factor)} rows")
-        _lapack().pbtrs(self.factor, x)
+        lapack().pbtrs(self.factor, x)
         return x
 
     def selected_inverse(self) -> tuple[np.ndarray, np.ndarray]:
@@ -304,31 +260,46 @@ class BlockCholesky:
         return z_diag, z_sub
 
 
-class _Lapack:
-    """`dpbtrf` and `dpbtrs` with uplo 'L' on C-ordered band storage, which
-    is LAPACK's column-major storage with leading dimension b + 1.
+# each routine's leading character argument, if any, and the count of its
+# other arguments, info included, every one passed by reference
+_SIGNATURES = {
+    "dpbtrf": (True, 5),  # uplo, n, kd, ab, ldab, info
+    "dpbtrs": (True, 8),  # uplo, n, kd, nrhs, ab, ldab, b, ldb, info
+    "dgbtrf": (False, 8),  # m, n, kl, ku, ab, ldab, ipiv, info
+    "dgbtrs": (True, 10),  # trans, n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info
+}
 
-    Each routine is a ctypes function taking its arguments by reference,
-    integers of `index` type, plus the hidden length of uplo when
-    `hidden_length` is set, as gfortran passes it to a Fortran entry point.
+
+class _Lapack:
+    """LAPACK's band Cholesky and band LU on C-ordered band storage, which is
+    LAPACK's column-major storage with the row length as leading dimension.
+
+    `routine(name)` gives each routine of `_SIGNATURES` as a ctypes function
+    taking its arguments by reference, integers and pivots of `index` type,
+    plus the hidden length of its character argument when `hidden_length`
+    is set, as gfortran passes it to a Fortran entry point.
     """
 
-    def __init__(self, pbtrf, pbtrs, index: type, hidden_length: bool):
-        self._pbtrf, self._pbtrs, self._index = pbtrf, pbtrs, index
+    def __init__(self, routine, index: type, hidden_length: bool):
+        self._index = index
         self._tail = (1,) if hidden_length else ()
-        length = [ctypes.c_size_t] if hidden_length else []
-        # after uplo: (n, kd, ab, ldab, info) and (n, kd, nrhs, ab, ldab, b, ldb, info)
-        for routine, pointers in ((pbtrf, 5), (pbtrs, 8)):
-            routine.argtypes = [ctypes.c_char_p, *[ctypes.c_void_p] * pointers, *length]
-            routine.restype = None
+        self._routines = {}
+        for name, (character, pointers) in _SIGNATURES.items():
+            function = self._routines[name] = routine(name)
+            length = [ctypes.c_size_t] if character and hidden_length else []
+            function.argtypes = [ctypes.c_char_p] * character + [ctypes.c_void_p] * pointers + length
+            function.restype = None
 
-    def _call(self, routine, *args) -> int:
+    def _call(self, name: str, *args) -> int:
         info = self._index(0)
         refs = [
-            a.ctypes.data if isinstance(a, np.ndarray) else ctypes.byref(self._index(a))
+            a if isinstance(a, bytes)
+            else a.ctypes.data if isinstance(a, np.ndarray)
+            else ctypes.byref(self._index(a))
             for a in args
         ]
-        routine(b"L", *refs, ctypes.byref(info), *self._tail)
+        tail = self._tail if _SIGNATURES[name][0] else ()
+        self._routines[name](*refs, ctypes.byref(info), *tail)
         if info.value < 0:
             raise ValueError(f"LAPACK argument {-info.value} is invalid")
         return info.value
@@ -337,12 +308,27 @@ class _Lapack:
         """Factor band in place; 0, or the order of the first leading minor
         that is not positive definite."""
         n, width = band.shape
-        return self._call(self._pbtrf, n, width - 1, band, width)
+        return self._call("dpbtrf", b"L", n, width - 1, band, width)
 
     def pbtrs(self, factor: np.ndarray, x: np.ndarray) -> None:
         """Overwrite x with the solution of L Lᵀ x = x."""
         n, width = factor.shape
-        self._call(self._pbtrs, n, width - 1, 1, factor, width, x, n)
+        self._call("dpbtrs", b"L", n, width - 1, 1, factor, width, x, n)
+
+    def gbtrf(self, band: np.ndarray, b: int) -> tuple[np.ndarray, int]:
+        """LU-factor band in place, with partial pivoting: general band
+        storage for kl = ku = b, of shape (N, 3b + 1), whose row q holds
+        A[p, q] at column 2b + p - q and whose first b columns are room for
+        the fill-in that row interchanges bring. Returns the interchanges,
+        and 0 or the position, from 1, of the first zero pivot of U."""
+        n, width = band.shape
+        pivots = np.zeros(n, dtype=self._index)
+        return pivots, self._call("dgbtrf", n, n, b, b, band, width, pivots)
+
+    def gbtrs(self, factor: np.ndarray, b: int, pivots: np.ndarray, x: np.ndarray) -> None:
+        """Overwrite x with the solution of A x = x from A's LU factor."""
+        n, width = factor.shape
+        self._call("dgbtrs", b"N", n, b, b, 1, factor, width, pivots, x, n)
 
 
 def _numpy_openblas() -> str | None:
@@ -381,17 +367,17 @@ def _scipy_lapack() -> _Lapack:
         capsule = module.__pyx_capi__[name]
         return ctypes.CFUNCTYPE(None)(pointer_of(capsule, name_of(capsule)))
 
-    return _Lapack(routine("dpbtrf"), routine("dpbtrs"), ctypes.c_int, False)
+    return _Lapack(routine, ctypes.c_int, False)
 
 
 @functools.cache
-def _lapack() -> _Lapack:
-    """The band Cholesky routines, bound on the first factor: from numpy's
-    own OpenBLAS (ILP64, symbols scipy_dpbtrf_64_ and scipy_dpbtrs_64_),
-    which numpy has already loaded, else from scipy's cython_lapack."""
+def lapack() -> _Lapack:
+    """The band routines, bound on the first factor: from numpy's own
+    OpenBLAS (ILP64, symbols scipy_dpbtrf_64_ and so on), which numpy has
+    already loaded, else from scipy's cython_lapack."""
     path = _numpy_openblas()
     if path is not None:
         library = ctypes.CDLL(path)
-        if hasattr(library, "scipy_dpbtrf_64_") and hasattr(library, "scipy_dpbtrs_64_"):
-            return _Lapack(library.scipy_dpbtrf_64_, library.scipy_dpbtrs_64_, ctypes.c_int64, True)
+        if all(hasattr(library, f"scipy_{name}_64_") for name in _SIGNATURES):
+            return _Lapack(lambda name: getattr(library, f"scipy_{name}_64_"), ctypes.c_int64, True)
     return _scipy_lapack()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banded import BlockBand, block_lu_solve, read_only
+from .banded import BlockBand, lapack, read_only
 from .estimation import KIND_CODE, Layout, MeasurementModel, layout_pattern, shared
 from .network import AdmittanceModel, NetworkCase, StateVector, build_admittance
 from .nlsolver import check_limits
@@ -22,8 +22,9 @@ class PowerFlowError(RuntimeError):
     pass
 
 
-class _StepOverflow(PowerFlowError):
-    """A Newton step whose product with the Jacobian is not finite."""
+class _StepFailure(PowerFlowError):
+    """A Newton step that is not taken. Its args are the message and the end
+    of the iteration's message, which names the bus it stopped at, if any."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def scheduled_injections(case: NetworkCase) -> tuple[np.ndarray, np.ndarray]:
 
 # bound on a Newton step's linear residual |J dx - r|, relative to
 # |J| |dx| + |r| in the infinity norm; a backward-stable solve leaves a few
-# ulps, a block LU that lost accuracy without pivoting across blocks far more
+# ulps, an LU that lost accuracy (pivot growth) far more
 _STEP_RESIDUAL_BOUND = 1e-10
 
 
@@ -77,8 +78,9 @@ class _NewtonPattern:
     drops the PV and slack magnitude columns. Row k and column k belong to
     the same bus (P with angle, Q with magnitude), and two buses share a cell
     only where Ybus couples them, so the pattern is structurally symmetric:
-    the step is a block LU over its `banded.BlockBand` layout, no dense m x m
-    solve.
+    its RCM order (`banded.BlockBand`) makes it a band of half-width b, and
+    `slot` places each nonzero in the general band storage of LAPACK's band
+    LU `dgbtrf`, so the step is no dense m x m solve.
     """
 
     def __init__(self, adm: AdmittanceModel):
@@ -100,36 +102,41 @@ class _NewtonPattern:
         self.rows = pattern.rows[self.kept]
         self.cols = column[pattern.cols[self.kept]]
         self.band = BlockBand(self.m, self.rows, self.cols)
-        self.slot = self.band.slot(self.rows, self.cols)
+        self.slot = self.band.lu_slot(self.rows, self.cols)
         read_only(self.pq, self.pvpq, self.kept, self.rows, self.cols, self.slot)
 
     def step(self, values: np.ndarray, mismatch: np.ndarray) -> np.ndarray:
-        """J⁻¹ mismatch for the Jacobian with these nonzeros at (rows, cols).
+        """J⁻¹ mismatch for the Jacobian with these nonzeros at (rows, cols),
+        by LAPACK's band LU with partial pivoting, `dgbtrf` and `dgbtrs`.
 
-        Raises PowerFlowError when a diagonal block of the LU is singular,
-        when the step overflows or when its linear residual exceeds
+        Raises _StepFailure when the Jacobian is singular, naming the bus of
+        the column whose pivot vanished, when the step overflows, naming the
+        bus of the largest mismatch, or when its linear residual exceeds
         _STEP_RESIDUAL_BOUND, which one O(nnz) pass over the nonzeros
         measures."""
-        band = self.band
-        # every cell but the nonzeros' slots holds a zero or a padding one
-        storage = np.zeros((3 * band.blocks - 2) * band.size * band.size)
-        storage[band.pad_slot] = 1.0
-        storage[self.slot] = values
-        try:
-            dx = band.scatter(block_lu_solve(*band.split(storage), band.gather(mismatch)))
-        except np.linalg.LinAlgError:
-            raise PowerFlowError("singular Jacobian block") from None
+        band, routines = self.band, lapack()
+        storage = np.zeros((self.m, 3 * band.size + 1))
+        storage.reshape(-1)[self.slot] = values
+        pivots, info = routines.gbtrf(storage, band.size)
+        if info:
+            bus = self.layout.where[band.order[info - 1]]
+            raise _StepFailure("singular Jacobian", f", zero pivot at bus {bus}")
+        x = mismatch[band.order]
+        routines.gbtrs(storage, band.size, pivots, x)
+        dx = band.scatter(x)
         residual = np.bincount(self.rows, weights=values * dx[self.cols], minlength=self.m)
         if not np.isfinite(residual).all():  # the Jacobian, dx or J dx overflowed
-            raise _StepOverflow("Newton step overflows")
+            worst = self.layout.where[np.argmax(np.abs(mismatch))]
+            raise _StepFailure("Newton step overflows", f" at bus {worst}")
         norm = np.max(np.bincount(self.rows, weights=np.abs(values), minlength=self.m))
         scale = norm * np.max(np.abs(dx)) + np.max(np.abs(mismatch))
         error = np.max(np.abs(residual - mismatch))
         # written so that a nan residual fails too
         if not error <= _STEP_RESIDUAL_BOUND * scale:
-            raise PowerFlowError(
+            raise _StepFailure(
                 f"inaccurate Newton step (linear residual {error:.3e}, "
-                f"{error / scale:.1e} relative)"
+                f"{error / scale:.1e} relative)",
+                "",
             )
         return dx
 
@@ -147,9 +154,10 @@ def newton_power_flow(
     its h, and the step reads its kept Jacobian values. PV magnitudes stay
     pinned to their setpoints and generator reactive limits are not
     enforced. Raises on non-convergence, a mismatch that is not finite, a
-    singular Jacobian block, a step that overflows, naming the bus of the
-    largest mismatch, or an inaccurate step; numpy's floating-point
-    warnings are silenced, as these checks report what they would.
+    singular Jacobian, naming the bus of the vanished pivot, a step that
+    overflows, naming the bus of the largest mismatch, or an inaccurate
+    step; numpy's floating-point warnings are silenced, as these checks
+    report what they would.
     """
     check_limits(tol, max_iter)
     if adm is None:
@@ -178,11 +186,10 @@ def newton_power_flow(
 
             try:
                 step = pattern.step(evaluation.jacobian_values()[pattern.kept], mismatch)
-            except PowerFlowError as err:
-                worst = pattern.layout.where[np.argmax(np.abs(mismatch))]
-                at = f" at bus {worst}" if isinstance(err, _StepOverflow) else ""
+            except _StepFailure as err:
+                message, at = err.args
                 raise PowerFlowError(
-                    f"{err} at iteration {it} (max mismatch {max_mis:.3e}{at})"
+                    f"{message} at iteration {it} (max mismatch {max_mis:.3e}{at})"
                 ) from None
             va[pvpq] += step[: len(pvpq)]
             vm[pq] += step[len(pvpq):]

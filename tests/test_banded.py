@@ -265,35 +265,44 @@ def test_block_inverses_are_read_only(grid):
             array[0, 0] = 0.0
 
 
-def _factor_and_verdicts(name):
+def _binding_results(name):
+    """The power flow, the gain's factor and the estimator verdicts, from the
+    binding `banded.lapack` gives."""
     case = GRIDS[name]()
     adm = build_admittance(case)
-    base = newton_power_flow(case, adm).state
-    ms = generate_measurements(case, base, seed=5, adm=adm)
+    flow = newton_power_flow(case, adm)
+    ms = generate_measurements(case, flow.state, seed=5, adm=adm)
     model = MeasurementModel(adm, ms.layout)
-    gain = model.gain(model.evaluate(base).jacobian_values(), 1.0 / ms.variances)
+    gain = model.gain(model.evaluate(flow.state).jacobian_values(), 1.0 / ms.variances)
     estimation._shared.clear()  # no flat-start factor from the other binding
     res = wls_estimate(ms, case, adm)
     verdicts = (res.converged, res.iterations, res.critical_ids, chi_square_test(res).passed,
                 largest_normalized_residual(res)[0])
-    return BlockCholesky(gain).factor, verdicts
+    return flow, BlockCholesky(gain).factor, verdicts
 
 
 @pytest.mark.parametrize("name", ["case39", "case39x2"])
 def test_cython_lapack_fallback_matches_numpys_openblas(name, monkeypatch):
     # where numpy's wheel bundles no OpenBLAS the routines come from scipy's
-    # cython_lapack, whose OpenBLAS may round otherwise: the factor agrees
-    # to rounding and every estimator verdict is the same
-    banded._lapack.cache_clear()
-    primary, primary_verdicts = _factor_and_verdicts(name)
-    assert banded._lapack()._index is ctypes.c_int64
+    # cython_lapack, whose OpenBLAS may round otherwise: the power flow takes
+    # the same iterations to a state that agrees to rounding, the factor
+    # agrees to rounding and every estimator verdict is the same
+    banded.lapack.cache_clear()
+    primary = _binding_results(name)
+    assert banded.lapack()._index is ctypes.c_int64
     monkeypatch.setattr(banded, "_numpy_openblas", lambda: None)
-    banded._lapack.cache_clear()
+    banded.lapack.cache_clear()
     try:
-        fallback, fallback_verdicts = _factor_and_verdicts(name)
-        assert banded._lapack()._index is ctypes.c_int
+        fallback = _binding_results(name)
+        assert banded.lapack()._index is ctypes.c_int
     finally:
-        banded._lapack.cache_clear()
+        banded.lapack.cache_clear()
         estimation._shared.clear()  # no flat start keeps a fallback factor
-    assert np.max(np.abs(fallback - primary)) <= 1e-12 * np.max(np.abs(primary))
-    assert fallback_verdicts == primary_verdicts
+    (flow, factor, verdicts), (fallback_flow, fallback_factor, fallback_verdicts) = (
+        primary, fallback
+    )
+    assert fallback_flow.iterations == flow.iterations
+    assert np.max(np.abs(fallback_flow.state.vm - flow.state.vm)) <= 1e-12
+    assert np.max(np.abs(fallback_flow.state.va - flow.state.va)) <= 1e-12
+    assert np.max(np.abs(fallback_factor - factor)) <= 1e-12 * np.max(np.abs(factor))
+    assert fallback_verdicts == verdicts

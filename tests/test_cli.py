@@ -1078,7 +1078,7 @@ def test_tiled_scenario_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
     # the shipped study on two chained case39 copies with a focal zone, in
     # fresh interpreters at 1 and 2 OpenBLAS threads; a dense LU of the
     # 135-wide power-flow Jacobian rounded differently at 2 threads and
-    # moved 21 of the 25 files, the block LU keeps every file's bytes
+    # moved 21 of the 25 files, the band LU keeps every file's bytes
     case_path = tmp_path / "case39x2.json"
     case_path.write_text(case_to_json(tiled_case39(2)))
     config = json.loads(BUNDLED.read_text())

@@ -1,3 +1,6 @@
+import dataclasses
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -5,7 +8,8 @@ import numpy as np
 import pytest
 
 import reference39 as ref
-from acfdi.cli import EXIT_ESTIMATOR, main
+from acfdi import banded
+from acfdi.cli import EXIT_OK, main
 from acfdi.estimation import MeasurementModel, bus_injection, network_powers
 from acfdi.network import (
     Bus,
@@ -354,7 +358,19 @@ def test_power_flow_model_builds_no_row_pair_index():
     assert "_band" not in vars(pattern)
 
 
-# The Newton step is a block LU over the RCM band of the Jacobian; it must
+def _resistive_mesh():
+    # every even-index branch of a lossy lattice purely resistive: at flat
+    # start its buses' dP/dangle and dQ/dV cells vanish, and the LU must
+    # pivot across buses to stay regular
+    case = meshed_case(5, 6, r=0.02)
+    branches = tuple(
+        dataclasses.replace(br, x=0.0, b=0.0) if k % 2 == 0 else br
+        for k, br in enumerate(case.branches)
+    )
+    return dataclasses.replace(case, branches=branches)
+
+
+# The Newton step is a band LU over the RCM band of the Jacobian; it must
 # agree with the dense solve it replaced on chained grids, whose bandwidth
 # stays fixed as they grow, and on lattices, whose bandwidth grows with them.
 LU_GRIDS = {
@@ -363,10 +379,14 @@ LU_GRIDS = {
     "mesh6x6": lambda: meshed_case(6, 6),
     "mesh10x10": lambda: meshed_case(10, 10),
     "lossless8x8": lambda: meshed_case(8, 8, r=0.0),
+    "resistive5x6": _resistive_mesh,
 }
 
-# the widest dense LU and product that give the same bits at 1 and 2
-# OpenBLAS threads, measured on a 2-core Xeon guest with OpenBLAS 0.3.31
+# the widest band, max(kl, ku), whose LU gives the same bits at 1 and 2
+# OpenBLAS threads: reference LAPACK's ilaenv gives DGBTRF the block size 1
+# at ku <= 64 (32 above), so dgbtrf factors by the unblocked dgbtf2, with
+# rank-one updates and no reductions; checked against ilaenv of the
+# OpenBLAS 0.3.31 that numpy 2.4 bundles
 THREAD_INVARIANT_WIDTH = 64
 
 
@@ -376,7 +396,7 @@ def lu_grid(request):
     return case, build_admittance(case)
 
 
-def test_block_lu_step_matches_dense_solve(lu_grid):
+def test_band_lu_step_matches_dense_solve(lu_grid):
     case, adm = lu_grid
     pattern, equations_at = _newton_equations(case, adm)
     base = newton_power_flow(case, adm).state
@@ -404,20 +424,46 @@ def test_newton_iterations_match_dense_replay(lu_grid):
 
 @pytest.mark.parametrize("tiles", range(1, 9))
 def test_newton_solve_stays_within_the_thread_invariant_width(tiles, monkeypatch):
-    # every dense operand of the block LU is a b x b block or a b x (b + 1)
-    # right-hand side of a block solve, so the solves bound every product too
+    # the band LU is the step's one BLAS-backed call: its width is the kl and
+    # ku each step hands to dgbtrf, and dgbtrs solves on the same band
     case = load_bundled_case39() if tiles == 1 else tiled_case39(tiles)
     adm = build_admittance(case)
     widths = []
-    solve = np.linalg.solve
+    lapack = banded.lapack()
+    factor = lapack.gbtrf
 
-    def recording(a, b):
-        widths.append(max(a.shape + b.shape))
-        return solve(a, b)
+    def recording(band, b):
+        widths.append(b)
+        return factor(band, b)
 
-    monkeypatch.setattr(np.linalg, "solve", recording)
+    monkeypatch.setattr(lapack, "gbtrf", recording)
     newton_power_flow(case, adm)
     assert widths and max(widths) <= THREAD_INVARIANT_WIDTH
+
+
+_STATE_BITS = """
+import sys
+sys.path.insert(0, "bench")
+from grids import tiled_case39
+from acfdi.powerflow import newton_power_flow
+sol = newton_power_flow(tiled_case39(32))
+sys.stdout.write(f"{sol.iterations} {sol.state.vm.tobytes().hex()} {sol.state.va.tobytes().hex()}")
+"""
+
+
+def test_power_flow_state_is_bit_equal_at_one_and_two_threads():
+    # n = 1248, m = 2175 and b = 31: the band stays within
+    # THREAD_INVARIANT_WIDTH
+    root = Path(__file__).parent.parent
+    bits = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(root / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", _STATE_BITS], cwd=root, env=env,
+            capture_output=True, text=True, check=True,
+        )
+        bits.append(out.stdout)
+    assert bits[0] == bits[1]
 
 
 def _with_bus(case, bus):
@@ -425,10 +471,12 @@ def _with_bus(case, bus):
 
 
 def test_isolated_pq_bus_is_a_singular_block():
-    # the isolated bus's P and Q rows are zero, so its diagonal block is
-    # singular; validation rejects such a case, so it is built directly
+    # the isolated bus's columns are zero, so the band LU meets a zero pivot
+    # at one of them; validation rejects such a case, so it is built directly
     case = _with_bus(parse_case(TWO_BUS_CASE), Bus(3, "PQ", 0.1, 0.05, 0.0, 0.0, 0.9, 1.1))
-    with pytest.raises(PowerFlowError, match="singular Jacobian block at iteration 0"):
+    with pytest.raises(
+        PowerFlowError, match=r"^singular Jacobian at iteration 0 \(.*, zero pivot at bus 3\)$"
+    ):
         newton_power_flow(case)
 
 
@@ -436,28 +484,28 @@ def _resistive_case(x: str) -> str:
     return TWO_BUS_CASE.replace("1 2 0.01 0.1 0.02", f"1 2 0.01 {x} 0")
 
 
-def test_vanishing_block_on_a_resistive_branch_exits_4(tmp_path, capsys):
-    # at flat start dP/dtheta and dQ/dV of a purely resistive branch vanish:
-    # the full Jacobian is regular, but the LU does not pivot across blocks
-    # (here 1 x 1), so it stops instead of taking a wrong step
-    with pytest.raises(PowerFlowError, match="singular Jacobian block"):
-        newton_power_flow(parse_case(_resistive_case("0")))
+def _converges_to_the_dense_replay(case):
+    adm = build_admittance(case)
+    vm, va, history = ref.dense_newton_replay(case, adm)
+    sol = newton_power_flow(case, adm)
+    assert sol.iterations == len(history) - 1 == 3
+    assert np.max(np.abs(sol.state.vm - vm)) <= 1e-10
+    assert np.max(np.abs(sol.state.va - va)) <= 1e-10
+
+
+def test_resistive_branch_converges_to_the_dense_replay(tmp_path, capsys):
+    # at flat start dP/dtheta and dQ/dV of a purely resistive branch vanish,
+    # but the full Jacobian is regular: the band LU pivots across the bus's
+    # two columns and converges as the dense LU does
+    _converges_to_the_dense_replay(parse_case(_resistive_case("0")))
     path = tmp_path / "resistive.m"
     path.write_text(_resistive_case("0"))
-    assert main(["pf", str(path)]) == EXIT_ESTIMATOR
-    assert "singular Jacobian block at iteration 0" in capsys.readouterr().err
+    assert main(["pf", str(path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
-def test_inaccurate_block_step_is_rejected():
-    # a reactance far below the resistance leaves a tiny but nonzero dP/dtheta
-    # pivot: the block solve succeeds, and only the linear residual shows
-    # that its step is wrong
-    case = parse_case(_resistive_case("1e-15"))
-    pattern, equations_at = _newton_equations(case, build_admittance(case))
-    mismatch, values = equations_at(flat_start(case))
-    dense = np.linalg.solve(_dense_jacobian(pattern, values), mismatch)
-    assert np.all(np.isfinite(dense))
-    with pytest.raises(PowerFlowError, match="inaccurate Newton step"):
-        pattern.step(values, mismatch)
-    with pytest.raises(PowerFlowError, match="inaccurate Newton step .* at iteration 0"):
-        newton_power_flow(case)
+@pytest.mark.parametrize("x", ["1e-15", "1e-12"])
+def test_near_resistive_branch_converges_to_the_dense_replay(x):
+    # a reactance far below the resistance leaves a tiny but nonzero
+    # dP/dtheta pivot, which partial pivoting passes over
+    _converges_to_the_dense_replay(parse_case(_resistive_case(x)))
