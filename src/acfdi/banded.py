@@ -105,18 +105,14 @@ class BlockBand:
         self.blocks = -(-dim // self.size)
         read_only(self.order, self.pos)
 
-    def lower_slot(self, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Slots of cells of a symmetric matrix in flat [sub | diag] storage
-        of b x b blocks: the nb - 1 blocks below the diagonal, then the nb
-        diagonal blocks. A cell of a block above the diagonal takes its
-        mirror's slot. Also returns which cells lie on or below the
-        diagonal."""
+    def lower_slot(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Slots of cells (i, j) on or below the diagonal in flat [sub | diag]
+        storage of b x b blocks: the nb - 1 blocks below the diagonal, then
+        the nb diagonal blocks."""
         b = self.size
         p, q = self.pos[i], self.pos[j]
-        kept = p // b >= q // b
-        row, col = np.where(kept, p, q), np.where(kept, q, p)
-        first = np.where(row // b > col // b, 0, self.blocks - 1)  # the sub or diag stack
-        return ((first + col // b) * b + row % b) * b + col % b, p >= q
+        first = np.where(p // b > q // b, 0, self.blocks - 1)  # the sub or diag stack
+        return ((first + q // b) * b + p % b) * b + q % b
 
     def band_slot(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Slots of cells (i, j) on or below the diagonal in the flat lower
@@ -243,21 +239,23 @@ class BlockCholesky:
         lapack().pbtrs(self.factor, x)
         return x
 
-    def selected_inverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """The diagonal blocks of (G + shift·I)⁻¹ and the blocks below them,
-        in `BlockBand`'s [sub | diag] block storage.
+    def selected_inverse(self) -> np.ndarray:
+        """The blocks below the diagonal of (G + shift·I)⁻¹, then its
+        diagonal blocks, in one array of `BlockBand`'s [sub | diag] block
+        storage: shape (2nb - 1, b, b).
 
         With W_k = L_k⁻¹: Z_k+1,k = -Z_k+1,k+1 C_k W_k and Z_k,k =
         W_kᵀ (W_k - C_kᵀ Z_k+1,k), from the last block back.
         """
         inv, c = self.inverse, self.coupling
         nb = len(inv)
-        z_diag, z_sub = np.empty_like(inv), np.empty_like(c)
+        z = np.empty((2 * nb - 1, *inv.shape[1:]))
+        z_sub, z_diag = z[: nb - 1], z[nb - 1 :]
         z_diag[nb - 1] = inv[nb - 1].T @ inv[nb - 1]
         for k in reversed(range(nb - 1)):
             z_sub[k] = -(z_diag[k + 1] @ c[k]) @ inv[k]
             z_diag[k] = inv[k].T @ (inv[k] - c[k].T @ z_sub[k])
-        return z_diag, z_sub
+        return z
 
 
 # each routine's leading character argument, if any, and the count of its

@@ -37,6 +37,7 @@ from .estimation import (
     DEFAULT_SIGMAS,
     BddPolicy,
     EstimationError,
+    MeasurementError,
     chi_square_test,
     generate_measurements,
     measurement_set_from_csv,
@@ -575,7 +576,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         ms = measurement_set_from_csv(text, adm.full_layout)
     except EstimationError as exc:
         raise ConfigError(f"{args.measurements}: {exc}") from None
-    res = wls_estimate(ms, case, adm, **asdict(config.estimator))
+    try:
+        res = wls_estimate(ms, case, adm, **asdict(config.estimator))
+    except MeasurementError as exc:
+        raise ConfigError(f"{args.measurements}: {exc}") from None
     _emit(_estimation_json(res, config.bdd), args.out)
     return EXIT_OK
 
@@ -612,8 +616,11 @@ def _cmd_impact(args: argparse.Namespace) -> int:
             raise ConfigError(f"attack 'deltas': the case has no measurement id {unknown[0]!r}")
     except ConfigError as exc:
         raise ConfigError(f"{args.attack}: {exc}") from None
-    ms_clean, clean_est = _measure(case, adm, av.x_base, config)
-    report = _assess(case, adm, zone, av, ms_clean, clean_est, config)[2]
+    try:
+        ms_clean, clean_est = _measure(case, adm, av.x_base, config)
+        report = _assess(case, adm, zone, av, ms_clean, clean_est, config)[2]
+    except MeasurementError as exc:
+        raise ConfigError(f"{args.attack}: {exc}") from None
     # the report reads the falsified injections off the attacked state, as the
     # design that wrote the file did, so a file that differs was edited
     shown = {row["bus"]: (row["p_falsified"], row["q_falsified"])

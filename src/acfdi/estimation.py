@@ -48,6 +48,11 @@ class EstimationError(RuntimeError):
     pass
 
 
+class MeasurementError(EstimationError):
+    """A measurement set the estimator cannot start from: its weighted
+    objective at the flat start is not finite, so no step can lower it."""
+
+
 @dataclass(frozen=True, eq=False)
 class Layout:
     """What is metered, row by row, as read-only arrays: each row's id, kind
@@ -234,8 +239,8 @@ def full_layout(case: NetworkCase, kinds: tuple[str, ...] = KINDS) -> Layout:
 
 # entries kept by `shared`: a scenario reads six per topology (the full
 # layout, the Newton pattern, three layout patterns and the flat start of its
-# estimates), so this covers two grids at once; a pattern is 3.5 MB at most
-# at n = 312 (the full layout's with its gain band), a flat start 1.5 MB
+# estimates), so this covers two grids at once; a pattern is 1.7 MB at most
+# at n = 312 (the full layout's with its pair index), a flat start 1.5 MB
 _SHARED_LIMIT = 16
 _shared: dict[tuple, object] = {}
 
@@ -263,13 +268,19 @@ def shared(key: tuple, build):
 
 
 class _GainCells(NamedTuple):
-    """Where the row pairs of one layout sit in the gain's band storage and in
-    its selected inverse's [sub | diag] block storage."""
+    """The pair index of one layout: each unordered pair of entries that share
+    a row, once, in row order. A pair (a, b) is oriented so that its cell
+    (cols[a], cols[b]) lies on or below the diagonal of the band order; a
+    pair with a == b is a diagonal cell. The gain sums every pair into its
+    slot, and the leverage reads G⁻¹ at its inverse slot, twice off the
+    diagonal."""
 
-    slot: np.ndarray  # block slot of each row pair's cell, upper-block cells mirrored
-    a: np.ndarray  # the row pairs summed into the gain: the cells on or below the diagonal
+    band: BlockBand
+    row: np.ndarray
+    a: np.ndarray
     b: np.ndarray
-    summed_slot: np.ndarray  # their slots in the lower band storage
+    slot: np.ndarray  # slot of each pair's cell in the gain's lower band storage
+    inverse_slot: np.ndarray  # and in the selected inverse's [sub | diag] block storage
 
 
 class LayoutPattern:
@@ -290,6 +301,11 @@ class LayoutPattern:
     the Jacobian's derivative entries are the same entries (MATPOWER's
     dSbus_dV/dSbr_dV formulation, Zimmerman, Murillo-Sanchez and Thomas,
     IEEE Trans. Power Syst. 2011).
+
+    The Jacobian's entries, sorted by row and then column, give the pair
+    index of the gain and the leverages (`_GainCells`), built on first use:
+    each unordered pair of a row's entries once, Σ sᵢ(sᵢ + 1)/2 pairs over
+    rows of sᵢ entries.
     """
 
     def __init__(self, adm: AdmittanceModel, layout: Layout):
@@ -376,40 +392,34 @@ class LayoutPattern:
         read_only(*(a for a in vars(self).values() if isinstance(a, np.ndarray)))
 
     @functools.cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row, a, b) of every ordered pair of entries sharing a row: G[col a,
-        col b] and the row's h G⁻¹ hᵀ sum over them. Built on first use, as
-        only gain and leverage read it."""
-        row_ptr = np.searchsorted(self.rows, np.arange(self.m + 1))
-        per_row = np.diff(row_ptr)
-        sq = per_row * per_row
-        step = concat_ranges(np.zeros(self.m, dtype=int), sq)
-        width = np.repeat(per_row, sq)
-        start = np.repeat(row_ptr[:-1], sq)
-        pairs = np.repeat(np.arange(self.m), sq), start + step // width, start + step % width
-        read_only(*pairs)
-        return pairs
-
-    @functools.cached_property
-    def _band(self) -> BlockBand:
-        """The gain's band layout, built on first use from the row pairs.
-
-        The order is RCM over the gain's structural pattern, every cell some
-        row pair reaches, so a cell whose value is zero at one state (flat
-        start on a lossless branch) still lies in the band at every other."""
-        n = self.n_state
-        _, a, b = self._pairs
-        return BlockBand(n, *np.divmod(np.unique(self.cols[a] * n + self.cols[b]), n))
-
-    @functools.cached_property
     def _gain_cells(self) -> _GainCells:
-        _, a, b = self._pairs
-        slot, lower = self._band.lower_slot(self.cols[a], self.cols[b])
-        summed = np.flatnonzero(lower)
-        a, b = a[summed], b[summed]
-        cells = _GainCells(slot, a, b, self._band.band_slot(self.cols[a], self.cols[b]))
-        read_only(*cells)
+        """The pair index, and the gain's band layout built from it, on first
+        use: only gain and leverage read them.
+
+        The pairs (a, b), a <= b, of each row's entries are listed a by a;
+        no row reads one column twice, so a pair of two entries is an
+        off-diagonal cell. The band's order is RCM over the gain's structural
+        pattern, every cell some pair reaches, mirrored, so a cell whose
+        value is zero at one state (flat start on a lossless branch) still
+        lies in the band at every other. Each pair is then oriented by the
+        band order."""
+        n, rows, cols = self.n_state, self.rows, self.cols
+        first = np.arange(len(rows))
+        count = np.searchsorted(rows, rows, side="right") - first  # b from a to its row's end
+        a, b = np.repeat(first, count), concat_ranges(first, count)
+        i, j = np.divmod(np.unique(cols[a] * n + cols[b]), n)
+        band = BlockBand(n, np.concatenate([i, j]), np.concatenate([j, i]))
+        upper = band.pos[cols[a]] < band.pos[cols[b]]
+        a, b = np.where(upper, b, a), np.where(upper, a, b)
+        i, j = cols[a], cols[b]
+        cells = _GainCells(band, rows[a], a, b, band.band_slot(i, j), band.lower_slot(i, j))
+        read_only(*cells[1:])
         return cells
+
+    @property
+    def _band(self) -> BlockBand:
+        """The gain's band layout."""
+        return self._gain_cells.band
 
 
 def layout_pattern(adm: AdmittanceModel, layout: Layout) -> LayoutPattern:
@@ -450,7 +460,7 @@ class MeasurementModel:
     product would not: it fuses into FMA on some hosts (AVX-512).
 
     The model also owns the state packing x = [non-slack angles (case bus
-    order) | all magnitudes] and the row-pair index that assembles the gain
+    order) | all magnitudes] and the pair index that assembles the gain
     HᵀWH and the leverages diag(H G⁻¹ Hᵀ) from the Jacobian's nonzeros. The
     gain is summed straight into LAPACK's lower band storage of an RCM order
     of its pattern; `banded.BlockCholesky` factors and solves it with
@@ -489,11 +499,12 @@ class MeasurementModel:
         storage `BlockCholesky` takes: shape (N, b + 1), row q holding the
         cells on and below the diagonal of column q. The dimension N is
         padded to whole b x b blocks with identity rows."""
-        band, cells = self.pattern._band, self.pattern._gain_cells
+        cells = self.pattern._gain_cells
+        band = cells.band
         width = band.size + 1
         weighted = values * w[self.rows]
         g = np.bincount(
-            cells.summed_slot,
+            cells.slot,
             weights=weighted[cells.a] * values[cells.b],
             minlength=band.blocks * band.size * width,
         )
@@ -530,15 +541,17 @@ class MeasurementModel:
         return FlatStart(x, h, jac, gain, gain_max, mu, _damped(gain, mu))
 
     def leverage(self, values: np.ndarray, chol: BlockCholesky) -> np.ndarray:
-        """diag(H G⁻¹ Hᵀ): one quadratic form per row over its nonzeros.
+        """diag(H G⁻¹ Hᵀ): one quadratic form per row over its nonzeros, each
+        off-diagonal pair counted twice.
 
         Two columns that share a row share a gain cell, so every G⁻¹ entry
         read here lies in the band of the selected inverse."""
-        row, a, b = self.pattern._pairs
-        z_diag, z_sub = chol.selected_inverse()
-        g_inv = np.concatenate([z_sub.ravel(), z_diag.ravel()])
-        terms = values[a] * g_inv[self.pattern._gain_cells.slot] * values[b]
-        return np.bincount(row, weights=terms, minlength=self.m)
+        cells = self.pattern._gain_cells
+        terms = chol.selected_inverse().reshape(-1)[cells.inverse_slot]
+        terms *= values[cells.a]
+        terms *= values[cells.b]
+        terms[cells.a != cells.b] *= 2.0
+        return np.bincount(cells.row, weights=terms, minlength=self.m)
 
 
 class Evaluation:
@@ -791,7 +804,8 @@ def wls_estimate(
     on the undamped gain of the first iteration decides observability;
     after that a damped gain that does not factor is a rejected trial. The
     first iteration reads no measured value until its right-hand side, so
-    it starts from the model's shared `flat_start`. Each trial evaluates
+    it starts from the model's shared `flat_start`; a set whose objective
+    is not finite there raises `MeasurementError`, naming its first row. Each trial evaluates
     the model once, and the accepted trial's evaluation gives the next
     Jacobian.
     Converges on an accepted step below tol taken at the starting mu, or
@@ -820,7 +834,15 @@ def wls_estimate(
 
     start = model.flat_start(w)
     x, jac, gain = start.x, start.jac, start.gain
-    f_cur, r = weighted(z - start.h)
+    with np.errstate(over="ignore"):
+        f_cur, r = weighted(z - start.h)
+        if not np.isfinite(f_cur):
+            # the first row at which the running sum of J's terms is not finite
+            first = np.argmax(~np.isfinite(np.cumsum(w * r * r)))
+            raise MeasurementError(
+                f"measurement {ms.layout.ids[first]}: the weighted objective is not finite "
+                "at the flat start"
+            )
     history = [f_cur]
     damping = Damping(start.gain_max, ms.m)
 

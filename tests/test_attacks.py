@@ -432,3 +432,129 @@ def test_multi_target_attack(case39, adm39, base39, zone39):
     for bus in zone39.zero_injection_interior(case39):
         p, q = bus_injection(av.x_attacked, case39, bus, adm39)
         assert abs(p) < 1e-6 and abs(q) < 1e-6
+
+
+# --- the optimal design is a constrained minimum --------------------------------
+#
+# The optimal mode minimizes f = ||Δx||², Δx the interior state's deviation
+# from the base, subject to zero injection at the zero-injection interior
+# buses and the target's from-end flow at λ·p0 + margin (Nocedal and Wright,
+# *Numerical Optimization*, 2006, ch. 12). The checks fit the multipliers μ
+# themselves, by least squares on the constraint Jacobian over the interior
+# columns, and each bound is also shown to fail on a feasible point that is
+# not the minimum: the solution moved along the constraint manifold by 1 % of
+# ||Δx*||, which reads 1.0e-2 on stationarity and 9e-5 to 1e-4 on the
+# envelope, at every λ of 1.05-2.0.
+
+
+class _Kkt:
+    """The attack-design problem of the shipped zone and target on case39,
+    written out from the public model."""
+
+    def __init__(self, case, adm, base, zone):
+        self.case, self.adm, self.base, self.zone = case, adm, base, zone
+        layout = adm.full_layout
+        zero = sorted(zone.zero_injection_interior(case))
+        ids = [f"{kind}:{b}" for b in zero for kind in ("Pinj", "Qinj")]
+        ids.append("Pf:{}-{}".format(*ref.TARGET))
+        self.layout = layout.subset([layout.position[i] for i in ids])
+        self.pos = np.array([case.bus_index(b) for b in sorted(zone.interior)])
+        self.model = MeasurementModel(adm, self.layout)
+        self.cols = self.model.state_columns(self.pos)
+        self.p0 = float(self.model.evaluate(base).h()[-1])
+        self.anchor = self.point(base)
+
+    def design(self, factor):
+        spec = AttackSpec(
+            zone=self.zone, targets=(OverloadTarget(*ref.TARGET, factor),), mode="optimal"
+        )
+        return design_attack(self.case, self.base, spec, self.adm)
+
+    def point(self, state):
+        return np.concatenate([state.va[self.pos], state.vm[self.pos]])
+
+    def state_of(self, z):
+        va, vm = self.base.va.copy(), self.base.vm.copy()
+        va[self.pos], vm[self.pos] = np.split(z, 2)
+        return StateVector(self.base.bus_ids, vm, va)
+
+    def constraints(self, z, factor):
+        """c(z), zero on the manifold, and its Jacobian over the interior columns."""
+        at = self.model.evaluate(self.state_of(z))
+        jac = np.zeros((self.model.m, self.model.n_state))
+        jac[self.model.rows, self.model.cols] = at.jacobian_values()
+        c = at.h()
+        c[-1] -= factor * self.p0 + SolverParams().overload_margin
+        return c, jac[:, self.cols]
+
+    def stationarity(self, z, factor):
+        """μ fitting 2(z - anchor) = Jᵀμ by least squares, and the relative
+        residual of the fit."""
+        grad = 2.0 * (z - self.anchor)
+        jac_t = self.constraints(z, factor)[1].T
+        mu = np.linalg.lstsq(jac_t, grad, rcond=None)[0]
+        return mu, np.linalg.norm(jac_t @ mu - grad) / np.linalg.norm(grad)
+
+    def moved(self, z, factor, share=0.01):
+        """A feasible point at share·||z - anchor|| from z: a seeded step in
+        the null space of the constraint Jacobian, then Gauss-Newton back
+        onto the manifold by minimum-norm corrections."""
+        jac = self.constraints(z, factor)[1]
+        null = np.linalg.svd(jac)[2][len(jac):]
+        step = null.T @ np.random.default_rng(0).standard_normal(len(null))
+        y = z + step * (share * np.linalg.norm(z - self.anchor) / np.linalg.norm(step))
+        for _ in range(8):
+            c, jac = self.constraints(y, factor)
+            y = y - np.linalg.lstsq(jac, c, rcond=None)[0]
+        assert np.max(np.abs(self.constraints(y, factor)[0])) <= 1e-12
+        return y
+
+
+@pytest.fixture(scope="module")
+def kkt(case39, adm39, base39, zone39):
+    return _Kkt(case39, adm39, base39, zone39)
+
+
+# measured: 3.0e-8 at λ 1.05, 1.8e-7 at 1.3 and 5.9e-7 at 2.0; the bound
+# keeps a margin of 17 over the largest, 1e3 under the moved point's 1e-2
+STATIONARITY_BOUND = 1e-5
+
+
+@pytest.mark.parametrize("factor", [1.05, 1.3, 2.0])
+def test_optimal_design_is_stationary(kkt, factor):
+    z = kkt.point(kkt.design(factor).x_attacked)
+    mu, residual = kkt.stationarity(z, factor)
+    assert residual <= STATIONARITY_BOUND
+    assert mu[-1] > 0  # the overload binds, and more of it costs deviation
+    assert kkt.stationarity(kkt.moved(z, factor), factor)[1] > 100 * STATIONARITY_BOUND
+
+
+# measured: μ_target·p0 and the central difference of the objective in λ
+# (δ = 1e-3) agree to 4.5e-8 relative or better at λ 1.05-2.0; the bound
+# keeps a margin of 20, and the moved points read 9e-5 to 1e-4
+ENVELOPE_BOUND = 1e-6
+ENVELOPE_STEP = 1e-3
+
+
+@pytest.mark.parametrize("factor", [1.1, 1.3, 1.6])
+def test_optimal_design_prices_its_overload(kkt, factor):
+    # the envelope theorem: df*/dλ = μ_target · d(λ p0)/dλ, so the target's
+    # multiplier is the marginal stealth cost of more overload
+    def gap(solution):
+        """Relative gap between μ_target·p0 at λ and the central difference
+        of the objective; solution(λ) gives a point and its objective."""
+        mu = kkt.stationarity(solution(factor)[0], factor)[0]
+        ahead, behind = (solution(factor + s)[1] for s in (ENVELOPE_STEP, -ENVELOPE_STEP))
+        slope = (ahead - behind) / (2 * ENVELOPE_STEP)
+        return abs(mu[-1] * kkt.p0 - slope) / abs(slope)
+
+    def optimum(f):
+        av = kkt.design(f)
+        return kkt.point(av.x_attacked), av.solver_info["objective"]
+
+    def moved(f):
+        y = kkt.moved(optimum(f)[0], f)
+        return y, float(np.sum((y - kkt.anchor) ** 2))
+
+    assert gap(optimum) <= ENVELOPE_BOUND
+    assert gap(moved) > 10 * ENVELOPE_BOUND

@@ -308,6 +308,44 @@ def test_state_whose_powers_overflow_is_config_error_without_warnings(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", [1e308, -1e308, 1e160])
+@pytest.mark.parametrize("command", ["estimate", "impact"])
+def test_set_whose_objective_overflows_is_config_error_without_warnings(
+    scenario_out, tmp_path, capsys, command, value
+):
+    # a measured value, or an attack delta, whose weighted square overflows
+    # leaves J infinite at the flat start, where no step can lower it: the
+    # estimator printed numpy RuntimeWarnings and exited 4 with "found no
+    # step that lowers J = inf". It is an input fault, refused naming the
+    # file and the row, and numpy warns of nothing
+    _, out = scenario_out
+    if command == "estimate":
+        lines = (out / "measurements_clean.csv").read_text().splitlines(keepends=True)
+        row = lines[2].split(",")
+        lines[2] = ",".join([*row[:3], repr(value), row[4]])
+        path = tmp_path / "measurements.csv"
+        path.write_text("".join(lines))
+        argv = ["estimate", "case39", str(path), "--out", str(tmp_path / "o" / "est.json")]
+        meas_id = row[0]
+    else:
+        doc = json.loads((out / "attack_optimal.json").read_text())
+        meas_id = next(iter(doc["deltas"]))
+        doc["deltas"][meas_id] = value
+        path = tmp_path / "attack.json"
+        path.write_text(json.dumps(doc))
+        argv = ["impact", "case39", str(out / "zone.json"), str(path),
+                "--out-dir", str(tmp_path / "o")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_CONFIG
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        f"error: {path}: measurement {meas_id}: the weighted objective is not finite "
+        "at the flat start\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "mode, message",
     [(None, "field 'mode' is missing"), ("both", "field 'mode' must be optimal or arbitrary")],

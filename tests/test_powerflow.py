@@ -347,15 +347,14 @@ def test_newton_power_flow_replays_dense_oracle(grid, case39, adm39, tile2):
 
 
 def test_power_flow_model_builds_no_row_pair_index():
-    # only gain and leverage read the row-pair index (about 1 MB at n=312)
-    # and the band layout built from it; power flow calls neither, so its
+    # only gain and leverage read the row-pair index (about 1.3 MB at n=312)
+    # and the band layout built with it; power flow calls neither, so its
     # compiled model never builds them
     case = tiled_case39(2)
     adm = build_admittance(case)
     newton_power_flow(case, adm)
     pattern = MeasurementModel(adm, _NewtonPattern(adm).layout).pattern
-    assert "_pairs" not in vars(pattern)
-    assert "_band" not in vars(pattern)
+    assert "_gain_cells" not in vars(pattern)
 
 
 def _resistive_mesh():
