@@ -451,9 +451,9 @@ def _assess(case, adm, zone, av: AttackVector, ms_clean, clean_est, config: Scen
     return ms_attacked, attacked_est, report
 
 
-def _render(report, base_doc, formats, write, suffix: str = "") -> None:
+def _render(report, formats, write, suffix: str = "") -> None:
     for fmt in formats:
-        for name, content in render_report(report, fmt, base_doc).items():
+        for name, content in render_report(report, fmt).items():
             stem, ext = name.rsplit(".", 1)
             write(f"{stem}{suffix}.{ext}", content)
 
@@ -469,9 +469,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> dict:
     zone = _zone(case, config)
     log.info("solving base power flow for %s", config.case_path)
     base = solve_power_flow(case, adm, **asdict(config.pf))
-    base_doc = base_document(case, base, adm)
     write("state.json", _to_json(base))
-    write("base.json", to_json(base_doc))
+    write("base.json", to_json(base_document(case, base, adm)))
     write("zone.json", _to_json(zone))
 
     ms_clean, clean_est = _measure(case, adm, base, config)
@@ -488,7 +487,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> dict:
         )
         write(f"measurements_{mode}.csv", ms_attacked.to_csv())
         write(f"estimation_{mode}.json", _estimation_json(attacked_est, config.bdd))
-        _render(report, base_doc, config.formats, write, suffix=f"_{mode}")
+        _render(report, config.formats, write, suffix=f"_{mode}")
 
         # from the states: the report holds the angle differences in degrees
         x, x_base = av.x_attacked, av.x_base
@@ -632,10 +631,9 @@ def _cmd_impact(args: argparse.Namespace) -> int:
                               f"{given or 'missing'}, where the attacked state gives "
                               f"{wanted or 'no zone bus'}")
     # the base document goes beside the report files; stdout takes the report alone
-    base_doc = base_document(case, av.x_base, adm)
     if args.out_dir:
-        _write(args.out_dir, {"base.json": to_json(base_doc)})
-    _render(report, base_doc, config.formats,
+        _write(args.out_dir, {"base.json": to_json(base_document(case, av.x_base, adm))})
+    _render(report, config.formats,
             lambda name, content: _emit(content, args.out_dir and os.path.join(args.out_dir, name)))
     return EXIT_OK
 

@@ -122,6 +122,9 @@ class Layout:
         return tuple(line[:-1] + "," for line in lines)
 
 
+_CSV_HEADER = "id,kind,location,value,variance"
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementSet:
     """Metered values and their variances, one of each per layout row. The
@@ -178,28 +181,36 @@ class MeasurementSet:
 
     def to_csv(self) -> str:
         """The set as CSV, one row per layout row."""
-        return "id,kind,location,value,variance\n" + "".join(self._lines)
+        return _CSV_HEADER + "\n" + "".join(self._lines)
 
 
 def measurement_set_from_csv(text: str, layout: Layout) -> MeasurementSet:
     """Rebuild a measurement set from CSV, resolving ids against layout,
-    usually a case's full layout (`AdmittanceModel.full_layout`)."""
+    usually a case's full layout (`AdmittanceModel.full_layout`). The header
+    and each row's kind and location must be what `MeasurementSet.to_csv`
+    writes."""
     rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0][:2] != ["id", "kind"]:
-        raise EstimationError("measurement CSV must start with an id,kind,... header")
+    if not rows or rows[0] != _CSV_HEADER.split(","):
+        raise EstimationError(f"measurement CSV line 1 must be the header {_CSV_HEADER}")
+    prefixes = layout.csv_prefixes
     picked, values, variances = [], [], []
     for lineno, row in enumerate(rows[1:], 2):
         if not row:
             continue
         if len(row) != 5:
             raise EstimationError(
-                f"measurement CSV line {lineno} has {len(row)} fields, "
-                "expected id,kind,location,value,variance"
+                f"measurement CSV line {lineno} has {len(row)} fields, expected {_CSV_HEADER}"
             )
-        meas_id, _kind, _loc, value, variance = row
+        meas_id, kind, location, value, variance = row
         i = layout.position.get(meas_id)
         if i is None:
-            raise EstimationError(f"unknown measurement id {meas_id!r} for this case")
+            raise EstimationError(
+                f"measurement CSV line {lineno}: unknown measurement id {meas_id!r} for this case"
+            )
+        # no id, kind or location holds a character that the writer quotes
+        if f"{meas_id},{kind},{location}," != prefixes[i]:
+            raise EstimationError(f"measurement CSV line {lineno}: {meas_id} is written with "
+                                  f"{prefixes[i][len(meas_id) + 1:-1]}, not {kind},{location}")
         try:
             value, variance = float(value), float(variance)
         except ValueError:
@@ -856,7 +867,8 @@ def wls_estimate(
 
     for iterations in range(1, max_iter + 1):
         rhs = model.transpose_times(jac, w * r)
-        step = damping.step(f_cur, solve, objective)
+        with np.errstate(over="ignore"):  # a trial whose J overflows is a rejected one
+            step = damping.step(f_cur, solve, objective)
         if step is None:
             if damping.exhausted:
                 raise EstimationError(f"estimator found no step that lowers J = {f_cur:.6e}")

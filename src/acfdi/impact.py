@@ -12,9 +12,8 @@ An attack moves only interior states, so a flow can change only on a zone
 line and an injection only at a zone bus: the report lists those rows, the
 attack's footprint, and counts the rows it omits, which must not have moved.
 The base state's flows and injections of every branch and bus are one
-document of their own, `base.json`, written once per scenario; the CSV flow
-table reads its omitted rows from there. All output is deterministic byte
-for byte.
+document of their own, `base.json`, written once per scenario. All output
+is deterministic byte for byte.
 """
 
 from __future__ import annotations
@@ -300,23 +299,8 @@ def _csv_rows(header: str, rows, labels: tuple[str, ...], values) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _all_branches(doc: dict, base: dict):
-    """A row for every in-service branch, in the base document's order: the
-    report's own, or for a branch that the report omits, one read off the base
-    document, since its attacked flow is its base flow."""
-    kept = iter(doc["branches"])
-    pairs = {(b["from"], b["to"]) for b in doc["branches"]}
-    for row in base["branches"]:
-        if (row["from"], row["to"]) in pairs:
-            yield next(kept)
-        else:
-            yield {"from": row["from"], "to": row["to"], "role": "exterior",
-                   "base": row, "attacked": row, "dp": 0.0, "dq": 0.0,
-                   "loading_base": row["loading"], "loading_attacked": row["loading"]}
-
-
-def report_to_csv(doc: dict, base: dict) -> dict[str, str]:
-    """Three tables: zone voltages, zone injections, all branch flows."""
+def report_to_csv(doc: dict) -> dict[str, str]:
+    """Three tables: the zone's voltages, its buses' injections and its lines' flows."""
     return {
         "voltages.csv": _csv_rows(
             "bus,role,vm_base_pu,va_base_deg,vm_attacked_pu,va_attacked_deg",
@@ -333,7 +317,7 @@ def report_to_csv(doc: dict, base: dict) -> dict[str, str]:
         "flows.csv": _csv_rows(
             "from,to,role,p_base_pu,q_base_pu,p_attacked_pu,q_attacked_pu,"
             "dp_pu,dq_pu,loading_base_pct,loading_attacked_pct",
-            _all_branches(doc, base),
+            doc["branches"],
             ("from", "to", "role"),
             lambda b: (
                 b["base"]["pf"], b["base"]["qf"], b["attacked"]["pf"], b["attacked"]["qf"],
@@ -428,14 +412,12 @@ def report_to_svg(doc: dict) -> dict[str, str]:
     }
 
 
-def render_report(doc: dict, fmt: str, base: dict) -> dict[str, str]:
-    """Render the document to named files; callers decide where the bytes go.
-    base is the `base_document` of the report's base state, whose rows the
-    CSV flow table shows for the branches that the report omits."""
+def render_report(doc: dict, fmt: str) -> dict[str, str]:
+    """Render the document to named files; callers decide where the bytes go."""
     if fmt == "json":
         return {"impact.json": to_json(doc, sort_keys=True)}
     if fmt == "csv":
-        return report_to_csv(doc, base)
+        return report_to_csv(doc)
     if fmt == "svg":
         return report_to_svg(doc)
     raise ReportError(f"unknown report format {fmt!r}")

@@ -444,7 +444,9 @@ def test_multi_target_attack(case39, adm39, base39, zone39):
 # columns, and each bound is also shown to fail on a feasible point that is
 # not the minimum: the solution moved along the constraint manifold by 1 % of
 # ||Δx*||, which reads 1.0e-2 on stationarity and 9e-5 to 1e-4 on the
-# envelope, at every λ of 1.05-2.0.
+# envelope, at every λ of 1.05-2.0, and 1.0e-2 off the first-order
+# prediction at λ 1.05. The deviation's rise with λ is an order that no such move
+# breaks; its control is the arbitrary design.
 
 
 class _Kkt:
@@ -558,3 +560,56 @@ def test_optimal_design_prices_its_overload(kkt, factor):
 
     assert gap(optimum) <= ENVELOPE_BOUND
     assert gap(moved) > 10 * ENVELOPE_BOUND
+
+
+# measured: the optimum's distance from the first-order prediction
+# Δx ≈ d·Pg/|Pg|², relative to its norm d/|Pg|, is 0.0327 (λ - 1) to within
+# 2 % at λ 1.05-2.5, and its norm's relative error is 2.2e-3 (λ - 1) at λ 1.05,
+# 2.3e-3 (λ - 1) at 1.3 and 2.5e-3 (λ - 1) at 2.0: both err at second order.
+# The bounds keep margins of 1.5 and 1.6 over the largest. The moved point
+# lies 1 % of |Δx*| off the optimum, 1.0e-2 off the prediction at λ 1.05,
+# so the vector bound rejects it below λ 1.2; its norm is only
+# share²/2 = 5e-5 longer, which no bound at λ >= 1.05 could see
+PREDICTION_BOUND = 0.05
+PREDICTION_NORM_BOUND = 4e-3
+
+
+@pytest.mark.parametrize("factor", [1.05, 1.3, 2.0])
+def test_optimal_design_follows_its_first_order_prediction(kkt, factor):
+    # to first order the design is the least-norm Δx with zero injection
+    # change, J0 Δx = 0, and target flow change g·Δx = d = λ p0 + margin - p0:
+    # Δx = d·Pg/|Pg|², with P the projector onto the null space of J0
+    jac = kkt.constraints(kkt.anchor, factor)[1]
+    zero, g = jac[:-1], jac[-1]
+    pg = g - zero.T @ np.linalg.lstsq(zero.T, g, rcond=None)[0]
+    d = factor * kkt.p0 + SolverParams().overload_margin - kkt.p0
+    predicted = d * pg / (pg @ pg)
+    size = d / np.linalg.norm(pg)
+
+    def error(z):
+        return np.linalg.norm(z - kkt.anchor - predicted) / size
+
+    z = kkt.point(kkt.design(factor).x_attacked)
+    assert abs(np.linalg.norm(z - kkt.anchor) / size - 1) <= PREDICTION_NORM_BOUND * (factor - 1)
+    assert error(z) <= PREDICTION_BOUND * (factor - 1)
+    if factor < 1.2:
+        assert error(kkt.moved(z, factor)) > 3 * PREDICTION_BOUND * (factor - 1)
+
+
+def test_optimal_deviation_rises_strictly_with_the_overload(case39, adm39, base39, zone39, kkt):
+    # measured: 0.001236, 0.002472, 0.00741, 0.014808, 0.024652 and 0.036923.
+    # A 1 % move along the manifold lengthens |Δx| by 5e-5 relative, and
+    # each step of λ here by 1.4 times or more, so no moved point breaks the
+    # order; the control is the arbitrary design, whose deviation its start
+    # perturbation sets: at seed 1 it is the same point at every λ
+    factors = [1.05, 1.1, 1.3, 1.6, 2.0, 2.5]
+    optimal = [_deviation_norm(kkt.design(f), zone39) for f in factors]
+    assert np.all(np.diff(optimal) > 0), optimal
+    arbitrary = [
+        _deviation_norm(design_attack(case39, base39, AttackSpec(
+            zone=zone39, targets=(OverloadTarget(*ref.TARGET, f),), mode="arbitrary",
+            params=SolverParams(seed=1),
+        ), adm39), zone39)
+        for f in factors
+    ]
+    assert not np.all(np.diff(arbitrary) > 0), arbitrary

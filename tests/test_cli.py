@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from acfdi import case_to_json, load_bundled_case39
-from acfdi.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from acfdi.cli import EXIT_CONFIG, EXIT_ESTIMATOR, EXIT_INFEASIBLE, EXIT_OK, main
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
 import spans  # noqa: E402
@@ -308,6 +308,30 @@ def test_state_whose_powers_overflow_is_config_error_without_warnings(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", ["1e100", "1e150"])
+def test_trial_whose_objective_overflows_is_rejected_without_warnings(
+    scenario_out, tmp_path, capsys, value
+):
+    # J is finite at the flat start, but the trial steps from it overflow
+    # J: each is a rejected trial, and the estimator stops as it does on any
+    # set that no step improves. numpy printed "overflow encountered in
+    # matmul" on stderr before the error line
+    _, out = scenario_out
+    lines = (out / "measurements_clean.csv").read_text().splitlines(keepends=True)
+    row = lines[1].split(",")
+    assert row[0] == "Pf:1-2"
+    lines[1] = ",".join([*row[:3], value, row[4]])
+    path = tmp_path / "measurements.csv"
+    path.write_text("".join(lines))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["estimate", "case39", str(path), "--out", str(tmp_path / "o.json")]) == EXIT_ESTIMATOR
+    assert [str(w.message) for w in caught] == []
+    assert re.fullmatch(r"error: estimator found no step that lowers J = \S+\n",
+                        capsys.readouterr().err)
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("value", [1e308, -1e308, 1e160])
 @pytest.mark.parametrize("command", ["estimate", "impact"])
 def test_set_whose_objective_overflows_is_config_error_without_warnings(
@@ -583,7 +607,31 @@ def test_external_case_file_path(tmp_path, capsys):
 def _four_column_csv(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("id,kind,location,value\nPinj:1,Pinj,1,0.0\n")
-    return ["estimate", "case39", str(path)], "line 2"
+    return ["estimate", "case39", str(path)], "line 1"
+
+
+def _four_field_csv_row(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("id,kind,location,value,variance\nPinj:1,Pinj,1,0.0\n")
+    return ["estimate", "case39", str(path)], "line 2 has 4 fields"
+
+
+def _csv_header_with_unknown_names(tmp_path):
+    # only "id,kind" was checked, and the rest of the header was read as
+    # location, value and variance (exit 0)
+    path = tmp_path / "m.csv"
+    path.write_text("id,kind,foo,bar,baz\nPinj:1,Pinj,1,0.0,1e-4\n")
+    return ["estimate", "case39", str(path)], "line 1 must be the header"
+
+
+def _csv_row_with_another_kind_and_location(tmp_path):
+    # a row's kind and location were never read (exit 0)
+    path = tmp_path / "m.csv"
+    path.write_text("id,kind,location,value,variance\nPinj:1,Pinj,1,0.0,1e-4\n"
+                    "Pf:1-2,Vmag,bus 99,0.0,1e-4\n")
+    return ["estimate", "case39", str(path)], (
+        "line 3: Pf:1-2 is written with Pflow,branch0:from, not Vmag,bus 99"
+    )
 
 
 def _non_numeric_csv_value(tmp_path):
@@ -854,7 +902,9 @@ def _case_m_with(table, row, column, token, named):
 @pytest.mark.parametrize(
     "make_input",
     [
-        _four_column_csv, _non_numeric_csv_value, _nan_csv_value, _infinite_csv_variance,
+        _four_column_csv, _four_field_csv_row, _csv_header_with_unknown_names,
+        _csv_row_with_another_kind_and_location,
+        _non_numeric_csv_value, _nan_csv_value, _infinite_csv_variance,
         _target_without_from, _zone_without_boundary,
         _targets_not_a_list, _sigmas_not_an_object, _seeds_not_an_object,
         _scenario_zone_with_string_ids, _formats_not_a_list, _zone_file_with_string_ids,

@@ -84,14 +84,14 @@ def test_replay_tie_line_invariant(case39, adm39, base39, attack_arbitrary):
         assert sf_att[k].imag == pytest.approx(sf_base[k].imag, abs=1e-10)
 
 
-def test_report_covers_every_in_service_branch(case39, report, base_doc):
-    # the base document and the CSV flow table list every in-service branch
-    # and the base document every bus; the report keeps the zone's lines
+def test_base_document_covers_every_in_service_branch(case39, zone39, report, base_doc):
+    # the base document lists every in-service branch and every bus; the
+    # report and its CSV flow table keep the zone's lines
     pairs = sorted((br.from_bus, br.to_bus) for br in case39.in_service_branches())
     assert [(b["from"], b["to"]) for b in base_doc["branches"]] == pairs
     assert [b["bus"] for b in base_doc["buses"]] == [b.id for b in case39.buses]
-    flows = render_report(report, "csv", base_doc)["flows.csv"].splitlines()[1:]
-    assert [tuple(map(int, line.split(",")[:2])) for line in flows] == pairs
+    flows = render_report(report, "csv")["flows.csv"].splitlines()[1:]
+    assert [tuple(map(int, line.split(",")[:2])) for line in flows] == _footprint(zone39)
     assert report["schema"] == "impact/2" and base_doc["schema"] == "base/1"
     for b in report["branches"]:
         if b["loading_base"] is not None:
@@ -363,20 +363,20 @@ def test_verdicts_pass_at_zero_noise(report):
     assert report["residuals"]["j_change"] < 1e-10
 
 
-def test_render_deterministic(report, base_doc):
+def test_render_deterministic(report):
     for fmt in ("json", "csv", "svg"):
-        first = render_report(report, fmt, base_doc)
-        second = render_report(report, fmt, base_doc)
+        first = render_report(report, fmt)
+        second = render_report(report, fmt)
         assert first == second
 
 
-def test_unknown_format_rejected(report, base_doc):
+def test_unknown_format_rejected(report):
     with pytest.raises(ReportError, match="unknown report format"):
-        render_report(report, "pdf", base_doc)
+        render_report(report, "pdf")
 
 
-def test_csv_voltage_table_shape(report, base_doc, zone39):
-    voltages = render_report(report, "csv", base_doc)["voltages.csv"]
+def test_csv_voltage_table_shape(report, zone39):
+    voltages = render_report(report, "csv")["voltages.csv"]
     lines = voltages.strip().splitlines()
     assert lines[0] == "bus,role,vm_base_pu,va_base_deg,vm_attacked_pu,va_attacked_deg"
     assert len(lines) == 1 + len(zone39.buses)
@@ -387,14 +387,14 @@ def test_csv_voltage_table_shape(report, base_doc, zone39):
     assert abs(float(fields[3])) > 1.0
 
 
-def test_csv_flow_table_sorted(report, base_doc):
-    flows = render_report(report, "csv", base_doc)["flows.csv"].strip().splitlines()[1:]
+def test_csv_flow_table_sorted(report):
+    flows = render_report(report, "csv")["flows.csv"].strip().splitlines()[1:]
     pairs = [(int(r.split(",")[0]), int(r.split(",")[1])) for r in flows]
     assert pairs == sorted(pairs)
 
 
-def test_svg_bar_heights_proportional_to_values(report, base_doc):
-    for name, svg in render_report(report, "svg", base_doc).items():
+def test_svg_bar_heights_proportional_to_values(report):
+    for name, svg in render_report(report, "svg").items():
         root = ET.fromstring(svg)
         scale = float(root.attrib["data-scale"])
         bars = [
@@ -408,8 +408,8 @@ def test_svg_bar_heights_proportional_to_values(report, base_doc):
             assert height == pytest.approx(abs(value) * scale, abs=1e-3)
 
 
-def test_json_report_round_trips_and_sorted(report, base_doc):
-    doc = json.loads(render_report(report, "json", base_doc)["impact.json"])
+def test_json_report_round_trips_and_sorted(report):
+    doc = json.loads(render_report(report, "json")["impact.json"])
     assert doc["schema"] == "impact/2"
     assert [b["bus"] for b in doc["state_deviation"]] == sorted(ref.ZONE_INTERIOR | ref.ZONE_BOUNDARY)
     assert doc["residuals"]["clean_passed"] is True
@@ -441,20 +441,13 @@ def test_requires_converged_estimations(case39, adm39, zone39, attack_optimal, e
         compute_impact(case39, attack_optimal, broken, attacked, zone39, adm=adm39)
 
 
-def test_report_is_the_document_that_every_renderer_reads(report, base_doc):
-    assert json.loads(render_report(report, "json", base_doc)["impact.json"]) == report
-    tables = render_report(report, "csv", base_doc)
+def test_report_is_the_document_that_every_renderer_reads(report):
+    assert json.loads(render_report(report, "json")["impact.json"]) == report
+    tables = render_report(report, "csv")
+    # the report's rows and no other: every other row keeps its base flow
     flows = tables["flows.csv"].splitlines()[1:]
-    # the report's rows, and the base document's for the rows it omits,
-    # whose attacked flow is their base flow
-    rows = {(b["from"], b["to"]): b for b in report["branches"]}
-    assert len(flows) == len(base_doc["branches"]) > len(rows)
-    for line, base in zip(flows, base_doc["branches"]):
-        b = rows.get((base["from"], base["to"]))
-        if b is None:
-            b = {"from": base["from"], "to": base["to"], "role": "exterior",
-                 "base": base, "attacked": base, "dp": 0.0, "dq": 0.0,
-                 "loading_base": base["loading"], "loading_attacked": base["loading"]}
+    assert len(flows) == len(report["branches"]) == 21
+    for line, b in zip(flows, report["branches"]):
         want = [
             str(b["from"]), str(b["to"]), b["role"],
             *(format(v, ".10g") if v is not None else "" for v in (
@@ -493,5 +486,5 @@ def test_readme_library_example_runs_as_written():
     (target,) = names["report"]["targets"]
     assert names["attack"].solver_info["mode"] == "optimal"
     assert target["factor_attained"] >= 1.3
-    tables = names["acfdi"].render_report(names["report"], "csv", names["base_doc"])
+    tables = names["acfdi"].render_report(names["report"], "csv")
     assert set(tables) == {"flows.csv", "voltages.csv", "injections.csv"}
