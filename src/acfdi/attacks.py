@@ -13,7 +13,7 @@ Two modes:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,8 +29,25 @@ from .nlsolver import SolverError, solve_constrained
 from .zones import AttackZone
 
 
-# seeded arbitrary-mode starts drawn at most, until one meets the targets
+# the attack solver's tuning, passed to `nlsolver.solve_constrained`
+_TOL_EQ = 1e-6  # largest constraint violation of a solution
+_MAX_OUTER = 20
+_MAX_INNER = 60
+_PENALTY0 = 10.0
+_PENALTY_GROWTH = 10.0
+# arbitrary mode: its start offsets the base by seeded uniform draws of up to
+# these angles (radians) and magnitudes (p.u.), redrawn at most
+# _MAX_START_DRAWS times until one meets the targets, and it widens the
+# magnitude bounds by _VM_RELAX
+_ANG_PERTURBATION = 0.35
+_MAG_PERTURBATION = 0.05
 _MAX_START_DRAWS = 100
+_VM_RELAX = 0.1
+_OVERLOAD_MARGIN = 1e-4  # strict-feasibility offset on the overload bound
+# the keys of the solver report that `design_attack` writes
+_SOLVER_INFO_KEYS = ("mode", "targets", "max_violation", "objective", "outer_iterations",
+                     "inner_iterations", "start_draws", "rounds", "target_flows",
+                     "target_bounds")
 
 
 class AttackError(RuntimeError):
@@ -47,43 +64,11 @@ class OverloadTarget:
 
 
 @dataclass(frozen=True)
-class SolverParams:
-    tol_eq: float = 1e-6
-    max_outer: int = 20
-    max_inner: int = 60
-    penalty0: float = 10.0
-    penalty_growth: float = 10.0
-    seed: int = 0
-    ang_perturbation: float = 0.35  # radians, arbitrary-mode start
-    mag_perturbation: float = 0.05  # p.u., arbitrary-mode start
-    vm_relax: float = 0.1  # widening of magnitude bounds in arbitrary mode
-    overload_margin: float = 1e-4  # strict-feasibility offset on the overload bound
-
-    def __post_init__(self):
-        # written as `not value > bound` so that NaN is rejected too
-        for name in ("max_outer", "max_inner"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1")
-        for name in ("tol_eq", "penalty0"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.penalty_growth > 1:
-            raise ValueError("penalty_growth must be greater than 1")
-        for name in ("ang_perturbation", "mag_perturbation", "vm_relax", "overload_margin"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
-        for name in ("ang_perturbation", "mag_perturbation"):
-            # a start is drawn uniformly from [-value, value]
-            if not 2.0 * getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite, with a finite width 2 * {name}")
-
-
-@dataclass(frozen=True)
 class AttackSpec:
     zone: AttackZone
     targets: tuple[OverloadTarget, ...]
     mode: str  # 'optimal' | 'arbitrary'
-    params: SolverParams = field(default_factory=SolverParams)
+    seed: int = 0  # of the arbitrary-mode start
 
     def __post_init__(self):
         if self.mode not in ("optimal", "arbitrary"):
@@ -138,6 +123,7 @@ class AttackVector:
         deltas = member(doc, "deltas", dict, "attack")
         falsified = member(doc, "falsified_injections", dict, "attack")
         solver_info = member(doc, "solver_info", dict, "attack")
+        known(solver_info, _SOLVER_INFO_KEYS, "attack solver_info")
         if "targets" in solver_info:
             for i, t in enumerate(member(solver_info, "targets", list, "attack solver_info")):
                 for key, kind in (("from", int), ("to", int), ("factor", float)):
@@ -178,7 +164,6 @@ def design_attack(
     if adm is None:
         adm = build_admittance(case)
     zone = spec.zone
-    params = spec.params
     interior = sorted(zone.interior)
     n_int = len(interior)
 
@@ -220,7 +205,7 @@ def design_attack(
                 f"{flow:+.6g} p.u.; an overload factor needs a positive one"
             )
     bounds_flow = np.array(
-        [t.factor * f + params.overload_margin for t, f in zip(spec.targets, base_flows)]
+        [t.factor * f + _OVERLOAD_MARGIN for t, f in zip(spec.targets, base_flows)]
     )
 
     int_pos = np.array([case.bus_index(b) for b in interior], dtype=int)
@@ -256,8 +241,8 @@ def design_attack(
     vm_lo = np.array([case.bus(b).vmin for b in interior])
     vm_hi = np.array([case.bus(b).vmax for b in interior])
     if spec.mode == "arbitrary":
-        vm_lo = vm_lo - params.vm_relax
-        vm_hi = vm_hi + params.vm_relax
+        vm_lo = vm_lo - _VM_RELAX
+        vm_hi = vm_hi + _VM_RELAX
     lower = np.concatenate([np.full(n_int, -np.inf), vm_lo, np.zeros(n_targets)])
     upper = np.concatenate([np.full(n_int, np.inf), vm_hi, np.full(n_targets, np.inf)])
 
@@ -271,11 +256,11 @@ def design_attack(
         # seeded start; redraw until the overload targets already hold so the
         # feasibility solve is not dragged down onto the overload bound. The
         # last draw's evaluation is the solver's start
-        rng = np.random.default_rng(params.seed)
+        rng = np.random.default_rng(spec.seed)
         for start_draws in range(1, _MAX_START_DRAWS + 1):
-            va_try = va0 + rng.uniform(-params.ang_perturbation, params.ang_perturbation, n_int)
+            va_try = va0 + rng.uniform(-_ANG_PERTURBATION, _ANG_PERTURBATION, n_int)
             vm_try = np.clip(
-                vm0 + rng.uniform(-params.mag_perturbation, params.mag_perturbation, n_int),
+                vm0 + rng.uniform(-_MAG_PERTURBATION, _MAG_PERTURBATION, n_int),
                 vm_lo,
                 vm_hi,
             )
@@ -295,16 +280,16 @@ def design_attack(
             anchor=anchor,
             lower=lower,
             upper=upper,
-            tol_eq=params.tol_eq,
-            max_outer=params.max_outer,
-            max_inner=params.max_inner,
-            penalty0=params.penalty0,
-            penalty_growth=params.penalty_growth,
+            tol_eq=_TOL_EQ,
+            max_outer=_MAX_OUTER,
+            max_inner=_MAX_INNER,
+            penalty0=_PENALTY0,
+            penalty_growth=_PENALTY_GROWTH,
         )
     except SolverError as exc:
         raise AttackError(
             f"{spec.mode} attack design infeasible: constraint {con_layout.ids[exc.row]} "
-            f"still off by {exc.value:+.3e} after {params.max_outer} outer rounds"
+            f"still off by {exc.value:+.3e} after {_MAX_OUTER} outer rounds"
         ) from exc
 
     at_attacked = full_model.evaluate(state_of(result.z))

@@ -28,7 +28,6 @@ from .attacks import (
     AttackSpec,
     AttackVector,
     OverloadTarget,
-    SolverParams,
     apply_attack,
     check_moves_only_interior,
     design_attack,
@@ -60,11 +59,9 @@ log = logging.getLogger("acfdi")
 
 _MODES = ("optimal", "arbitrary")
 _FORMATS = ("json", "csv", "svg")
-# the solver fields a scenario file sets; the start seed comes from "seeds"
-_SOLVER_KEYS = tuple(f.name for f in fields(SolverParams) if f.name != "seed")
 # the top-level keys of a scenario file
-_SECTIONS = ("case", "zone", "targets", "mode", "sigmas", "seeds", "bdd", "solver", "pf",
-             "estimator", "output")
+_SECTIONS = ("case", "zone", "targets", "mode", "sigmas", "seeds", "bdd", "pf", "estimator",
+             "output")
 # the fields of a zone file, as `AttackZone.to_dict` writes them
 _ZONE_FIELDS = ("focal", "interior", "boundary", "inert_boundary", "interior_lines",
                 "frozen_lines", "tie_lines")
@@ -91,25 +88,24 @@ class ScenarioConfig:
     modes: tuple[str, ...] = _MODES
     sigmas: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_SIGMAS))
     noise_seed: int = 0
+    arbitrary_seed: int = 1
     bdd: BddPolicy = BddPolicy()
-    solver: SolverParams = SolverParams(seed=1)
     pf: Limits = Limits(tol=1e-8, max_iter=20)
     estimator: Limits = Limits(tol=1e-10, max_iter=50)
     formats: tuple[str, ...] = _FORMATS
 
     def echo(self) -> dict:
-        """Every value used, by scenario-file section, with `modes` where a file has `mode`."""
+        """Every value used, as the scenario file that runs this scenario."""
         return {
             "case": self.case_path,
             "zone": self.zone,
             "targets": [
                 {"from": t.from_bus, "to": t.to_bus, "lambda": t.factor} for t in self.targets
             ],
-            "modes": list(self.modes),
+            "mode": "both" if self.modes == _MODES else self.modes[0],
             "sigmas": self.sigmas,
-            "seeds": {"noise": self.noise_seed, "arbitrary_start": self.solver.seed},
+            "seeds": {"noise": self.noise_seed, "arbitrary_start": self.arbitrary_seed},
             "bdd": asdict(self.bdd),
-            "solver": {key: getattr(self.solver, key) for key in _SOLVER_KEYS},
             "pf": asdict(self.pf),
             "estimator": asdict(self.estimator),
             "output": {"formats": list(self.formats)},
@@ -192,13 +188,13 @@ def _known(doc: dict, keys, label) -> None:
             raise ConfigError(f"unknown field {label(key)}")
 
 
-def _read_fields(default, doc: dict, name, section: str, keys=None):
+def _read_fields(default, doc: dict, name, section: str):
     """default with each field that doc gives, as the type of its default value.
 
     Fields are replaced one at a time, so the class's own validation names
     the one field at fault.
     """
-    keys = keys or [f.name for f in fields(default)]
+    keys = [f.name for f in fields(default)]
     _known(doc, keys, lambda key: name(section, key))
     for key in keys:
         if key in doc:
@@ -294,16 +290,10 @@ def _read_config(config: ScenarioConfig, doc: dict, name) -> ScenarioConfig:
 
     seeds = section("seeds")
     _known(seeds, ("noise", "arbitrary_start"), lambda key: name("seeds", key))
-    new["noise_seed"], seed = (
-        _number(seeds.get(key, default), int, name("seeds", key))
-        for key, default in (("noise", config.noise_seed), ("arbitrary_start", config.solver.seed))
-    )
-    for key, value in (("noise", new["noise_seed"]), ("arbitrary_start", seed)):
-        if value < 0:
+    for key, attr in (("noise", "noise_seed"), ("arbitrary_start", "arbitrary_seed")):
+        new[attr] = _number(seeds.get(key, getattr(config, attr)), int, name("seeds", key))
+        if new[attr] < 0:
             raise ConfigError(f"{name('seeds', key)} must be >= 0")
-    new["solver"] = _read_fields(
-        replace(config.solver, seed=seed), section("solver"), name, "solver", _SOLVER_KEYS
-    )
     for key in ("bdd", "pf", "estimator"):
         new[key] = _read_fields(getattr(config, key), section(key), name, key)
 
@@ -422,7 +412,7 @@ def _zone_from_file(case, path: str):
 
 
 def _attack(case, adm, base, zone, config: ScenarioConfig, mode: str) -> AttackVector:
-    spec = AttackSpec(zone=zone, targets=config.targets, mode=mode, params=config.solver)
+    spec = AttackSpec(zone=zone, targets=config.targets, mode=mode, seed=config.arbitrary_seed)
     return design_attack(case, base, spec, adm)
 
 
@@ -517,11 +507,11 @@ def run_scenario_sweep(config: ScenarioConfig, out_dir: str, n_seeds: int) -> di
     """Independent runs with both seeds offset per run, merged in seed order."""
     runs = []
     for k in range(n_seeds):
-        solver = replace(config.solver, seed=config.solver.seed + k)
-        cfg = replace(config, noise_seed=config.noise_seed + k, solver=solver)
+        cfg = replace(config, noise_seed=config.noise_seed + k,
+                      arbitrary_seed=config.arbitrary_seed + k)
         summary = run_scenario(cfg, os.path.join(out_dir, f"seed_{k:03d}"))
         runs.append({"index": k, "noise_seed": cfg.noise_seed,
-                     "arbitrary_seed": cfg.solver.seed, "modes": summary["modes"]})
+                     "arbitrary_seed": cfg.arbitrary_seed, "modes": summary["modes"]})
     merged = {"config": config.echo(), "n_seeds": n_seeds, "runs": runs}
     _write(out_dir, {"summary.json": to_json(merged, sort_keys=True)})
     return merged

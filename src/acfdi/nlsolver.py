@@ -30,6 +30,8 @@ Non-Linear Least Squares Problems*, 2004, sec. 3.2):
   rounding floor eps (1 + m f) of an f that sums m squares. A step whose
   predicted decrease is within the floor has degenerated; one the model
   calls uphill, or a non-finite one, is damped further without a trial.
+  A floor that is not finite, as m f past the largest float gives, admits
+  no trial: the damping is exhausted at once.
 - Damping. Nielsen's update: on success mu *= max(1/3, 1 - (2 rho - 1)^3)
   and nu = 2; on failure mu *= nu and nu doubles. mu starts at, and never
   goes below, 1e-10 max(1, max diag J^T J), and past 1e12 times that scale
@@ -125,9 +127,12 @@ class Damping:
         evaluate(point) gives the objective there and what the caller keeps
         of it. Returns (point, objective, kept, mu) of the accepted trial, or
         None when the step degenerates or, as `exhausted` then tells, mu
-        passes its cap.
+        passes its cap or the rounding floor of f is not finite.
         """
         floor = self.floor(f)
+        if not floor < np.inf:
+            self.mu = np.inf  # no decrease stands out of an infinite rounding level
+            return None
         while not self.exhausted:
             mu = self.mu
             solved = solve(mu)

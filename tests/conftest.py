@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from acfdi import estimation
 from acfdi.attacks import (
-    AttackSpec, OverloadTarget, SolverParams, assemble_attack_vector, design_attack,
+    AttackSpec, OverloadTarget, assemble_attack_vector, design_attack,
 )
 from acfdi.estimation import MeasurementModel, network_powers
 from acfdi.network import StateVector, build_admittance, load_bundled_case39
@@ -70,7 +70,7 @@ def attack_arbitrary(case39, adm39, base39, zone39):
         zone=zone39,
         targets=(OverloadTarget(*ref.TARGET, ref.OVERLOAD_FACTOR),),
         mode="arbitrary",
-        params=SolverParams(seed=1),
+        seed=1,
     )
     return design_attack(case39, base39, spec, adm39)
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import reference39 as ref
-from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, apply_attack, design_attack
+from acfdi.attacks import AttackSpec, OverloadTarget, apply_attack, design_attack
 from acfdi.estimation import (
     MeasurementModel,
     bus_injection,
@@ -59,7 +59,7 @@ def noisy_runs(case39, adm39, base39, zone39, attack_optimal):
             zone=zone39,
             targets=(OverloadTarget(*ref.TARGET, ref.OVERLOAD_FACTOR),),
             mode="arbitrary",
-            params=SolverParams(seed=seed),
+            seed=seed,
         )
         av_arb = design_attack(case39, base39, spec, adm39)
         ms = generate_measurements(case39, base39, seed=seed, adm=adm39)

@@ -5,11 +5,11 @@ import pytest
 
 import reference39 as ref
 from acfdi.attacks import (
+    _OVERLOAD_MARGIN,
     AttackError,
     AttackSpec,
     AttackVector,
     OverloadTarget,
-    SolverParams,
     apply_attack,
     assemble_attack_vector,
     compute_falsified_injections,
@@ -100,7 +100,7 @@ def test_optimality_ordering_across_seeds(case39, adm39, base39, zone39, attack_
             zone=zone39,
             targets=(OverloadTarget(*ref.TARGET, ref.OVERLOAD_FACTOR),),
             mode="arbitrary",
-            params=SolverParams(seed=seed),
+            seed=seed,
         )
         av = design_attack(case39, base39, spec, adm39)
         assert _deviation_norm(av, zone39) >= dev_opt
@@ -118,7 +118,7 @@ def test_rounding_in_the_base_state_does_not_move_the_attack(
         zone=zone39,
         targets=(OverloadTarget(*ref.TARGET, ref.OVERLOAD_FACTOR),),
         mode=mode,
-        params=SolverParams(seed=seed),
+        seed=seed,
     )
     reference = design_attack(case39, base39, spec, adm39).x_attacked
     rng = np.random.default_rng(seed)
@@ -153,28 +153,6 @@ def test_target_with_a_reverse_base_flow_is_rejected(case39, adm39, base39, zone
         AttackError, match=r"^target branch 3-18 has base from-end flow -0\.4076\d* p\.u\."
     ):
         design_attack(case39, base39, spec, adm39)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("max_outer", 0), ("max_inner", 0),
-        ("tol_eq", 0.0), ("tol_eq", -1.0), ("penalty0", 0.0),
-        ("tol_eq", float("nan")), ("penalty_growth", 1.0), ("penalty_growth", 0.5),
-        ("ang_perturbation", -0.1), ("mag_perturbation", -0.1), ("vm_relax", -0.1),
-        ("overload_margin", -1e-4),
-    ],
-)
-def test_solver_params_reject_out_of_range_field(field, value):
-    with pytest.raises(ValueError, match=field):
-        SolverParams(**{field: value})
-
-
-def test_solver_params_accept_boundary_values():
-    SolverParams(
-        max_outer=1, max_inner=1, ang_perturbation=0.0,
-        mag_perturbation=0.0, vm_relax=0.0, overload_margin=0.0,
-    )
 
 
 def test_constraint_model_stacks_only_the_rows_it_reads(case39, base39, zone39):
@@ -252,7 +230,7 @@ def test_falsified_injections_are_the_attacked_injections_at_a_shunt_bus(case39,
         zone=zone,
         targets=(OverloadTarget(*ref.TARGET, ref.OVERLOAD_FACTOR),),
         mode=mode,
-        params=SolverParams(seed=1),
+        seed=1,
     )
     av = design_attack(case, base, spec, adm)
     s_bus = network_powers(av.x_attacked, adm)[0]
@@ -486,7 +464,7 @@ class _Kkt:
         jac = np.zeros((self.model.m, self.model.n_state))
         jac[self.model.rows, self.model.cols] = at.jacobian_values()
         c = at.h()
-        c[-1] -= factor * self.p0 + SolverParams().overload_margin
+        c[-1] -= factor * self.p0 + _OVERLOAD_MARGIN
         return c, jac[:, self.cols]
 
     def stationarity(self, z, factor):
@@ -582,7 +560,7 @@ def test_optimal_design_follows_its_first_order_prediction(kkt, factor):
     jac = kkt.constraints(kkt.anchor, factor)[1]
     zero, g = jac[:-1], jac[-1]
     pg = g - zero.T @ np.linalg.lstsq(zero.T, g, rcond=None)[0]
-    d = factor * kkt.p0 + SolverParams().overload_margin - kkt.p0
+    d = factor * kkt.p0 + _OVERLOAD_MARGIN - kkt.p0
     predicted = d * pg / (pg @ pg)
     size = d / np.linalg.norm(pg)
 
@@ -608,7 +586,7 @@ def test_optimal_deviation_rises_strictly_with_the_overload(case39, adm39, base3
     arbitrary = [
         _deviation_norm(design_attack(case39, base39, AttackSpec(
             zone=zone39, targets=(OverloadTarget(*ref.TARGET, f),), mode="arbitrary",
-            params=SolverParams(seed=1),
+            seed=1,
         ), adm39), zone39)
         for f in factors
     ]

@@ -308,14 +308,17 @@ def test_state_whose_powers_overflow_is_config_error_without_warnings(
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("value", ["1e100", "1e150"])
+@pytest.mark.parametrize("value", ["1e100", "1e150", "3e151", "1e152"])
 def test_trial_whose_objective_overflows_is_rejected_without_warnings(
     scenario_out, tmp_path, capsys, value
 ):
     # J is finite at the flat start, but the trial steps from it overflow
     # J: each is a rejected trial, and the estimator stops as it does on any
     # set that no step improves. numpy printed "overflow encountered in
-    # matmul" on stderr before the error line
+    # matmul" on stderr before the error line. From 3e151 on m J overflows
+    # too: the rounding floor eps (1 + m J) was infinite, every trial read
+    # as degenerated, and the estimate was written as converged after one
+    # iteration (exit 0); an infinite floor admits no trial
     _, out = scenario_out
     lines = (out / "measurements_clean.csv").read_text().splitlines(keepends=True)
     row = lines[1].split(",")
@@ -424,7 +427,7 @@ def test_a_failed_seed_keeps_the_earlier_sets_and_writes_no_merged_summary(
     design = cli.design_attack
 
     def fail_at_the_third_seed(case, base, spec, adm):
-        if spec.params.seed == 3:
+        if spec.seed == 3:
             raise AttackError("attack design infeasible")
         return design(case, base, spec, adm)
 
@@ -455,6 +458,31 @@ def test_seed_sweep_merges_in_order(tmp_path):
         merged["runs"][0]["modes"]["arbitrary"]["deviation_norm"]
         != merged["runs"][1]["modes"]["arbitrary"]["deviation_norm"]
     )
+
+
+@pytest.mark.parametrize("study", ["shipped", "tile4_focal", "seeds_3"])
+def test_summary_config_reruns_the_study_byte_for_byte(study, tmp_path):
+    # summary.json's config is the scenario file of the study, so a run on it
+    # writes every artifact again, summary.json included. It wrote "modes"
+    # for "mode" and a "solver" section, and each exits 2 as a scenario key
+    config, extra = BUNDLED, []
+    if study == "tile4_focal":
+        case_path = tmp_path / "case39x4.json"
+        case_path.write_text(case_to_json(tiled_case39(4)))
+        doc = {**json.loads(BUNDLED.read_text()), "case": str(case_path),
+               "zone": {"focal": [18, 26, 27, 28]}}
+        config = tmp_path / "tile4.json"
+        config.write_text(json.dumps(doc))
+    elif study == "seeds_3":
+        extra = ["--seeds", "3"]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["scenario", "run", str(config), "--out", str(first), *extra]) == EXIT_OK
+    echoed = tmp_path / "echoed.json"
+    echoed.write_text(json.dumps(json.loads((first / "summary.json").read_text())["config"]))
+    assert main(["scenario", "run", str(echoed), "--out", str(again), *extra]) == EXIT_OK
+    written = _tree_bytes(first)
+    assert len(written) == (79 if study == "seeds_3" else 26)
+    assert _tree_bytes(again) == written
 
 
 def test_estimator_failure_exit_code(tmp_path, capsys):
@@ -702,28 +730,13 @@ def _pf_tol_not_a_number(tmp_path):
     return _scenario_with(pf={"tol": "abc"})(tmp_path), "'tol'"
 
 
-def _solver_max_outer_not_an_integer(tmp_path):
-    return _scenario_with(solver={"max_outer": "x"})(tmp_path), "'max_outer'"
-
-
 def _pf_max_iter_zero(tmp_path):
     return _scenario_with(pf={"max_iter": 0})(tmp_path), "'max_iter'"
 
 
-def _solver_max_outer_zero(tmp_path):
-    return _scenario_with(solver={"max_outer": 0})(tmp_path), "'max_outer'"
-
-
-def _solver_max_inner_zero(tmp_path):
-    return _scenario_with(solver={"max_inner": 0})(tmp_path), "'max_inner'"
-
-
-def _solver_tol_eq_negative(tmp_path):
-    return _scenario_with(solver={"tol_eq": -1})(tmp_path), "'tol_eq'"
-
-
-def _solver_penalty_growth_below_one(tmp_path):
-    return _scenario_with(solver={"penalty_growth": 0.5})(tmp_path), "'penalty_growth'"
+def _scenario_with_a_solver_section(tmp_path):
+    # the attack solver's tuning is fixed; a section that set it ran (exit 0)
+    return _scenario_with(solver={"max_outer": 20})(tmp_path), "unknown field 'solver'"
 
 
 def _misspelled_top_level_mode(tmp_path):
@@ -732,10 +745,6 @@ def _misspelled_top_level_mode(tmp_path):
 
 def _misspelled_pf_max_iter(tmp_path):
     return _scenario_with(pf={"max_iters": 5})(tmp_path), "'max_iters'"
-
-
-def _misspelled_solver_max_outer(tmp_path):
-    return _scenario_with(solver={"max_outr": 2})(tmp_path), "'max_outr'"
 
 
 def _misspelled_bdd_confidence(tmp_path):
@@ -807,17 +816,29 @@ def _state_row_with_unknown_key(tmp_path):
             "state buses[3] field 'vmag' is unknown")
 
 
-def _attack_file_with_unknown_key(tmp_path):
-    # the shipped attack with a key that the attack format does not name
-    # (exit 0, the key dropped)
+def _impact_of_shipped_attack(tmp_path, edit):
+    """`impact` argv on the shipped optimal attack as `edit` leaves its document."""
     run = tmp_path / "run"
     assert main(["scenario", "run", str(BUNDLED), "--out", str(run)]) == EXIT_OK
     doc = json.loads((run / "attack_optimal.json").read_text())
-    doc["bogus"] = {}
+    edit(doc)
     attack = tmp_path / "attack.json"
     attack.write_text(json.dumps(doc))
-    argv = ["impact", "case39", str(run / "zone.json"), str(attack), "--out-dir", str(tmp_path / "o")]
+    return ["impact", "case39", str(run / "zone.json"), str(attack), "--out-dir", str(tmp_path / "o")]
+
+
+def _attack_file_with_unknown_key(tmp_path):
+    # the shipped attack with a key that the attack format does not name
+    # (exit 0, the key dropped)
+    argv = _impact_of_shipped_attack(tmp_path, lambda doc: doc.update(bogus={}))
     return argv, "attack field 'bogus' is unknown"
+
+
+def _attack_solver_info_with_unknown_key(tmp_path):
+    # a solver report key that `design_attack` does not write (exit 0, the
+    # key carried unread)
+    argv = _impact_of_shipped_attack(tmp_path, lambda doc: doc["solver_info"].update(bogus=1))
+    return argv, "attack solver_info field 'bogus' is unknown"
 
 
 def _zone_file_with(named, **fields):
@@ -908,10 +929,9 @@ def _case_m_with(table, row, column, token, named):
         _target_without_from, _zone_without_boundary,
         _targets_not_a_list, _sigmas_not_an_object, _seeds_not_an_object,
         _scenario_zone_with_string_ids, _formats_not_a_list, _zone_file_with_string_ids,
-        _pf_tol_not_a_number, _solver_max_outer_not_an_integer, _pf_max_iter_zero,
-        _case_not_a_path, _solver_max_outer_zero, _solver_max_inner_zero,
-        _solver_tol_eq_negative, _solver_penalty_growth_below_one,
-        _misspelled_top_level_mode, _misspelled_pf_max_iter, _misspelled_solver_max_outer,
+        _pf_tol_not_a_number, _pf_max_iter_zero, _case_not_a_path,
+        _scenario_with_a_solver_section,
+        _misspelled_top_level_mode, _misspelled_pf_max_iter,
         _misspelled_bdd_confidence, _misspelled_seeds_noise, _misspelled_output_formats,
         _misspelled_zone_focal_beside_explicit_lists, _misspelled_target_lambda,
         _target_with_both_lambda_and_factor, _state_with_magnitude(-1.0),
@@ -922,6 +942,7 @@ def _case_m_with(table, row, column, token, named):
         # were read without complaint (exit 0)
         _state_with_magnitude(1e308, 1, "state bus 1: the flows or injections at this state"),
         _state_with_unknown_key, _state_row_with_unknown_key, _attack_file_with_unknown_key,
+        _attack_solver_info_with_unknown_key,
         _zone_file_with("zone field 'tie_lines' entry 0 is [1, 2], where the zone gives [2, 3]",
                         tie_lines=[[1, 2]]),
         _zone_file_with("zone field 'bogus' is unknown", bogus=True),

@@ -30,7 +30,7 @@ from acfdi.estimation import (
     wls_estimate,
 )
 from acfdi import banded, estimation, nlsolver
-from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, apply_attack, design_attack
+from acfdi.attacks import AttackSpec, OverloadTarget, apply_attack, design_attack
 from acfdi.network import StateVector, build_admittance, load_bundled_case39, parse_case
 from acfdi.powerflow import _NewtonPattern, newton_power_flow
 from acfdi.zones import validate_zone
@@ -789,7 +789,7 @@ def _pipeline_item(case, adm, zone):
     wls_estimate(ms, case, adm)
     for mode in ("optimal", "arbitrary"):
         targets = (OverloadTarget(*ref.TARGET, ref.OVERLOAD_FACTOR),)
-        spec = AttackSpec(zone=zone, targets=targets, mode=mode, params=SolverParams(seed=1))
+        spec = AttackSpec(zone=zone, targets=targets, mode=mode, seed=1)
         wls_estimate(apply_attack(ms, design_attack(case, base, spec, adm)), case, adm)
 
 

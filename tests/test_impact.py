@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import reference39 as ref
 from acfdi import cli, impact
 from acfdi.attacks import (
-    AttackError, AttackSpec, OverloadTarget, SolverParams, apply_attack, design_attack,
+    AttackError, AttackSpec, OverloadTarget, apply_attack, design_attack,
 )
 from acfdi.estimation import KINDS, generate_measurements, network_powers, wls_estimate
 from acfdi.impact import ReportError, base_document, compute_impact, render_report
@@ -141,7 +141,7 @@ def _assert_omitted_rows_did_not_move(case, adm, base, zone, target, factor, mod
     both states each row the report omits has the same bits, and that the
     report's own count and maxima say so."""
     spec = AttackSpec(zone=zone, targets=(OverloadTarget(*target, factor),), mode=mode,
-                      params=SolverParams(seed=1))
+                      seed=1)
     av = design_attack(case, base, spec, adm)
     ms = generate_measurements(case, base, sigmas={k: 0.0 for k in KINDS}, seed=0, adm=adm)
     clean = wls_estimate(ms, case, adm)

@@ -4,7 +4,7 @@ import pytest
 import acfdi.attacks
 import reference39 as ref
 from acfdi import estimation
-from acfdi.attacks import AttackSpec, OverloadTarget, SolverParams, design_attack
+from acfdi.attacks import AttackSpec, OverloadTarget, design_attack
 from acfdi.network import StateVector
 from acfdi.nlsolver import _MIN_GAIN, _TOL_STEP, Damping, SolverError, solve_constrained
 from conftest import record_evaluations, state_bytes
@@ -18,12 +18,12 @@ def _sum_to_one(z):
 
 def _solve(z0, constraints, **given):
     """solve_constrained from z0, which this evaluates as the caller does,
-    with no anchor or bounds and SolverParams' tuning unless given."""
-    params = SolverParams()
+    with no anchor or bounds and the attack solver's tuning unless given."""
     settings = {
         "anchor": None, "lower": np.full(len(z0), -np.inf), "upper": np.full(len(z0), np.inf),
-        **{key: getattr(params, key)
-           for key in ("tol_eq", "max_outer", "max_inner", "penalty0", "penalty_growth")},
+        "tol_eq": acfdi.attacks._TOL_EQ, "max_outer": acfdi.attacks._MAX_OUTER,
+        "max_inner": acfdi.attacks._MAX_INNER, "penalty0": acfdi.attacks._PENALTY0,
+        "penalty_growth": acfdi.attacks._PENALTY_GROWTH,
         **given,
     }
     return solve_constrained((z0, *constraints(z0)), constraints=constraints, **settings)
@@ -154,7 +154,7 @@ def test_design_builds_one_constraint_model_and_reads_each_jacobian_once(
     calls = record_evaluations(monkeypatch)
     spec = AttackSpec(
         zone=zone39, targets=(OverloadTarget(*ref.TARGET, ref.OVERLOAD_FACTOR),), mode=mode,
-        params=SolverParams(seed=1),
+        seed=1,
     )
     av = design_attack(case39, base39, spec, adm39)
     info = av.solver_info
@@ -221,7 +221,7 @@ def test_design_evaluates_constraints_a_few_times_per_step(
     monkeypatch.setattr(acfdi.attacks, "solve_constrained", counted)
     spec = AttackSpec(
         zone=zone39, targets=(OverloadTarget(*ref.TARGET, ref.OVERLOAD_FACTOR),), mode=mode,
-        params=SolverParams(seed=1),
+        seed=1,
     )
     info = design_attack(case39, base39, spec, adm39).solver_info
     assert 0 < len(evals) <= 3 * info["inner_iterations"] + info["outer_iterations"]
@@ -231,7 +231,7 @@ def test_design_evaluates_constraints_a_few_times_per_step(
     assert len(evals) == sum(rd["accepted_steps"] + rd["rejected_trials"] for rd in rounds)
     assert len(rounds) == info["outer_iterations"]
     assert rounds[-1]["violation"] == info["max_violation"]
-    assert rounds[0]["penalty"] == SolverParams().penalty0
+    assert rounds[0]["penalty"] == acfdi.attacks._PENALTY0
 
 
 def test_solver_error_names_the_most_violated_row():
