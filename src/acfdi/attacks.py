@@ -29,9 +29,10 @@ from .nlsolver import SolverError, solve_constrained
 from .zones import AttackZone
 
 
-# the attack solver's tuning, passed to `nlsolver.solve_constrained`
+# the attack solver's tuning, passed to `nlsolver.solve_constrained`; the
+# round cap alone is a setting, the default of `AttackSpec.max_outer`
 _TOL_EQ = 1e-6  # largest constraint violation of a solution
-_MAX_OUTER = 20
+MAX_OUTER = 20
 _MAX_INNER = 60
 _PENALTY0 = 10.0
 _PENALTY_GROWTH = 10.0
@@ -69,10 +70,13 @@ class AttackSpec:
     targets: tuple[OverloadTarget, ...]
     mode: str  # 'optimal' | 'arbitrary'
     seed: int = 0  # of the arbitrary-mode start
+    max_outer: int = MAX_OUTER  # penalty rounds before the design is infeasible
 
     def __post_init__(self):
         if self.mode not in ("optimal", "arbitrary"):
             raise AttackError(f"unknown attack mode {self.mode!r}")
+        if not self.max_outer >= 1:
+            raise AttackError(f"max_outer must be at least 1, got {self.max_outer}")
         for t in self.targets:
             if t.factor <= 0:
                 raise AttackError(f"overload factor must be positive, got {t.factor}")
@@ -281,7 +285,7 @@ def design_attack(
             lower=lower,
             upper=upper,
             tol_eq=_TOL_EQ,
-            max_outer=_MAX_OUTER,
+            max_outer=spec.max_outer,
             max_inner=_MAX_INNER,
             penalty0=_PENALTY0,
             penalty_growth=_PENALTY_GROWTH,
@@ -289,7 +293,7 @@ def design_attack(
     except SolverError as exc:
         raise AttackError(
             f"{spec.mode} attack design infeasible: constraint {con_layout.ids[exc.row]} "
-            f"still off by {exc.value:+.3e} after {_MAX_OUTER} outer rounds"
+            f"still off by {exc.value:+.3e} after {spec.max_outer} outer rounds"
         ) from exc
 
     at_attacked = full_model.evaluate(state_of(result.z))

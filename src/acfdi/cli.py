@@ -27,6 +27,7 @@ from .attacks import (
     AttackError,
     AttackSpec,
     AttackVector,
+    MAX_OUTER,
     OverloadTarget,
     apply_attack,
     check_moves_only_interior,
@@ -60,8 +61,8 @@ log = logging.getLogger("acfdi")
 _MODES = ("optimal", "arbitrary")
 _FORMATS = ("json", "csv", "svg")
 # the top-level keys of a scenario file
-_SECTIONS = ("case", "zone", "targets", "mode", "sigmas", "seeds", "bdd", "pf", "estimator",
-             "output")
+_SECTIONS = ("case", "zone", "targets", "mode", "sigmas", "seeds", "bdd", "solver", "pf",
+             "estimator", "output")
 # the fields of a zone file, as `AttackZone.to_dict` writes them
 _ZONE_FIELDS = ("focal", "interior", "boundary", "inert_boundary", "interior_lines",
                 "frozen_lines", "tie_lines")
@@ -90,6 +91,7 @@ class ScenarioConfig:
     noise_seed: int = 0
     arbitrary_seed: int = 1
     bdd: BddPolicy = BddPolicy()
+    max_outer: int = MAX_OUTER  # the attack solver's round cap
     pf: Limits = Limits(tol=1e-8, max_iter=20)
     estimator: Limits = Limits(tol=1e-10, max_iter=50)
     formats: tuple[str, ...] = _FORMATS
@@ -106,6 +108,7 @@ class ScenarioConfig:
             "sigmas": self.sigmas,
             "seeds": {"noise": self.noise_seed, "arbitrary_start": self.arbitrary_seed},
             "bdd": asdict(self.bdd),
+            "solver": {"max_outer": self.max_outer},
             "pf": asdict(self.pf),
             "estimator": asdict(self.estimator),
             "output": {"formats": list(self.formats)},
@@ -294,6 +297,13 @@ def _read_config(config: ScenarioConfig, doc: dict, name) -> ScenarioConfig:
         new[attr] = _number(seeds.get(key, getattr(config, attr)), int, name("seeds", key))
         if new[attr] < 0:
             raise ConfigError(f"{name('seeds', key)} must be >= 0")
+    # the rest of the attack solver's tuning is fixed in `acfdi.attacks`
+    solver = section("solver")
+    _known(solver, ("max_outer",), lambda key: name("solver", key))
+    label = name("solver", "max_outer")
+    new["max_outer"] = _number(solver.get("max_outer", config.max_outer), int, label)
+    if new["max_outer"] < 1:
+        raise ConfigError(f"{label} must be >= 1")
     for key in ("bdd", "pf", "estimator"):
         new[key] = _read_fields(getattr(config, key), section(key), name, key)
 
@@ -412,7 +422,8 @@ def _zone_from_file(case, path: str):
 
 
 def _attack(case, adm, base, zone, config: ScenarioConfig, mode: str) -> AttackVector:
-    spec = AttackSpec(zone=zone, targets=config.targets, mode=mode, seed=config.arbitrary_seed)
+    spec = AttackSpec(zone=zone, targets=config.targets, mode=mode, seed=config.arbitrary_seed,
+                      max_outer=config.max_outer)
     return design_attack(case, base, spec, adm)
 
 

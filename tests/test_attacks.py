@@ -155,6 +155,24 @@ def test_target_with_a_reverse_base_flow_is_rejected(case39, adm39, base39, zone
         design_attack(case39, base39, spec, adm39)
 
 
+@pytest.mark.parametrize("max_outer", [0, -1])
+def test_spec_rejects_a_round_cap_below_one(zone39, max_outer):
+    target = OverloadTarget(*ref.TARGET, ref.OVERLOAD_FACTOR)
+    with pytest.raises(AttackError, match=f"max_outer must be at least 1, got {max_outer}$"):
+        AttackSpec(zone=zone39, targets=(target,), mode="optimal", max_outer=max_outer)
+
+
+def test_round_cap_stops_the_design(case39, adm39, base39, zone39):
+    # the shipped optimal design takes more than one outer round; capped at
+    # one, it is infeasible after that round
+    target = OverloadTarget(*ref.TARGET, ref.OVERLOAD_FACTOR)
+    spec = AttackSpec(zone=zone39, targets=(target,), mode="optimal")
+    assert design_attack(case39, base39, spec, adm39).solver_info["outer_iterations"] > 1
+    capped = AttackSpec(zone=zone39, targets=(target,), mode="optimal", max_outer=1)
+    with pytest.raises(AttackError, match=r"after 1 outer rounds$"):
+        design_attack(case39, base39, capped, adm39)
+
+
 def test_constraint_model_stacks_only_the_rows_it_reads(case39, base39, zone39):
     # the shipped design reads P and Q at its zero-injection interior bus (one
     # Ybus row) and the target's from-end flow (one Yf row): 2 of the

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import acfdi.attacks
 from acfdi import case_to_json, load_bundled_case39
 from acfdi.cli import EXIT_CONFIG, EXIT_ESTIMATOR, EXIT_INFEASIBLE, EXIT_OK, main
 
@@ -405,6 +406,34 @@ def test_unattainable_target_names_its_constraint(tmp_path, capsys):
     assert "arbitrary attack design infeasible: constraint Pf:26-27 still off by -" in err
 
 
+def test_solver_max_outer_caps_the_attack_design(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    targets = [{"from": 26, "to": 27, "lambda": 50.0}]
+    config.write_text(json.dumps({**SCENARIO, "mode": "arbitrary", "targets": targets,
+                                  "solver": {"max_outer": 2}}))
+    rc = main(["scenario", "run", str(config), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "arbitrary attack design infeasible: constraint Pf:26-27 still off by -" in err
+    assert err.rstrip().endswith("after 2 outer rounds")
+
+
+@pytest.mark.parametrize(
+    "key", ["tol_eq", "max_inner", "penalty0", "penalty_growth", "ang_perturbation",
+            "mag_perturbation", "vm_relax", "overload_margin"],
+)
+def test_solver_section_takes_no_fixed_tuning(key, tmp_path, capsys):
+    # each of these was a solver field of a scenario file; it is a constant
+    # of acfdi.attacks now, and a scenario that sets it, even to that
+    # constant, exits 2 naming it before any stage
+    value = getattr(acfdi.attacks, f"_{key.upper()}")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SCENARIO, "solver": {"max_outer": 20, key: value}}))
+    assert main(["scenario", "run", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"unknown field solver '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_target_with_a_reverse_base_flow_exits_3(tmp_path, capsys):
     # 26-28 is an interior line of the zone, but its from-end flow is
     # negative at base, so no overload factor applies to it
@@ -730,13 +759,32 @@ def _pf_tol_not_a_number(tmp_path):
     return _scenario_with(pf={"tol": "abc"})(tmp_path), "'tol'"
 
 
+def _solver_max_outer_not_an_integer(tmp_path):
+    return _scenario_with(solver={"max_outer": "x"})(tmp_path), "'max_outer'"
+
+
 def _pf_max_iter_zero(tmp_path):
     return _scenario_with(pf={"max_iter": 0})(tmp_path), "'max_iter'"
 
 
-def _scenario_with_a_solver_section(tmp_path):
-    # the attack solver's tuning is fixed; a section that set it ran (exit 0)
-    return _scenario_with(solver={"max_outer": 20})(tmp_path), "unknown field 'solver'"
+def _solver_max_outer_zero(tmp_path):
+    return _scenario_with(solver={"max_outer": 0})(tmp_path), "'max_outer'"
+
+
+# max_outer is the one solver field a scenario sets; each other one is
+# refused as unknown, whatever its value
+
+
+def _solver_max_inner_zero(tmp_path):
+    return _scenario_with(solver={"max_inner": 0})(tmp_path), "'max_inner'"
+
+
+def _solver_tol_eq_negative(tmp_path):
+    return _scenario_with(solver={"tol_eq": -1})(tmp_path), "'tol_eq'"
+
+
+def _solver_penalty_growth_below_one(tmp_path):
+    return _scenario_with(solver={"penalty_growth": 0.5})(tmp_path), "'penalty_growth'"
 
 
 def _misspelled_top_level_mode(tmp_path):
@@ -745,6 +793,10 @@ def _misspelled_top_level_mode(tmp_path):
 
 def _misspelled_pf_max_iter(tmp_path):
     return _scenario_with(pf={"max_iters": 5})(tmp_path), "'max_iters'"
+
+
+def _misspelled_solver_max_outer(tmp_path):
+    return _scenario_with(solver={"max_outr": 2})(tmp_path), "'max_outr'"
 
 
 def _misspelled_bdd_confidence(tmp_path):
@@ -929,9 +981,10 @@ def _case_m_with(table, row, column, token, named):
         _target_without_from, _zone_without_boundary,
         _targets_not_a_list, _sigmas_not_an_object, _seeds_not_an_object,
         _scenario_zone_with_string_ids, _formats_not_a_list, _zone_file_with_string_ids,
-        _pf_tol_not_a_number, _pf_max_iter_zero, _case_not_a_path,
-        _scenario_with_a_solver_section,
-        _misspelled_top_level_mode, _misspelled_pf_max_iter,
+        _pf_tol_not_a_number, _solver_max_outer_not_an_integer, _pf_max_iter_zero,
+        _case_not_a_path, _solver_max_outer_zero, _solver_max_inner_zero,
+        _solver_tol_eq_negative, _solver_penalty_growth_below_one,
+        _misspelled_top_level_mode, _misspelled_pf_max_iter, _misspelled_solver_max_outer,
         _misspelled_bdd_confidence, _misspelled_seeds_noise, _misspelled_output_formats,
         _misspelled_zone_focal_beside_explicit_lists, _misspelled_target_lambda,
         _target_with_both_lambda_and_factor, _state_with_magnitude(-1.0),

@@ -21,7 +21,7 @@ def _solve(z0, constraints, **given):
     with no anchor or bounds and the attack solver's tuning unless given."""
     settings = {
         "anchor": None, "lower": np.full(len(z0), -np.inf), "upper": np.full(len(z0), np.inf),
-        "tol_eq": acfdi.attacks._TOL_EQ, "max_outer": acfdi.attacks._MAX_OUTER,
+        "tol_eq": acfdi.attacks._TOL_EQ, "max_outer": acfdi.attacks.MAX_OUTER,
         "max_inner": acfdi.attacks._MAX_INNER, "penalty0": acfdi.attacks._PENALTY0,
         "penalty_growth": acfdi.attacks._PENALTY_GROWTH,
         **given,

@@ -133,10 +133,13 @@ def test_unreadable_or_malformed_input_exits_2_naming_the_file(
         ("seeds", "noise", -1),
         ("seeds", "arbitrary_start", -1),
         ("sigmas", "Vmag", 1e200),
+        # a fixed solver field: now refused as unknown
+        ("solver", "ang_perturbation", 1e308),
         # a 1e400 in the file reads as this infinity, as does the Infinity
         # that json.dumps writes; an int field would truncate 2.7, 0.9, 26.7
         ("pf", "tol", float("inf")),
         ("estimator", "tol", float("inf")),
+        ("solver", "tol_eq", float("inf")),
         ("pf", "max_iter", 2.7),
         ("seeds", "noise", 0.9),
         ("targets", "from", 26.7),
