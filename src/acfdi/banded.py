@@ -324,8 +324,11 @@ class _Lapack:
         return pivots, self._call("dgbtrf", n, n, b, b, band, width, pivots)
 
     def gbtrs(self, factor: np.ndarray, b: int, pivots: np.ndarray, x: np.ndarray) -> None:
-        """Overwrite x with the solution of A x = x from A's LU factor."""
+        """Overwrite x with the solution of A x = x from A's LU factor. The
+        interchanges may come from either binding: they are passed as this
+        one's index type."""
         n, width = factor.shape
+        pivots = pivots.astype(self._index, copy=False)
         self._call("dgbtrs", b"N", n, b, b, 1, factor, width, pivots, x, n)
 
 

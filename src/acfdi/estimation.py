@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .banded import BlockBand, BlockCholesky, concat_ranges, read_only
-from .network import AdmittanceModel, NetworkCase, StateVector, build_admittance
+from .network import AdmittanceModel, NetworkCase, StateVector, build_admittance, shared
 from .nlsolver import Damping, check_limits
 
 KINDS = ("Pflow", "Qflow", "Pinj", "Qinj", "Vmag", "Vang")
@@ -246,36 +246,6 @@ def full_layout(case: NetworkCase, kinds: tuple[str, ...] = KINDS) -> Layout:
         + [(f"{KINDS[code]}:{b}", code, b, False) for b in buses for code in injections]
         + [(f"{KINDS[code]}:{b}", code, b, False) for code in voltages for b in buses]
     )
-
-
-# entries kept by `shared`: a scenario reads six per topology (the full
-# layout, the Newton pattern, three layout patterns and the flat start of its
-# estimates), so this covers two grids at once; a pattern is 1.7 MB at most
-# at n = 312 (the full layout's with its pair index), a flat start 1.5 MB
-_SHARED_LIMIT = 16
-_shared: dict[tuple, object] = {}
-
-
-def shared(key: tuple, build):
-    """The value kept under key, built by build() on a miss; the least
-    recently used entry is dropped past _SHARED_LIMIT. This is the package's
-    one cache.
-
-    A key starts with an `AdmittanceModel.topology`, so every admittance
-    model of one grid shares what is kept: full layouts, layout patterns and
-    Newton-Raphson patterns, structure that the topology alone decides, and
-    the flat starts of `MeasurementModel`, whose key also holds the
-    admittance values and weights their values derive from. Admittance
-    values are otherwise gathered where they are used, by each
-    `MeasurementModel`. Nothing kept holds an admittance model or a case, so
-    a dropped model is freed."""
-    value = _shared.pop(key, None)
-    if value is None:
-        value = build()
-        if len(_shared) >= _SHARED_LIMIT:
-            del _shared[next(iter(_shared))]
-    _shared[key] = value
-    return value
 
 
 class _GainCells(NamedTuple):

@@ -12,16 +12,20 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import operator
 import re
+import struct
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
 from .artifacts import NUMBER, ConfigError, known, member, read_text, to_json, typed_column
+from .banded import read_only
 
 BUS_KINDS = ("slack", "PV", "PQ")
 _MATPOWER_BUS_TYPE = {1: "PQ", 2: "PV", 3: "slack"}
@@ -502,6 +506,41 @@ def _check_values(case: NetworkCase, row_name) -> None:
             raise CaseValidationError(f"{row_name(table, i)} field '{key}' {_VALUE_TESTS[rule][1]}")
 
 
+# entries kept by `shared`: a scenario reads eight per network (the
+# admittance stamps, the full layout, the Newton pattern and flat start,
+# three layout patterns and the flat start of its estimates), so this covers
+# two networks at once. At n = 312 a layout pattern is 1.7 MB at most (the
+# full layout's, with its pair index), an estimate's flat start 0.7 MB, the
+# Newton flat start 0.45 MB (its band LU) and the stamps 0.06 MB, each key
+# of bits 0.03 MB
+_SHARED_LIMIT = 16
+_shared: dict[tuple, object] = {}
+
+
+def shared(key: tuple, build):
+    """The value kept under key, built by build() on a miss; the least
+    recently used entry is dropped past _SHARED_LIMIT. This is the package's
+    one cache.
+
+    The admittance stamps of `build_admittance` are keyed by the bits of
+    every branch and bus value they are built from, so every load snapshot
+    of one network shares them. Every other key starts with an
+    `AdmittanceModel.topology`, so every admittance model of one grid shares
+    what is kept: full layouts, layout patterns and Newton-Raphson patterns,
+    structure that the topology alone decides, and the flat starts of
+    `MeasurementModel` and of Newton-Raphson, whose keys also hold the
+    admittance values and the weights or the flat magnitudes their values
+    derive from. Nothing kept holds an admittance model, a case or a branch,
+    so a dropped model is freed."""
+    value = _shared.pop(key, None)
+    if value is None:
+        value = build()
+        if len(_shared) >= _SHARED_LIMIT:
+            del _shared[next(iter(_shared))]
+    _shared[key] = value
+    return value
+
+
 @dataclass(frozen=True)
 class AdmittanceModel:
     """Nodal admittance matrix plus per-branch two-port terms.
@@ -555,7 +594,7 @@ class AdmittanceModel:
         """The case's full measurement layout (`acfdi.estimation.full_layout`),
         built once per topology and shared, so that every caller shares one
         Layout and the pattern compiled from it."""
-        from .estimation import full_layout, shared  # estimation imports this module
+        from .estimation import full_layout  # estimation imports this module
 
         return shared((self.topology, "full layout"), lambda: full_layout(self.case))
 
@@ -574,12 +613,51 @@ class AdmittanceModel:
         return rows
 
 
+class _Stamps(NamedTuple):
+    """The arrays of an `AdmittanceModel` that its values decide: the Ybus
+    cells and values and the branch stamps and end positions, read-only."""
+
+    ybus_cells: np.ndarray
+    ybus_values: np.ndarray
+    yff: np.ndarray
+    yft: np.ndarray
+    ytf: np.ndarray
+    ytt: np.ndarray
+    f_idx: np.ndarray
+    t_idx: np.ndarray
+
+
+# the fields the stamps read, and how their key packs them: as the bits of
+# each value, so that -0.0 and 0.0, or two NaNs, are never one key
+_BUS_STAMPED = operator.attrgetter("id", "gs", "bs")
+_BUS_BITS = struct.Struct("<q2d")
+_BRANCH_STAMPED = operator.attrgetter(
+    "from_bus", "to_bus", "r", "x", "b", "tap", "shift", "status"
+)
+_BRANCH_BITS = struct.Struct("<2q6d")
+
+
 def build_admittance(case: NetworkCase) -> AdmittanceModel:
+    """The admittance model of case, its stamps read from the shared cache:
+    every load snapshot of one network shares them. The key holds the bits
+    of every value they are built from: the bus ids in order, their shunts,
+    and each in-service branch's ends, impedance, charging, tap, shift and
+    status; the model keeps case and its in-service branches."""
+    branches = case.in_service_branches()
+    key = (
+        "stamps",
+        b"".join(itertools.starmap(_BUS_BITS.pack, map(_BUS_STAMPED, case.buses))),
+        b"".join(itertools.starmap(_BRANCH_BITS.pack, map(_BRANCH_STAMPED, branches))),
+    )
+    stamps = shared(key, lambda: _stamps(case, branches))
+    return AdmittanceModel(case, branches, *stamps)
+
+
+def _stamps(case: NetworkCase, branches: tuple[Branch, ...]) -> _Stamps:
     """Standard two-port branch stamps: series y = 1/(r+jx), b/2 charging at
     each end, from side scaled by 1/tap^2, off-diagonals by the conjugated
     shifted tap factor; bus shunts on the diagonal."""
     n = case.n_bus
-    branches = case.in_service_branches()
     nl = len(branches)
 
     yff = np.zeros(nl, dtype=complex)
@@ -611,8 +689,6 @@ def build_admittance(case: NetworkCase) -> AdmittanceModel:
     np.add.at(values, np.searchsorted(cells, stamped),
               np.concatenate([np.stack([yff, yft, ytf, ytt], 1).ravel(), shunts]))
 
-    return AdmittanceModel(
-        case=case, branches=branches, ybus_cells=cells, ybus_values=values,
-        yff=yff, yft=yft, ytf=ytf, ytt=ytt, f_idx=f_idx, t_idx=t_idx,
-    )
-
+    stamps = _Stamps(cells, values, yff, yft, ytf, ytt, f_idx, t_idx)
+    read_only(*stamps)
+    return stamps

@@ -9,12 +9,13 @@ the full layout's model (`estimation.network_powers`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .banded import BlockBand, lapack, read_only
-from .estimation import KIND_CODE, Layout, MeasurementModel, layout_pattern, shared
-from .network import AdmittanceModel, NetworkCase, StateVector, build_admittance
+from .estimation import KIND_CODE, Layout, MeasurementModel, layout_pattern
+from .network import AdmittanceModel, NetworkCase, StateVector, build_admittance, shared
 from .nlsolver import check_limits
 
 
@@ -68,7 +69,7 @@ _STEP_RESIDUAL_BOUND = 1e-10
 
 class _NewtonPattern:
     """The Newton equations as far as the topology fixes them, and the step
-    they give. Built once per topology (`estimation.shared`), from the bus
+    they give. Built once per topology (`network.shared`), from the bus
     kinds of adm's case; holds no admittance model or value.
 
     Rows are [P at PV and PQ buses | Q at PQ buses] and columns [angles at PV
@@ -105,31 +106,35 @@ class _NewtonPattern:
         self.slot = self.band.lu_slot(self.rows, self.cols)
         read_only(self.pq, self.pvpq, self.kept, self.rows, self.cols, self.slot)
 
-    def step(self, values: np.ndarray, mismatch: np.ndarray) -> np.ndarray:
-        """J⁻¹ mismatch for the Jacobian with these nonzeros at (rows, cols),
-        by LAPACK's band LU with partial pivoting, `dgbtrf` and `dgbtrs`.
+    def factor(self, values: np.ndarray) -> _Factor:
+        """The Jacobian with these nonzeros at (rows, cols), factored by
+        LAPACK's band LU with partial pivoting, `dgbtrf`."""
+        lu = np.zeros((self.m, 3 * self.band.size + 1))
+        lu.reshape(-1)[self.slot] = values
+        pivots, info = lapack().gbtrf(lu, self.band.size)
+        norm = np.max(np.bincount(self.rows, weights=np.abs(values), minlength=self.m))
+        return _Factor(values, lu, pivots, info, norm)
+
+    def step(self, factor: _Factor, mismatch: np.ndarray) -> np.ndarray:
+        """J⁻¹ mismatch from J's factor, by LAPACK's `dgbtrs`.
 
         Raises _StepFailure when the Jacobian is singular, naming the bus of
         the column whose pivot vanished, when the step overflows, naming the
         bus of the largest mismatch, or when its linear residual exceeds
         _STEP_RESIDUAL_BOUND, which one O(nnz) pass over the nonzeros
         measures."""
-        band, routines = self.band, lapack()
-        storage = np.zeros((self.m, 3 * band.size + 1))
-        storage.reshape(-1)[self.slot] = values
-        pivots, info = routines.gbtrf(storage, band.size)
-        if info:
-            bus = self.layout.where[band.order[info - 1]]
+        band, values = self.band, factor.values
+        if factor.info:
+            bus = self.layout.where[band.order[factor.info - 1]]
             raise _StepFailure("singular Jacobian", f", zero pivot at bus {bus}")
         x = mismatch[band.order]
-        routines.gbtrs(storage, band.size, pivots, x)
+        lapack().gbtrs(factor.lu, band.size, factor.pivots, x)
         dx = band.scatter(x)
         residual = np.bincount(self.rows, weights=values * dx[self.cols], minlength=self.m)
         if not np.isfinite(residual).all():  # the Jacobian, dx or J dx overflowed
             worst = self.layout.where[np.argmax(np.abs(mismatch))]
             raise _StepFailure("Newton step overflows", f" at bus {worst}")
-        norm = np.max(np.bincount(self.rows, weights=np.abs(values), minlength=self.m))
-        scale = norm * np.max(np.abs(dx)) + np.max(np.abs(mismatch))
+        scale = factor.norm * np.max(np.abs(dx)) + np.max(np.abs(mismatch))
         error = np.max(np.abs(residual - mismatch))
         # written so that a nan residual fails too
         if not error <= _STEP_RESIDUAL_BOUND * scale:
@@ -139,6 +144,33 @@ class _NewtonPattern:
                 "",
             )
         return dx
+
+    def flat_start(self, model: MeasurementModel, state: StateVector) -> _NewtonStart:
+        """The first iterate, which reads no load: h at the flat state and the
+        factor of the Jacobian there, read-only."""
+        flat = model.evaluate(state)
+        h, factor = flat.h(), self.factor(flat.jacobian_values()[self.kept])
+        read_only(h, factor.values, factor.lu, factor.pivots)
+        return _NewtonStart(h, factor)
+
+
+class _Factor(NamedTuple):
+    """A Newton Jacobian: its nonzeros, its band LU from `dgbtrf` (the LU in
+    general band storage, the interchanges and info, 0 or the position of
+    the first zero pivot) and its largest absolute row sum."""
+
+    values: np.ndarray
+    lu: np.ndarray
+    pivots: np.ndarray
+    info: int
+    norm: float
+
+
+class _NewtonStart(NamedTuple):
+    """h and the Jacobian's factor at the flat start."""
+
+    h: np.ndarray
+    factor: _Factor
 
 
 def newton_power_flow(
@@ -151,9 +183,11 @@ def newton_power_flow(
 
     Each iterate is evaluated once by the measurement model of the Newton
     rows (`_NewtonPattern`): the mismatch is the scheduled injections minus
-    its h, and the step reads its kept Jacobian values. PV magnitudes stay
-    pinned to their setpoints and generator reactive limits are not
-    enforced. Raises on non-convergence, a mismatch that is not finite, a
+    its h, and the step reads its kept Jacobian values. The flat start's h
+    and Jacobian factor are shared by every call on the same admittance
+    values and generator setpoints; its step is solved and checked anew.
+    PV magnitudes stay pinned to their setpoints and generator reactive
+    limits are not enforced. Raises on non-convergence, a mismatch that is not finite, a
     singular Jacobian, naming the bus of the vanished pivot, a step that
     overflows, naming the bus of the largest mismatch, or an inaccurate
     step; numpy's floating-point warnings are silenced, as these checks
@@ -171,12 +205,18 @@ def newton_power_flow(
     p_sched, q_sched = scheduled_injections(case)
     scheduled = np.concatenate([p_sched[pvpq], q_sched[pq]])
 
+    # the flat start reads no load: keyed as `MeasurementModel.flat_start`
+    # keys its own, by the admittance values and the flat magnitudes
+    key = (adm.topology, "newton", model._yr.tobytes(), model._yi.tobytes(), vm.tobytes())
     history: list[float] = []
     with np.errstate(all="ignore"):
+        h, factor = shared(key, lambda: pattern.flat_start(model, state))
         for it in range(max_iter):
             current = StateVector(state.bus_ids, vm, va)
-            evaluation = model.evaluate(current)
-            mismatch = scheduled - evaluation.h()
+            if it:
+                evaluation = model.evaluate(current)
+                h, factor = evaluation.h(), None
+            mismatch = scheduled - h
             max_mis = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
             if not np.isfinite(max_mis):
                 raise PowerFlowError(f"mismatch is not finite at iteration {it}")
@@ -184,8 +224,10 @@ def newton_power_flow(
             if max_mis < tol:
                 return PowerFlowSolution(current, it, tuple(history))
 
+            if factor is None:
+                factor = pattern.factor(evaluation.jacobian_values()[pattern.kept])
             try:
-                step = pattern.step(evaluation.jacobian_values()[pattern.kept], mismatch)
+                step = pattern.step(factor, mismatch)
             except _StepFailure as err:
                 message, at = err.args
                 raise PowerFlowError(

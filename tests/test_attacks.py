@@ -15,7 +15,7 @@ from acfdi.attacks import (
     compute_falsified_injections,
     design_attack,
 )
-from acfdi import estimation
+from acfdi import network
 from acfdi.estimation import (
     MeasurementModel,
     bus_injection,
@@ -186,7 +186,7 @@ def test_constraint_model_stacks_only_the_rows_it_reads(case39, base39, zone39):
     full = full_layout(case39)
     wanted = (f"Pinj:{bus}", f"Qinj:{bus}", "Pf:{}-{}".format(*ref.TARGET))
     layout = full.subset([full.position[i] for i in wanted])
-    pattern = estimation._shared[adm.topology, layout.signature]
+    pattern = network._shared[adm.topology, layout.signature]
     (k,) = [k for k, br in enumerate(adm.branches) if (br.from_bus, br.to_bus) == ref.TARGET]
     ybus_rows, yf_rows, _ = ref.current_rows(adm)
     model = MeasurementModel(adm, layout)

@@ -15,7 +15,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from acfdi import banded, estimation
+from acfdi import banded, network
 from acfdi.banded import BlockBand, BlockCholesky, _lower_inverses, concat_ranges, rcm_order
 from acfdi.estimation import (
     MeasurementModel,
@@ -356,12 +356,12 @@ def _binding_results(name):
     """The power flow, the gain's factor and the estimator verdicts, from the
     binding `banded.lapack` gives."""
     case = GRIDS[name]()
+    network._shared.clear()  # no flat-start factor from the other binding
     adm = build_admittance(case)
     flow = newton_power_flow(case, adm)
     ms = generate_measurements(case, flow.state, seed=5, adm=adm)
     model = MeasurementModel(adm, ms.layout)
     gain = model.gain(model.evaluate(flow.state).jacobian_values(), 1.0 / ms.variances)
-    estimation._shared.clear()  # no flat-start factor from the other binding
     res = wls_estimate(ms, case, adm)
     verdicts = (res.converged, res.iterations, res.critical_ids, chi_square_test(res).passed,
                 largest_normalized_residual(res)[0])
@@ -384,7 +384,7 @@ def test_cython_lapack_fallback_matches_numpys_openblas(name, monkeypatch):
         assert banded.lapack()._index is ctypes.c_int
     finally:
         banded.lapack.cache_clear()
-        estimation._shared.clear()  # no flat start keeps a fallback factor
+        network._shared.clear()  # no flat start keeps a fallback factor
     (flow, factor, verdicts), (fallback_flow, fallback_factor, fallback_verdicts) = (
         primary, fallback
     )
@@ -393,3 +393,24 @@ def test_cython_lapack_fallback_matches_numpys_openblas(name, monkeypatch):
     assert np.max(np.abs(fallback_flow.state.va - flow.state.va)) <= 1e-12
     assert np.max(np.abs(fallback_factor - factor)) <= 1e-12 * np.max(np.abs(factor))
     assert fallback_verdicts == verdicts
+
+
+def test_kept_newton_factor_solves_under_the_other_binding(monkeypatch):
+    # the Newton flat start's band LU is kept across calls: its interchanges,
+    # ILP64 from numpy's OpenBLAS, reach cython_lapack's LP64 dgbtrs as its
+    # index type, so the first step is the one the factor gives
+    case = load_bundled_case39()
+    banded.lapack.cache_clear()
+    network._shared.clear()
+    primary = newton_power_flow(case)
+    monkeypatch.setattr(banded, "_numpy_openblas", lambda: None)
+    banded.lapack.cache_clear()
+    try:
+        fallback = newton_power_flow(case)
+        assert banded.lapack()._index is ctypes.c_int
+    finally:
+        banded.lapack.cache_clear()
+        network._shared.clear()
+    assert fallback.iterations == primary.iterations
+    assert np.max(np.abs(fallback.state.vm - primary.state.vm)) <= 1e-12
+    assert np.max(np.abs(fallback.state.va - primary.state.va)) <= 1e-12

@@ -1190,7 +1190,7 @@ def test_scenario_from_a_warm_pattern_cache_matches_a_fresh_process(tmp_path):
     # the shipped study twice in this interpreter, first from a cleared cache
     # of topology patterns and then from the patterns that run left, against
     # a fresh interpreter's run
-    from acfdi import estimation
+    from acfdi import network
 
     subprocess.run(
         [sys.executable, "-m", "acfdi.cli", "scenario", "run", str(BUNDLED),
@@ -1198,7 +1198,7 @@ def test_scenario_from_a_warm_pattern_cache_matches_a_fresh_process(tmp_path):
         check=True, capture_output=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    estimation._shared.clear()
+    network._shared.clear()
     for run in ("cold", "warm"):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["scenario", "run", str(BUNDLED), "--out", str(tmp_path / run)]) == EXIT_OK
@@ -1223,17 +1223,21 @@ def test_pf_then_scenario_in_one_process_write_what_fresh_processes_write(tmp_pa
     assert _tree_bytes(tmp_path / "one") == fresh
 
 
-def test_cold_scenario_keeps_six_shared_entries(tmp_path):
-    # one topology: its full layout, its Newton pattern, the layout patterns
-    # of the Newton rows, the full layout and the design constraints, and
-    # the flat start that the clean and attacked estimates share
-    from acfdi import estimation
+def test_cold_scenario_keeps_eight_shared_entries(tmp_path):
+    # one network: its admittance stamps, its full layout, its Newton pattern
+    # and Newton flat start, the layout patterns of the Newton rows, the full
+    # layout and the design constraints, and the flat start that the clean
+    # and attacked estimates share
+    from acfdi import network
 
-    estimation._shared.clear()
+    network._shared.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["scenario", "run", str(BUNDLED), "--out", str(tmp_path)]) == EXIT_OK
-    kept = Counter(type(value).__name__ for value in estimation._shared.values())
-    assert kept == {"Layout": 1, "_NewtonPattern": 1, "LayoutPattern": 3, "FlatStart": 1}
+    kept = Counter(type(value).__name__ for value in network._shared.values())
+    assert kept == {
+        "_Stamps": 1, "Layout": 1, "_NewtonPattern": 1, "_NewtonStart": 1,
+        "LayoutPattern": 3, "FlatStart": 1,
+    }
 
 
 def test_tiled_scenario_is_byte_identical_at_one_and_two_blas_threads(tmp_path):

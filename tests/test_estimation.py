@@ -29,10 +29,10 @@ from acfdi.estimation import (
     network_powers,
     wls_estimate,
 )
-from acfdi import banded, estimation, nlsolver
+from acfdi import banded, estimation, network, nlsolver
 from acfdi.attacks import AttackSpec, OverloadTarget, apply_attack, design_attack
 from acfdi.network import StateVector, build_admittance, load_bundled_case39, parse_case
-from acfdi.powerflow import _NewtonPattern, newton_power_flow
+from acfdi.powerflow import _NewtonPattern, _NewtonStart, newton_power_flow
 from acfdi.zones import validate_zone
 from conftest import TWO_BUS_CASE
 from meshgrid import meshed_case
@@ -821,7 +821,7 @@ def test_pipeline_compiles_each_layout_once(case39, zone39, monkeypatch):
     monkeypatch.setattr(estimation.LayoutPattern, "__init__", counting_pattern)
     monkeypatch.setattr(banded, "rcm_order", counting_order)
 
-    estimation._shared.clear()
+    network._shared.clear()
     _pipeline_item(case39, build_admittance(case39), zone39)  # cold
     # power flow, the full layout, and the constraint rows that the two
     # attack modes share: each compiled once
@@ -879,7 +879,7 @@ def _pipeline_bits(case, adm, seed=3):
 
 def _kept_patterns():
     """The layout patterns the shared cache holds."""
-    return [v for v in estimation._shared.values() if isinstance(v, estimation.LayoutPattern)]
+    return [v for v in network._shared.values() if isinstance(v, estimation.LayoutPattern)]
 
 
 def _model_patterns(case, adm):
@@ -905,12 +905,12 @@ def test_reused_pattern_gives_the_bits_of_a_fresh_one(grid):
     rng = np.random.default_rng(17)
     warm_case, snapshot = perturb_loads(case, rng), perturb_loads(case, rng)
 
-    estimation._shared.clear()
+    network._shared.clear()
     adm = build_admittance(snapshot)
     fresh = _pipeline_bits(snapshot, adm)
     fresh_patterns = _kept_patterns()
 
-    estimation._shared.clear()
+    network._shared.clear()
     warm_adm = build_admittance(warm_case)
     _pipeline_bits(warm_case, warm_adm)
     adm = build_admittance(snapshot)
@@ -962,20 +962,22 @@ def _branches_reordered(case):
 )
 def test_a_changed_topology_builds_its_own_patterns(case39, change, monkeypatch):
     changed = change(case39)
-    estimation._shared.clear()
+    network._shared.clear()
     adm = build_admittance(changed)
     fresh = _pipeline_bits(changed, adm)
 
-    estimation._shared.clear()
+    network._shared.clear()
     warm = build_admittance(case39)
     _pipeline_bits(case39, warm)
-    kept = {id(value) for value in estimation._shared.values()}
-    # the full layout, the Newton pattern, two layout patterns and the
-    # estimate's flat start
-    assert len(kept) == 5
+    kept = {id(value) for value in network._shared.values()}
+    # the admittance stamps, the full layout, the Newton pattern and flat
+    # start, two layout patterns and the estimate's flat start
+    assert len(kept) == 7
     read = _records_read(monkeypatch)
     adm = build_admittance(changed)
     assert adm.topology != warm.topology
+    # a bus kind is no input of the stamps, so only that change reads them
+    assert (adm.yff is warm.yff) == (change is _pv_to_pq)
     after_changed = _pipeline_bits(changed, adm)
     assert not any(id(p) in kept for p in _model_patterns(changed, adm))
     assert id(adm.full_layout) not in kept
@@ -1035,7 +1037,7 @@ def test_load_snapshots_of_one_grid_share_one_flat_start(tiles, monkeypatch):
     # snapshot's estimate reads the first one's flat start and skips its two
     # factorizations, the pivot test's and the first trial's
     grid = tiled_case39(tiles)
-    estimation._shared.clear()
+    network._shared.clear()
     read, built = _records_read(monkeypatch), _factors_built(monkeypatch)
     case, adm, ms = _snapshot_measurements(grid, 0)
     wls_estimate(ms, case, adm)
@@ -1045,7 +1047,7 @@ def test_load_snapshots_of_one_grid_share_one_flat_start(tiles, monkeypatch):
     warm_factors = len(built)
     assert len(read) == 2 and read[0] is read[1]
 
-    estimation._shared.clear()
+    network._shared.clear()
     built.clear()
     cold = wls_estimate(ms, case, adm)
     assert read[2] is not read[1]
@@ -1057,7 +1059,7 @@ def test_load_snapshots_of_one_grid_share_one_flat_start(tiles, monkeypatch):
 
 def test_new_admittance_values_or_sigmas_build_their_own_flat_start(monkeypatch):
     grid = tiled_case39(2)
-    estimation._shared.clear()
+    network._shared.clear()
     read = _records_read(monkeypatch)
     case, adm, ms = _snapshot_measurements(grid, 0)
     wls_estimate(ms, case, adm)
@@ -1078,7 +1080,7 @@ def test_new_admittance_values_or_sigmas_build_their_own_flat_start(monkeypatch)
     warm = [wls_estimate(*run) for run in runs]
     assert len({id(record) for record in read}) == 3
     for result, run in zip(warm, runs):
-        estimation._shared.clear()
+        network._shared.clear()
         _assert_same_bits(result, wls_estimate(*run))
 
 
@@ -1102,41 +1104,42 @@ def test_unobservable_layout_keeps_no_flat_start(case39, adm39, base39):
         ms for ms in _random_sublayouts(case39, adm39, base39, seed=0, count=240)
         if np.linalg.matrix_rank(eval_jacobian(adm39, flat, ms.layout)) < n
     )
-    estimation._shared.clear()
+    network._shared.clear()
     messages = []
     for _ in range(2):
         with pytest.raises(EstimationError) as raised:
             wls_estimate(ms, case39, adm39)
         messages.append(str(raised.value))
         assert not any(
-            isinstance(value, estimation.FlatStart) for value in estimation._shared.values()
+            isinstance(value, estimation.FlatStart) for value in network._shared.values()
         )
     assert messages == [estimation._UNOBSERVABLE] * 2
 
 
 def test_shared_cache_stays_within_its_bound(case39):
-    estimation._shared.clear()
+    network._shared.clear()
     for offset in range(1000, 21000, 1000):
         case = _renumbered(case39, offset)
         adm = build_admittance(case)
         state = newton_power_flow(case, adm).state
         generate_measurements(case, state, adm=adm)
-        assert len(estimation._shared) <= estimation._SHARED_LIMIT
-    # four entries per grid: full layout, Newton pattern, and two patterns
-    assert len(estimation._shared) == estimation._SHARED_LIMIT
+        assert len(network._shared) <= network._SHARED_LIMIT
+    # six entries per grid: the stamps, the full layout, the Newton pattern
+    # and flat start, and two layout patterns
+    assert len(network._shared) == network._SHARED_LIMIT
 
 
 def test_evicted_entries_rebuild_the_bits_of_a_cold_run(case39):
-    estimation._shared.clear()
+    network._shared.clear()
     adm = build_admittance(case39)
     cold = _pipeline_bits(case39, adm)
-    # four renumbered copies read four entries each, so every one of
+    # four renumbered copies read six entries each, so every one of
     # case39's is dropped
     for offset in range(1000, 5000, 1000):
         case = _renumbered(case39, offset)
         copy = build_admittance(case)
         generate_measurements(case, newton_power_flow(case, copy).state, adm=copy)
-    assert not any(key[0] == adm.topology for key in estimation._shared)
+    assert not any(key[0] == adm.topology for key in network._shared)
     again = _pipeline_bits(case39, build_admittance(case39))
     for a, b in zip(cold, again):
         assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
@@ -1146,7 +1149,7 @@ def test_dropped_admittance_model_is_freed(case39):
     adm = build_admittance(case39)
     _pipeline_bits(case39, adm)
     # the patterns its models read are kept in the shared cache
-    kept = {id(value) for value in estimation._shared.values()}
+    kept = {id(value) for value in network._shared.values()}
     assert all(id(p) in kept for p in _model_patterns(case39, adm))
     dropped = weakref.ref(adm)
     del adm
@@ -1156,7 +1159,8 @@ def test_dropped_admittance_model_is_freed(case39):
 
 def test_shared_arrays_are_read_only(case39, adm39):
     _pipeline_bits(case39, adm39)
-    newton = estimation._shared[(adm39.topology, "newton")]  # power flow's
+    newton_key = (adm39.topology, "newton")
+    newton = network._shared[newton_key]  # power flow's
     model = MeasurementModel(adm39, adm39.full_layout)
     pattern = model.pattern
     arrays = [a for a in vars(pattern).values() if isinstance(a, np.ndarray)]
@@ -1165,7 +1169,13 @@ def test_shared_arrays_are_read_only(case39, adm39):
         arrays += [band.order, band.pos]
     arrays += [newton.pq, newton.pvpq, newton.kept, newton.rows, newton.cols, newton.slot]
     arrays += [adm39.full_layout.kind, adm39.full_layout.where]
-    assert len(arrays) >= 28
+    # the admittance stamps, and power flow's flat start and its factor
+    arrays += [getattr(adm39, name) for name in network._Stamps._fields]
+    starts = [v for k, v in network._shared.items() if k[:2] == newton_key and len(k) > 2]
+    assert starts and all(isinstance(start, _NewtonStart) for start in starts)
+    for start in starts:
+        arrays += [start.h, start.factor.values, start.factor.lu, start.factor.pivots]
+    assert len(arrays) >= 40
     for array in arrays:
         assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -1196,11 +1206,16 @@ def _record_evaluations(monkeypatch):
 
 def test_newton_power_flow_evaluates_each_iterate_once(case39, adm39, monkeypatch):
     states, jacobians = _record_evaluations(monkeypatch)
-    sol = newton_power_flow(case39, adm39)
-    assert sol.iterations == 4
-    assert len(states) == sol.iterations + 1 == len(set(states))
-    # every iterate but the converged one reads its Jacobian from its evaluation
-    assert len(jacobians) == sol.iterations == len(set(map(id, jacobians)))
+    network._shared.clear()
+    for warm in (False, True):
+        states.clear()
+        jacobians.clear()
+        sol = newton_power_flow(case39, adm39)
+        assert sol.iterations == 4
+        # a cold call evaluates the flat start to keep it, a warm one reads it
+        assert len(states) == sol.iterations + 1 - warm == len(set(states))
+        # every iterate but the converged one reads its Jacobian from its evaluation
+        assert len(jacobians) == sol.iterations - warm == len(set(map(id, jacobians)))
 
 
 @pytest.mark.parametrize("tiles", [1, 2])
@@ -1208,7 +1223,7 @@ def test_wls_estimate_evaluates_each_trial_once(tiles, monkeypatch):
     case = load_bundled_case39() if tiles == 1 else tiled_case39(tiles)
     adm = build_admittance(case)
     ms = generate_measurements(case, newton_power_flow(case, adm).state, seed=5, adm=adm)
-    estimation._shared.clear()  # so that the flat start is evaluated too
+    network._shared.clear()  # so that the flat start is evaluated too
     trials = []
     step = nlsolver.Damping.step
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import reference39 as ref
-from acfdi import banded
+from acfdi import banded, network, powerflow
 from acfdi.cli import EXIT_OK, main
 from acfdi.estimation import MeasurementModel, bus_injection, network_powers
 from acfdi.network import (
@@ -31,7 +31,7 @@ from conftest import TWO_BUS_CASE, flow_of
 from meshgrid import meshed_case
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
-from grids import tiled_case39  # noqa: E402
+from grids import perturb_loads, tiled_case39  # noqa: E402
 
 
 def _complex_flow_oracle(state, br):
@@ -411,7 +411,7 @@ def test_band_lu_step_matches_dense_solve(lu_grid):
     for state in states:
         mismatch, values = equations_at(state)
         expected = np.linalg.solve(_dense_jacobian(pattern, values), mismatch)
-        step = pattern.step(values, mismatch)
+        step = pattern.step(pattern.factor(values), mismatch)
         assert np.max(np.abs(step - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
@@ -473,10 +473,15 @@ def test_isolated_pq_bus_is_a_singular_block():
     # the isolated bus's columns are zero, so the band LU meets a zero pivot
     # at one of them; validation rejects such a case, so it is built directly
     case = _with_bus(parse_case(TWO_BUS_CASE), Bus(3, "PQ", 0.1, 0.05, 0.0, 0.0, 0.9, 1.1))
-    with pytest.raises(
-        PowerFlowError, match=r"^singular Jacobian at iteration 0 \(.*, zero pivot at bus 3\)$"
-    ):
-        newton_power_flow(case)
+    network._shared.clear()
+    messages = []
+    for _ in range(2):  # the second call reads the kept flat start and its factor
+        with pytest.raises(
+            PowerFlowError, match=r"^singular Jacobian at iteration 0 \(.*, zero pivot at bus 3\)$"
+        ) as raised:
+            newton_power_flow(case)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
 
 
 def _resistive_case(x: str) -> str:
@@ -508,3 +513,85 @@ def test_near_resistive_branch_converges_to_the_dense_replay(x):
     # a reactance far below the resistance leaves a tiny but nonzero
     # dP/dtheta pivot, which partial pivoting passes over
     _converges_to_the_dense_replay(parse_case(_resistive_case(x)))
+
+
+# --- one network, many load snapshots -------------------------------------------
+
+STAMP_GRIDS = ("case39", "tile2", "tile8", "mesh6x6", "resistive5x6")
+
+
+def _stamp_bits(adm):
+    return [getattr(adm, name).tobytes() for name in network._Stamps._fields]
+
+
+@pytest.mark.parametrize("grid", STAMP_GRIDS)
+def test_kept_stamps_are_the_bits_of_a_cold_build(grid):
+    case = LU_GRIDS[grid]()
+    snapshot = perturb_loads(case, np.random.default_rng(3))
+    network._shared.clear()
+    cold = build_admittance(case)
+    warm = build_admittance(snapshot)
+    # the loads are no input of the stamps: the snapshot reads the kept ones
+    assert warm.yff is cold.yff and warm.ybus_values is cold.ybus_values
+    assert warm.case is snapshot and warm.branches == snapshot.in_service_branches()
+    network._shared.clear()
+    fresh = build_admittance(snapshot)
+    assert fresh.yff is not warm.yff
+    assert _stamp_bits(warm) == _stamp_bits(fresh) == _stamp_bits(cold)
+
+
+def _changed(case, change):
+    """case with one value the stamps read given the other sign of zero, or
+    with a rating or name, which they do not read."""
+    first = case.branches[0]
+    if change == "shift":
+        return dataclasses.replace(case, branches=(
+            dataclasses.replace(first, shift=-first.shift), *case.branches[1:]
+        ))
+    if change == "gs":
+        bus = case.buses[0]
+        return dataclasses.replace(case, buses=(
+            dataclasses.replace(bus, gs=-bus.gs), *case.buses[1:]
+        ))
+    if change == "rating":
+        return dataclasses.replace(case, branches=(
+            dataclasses.replace(first, rating=0.0), *case.branches[1:]
+        ))
+    return dataclasses.replace(case, name="renamed")
+
+
+@pytest.mark.parametrize("change", ["shift", "gs", "rating", "name"])
+def test_stamps_are_kept_under_the_bits_they_read(change):
+    case = load_bundled_case39()
+    assert case.branches[0].shift == 0.0 and case.buses[0].gs == 0.0
+    changed = _changed(case, change)
+    network._shared.clear()
+    kept = build_admittance(case)
+    adm = build_admittance(changed)
+    # -0.0 == 0.0, but a key of bits tells them apart
+    assert (adm.yff is kept.yff) == (change in ("rating", "name"))
+    # the model holds the caller's case and branches, never the kept entry's
+    assert adm.case is changed
+    assert all(a is b for a, b in zip(adm.branches, changed.in_service_branches()))
+    network._shared.clear()
+    assert _stamp_bits(adm) == _stamp_bits(build_admittance(changed))
+
+
+def test_kept_newton_start_gives_the_bits_of_a_cold_one():
+    grid = tiled_case39(8)
+    rng = np.random.default_rng(29)
+    snapshots = [perturb_loads(grid, rng) for _ in range(20)]
+    network._shared.clear()
+    newton_power_flow(grid)
+    warm = [newton_power_flow(case) for case in snapshots]
+    starts = [v for v in network._shared.values() if isinstance(v, powerflow._NewtonStart)]
+    assert len(starts) == 1  # the loads are no input of the flat start
+    for case, solution in zip(snapshots, warm):
+        network._shared.clear()
+        cold = newton_power_flow(case)
+        assert solution.iterations == cold.iterations
+        assert np.array(solution.mismatch_history).tobytes() == np.array(
+            cold.mismatch_history
+        ).tobytes()
+        assert solution.state.vm.tobytes() == cold.state.vm.tobytes()
+        assert solution.state.va.tobytes() == cold.state.va.tobytes()
