@@ -29,13 +29,9 @@ from .nlsolver import SolverError, solve_constrained
 from .zones import AttackZone
 
 
-# the attack solver's tuning, passed to `nlsolver.solve_constrained`; the
-# round cap alone is a setting, the default of `AttackSpec.max_outer`
-_TOL_EQ = 1e-6  # largest constraint violation of a solution
+# the solver's round cap, the default of `AttackSpec.max_outer`; the rest of
+# its tuning is `nlsolver`'s own
 MAX_OUTER = 20
-_MAX_INNER = 60
-_PENALTY0 = 10.0
-_PENALTY_GROWTH = 10.0
 # arbitrary mode: its start offsets the base by seeded uniform draws of up to
 # these angles (radians) and magnitudes (p.u.), redrawn at most
 # _MAX_START_DRAWS times until one meets the targets, and it widens the
@@ -213,8 +209,13 @@ def design_attack(
     )
 
     int_pos = np.array([case.bus_index(b) for b in interior], dtype=int)
-    int_cols = model.state_columns(int_pos)
     va0, vm0 = base.va[int_pos], base.vm[int_pos]
+    # dc/dz's entries: the model's nonzeros in the interior state columns,
+    # each at its row and its variable (angles, then magnitudes)
+    variable = np.full(model.n_state, -1)
+    variable[model.state_columns(int_pos)] = np.arange(2 * n_int)
+    entries = np.flatnonzero(variable[model.cols] >= 0)
+    entry_rows, entry_vars = model.rows[entries], variable[model.cols[entries]]
 
     def state_of(z: np.ndarray) -> StateVector:
         vm, va = base.vm.copy(), base.va.copy()
@@ -230,10 +231,8 @@ def design_attack(
         c[target_rows] = c[target_rows] - bounds_flow - z[slack_cols]
 
         def jacobian() -> np.ndarray:
-            full = np.zeros((model.m, model.n_state))
-            full[model.rows, model.cols] = at.jacobian_values()
             jac = np.zeros((model.m, 2 * n_int + n_targets))
-            jac[:, : 2 * n_int] = full[:, int_cols]
+            jac[entry_rows, entry_vars] = at.jacobian_values()[entries]
             jac[target_rows, slack_cols] = -1.0
             return jac
 
@@ -284,11 +283,7 @@ def design_attack(
             anchor=anchor,
             lower=lower,
             upper=upper,
-            tol_eq=_TOL_EQ,
             max_outer=spec.max_outer,
-            max_inner=_MAX_INNER,
-            penalty0=_PENALTY0,
-            penalty_growth=_PENALTY_GROWTH,
         )
     except SolverError as exc:
         raise AttackError(

@@ -184,7 +184,8 @@ class BlockCholesky:
     `dpbtrs` solves with it. Raises np.linalg.LinAlgError if a leading
     minor is not positive definite. Cut into b x b blocks, L is block
     lower-bidiagonal; its diagonal blocks L_k and the blocks C_k below them
-    are read off the band only for `selected_inverse`.
+    are read off the band only within `selected_inverse`, and the factor
+    keeps no block of them.
     """
 
     def __init__(self, band: np.ndarray, shift: float = 0.0):
@@ -209,23 +210,6 @@ class BlockCholesky:
             flat[start:], (count, b, b), (b * (b + 1) * step, step, b * step), writeable=False
         )
 
-    @functools.cached_property
-    def inverse(self) -> np.ndarray:
-        """The inverses of the diagonal factor blocks L_k, built on the first
-        `selected_inverse`: `pivots` and `solve` read the band alone."""
-        inverse = _lower_inverses(np.tril(self._blocks(0, len(self.factor) // self.size)))
-        read_only(inverse)
-        return inverse
-
-    @functools.cached_property
-    def coupling(self) -> np.ndarray:
-        """The blocks C_k below the diagonal blocks of L: upper triangular,
-        since L has half-bandwidth b."""
-        b = self.size
-        coupling = np.triu(self._blocks(b, len(self.factor) // b - 1))
-        read_only(coupling)
-        return coupling
-
     @property
     def pivots(self) -> np.ndarray:
         """Squared diagonal of L, in band order."""
@@ -244,11 +228,14 @@ class BlockCholesky:
         diagonal blocks, in one array of `BlockBand`'s [sub | diag] block
         storage: shape (2nb - 1, b, b).
 
-        With W_k = L_k⁻¹: Z_k+1,k = -Z_k+1,k+1 C_k W_k and Z_k,k =
-        W_kᵀ (W_k - C_kᵀ Z_k+1,k), from the last block back.
+        With W_k = L_k⁻¹ and C_k the block below L_k, upper triangular since
+        L has half-bandwidth b: Z_k+1,k = -Z_k+1,k+1 C_k W_k and Z_k,k =
+        W_kᵀ (W_k - C_kᵀ Z_k+1,k), from the last block back. W and C live
+        only for this call: `pivots` and `solve` read the band alone.
         """
-        inv, c = self.inverse, self.coupling
-        nb = len(inv)
+        b, nb = self.size, len(self.factor) // self.size
+        inv = _lower_inverses(np.tril(self._blocks(0, nb)))
+        c = np.triu(self._blocks(b, nb - 1))
         z = np.empty((2 * nb - 1, *inv.shape[1:]))
         z_sub, z_diag = z[: nb - 1], z[nb - 1 :]
         z_diag[nb - 1] = inv[nb - 1].T @ inv[nb - 1]

@@ -409,6 +409,7 @@ _CASE_TABLES = {
         **dict.fromkeys(("qmin", "qmax", "pmin", "pmax"), (NUMBER, "")), "status": (bool, ""),
     }),
 }
+_INT64 = range(-(2**63), 2**63)  # the bus ids that the topology's int64 key holds
 # each rule's test of a column, and how it names a value that fails it
 _VALUE_TESTS = {
     "finite": (np.isfinite, "must be finite"),
@@ -488,8 +489,14 @@ def _case_of_doc(doc) -> NetworkCase:
 
 def _check_values(case: NetworkCase, row_name) -> None:
     """Raise CaseValidationError naming the first row (by row_name(table, i))
-    and field of case whose value no stage can use (`_CASE_TABLES`' rules).
-    Each field is tested over its whole column."""
+    and field of case whose value no stage can use: a bus id outside int64,
+    as the topology's key packs it, or a value that breaks `_CASE_TABLES`'
+    rules. Each ruled field is tested over its whole column; the ids are
+    compared as Python ints, which a float could not tell from their
+    neighbours."""
+    for i, b in enumerate(case.buses):
+        if b.id not in _INT64:
+            raise CaseValidationError(f"{row_name('buses', i)} field 'id' is outside int64")
     for table, (_, fields) in _CASE_TABLES.items():
         rows = getattr(case, table)
         checks = [(key, rule) for key, (_, rules) in fields.items() for rule in rules.split()]

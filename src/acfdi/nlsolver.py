@@ -57,6 +57,12 @@ import numpy as np
 # where jacobian() gives dc/dz at z from the same evaluation
 ConstraintFn = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
 
+# the augmented Lagrangian's tuning: a solution's largest constraint
+# violation, the steps of a round, and the penalty and its growth
+_TOL_EQ = 1e-6
+_MAX_INNER = 60
+_PENALTY0 = 10.0
+_PENALTY_GROWTH = 10.0
 _MU_START = 1e-10  # starting damping, relative to max(1, max diag J^T J)
 _MU_CAP = 1e12  # damping past which the caller gives up, same scale
 _MIN_GAIN = 1e-4  # smallest gain ratio that accepts a trial
@@ -87,12 +93,21 @@ class RoundInfo:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The solution, its objective, the steps taken over all rounds and each
+    round's record; the round count and the final violation are the rounds'."""
+
     z: np.ndarray
-    max_violation: float
     objective: float
-    outer_iterations: int
     inner_iterations: int
     rounds: tuple[RoundInfo, ...]
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.rounds)
+
+    @property
+    def max_violation(self) -> float:
+        return self.rounds[-1].violation
 
 
 class Damping:
@@ -173,18 +188,15 @@ def solve_constrained(
     anchor: np.ndarray | None,
     lower: np.ndarray,
     upper: np.ndarray,
-    tol_eq: float,
     max_outer: int,
-    max_inner: int,
-    penalty0: float,
-    penalty_growth: float,
 ) -> SolveResult:
     """Minimize ||z[:k] - anchor||^2, k = len(anchor), subject to c(z) = 0 and
     lower <= z <= upper; the variables past k (slacks) are free of cost.
 
     start = (z0, *constraints(z0)) is the caller's evaluation at a z0 inside
     the bounds (else ValueError). With anchor=None this is a pure
-    feasibility solve that stays close to z0 (minimum-norm steps).
+    feasibility solve that stays close to z0 (minimum-norm steps). Raises
+    SolverError when no round of the first max_outer ends below _TOL_EQ.
     """
     z0, c, read_jac = start
     z = np.asarray(z0, dtype=float).copy()
@@ -199,7 +211,7 @@ def solve_constrained(
     # current iterate, carried from the start or the trial that reached it
     c_jac = None
     lam = np.zeros(len(c))
-    rho = penalty0
+    rho = _PENALTY0
     prev_violation = float(np.max(np.abs(c))) if len(c) else 0.0
     total_inner = 0
     rounds: list[RoundInfo] = []
@@ -211,13 +223,13 @@ def solve_constrained(
     def jacobian(c_jac: np.ndarray) -> np.ndarray:
         return np.vstack([anchor_jac, np.sqrt(rho / 2.0) * c_jac])
 
-    for outer in range(1, max_outer + 1):
+    for _ in range(max_outer):
         if c_jac is None:
             c_jac = read_jac()
         r, jac = residual(z, c), jacobian(c_jac)
         f_cur = float(r @ r)
         damping = Damping(float(np.max(np.einsum("ij,ij->j", jac, jac), initial=0.0)), len(r))
-        for _ in range(max_inner):
+        for _ in range(_MAX_INNER):
             total_inner += 1
             grad = 2.0 * jac.T @ r
             # variables the gradient pushes against a bound stay there; the
@@ -259,19 +271,12 @@ def solve_constrained(
 
         violation = float(np.max(np.abs(c))) if len(c) else 0.0
         rounds.append(RoundInfo(violation, rho, damping.accepted, damping.rejected))
-        if violation < tol_eq:
+        if violation < _TOL_EQ:
             r_obj = z[:k] - anchor
-            return SolveResult(
-                z=z,
-                max_violation=violation,
-                objective=float(r_obj @ r_obj),
-                outer_iterations=outer,
-                inner_iterations=total_inner,
-                rounds=tuple(rounds),
-            )
+            return SolveResult(z, float(r_obj @ r_obj), total_inner, tuple(rounds))
         lam = lam + rho * c
         if violation > 0.25 * prev_violation:
-            rho *= penalty_growth
+            rho *= _PENALTY_GROWTH
         prev_violation = violation
 
     row = int(np.argmax(np.abs(c)))

@@ -28,6 +28,7 @@ from acfdi.network import StateVector, build_admittance
 from acfdi.powerflow import newton_power_flow
 from acfdi.zones import build_zone, validate_zone
 from conftest import assemble, flow_of, record_evaluations, replace_buses, state_bytes
+from meshgrid import meshed_case
 
 
 def _deviation_norm(av, zone):
@@ -446,15 +447,15 @@ def test_multi_target_attack(case39, adm39, base39, zone39):
 
 
 class _Kkt:
-    """The attack-design problem of the shipped zone and target on case39,
-    written out from the public model."""
+    """The attack-design problem of a zone and one target line, written out
+    from the public model."""
 
-    def __init__(self, case, adm, base, zone):
-        self.case, self.adm, self.base, self.zone = case, adm, base, zone
+    def __init__(self, case, adm, base, zone, target):
+        self.case, self.adm, self.base, self.zone, self.target = case, adm, base, zone, target
         layout = adm.full_layout
         zero = sorted(zone.zero_injection_interior(case))
         ids = [f"{kind}:{b}" for b in zero for kind in ("Pinj", "Qinj")]
-        ids.append("Pf:{}-{}".format(*ref.TARGET))
+        ids.append("Pf:{}-{}".format(*target))
         self.layout = layout.subset([layout.position[i] for i in ids])
         self.pos = np.array([case.bus_index(b) for b in sorted(zone.interior)])
         self.model = MeasurementModel(adm, self.layout)
@@ -464,7 +465,7 @@ class _Kkt:
 
     def design(self, factor):
         spec = AttackSpec(
-            zone=self.zone, targets=(OverloadTarget(*ref.TARGET, factor),), mode="optimal"
+            zone=self.zone, targets=(OverloadTarget(*self.target, factor),), mode="optimal"
         )
         return design_attack(self.case, self.base, spec, self.adm)
 
@@ -510,16 +511,29 @@ class _Kkt:
 
 @pytest.fixture(scope="module")
 def kkt(case39, adm39, base39, zone39):
-    return _Kkt(case39, adm39, base39, zone39)
+    return _Kkt(case39, adm39, base39, zone39, ref.TARGET)
 
 
-# measured: 3.0e-8 at λ 1.05, 1.8e-7 at 1.3 and 5.9e-7 at 2.0; the bound
-# keeps a margin of 17 over the largest, 1e3 under the moved point's 1e-2
+@pytest.fixture(scope="module", params=[0.05, 0.005, 0.0], ids=lambda r: f"r{r}")
+def lattice_kkt(request):
+    """The focal {8, 9, 14} study of the 5 x 6 lattice at branch resistance r,
+    target 8-9: no interior bus is zero-injection, so the target row is the
+    one constraint."""
+    case = meshed_case(5, 6, r=request.param)
+    adm = build_admittance(case)
+    zone = build_zone(case, {8, 9, 14})
+    assert not zone.zero_injection_interior(case)
+    return _Kkt(case, adm, newton_power_flow(case, adm).state, zone, (8, 9))
+
+
+# measured on case39: 3.0e-8 at λ 1.05, 1.8e-7 at 1.3 and 5.9e-7 at 2.0; on
+# the lattices: 9.9e-8 to 2.3e-6 over r and λ 1.05-1.5, the largest at
+# r = 0.05 and λ 1.5. The bound keeps a margin of 4.3 over the largest, 1e3
+# under the moved point's 1e-2
 STATIONARITY_BOUND = 1e-5
 
 
-@pytest.mark.parametrize("factor", [1.05, 1.3, 2.0])
-def test_optimal_design_is_stationary(kkt, factor):
+def _assert_stationary(kkt, factor):
     z = kkt.point(kkt.design(factor).x_attacked)
     mu, residual = kkt.stationarity(z, factor)
     assert residual <= STATIONARITY_BOUND
@@ -527,15 +541,26 @@ def test_optimal_design_is_stationary(kkt, factor):
     assert kkt.stationarity(kkt.moved(z, factor), factor)[1] > 100 * STATIONARITY_BOUND
 
 
+@pytest.mark.parametrize("factor", [1.05, 1.3, 2.0])
+def test_optimal_design_is_stationary(kkt, factor):
+    _assert_stationary(kkt, factor)
+
+
+@pytest.mark.parametrize("factor", [1.05, 1.2, 1.5])
+def test_optimal_design_is_stationary_on_lattices(lattice_kkt, factor):
+    _assert_stationary(lattice_kkt, factor)
+
+
 # measured: μ_target·p0 and the central difference of the objective in λ
-# (δ = 1e-3) agree to 4.5e-8 relative or better at λ 1.05-2.0; the bound
-# keeps a margin of 20, and the moved points read 9e-5 to 1e-4
+# (δ = 1e-3) agree to 4.5e-8 relative or better at λ 1.05-2.0 on case39, and
+# to 4.3e-8 to 3.4e-7 at λ 1.05-1.5 on the lattices, the largest at r = 0.05
+# and λ 1.05; the bound keeps a margin of 2.9 over the largest, and the
+# moved points read 9e-5 to 1.3e-4
 ENVELOPE_BOUND = 1e-6
 ENVELOPE_STEP = 1e-3
 
 
-@pytest.mark.parametrize("factor", [1.1, 1.3, 1.6])
-def test_optimal_design_prices_its_overload(kkt, factor):
+def _assert_priced(kkt, factor):
     # the envelope theorem: df*/dλ = μ_target · d(λ p0)/dλ, so the target's
     # multiplier is the marginal stealth cost of more overload
     def gap(solution):
@@ -556,6 +581,16 @@ def test_optimal_design_prices_its_overload(kkt, factor):
 
     assert gap(optimum) <= ENVELOPE_BOUND
     assert gap(moved) > 10 * ENVELOPE_BOUND
+
+
+@pytest.mark.parametrize("factor", [1.1, 1.3, 1.6])
+def test_optimal_design_prices_its_overload(kkt, factor):
+    _assert_priced(kkt, factor)
+
+
+@pytest.mark.parametrize("factor", [1.05, 1.2, 1.5])
+def test_optimal_design_prices_its_overload_on_lattices(lattice_kkt, factor):
+    _assert_priced(lattice_kkt, factor)
 
 
 # measured: the optimum's distance from the first-order prediction

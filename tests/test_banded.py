@@ -104,17 +104,27 @@ def test_banded_solve_matches_dense(grid):
     assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
-def test_pivot_test_builds_no_block_inverses(grid):
+def test_pivot_test_builds_no_block_inverses(grid, monkeypatch):
     # the pivot test reads the band's diagonal and dpbtrs solves on the band;
     # only the selected inverse reads the factor's blocks and inverts the
-    # diagonal ones (0.7 ms at n = 312)
+    # diagonal ones (0.7 ms at n = 312), once per call, keeping none
     _, _, model, ms, state = grid
+    calls = []
+
+    def counted(lower):
+        calls.append(lower.shape)
+        return _lower_inverses(lower)
+
+    monkeypatch.setattr(banded, "_lower_inverses", counted)
     gain = model.gain(model.evaluate(state).jacobian_values(), 1.0 / ms.variances)
     chol = _nonsingular_factor(gain, model.n_state, "singular")
     model.solve(chol, np.ones(model.n_state))
-    assert "inverse" not in vars(chol) and "coupling" not in vars(chol)
-    chol.selected_inverse()
-    assert "inverse" in vars(chol) and "coupling" in vars(chol)
+    assert calls == []
+    kept = set(vars(chol))
+    for count in (1, 2):
+        chol.selected_inverse()
+        assert len(calls) == count
+    assert set(vars(chol)) == kept
 
 
 def test_selected_inverse_matches_dense_on_band(grid):
@@ -344,12 +354,11 @@ def test_lower_inverses_match_the_padded_recursion_bit_for_bit(size, count):
     assert np.max(np.abs(got @ lower - np.eye(size))) <= 1e-12
 
 
-def test_block_inverses_are_read_only(grid):
+def test_factor_is_read_only(grid):
     _, _, model, ms, state = grid
     chol = BlockCholesky(model.gain(model.evaluate(state).jacobian_values(), 1.0 / ms.variances))
-    for array in (chol.factor, chol.inverse, chol.coupling):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        chol.factor[0, 0] = 0.0
 
 
 def _binding_results(name):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import acfdi.attacks
+import acfdi.nlsolver
 from acfdi import case_to_json, load_bundled_case39
 from acfdi.cli import EXIT_CONFIG, EXIT_ESTIMATOR, EXIT_INFEASIBLE, EXIT_OK, main
 
@@ -424,9 +425,12 @@ def test_solver_max_outer_caps_the_attack_design(tmp_path, capsys):
 )
 def test_solver_section_takes_no_fixed_tuning(key, tmp_path, capsys):
     # each of these was a solver field of a scenario file; it is a constant
-    # of acfdi.attacks now, and a scenario that sets it, even to that
-    # constant, exits 2 naming it before any stage
-    value = getattr(acfdi.attacks, f"_{key.upper()}")
+    # of acfdi.nlsolver (the augmented Lagrangian's) or of acfdi.attacks (the
+    # attack's own) now, and a scenario that sets it, even to that constant,
+    # exits 2 naming it before any stage
+    in_solver = key in ("tol_eq", "max_inner", "penalty0", "penalty_growth")
+    owner = acfdi.nlsolver if in_solver else acfdi.attacks
+    value = getattr(owner, f"_{key.upper()}")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**SCENARIO, "solver": {"max_outer": 20, key: value}}))
     assert main(["scenario", "run", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -28,6 +28,7 @@ from acfdi.network import (
     load_bundled_case39,
     parse_case,
 )
+from acfdi.powerflow import newton_power_flow
 from conftest import TWO_BUS_CASE
 from meshgrid import meshed_case
 
@@ -137,6 +138,45 @@ def test_vmin_above_vmax_is_refused_by_both_readers(case39):
     doc["buses"][25]["vmin"] = math.nan
     with pytest.raises(CaseValidationError, match=r"^buses\[25\] field 'vmin' must not be NaN$"):
         case_from_json(json.dumps(doc))
+
+
+def _renumbered_json(case, old, new):
+    doc = json.loads(case_to_json(case))
+    for table, keys in (("buses", ("id",)), ("branches", ("from", "to")), ("gens", ("bus",))):
+        for row in doc[table]:
+            row.update({key: new for key in keys if row[key] == old})
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "bus_id, inside", [(-(2**63) - 1, False), (-(2**63), True), (2**63 - 1, True), (2**63, False)]
+)
+def test_json_reader_bounds_bus_ids_to_int64(case39, bus_id, inside):
+    # the topology's key packs bus ids as int64: one outside it made the first
+    # power flow exit 1 with "argument out of range"
+    text = _renumbered_json(case39, 39, bus_id)
+    if inside:
+        state = newton_power_flow(case_from_json(text)).state
+        assert state.bus_ids[-1] == bus_id
+    else:
+        with pytest.raises(CaseValidationError, match=r"^buses\[38\] field 'id' is outside int64$"):
+            case_from_json(text)
+
+
+@pytest.mark.parametrize("bus_id, inside", [(2**63 - 1024, True), (2**63, False)])
+def test_matpower_reader_bounds_bus_ids_to_int64(bus_id, inside):
+    # the reader reads ids as floats: 2**63 - 1024 is the largest float below
+    # 2**63, and 2**63 - 1 would read as 2**63
+    text = TWO_BUS_CASE.replace("    2 1 50 20", f"    {bus_id} 1 50 20").replace(
+        "1 2 0.01", f"1 {bus_id} 0.01"
+    )
+    if inside:
+        assert newton_power_flow(parse_case(text)).state.bus_ids[-1] == bus_id
+    else:
+        with pytest.raises(
+            CaseValidationError, match=rf"^bus {bus_id} field 'id' is outside int64$"
+        ):
+            parse_case(text)
 
 
 _EDGE = math.sqrt(sys.float_info.max)  # the largest float whose square is finite

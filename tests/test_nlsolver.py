@@ -1,9 +1,12 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 import acfdi.attacks
 import reference39 as ref
-from acfdi import estimation
+from acfdi import estimation, nlsolver
 from acfdi.attacks import AttackSpec, OverloadTarget, design_attack
 from acfdi.network import StateVector
 from acfdi.nlsolver import _MIN_GAIN, _TOL_STEP, Damping, SolverError, solve_constrained
@@ -18,28 +21,28 @@ def _sum_to_one(z):
 
 def _solve(z0, constraints, **given):
     """solve_constrained from z0, which this evaluates as the caller does,
-    with no anchor or bounds and the attack solver's tuning unless given."""
+    with no anchor or bounds and the attack's round cap unless given."""
     settings = {
         "anchor": None, "lower": np.full(len(z0), -np.inf), "upper": np.full(len(z0), np.inf),
-        "tol_eq": acfdi.attacks._TOL_EQ, "max_outer": acfdi.attacks.MAX_OUTER,
-        "max_inner": acfdi.attacks._MAX_INNER, "penalty0": acfdi.attacks._PENALTY0,
-        "penalty_growth": acfdi.attacks._PENALTY_GROWTH,
+        "max_outer": acfdi.attacks.MAX_OUTER,
         **given,
     }
     return solve_constrained((z0, *constraints(z0)), constraints=constraints, **settings)
 
 
-def test_projection_onto_hyperplane_matches_closed_form():
+def test_projection_onto_hyperplane_matches_closed_form(monkeypatch):
     # argmin ||z - a||^2 s.t. sum(z) = 1 is a + (1 - sum(a)) / n
-    res = _solve(np.zeros(len(A)), _sum_to_one, anchor=A, tol_eq=1e-10)
+    monkeypatch.setattr(nlsolver, "_TOL_EQ", 1e-10)
+    res = _solve(np.zeros(len(A)), _sum_to_one, anchor=A)
     expected = A + (1.0 - A.sum()) / len(A)
     np.testing.assert_allclose(res.z, expected, rtol=0, atol=1e-8)
     assert res.max_violation < 1e-10
 
 
-def test_anchor_shorter_than_z_leaves_the_rest_free_of_cost():
+def test_anchor_shorter_than_z_leaves_the_rest_free_of_cost(monkeypatch):
     # argmin ||z[:k] - a||^2 s.t. sum(z[:k]) = 1 and z[k] = 2 is
     # z[:k] = a + (1 - sum(a)) / k and z[k] = 2
+    monkeypatch.setattr(nlsolver, "_TOL_EQ", 1e-10)
     k = len(A)
     res = _solve(
         np.zeros(k + 1),
@@ -48,7 +51,6 @@ def test_anchor_shorter_than_z_leaves_the_rest_free_of_cost():
             lambda: np.vstack([np.r_[np.ones(k), 0.0], np.eye(1, k + 1, k)]),
         ),
         anchor=A,
-        tol_eq=1e-10,
     )
     np.testing.assert_allclose(res.z[:k], A + (1.0 - A.sum()) / k, rtol=0, atol=1e-8)
     np.testing.assert_allclose(res.z[k], 2.0, rtol=0, atol=1e-8)
@@ -72,11 +74,12 @@ def _curve(residual_points, jacobian_points):
     return curve
 
 
-def test_jacobians_are_evaluated_only_at_the_start_and_accepted_iterates():
+def test_jacobians_are_evaluated_only_at_the_start_and_accepted_iterates(monkeypatch):
     # one outer round, so the multipliers are zero and the merit function the
-    # solver minimises is ||z - a||^2 + rho/2 ||c(z)||^2 with rho = penalty0
+    # solver minimises is ||z - a||^2 + rho/2 ||c(z)||^2 with rho = _PENALTY0
     target = np.array([3.0, -4.0, 1.0])
     rho = 10.0
+    monkeypatch.setattr(nlsolver, "_PENALTY0", rho)
     residual_points, jacobian_points = [], []
 
     def stacked(z):
@@ -89,10 +92,7 @@ def test_jacobians_are_evaluated_only_at_the_start_and_accepted_iterates():
 
     z0 = np.array([3.0, -2.0, 0.5])
     with pytest.raises(SolverError):
-        _solve(
-            z0, _curve(residual_points, jacobian_points), anchor=target,
-            penalty0=rho, max_outer=1,
-        )
+        _solve(z0, _curve(residual_points, jacobian_points), anchor=target, max_outer=1)
 
     # replay the acceptance rule (gain ratio and rounding floor) over every
     # trial point; the first evaluation is the caller's, at the start point
@@ -119,7 +119,8 @@ def test_jacobians_are_evaluated_only_at_the_start_and_accepted_iterates():
     # last one accepted: no point has its Jacobian read twice, and each one
     # read is the start or an accepted trial
     residual_points, jacobian_points = [], []
-    res = _solve(z0, _curve(residual_points, jacobian_points), anchor=target, penalty0=0.01)
+    monkeypatch.setattr(nlsolver, "_PENALTY0", 0.01)
+    res = _solve(z0, _curve(residual_points, jacobian_points), anchor=target)
     assert res.outer_iterations >= 3
     read = [z.tobytes() for z in jacobian_points]
     assert len(set(read)) == len(read)
@@ -231,7 +232,7 @@ def test_design_evaluates_constraints_a_few_times_per_step(
     assert len(evals) == sum(rd["accepted_steps"] + rd["rejected_trials"] for rd in rounds)
     assert len(rounds) == info["outer_iterations"]
     assert rounds[-1]["violation"] == info["max_violation"]
-    assert rounds[0]["penalty"] == acfdi.attacks._PENALTY0
+    assert rounds[0]["penalty"] == nlsolver._PENALTY0
 
 
 def test_solver_error_names_the_most_violated_row():
@@ -247,6 +248,20 @@ def test_solver_error_names_the_most_violated_row():
         )
     assert err.value.row == 1
     assert err.value.value == pytest.approx(-4.0)
+
+
+def test_solver_takes_the_problem_and_its_round_cap_alone():
+    # the augmented Lagrangian's tuning is nlsolver's own; the attack keeps
+    # its round cap, a scenario setting, and none of the rest
+    params = inspect.signature(solve_constrained).parameters
+    assert list(params) == ["start", "constraints", "anchor", "lower", "upper", "max_outer"]
+    for name in ("_TOL_EQ", "_MAX_INNER", "_PENALTY0", "_PENALTY_GROWTH"):
+        assert hasattr(nlsolver, name) and not hasattr(acfdi.attacks, name), name
+    # the round count and the final violation are read off the rounds
+    fields = [f.name for f in dataclasses.fields(nlsolver.SolveResult)]
+    assert fields == ["z", "objective", "inner_iterations", "rounds"]
+    res = _solve(np.zeros(len(A)), _sum_to_one, anchor=A)
+    assert (res.outer_iterations, res.max_violation) == (len(res.rounds), res.rounds[-1].violation)
 
 
 def test_a_start_outside_the_bounds_is_refused():
