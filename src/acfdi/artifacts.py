@@ -2,13 +2,27 @@
 and the checked reading of input files.
 
 `to_json(doc, sort_keys)` returns exactly `json.dumps(doc, indent=2,
-sort_keys=sort_keys)`, which runs the standard library's pure-Python
-encoder: its C encoder is used only when `indent` is None. Here a container
-whose members are all scalars, and a list of such containers, goes through
-the C encoder in one call, with the item separator ",\\n" plus the indent of
-the members, and only the containers above them are walked in Python. An
-encoded string never holds a raw newline (it is written as \\n), so every
-raw newline of the C encoding is a separator.
+sort_keys=sort_keys)`. orjson writes the document in one call, with the same
+shortest round-trip digits as `repr` (Ryu where `repr` runs Gay's dtoa), and
+three substitutions put each number in `repr`'s notation: orjson writes
+`1e16`, `1e-7` and `0.0000123` where `repr` writes `1e+16`, `1e-07` and
+`1.23e-05`. With `indent` set, every number is the last token of its line,
+and an encoded string ends in a quote, so each pattern is anchored to a line
+end and the two common ones take a constant replacement. A document that
+orjson refuses or writes otherwise goes to `json.dumps` itself: one with a
+value that is not exactly of a JSON builtin type (orjson refuses a
+dataclass, a datetime, a subclass instance, a non-str key, an int beyond 64
+bits and nesting deeper than 255, and writes an Enum and a UUID, which
+`json.dumps` refuses), a NaN or an infinity (orjson writes `null`), or a
+non-ASCII character or DEL (orjson writes them raw, `json.dumps` escapes
+them). One walk over the containers checks the types and counts the Nones
+against the `null` tokens, so a document with None stays on orjson's path.
+
+Per document (best of 30, one BLAS thread, 2-core Xeon guest), the shipped
+study's estimate takes 175 µs where the hand-written walker this replaced
+took 640 µs, its impact report 175 µs (670) and `base.json` 72 µs (300);
+the tile4 focal study's estimate 0.72 ms (2.45) and `base.json` 0.31 ms
+(1.17).
 
 Input files are read through `read_text`, and their fields through `member`,
 `typed` and `known`, which raise `ConfigError` naming the file or the field at
@@ -17,16 +31,28 @@ fault; `typed_column` tests a table's column in one pass.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
+import re
 import sys
-from json.encoder import encode_basestring_ascii
+from itertools import chain
 
-_INDENT = "  "
-_CONTAINERS = (list, tuple, dict)
-# the stdlib's error for an object it cannot encode
-_default = json.JSONEncoder().default
+import orjson
+
+# orjson then refuses, where it would write them its own way, a dataclass, a
+# datetime and an instance of a subclass
+_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_PASSTHROUGH_DATACLASS
+            | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS)
+_DICT = frozenset({dict})
+_SEQUENCES = frozenset({list, tuple})
+_NESTED = _SEQUENCES | _DICT
+_JSON_TYPES = _NESTED | {str, int, float, bool, type(None)}
+# repr writes an exponent with a sign and at least two digits
+_POSITIVE_EXPONENT = re.compile(r"e(?=\d+,?$)", re.MULTILINE)
+_ONE_DIGIT_EXPONENT = re.compile(r"e-(?=\d,?$)", re.MULTILINE)
+# a number in [1e-05, 1e-04), which repr writes with an exponent
+_FIXED = re.compile(r"0\.0000([1-9])(\d*)(?=,?$)", re.MULTILINE)
+_NULL = re.compile(rb"null,?$", re.MULTILINE)
 
 
 class ConfigError(ValueError):
@@ -103,127 +129,48 @@ def member(doc, key: str, kind: type, where: str):
 
 def to_json(doc, sort_keys: bool = False) -> str:
     """`json.dumps(doc, indent=2, sort_keys=sort_keys)`, byte for byte."""
-    if not isinstance(doc, _CONTAINERS):
-        return _scalar(doc)
-    out: list[str] = []
-    _container(doc, 0, sort_keys, out, {})
-    return "".join(out)
+    try:
+        raw = orjson.dumps(doc, option=_OPTIONS | orjson.OPT_SORT_KEYS if sort_keys else _OPTIONS)
+    except TypeError:  # orjson.JSONEncodeError
+        raw = None
+    # orjson writes non-ASCII and DEL raw, and a NaN or an infinity as a null
+    # without a None
+    if (raw is None or not raw.isascii() or b"\x7f" in raw
+            or _nones(doc) != len(_NULL.findall(raw))):
+        return json.dumps(doc, indent=2, sort_keys=sort_keys)
+    text = _ONE_DIGIT_EXPONENT.sub("e-0", _POSITIVE_EXPONENT.sub("e+", raw.decode()))
+    return _FIXED.sub(_exponent, text)
 
 
-def _scalar(value) -> str:
-    """A scalar as the stdlib writes it. Floats are tested first, as the most
-    common; bool is tested before int, of which it is a subclass."""
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return _default(value)  # raises TypeError
+def _nones(doc) -> int:
+    """The count of Nones in doc, or -1 when one of its values is not exactly
+    of a JSON builtin type. The members of a list of dicts, or of a list of
+    lists, are gathered into one list, so rows cost no Python step each."""
+    count = 0
+    stack = [[doc]]
+    while stack:
+        members = stack.pop()
+        if type(members) is dict:
+            members = list(members.values())
+        types = set(map(type, members))
+        if not types <= _JSON_TYPES:
+            return -1
+        if type(None) in types:
+            count += members.count(None)
+        if types == _DICT:
+            stack.append(list(chain.from_iterable(map(dict.values, members))))
+        elif types and types <= _SEQUENCES:
+            stack.append(list(chain.from_iterable(members)))
+        elif not types.isdisjoint(_NESTED):
+            stack += [m for m in members if type(m) in _NESTED]
+    return count
 
 
-def _key(key) -> str:
-    """A dict key, with the separator that follows it."""
-    if isinstance(key, str):
-        pass
-    elif isinstance(key, float) or key is True or key is False or key is None:
-        key = _scalar(key)
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        name = key.__class__.__name__
-        raise TypeError(f"keys must be str, int, float, bool or None, not {name}")
-    return encode_basestring_ascii(key) + ": "
-
-
-@functools.cache
-def _breaks(level: int) -> tuple[str, str, str]:
-    """For a container opened at this level: the break before its first
-    member, the one between members, and the one before its closing bracket."""
-    inner = "\n" + _INDENT * (level + 1)
-    return inner, "," + inner, "\n" + _INDENT * level
-
-
-@functools.cache
-def _flat(level: int, sort_keys: bool):
-    """The C encoder's `encode` for a flat container opened at this level."""
-    return json.JSONEncoder(separators=_breaks(level)[1:2] + (": ",), sort_keys=sort_keys).encode
-
-
-def _any_container(types) -> bool:
-    return any(issubclass(t, _CONTAINERS) for t in types)
-
-
-def _rows(doc, level: int, sort_keys: bool, out: list) -> bool:
-    """Append a list of non-empty flat dicts, or of non-empty flat lists, as
-    one C encoding with the separators of its rows' members, and tell whether
-    it was one. Every raw newline of that text is a separator, and the one
-    between two rows is the only one that follows a closing bracket, so
-    one replace gives the rows their own separator and indents."""
-    kinds = set(map(type, doc))
-    if all(issubclass(t, dict) for t in kinds):
-        open_, close, members = "{", "}", dict.values
-    elif all(issubclass(t, (list, tuple)) for t in kinds):
-        open_, close, members = "[", "]", iter
-    else:
-        return False
-    inner: set = set()
-    for row in doc:
-        if not row:
-            return False
-        inner.update(map(type, members(row)))
-    if _any_container(inner):
-        return False
-    first, separator, end = _breaks(level)
-    row_first, row_separator, row_end = _breaks(level + 1)
-    text = _flat(level + 1, sort_keys)(doc)[2:-2]
-    boundary = close + row_separator + open_
-    text = text.replace(boundary, row_end + close + separator + open_ + row_first)
-    out += ("[", first, open_, row_first, text, row_end, close, end, "]")
-    return True
-
-
-def _container(doc, level: int, sort_keys: bool, out: list, markers: dict) -> None:
-    """Append the chunks of a list, tuple or dict opened at this level."""
-    is_dict = isinstance(doc, dict)
-    if not doc:
-        out.append("{}" if is_dict else "[]")
-        return
-    first, separator, end = _breaks(level)
-    if not _any_container(set(map(type, doc.values() if is_dict else doc))):
-        text = _flat(level, sort_keys)(doc)
-        out += (text[0], first, text[1:-1], end, text[-1])
-        return
-    if not is_dict and _rows(doc, level, sort_keys, out):
-        return
-    if id(doc) in markers:
-        raise ValueError("Circular reference detected")
-    markers[id(doc)] = doc
-    out.append("{" if is_dict else "[")
-    brk = first
-    if is_dict:
-        for key, value in sorted(doc.items()) if sort_keys else doc.items():
-            out += (brk, _key(key))
-            if isinstance(value, _CONTAINERS):
-                _container(value, level + 1, sort_keys, out, markers)
-            else:
-                out.append(_scalar(value))
-            brk = separator
-    else:
-        for value in doc:
-            out.append(brk)
-            if isinstance(value, _CONTAINERS):
-                _container(value, level + 1, sort_keys, out, markers)
-            else:
-                out.append(_scalar(value))
-            brk = separator
-    out += (end, "}" if is_dict else "]")
-    del markers[id(doc)]
+def _exponent(match: re.Match) -> str:
+    """repr's notation of a number that orjson wrote as 0.0000d..., unless the
+    match is the tail of a larger number such as 527656600000.00006."""
+    start = match.start()
+    if start and match.string[start - 1] not in " -":
+        return match[0]
+    digits = match[2]
+    return f"{match[1]}.{digits}e-05" if digits else f"{match[1]}e-05"

@@ -201,7 +201,17 @@ class StateVector:
         return cls(bus_ids=bus_ids, vm=np.array(vm), va=np.array(va))
 
 
-def _extract_table(text: str, name: str) -> list[list[float]]:
+# each MATPOWER table's leading integer columns (bus ids and the bus type),
+# and the fields a row needs
+_MATPOWER_TABLES = {"bus": (2, 13), "gen": (1, 10), "branch": (2, 11)}
+
+
+def _extract_table(text: str, name: str) -> list[list]:
+    """mpc.<name>'s rows: the leading integer columns as ints where they are
+    written in digits, so that every id reads exactly, and all else as floats.
+    A float holds every integer only below 2**53, so one of those columns
+    written otherwise, such as 2.0, must be below it."""
+    ints, width = _MATPOWER_TABLES[name]
     m = re.search(rf"mpc\.{name}\s*=\s*\[(.*?)\];", text, re.DOTALL)
     if m is None:
         raise CaseParseError(f"missing table mpc.{name}")
@@ -210,12 +220,24 @@ def _extract_table(text: str, name: str) -> list[list[float]]:
         line = raw.split("%")[0].strip().rstrip(";").strip()
         if not line:
             continue
+        tokens = line.split()
         try:
-            rows.append([float(tok) for tok in line.split()])
+            try:
+                ids = list(map(int, tokens[:ints]))  # written in digits, as ids are
+            except ValueError:
+                ids = list(map(float, tokens[:ints]))  # "2.0", "1e3" or "NaN"
+            rows.append([*ids, *map(float, tokens[ints:])])
         except ValueError:
             raise CaseParseError(
                 f"malformed row in mpc.{name} (line {lineno}): {line!r}"
             ) from None
+        if len(tokens) < width:
+            raise CaseParseError(f"{name} row too short (line {lineno}): {line!r}")
+        if type(ids[0]) is float and any(2**53 <= abs(x) < math.inf for x in ids):
+            raise CaseParseError(
+                f"{name} row (line {lineno}): an integer of 2**53 or more must be "
+                f"written in digits: {line!r}"
+            )
     if not rows:
         raise CaseParseError(f"empty table mpc.{name}")
     return rows
@@ -228,8 +250,10 @@ def _scalar(text: str, name: str) -> float:
     return float(m.group(1))
 
 
-def _integer(value: float, what: str) -> int:
+def _integer(value: int | float, what: str) -> int:
     """A table entry that must be a whole number (NaN and Inf are not)."""
+    if type(value) is int:
+        return value
     if not value.is_integer():
         raise CaseParseError(f"{what} must be an integer, got {value!r}")
     return int(value)
@@ -248,8 +272,6 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
 
     buses = []
     for row in _extract_table(text, "bus"):
-        if len(row) < 13:
-            raise CaseParseError(f"bus row too short: {row}")
         bus_id = _integer(row[0], "bus id")
         kind = _MATPOWER_BUS_TYPE.get(_integer(row[1], f"bus {bus_id}: bus type"))
         if kind is None:
@@ -269,8 +291,6 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
 
     gens = []
     for row in _extract_table(text, "gen"):
-        if len(row) < 10:
-            raise CaseParseError(f"gen row too short: {row}")
         gens.append(
             Gen(
                 bus=_integer(row[0], "generator bus"),
@@ -287,8 +307,6 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
 
     branches = []
     for i, row in enumerate(_extract_table(text, "branch")):
-        if len(row) < 11:
-            raise CaseParseError(f"branch row too short: {row}")
         branches.append(
             Branch(
                 from_bus=_integer(row[0], "branch from bus"),

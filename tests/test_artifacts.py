@@ -1,12 +1,17 @@
 """The artifact writer: `to_json` is `json.dumps(..., indent=2)` byte for byte,
 and a measurement CSV reads back bit for bit."""
 
+import collections
 import contextlib
 import csv
+import dataclasses
+import datetime
+import enum
 import io
 import json
 import math
 import sys
+import uuid
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -63,14 +68,24 @@ def test_writer_matches_stdlib_on_every_artifact_document(tmp_path, monkeypatch)
     (tmp_path / "tile2.json").write_text(json.dumps(config))
     _run("scenario", "run", tmp_path / "tile2.json", "--out", tmp_path / "tile2")
     network.case_to_json(tiled_case39(8))
+    # an estimate whose normalized residuals hold None: bus 30 is seen only
+    # through Pf:2-30 and Vmag:30, which are critical
+    lines = (tmp_path / "shipped" / "measurements_clean.csv").read_text().splitlines(True)
+    dropped = ("Pt:2-30,", "Qf:2-30,", "Qt:2-30,", "Pinj:30,", "Qinj:30,", "Vang:30,",
+               "Pinj:2,", "Qinj:2,")
+    (tmp_path / "critical.csv").write_text("".join(x for x in lines if not x.startswith(dropped)))
+    _run("estimate", "case39", tmp_path / "critical.csv", "--out", tmp_path / "critical.json")
+    estimate = json.loads((tmp_path / "critical.json").read_text())
+    assert estimate["critical"] == ["Pf:2-30", "Vmag:30"]
+    assert estimate["normalized_residuals"]["Vmag:30"] is None
     # 11 per scenario run (state, base document, zone, clean estimate,
     # summary, and per mode the attack, estimate and impact report), the
-    # sweep's summary, two cases
-    assert len(calls) == 11 * 5 + 1 + 2
+    # sweep's summary, two cases, the estimate
+    assert len(calls) == 11 * 5 + 1 + 2 + 1
 
     # the stdlib alone re-reads and re-writes each file to the same bytes
     files = sorted(tmp_path.rglob("*.json"))
-    assert len(files) == 11 * 5 + 1 + 2
+    assert len(files) == 11 * 5 + 1 + 2 + 1
     for path in files:
         if path.name != "tile2.json":
             text = path.read_text(encoding="utf-8")
@@ -117,9 +132,31 @@ def test_writer_matches_stdlib_on_generated_documents(doc, sort_keys):
     assert _outcome(to_json, doc, sort_keys) == _outcome(_stdlib, doc, sort_keys)
 
 
+# where repr's notation and orjson's differ, and the tail of a larger number
+# that reads like one of them
+BOUNDARY_FLOATS = [
+    1e-05, 9.999999999999999e-05, 0.0001, 1e-07, 9999999999999998.0, 1e16, 1e100,
+    5e-324, 1.7976931348623157e308, -0.0, 527656600000.00006,
+]
+
+
+def _deep(depth):
+    doc = []
+    for _ in range(depth):
+        doc = [doc]
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc",
     [
+        *BOUNDARY_FLOATS,
+        *([value] for value in BOUNDARY_FLOATS),
+        *({"b": value, "a": -value} for value in BOUNDARY_FLOATS),
+        *([{"b": 1, "a": value}, {"b": value, "a": None}] for value in BOUNDARY_FLOATS),
+        [None, math.nan, {"a": None, "b": -math.inf}],
+        {"del": "\x7f", "\x7f": 1},
+        _deep(300),  # orjson stops at 255
         [],
         {},
         [[], {}, ()],
@@ -141,6 +178,20 @@ def test_writer_matches_stdlib_on_edge_documents(doc, sort_keys):
     assert _outcome(to_json, doc, sort_keys) == _outcome(_stdlib, doc, sort_keys)
 
 
+class _Color(enum.Enum):
+    RED = 1
+
+
+@dataclasses.dataclass
+class _Point:
+    x: int
+    y: int
+
+
+class _Name(str):
+    pass
+
+
 @pytest.mark.parametrize(
     "doc, error",
     [
@@ -149,6 +200,17 @@ def test_writer_matches_stdlib_on_edge_documents(doc, sort_keys):
         ({(1, 2): [1]}, TypeError),
         ({"a": [1], 2: [2]}, None),
         (object(), TypeError),
+        # orjson writes an Enum and a UUID, at any depth, and refuses the
+        # rest; each must come out as json.dumps has it
+        ([_Color.RED], TypeError),
+        ({"id": uuid.UUID(int=7)}, TypeError),
+        ([_Point(1, 2)], TypeError),
+        ({"day": datetime.date(2020, 1, 2)}, TypeError),
+        ({"a": 1, "b": {"c": [None, _Color.RED]}}, TypeError),
+        ([1, {"id": uuid.UUID(int=7)}], TypeError),
+        ([2**70, -(2**70)], None),
+        ({"a": _Name("x"), _Name("k"): [_Name("y")]}, None),
+        (collections.OrderedDict(b=[1.5e-5], a={"c": None}), None),
     ],
 )
 def test_writer_raises_as_stdlib_does(doc, error):
@@ -157,6 +219,26 @@ def test_writer_raises_as_stdlib_does(doc, error):
         assert _outcome(to_json, doc, sort_keys) == expected
         if error is not None:
             assert expected is error
+
+
+def test_writer_matches_stdlib_on_random_float_bit_patterns():
+    rng = np.random.default_rng(41)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64)
+    values = [v for v in bits.view(np.float64).tolist() if math.isfinite(v)]
+    assert len(values) > 99_000
+    # and, densely, the decades where the two notations switch
+    values += (rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-7, 18, 20_000)).tolist()
+    assert to_json(values) == _stdlib(values)
+    rows = {"rows": [{"value": v} for v in values[:20_000]]}
+    assert to_json(rows, True) == _stdlib(rows, True)
+
+
+def test_writer_keeps_documents_with_none_off_the_stdlib(monkeypatch):
+    # a None, at any depth and beside any other member, stays on orjson's path
+    doc = {"a": 1.5e-5, "rows": [{"r": None}, {"r": 2.0}], "m": {"x": None, "y": [None, 1e16]}}
+    expected = [_stdlib(doc), _stdlib(doc, True)]
+    monkeypatch.setattr(artifacts, "json", None)
+    assert [to_json(doc), to_json(doc, True)] == expected
 
 
 def test_writer_detects_a_circular_document():

@@ -163,10 +163,14 @@ def test_json_reader_bounds_bus_ids_to_int64(case39, bus_id, inside):
             case_from_json(text)
 
 
-@pytest.mark.parametrize("bus_id, inside", [(2**63 - 1024, True), (2**63, False)])
+@pytest.mark.parametrize(
+    "bus_id, inside",
+    [(2**53, True), (2**53 + 1, True), (2**63 - 1024, True), (2**63 - 1, True),
+     (2**63, False), (10**19, False)],
+)
 def test_matpower_reader_bounds_bus_ids_to_int64(bus_id, inside):
-    # the reader reads ids as floats: 2**63 - 1024 is the largest float below
-    # 2**63, and 2**63 - 1 would read as 2**63
+    # ids are read exactly, where a float holds every integer only up to
+    # 2**53: 2**53 + 1 once loaded as 2**53, and 2**63 - 1 as 2**63
     text = TWO_BUS_CASE.replace("    2 1 50 20", f"    {bus_id} 1 50 20").replace(
         "1 2 0.01", f"1 {bus_id} 0.01"
     )
@@ -176,6 +180,31 @@ def test_matpower_reader_bounds_bus_ids_to_int64(bus_id, inside):
         with pytest.raises(
             CaseValidationError, match=rf"^bus {bus_id} field 'id' is outside int64$"
         ):
+            parse_case(text)
+
+
+def test_matpower_reader_tells_ids_apart_above_2_to_the_53():
+    # 2**53 and 2**53 + 1 are one float, so a float reader took them for duplicates
+    text = TWO_BUS_CASE.replace("    1 3 0", f"    {2**53} 3 0").replace(
+        "    2 1 50 20", f"    {2**53 + 1} 1 50 20"
+    ).replace("    1 0 0 300", f"    {2**53} 0 0 300").replace(
+        "1 2 0.01", f"{2**53} {2**53 + 1} 0.01"
+    )
+    case = parse_case(text)
+    assert [b.id for b in case.buses] == [2**53, 2**53 + 1]
+    assert (case.branches[0].from_bus, case.branches[0].to_bus) == (2**53, 2**53 + 1)
+    assert case.gens[0].bus == 2**53
+
+
+@pytest.mark.parametrize("to_bus, inside", [("2.0", True), (f"{2**53}.0", False), ("9.1e18", False)])
+def test_matpower_reader_reads_an_id_written_as_a_float_only_below_2_to_the_53(to_bus, inside):
+    # a float holds every integer only below 2**53, so above it the id is not known
+    text = TWO_BUS_CASE.replace("1 2 0.01", f"1 {to_bus} 0.01")
+    if inside:
+        assert parse_case(text).branches[0].to_bus == 2
+    else:
+        said = r"^branch row \(line 2\): an integer of 2\*\*53 or more must be written in digits"
+        with pytest.raises(CaseParseError, match=said):
             parse_case(text)
 
 

@@ -109,6 +109,10 @@ def test_mutated_input_never_exits_unexpectedly(name, examples, shipped_run):
         ("state", b'{"buses": [{"id": 1, "vm": 1.0, "va": 0.0}]}', "not the case's buses"),
         ("case", b"mpc.baseMVA = 100;\nmpc.bus = [\n NaN 3 0 0 0 0 1 1 0 345 1 1.1 0.9;\n];\n",
          "bus id must be an integer"),
+        ("case", b"mpc.baseMVA = 100;\nmpc.bus = [\n 1 3 0 0 0 0 1 1 0 345 1 1.1;\n];\n",
+         "bus row too short (line 2)"),
+        ("case", b"mpc.baseMVA = 100;\nmpc.bus = [\n 9007199254740993.0 3 0 0 0 0 1 1 0 345 1 1.1 0.9;\n];\n",
+         "bus row (line 2): an integer of 2**53 or more must be written in digits"),
     ],
     ids=lambda value: value if isinstance(value, str) and " " not in value else None,
 )
