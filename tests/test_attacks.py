@@ -415,10 +415,13 @@ def test_design_with_built_zone(case39, adm39, base39):
     assert flow_of(adm39, av.x_attacked, br)["pf"] >= 1.1 * flow_of(adm39, base39, br)["pf"]
 
 
-def test_multi_target_attack(case39, adm39, base39, zone39):
+def test_multi_target_attack(case39, adm39, base39, zone39, two_target_kkt):
     targets = (OverloadTarget(26, 27, 1.2), OverloadTarget(16, 17, 1.2))
     spec = AttackSpec(zone=zone39, targets=targets, mode="optimal")
     av = design_attack(case39, base39, spec, adm39)
+    # both targets bind: stationary with both multipliers positive (measured
+    # 4.7e-7, with 5.1e-5 and 3.3e-4)
+    _assert_stationary(two_target_kkt, 1.2)
     for t in targets:
         br = next(
             b for b in case39.branches if (b.from_bus, b.to_bus) == (t.from_bus, t.to_bus)
@@ -447,25 +450,29 @@ def test_multi_target_attack(case39, adm39, base39, zone39):
 
 
 class _Kkt:
-    """The attack-design problem of a zone and one target line, written out
-    from the public model."""
+    """The attack-design problem of a zone and its target lines, written out
+    from the public model. A factor is one λ for every target or one per
+    target; the target rows come last, in the order given."""
 
-    def __init__(self, case, adm, base, zone, target):
-        self.case, self.adm, self.base, self.zone, self.target = case, adm, base, zone, target
+    def __init__(self, case, adm, base, zone, *targets):
+        self.case, self.adm, self.base, self.zone, self.targets = case, adm, base, zone, targets
         layout = adm.full_layout
         zero = sorted(zone.zero_injection_interior(case))
         ids = [f"{kind}:{b}" for b in zero for kind in ("Pinj", "Qinj")]
-        ids.append("Pf:{}-{}".format(*target))
+        ids.extend("Pf:{}-{}".format(*t) for t in targets)
         self.layout = layout.subset([layout.position[i] for i in ids])
         self.pos = np.array([case.bus_index(b) for b in sorted(zone.interior)])
         self.model = MeasurementModel(adm, self.layout)
         self.cols = self.model.state_columns(self.pos)
-        self.p0 = float(self.model.evaluate(base).h()[-1])
+        self.p0 = self.model.evaluate(base).h()[-len(targets):]
         self.anchor = self.point(base)
 
     def design(self, factor):
+        factors = np.broadcast_to(factor, len(self.targets)).tolist()
         spec = AttackSpec(
-            zone=self.zone, targets=(OverloadTarget(*self.target, factor),), mode="optimal"
+            zone=self.zone,
+            targets=tuple(OverloadTarget(*t, f) for t, f in zip(self.targets, factors)),
+            mode="optimal",
         )
         return design_attack(self.case, self.base, spec, self.adm)
 
@@ -477,41 +484,47 @@ class _Kkt:
         va[self.pos], vm[self.pos] = np.split(z, 2)
         return StateVector(self.base.bus_ids, vm, va)
 
-    def constraints(self, z, factor):
-        """c(z), zero on the manifold, and its Jacobian over the interior columns."""
+    def constraints(self, z, factor, rows=slice(None)):
+        """c(z), zero on the manifold, and its Jacobian over the interior
+        columns, on the given rows."""
         at = self.model.evaluate(self.state_of(z))
         jac = np.zeros((self.model.m, self.model.n_state))
         jac[self.model.rows, self.model.cols] = at.jacobian_values()
         c = at.h()
-        c[-1] -= factor * self.p0 + _OVERLOAD_MARGIN
-        return c, jac[:, self.cols]
+        c[-len(self.p0):] -= np.asarray(factor) * self.p0 + _OVERLOAD_MARGIN
+        return c[rows], jac[rows][:, self.cols]
 
-    def stationarity(self, z, factor):
-        """μ fitting 2(z - anchor) = Jᵀμ by least squares, and the relative
-        residual of the fit."""
+    def stationarity(self, z, factor, rows=slice(None)):
+        """μ fitting 2(z - anchor) = Jᵀμ over the given rows by least
+        squares, and the relative residual of the fit."""
         grad = 2.0 * (z - self.anchor)
-        jac_t = self.constraints(z, factor)[1].T
+        jac_t = self.constraints(z, factor, rows)[1].T
         mu = np.linalg.lstsq(jac_t, grad, rcond=None)[0]
         return mu, np.linalg.norm(jac_t @ mu - grad) / np.linalg.norm(grad)
 
-    def moved(self, z, factor, share=0.01):
-        """A feasible point at share·||z - anchor|| from z: a seeded step in
-        the null space of the constraint Jacobian, then Gauss-Newton back
-        onto the manifold by minimum-norm corrections."""
-        jac = self.constraints(z, factor)[1]
+    def moved(self, z, factor, share=0.01, rows=slice(None)):
+        """A point at share·||z - anchor|| from z that meets the given rows: a
+        seeded step in the null space of their Jacobian, then Gauss-Newton
+        back onto their manifold by minimum-norm corrections."""
+        jac = self.constraints(z, factor, rows)[1]
         null = np.linalg.svd(jac)[2][len(jac):]
         step = null.T @ np.random.default_rng(0).standard_normal(len(null))
         y = z + step * (share * np.linalg.norm(z - self.anchor) / np.linalg.norm(step))
         for _ in range(8):
-            c, jac = self.constraints(y, factor)
+            c, jac = self.constraints(y, factor, rows)
             y = y - np.linalg.lstsq(jac, c, rcond=None)[0]
-        assert np.max(np.abs(self.constraints(y, factor)[0])) <= 1e-12
+        assert np.max(np.abs(self.constraints(y, factor, rows)[0])) <= 1e-12
         return y
 
 
 @pytest.fixture(scope="module")
 def kkt(case39, adm39, base39, zone39):
     return _Kkt(case39, adm39, base39, zone39, ref.TARGET)
+
+
+@pytest.fixture(scope="module")
+def two_target_kkt(case39, adm39, base39, zone39):
+    return _Kkt(case39, adm39, base39, zone39, (26, 27), (16, 17))
 
 
 @pytest.fixture(scope="module", params=[0.05, 0.005, 0.0], ids=lambda r: f"r{r}")
@@ -537,7 +550,8 @@ def _assert_stationary(kkt, factor):
     z = kkt.point(kkt.design(factor).x_attacked)
     mu, residual = kkt.stationarity(z, factor)
     assert residual <= STATIONARITY_BOUND
-    assert mu[-1] > 0  # the overload binds, and more of it costs deviation
+    # every overload binds, and more of it costs deviation
+    assert np.all(mu[-len(kkt.targets):] > 0), mu
     assert kkt.stationarity(kkt.moved(z, factor), factor)[1] > 100 * STATIONARITY_BOUND
 
 
@@ -549,6 +563,25 @@ def test_optimal_design_is_stationary(kkt, factor):
 @pytest.mark.parametrize("factor", [1.05, 1.2, 1.5])
 def test_optimal_design_is_stationary_on_lattices(lattice_kkt, factor):
     _assert_stationary(lattice_kkt, factor)
+
+
+def test_a_target_that_does_not_bind_is_free_of_cost(two_target_kkt):
+    # 16-17 at λ 1.01 beside 26-27 at 1.2: meeting 26-27 already carries
+    # 16-17 past its bound, so its slack is free and only the zero-injection
+    # and 26-27 rows bind. Measured: 8.1e-7 over those rows, with 16-17's
+    # multiplier in the fit over all rows at -1.6e-10 beside 26-27's 9.5e-5
+    factor = (1.2, 1.01)
+    av = two_target_kkt.design(factor)
+    z = two_target_kkt.point(av.x_attacked)
+    assert av.solver_info["target_flows"][1] > av.solver_info["target_bounds"][1] + 1e-2
+    binding = slice(0, -1)
+    mu, residual = two_target_kkt.stationarity(z, factor, binding)
+    assert residual <= STATIONARITY_BOUND
+    assert mu[-1] > 0
+    mu = two_target_kkt.stationarity(z, factor)[0]
+    assert abs(mu[-1]) <= STATIONARITY_BOUND * abs(mu[-2])
+    moved = two_target_kkt.moved(z, factor, rows=binding)
+    assert two_target_kkt.stationarity(moved, factor, binding)[1] > 100 * STATIONARITY_BOUND
 
 
 # measured: μ_target·p0 and the central difference of the objective in λ
@@ -569,7 +602,7 @@ def _assert_priced(kkt, factor):
         mu = kkt.stationarity(solution(factor)[0], factor)[0]
         ahead, behind = (solution(factor + s)[1] for s in (ENVELOPE_STEP, -ENVELOPE_STEP))
         slope = (ahead - behind) / (2 * ENVELOPE_STEP)
-        return abs(mu[-1] * kkt.p0 - slope) / abs(slope)
+        return abs(mu[-1] * kkt.p0[-1] - slope) / abs(slope)
 
     def optimum(f):
         av = kkt.design(f)
@@ -613,7 +646,8 @@ def test_optimal_design_follows_its_first_order_prediction(kkt, factor):
     jac = kkt.constraints(kkt.anchor, factor)[1]
     zero, g = jac[:-1], jac[-1]
     pg = g - zero.T @ np.linalg.lstsq(zero.T, g, rcond=None)[0]
-    d = factor * kkt.p0 + _OVERLOAD_MARGIN - kkt.p0
+    (p0,) = kkt.p0
+    d = factor * p0 + _OVERLOAD_MARGIN - p0
     predicted = d * pg / (pg @ pg)
     size = d / np.linalg.norm(pg)
 
