@@ -29,8 +29,7 @@ from .nlsolver import SolverError, solve_constrained
 from .zones import AttackZone
 
 
-# the solver's round cap, the default of `AttackSpec.max_outer`; the rest of
-# its tuning is `nlsolver`'s own
+# the solver's step cap, the default of `AttackSpec.max_outer`
 MAX_OUTER = 20
 # arbitrary mode: its start offsets the base by seeded uniform draws of up to
 # these angles (radians) and magnitudes (p.u.), redrawn at most
@@ -44,7 +43,8 @@ _OVERLOAD_MARGIN = 1e-4  # strict-feasibility offset on the overload bound
 # the keys of the solver report that `design_attack` writes
 _SOLVER_INFO_KEYS = ("mode", "targets", "max_violation", "objective", "outer_iterations",
                      "inner_iterations", "start_draws", "rounds", "target_flows",
-                     "target_bounds")
+                     "target_bounds", "target_multipliers", "target_prices", "active_targets",
+                     "active_bounds", "stationarity")
 
 
 class AttackError(RuntimeError):
@@ -66,7 +66,7 @@ class AttackSpec:
     targets: tuple[OverloadTarget, ...]
     mode: str  # 'optimal' | 'arbitrary'
     seed: int = 0  # of the arbitrary-mode start
-    max_outer: int = MAX_OUTER  # penalty rounds before the design is infeasible
+    max_outer: int = MAX_OUTER  # projection steps before the design is infeasible
 
     def __post_init__(self):
         if self.mode not in ("optimal", "arbitrary"):
@@ -292,6 +292,11 @@ def design_attack(
         ) from exc
 
     at_attacked = full_model.evaluate(state_of(result.z))
+    # the last KKT solve's multipliers: a target's mu prices its bound, and mu
+    # p0 is the rise of the objective per unit of its overload factor. A
+    # target is active while its slack is held at 0
+    mu = result.multipliers[target_rows]
+    magnitudes = slice(n_int, 2 * n_int)
     info = {
         "mode": spec.mode,
         "targets": [
@@ -305,6 +310,14 @@ def design_attack(
         "rounds": [asdict(rd) for rd in result.rounds],
         "target_flows": full_layout_powers(at_attacked, adm)[1][target_lines].real.tolist(),
         "target_bounds": [float(b) for b in bounds_flow],
+        "target_multipliers": mu.tolist(),
+        "target_prices": (mu * base_flows).tolist(),
+        "active_targets": [con_layout.ids[r] for r in target_rows[result.at_lower[slack_cols]]],
+        "active_bounds": {
+            "vmin": [b for b, held in zip(interior, result.at_lower[magnitudes]) if held],
+            "vmax": [b for b, held in zip(interior, result.at_upper[magnitudes]) if held],
+        },
+        "stationarity": result.stationarity,
     }
     return assemble_attack_vector(case, at_base, at_attacked, zone, adm=adm, solver_info=info)
 

@@ -38,6 +38,7 @@ from .estimation import (
     BddPolicy,
     EstimationError,
     MeasurementError,
+    check_limits,
     chi_square_test,
     generate_measurements,
     measurement_set_from_csv,
@@ -46,7 +47,6 @@ from .estimation import (
 )
 from .impact import base_document, compute_impact, render_report
 from .network import CaseError, StateVector, build_admittance, load_bundled_case39, load_case
-from .nlsolver import check_limits
 from .powerflow import PowerFlowError, solve_power_flow
 from .zones import ZoneError, build_zone, validate_zone
 
@@ -91,7 +91,7 @@ class ScenarioConfig:
     noise_seed: int = 0
     arbitrary_seed: int = 1
     bdd: BddPolicy = BddPolicy()
-    max_outer: int = MAX_OUTER  # the attack solver's round cap
+    max_outer: int = MAX_OUTER  # the attack solver's step cap
     pf: Limits = Limits(tol=1e-8, max_iter=20)
     estimator: Limits = Limits(tol=1e-10, max_iter=50)
     formats: tuple[str, ...] = _FORMATS
@@ -297,7 +297,7 @@ def _read_config(config: ScenarioConfig, doc: dict, name) -> ScenarioConfig:
         new[attr] = _number(seeds.get(key, getattr(config, attr)), int, name("seeds", key))
         if new[attr] < 0:
             raise ConfigError(f"{name('seeds', key)} must be >= 0")
-    # the rest of the attack solver's tuning is fixed in `acfdi.attacks`
+    # the attack's other tuning is fixed in `acfdi.attacks`
     solver = section("solver")
     _known(solver, ("max_outer",), lambda key: name("solver", key))
     label = name("solver", "max_outer")

@@ -6,10 +6,9 @@ power flow, attack design and WLS read it, and the branch flows and bus
 injections of a state are the powers of the full layout's model
 (`network_powers`). The measurement function h maps a full voltage state to
 every metered quantity; the estimator inverts it by damped Gauss-Newton on
-the weighted normal equations, under the trial rule it shares with the
-attack solver (`nlsolver.Damping`). State ordering throughout: all non-slack
-angles (case bus order) followed by all magnitudes; the slack angle is
-pinned at zero.
+the weighted normal equations, under the trial rule of `Damping`. State
+ordering throughout: all non-slack angles (case bus order) followed by all
+magnitudes; the slack angle is pinned at zero.
 """
 
 from __future__ import annotations
@@ -19,13 +18,12 @@ import functools
 import io
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .banded import BlockBand, BlockCholesky, concat_ranges, read_only
 from .network import AdmittanceModel, NetworkCase, StateVector, build_admittance, shared
-from .nlsolver import Damping, check_limits
 
 KINDS = ("Pflow", "Qflow", "Pinj", "Qinj", "Vmag", "Vang")
 # a Layout stores each row's kind as its position in KINDS
@@ -412,7 +410,7 @@ class FlatStart(NamedTuple):
     """The first step of every estimate on one model and weighting, which
     reads no measured value: the flat state x, h and the Jacobian values
     there, the gain's band storage, its largest diagonal entry (the scale of
-    `nlsolver.Damping`), the starting damping mu of that scale and the
+    `Damping`), the starting damping mu of that scale and the
     factor of the gain damped by mu, None when that does not factor. The
     arrays are read-only."""
 
@@ -740,6 +738,92 @@ _UNOBSERVABLE = "measurement set is unobservable (rank-deficient gain)"
 _SINGULAR = "the gain is singular at the estimate"
 
 
+# `Damping`'s trial rule, which its docstring describes
+_MU_START = 1e-10
+_MU_CAP = 1e12
+_MIN_GAIN = 1e-4
+_EPS = float(np.finfo(float).eps)
+
+
+class Damping:
+    """The trial rule of a damped Gauss-Newton iteration on an objective f
+    that sums `rows` squares, started where the Gauss-Newton matrix has
+    largest diagonal entry `gn_diag_max`. It keeps mu and nu across steps
+    (Madsen, Nielsen and Tingleff, *Methods for Non-Linear Least Squares
+    Problems*, 2004, sec. 3.2):
+
+    - Acceptance. A trial is accepted when the gain ratio, the actual over
+      the predicted decrease, exceeds _MIN_GAIN and the actual decrease beats
+      the rounding floor eps (1 + m f) of an f that sums m squares. A step
+      whose predicted decrease is within the floor has degenerated; one the
+      model calls uphill, or a non-finite one, is damped further without a
+      trial. A floor that is not finite, as m f past the largest float
+      gives, admits no trial: the damping is exhausted at once.
+    - Damping. Nielsen's update: on success mu *= max(1/3, 1 - (2 rho - 1)^3)
+      and nu = 2; on failure mu *= nu and nu doubles. mu starts at, and never
+      goes below, _MU_START max(1, max diag J^T J), and past _MU_CAP times
+      that scale the caller gives up.
+    """
+
+    def __init__(self, gn_diag_max: float, rows: int):
+        self.scale = max(1.0, gn_diag_max)
+        self.mu = self.mu_start = _MU_START * self.scale
+        self.nu = 2.0
+        self.rows = rows
+
+    @property
+    def exhausted(self) -> bool:
+        # an infinite mu, as a Gauss-Newton matrix with an infinite diagonal
+        # gives from the start, is exhausted too, although it is not above an
+        # infinite cap
+        return self.mu > _MU_CAP * self.scale or self.mu == np.inf
+
+    def floor(self, f: float) -> float:
+        """The rounding level of f: eps (1 + rows f)."""
+        return _EPS * (1.0 + self.rows * f)
+
+    def step(self, f: float, solve: Callable, evaluate: Callable) -> tuple | None:
+        """The first acceptable trial from a point where the objective is f.
+
+        solve(mu) gives the trial point of the step damped by mu and its
+        predicted decrease, or None when the damped system does not solve;
+        evaluate(point) gives the objective there and what the caller keeps
+        of it. Returns (point, objective, kept, mu) of the accepted trial, or
+        None when the step degenerates or, as `exhausted` then tells, mu
+        passes its cap or the rounding floor of f is not finite.
+        """
+        floor = self.floor(f)
+        if not floor < np.inf:
+            self.mu = np.inf  # no decrease stands out of an infinite rounding level
+            return None
+        while not self.exhausted:
+            mu = self.mu
+            solved = solve(mu)
+            if solved is not None:
+                point, predicted = solved
+                if 0.0 <= predicted <= floor:
+                    return None  # the step degenerated
+                if predicted > 0.0:  # an uphill or non-finite one is not tried
+                    f_try, kept = evaluate(point)
+                    gain = (f - f_try) / predicted
+                    if gain > _MIN_GAIN and f_try < f - floor:
+                        shrink = max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                        self.mu = max(self.mu_start, mu * shrink)
+                        self.nu = 2.0
+                        return point, f_try, kept, mu
+            self.mu *= self.nu
+            self.nu *= 2.0
+        return None
+
+
+def check_limits(tol: float, max_iter: int) -> None:
+    """Raise ValueError unless 0 < tol < inf (a nan fails) and max_iter >= 1."""
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    if not max_iter >= 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 def _damped(gain: np.ndarray, mu: float) -> BlockCholesky | None:
     """The factor of the gain plus mu I, or None when it does not factor."""
     try:
@@ -776,9 +860,8 @@ def wls_estimate(
     tol: float = 1e-10,
     max_iter: int = 50,
 ) -> EstimationResult:
-    """WLS estimation from flat start by damped Gauss-Newton: the
-    Levenberg-Marquardt trial rule of `nlsolver.Damping`, which the attack
-    solver also uses.
+    """WLS estimation from flat start by damped Gauss-Newton under the
+    Levenberg-Marquardt trial rule of `Damping`.
 
     Each iteration solves (G + mu I) dx = HᵀW r on the gain's band and
     predicts the decrease dxᵀHᵀW r + mu |dx|² of J = rᵀW r. The pivot test

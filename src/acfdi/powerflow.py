@@ -14,9 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .banded import BlockBand, lapack, read_only
-from .estimation import KIND_CODE, Layout, MeasurementModel, layout_pattern
+from .estimation import KIND_CODE, Layout, MeasurementModel, check_limits, layout_pattern
 from .network import AdmittanceModel, NetworkCase, StateVector, build_admittance, shared
-from .nlsolver import check_limits
 
 
 class PowerFlowError(RuntimeError):

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import acfdi.attacks
-import acfdi.nlsolver
 from acfdi import case_to_json, load_bundled_case39
 from acfdi.cli import EXIT_CONFIG, EXIT_ESTIMATOR, EXIT_INFEASIBLE, EXIT_OK, main
 
@@ -424,13 +423,13 @@ def test_solver_max_outer_caps_the_attack_design(tmp_path, capsys):
             "mag_perturbation", "vm_relax", "overload_margin"],
 )
 def test_solver_section_takes_no_fixed_tuning(key, tmp_path, capsys):
-    # each of these was a solver field of a scenario file; it is a constant
-    # of acfdi.nlsolver (the augmented Lagrangian's) or of acfdi.attacks (the
-    # attack's own) now, and a scenario that sets it, even to that constant,
-    # exits 2 naming it before any stage
-    in_solver = key in ("tol_eq", "max_inner", "penalty0", "penalty_growth")
-    owner = acfdi.nlsolver if in_solver else acfdi.attacks
-    value = getattr(owner, f"_{key.upper()}")
+    # each of these was a solver field of a scenario file. The first four
+    # tuned the augmented Lagrangian that projection steps replaced, and are
+    # given at their last values; the rest are constants of acfdi.attacks
+    # (the attack's own). A scenario that sets one exits 2 naming it before
+    # any stage
+    deleted = {"tol_eq": 1e-6, "max_inner": 60, "penalty0": 10.0, "penalty_growth": 10.0}
+    value = deleted[key] if key in deleted else getattr(acfdi.attacks, f"_{key.upper()}")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**SCENARIO, "solver": {"max_outer": 20, key: value}}))
     assert main(["scenario", "run", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG

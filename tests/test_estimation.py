@@ -29,7 +29,7 @@ from acfdi.estimation import (
     network_powers,
     wls_estimate,
 )
-from acfdi import banded, estimation, network, nlsolver
+from acfdi import banded, estimation, network
 from acfdi.attacks import AttackSpec, OverloadTarget, apply_attack, design_attack
 from acfdi.network import StateVector, build_admittance, load_bundled_case39, parse_case
 from acfdi.powerflow import _NewtonPattern, _NewtonStart, newton_power_flow
@@ -691,7 +691,7 @@ def test_nan_sigma_rejected(case39, adm39, base39):
 
 def test_estimate_stops_named_when_no_damped_step_lowers_j(case39, adm39, base39, monkeypatch):
     # with a zero cap on mu the damping gives up before the first trial
-    monkeypatch.setattr(nlsolver, "_MU_CAP", 0.0)
+    monkeypatch.setattr(estimation, "_MU_CAP", 0.0)
     ms = generate_measurements(case39, base39, seed=2, adm=adm39)
     with pytest.raises(EstimationError, match="no step that lowers J"):
         wls_estimate(ms, case39, adm39)
@@ -1225,7 +1225,7 @@ def test_wls_estimate_evaluates_each_trial_once(tiles, monkeypatch):
     ms = generate_measurements(case, newton_power_flow(case, adm).state, seed=5, adm=adm)
     network._shared.clear()  # so that the flat start is evaluated too
     trials = []
-    step = nlsolver.Damping.step
+    step = estimation.Damping.step
 
     def counting(damping, f, solve, evaluate):
         def counted(point):
@@ -1234,7 +1234,7 @@ def test_wls_estimate_evaluates_each_trial_once(tiles, monkeypatch):
 
         return step(damping, f, solve, counted)
 
-    monkeypatch.setattr(nlsolver.Damping, "step", counting)
+    monkeypatch.setattr(estimation.Damping, "step", counting)
     states, jacobians = _record_evaluations(monkeypatch)
     est = wls_estimate(ms, case, adm)
     assert est.iterations == 5

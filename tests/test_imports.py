@@ -41,10 +41,12 @@ def test_module_level_imports_form_a_dag():
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
     # the pipeline's layers: the network equations sit below power flow
-    for upper, lower in [("estimation", "network"), ("estimation", "nlsolver"),
+    for upper, lower in [("estimation", "network"), ("attacks", "nlsolver"),
                          ("powerflow", "estimation"), ("attacks", "estimation"),
                          ("impact", "attacks"), ("cli", "impact")]:
         assert lower in graph[upper], (upper, lower)
+    # the attack solver shares nothing with WLS
+    assert "nlsolver" not in graph["estimation"]
 
 
 def test_the_only_function_level_import_is_the_full_layouts():

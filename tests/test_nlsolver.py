@@ -9,7 +9,7 @@ import reference39 as ref
 from acfdi import estimation, nlsolver
 from acfdi.attacks import AttackSpec, OverloadTarget, design_attack
 from acfdi.network import StateVector
-from acfdi.nlsolver import _MIN_GAIN, _TOL_STEP, Damping, SolverError, solve_constrained
+from acfdi.nlsolver import SolverError, solve_constrained
 from conftest import record_evaluations, state_bytes
 
 A = np.array([0.3, -1.2, 2.5, 0.7])
@@ -21,7 +21,7 @@ def _sum_to_one(z):
 
 def _solve(z0, constraints, **given):
     """solve_constrained from z0, which this evaluates as the caller does,
-    with no anchor or bounds and the attack's round cap unless given."""
+    with no anchor or bounds and the attack's step cap unless given."""
     settings = {
         "anchor": None, "lower": np.full(len(z0), -np.inf), "upper": np.full(len(z0), np.inf),
         "max_outer": acfdi.attacks.MAX_OUTER,
@@ -30,19 +30,17 @@ def _solve(z0, constraints, **given):
     return solve_constrained((z0, *constraints(z0)), constraints=constraints, **settings)
 
 
-def test_projection_onto_hyperplane_matches_closed_form(monkeypatch):
+def test_projection_onto_hyperplane_matches_closed_form():
     # argmin ||z - a||^2 s.t. sum(z) = 1 is a + (1 - sum(a)) / n
-    monkeypatch.setattr(nlsolver, "_TOL_EQ", 1e-10)
     res = _solve(np.zeros(len(A)), _sum_to_one, anchor=A)
     expected = A + (1.0 - A.sum()) / len(A)
     np.testing.assert_allclose(res.z, expected, rtol=0, atol=1e-8)
     assert res.max_violation < 1e-10
 
 
-def test_anchor_shorter_than_z_leaves_the_rest_free_of_cost(monkeypatch):
+def test_anchor_shorter_than_z_leaves_the_rest_free_of_cost():
     # argmin ||z[:k] - a||^2 s.t. sum(z[:k]) = 1 and z[k] = 2 is
     # z[:k] = a + (1 - sum(a)) / k and z[k] = 2
-    monkeypatch.setattr(nlsolver, "_TOL_EQ", 1e-10)
     k = len(A)
     res = _solve(
         np.zeros(k + 1),
@@ -56,6 +54,44 @@ def test_anchor_shorter_than_z_leaves_the_rest_free_of_cost(monkeypatch):
     np.testing.assert_allclose(res.z[k], 2.0, rtol=0, atol=1e-8)
     assert res.max_violation < 1e-10
     assert res.objective == pytest.approx(k * ((1.0 - A.sum()) / k) ** 2, rel=1e-8)
+
+
+@pytest.mark.parametrize("floor, binds", [(3.0, True), (1.0, False)])
+def test_a_slack_held_at_zero_is_a_binding_constraint(floor, binds):
+    # sum(z[:k]) >= floor, written sum(z[:k]) - floor - s = 0 with a slack
+    # s >= 0 free of cost. sum(A) = 2.3: below 3 the slack is held at 0 and
+    # z[:k] is the projection a + (floor - sum(a)) / k, whose multiplier
+    # (2 (z - a) = J^T mu) is 2 (floor - sum(a)) / k; above 1 the anchor
+    # itself is the solution, the slack is free and its multiplier is 0
+    k = len(A)
+    row = np.r_[np.ones(k), -1.0]
+    res = _solve(
+        np.zeros(k + 1),
+        lambda z: (np.array([z[:k].sum() - floor - z[k]]), lambda: row[None, :]),
+        anchor=A, lower=np.r_[np.full(k, -np.inf), 0.0],
+    )
+    gap = max(floor - A.sum(), 0.0)
+    np.testing.assert_allclose(res.z[:k], A + gap / k, rtol=0, atol=1e-12)
+    assert res.z[k] == pytest.approx(max(A.sum() - floor, 0.0), abs=1e-12)
+    assert res.at_lower.tolist() == [False] * k + [binds]
+    assert res.multipliers[0] == pytest.approx(2.0 * gap / k, abs=1e-12)
+    assert res.stationarity < 1e-12
+
+
+def test_the_active_set_holds_and_releases_bounds():
+    # the projection of b onto the simplex sum(z) = 1, z >= 0, is
+    # max(b - tau, 0) with tau set by the sum: here tau = 1/6 and the second
+    # component sits at 0. The start holds z[0] at its bound, which the
+    # solution leaves, and z[1] free, which the solution holds
+    b = np.array([0.3, -1.2, 0.5, 0.7])
+    expected = np.maximum(b - 1.0 / 6.0, 0.0)
+    res = _solve(
+        np.array([0.0, 0.25, 0.25, 0.5]), _sum_to_one, anchor=b, lower=np.zeros(len(b)),
+    )
+    np.testing.assert_allclose(res.z, expected, rtol=0, atol=1e-12)
+    assert res.at_lower.tolist() == [False, True, False, False]
+    assert res.inner_iterations > res.outer_iterations  # the working set changed
+    assert sum(rd.kkt_solves for rd in res.rounds) == res.inner_iterations
 
 
 def _curve(residual_points, jacobian_points):
@@ -74,59 +110,28 @@ def _curve(residual_points, jacobian_points):
     return curve
 
 
-def test_jacobians_are_evaluated_only_at_the_start_and_accepted_iterates(monkeypatch):
-    # one outer round, so the multipliers are zero and the merit function the
-    # solver minimises is ||z - a||^2 + rho/2 ||c(z)||^2 with rho = _PENALTY0
-    target = np.array([3.0, -4.0, 1.0])
-    rho = 10.0
-    monkeypatch.setattr(nlsolver, "_PENALTY0", rho)
+def test_jacobians_are_evaluated_only_at_the_start_and_accepted_iterates():
+    # every step is taken: each iterate is evaluated once, by the caller at
+    # the start and by the solver after each step, and its Jacobian is read
+    # once, for the step from it. Each step is the projection of the anchor
+    # onto the constraints linearized at the iterate, in its closed form
+    # y = a - J^T (J J^T)^-1 (c + J (a - z)) for a full anchor and no bounds
+    target = np.array([0.7, 0.6, 0.5])
     residual_points, jacobian_points = [], []
-
-    def stacked(z):
-        # same operations as the solver's stacked residual and Jacobian, so
-        # ties break alike
-        c = np.array([z @ z - 1.0, z[0] - z[1] ** 3])
-        r = np.concatenate([z - target, np.sqrt(rho / 2.0) * c])
-        j_pen = np.sqrt(rho / 2.0) * np.array([2.0 * z, [1.0, -3.0 * z[1] ** 2, 0.0]])
-        return r, np.vstack([np.eye(3), j_pen])
-
-    z0 = np.array([3.0, -2.0, 0.5])
-    with pytest.raises(SolverError):
-        _solve(z0, _curve(residual_points, jacobian_points), anchor=target, max_outer=1)
-
-    # replay the acceptance rule (gain ratio and rounding floor) over every
-    # trial point; the first evaluation is the caller's, at the start point
-    assert np.array_equal(residual_points[0], z0)
-    iterates, rejected = [z0], 0
-    for z in residual_points[1:]:
-        r, jac = stacked(iterates[-1])
-        f_cur = float(r @ r)
-        lin = r + jac @ (z - iterates[-1])
-        r_try, _ = stacked(z)
-        f_try = float(r_try @ r_try)
-        gain = (f_cur - f_try) / (f_cur - float(lin @ lin))
-        if gain > _MIN_GAIN and f_try < f_cur - Damping(0.0, len(r)).floor(f_cur):
-            iterates.append(z)
-        else:
-            rejected += 1
-
-    assert rejected >= 1  # the rule was exercised on a trial it turned down
-    assert len(jacobian_points) == len(iterates)
-    for zj, zi in zip(jacobian_points, iterates):
-        np.testing.assert_allclose(zj, zi, rtol=0, atol=1e-14)
-
-    # over several rounds, a round starts from the Jacobian of the iterate the
-    # last one accepted: no point has its Jacobian read twice, and each one
-    # read is the start or an accepted trial
-    residual_points, jacobian_points = [], []
-    monkeypatch.setattr(nlsolver, "_PENALTY0", 0.01)
+    z0 = np.array([0.2, 1.0, 0.3])
     res = _solve(z0, _curve(residual_points, jacobian_points), anchor=target)
-    assert res.outer_iterations >= 3
-    read = [z.tobytes() for z in jacobian_points]
-    assert len(set(read)) == len(read)
-    assert read[0] == z0.tobytes()
-    assert len(read) <= 1 + sum(rd.accepted_steps for rd in res.rounds)
-    assert set(read) <= {z.tobytes() for z in residual_points}
+
+    assert np.array_equal(residual_points[0], z0)
+    assert len(residual_points) == res.outer_iterations
+    assert [z.tobytes() for z in jacobian_points] == [z.tobytes() for z in residual_points]
+    assert res.outer_iterations >= 4
+    for z, y in zip(residual_points, residual_points[1:]):
+        c, read = _curve([], [])(z)
+        jac = read()
+        nu = np.linalg.solve(jac @ jac.T, c + jac @ (target - z))
+        np.testing.assert_allclose(y, target - jac.T @ nu, rtol=0, atol=1e-12)
+    assert res.z.tobytes() == residual_points[-1].tobytes()
+    assert res.max_violation < 1e-14
 
 
 @pytest.mark.parametrize("mode", ["optimal", "arbitrary"])
@@ -135,9 +140,9 @@ def test_design_builds_one_constraint_model_and_reads_each_jacobian_once(
 ):
     # one model of the constraint layout, evaluated once at each point design
     # visits: the optimal start or each arbitrary-mode start draw, the last
-    # of which is the solver's start, then each trial. The full layout's
-    # model is evaluated at the base and the attacked state only. A Jacobian
-    # is read at most once per point
+    # of which is the solver's start, then each step's point. The full
+    # layout's model is evaluated at the base and the attacked state only. A
+    # Jacobian is read once per point the solver steps from
     built, read = [], []
     build = estimation.MeasurementModel.__init__
     jacobian_values = estimation.Evaluation.jacobian_values
@@ -163,17 +168,17 @@ def test_design_builds_one_constraint_model_and_reads_each_jacobian_once(
     full = len(adm39.full_layout)
     (rows,) = [m for m in built if m != full]
     evaluated = [state for m, state in calls if m == rows]
-    trials = sum(rd["accepted_steps"] + rd["rejected_trials"] for rd in info["rounds"])
+    # the last step is solved at the returned point and moves nowhere
     starts = 1 if mode == "optimal" else info["start_draws"]
-    assert len(evaluated) == starts + trials
-    assert len(evaluated) == len(set(evaluated)) == 8
+    assert len(evaluated) == starts + info["outer_iterations"] - 1
+    assert len(evaluated) == len(set(evaluated)) == {"optimal": 6, "arbitrary": 9}[mode]
     assert [state for m, state in calls if m == full] == [
         state_bytes(base39), state_bytes(av.x_attacked)
     ]
+    # one Jacobian per step, read at the start and at each iterate
     jacobian_points = [state for m, state in read if m == rows]
-    assert len(set(jacobian_points)) == len(jacobian_points)
-    assert len(jacobian_points) <= 1 + sum(rd["accepted_steps"] for rd in info["rounds"])
-    assert set(jacobian_points) <= set(evaluated)
+    assert jacobian_points == evaluated[starts - 1:]
+    assert jacobian_points[-1] == state_bytes(av.x_attacked)
 
 
 def test_optimal_design_projects_a_base_outside_the_voltage_band(
@@ -203,6 +208,9 @@ def test_optimal_design_projects_a_base_outside_the_voltage_band(
     for j in interior:
         assert case39.buses[j].vmin <= av.x_attacked.vm[j] <= case39.buses[j].vmax
     assert av.x_base.vm[i] == vmax + 0.02
+    # the anchor pulls bus 28 past its band, so the solution holds it there
+    assert av.x_attacked.vm[i] == vmax
+    assert av.solver_info["active_bounds"] == {"vmin": [], "vmax": [bus]}
 
 
 @pytest.mark.parametrize("mode", ["optimal", "arbitrary"])
@@ -225,14 +233,14 @@ def test_design_evaluates_constraints_a_few_times_per_step(
         seed=1,
     )
     info = design_attack(case39, base39, spec, adm39).solver_info
-    assert 0 < len(evals) <= 3 * info["inner_iterations"] + info["outer_iterations"]
-    # design evaluates the start; the solver evaluates one point per trial,
-    # accepted or rejected
+    # design evaluates the start; the solver evaluates the point each step
+    # reaches, and the last step, solved at the returned point, reaches none
     rounds = info["rounds"]
-    assert len(evals) == sum(rd["accepted_steps"] + rd["rejected_trials"] for rd in rounds)
+    assert len(evals) == info["outer_iterations"] - 1 > 0
     assert len(rounds) == info["outer_iterations"]
+    assert sum(rd["kkt_solves"] for rd in rounds) == info["inner_iterations"]
     assert rounds[-1]["violation"] == info["max_violation"]
-    assert rounds[0]["penalty"] == nlsolver._PENALTY0
+    assert sorted(rounds[0]) == ["kkt_solves", "step", "violation"]
 
 
 def test_solver_error_names_the_most_violated_row():
@@ -251,15 +259,21 @@ def test_solver_error_names_the_most_violated_row():
 
 
 def test_solver_takes_the_problem_and_its_round_cap_alone():
-    # the augmented Lagrangian's tuning is nlsolver's own; the attack keeps
-    # its round cap, a scenario setting, and none of the rest
+    # projection steps have no tuning: the attack keeps its step cap, a
+    # scenario setting, and neither module keeps the augmented Lagrangian's
+    # constants
     params = inspect.signature(solve_constrained).parameters
     assert list(params) == ["start", "constraints", "anchor", "lower", "upper", "max_outer"]
-    for name in ("_TOL_EQ", "_MAX_INNER", "_PENALTY0", "_PENALTY_GROWTH"):
-        assert hasattr(nlsolver, name) and not hasattr(acfdi.attacks, name), name
-    # the round count and the final violation are read off the rounds
+    for name in ("_TOL_EQ", "_MAX_INNER", "_PENALTY0", "_PENALTY_GROWTH", "_TOL_STEP"):
+        assert not hasattr(nlsolver, name) and not hasattr(acfdi.attacks, name), name
+    # the step count and the final violation are read off the steps; the
+    # rest is the last KKT solve's
     fields = [f.name for f in dataclasses.fields(nlsolver.SolveResult)]
-    assert fields == ["z", "objective", "inner_iterations", "rounds"]
+    assert fields == ["z", "objective", "inner_iterations", "rounds", "multipliers", "at_lower",
+                      "at_upper", "stationarity"]
+    assert [f.name for f in dataclasses.fields(nlsolver.RoundInfo)] == [
+        "violation", "step", "kkt_solves"
+    ]
     res = _solve(np.zeros(len(A)), _sum_to_one, anchor=A)
     assert (res.outer_iterations, res.max_violation) == (len(res.rounds), res.rounds[-1].violation)
 
@@ -270,22 +284,16 @@ def test_a_start_outside_the_bounds_is_refused():
         _solve(np.array([2.0, 0.0]), _sum_to_one, lower=np.zeros(2), upper=np.ones(2))
 
 
-def test_an_undamped_step_shorter_than_the_step_tolerance_ends_the_round():
-    # c(z) = 1e13 (z - 1) from z0 = 1 + 1e-13: the first step, taken at the
-    # starting mu, lands on z = 1 but moves about 1e-13, below _TOL_STEP, so
-    # the round ends without a Jacobian at the new point
-    jacobian_points = []
-
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_the_stop_is_relative_to_the_size_of_the_point(scale):
+    # the hyperplane projection at every scale: one step reaches the solution
+    # and a second, at rounding level of the point, confirms it. At 1e-20 the
+    # start already meets the constraint to 1e-20, which an absolute
+    # violation tolerance would have accepted as the solution
     def constraints(z):
-        def jacobian():
-            jacobian_points.append(z.copy())
-            return np.array([[1e13]])
+        return np.array([z.sum() - scale]), lambda: np.ones((1, len(z)))
 
-        return 1e13 * (z - 1.0), jacobian
-
-    res = _solve(np.array([1.0 + 1e-13]), constraints)
-    assert 1e-13 < _TOL_STEP
-    assert res.z.tolist() == [1.0]
-    assert (res.outer_iterations, res.inner_iterations) == (1, 1)
-    assert res.rounds[0].accepted_steps == 1
-    assert len(jacobian_points) == 1
+    res = _solve(np.zeros(len(A)), constraints, anchor=scale * A)
+    expected = scale * (A + (1.0 - A.sum()) / len(A))
+    np.testing.assert_allclose(res.z, expected, rtol=0, atol=1e-14 * scale)
+    assert res.outer_iterations == 2
