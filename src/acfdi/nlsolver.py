@@ -7,9 +7,10 @@ constant: the Gauss-Newton method for equality-constrained least squares
 moves to the point nearest the anchor on the constraints linearized at z,
 c + J d = 0, by one dense KKT solve over the free variables; slacks are
 free of cost. Without an anchor every variable is costed and the step is
-the minimum-norm one onto the linearized constraints. It converges
-linearly, at a rate set by the multipliers times the constraints'
-curvature: 1e-4 to 4e-2 per step on case39 designs at λ 1.05-12.
+the minimum-norm one onto the linearized constraints. With no line search,
+it converges linearly at the ratio of the multipliers times the constraints'
+curvature to the objective's Hessian, and diverges where that passes one:
+1e-4 to 4e-2 per step on case39 designs at λ 1.05-12.
 
 The box is a primal active set (ibid., ch. 16.5) that carries from step to
 step: a free variable that the step would carry past a bound is held there
@@ -43,7 +44,8 @@ _EPS = float(np.finfo(float).eps)
 
 class SolverError(RuntimeError):
     """No feasible point; `row` is the constraint with the largest violation
-    after the last step and `value` its residual there."""
+    after the last step and `value` its residual there, or a constraint whose
+    every variable is held at a bound and the residual they leave it at."""
 
     def __init__(self, message: str, row: int, value: float):
         super().__init__(message)
@@ -109,8 +111,11 @@ def _project(z, c, jac, pull, weight, lower, upper, at_lower, at_upper):
         try:
             solution = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
-            # a constraint whose columns are all held: solve the rest
-            solution = np.linalg.lstsq(kkt, rhs)[0]
+            # singular: a constraint whose every variable is held, left at c + J d
+            left = np.where(jac[:, free].any(axis=1), 0.0, c + jac @ d)
+            row = int(np.argmax(np.abs(left)))
+            raise SolverError(f"no feasible point: every variable of row {row} is held at a bound "
+                              f"(violation {abs(left[row]):.3e})", row, float(left[row])) from None
         d[free], nu = solution[:nf], solution[nf:]
         below, above = free & (z + d < lower), free & (z + d > upper)
         if below.any() or above.any():
@@ -142,8 +147,8 @@ def solve_constrained(
 
     start = (z0, *constraints(z0)) is the caller's evaluation at a z0 inside
     the bounds (else ValueError). With anchor=None this is a pure
-    feasibility solve that stays close to z0 (minimum-norm steps). Raises
-    SolverError when none of the first max_outer steps is at rounding level.
+    feasibility solve that stays close to z0 (minimum-norm steps). SolverError
+    if none of the first max_outer steps (outer rounds) is at rounding level.
     """
     z0, c, read_jac = start
     z = np.asarray(z0, dtype=float).copy()
@@ -180,7 +185,7 @@ def solve_constrained(
 
     row = int(np.argmax(np.abs(c)))
     raise SolverError(
-        f"no feasible point within {max_outer} projection steps "
+        f"no feasible point after {max_outer} outer rounds "
         f"(max constraint violation {abs(float(c[row])):.3e} in row {row})",
         row=row,
         value=float(c[row]),

@@ -134,6 +134,28 @@ def test_jacobians_are_evaluated_only_at_the_start_and_accepted_iterates():
     assert res.max_violation < 1e-14
 
 
+def test_steps_diverge_where_the_curvature_outweighs_the_objective():
+    # the point of the curve nearest the far anchor (3, -4, 1) is about
+    # z* = (-0.194449, -0.579342, 0.791550), at distance^2 21.9489. There the
+    # multipliers (2 (z* - a) = J^T mu) times the constraints' curvature
+    # along the curve are about 4 times the objective's Hessian, which is all
+    # a Gauss-Newton step models: each step multiplies the error along the
+    # curve by about -4, and from (3, -2, 0.5) the solve ends in SolverError
+    # still far from the curve. The augmented Lagrangian that projection
+    # steps replaced reached z* to its 1e-6 violation tolerance in 9 rounds;
+    # this pins that loss
+    anchor = np.array([3.0, -4.0, 1.0])
+    z = np.array([-0.194449, -0.579342, 0.791550])
+    jac = _curve([], [])(z)[1]()
+    mu = np.linalg.lstsq(jac.T, 2.0 * (z - anchor))[0]
+    tangent = np.cross(*jac)
+    curvature = 2.0 * mu[0] * np.eye(3) + mu[1] * np.diag([0.0, -6.0 * z[1], 0.0])
+    assert abs(tangent @ curvature @ tangent) / (2.0 * tangent @ tangent) > 4.0
+    with pytest.raises(SolverError, match=f"after {acfdi.attacks.MAX_OUTER} outer rounds") as err:
+        _solve(np.array([3.0, -2.0, 0.5]), _curve([], []), anchor=anchor)
+    assert abs(err.value.value) > 0.1
+
+
 @pytest.mark.parametrize("mode", ["optimal", "arbitrary"])
 def test_design_builds_one_constraint_model_and_reads_each_jacobian_once(
     case39, adm39, base39, zone39, monkeypatch, mode
@@ -244,8 +266,9 @@ def test_design_evaluates_constraints_a_few_times_per_step(
 
 
 def test_solver_error_names_the_most_violated_row():
-    # z0 <= 1 keeps the second constraint, z0 = 5, from being met
-    with pytest.raises(SolverError) as err:
+    # z0 <= 1 keeps the second constraint, z0 = 5, from being met: the first
+    # step holds z0 at 1, which leaves that row no free variable and 4 short
+    with pytest.raises(SolverError, match="every variable of row 1 is held") as err:
         _solve(
             np.zeros(2),
             lambda z: (
