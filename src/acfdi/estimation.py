@@ -6,7 +6,7 @@ power flow, attack design and WLS read it, and the branch flows and bus
 injections of a state are the powers of the full layout's model
 (`network_powers`). The measurement function h maps a full voltage state to
 every metered quantity; the estimator inverts it by damped Gauss-Newton on
-the weighted normal equations, under the trial rule of `Damping`. State
+the weighted normal equations, under the trial rule of `wls_estimate`. State
 ordering throughout: all non-slack angles (case bus order) followed by all
 magnitudes; the slack angle is pinned at zero.
 """
@@ -18,7 +18,7 @@ import functools
 import io
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -409,16 +409,16 @@ def layout_pattern(adm: AdmittanceModel, layout: Layout) -> LayoutPattern:
 class FlatStart(NamedTuple):
     """The first step of every estimate on one model and weighting, which
     reads no measured value: the flat state x, h and the Jacobian values
-    there, the gain's band storage, its largest diagonal entry (the scale of
-    `Damping`), the starting damping mu of that scale and the
-    factor of the gain damped by mu, None when that does not factor. The
+    there, the gain's band storage, the damping scale max(1, max diag G) of
+    `wls_estimate`'s trial rule, the starting damping mu of that scale and
+    the factor of the gain damped by mu, None when that does not factor. The
     arrays are read-only."""
 
     x: np.ndarray
     h: np.ndarray
     jac: np.ndarray
     gain: np.ndarray
-    gain_max: float
+    scale: float
     mu: float
     chol: BlockCholesky | None
 
@@ -514,10 +514,10 @@ class MeasurementModel:
         h, jac = flat.h(), flat.jacobian_values()
         gain = self.gain(jac, w)
         _nonsingular_factor(gain, self.n_state, _UNOBSERVABLE)
-        gain_max = float(np.max(gain[:, 0]))
-        mu = Damping(gain_max, self.m).mu_start
+        scale = max(1.0, float(np.max(gain[:, 0])))
+        mu = _MU_START * scale
         read_only(x, h, jac, gain)
-        return FlatStart(x, h, jac, gain, gain_max, mu, _damped(gain, mu))
+        return FlatStart(x, h, jac, gain, scale, mu, _damped(gain, mu))
 
     def leverage(self, values: np.ndarray, chol: BlockCholesky) -> np.ndarray:
         """diag(H G⁻¹ Hᵀ): one quadratic form per row over its nonzeros, each
@@ -738,82 +738,11 @@ _UNOBSERVABLE = "measurement set is unobservable (rank-deficient gain)"
 _SINGULAR = "the gain is singular at the estimate"
 
 
-# `Damping`'s trial rule, which its docstring describes
+# `wls_estimate`'s trial rule, which its docstring describes
 _MU_START = 1e-10
 _MU_CAP = 1e12
 _MIN_GAIN = 1e-4
 _EPS = float(np.finfo(float).eps)
-
-
-class Damping:
-    """The trial rule of a damped Gauss-Newton iteration on an objective f
-    that sums `rows` squares, started where the Gauss-Newton matrix has
-    largest diagonal entry `gn_diag_max`. It keeps mu and nu across steps
-    (Madsen, Nielsen and Tingleff, *Methods for Non-Linear Least Squares
-    Problems*, 2004, sec. 3.2):
-
-    - Acceptance. A trial is accepted when the gain ratio, the actual over
-      the predicted decrease, exceeds _MIN_GAIN and the actual decrease beats
-      the rounding floor eps (1 + m f) of an f that sums m squares. A step
-      whose predicted decrease is within the floor has degenerated; one the
-      model calls uphill, or a non-finite one, is damped further without a
-      trial. A floor that is not finite, as m f past the largest float
-      gives, admits no trial: the damping is exhausted at once.
-    - Damping. Nielsen's update: on success mu *= max(1/3, 1 - (2 rho - 1)^3)
-      and nu = 2; on failure mu *= nu and nu doubles. mu starts at, and never
-      goes below, _MU_START max(1, max diag J^T J), and past _MU_CAP times
-      that scale the caller gives up.
-    """
-
-    def __init__(self, gn_diag_max: float, rows: int):
-        self.scale = max(1.0, gn_diag_max)
-        self.mu = self.mu_start = _MU_START * self.scale
-        self.nu = 2.0
-        self.rows = rows
-
-    @property
-    def exhausted(self) -> bool:
-        # an infinite mu, as a Gauss-Newton matrix with an infinite diagonal
-        # gives from the start, is exhausted too, although it is not above an
-        # infinite cap
-        return self.mu > _MU_CAP * self.scale or self.mu == np.inf
-
-    def floor(self, f: float) -> float:
-        """The rounding level of f: eps (1 + rows f)."""
-        return _EPS * (1.0 + self.rows * f)
-
-    def step(self, f: float, solve: Callable, evaluate: Callable) -> tuple | None:
-        """The first acceptable trial from a point where the objective is f.
-
-        solve(mu) gives the trial point of the step damped by mu and its
-        predicted decrease, or None when the damped system does not solve;
-        evaluate(point) gives the objective there and what the caller keeps
-        of it. Returns (point, objective, kept, mu) of the accepted trial, or
-        None when the step degenerates or, as `exhausted` then tells, mu
-        passes its cap or the rounding floor of f is not finite.
-        """
-        floor = self.floor(f)
-        if not floor < np.inf:
-            self.mu = np.inf  # no decrease stands out of an infinite rounding level
-            return None
-        while not self.exhausted:
-            mu = self.mu
-            solved = solve(mu)
-            if solved is not None:
-                point, predicted = solved
-                if 0.0 <= predicted <= floor:
-                    return None  # the step degenerated
-                if predicted > 0.0:  # an uphill or non-finite one is not tried
-                    f_try, kept = evaluate(point)
-                    gain = (f - f_try) / predicted
-                    if gain > _MIN_GAIN and f_try < f - floor:
-                        shrink = max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-                        self.mu = max(self.mu_start, mu * shrink)
-                        self.nu = 2.0
-                        return point, f_try, kept, mu
-            self.mu *= self.nu
-            self.nu *= 2.0
-        return None
 
 
 def check_limits(tol: float, max_iter: int) -> None:
@@ -861,17 +790,33 @@ def wls_estimate(
     max_iter: int = 50,
 ) -> EstimationResult:
     """WLS estimation from flat start by damped Gauss-Newton under the
-    Levenberg-Marquardt trial rule of `Damping`.
+    Levenberg-Marquardt trial rule, which keeps mu and nu across iterations
+    (Madsen, Nielsen and Tingleff, *Methods for Non-Linear Least Squares
+    Problems*, 2004, sec. 3.2).
 
     Each iteration solves (G + mu I) dx = HᵀW r on the gain's band and
-    predicts the decrease dxᵀHᵀW r + mu |dx|² of J = rᵀW r. The pivot test
-    on the undamped gain of the first iteration decides observability;
-    after that a damped gain that does not factor is a rejected trial. The
-    first iteration reads no measured value until its right-hand side, so
-    it starts from the model's shared `flat_start`; a set whose objective
-    is not finite there raises `MeasurementError`, naming its first row. Each trial evaluates
-    the model once, and the accepted trial's evaluation gives the next
-    Jacobian.
+    predicts the decrease dxᵀHᵀW r + mu |dx|² of J = rᵀW r, which sums m
+    squares.
+
+    - Acceptance. A trial is accepted when the gain ratio rho, the actual
+      over the predicted decrease, exceeds _MIN_GAIN and the actual decrease
+      beats the rounding floor eps (1 + m J). A step whose predicted
+      decrease is within the floor has degenerated; one the model calls
+      uphill, or a non-finite one, is damped further without a trial. A
+      floor that is not finite, as m J past the largest float gives, admits
+      no trial.
+    - Damping. Nielsen's update: on success mu *= max(1/3, 1 - (2 rho - 1)^3)
+      and nu = 2; on failure mu *= nu and nu doubles. mu starts at, and never
+      goes below, _MU_START max(1, max diag G), and past _MU_CAP times that
+      scale, or at infinity, the estimate stops.
+
+    The pivot test on the undamped gain of the first iteration decides
+    observability; after that a damped gain that does not factor is a
+    rejected trial. The first iteration reads no measured value until its
+    right-hand side, so it starts from the model's shared `flat_start`; a
+    set whose objective is not finite there raises `MeasurementError`,
+    naming its first row. Each trial evaluates the model once, and the
+    accepted trial's evaluation gives the next Jacobian.
     Converges on an accepted step below tol taken at the starting mu, or
     when the predicted decrease is within rounding of J. Raises on an
     unobservable layout, on a gain that fails the same pivot test at the
@@ -888,18 +833,11 @@ def wls_estimate(
     z = ms.values
     w = 1.0 / ms.variances
 
-    def weighted(r: np.ndarray) -> tuple[float, np.ndarray]:
-        return float(r @ (w * r)), r
-
-    def objective(xv: np.ndarray) -> tuple[float, tuple[np.ndarray, Evaluation]]:
-        evaluation = model.evaluate(model.state_of(xv))
-        f, r = weighted(z - evaluation.h())
-        return f, (r, evaluation)
-
     start = model.flat_start(w)
     x, jac, gain = start.x, start.jac, start.gain
     with np.errstate(over="ignore"):
-        f_cur, r = weighted(z - start.h)
+        r = z - start.h
+        f_cur = float(r @ (w * r))
         if not np.isfinite(f_cur):
             # the first row at which the running sum of J's terms is not finite
             first = np.argmax(~np.isfinite(np.cumsum(w * r * r)))
@@ -908,32 +846,42 @@ def wls_estimate(
                 "at the flat start"
             )
     history = [f_cur]
-    damping = Damping(start.gain_max, ms.m)
-
-    def solve(mu: float) -> tuple[np.ndarray, float] | None:
-        first = gain is start.gain and mu == start.mu
-        chol = start.chol if first else _damped(gain, mu)
-        if chol is None:
-            return None
-        dx = model.solve(chol, rhs)
-        return x + dx, float(dx @ rhs + mu * (dx @ dx))
+    mu, nu, mu_cap = start.mu, 2.0, _MU_CAP * start.scale
 
     for iterations in range(1, max_iter + 1):
         rhs = model.transpose_times(jac, w * r)
+        floor = _EPS * (1.0 + ms.m * f_cur)
         with np.errstate(over="ignore"):  # a trial whose J overflows is a rejected one
-            step = damping.step(f_cur, solve, objective)
-        if step is None:
-            if damping.exhausted:
+            while floor < np.inf and mu < np.inf and mu <= mu_cap:
+                chol = start.chol if gain is start.gain and mu == start.mu else _damped(gain, mu)
+                if chol is not None:
+                    dx = model.solve(chol, rhs)
+                    predicted = float(dx @ rhs + mu * (dx @ dx))
+                    if 0.0 <= predicted <= floor:
+                        break  # the step degenerated
+                    if predicted > 0.0:  # an uphill or non-finite one is not tried
+                        x_try = x + dx
+                        evaluation = model.evaluate(model.state_of(x_try))
+                        r_try = z - evaluation.h()
+                        f_try = float(r_try @ (w * r_try))
+                        rho = (f_cur - f_try) / predicted
+                        if rho > _MIN_GAIN and f_try < f_cur - floor:
+                            break
+                mu *= nu
+                nu *= 2.0
+            else:
                 raise EstimationError(f"estimator found no step that lowers J = {f_cur:.6e}")
+        if predicted <= floor:  # the step degenerated; an accepted one predicts more
             break
-        x_new, f_cur, (r, evaluation), mu = step
-        moved = float(np.max(np.abs(x_new - x)))
-        x = x_new
+        moved = float(np.max(np.abs(x_try - x)))
+        x, r, f_cur = x_try, r_try, f_try
         history.append(f_cur)
         jac = evaluation.jacobian_values()
         gain = model.gain(jac, w)
-        if moved < tol and mu <= damping.mu_start:
+        if moved < tol and mu <= start.mu:
             break
+        mu = max(start.mu, mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3))
+        nu = 2.0
     else:
         raise EstimationError(
             f"estimator did not converge in {max_iter} iterations "

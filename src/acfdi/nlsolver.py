@@ -65,15 +65,14 @@ class RoundInfo:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """The solution, its objective, the KKT solves over all steps and each
-    step's record, whose count and last violation are the result's. The KKT
-    solve at z gives the multipliers mu (2 (z[:k] - anchor) = J^T mu on the
-    free variables), the variables held at each bound and the largest
+    """The solution, its objective and each step's record, whose count,
+    KKT solves and last violation are the result's. The KKT solve at z
+    gives the multipliers mu (2 (z[:k] - anchor) = J^T mu on the free
+    variables), the variables held at each bound and the largest
     stationarity residual over the free ones."""
 
     z: np.ndarray
     objective: float
-    inner_iterations: int
     rounds: tuple[RoundInfo, ...]
     multipliers: np.ndarray
     at_lower: np.ndarray
@@ -83,6 +82,10 @@ class SolveResult:
     @property
     def outer_iterations(self) -> int:
         return len(self.rounds)
+
+    @property
+    def inner_iterations(self) -> int:
+        return sum(rd.kkt_solves for rd in self.rounds)
 
     @property
     def max_violation(self) -> float:
@@ -161,14 +164,12 @@ def solve_constrained(
     weight = np.ones(nz) if anchor is None else (np.arange(nz) < k).astype(float)
     anchor = np.zeros(0) if anchor is None else np.asarray(anchor, dtype=float)
     at_lower, at_upper = z <= lower, z >= upper
-    solves = 0
     rounds: list[RoundInfo] = []
     for _ in range(max_outer):
         jac = read_jac()
         pull = np.zeros(nz)
         pull[:k] = anchor - z[:k]
         d, nu, n = _project(z, c, jac, pull, weight, lower, upper, at_lower, at_upper)
-        solves += n
         step = float(np.max(np.abs(d), initial=0.0))
         rounds.append(RoundInfo(float(np.max(np.abs(c), initial=0.0)), step, n))
         # rounding level: the step within len(z) eps of the point's size, and
@@ -177,7 +178,7 @@ def solve_constrained(
         if step <= level and np.all(np.abs(c) <= level * np.abs(jac).sum(axis=1)):
             free = ~(at_lower | at_upper)
             return SolveResult(
-                z, float(np.sum((z[:k] - anchor) ** 2)), solves, tuple(rounds), -2.0 * nu,
+                z, float(np.sum((z[:k] - anchor) ** 2)), tuple(rounds), -2.0 * nu,
                 at_lower, at_upper, 2.0 * float(np.max(np.abs(weight * d)[free], initial=0.0)),
             )
         z = np.minimum(np.maximum(z + d, lower), upper)

@@ -1224,23 +1224,36 @@ def test_wls_estimate_evaluates_each_trial_once(tiles, monkeypatch):
     adm = build_admittance(case)
     ms = generate_measurements(case, newton_power_flow(case, adm).state, seed=5, adm=adm)
     network._shared.clear()  # so that the flat start is evaluated too
-    trials = []
-    step = estimation.Damping.step
-
-    def counting(damping, f, solve, evaluate):
-        def counted(point):
-            trials.append(point)
-            return evaluate(point)
-
-        return step(damping, f, solve, counted)
-
-    monkeypatch.setattr(estimation.Damping, "step", counting)
     states, jacobians = _record_evaluations(monkeypatch)
     est = wls_estimate(ms, case, adm)
     assert est.iterations == 5
     # the flat start, then every trial, each state once
+    flat = np.concatenate([np.ones(case.n_bus), np.zeros(case.n_bus)]).tobytes()
+    assert states[0] == flat
+    trials = states[1:]
     assert len(trials) >= len(est.objective_history) - 1
-    assert len(states) == 1 + len(trials) == len(set(states))
+    assert len(states) == len(set(states))
     # the flat start's Jacobian and one per accepted step, each from the
-    # evaluation of its trial
+    # evaluation of its trial, in the order they were tried
     assert len(jacobians) == len(est.objective_history) == len(set(map(id, jacobians)))
+    read = [states.index(e.state.vm.tobytes() + e.state.va.tobytes()) for e in jacobians]
+    assert read[0] == 0 and read == sorted(read)
+
+
+def test_wls_estimate_rejects_a_trial_and_damps_further(case39, adm39, base39, monkeypatch):
+    # 40 % of the full layout at sigma 0.03: a trial is rejected, so mu
+    # grows above its start before a step is accepted; every accepted step
+    # still lowers J and the estimate converges
+    rng = np.random.default_rng(4)
+    full = generate_measurements(case39, base39, sigmas=dict.fromkeys(KINDS, 0.03), seed=4,
+                                 adm=adm39)
+    pick = np.sort(rng.choice(full.m, int(0.4 * full.m), replace=False))
+    ms = MeasurementSet(full.layout.subset(pick), full.values[pick], full.variances[pick])
+    network._shared.clear()  # so that the flat start is evaluated too
+    states, _ = _record_evaluations(monkeypatch)
+    est = wls_estimate(ms, case39, adm39)
+    assert est.converged
+    history = est.objective_history
+    assert all(after < before for before, after in zip(history, history[1:]))
+    # more states evaluated than the flat start and the accepted steps
+    assert len(states) > len(history)

@@ -289,16 +289,17 @@ def test_solver_takes_the_problem_and_its_round_cap_alone():
     assert list(params) == ["start", "constraints", "anchor", "lower", "upper", "max_outer"]
     for name in ("_TOL_EQ", "_MAX_INNER", "_PENALTY0", "_PENALTY_GROWTH", "_TOL_STEP"):
         assert not hasattr(nlsolver, name) and not hasattr(acfdi.attacks, name), name
-    # the step count and the final violation are read off the steps; the
-    # rest is the last KKT solve's
+    # the step count, the KKT solves and the final violation are read off
+    # the steps; the rest is the last KKT solve's
     fields = [f.name for f in dataclasses.fields(nlsolver.SolveResult)]
-    assert fields == ["z", "objective", "inner_iterations", "rounds", "multipliers", "at_lower",
-                      "at_upper", "stationarity"]
+    assert fields == ["z", "objective", "rounds", "multipliers", "at_lower", "at_upper",
+                      "stationarity"]
     assert [f.name for f in dataclasses.fields(nlsolver.RoundInfo)] == [
         "violation", "step", "kkt_solves"
     ]
     res = _solve(np.zeros(len(A)), _sum_to_one, anchor=A)
     assert (res.outer_iterations, res.max_violation) == (len(res.rounds), res.rounds[-1].violation)
+    assert res.inner_iterations == sum(rd.kkt_solves for rd in res.rounds)
 
 
 def test_a_start_outside_the_bounds_is_refused():
